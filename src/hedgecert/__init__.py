@@ -33,6 +33,7 @@ from .errors import (
 from .lp import LpOutcome, LpProblem, solve_lp, verify_certificate
 from .model import (
     Claim,
+    CompiledMarket,
     MarketModel,
     MeasureFamily,
     Node,
@@ -43,17 +44,11 @@ from .model import (
     ValidationReport,
     canonical_legs,
     rat,
-    rats,
+    require_valid,
     support,
     terminal_gain,
     validate_market,
     zero_strategy,
-)
-from .oracle import (
-    NarScanResult,
-    VertexSet,
-    definitional_nar_scan,
-    enumerate_consistent_measures,
 )
 from .redundancy import (
     NonredundancyVerdict,

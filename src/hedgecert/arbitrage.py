@@ -19,14 +19,12 @@ from fractions import Fraction
 from . import lp
 from .errors import DomainError, RobustArbitrageError, SoundnessError
 from .model import (
-    MarketModel,
-    MarketLayout,
+    CompiledMarket,
+    Market,
     Strategy,
     ZERO,
     ONE,
     canonical_legs,
-    dynamic_gain_rows,
-    dynamic_positions,
     require_valid,
     terminal_gain,
 )
@@ -83,16 +81,7 @@ class NarVerdict:
     blocking: str | None = None
 
 
-def _charged_positions(m: MarketModel) -> list[int]:
-    charged = set()
-    for weights in m.measures.generators:
-        for pos, w in enumerate(weights):
-            if w > 0:
-                charged.add(pos)
-    return sorted(charged)
-
-
-def measure_from_weights(m: MarketModel, weights: list[Fraction]) -> MartingaleMeasure:
+def measure_from_weights(m: Market, weights: list[Fraction]) -> MartingaleMeasure:
     values = [
         sum((w * opt.payoff[pos] for pos, w in enumerate(weights) if w), ZERO)
         for opt in m.options
@@ -100,20 +89,7 @@ def measure_from_weights(m: MarketModel, weights: list[Fraction]) -> MartingaleM
     return MartingaleMeasure(list(weights), values)
 
 
-def _strategy_from_primal(
-    m: MarketModel, layout: MarketLayout, primal: list[Fraction], nh: int
-) -> Strategy:
-    pairs = dynamic_positions(m, layout)
-    dynamic = {nid: [ZERO] * m.tree.num_assets for nid in layout.nonleaf}
-    for col, (nid, asset) in enumerate(pairs):
-        dynamic[nid][asset] = primal[col]
-    e = len(m.options)
-    buy = list(primal[nh:nh + e])
-    sell = list(primal[nh + e:nh + 2 * e])
-    return Strategy(dynamic, buy, sell)
-
-
-def check_na(m: MarketModel) -> NaVerdict:
+def check_na(m: Market) -> NaVerdict:
     """Decide no-arbitrage by maximizing total surplus over charged leaves.
 
     Variables are a strategy plus one surplus per charged leaf; the gain on
@@ -122,38 +98,29 @@ def check_na(m: MarketModel) -> NaVerdict:
     makes the optimum zero exactly when no arbitrage exists, and any positive
     optimizer is itself an arbitrage certificate.
     """
-    layout = require_valid(m)
-    supp = _charged_positions(m)
-    drows = dynamic_gain_rows(m, layout)
-    e = len(m.options)
-    nh = len(layout.nonleaf) * m.tree.num_assets
-    k = len(supp)
-    ncols = nh + 2 * e + k
+    c = require_valid(m)
+    nh, e, k = len(c.columns), len(c.options), len(c.charged)
+    width = nh + 2 * e
 
     rows, rels, rhs = [], [], []
-    for idx, pos in enumerate(supp):
-        coefs = list(drows[pos])
-        for opt in m.options:
-            coefs.append(opt.payoff[pos] - opt.ask)
-        for opt in m.options:
-            coefs.append(-(opt.payoff[pos] - opt.bid))
-        coefs.extend([ZERO] * k)
-        coefs[nh + 2 * e + idx] = Fraction(-1)
+    for idx, pos in enumerate(c.charged):
+        coefs = c.strategy_row(pos) + [ZERO] * k
+        coefs[width + idx] = Fraction(-1)
         rows.append(coefs)
         rels.append(lp.EQ)
         rhs.append(ZERO)
-    rows.append([ZERO] * (nh + 2 * e) + [ONE] * k)
+    rows.append([ZERO] * width + [ONE] * k)
     rels.append(lp.LE)
     rhs.append(ONE)
 
     problem = lp.LpProblem(
         sense=lp.MAX,
-        objective=[ZERO] * (nh + 2 * e) + [ONE] * k,
+        objective=[ZERO] * width + [ONE] * k,
         rows=rows,
         relations=rels,
         rhs=rhs,
         lower=[None] * nh + [ZERO] * (2 * e + k),
-        upper=[None] * ncols,
+        upper=[None] * (width + k),
     )
     out = lp.solve_lp(problem)
     if out.status != lp.OPTIMAL:
@@ -161,15 +128,15 @@ def check_na(m: MarketModel) -> NaVerdict:
     if out.objective_value == 0:
         return NaVerdict(True)
 
-    strategy = canonical_legs(_strategy_from_primal(m, layout, out.primal, nh))
-    gains = terminal_gain(m, strategy)
-    strict = next((pos for pos in supp if gains[pos] > 0), None)
+    strategy = canonical_legs(c.strategy_from(out.primal))
+    gains = terminal_gain(c, strategy)
+    strict = next((pos for pos in c.charged if gains[pos] > 0), None)
     if strict is None:
         raise SoundnessError("positive surplus reported but no strictly positive gain found")
     return NaVerdict(False, ArbitrageCertificate(strategy, gains, strict))
 
 
-def _consistency_rows(m, layout, supp, with_slack):
+def _consistency_rows(c: CompiledMarket, with_slack: bool):
     """Shared constraint block for measure programs over charged leaves.
 
     Variables are R_w >= 0 per charged leaf (plus a trailing slack variable
@@ -178,8 +145,8 @@ def _consistency_rows(m, layout, supp, with_slack):
     with equality on zero-spread options and slack-tightened inequalities on
     spread options.
     """
+    supp = c.charged
     k = len(supp)
-    drows = dynamic_gain_rows(m, layout)
     ncols = k + 1 if with_slack else k
     rows, rels, rhs = [], [], []
 
@@ -188,9 +155,8 @@ def _consistency_rows(m, layout, supp, with_slack):
     rels.append(lp.EQ)
     rhs.append(ONE)
 
-    nh = len(layout.nonleaf) * m.tree.num_assets
-    for col in range(nh):
-        coefs = [drows[pos][col] for pos in supp]
+    for col in range(len(c.columns)):
+        coefs = [c.gain_rows[pos][col] for pos in supp]
         if not any(coefs):
             continue
         if with_slack:
@@ -199,7 +165,7 @@ def _consistency_rows(m, layout, supp, with_slack):
         rels.append(lp.EQ)
         rhs.append(ZERO)
 
-    for opt in m.options:
+    for opt in c.options:
         gcoefs = [opt.payoff[pos] for pos in supp]
         gsum = sum(gcoefs, ZERO)
         if not opt.has_spread():
@@ -220,7 +186,15 @@ def _consistency_rows(m, layout, supp, with_slack):
     return ncols, rows, rels, rhs
 
 
-def check_nar(m: MarketModel) -> NarVerdict:
+def _weights_on_charged(c: CompiledMarket, values, shift=ZERO) -> list[Fraction]:
+    """Leaf weights from one program value per charged leaf, plus `shift`."""
+    weights = [ZERO] * len(c.leaves)
+    for idx, pos in enumerate(c.charged):
+        weights[pos] = values[idx] + shift
+    return weights
+
+
+def check_nar(m: Market) -> NarVerdict:
     """Decide robust no-arbitrage by maximizing a uniform slack.
 
     The slack simultaneously lower-bounds every charged leaf's weight and the
@@ -228,9 +202,8 @@ def check_nar(m: MarketModel) -> NarVerdict:
     holds exactly when the maximal slack is positive; the optimizer then
     yields the interior measure and the strictly shrunk quotes.
     """
-    layout = require_valid(m)
-    supp = _charged_positions(m)
-    ncols, rows, rels, rhs = _consistency_rows(m, layout, supp, with_slack=True)
+    c = require_valid(m)
+    ncols, rows, rels, rhs = _consistency_rows(c, with_slack=True)
 
     problem = lp.LpProblem(
         sense=lp.MAX,
@@ -259,14 +232,10 @@ def check_nar(m: MarketModel) -> NarVerdict:
             ),
         )
 
-    leaf_count = len(layout.leaves)
-    weights = [ZERO] * leaf_count
-    for idx, pos in enumerate(supp):
-        weights[pos] = out.primal[idx] + slack
-    measure = measure_from_weights(m, weights)
+    measure = measure_from_weights(c, _weights_on_charged(c, out.primal, slack))
     half = slack / 2
     shrunk_bids, shrunk_asks = [], []
-    for opt in m.options:
+    for opt in c.options:
         if opt.has_spread():
             shrunk_bids.append(opt.bid + half)
             shrunk_asks.append(opt.ask - half)
@@ -276,7 +245,12 @@ def check_nar(m: MarketModel) -> NarVerdict:
     return NarVerdict(True, RobustnessWitness(shrunk_bids, shrunk_asks, measure, slack))
 
 
-def dominating_measure(m: MarketModel, generator_index: int) -> MartingaleMeasure:
+def _require_domination(q: MartingaleMeasure, generators: list[list[Fraction]]) -> None:
+    if any(w > 0 and not q.weights[pos] > 0 for gen in generators for pos, w in enumerate(gen)):
+        raise SoundnessError("witness fails to dominate a generator it must dominate")
+
+
+def dominating_measure(m: Market, generator_index: int) -> MartingaleMeasure:
     """A consistent measure dominating the chosen generator.
 
     The robustness witness already charges every supported scenario with
@@ -284,39 +258,35 @@ def dominating_measure(m: MarketModel, generator_index: int) -> MartingaleMeasur
     spread, so it dominates each generator at once; returning it keeps the
     output deterministic and the domination as strong as possible.
     """
-    require_valid(m)
-    if not 0 <= generator_index < len(m.measures.generators):
+    c = require_valid(m)
+    if not 0 <= generator_index < len(c.measures.generators):
         raise DomainError(f"generator index {generator_index} out of range")
-    verdict = check_nar(m)
+    verdict = check_nar(c)
     if not verdict.holds:
         raise RobustArbitrageError(
             f"robust no-arbitrage fails: {verdict.blocking}",
             blocking=verdict.blocking,
         )
     measure = verdict.witness.interior_measure
-    generator = m.measures.generators[generator_index]
-    for pos, w in enumerate(generator):
-        if w > 0 and not measure.weights[pos] > 0:
-            raise SoundnessError("witness fails to dominate a generator it must dominate")
+    _require_domination(measure, [c.measures.generators[generator_index]])
     return measure
 
 
-def scenario_pricing_measure(m: MarketModel, leaf: int) -> MartingaleMeasure | None:
+def scenario_pricing_measure(m: Market, leaf: int) -> MartingaleMeasure | None:
     """A consistent measure charging the given leaf, or None if none exists.
 
     No-arbitrage holds exactly when the answer is non-None for every charged
     leaf, which makes this the per-scenario diagnosis of an arbitrage verdict.
     """
-    layout = require_valid(m)
-    supp = _charged_positions(m)
-    if not 0 <= leaf < len(layout.leaves):
+    c = require_valid(m)
+    if not 0 <= leaf < len(c.leaves):
         raise DomainError(f"leaf position {leaf} out of range")
-    if leaf not in supp:
+    if leaf not in c.charged:
         raise DomainError(f"leaf {leaf} is not charged by any generator")
 
-    ncols, rows, rels, rhs = _consistency_rows(m, layout, supp, with_slack=False)
+    ncols, rows, rels, rhs = _consistency_rows(c, with_slack=False)
     objective = [ZERO] * ncols
-    objective[supp.index(leaf)] = ONE
+    objective[c.charged.index(leaf)] = ONE
     problem = lp.LpProblem(
         sense=lp.MAX,
         objective=objective,
@@ -333,45 +303,41 @@ def scenario_pricing_measure(m: MarketModel, leaf: int) -> MartingaleMeasure | N
         raise SoundnessError("pricing-measure program unbounded over a probability simplex")
     if out.objective_value == 0:
         return None
-    weights = [ZERO] * len(layout.leaves)
-    for idx, pos in enumerate(supp):
-        weights[pos] = out.primal[idx]
-    return measure_from_weights(m, weights)
+    return measure_from_weights(c, _weights_on_charged(c, out.primal))
 
 
-def verify_measure(m: MarketModel, q: MartingaleMeasure) -> bool:
+def verify_measure(m: Market, q: MartingaleMeasure) -> bool:
     """Replay every measure invariant exactly: mass, support, martingale, quotes.
 
     The martingale identity is checked by walking the tree directly (mass
     under each child times the price step), independently of the coefficient
     rows the programs are built from.
     """
-    layout = require_valid(m)
-    leaf_count = len(layout.leaves)
-    if len(q.weights) != leaf_count or len(q.option_values) != len(m.options):
+    c = require_valid(m)
+    if len(q.weights) != len(c.leaves) or len(q.option_values) != len(c.options):
         return False
     if any(w < 0 for w in q.weights):
         return False
     if sum(q.weights, ZERO) != 1:
         return False
-    supp = set(_charged_positions(m))
+    supp = set(c.charged)
     if any(w > 0 for pos, w in enumerate(q.weights) if pos not in supp):
         return False
-    mass = {node.id: ZERO for node in m.tree.nodes}
-    for pos, leaf in enumerate(layout.leaves):
+    mass = [ZERO] * len(c.prices)
+    for pos, path in enumerate(c.paths):
         if q.weights[pos]:
-            for nid in layout.paths[pos]:
+            for nid in path:
                 mass[nid] += q.weights[pos]
-    for nid in layout.nonleaf:
-        here = layout.prices(nid)
-        for j in range(m.tree.num_assets):
+    for nid in c.nonleaf:
+        here = c.prices[nid]
+        for j in range(c.tree.num_assets):
             drift = sum(
-                (mass[kid] * (layout.prices(kid)[j] - here[j]) for kid in layout.children[nid]),
+                (mass[kid] * (c.prices[kid][j] - here[j]) for kid in c.children[nid]),
                 ZERO,
             )
             if drift != 0:
                 return False
-    for i, opt in enumerate(m.options):
+    for i, opt in enumerate(c.options):
         value = sum((w * opt.payoff[pos] for pos, w in enumerate(q.weights) if w), ZERO)
         if value != q.option_values[i]:
             return False
@@ -380,7 +346,7 @@ def verify_measure(m: MarketModel, q: MartingaleMeasure) -> bool:
     return True
 
 
-def strictly_inside_quotes(m: MarketModel, q: MartingaleMeasure) -> bool:
+def strictly_inside_quotes(m: Market, q: MartingaleMeasure) -> bool:
     """True when every spread option is valued strictly inside its quotes."""
     for i, opt in enumerate(m.options):
         v = q.option_values[i]
@@ -392,19 +358,19 @@ def strictly_inside_quotes(m: MarketModel, q: MartingaleMeasure) -> bool:
     return True
 
 
-def verify_na_certificate(m: MarketModel, cert: ArbitrageCertificate) -> bool:
-    gains = terminal_gain(m, cert.strategy)
+def verify_na_certificate(m: Market, cert: ArbitrageCertificate) -> bool:
+    c = require_valid(m)
+    gains = terminal_gain(c, cert.strategy)
     if gains != cert.gains:
         return False
-    supp = set(_charged_positions(m))
-    if cert.strict_leaf not in supp:
+    if cert.strict_leaf not in c.charged:
         return False
-    if any(gains[pos] < 0 for pos in supp):
+    if any(gains[pos] < 0 for pos in c.charged):
         return False
     return gains[cert.strict_leaf] > 0
 
 
-def verify_nar_witness(m: MarketModel, w: RobustnessWitness) -> bool:
+def verify_nar_witness(m: Market, w: RobustnessWitness) -> bool:
     if w.slack <= 0:
         return False
     e = len(m.options)
@@ -417,11 +383,11 @@ def verify_nar_witness(m: MarketModel, w: RobustnessWitness) -> bool:
                 return False
         elif sb != opt.bid or sa != opt.bid:
             return False
+    c = require_valid(m)
     q = w.interior_measure
-    if not verify_measure(m, q):
+    if not verify_measure(c, q):
         return False
-    supp = _charged_positions(m)
-    if any(not q.weights[pos] > 0 for pos in supp):
+    if any(not q.weights[pos] > 0 for pos in c.charged):
         return False
     for i in range(e):
         if not w.shrunk_bids[i] <= q.option_values[i] <= w.shrunk_asks[i]:

@@ -22,7 +22,7 @@ from .errors import (
     SoundnessError,
     StructureError,
 )
-from .model import Claim, MarketModel
+from .model import Claim, CompiledMarket, require_valid
 
 EXIT_OK = 0
 EXIT_FAILS = 3
@@ -44,29 +44,27 @@ def _report(command: str, verdict: str, values=None, certificates=None, diagnost
     }
 
 
-def _load_market(path: str) -> MarketModel:
+def _load_market(path: str) -> CompiledMarket:
     with open(path, "rb") as handle:
-        return marketio.parse_market(handle.read())
+        return require_valid(marketio.parse_market(handle.read()))
 
 
-def _load_claim(path: str, m: MarketModel) -> Claim:
+def _load_claim(path: str, m: CompiledMarket) -> Claim:
     with open(path, "rb") as handle:
         return marketio.parse_claim(handle.read(), m)
 
 
-def _option_index(m: MarketModel, name: str) -> int:
+def _option_index(m: CompiledMarket, name: str) -> int:
     for i, opt in enumerate(m.options):
         if opt.name == name:
             return i
     raise DomainError(f"no option named {name!r}")
 
 
-def _generator_index(m: MarketModel, name: str) -> int:
-    names = m.measures.names or [f"P{k}" for k in range(len(m.measures.generators))]
-    for i, gen_name in enumerate(names):
-        if gen_name == name:
-            return i
-    raise DomainError(f"no generator named {name!r}")
+def _generator_index(m: CompiledMarket, name: str) -> int:
+    if name not in m.generator_names:
+        raise DomainError(f"no generator named {name!r}")
+    return m.generator_names.index(name)
 
 
 def _require(condition: bool, what: str) -> None:
@@ -202,7 +200,6 @@ def _cmd_sharper_ftap(args) -> tuple[int, dict]:
         for q in bundle.dominating:
             _require(arbitrage.verify_measure(m, q), "dominating measure")
             _require(arbitrage.strictly_inside_quotes(m, q), "strict interiority")
-    names = m.measures.names or [f"P{k}" for k in range(len(m.measures.generators))]
     return EXIT_OK, _report(
         "sharper-ftap",
         "holds",
@@ -210,8 +207,8 @@ def _cmd_sharper_ftap(args) -> tuple[int, dict]:
         certificates={
             "witness": marketio.witness_to_json(m, bundle.nar_witness),
             "dominating": {
-                names[k]: marketio.measure_to_json(q)
-                for k, q in enumerate(bundle.dominating)
+                name: marketio.measure_to_json(q)
+                for name, q in zip(m.generator_names, bundle.dominating)
             },
         },
     )
@@ -323,13 +320,10 @@ def main(argv=None) -> int:
     command = args.command
     try:
         code, report = args.handler(args)
-    except StructureError as exc:
+    except (StructureError, DomainError) as exc:
         _emit_error("invalid-input", exc)
         return EXIT_INVALID
-    except DomainError as exc:
-        _emit_error("invalid-input", exc)
-        return EXIT_INVALID
-    except (OSError, FileNotFoundError) as exc:
+    except OSError as exc:
         _emit_error("io-error", exc)
         return EXIT_INVALID
     except PreconditionError as exc:

@@ -17,13 +17,15 @@ from .arbitrage import ArbitrageCertificate, MartingaleMeasure, RobustnessWitnes
 from .errors import StructureError
 from .model import (
     Claim,
+    Market,
     MarketModel,
-    MarketLayout,
     MeasureFamily,
     Node,
     OptionQuote,
     ScenarioTree,
     Strategy,
+    leaf_ids,
+    require_valid,
     validate_market,
 )
 from .redundancy import ReplicationCertificate
@@ -76,12 +78,40 @@ def parse_rational_text(text) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise StructureError("zero denominator") from None
+    except ValueError:  # the grammar matched, so only the int-string limit is left
+        raise StructureError(f"rational string of {len(text)} characters is too long") from None
 
 
 def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def _load_object(data: bytes | str) -> dict:
+    """Decode and parse one JSON document whose top level is an object."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MarketParseError([("$", f"not UTF-8: invalid byte at offset {exc.start}")]) from None
+    try:
+        raw = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise MarketParseError([("$", f"malformed JSON: {exc.msg} at line {exc.lineno}")]) from None
+    except RecursionError:
+        raise MarketParseError([("$", "malformed JSON: nested too deeply")]) from None
+    except ValueError as exc:  # an integer literal past the int-string limit
+        raise MarketParseError([("$", f"malformed JSON: {exc}")]) from None
+    if not isinstance(raw, dict):
+        raise MarketParseError([("$", "top level must be an object")])
+    return raw
+
+
+def _is_id_list(obj) -> bool:
+    return isinstance(obj, list) and all(
+        isinstance(v, int) and not isinstance(v, bool) for v in obj
+    )
 
 
 def _take_rational(obj, path: str, issues: _Issues) -> Fraction | None:
@@ -146,14 +176,7 @@ def _parse_nodes(raw, issues: _Issues) -> list[Node]:
 def parse_market(data: bytes | str) -> MarketModel:
     """Exact parse of a market file; every problem is reported with its path."""
     issues = _Issues()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        raw = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise MarketParseError([("$", f"malformed JSON: {exc.msg} at line {exc.lineno}")])
-    if not isinstance(raw, dict):
-        raise MarketParseError([("$", "top level must be an object")])
+    raw = _load_object(data)
     version = raw.get("schemaVersion")
     if version != SCHEMA_VERSION:
         raise MarketParseError([("schemaVersion", f"unsupported value {version!r}, expected {SCHEMA_VERSION}")])
@@ -179,17 +202,15 @@ def parse_market(data: bytes | str) -> MarketModel:
     tree = ScenarioTree(nodes, periods, num_assets)
 
     mark = issues.mark()
-    leaf_ids = sorted(n.id for n in nodes if n.time == periods)
+    leaves = leaf_ids(tree)
     order_raw = raw["leafOrder"]
-    if not isinstance(order_raw, list) or any(
-        isinstance(v, bool) or not isinstance(v, int) for v in order_raw
-    ):
+    if not _is_id_list(order_raw):
         issues.add("leafOrder", "expected a list of node ids")
-    elif sorted(order_raw) != leaf_ids:
+    elif sorted(order_raw) != leaves:
         issues.add("leafOrder", "must list exactly the nodes at the final period")
     issues.raise_if_added(mark)
     slot = {leaf: k for k, leaf in enumerate(order_raw)}
-    reorder = [slot[leaf] for leaf in leaf_ids]  # file index per canonical position
+    reorder = [slot[leaf] for leaf in leaves]  # file index per canonical position
 
     options = []
     options_raw = raw["options"]
@@ -219,7 +240,7 @@ def parse_market(data: bytes | str) -> MarketModel:
         ask = _take_rational(item["ask"], f"{path}.ask", issues)
         if bid is None or ask is None:
             continue
-        if len(payoff) == len(leaf_ids):
+        if len(payoff) == len(leaves):
             payoff = [payoff[i] for i in reorder]
         options.append(OptionQuote(name, payoff, bid, ask))
 
@@ -247,7 +268,7 @@ def parse_market(data: bytes | str) -> MarketModel:
             issues.add(f"{path}.name", f"duplicate measure name {name!r}")
         seen_names.add(name)
         weights = _take_rational_list(item["weights"], f"{path}.weights", issues)
-        if len(weights) == len(leaf_ids):
+        if len(weights) == len(leaves):
             weights = [weights[i] for i in reorder]
         generators.append(weights)
         gen_names.append(name)
@@ -260,9 +281,8 @@ def parse_market(data: bytes | str) -> MarketModel:
     return market
 
 
-def market_to_json(m: MarketModel) -> dict:
-    layout = MarketLayout(m.tree)
-    names = m.measures.names or [f"P{k}" for k in range(len(m.measures.generators))]
+def market_to_json(m: Market) -> dict:
+    c = require_valid(m)
     return {
         "schemaVersion": SCHEMA_VERSION,
         "tree": {
@@ -286,28 +306,21 @@ def market_to_json(m: MarketModel) -> dict:
             for opt in m.options
         ],
         "measures": [
-            {"name": names[k], "weights": [format_rational(w) for w in weights]}
-            for k, weights in enumerate(m.measures.generators)
+            {"name": name, "weights": [format_rational(w) for w in weights]}
+            for name, weights in zip(c.generator_names, m.measures.generators)
         ],
-        "leafOrder": list(layout.leaves),
+        "leafOrder": leaf_ids(m.tree),
     }
 
 
-def dump_market(m: MarketModel) -> str:
+def dump_market(m: Market) -> str:
     return json.dumps(market_to_json(m), indent=2)
 
 
-def parse_claim(data: bytes | str, m: MarketModel) -> Claim:
+def parse_claim(data: bytes | str, m: Market) -> Claim:
     """Parse a claim file against a market's leaves."""
     issues = _Issues()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        raw = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise MarketParseError([("$", f"malformed JSON: {exc.msg} at line {exc.lineno}")])
-    if not isinstance(raw, dict):
-        raise MarketParseError([("$", "top level must be an object")])
+    raw = _load_object(data)
     if raw.get("schemaVersion") != SCHEMA_VERSION:
         raise MarketParseError([("schemaVersion", f"unsupported value {raw.get('schemaVersion')!r}")])
     _check_keys(raw, _CLAIM_KEYS, "$", issues)
@@ -315,9 +328,9 @@ def parse_claim(data: bytes | str, m: MarketModel) -> Claim:
         issues.add(key, "missing field")
     issues.raise_if_any()
 
-    layout = MarketLayout(m.tree)
+    leaves = leaf_ids(m.tree)
     order = raw["leafOrder"]
-    if not isinstance(order, list) or sorted(order) != list(layout.leaves):
+    if not _is_id_list(order) or sorted(order) != leaves:
         issues.add("leafOrder", "must list exactly the market's final-period nodes")
         issues.raise_if_any()
     payoff = _take_rational_list(raw["payoff"], "payoff", issues)
@@ -325,19 +338,18 @@ def parse_claim(data: bytes | str, m: MarketModel) -> Claim:
         issues.add("payoff", f"{len(payoff)} entries for {len(order)} leaves")
     issues.raise_if_any()
     slot = {leaf: k for k, leaf in enumerate(order)}
-    return Claim([payoff[slot[leaf]] for leaf in layout.leaves])
+    return Claim([payoff[slot[leaf]] for leaf in leaves])
 
 
-def claim_to_json(m: MarketModel, f: Claim) -> dict:
-    layout = MarketLayout(m.tree)
+def claim_to_json(m: Market, f: Claim) -> dict:
     return {
         "schemaVersion": SCHEMA_VERSION,
-        "leafOrder": list(layout.leaves),
+        "leafOrder": leaf_ids(m.tree),
         "payoff": [format_rational(v) for v in f.payoff],
     }
 
 
-def strategy_to_json(m: MarketModel, s: Strategy) -> dict:
+def strategy_to_json(m: Market, s: Strategy) -> dict:
     return {
         "dynamic": {
             str(nid): [format_rational(v) for v in s.dynamic[nid]]
@@ -356,7 +368,7 @@ def measure_to_json(q: MartingaleMeasure) -> dict:
     }
 
 
-def na_certificate_to_json(m: MarketModel, cert: ArbitrageCertificate) -> dict:
+def na_certificate_to_json(m: Market, cert: ArbitrageCertificate) -> dict:
     return {
         "strategy": strategy_to_json(m, cert.strategy),
         "gains": [format_rational(g) for g in cert.gains],
@@ -364,7 +376,7 @@ def na_certificate_to_json(m: MarketModel, cert: ArbitrageCertificate) -> dict:
     }
 
 
-def witness_to_json(m: MarketModel, w: RobustnessWitness) -> dict:
+def witness_to_json(m: Market, w: RobustnessWitness) -> dict:
     return {
         "shrunkBids": [format_rational(v) for v in w.shrunk_bids],
         "shrunkAsks": [format_rational(v) for v in w.shrunk_asks],
@@ -373,7 +385,7 @@ def witness_to_json(m: MarketModel, w: RobustnessWitness) -> dict:
     }
 
 
-def replication_to_json(m: MarketModel, i: int, cert: ReplicationCertificate) -> dict:
+def replication_to_json(m: Market, i: int, cert: ReplicationCertificate) -> dict:
     others = [k for k in range(len(m.options)) if k != i]
     return {
         "option": m.options[i].name,

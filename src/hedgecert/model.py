@@ -45,10 +45,6 @@ def rat(value: Fraction | int | str) -> Fraction:
     raise StructureError(f"cannot interpret {type(value).__name__} as a rational")
 
 
-def rats(values) -> list[Fraction]:
-    return [rat(v) for v in values]
-
-
 @dataclass
 class Node:
     """One tree node: a market state at a given period.
@@ -130,44 +126,9 @@ class ValidationReport:
     violations: list[str] = field(default_factory=list)
 
 
-class MarketLayout:
-    """Precomputed navigation for a validated market's tree.
-
-    children / leaves / root-to-leaf paths, all keyed by node id, plus the
-    canonical leaf ordering (ascending node id at the final period).
-    """
-
-    def __init__(self, tree: ScenarioTree):
-        by_id = {node.id: node for node in tree.nodes}
-        children: dict[int, list[int]] = {node.id: [] for node in tree.nodes}
-        root = None
-        for node in tree.nodes:
-            if node.parent is None:
-                root = node.id
-            else:
-                children[node.parent].append(node.id)
-        for kids in children.values():
-            kids.sort()
-        self.tree = tree
-        self.by_id = by_id
-        self.children = children
-        self.root = root
-        self.leaves = sorted(n.id for n in tree.nodes if n.time == tree.periods)
-        self.leaf_pos = {leaf: k for k, leaf in enumerate(self.leaves)}
-        self.paths = [self._path(leaf) for leaf in self.leaves]
-        self.nonleaf = sorted(n.id for n in tree.nodes if n.time < tree.periods)
-
-    def _path(self, leaf: int) -> list[int]:
-        path = [leaf]
-        node = self.by_id[leaf]
-        while node.parent is not None:
-            path.append(node.parent)
-            node = self.by_id[node.parent]
-        path.reverse()
-        return path
-
-    def prices(self, node_id: int) -> list[Fraction]:
-        return self.by_id[node_id].prices
+def leaf_ids(tree: ScenarioTree) -> list[int]:
+    """Final-period node ids in ascending order, i.e. by leaf position."""
+    return sorted(node.id for node in tree.nodes if node.time == tree.periods)
 
 
 def validate_market(m: MarketModel) -> ValidationReport:
@@ -245,68 +206,162 @@ def validate_market(m: MarketModel) -> ValidationReport:
     return ValidationReport(not issues, issues)
 
 
-def require_valid(m: MarketModel) -> MarketLayout:
+@dataclass(frozen=True)
+class CompiledMarket:
+    """A validated market plus everything its programs are built from.
+
+    Built once per call by `require_valid` and read-only afterwards. Node
+    ids are dense after validation, so per-node data is indexed by id; leaf
+    data is indexed by leaf position. The `tree`, `options` and `measures`
+    of the underlying model read through, so every query accepts a compiled
+    market wherever it accepts a MarketModel.
+    """
+
+    market: MarketModel
+    prices: tuple[tuple[Fraction, ...], ...]        # by node id
+    children: tuple[tuple[int, ...], ...]           # by node id, ascending
+    leaves: tuple[int, ...]                         # leaf node ids, ascending
+    paths: tuple[tuple[int, ...], ...]              # root-to-leaf node ids, by position
+    nonleaf: tuple[int, ...]                        # non-leaf node ids, ascending
+    charged: tuple[int, ...]                        # positions some generator charges
+    columns: tuple[tuple[int, int], ...]            # (node id, asset) per dynamic column
+    gain_rows: tuple[tuple[Fraction, ...], ...]     # by position, one entry per column
+    generator_names: tuple[str, ...]
+
+    @property
+    def tree(self) -> ScenarioTree:
+        return self.market.tree
+
+    @property
+    def options(self) -> list[OptionQuote]:
+        return self.market.options
+
+    @property
+    def measures(self) -> MeasureFamily:
+        return self.market.measures
+
+    def strategy_row(self, pos: int) -> list[Fraction]:
+        """Gain on leaf `pos` per unit of each strategy column: the dynamic
+        columns, then one buy leg and one sell leg per option."""
+        row = list(self.gain_rows[pos])
+        row += [opt.payoff[pos] - opt.ask for opt in self.options]
+        row += [-(opt.payoff[pos] - opt.bid) for opt in self.options]
+        return row
+
+    def strategy_from(self, primal: list[Fraction]) -> Strategy:
+        """The strategy a solution encodes in the `strategy_row` column order."""
+        nh, e = len(self.columns), len(self.options)
+        dynamic = {nid: [ZERO] * self.tree.num_assets for nid in self.nonleaf}
+        for (nid, asset), value in zip(self.columns, primal):
+            dynamic[nid][asset] = value
+        return Strategy(dynamic, list(primal[nh:nh + e]), list(primal[nh + e:nh + 2 * e]))
+
+
+Market = MarketModel | CompiledMarket
+
+
+def require_valid(m: Market) -> CompiledMarket:
+    """Validate a market and compile it; a compiled market passes unchanged.
+
+    This is the single place that builds the tree navigation, the charged
+    support, the dynamic gain rows and the strategy-column layout.
+    """
+    if isinstance(m, CompiledMarket):
+        return m
     report = validate_market(m)
     if not report.ok:
         raise StructureError("invalid market: " + "; ".join(report.violations))
-    return MarketLayout(m.tree)
+    tree = m.tree
+    n, assets = len(tree.nodes), tree.num_assets
+    parent: list[int | None] = [None] * n
+    prices: list[tuple[Fraction, ...]] = [()] * n
+    children: list[list[int]] = [[] for _ in range(n)]
+    for node in tree.nodes:
+        parent[node.id] = node.parent
+        prices[node.id] = tuple(node.prices)
+        if node.parent is not None:
+            children[node.parent].append(node.id)
+    leaves = leaf_ids(tree)
+    nonleaf = sorted(node.id for node in tree.nodes if node.time < tree.periods)
+    paths = []
+    for leaf in leaves:
+        path = [leaf]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        paths.append(tuple(reversed(path)))
+
+    first_column = {nid: k * assets for k, nid in enumerate(nonleaf)}
+    gain_rows = []
+    for path in paths:
+        row = [ZERO] * (len(nonleaf) * assets)
+        for here, there in zip(path, path[1:]):
+            for j in range(assets):
+                row[first_column[here] + j] = prices[there][j] - prices[here][j]
+        gain_rows.append(tuple(row))
+
+    gens = m.measures.generators
+    return CompiledMarket(
+        market=m,
+        prices=tuple(prices),
+        children=tuple(tuple(sorted(kids)) for kids in children),
+        leaves=tuple(leaves),
+        paths=tuple(paths),
+        nonleaf=tuple(nonleaf),
+        charged=tuple(sorted({pos for w in gens for pos, v in enumerate(w) if v > 0})),
+        columns=tuple((nid, j) for nid in nonleaf for j in range(assets)),
+        gain_rows=tuple(gain_rows),
+        generator_names=tuple(m.measures.names or (f"P{k}" for k in range(len(gens)))),
+    )
 
 
-def support(m: MarketModel) -> set[int]:
+def support(m: Market) -> set[int]:
     """Leaf positions charged by at least one generator.
 
     The complement is the largest set that every generator ignores, so a
     statement holds quasi-surely exactly when it holds on this set.
     """
-    require_valid(m)
-    charged: set[int] = set()
-    for weights in m.measures.generators:
-        for pos, w in enumerate(weights):
-            if w > 0:
-                charged.add(pos)
-    return charged
+    return set(require_valid(m).charged)
 
 
-def _check_strategy_shape(m: MarketModel, layout: MarketLayout, s: Strategy) -> None:
-    e = len(m.options)
+def _check_strategy_shape(c: CompiledMarket, s: Strategy) -> None:
+    e = len(c.options)
     if len(s.buy_leg) != e or len(s.sell_leg) != e:
         raise StructureError(
             f"strategy legs sized {len(s.buy_leg)}/{len(s.sell_leg)}, expected {e}"
         )
     if any(v < 0 for v in s.buy_leg) or any(v < 0 for v in s.sell_leg):
         raise StructureError("strategy legs must be nonnegative")
-    if set(s.dynamic) != set(layout.nonleaf):
+    if set(s.dynamic) != set(c.nonleaf):
         raise StructureError("strategy dynamic positions must cover exactly the non-leaf nodes")
     for node_id, positions in s.dynamic.items():
-        if len(positions) != m.tree.num_assets:
+        if len(positions) != c.tree.num_assets:
             raise StructureError(
                 f"strategy at node {node_id} has {len(positions)} positions, "
-                f"expected {m.tree.num_assets}"
+                f"expected {c.tree.num_assets}"
             )
 
 
-def terminal_gain(m: MarketModel, s: Strategy) -> list[Fraction]:
+def terminal_gain(m: Market, s: Strategy) -> list[Fraction]:
     """Terminal wealth of a strategy on each leaf, from zero initial capital.
 
     Dynamic trading gains accrue per period step along the leaf's path;
     each option bought contributes payoff minus ask, each option sold
-    contributes bid minus payoff.
+    contributes bid minus payoff. The walk reads prices off the tree, never
+    the compiled gain rows, so it replays the programs independently.
     """
-    layout = require_valid(m)
-    _check_strategy_shape(m, layout, s)
+    c = require_valid(m)
+    _check_strategy_shape(c, s)
     gains: list[Fraction] = []
-    for pos, path in enumerate(layout.paths):
+    for pos, path in enumerate(c.paths):
         total = ZERO
-        for step in range(len(path) - 1):
-            here, there = path[step], path[step + 1]
+        for here, there in zip(path, path[1:]):
             held = s.dynamic[here]
-            p_here = layout.prices(here)
-            p_there = layout.prices(there)
-            for j in range(m.tree.num_assets):
+            p_here, p_there = c.prices[here], c.prices[there]
+            for j in range(c.tree.num_assets):
                 h = held[j]
                 if h:
                     total += h * (p_there[j] - p_here[j])
-        for i, option in enumerate(m.options):
+        for i, option in enumerate(c.options):
             if s.buy_leg[i]:
                 total += s.buy_leg[i] * (option.payoff[pos] - option.ask)
             if s.sell_leg[i]:
@@ -315,11 +370,10 @@ def terminal_gain(m: MarketModel, s: Strategy) -> list[Fraction]:
     return gains
 
 
-def zero_strategy(m: MarketModel) -> Strategy:
-    layout = require_valid(m)
-    dynamic = {nid: [ZERO] * m.tree.num_assets for nid in layout.nonleaf}
-    e = len(m.options)
-    return Strategy(dynamic, [ZERO] * e, [ZERO] * e)
+def zero_strategy(m: Market) -> Strategy:
+    c = require_valid(m)
+    e = len(c.options)
+    return Strategy({nid: [ZERO] * c.tree.num_assets for nid in c.nonleaf}, [ZERO] * e, [ZERO] * e)
 
 
 def canonical_legs(s: Strategy) -> Strategy:
@@ -334,37 +388,3 @@ def canonical_legs(s: Strategy) -> Strategy:
         buy.append(net if net > 0 else ZERO)
         sell.append(-net if net < 0 else ZERO)
     return Strategy(s.dynamic, buy, sell)
-
-
-def net_positions(s: Strategy) -> list[Fraction]:
-    return [b - v for b, v in zip(s.buy_leg, s.sell_leg)]
-
-
-def dynamic_positions(m: MarketModel, layout: MarketLayout | None = None) -> list[tuple[int, int]]:
-    """Column order for the dynamic part of strategy space: (node id, asset)."""
-    if layout is None:
-        layout = require_valid(m)
-    return [(nid, j) for nid in layout.nonleaf for j in range(m.tree.num_assets)]
-
-
-def dynamic_gain_rows(m: MarketModel, layout: MarketLayout | None = None) -> list[list[Fraction]]:
-    """Per-leaf coefficients of the dynamic gain, one column per (node, asset).
-
-    Entry [leaf][column] is the one-step price increment the position at that
-    node earns along the leaf's path, zero when the node is off the path.
-    """
-    if layout is None:
-        layout = require_valid(m)
-    pairs = dynamic_positions(m, layout)
-    col = {pair: k for k, pair in enumerate(pairs)}
-    rows = []
-    for path in layout.paths:
-        coefs = [ZERO] * len(pairs)
-        for step in range(len(path) - 1):
-            here, there = path[step], path[step + 1]
-            p_here = layout.prices(here)
-            p_there = layout.prices(there)
-            for j in range(m.tree.num_assets):
-                coefs[col[(here, j)]] = p_there[j] - p_here[j]
-        rows.append(coefs)
-    return rows

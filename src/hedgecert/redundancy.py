@@ -18,20 +18,12 @@ from .arbitrage import (
     MartingaleMeasure,
     NaVerdict,
     RobustnessWitness,
-    _charged_positions,
+    _require_domination,
     check_na,
     check_nar,
-    dominating_measure,
 )
 from .errors import DomainError, PreconditionError, SoundnessError
-from .model import (
-    MarketModel,
-    ZERO,
-    ONE,
-    dynamic_gain_rows,
-    dynamic_positions,
-    require_valid,
-)
+from .model import Market, Strategy, ZERO, ONE, require_valid, terminal_gain
 
 
 @dataclass
@@ -63,23 +55,21 @@ class SharperFtapBundle:
     dominating: list[MartingaleMeasure] | None
 
 
-def check_nonredundant(m: MarketModel, i: int) -> NonredundancyVerdict:
+def check_nonredundant(m: Market, i: int) -> NonredundancyVerdict:
     """Feasibility of x + dynamic gains + other options == option i, exactly."""
-    layout = require_valid(m)
-    if not 0 <= i < len(m.options):
+    c = require_valid(m)
+    if not 0 <= i < len(c.options):
         raise DomainError(f"option index {i} out of range")
-    supp = _charged_positions(m)
-    drows = dynamic_gain_rows(m, layout)
-    others = [k for k in range(len(m.options)) if k != i]
-    nh = len(layout.nonleaf) * m.tree.num_assets
+    others = [k for k in range(len(c.options)) if k != i]
+    nh = len(c.columns)
     ncols = 1 + nh + len(others)
 
     rows, rhs = [], []
-    for pos in supp:
-        coefs = [ONE] + list(drows[pos])
-        coefs.extend(m.options[k].payoff[pos] for k in others)
+    for pos in c.charged:
+        coefs = [ONE] + list(c.gain_rows[pos])
+        coefs.extend(c.options[k].payoff[pos] for k in others)
         rows.append(coefs)
-        rhs.append(m.options[i].payoff[pos])
+        rhs.append(c.options[i].payoff[pos])
     problem = lp.LpProblem(
         sense=lp.MIN,
         objective=[ZERO] * ncols,
@@ -95,21 +85,19 @@ def check_nonredundant(m: MarketModel, i: int) -> NonredundancyVerdict:
     if out.status != lp.OPTIMAL:
         raise SoundnessError("replication program has a constant objective")
 
-    pairs = dynamic_positions(m, layout)
-    dynamic = {nid: [ZERO] * m.tree.num_assets for nid in layout.nonleaf}
-    for col, (nid, asset) in enumerate(pairs):
-        dynamic[nid][asset] = out.primal[1 + col]
+    # the static columns here are signed positions, not legs: keep the dynamic part
+    dynamic = c.strategy_from(out.primal[1:]).dynamic
     static = list(out.primal[1 + nh:])
     return NonredundancyVerdict(
         False, ReplicationCertificate(out.primal[0], dynamic, static)
     )
 
 
-def all_spread_options_nonredundant(m: MarketModel) -> SpreadOptionsReport:
-    require_valid(m)
+def all_spread_options_nonredundant(m: Market) -> SpreadOptionsReport:
+    c = require_valid(m)
     verdicts = {
-        i: check_nonredundant(m, i)
-        for i, opt in enumerate(m.options)
+        i: check_nonredundant(c, i)
+        for i, opt in enumerate(c.options)
         if opt.has_spread()
     }
     return SpreadOptionsReport(
@@ -117,62 +105,59 @@ def all_spread_options_nonredundant(m: MarketModel) -> SpreadOptionsReport:
     )
 
 
-def sharper_ftap(m: MarketModel) -> SharperFtapBundle:
+def sharper_ftap(m: Market) -> SharperFtapBundle:
     """Settle the market from plain no-arbitrage alone.
 
     Precondition: every spread option non-redundant. If arbitrage exists the
     verdict carries its certificate; otherwise robust no-arbitrage must
     follow, and the bundle includes the robustness witness plus a dominating
-    measure per generator. A market passing the precondition where the
-    implication fails would be a solver bug, not a market.
+    measure per generator. The witness charges every supported scenario, so
+    it is that measure for every generator at once. A market passing the
+    precondition where the implication fails would be a solver bug, not a
+    market.
     """
-    require_valid(m)
-    report = all_spread_options_nonredundant(m)
+    c = require_valid(m)
+    report = all_spread_options_nonredundant(c)
     if not report.all_non_redundant:
         bad = sorted(
-            m.options[i].name for i, v in report.verdicts.items() if not v.non_redundant
+            c.options[i].name for i, v in report.verdicts.items() if not v.non_redundant
         )
         raise PreconditionError(
             "redundant spread options: " + ", ".join(bad),
             details=report,
         )
-    na = check_na(m)
+    na = check_na(c)
     if not na.holds:
         return SharperFtapBundle(na, None, None)
-    nar = check_nar(m)
+    nar = check_nar(c)
     if not nar.holds:
         raise SoundnessError(
             "no-arbitrage holds with non-redundant spread options, yet the robust "
             f"check fails ({nar.blocking}); this contradicts an exact implication"
         )
-    dominating = [
-        dominating_measure(m, k) for k in range(len(m.measures.generators))
-    ]
-    return SharperFtapBundle(na, nar.witness, dominating)
+    measure = nar.witness.interior_measure
+    _require_domination(measure, c.measures.generators)
+    return SharperFtapBundle(na, nar.witness, [measure] * len(c.measures.generators))
 
 
-def verify_replication(m: MarketModel, i: int, cert: ReplicationCertificate) -> bool:
-    """Replay the replication identity on every charged leaf."""
-    layout = require_valid(m)
-    if not 0 <= i < len(m.options):
+def verify_replication(m: Market, i: int, cert: ReplicationCertificate) -> bool:
+    """Replay the replication identity on every charged leaf, walking the
+    tree for the dynamic gains."""
+    c = require_valid(m)
+    if not 0 <= i < len(c.options):
         return False
-    supp = _charged_positions(m)
-    drows = dynamic_gain_rows(m, layout)
-    pairs = dynamic_positions(m, layout)
-    others = [k for k in range(len(m.options)) if k != i]
+    others = [k for k in range(len(c.options)) if k != i]
     if len(cert.static_signed) != len(others):
         return False
-    if set(cert.dynamic) != set(layout.nonleaf):
+    if set(cert.dynamic) != set(c.nonleaf):
         return False
-    for pos in supp:
-        total = cert.initial_capital
-        for col, (nid, asset) in enumerate(pairs):
-            h = cert.dynamic[nid][asset]
-            if h:
-                total += h * drows[pos][col]
+    e = len(c.options)
+    gains = terminal_gain(c, Strategy(cert.dynamic, [ZERO] * e, [ZERO] * e))
+    for pos in c.charged:
+        total = cert.initial_capital + gains[pos]
         for k, h in zip(others, cert.static_signed):
             if h:
-                total += h * m.options[k].payoff[pos]
-        if total != m.options[i].payoff[pos]:
+                total += h * c.options[k].payoff[pos]
+        if total != c.options[i].payoff[pos]:
             return False
     return True

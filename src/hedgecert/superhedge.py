@@ -11,18 +11,16 @@ robustness witness.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import lp
 from .arbitrage import (
     MartingaleMeasure,
-    _charged_positions,
     _consistency_rows,
+    _weights_on_charged,
     check_nar,
     measure_from_weights,
-    _strategy_from_primal,
 )
 from .errors import (
     ArbitrageError,
@@ -33,12 +31,13 @@ from .errors import (
 )
 from .model import (
     Claim,
+    CompiledMarket,
+    Market,
     MarketModel,
     Strategy,
     ZERO,
     ONE,
     canonical_legs,
-    dynamic_gain_rows,
     require_valid,
     terminal_gain,
 )
@@ -59,75 +58,59 @@ class PricingReport:
     gap: Fraction
 
 
-def _check_claim(m: MarketModel, f: Claim, leaf_count: int) -> None:
-    if len(f.payoff) != leaf_count:
+def _check_claim(c: CompiledMarket, f: Claim) -> None:
+    if len(f.payoff) != len(c.leaves):
         raise StructureError(
-            f"claim has {len(f.payoff)} payoffs, market has {leaf_count} leaves"
+            f"claim has {len(f.payoff)} payoffs, market has {len(c.leaves)} leaves"
         )
 
 
-def _hedge_program(m, layout, supp, payoff):
+def _hedge_program(c: CompiledMarket, payoff: list[Fraction]) -> lp.LpProblem:
     """min x over (x, strategy): x + gain >= payoff on every charged leaf."""
-    drows = dynamic_gain_rows(m, layout)
-    e = len(m.options)
-    nh = len(layout.nonleaf) * m.tree.num_assets
+    nh, e = len(c.columns), len(c.options)
     ncols = 1 + nh + 2 * e
-    rows, rhs = [], []
-    for pos in supp:
-        coefs = [ONE] + list(drows[pos])
-        for opt in m.options:
-            coefs.append(opt.payoff[pos] - opt.ask)
-        for opt in m.options:
-            coefs.append(-(opt.payoff[pos] - opt.bid))
-        rows.append(coefs)
-        rhs.append(payoff[pos])
+    rows = [[ONE] + c.strategy_row(pos) for pos in c.charged]
     return lp.LpProblem(
         sense=lp.MIN,
         objective=[ONE] + [ZERO] * (ncols - 1),
         rows=rows,
         relations=[lp.GE] * len(rows),
-        rhs=rhs,
+        rhs=[payoff[pos] for pos in c.charged],
         lower=[None] * (1 + nh) + [ZERO] * (2 * e),
         upper=[None] * ncols,
     )
 
 
-def superhedge_price(m: MarketModel, f: Claim) -> tuple[Fraction, Strategy | None]:
+def superhedge_price(m: Market, f: Claim) -> tuple[Fraction, Strategy]:
     """Least super-replication capital and a strategy attaining it.
 
     Under robust no-arbitrage the program is bounded; when it is unbounded
     below, the improving ray is a scalable arbitrage and is raised as such
-    rather than reported as a price. The infeasible branch cannot occur on a
-    finite tree (capital is free); +inf is kept for interface stability.
+    rather than reported as a price. Capital is a free column, so the
+    program is always feasible.
     """
-    layout = require_valid(m)
-    _check_claim(m, f, len(layout.leaves))
-    supp = _charged_positions(m)
-    problem = _hedge_program(m, layout, supp, f.payoff)
-    out = lp.solve_lp(problem)
+    c = require_valid(m)
+    _check_claim(c, f)
+    out = lp.solve_lp(_hedge_program(c, f.payoff))
     if out.status == lp.UNBOUNDED:
-        ray_strategy = _strategy_from_primal(m, layout, out.ray[1:], len(layout.nonleaf) * m.tree.num_assets)
         raise RobustArbitrageError(
             "market admits robust arbitrage: super-hedging cost decreases without bound",
             blocking="unbounded super-hedging program",
-            ray=(out.ray[0], ray_strategy),
+            ray=(out.ray[0], c.strategy_from(out.ray[1:])),
         )
-    if out.status == lp.INFEASIBLE:
-        return math.inf, None
-    nh = len(layout.nonleaf) * m.tree.num_assets
-    strategy = canonical_legs(_strategy_from_primal(m, layout, out.primal[1:], nh))
-    return out.objective_value, strategy
+    if out.status != lp.OPTIMAL:
+        raise SoundnessError(f"super-hedging program ended {out.status}; capital is free")
+    return out.objective_value, canonical_legs(c.strategy_from(out.primal[1:]))
 
 
-def dual_price(m: MarketModel, f: Claim) -> tuple[Fraction, MartingaleMeasure]:
+def dual_price(m: Market, f: Claim) -> tuple[Fraction, MartingaleMeasure]:
     """Maximal claim expectation over quote-consistent martingale measures."""
-    layout = require_valid(m)
-    _check_claim(m, f, len(layout.leaves))
-    supp = _charged_positions(m)
-    ncols, rows, rels, rhs = _consistency_rows(m, layout, supp, with_slack=False)
+    c = require_valid(m)
+    _check_claim(c, f)
+    ncols, rows, rels, rhs = _consistency_rows(c, with_slack=False)
     problem = lp.LpProblem(
         sense=lp.MAX,
-        objective=[f.payoff[pos] for pos in supp],
+        objective=[f.payoff[pos] for pos in c.charged],
         rows=rows,
         relations=rels,
         rhs=rhs,
@@ -142,16 +125,14 @@ def dual_price(m: MarketModel, f: Claim) -> tuple[Fraction, MartingaleMeasure]:
         )
     if out.status != lp.OPTIMAL:
         raise SoundnessError("dual program unbounded over a probability simplex")
-    weights = [ZERO] * len(layout.leaves)
-    for idx, pos in enumerate(supp):
-        weights[pos] = out.primal[idx]
-    return out.objective_value, measure_from_weights(m, weights)
+    return out.objective_value, measure_from_weights(c, _weights_on_charged(c, out.primal))
 
 
-def duality_report(m: MarketModel, f: Claim) -> PricingReport:
+def duality_report(m: Market, f: Claim) -> PricingReport:
     """Run both sides and insist on an exactly zero gap."""
-    price, strategy = superhedge_price(m, f)
-    value, measure = dual_price(m, f)
+    c = require_valid(m)
+    price, strategy = superhedge_price(c, f)
+    value, measure = dual_price(c, f)
     gap = price - value
     if gap != 0:
         raise SoundnessError(f"pricing duality gap {gap} is nonzero; solver bug")
@@ -166,7 +147,7 @@ def _largest_dyadic_at_most(bound: Fraction) -> Fraction:
     return lam
 
 
-def strict_dual_approx(m: MarketModel, f: Claim, eps: Fraction) -> MartingaleMeasure:
+def strict_dual_approx(m: Market, f: Claim, eps: Fraction) -> MartingaleMeasure:
     """A strictly interior consistent measure within eps of the dual optimum.
 
     Mixes the dual optimizer toward the robustness witness with a dyadic
@@ -175,34 +156,36 @@ def strict_dual_approx(m: MarketModel, f: Claim, eps: Fraction) -> MartingaleMea
     """
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}")
-    verdict = check_nar(m)
+    c = require_valid(m)
+    verdict = check_nar(c)
     if not verdict.holds:
         raise RobustArbitrageError(
             f"robust no-arbitrage fails: {verdict.blocking}", blocking=verdict.blocking
         )
-    value, best = dual_price(m, f)
+    value, best = dual_price(c, f)
     interior = verdict.witness.interior_measure
     drift = abs(value - interior.expectation(f.payoff))
     lam = _largest_dyadic_at_most(min(Fraction(1, 2), eps / (1 + drift)))
     weights = [
         (1 - lam) * a + lam * b for a, b in zip(best.weights, interior.weights)
     ]
-    return measure_from_weights(m, weights)
+    return measure_from_weights(c, weights)
 
 
-def claim_price_bounds(m: MarketModel, f: Claim) -> tuple[Fraction, Fraction]:
+def claim_price_bounds(m: Market, f: Claim) -> tuple[Fraction, Fraction]:
     """Sub- and super-replication prices of a claim in the market as given."""
-    upper, _ = superhedge_price(m, f)
-    lower_neg, _ = superhedge_price(m, Claim([-v for v in f.payoff]))
+    c = require_valid(m)
+    upper, _ = superhedge_price(c, f)
+    lower_neg, _ = superhedge_price(c, Claim([-v for v in f.payoff]))
     return -lower_neg, upper
 
 
-def market_without_option(m: MarketModel, i: int) -> MarketModel:
+def market_without_option(m: Market, i: int) -> MarketModel:
     options = [opt for k, opt in enumerate(m.options) if k != i]
     return MarketModel(tree=m.tree, options=options, measures=m.measures)
 
 
-def price_bounds_excluding(m: MarketModel, i: int) -> tuple[Fraction, Fraction]:
+def price_bounds_excluding(m: Market, i: int) -> tuple[Fraction, Fraction]:
     """Price interval for option i implied by the rest of the market.
 
     Requires the reduced market (everything except option i) to be robustly
@@ -211,23 +194,25 @@ def price_bounds_excluding(m: MarketModel, i: int) -> tuple[Fraction, Fraction]:
     option strictly inside this interval preserves robust no-arbitrage,
     quoting it strictly outside creates arbitrage.
     """
-    require_valid(m)
-    if not 0 <= i < len(m.options):
+    c = require_valid(m)
+    if not 0 <= i < len(c.options):
         raise DomainError(f"option index {i} out of range")
-    reduced = market_without_option(m, i)
+    # no compiled field depends on the options, so the reduced market keeps them
+    reduced = replace(c, market=market_without_option(c, i))
     verdict = check_nar(reduced)
     if not verdict.holds:
         raise RobustArbitrageError(
-            f"market without option '{m.options[i].name}' fails robust no-arbitrage: "
+            f"market without option '{c.options[i].name}' fails robust no-arbitrage: "
             f"{verdict.blocking}",
             blocking=verdict.blocking,
         )
-    return claim_price_bounds(reduced, Claim(list(m.options[i].payoff)))
+    return claim_price_bounds(reduced, Claim(list(c.options[i].payoff)))
 
 
 def verify_super_replication(
-    m: MarketModel, f: Claim, price: Fraction, strategy: Strategy
+    m: Market, f: Claim, price: Fraction, strategy: Strategy
 ) -> bool:
     """Exact replay: price + gain covers the claim on every charged leaf."""
-    gains = terminal_gain(m, strategy)
-    return all(price + gains[pos] >= f.payoff[pos] for pos in _charged_positions(m))
+    c = require_valid(m)
+    gains = terminal_gain(c, strategy)
+    return all(price + gains[pos] >= f.payoff[pos] for pos in c.charged)

@@ -12,15 +12,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .arbitrage import _charged_positions, check_na
-from .errors import DomainError
-from .lp import solve_unique
-from .model import (
+from hedgecert.arbitrage import check_na
+from hedgecert.errors import DomainError
+from hedgecert.lp import solve_unique
+from hedgecert.model import (
     MarketModel,
     OptionQuote,
     ZERO,
     ONE,
-    dynamic_gain_rows,
     require_valid,
 )
 
@@ -88,10 +87,10 @@ def enumerate_consistent_measures(m: MarketModel) -> VertexSet:
         raise DomainError(
             f"oracle guard: {leaf_count} leaves exceeds the limit of {MAX_ORACLE_LEAVES}"
         )
-    supp = _charged_positions(m)
+    supp = layout.charged
     k = len(supp)
-    drows = dynamic_gain_rows(m, layout)
-    nh = len(layout.nonleaf) * m.tree.num_assets
+    drows = layout.gain_rows
+    nh = len(layout.columns)
 
     eq_rows: list[list[Fraction]] = [[ONE] * k]
     eq_rhs: list[Fraction] = [ONE]

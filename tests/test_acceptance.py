@@ -24,7 +24,7 @@ from hedgecert.arbitrage import (
 from hedgecert.errors import ArbitrageError
 from hedgecert.cli import main
 from hedgecert.model import Claim, MarketModel, OptionQuote, support
-from hedgecert.oracle import definitional_nar_scan, enumerate_consistent_measures
+from oracle import definitional_nar_scan, enumerate_consistent_measures
 from hedgecert.redundancy import all_spread_options_nonredundant, verify_replication
 from hedgecert.superhedge import (
     claim_price_bounds,

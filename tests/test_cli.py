@@ -173,12 +173,38 @@ def test_strict_dual_nonpositive_eps(capsys):
     assert err["error"]["type"] == "invalid-input"
 
 
+def _m1_with(mutate) -> bytes:
+    doc = json.loads((DATA / "m1.json").read_text())
+    mutate(doc)
+    return json.dumps(doc).encode()
+
+
+# (market bytes, claim bytes or None); each must end in exit 4, never a traceback
+INVALID_INPUTS = [
+    (b'{"schemaVersion": 1}', None),
+    (_m1_with(lambda d: d["measures"][0]["weights"].__setitem__(0, "1" + "0" * 5000)), None),
+    (_m1_with(lambda d: None)[:-1] + b"\xff\xfe}", None),
+    (b"[" * 100_000, None),
+    (
+        (DATA / "m1.json").read_bytes(),
+        json.dumps({"schemaVersion": 1, "leafOrder": [1, "2"], "payoff": ["0", "0"]}).encode(),
+    ),
+]
+
+
 def test_invalid_market_file_exit_code(capsys, tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"schemaVersion": 1}')
-    code, out, err = run(capsys, "check-na", str(bad))
-    assert code == 4
-    assert err["error"]["type"] == "invalid-input"
+    for market, claim in INVALID_INPUTS:
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(market)
+        argv = ["check-na", str(bad)]
+        if claim is not None:
+            claim_path = tmp_path / "claim.json"
+            claim_path.write_bytes(claim)
+            argv = ["superhedge", str(bad), "--claim", str(claim_path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 4, market[:40]
+        assert out is None
+        assert err["error"]["type"] == "invalid-input"
 
 
 def test_superhedge_on_arbitrage_market_exit_3(capsys, tmp_path):
@@ -224,13 +250,18 @@ def test_verify_replay_failure_exits_5(capsys, monkeypatch):
 
 
 def test_console_script_entrypoint():
+    import os
     import subprocess
     import sys
 
+    # run the checkout's package, as the in-process tests do
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
         [sys.executable, "-m", "hedgecert.cli", "check-na", str(DATA / "m1.json")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["verdict"] == "holds"

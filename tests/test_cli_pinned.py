@@ -1,0 +1,128 @@
+"""Byte-level pins of the CLI reports on multi-period and arbitrage markets.
+
+Every subcommand runs with `--verify` on each market; the exit code and the
+sha256 of standard output must match the table below exactly, so a refactor
+that changes any report byte (key order, fraction form, which optimizer is
+returned) fails here.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from hedgecert.cli import main
+from hedgecert.marketio import claim_to_json, dump_market
+from markets import (
+    binomial_with_free_option,
+    random_arbitrage_free_market,
+    random_claim,
+    trinomial_straddle_market,
+    two_period_stock_market,
+    wide_quote_identical_options_market,
+)
+
+MARKETS = {
+    "two-period": two_period_stock_market,
+    "trinomial-straddle": trinomial_straddle_market,
+    "wide-quote": wide_quote_identical_options_market,
+    "free-option": binomial_with_free_option,
+    "random-3": lambda: random_arbitrage_free_market(random.Random(3), min_periods=2),
+    "random-12": lambda: random_arbitrage_free_market(random.Random(12), min_periods=2),
+}
+
+# (market, subcommand) -> (exit code, sha256 of stdout)
+PINNED = {
+    ("free-option", "bounds"): (0, "204d646571fb80e148a40342ec436e9dc65924ef377f99b497cc7606dc150017"),
+    ("free-option", "check-na"): (3, "fb890ede51d775dc782e1050ea387360a45226861511cb0fd16a496171820d5a"),
+    ("free-option", "check-nar"): (3, "2fbe8dad21886860a241aefcf041c3fa7d461b1368b047c2fa78575ccabe4b1a"),
+    ("free-option", "dominate"): (3, "44c9639ac56f9513e675db317770503081a14a5c35b748625d85192e9001b547"),
+    ("free-option", "dual"): (3, "8a38d4eb43ad22a09e9a3d071bd139039110c876489120558588c17555ab8727"),
+    ("free-option", "redundancy"): (0, "de0f6d836488d68bb95969a9405a81b8828c316d0f034ad3f218b44ed483921b"),
+    ("free-option", "sharper-ftap"): (3, "d175abe5f3f8371c28565a4f21aeb274f3d418584d3ce586d08e320d4dd8c9b3"),
+    ("free-option", "strict-dual"): (3, "8798ff126c63b87e9e73f74bdfe577b207c66135b745fbfae0bbe1125c61763b"),
+    ("free-option", "superhedge"): (3, "44b9a075282527061459c83cb622da6544924c3e5fcd29323b0c093dc77b3102"),
+    ("random-12", "bounds"): (0, "4a2560b68fda0beb5b697f8358b84143157da971dc26bd94720279c9c4bfbae7"),
+    ("random-12", "check-na"): (0, "915f4f13e4fe704a6569004b686729911e9ce20e98bdd1b88ba4363d95967373"),
+    ("random-12", "check-nar"): (0, "e830001808e74cae749b0faf158e5087212bd71fb5f1517525827adafaa191fb"),
+    ("random-12", "dominate"): (0, "5ef426c5975abf0e8da98997a74a74c40f7b395c854e960a26dc4e95fad8e333"),
+    ("random-12", "dual"): (0, "4b17d3dc72c23e1f7700e70005f4387f5acaa154fc44e2c12441e13269739e27"),
+    ("random-12", "redundancy"): (0, "d81dff5f073401f552de5c7791c24d83e174add5652ef3e8a91085115261c7a0"),
+    ("random-12", "sharper-ftap"): (0, "5c19ab35df10b39c1e8391fc136f87ed67339aa8d025f4cfae19a1d3660ce780"),
+    ("random-12", "strict-dual"): (0, "32aec7bf25c01746f10e31cc4a90eb2b713d556928b929714786a0baf4ddf0e2"),
+    ("random-12", "superhedge"): (0, "c7bc48e86d0ca9fcfe12b145cb4c5646219a510c88a3682e2831f1194ea9b0a1"),
+    ("random-3", "bounds"): (0, "63caec107d5bdadbc5dfa0d62c11327c7f343bc23cf1799273608e0ee05be6a5"),
+    ("random-3", "check-na"): (0, "915f4f13e4fe704a6569004b686729911e9ce20e98bdd1b88ba4363d95967373"),
+    ("random-3", "check-nar"): (0, "f4ebe50cbe6923f245be7b3abdc95f1406fb565249e598b801b7d3c18b434c86"),
+    ("random-3", "dominate"): (0, "9be5ec1ed955e8d399e8cd739f15b533b812fad5d725472dd25aa8c5ff31baad"),
+    ("random-3", "dual"): (0, "4638400236959ad31c4fc9af4f2e4ef3a8ab46dde2bc7dd618df97a96031480a"),
+    ("random-3", "redundancy"): (3, "c6a8d7899344f39d68196aaa4b7bee88af3aa5df5b9bb99caabbd0c2d1bb13bb"),
+    ("random-3", "sharper-ftap"): (3, "ed00e13405b05aae8a4b5f1db04b258cd5594d6e266b57972b1c37776b0c1384"),
+    ("random-3", "strict-dual"): (0, "82c58a7bacdb277ba27dd4b2a17cd417f7d4e3116fa8877ee101fe217e29db0d"),
+    ("random-3", "superhedge"): (0, "647a8c6cc9e9d09a8c0a950da4873766cd630bb6818db79c28742cc8f5f5d4a7"),
+    ("trinomial-straddle", "bounds"): (0, "cc2e6e196049f1cc08eb7949dc71a1efdd1524a82c2fb9195a8c378ca9e6e01b"),
+    ("trinomial-straddle", "check-na"): (0, "915f4f13e4fe704a6569004b686729911e9ce20e98bdd1b88ba4363d95967373"),
+    ("trinomial-straddle", "check-nar"): (0, "7c4726dc8d659e1573892f8fbdba1e4f7845927149fdd99008536bdd56efb045"),
+    ("trinomial-straddle", "dominate"): (0, "6512a8bbb977230149f7a08979672fe5be2344956daecb2aed5b78029f87d0da"),
+    ("trinomial-straddle", "dual"): (0, "8779c685f4a40d88e23ed3ed4afe60c940712381eadf27d3f482af3f5ee6ed27"),
+    ("trinomial-straddle", "redundancy"): (0, "de0f6d836488d68bb95969a9405a81b8828c316d0f034ad3f218b44ed483921b"),
+    ("trinomial-straddle", "sharper-ftap"): (0, "416ecbef0cbd54d5b93e21fd5974352042f59e5f45d12398c71138c3f52b4d5d"),
+    ("trinomial-straddle", "strict-dual"): (0, "cb1bc37c5214c6726d42dc6a11321afab2ce028106e11e1dace67aa6311e7a9a"),
+    ("trinomial-straddle", "superhedge"): (0, "1cab10425a9ec313dce6d8cf9245ec3a638b7f9d3db14269ea0fe0eb266a5907"),
+    ("two-period", "bounds"): (4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("two-period", "check-na"): (0, "915f4f13e4fe704a6569004b686729911e9ce20e98bdd1b88ba4363d95967373"),
+    ("two-period", "check-nar"): (0, "3fec51a5cc44a922b019c42ec0a4fca5c8e5a37616d00d9a8f935c5c5b967637"),
+    ("two-period", "dominate"): (0, "ef588373392ecf953ad331578bbf817a9fabc85a9c60d2c8da1f01f206ee2634"),
+    ("two-period", "dual"): (0, "3c0120f1a9bde05c9ecfc4bce25d8e5489b6bce8031bdeb761164f4705e6398b"),
+    ("two-period", "redundancy"): (0, "de0f6d836488d68bb95969a9405a81b8828c316d0f034ad3f218b44ed483921b"),
+    ("two-period", "sharper-ftap"): (0, "c87aa58c4670afc92dd2e0c2861299b44d6039315989f39d1b8a67093f4f1e6e"),
+    ("two-period", "strict-dual"): (0, "43f5bdfd073a41cfe352e7abf7cb776a23344e2f844903abb7efca120a95ca6c"),
+    ("two-period", "superhedge"): (0, "046819bd861e3a97b191732b3e4f7f818637ff26540090f44d5bf3e91dd443c3"),
+    ("wide-quote", "bounds"): (0, "685da1b240168fb1be0626b6a2c15f7a3739cc18e5b9a8a3bf1196fb1691379a"),
+    ("wide-quote", "check-na"): (0, "915f4f13e4fe704a6569004b686729911e9ce20e98bdd1b88ba4363d95967373"),
+    ("wide-quote", "check-nar"): (0, "9e80d048f7ca1c006de38d63c21114082442695a7fafe811b5f0a6e9480ce109"),
+    ("wide-quote", "dominate"): (0, "fba224eca0c221678eb6984ca13f43d09bfa40c930c50b7cb554b7207db121ea"),
+    ("wide-quote", "dual"): (0, "3be043117c3f5afcadc600522f0491ff0274eb87be4625cc78f469e20447b118"),
+    ("wide-quote", "redundancy"): (3, "103be182a48b24764e06f75122905c99e54cfc30494a3a53bf72dd893c69d7c9"),
+    ("wide-quote", "sharper-ftap"): (3, "63e872fe932a02207b76b2c224e010f1f3156629c90aeed02103696a35832184"),
+    ("wide-quote", "strict-dual"): (0, "96da8d34f7e8ff0c5644b119c5ddf8f9575db8a1ee5ba21b9110919b6d2c82c8"),
+    ("wide-quote", "superhedge"): (0, "7c6be1a1f553c8d506adac1ba316b209135fb1cd933039b5996f7fb948d0539c"),
+}
+
+
+def _argv(command, market, claim, option, generator):
+    extra = {
+        "superhedge": ["--claim", claim],
+        "dual": ["--claim", claim],
+        "bounds": ["--option", option],
+        "dominate": ["--generator", generator],
+        "strict-dual": ["--claim", claim, "--eps", "1/100"],
+    }.get(command, [])
+    return [command, market, *extra, "--verify"]
+
+
+COMMANDS = ("check-na", "check-nar", "superhedge", "dual", "bounds", "redundancy",
+            "sharper-ftap", "dominate", "strict-dual")
+
+
+def _run_all(tmp_path, capsys, label):
+    m = MARKETS[label]()
+    market = tmp_path / "market.json"
+    market.write_text(dump_market(m))
+    claim = tmp_path / "claim.json"
+    claim.write_text(json.dumps(claim_to_json(m, random_claim(random.Random(label), m))))
+    option = m.options[0].name if m.options else "none"
+    generator = (m.measures.names or ["P0"])[0]
+    got = {}
+    for command in COMMANDS:
+        code = main(_argv(command, str(market), str(claim), option, generator))
+        out = capsys.readouterr().out
+        got[(label, command)] = (code, hashlib.sha256(out.encode()).hexdigest())
+    return got
+
+
+@pytest.mark.parametrize("label", sorted(MARKETS))
+def test_cli_report_bytes_are_pinned(tmp_path, capsys, label):
+    got = _run_all(tmp_path, capsys, label)
+    assert got == {key: PINNED[key] for key in got}

@@ -1,0 +1,97 @@
+"""Each public query validates its market exactly once, and sharper_ftap
+solves one program per spread option plus the NA and NAR programs.
+
+Both counts come from rebinding `validate_market` and `lp.solve_lp` around
+a single call, so they hold for whatever the call delegates to.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+import hedgecert.model as model
+from hedgecert import arbitrage, lp, redundancy, superhedge
+from hedgecert.errors import HedgecertError, PreconditionError
+from markets import (
+    binomial_market,
+    binomial_with_free_option,
+    binomial_with_spread_option,
+    random_arbitrage_free_market,
+    random_claim,
+    spread_option_only_market,
+    trinomial_straddle_market,
+    two_period_stock_market,
+    wide_quote_identical_options_market,
+)
+
+QUERIES = {
+    "check_na": lambda m, f: arbitrage.check_na(m),
+    "check_nar": lambda m, f: arbitrage.check_nar(m),
+    "superhedge_price": superhedge.superhedge_price,
+    "dual_price": superhedge.dual_price,
+    "duality_report": superhedge.duality_report,
+    "strict_dual_approx": lambda m, f: superhedge.strict_dual_approx(m, f, F(1, 100)),
+    "price_bounds_excluding": lambda m, f: superhedge.price_bounds_excluding(m, 0),
+    "all_spread_options_nonredundant": lambda m, f: redundancy.all_spread_options_nonredundant(m),
+    "dominating_measure": lambda m, f: arbitrage.dominating_measure(m, 0),
+    "sharper_ftap": lambda m, f: redundancy.sharper_ftap(m),
+}
+
+
+def _markets():
+    fixtures = [
+        binomial_market(),
+        binomial_with_free_option(),
+        binomial_with_spread_option(),
+        spread_option_only_market(),
+        trinomial_straddle_market(),
+        two_period_stock_market(),
+        wide_quote_identical_options_market(),
+    ]
+    fixtures += [random_arbitrage_free_market(random.Random(s), min_periods=2) for s in range(6)]
+    return fixtures
+
+
+class _Counter:
+    def __init__(self, monkeypatch, module, name):
+        self.calls = 0
+        original = getattr(module, name)
+
+        def counted(*args):
+            self.calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("query", sorted(QUERIES))
+def test_public_query_validates_once(monkeypatch, query):
+    validations = _Counter(monkeypatch, model, "validate_market")
+    rng = random.Random(query)
+    for m in _markets():
+        f = random_claim(rng, m)
+        before = validations.calls
+        try:
+            QUERIES[query](m, f)
+        except HedgecertError:
+            pass  # an arbitrage or precondition verdict still compiles once
+        assert validations.calls - before == 1, query
+
+
+def test_sharper_ftap_solves_spread_options_plus_two(monkeypatch):
+    solves = _Counter(monkeypatch, lp, "solve_lp")
+    settled = 0
+    for m in _markets():
+        if not arbitrage.check_na(m).holds:
+            continue
+        before = solves.calls
+        try:
+            bundle = redundancy.sharper_ftap(m)
+        except PreconditionError:
+            continue
+        spread = sum(1 for opt in m.options if opt.has_spread())
+        assert solves.calls - before == spread + 2
+        assert len(bundle.dominating) == len(m.measures.generators)
+        settled += 1
+    assert settled >= 6

@@ -76,11 +76,12 @@ def test_malformed_json():
 
 
 def test_bad_rational_grammar_rejected():
-    for bad in ["1e5", "1.5e2", "0x3", " 1", "1/ 2", "--1", "1.2.3"]:
+    for bad in ["1e5", "1.5e2", "0x3", " 1", "1/ 2", "--1", "1.2.3", "1" + "0" * 5000]:
         market = json.loads((DATA / "m1.json").read_text())
         market["tree"]["nodes"][0]["prices"] = [bad]
-        with pytest.raises(MarketParseError):
+        with pytest.raises(MarketParseError) as err:
             parse_market(json.dumps(market))
+        assert [p for p, _ in err.value.issues] == ["tree.nodes[0].prices[0]"]
 
 
 def test_validation_violations_surface_as_parse_errors():
@@ -162,3 +163,24 @@ def test_format_rational_canonical():
     assert format_rational(F(3)) == "3"
     assert format_rational(F(-2, 4)) == "-1/2"
     assert format_rational(F(0)) == "0"
+
+
+@pytest.mark.parametrize(
+    "data, path",
+    [
+        (b"[" * 100_000, "$"),
+        (b'{"schemaVersion": 1, "x": "\xff"}', "$"),
+        (b'{"schemaVersion": 1' + b"0" * 5000 + b"}", "$"),
+    ],
+)
+def test_hostile_bytes_are_located_parse_errors(data, path):
+    with pytest.raises(MarketParseError) as err:
+        parse_market(data)
+    assert [p for p, _ in err.value.issues] == [path]
+
+
+def test_claim_leaf_order_of_mixed_types_is_rejected():
+    bad = {"schemaVersion": 1, "leafOrder": [1, "2"], "payoff": ["1", "0"]}
+    with pytest.raises(MarketParseError) as err:
+        parse_claim(json.dumps(bad), binomial_market())
+    assert [p for p, _ in err.value.issues] == ["leafOrder"]

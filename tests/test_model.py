@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataclasses import FrozenInstanceError
+
 from hedgecert.errors import StructureError
 from hedgecert.model import (
+    CompiledMarket,
     MarketModel,
     MeasureFamily,
     Node,
@@ -16,6 +19,7 @@ from hedgecert.model import (
     ZERO,
     canonical_legs,
     rat,
+    require_valid,
     support,
     terminal_gain,
     validate_market,
@@ -23,6 +27,7 @@ from hedgecert.model import (
 )
 from markets import (
     binomial_market,
+    random_arbitrage_free_market,
     random_strategy,
     stockless_market,
     trinomial_straddle_market,
@@ -189,3 +194,37 @@ def test_zero_asset_market_has_empty_dynamic():
     s = zero_strategy(m)
     assert s.dynamic == {0: []}
     assert terminal_gain(m, s) == [ZERO, ZERO]
+
+
+def test_require_valid_compiles_once_and_passes_compiled_through():
+    m = binomial_market()
+    c = require_valid(m)
+    assert isinstance(c, CompiledMarket)
+    assert require_valid(c) is c
+    assert c.options is m.options and c.tree is m.tree
+    assert support(c) == set(c.charged) == {0, 1}
+    assert c.leaves == (1, 2) and c.paths == ((0, 1), (0, 2))
+    assert c.columns == ((0, 0),)
+    assert c.gain_rows == ((F(1),), (F(-1, 2),))
+    assert c.generator_names == ("up", "down")
+    with pytest.raises(FrozenInstanceError):
+        c.charged = ()
+
+
+def test_require_valid_rejects_invalid_market():
+    m = binomial_market()
+    m.measures.generators[0] = [F(1), F(1)]
+    with pytest.raises(StructureError):
+        require_valid(m)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_strategy_rows_price_what_terminal_gain_replays(seed):
+    # the program rows and the replay walk must agree on every strategy
+    rng = random.Random(seed)
+    c = require_valid(random_arbitrage_free_market(rng, min_periods=2))
+    width = len(c.columns) + 2 * len(c.options)
+    primal = [abs(F(rng.randint(-6, 6), rng.randint(1, 3))) for _ in range(width)]
+    gains = terminal_gain(c, c.strategy_from(primal))
+    for pos in range(len(c.leaves)):
+        assert sum(a * x for a, x in zip(c.strategy_row(pos), primal)) == gains[pos]

@@ -6,7 +6,7 @@ import pytest
 from hedgecert.arbitrage import check_nar
 from hedgecert.errors import DomainError
 from hedgecert.model import OptionQuote
-from hedgecert.oracle import definitional_nar_scan, enumerate_consistent_measures
+from oracle import definitional_nar_scan, enumerate_consistent_measures
 from hedgecert.superhedge import dual_price
 from markets import (
     binomial_market,

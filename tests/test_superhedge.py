@@ -176,7 +176,7 @@ def test_bounds_excluding_trinomial_straddle():
     lower, upper = price_bounds_excluding(m, 0)
     assert (lower, upper) == (F(0), F(1))
     # cross-check through the vertex oracle on the reduced market
-    from hedgecert.oracle import enumerate_consistent_measures
+    from oracle import enumerate_consistent_measures
     from hedgecert.superhedge import market_without_option
 
     reduced = market_without_option(m, 0)
