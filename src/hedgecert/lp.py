@@ -6,10 +6,16 @@ Problems are stated in natural mixed form:
     subject to row_i . x  (<= | = | >=)  rhs_i       for every row
                lower_j <= x_j <= upper_j              (None = unbounded side)
 
-and solved by a dense two-phase tableau simplex under Bland's rule: entering
+and solved by a two-phase tableau simplex under Bland's rule: entering
 variable is the lowest-index column with negative reduced cost, leaving row
 breaks ratio ties by lowest basic-variable index. With exact arithmetic this
 terminates on every input and there are no numeric failure modes.
+
+Each pivot, and each step of the Gauss-Jordan solve behind the basis duals,
+collects the pivot row's nonzero columns once and eliminates in place at
+those columns only (tree-market pivot rows are mostly zero). A skipped column
+would only get u - f * 0 = u, so every tableau, Bland choice and certificate
+equals the full-row update's.
 
 Every outcome carries a certificate checkable from the untouched data:
 
@@ -87,6 +93,23 @@ def _validate(p: LpProblem) -> None:
             raise StructureError(f"variable {j}: lower bound {lo} exceeds upper bound {up}")
 
 
+def _scaled_nonzeros(row, col):
+    """Scale `row` in place so row[col] == 1; return its (column, value) nonzeros."""
+    piv = row[col]
+    if piv != 1:
+        inv = _ONE / piv
+        for j, v in enumerate(row):
+            if v:
+                row[j] = v * inv
+    return [(j, v) for j, v in enumerate(row) if v]
+
+
+def _eliminate(row, f, pivot_row):
+    """row -= f * pivot row, in place, touching only the pivot row's nonzeros."""
+    for j, v in pivot_row:
+        row[j] -= f * v
+
+
 def solve_unique(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
     """Solve a linear system exactly; None unless the solution is unique.
 
@@ -109,14 +132,10 @@ def solve_unique(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
         if sel is None:
             continue
         a[r], a[sel] = a[sel], a[r]
-        prow = a[r]
-        inv = _ONE / prow[col]
-        if inv != 1:
-            a[r] = prow = [v * inv for v in prow]
+        pivot_row = _scaled_nonzeros(a[r], col)
         for i in range(m):
             if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [u - f * v for u, v in zip(a[i], prow)]
+                _eliminate(a[i], a[i][col], pivot_row)
         piv_cols.append(col)
         r += 1
         if r == m:
@@ -272,22 +291,16 @@ class _StdForm:
 
 
 def _pivot(tab, rhs, red, basis, r, jc):
-    prow = tab[r]
-    piv = prow[jc]
+    piv = tab[r][jc]
     if piv != 1:
-        inv = _ONE / piv
-        tab[r] = prow = [v * inv for v in prow]
-        rhs[r] *= inv
+        rhs[r] /= piv
+    pivot_row = _scaled_nonzeros(tab[r], jc)
     for i, row in enumerate(tab):
-        if i == r:
-            continue
-        f = row[jc]
-        if f:
-            tab[i] = [u - f * v for u, v in zip(row, prow)]
-            rhs[i] -= f * rhs[r]
-    f = red[jc]
-    if f:
-        red[:] = [u - f * v for u, v in zip(red, prow)]
+        if i != r and row[jc]:
+            rhs[i] -= row[jc] * rhs[r]
+            _eliminate(row, row[jc], pivot_row)
+    if red[jc]:
+        _eliminate(red, red[jc], pivot_row)
     basis[r] = jc
 
 

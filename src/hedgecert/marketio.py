@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 from .arbitrage import ArbitrageCertificate, MartingaleMeasure, RobustnessWitness
@@ -83,9 +84,10 @@ def parse_rational_text(text) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
+    # Decimal(int) converts exactly and, unlike str(int), has no digit limit
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return str(Decimal(value.numerator))
+    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
 def _load_object(data: bytes | str) -> dict:

@@ -1,4 +1,5 @@
 import json
+from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -216,6 +217,41 @@ def test_superhedge_on_arbitrage_market_exit_3(capsys, tmp_path):
     assert code == 3
     assert out["verdict"] == "fails"
     assert err["error"]["type"] == "arbitrage"
+
+
+def _exact(text: str) -> F:
+    # Decimal parses digits of any length; int(text) stops at the int-string limit
+    num, _, den = text.partition("/")
+    return F(int(Decimal(num)), int(Decimal(den or "1")))
+
+
+def test_superhedge_prints_a_price_past_the_int_string_limit(capsys, tmp_path):
+    d = int("7" * 3000)
+    x = int("9" * 3000)
+    market = {
+        "schemaVersion": 1,
+        "tree": {
+            "nodes": [
+                {"id": 0, "time": 0, "parent": None, "prices": ["1"]},
+                {"id": 1, "time": 1, "parent": 0, "prices": [f"{d + 1}/{d}"]},
+                {"id": 2, "time": 1, "parent": 0, "prices": ["1/2"]},
+            ]
+        },
+        "options": [],
+        "measures": [{"name": "full", "weights": ["1/2", "1/2"]}],
+        "leafOrder": [1, 2],
+    }
+    claim = {"schemaVersion": 1, "leafOrder": [1, 2], "payoff": [str(x), "0"]}
+    (tmp_path / "m.json").write_text(json.dumps(market))
+    (tmp_path / "c.json").write_text(json.dumps(claim))
+    code, out, err = run(
+        capsys, "superhedge", str(tmp_path / "m.json"), "--claim", str(tmp_path / "c.json")
+    )
+    assert code == 0
+    assert err is None
+    price = out["values"]["price"]
+    assert len(price) > 6000
+    assert _exact(price) == F(x * d, d + 2)
 
 
 def test_output_is_deterministic(capsys):

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction as F
 
@@ -162,6 +163,31 @@ def test_solve_unique():
     assert lp.solve_unique([[I, I], [I, I]], [F(2), F(3)]) is None
     # overdetermined but consistent
     assert lp.solve_unique([[I, Z], [Z, I], [I, I]], [I, F(2), F(3)]) == [I, F(2)]
+
+
+def test_solver_never_writes_to_its_inputs(monkeypatch):
+    # the kernel eliminates in place; only its own copies may change, never
+    # the caller's data or the standard form _basis_dual re-solves from
+    built = []
+
+    class RecordedStdForm(lp._StdForm):
+        def __init__(self, p):
+            super().__init__(p)
+            built.append((self, copy.deepcopy(self.rows), copy.deepcopy(self.rhs)))
+
+    monkeypatch.setattr(lp, "_StdForm", RecordedStdForm)
+    rng = random.Random(7)
+    for _ in range(300):
+        p = random_lp(rng)
+        before = copy.deepcopy(p)
+        lp.solve_lp(p)
+        assert p == before
+        system = (p.rows, p.rhs)
+        lp.solve_unique(*system)
+        assert system == (before.rows, before.rhs)
+    assert len(built) == 300
+    for std, rows, rhs in built:
+        assert std.rows == rows and std.rhs == rhs
 
 
 @settings(max_examples=60, deadline=None)
