@@ -9,13 +9,20 @@ Problems are stated in natural mixed form:
 and solved by a two-phase tableau simplex under Bland's rule: entering
 variable is the lowest-index column with negative reduced cost, leaving row
 breaks ratio ties by lowest basic-variable index. With exact arithmetic this
-terminates on every input and there are no numeric failure modes.
+terminates on every input and there are no numeric failure modes; a basis
+seen twice in one phase can only come from a kernel fault and raises
+SoundnessError instead of looping.
 
-Each pivot, and each step of the Gauss-Jordan solve behind the basis duals,
-collects the pivot row's nonzero columns once and eliminates in place at
-those columns only (tree-market pivot rows are mostly zero). A skipped column
-would only get u - f * 0 = u, so every tableau, Bland choice and certificate
-equals the full-row update's.
+The tableau is fraction-free. Each row, rhs last, and the reduced-cost row
+are stored as primitive integer vectors (gcd 1), each a positive multiple of
+the rational row, so every sign, and with it every Bland choice, is the
+rational tableau's. A row's coefficient at its basic column is positive. A
+pivot on column c with pivot row p replaces each row with a nonzero entry
+a at c by p[c] * row - a * p, divided by its gcd; rows with a zero at c are
+untouched. The ratio test compares b_i / a_i by cross-multiplication. The
+Gauss-Jordan solve behind the basis duals (`solve_unique`) uses the same
+elimination. Fractions appear only at the boundary: rows enter scaled by
+the lcm of their denominators, and values leave as b_i / a_i,B(i).
 
 Every outcome carries a certificate checkable from the untouched data:
 
@@ -34,8 +41,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
-from .errors import StructureError
+from .errors import SoundnessError, StructureError
 
 MIN = "min"
 MAX = "max"
@@ -93,21 +101,44 @@ def _validate(p: LpProblem) -> None:
             raise StructureError(f"variable {j}: lower bound {lo} exceeds upper bound {up}")
 
 
-def _scaled_nonzeros(row, col):
-    """Scale `row` in place so row[col] == 1; return its (column, value) nonzeros."""
-    piv = row[col]
-    if piv != 1:
-        inv = _ONE / piv
-        for j, v in enumerate(row):
-            if v:
-                row[j] = v * inv
-    return [(j, v) for j, v in enumerate(row) if v]
+def _int_row(values) -> list[int]:
+    """The primitive integer vector that is a positive multiple of `values`."""
+    den = lcm(*(v.denominator for v in values))
+    row = [v.numerator * (den // v.denominator) for v in values]
+    g = gcd(*row)
+    return [u // g for u in row] if g > 1 else row
 
 
-def _eliminate(row, f, pivot_row):
-    """row -= f * pivot row, in place, touching only the pivot row's nonzeros."""
-    for j, v in pivot_row:
-        row[j] -= f * v
+def _combine(row, c, pc, nonzeros):
+    """row <- pc * row - row[c] * p in place, p given by its nonzeros; then / gcd."""
+    a = row[c]
+    g = gcd(pc, a)
+    s, a = pc // g, a // g
+    if s != 1:
+        row[:] = [s * u for u in row]
+    for j, v in nonzeros:
+        row[j] -= a * v
+    g = gcd(*row)
+    if g > 1:
+        row[:] = [u // g for u in row]
+
+
+def _pivot(rows, r, c, red=None):
+    """Eliminate column c from every row but r, and from `red`, by row r.
+
+    Row r is negated first if its entry at c is negative, so every updated
+    row stays a positive multiple of its rational counterpart.
+    """
+    p = rows[r]
+    if p[c] < 0:
+        p[:] = [-v for v in p]
+    pc = p[c]
+    nonzeros = [(j, v) for j, v in enumerate(p) if v]
+    for i, row in enumerate(rows):
+        if i != r and row[c]:
+            _combine(row, c, pc, nonzeros)
+    if red is not None and red[c]:
+        _combine(red, c, pc, nonzeros)
 
 
 def solve_unique(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -120,7 +151,7 @@ def solve_unique(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
     if m == 0:
         return None
     n = len(rows[0])
-    a = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
+    a = [_int_row([*row, rhs[i]]) for i, row in enumerate(rows)]
     piv_cols: list[int] = []
     r = 0
     for col in range(n):
@@ -132,10 +163,7 @@ def solve_unique(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
         if sel is None:
             continue
         a[r], a[sel] = a[sel], a[r]
-        pivot_row = _scaled_nonzeros(a[r], col)
-        for i in range(m):
-            if i != r and a[i][col]:
-                _eliminate(a[i], a[i][col], pivot_row)
+        _pivot(a, r, col)
         piv_cols.append(col)
         r += 1
         if r == m:
@@ -147,7 +175,8 @@ def solve_unique(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
         return None  # underdetermined
     x = [_ZERO] * n
     for k, col in enumerate(piv_cols):
-        x[col] = a[k][n]
+        if a[k][n]:
+            x[col] = Fraction(a[k][n], a[k][col])
     return x
 
 
@@ -290,22 +319,9 @@ class _StdForm:
         return out
 
 
-def _pivot(tab, rhs, red, basis, r, jc):
-    piv = tab[r][jc]
-    if piv != 1:
-        rhs[r] /= piv
-    pivot_row = _scaled_nonzeros(tab[r], jc)
-    for i, row in enumerate(tab):
-        if i != r and row[jc]:
-            rhs[i] -= row[jc] * rhs[r]
-            _eliminate(row, row[jc], pivot_row)
-    if red[jc]:
-        _eliminate(red, red[jc], pivot_row)
-    basis[r] = jc
-
-
-def _optimize(tab, rhs, red, basis, ncols):
+def _optimize(tab, red, basis, ncols):
     """Run Bland pivots to optimality; return entering column if unbounded."""
+    seen = set()
     while True:
         jc = -1
         for j in range(ncols):
@@ -314,18 +330,22 @@ def _optimize(tab, rhs, red, basis, ncols):
                 break
         if jc < 0:
             return None
-        r = -1
-        best = None
-        best_var = -1
+        r = br = ar = -1
         for i, row in enumerate(tab):
             a = row[jc]
             if a > 0:
-                ratio = rhs[i] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < best_var):
-                    best, r, best_var = ratio, i, basis[i]
+                # ratio b / a against the best b_r / a_r; both divisors are positive
+                d = -1 if r < 0 else row[ncols] * ar - br * a
+                if d < 0 or (d == 0 and basis[i] < basis[r]):
+                    r, br, ar = i, row[ncols], a
         if r < 0:
             return jc
-        _pivot(tab, rhs, red, basis, r, jc)
+        key = tuple(basis)
+        if key in seen:
+            raise SoundnessError("simplex revisited a basis; solver invariant broken")
+        seen.add(key)
+        _pivot(tab, r, jc, red)
+        basis[r] = jc
 
 
 def _basis_dual(std: _StdForm, active: list[int], basis: list[int], costs) -> dict[int, Fraction]:
@@ -347,8 +367,16 @@ def _basis_dual(std: _StdForm, active: list[int], basis: list[int], costs) -> di
         target.append(costs(col))
     y = solve_unique(mat, target)
     if y is None:
-        raise StructureError("basis matrix singular; solver invariant broken")
+        raise SoundnessError("basis matrix singular; solver invariant broken")
     return {k: y[pos] for pos, k in enumerate(active)}
+
+
+def _basic_point(tab, basis, n) -> list[Fraction]:
+    z = [_ZERO] * n
+    for row, col in zip(tab, basis):
+        if row[n]:
+            z[col] = Fraction(row[n], row[col])
+    return z
 
 
 def solve_lp(p: LpProblem) -> LpOutcome:
@@ -359,24 +387,23 @@ def solve_lp(p: LpProblem) -> LpOutcome:
     n = std.ncols
     nrows = len(p.rows)
 
-    tab = [row[:] for row in std.rows]
-    rhs = std.rhs[:]
+    tab = [_int_row([*row, b]) for row, b in zip(std.rows, std.rhs)]
     basis = [n + i for i in range(m)]  # artificial variables, columns implicit
     active = list(range(m))
 
     # Phase 1: minimize the sum of artificials. Reduced cost of column j is
     # -sum of its tableau column (all artificial costs are one).
-    red = [_ZERO] * n
-    for row in tab:
-        for j in range(n):
-            if row[j]:
-                red[j] -= row[j]
-    jc = _optimize(tab, rhs, red, basis, n)
-    if jc is not None:
-        raise StructureError("phase-1 unbounded; solver invariant broken")
+    red = [_ZERO] * (n + 1)
+    for row, b in zip(std.rows, std.rhs):
+        for j, v in enumerate(row):
+            if v:
+                red[j] -= v
+        red[n] -= b
+    red = _int_row(red)
+    if _optimize(tab, red, basis, n) is not None:
+        raise SoundnessError("phase-1 unbounded; solver invariant broken")
 
-    infeas = sum((rhs[i] for i in range(len(tab)) if basis[i] >= n), _ZERO)
-    if infeas > 0:
+    if any(row[n] > 0 for row, col in zip(tab, basis) if col >= n):
         y_std = _basis_dual(std, active, basis,
                             lambda col: _ONE if col >= n else _ZERO)
         farkas = std.to_original_dual(y_std, nrows, negate=False)
@@ -394,43 +421,35 @@ def solve_lp(p: LpProblem) -> LpOutcome:
                     break
             if jc < 0:
                 continue  # redundant row
-            _pivot(tab, rhs, red, basis, i, jc)
+            _pivot(tab, i, jc, red)
+            basis[i] = jc
         keep.append(i)
     if len(keep) != len(tab):
         tab = [tab[i] for i in keep]
-        rhs = [rhs[i] for i in keep]
         basis = [basis[i] for i in keep]
         active = [active[i] for i in keep]
 
-    # Phase 2 on the real objective.
-    red = std.cost[:]
-    for i, row in enumerate(tab):
-        cb = std.cost[basis[i]]
-        if cb:
-            for j in range(n):
-                if row[j]:
-                    red[j] -= cb * row[j]
-    jc = _optimize(tab, rhs, red, basis, n)
+    # Phase 2 on the real objective: eliminate every basic column from the
+    # cost row, the same update a pivot applies.
+    red = _int_row([*std.cost, _ZERO])
+    for i, col in enumerate(basis):
+        if red[col]:
+            _pivot(tab, i, col, red)
+    jc = _optimize(tab, red, basis, n)
 
     if jc is not None:
         d = [_ZERO] * n
         d[jc] = _ONE
-        for i, row in enumerate(tab):
+        for row, col in zip(tab, basis):
             if row[jc]:
-                d[basis[i]] = -row[jc]
-        z = [_ZERO] * n
-        for i, col in enumerate(basis):
-            z[col] = rhs[i]
+                d[col] = Fraction(-row[jc], row[col])
         return LpOutcome(
             status=UNBOUNDED,
-            primal=std.to_original_point(z),
+            primal=std.to_original_point(_basic_point(tab, basis, n)),
             ray=std.to_original_ray(d),
         )
 
-    z = [_ZERO] * n
-    for i, col in enumerate(basis):
-        z[col] = rhs[i]
-    x = std.to_original_point(z)
+    x = std.to_original_point(_basic_point(tab, basis, n))
     y_std = _basis_dual(std, active, basis, lambda col: std.cost[col])
     y = std.to_original_dual(y_std, nrows, negate=not std.minimize)
     value = sum((c * v for c, v in zip(p.objective, x) if c), _ZERO)

@@ -285,6 +285,17 @@ def test_verify_replay_failure_exits_5(capsys, monkeypatch):
     assert err["error"]["type"] == "soundness"
 
 
+def test_solver_fault_exits_5(capsys, monkeypatch):
+    # a broken kernel is a soundness failure, never "invalid input"
+    import hedgecert.lp as lp_mod
+
+    monkeypatch.setattr(lp_mod, "solve_unique", lambda rows, rhs: None)
+    code, out, err = run(capsys, "check-nar", str(DATA / "m1.json"))
+    assert code == 5
+    assert out is None
+    assert err["error"]["type"] == "soundness"
+
+
 def test_console_script_entrypoint():
     import os
     import subprocess

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hedgecert import lp
-from hedgecert.errors import StructureError
+from hedgecert.errors import SoundnessError, StructureError
 from markets import random_lp
 
 Z = F(0)
@@ -92,6 +92,16 @@ def test_beale_cycling_instance_terminates_under_bland():
     assert out.status == lp.OPTIMAL
     assert out.objective_value == F(1, 20)
     assert lp.verify_certificate(p, out)
+
+
+def test_a_revisited_basis_raises_instead_of_looping(monkeypatch):
+    # Bland's rule never revisits a basis; a pivot that forgets the reduced
+    # costs re-enters the same column forever unless the kernel notices
+    pivot = lp._pivot
+    monkeypatch.setattr(lp, "_pivot", lambda rows, r, c, red=None: pivot(rows, r, c))
+    p = lp.LpProblem(lp.MAX, [I], [[I]], [lp.LE], [I], [Z], [None])
+    with pytest.raises(SoundnessError, match="revisited a basis"):
+        lp.solve_lp(p)
 
 
 def test_fixed_variable_and_equality_rows():

@@ -1,10 +1,11 @@
-"""The sparse simplex kernel returns exactly what the dense one did.
+"""The fraction-free simplex kernel returns exactly what a Fraction one did.
 
-`_dense_pivot` and `_dense_solve_unique` keep the dense eliminations the
-kernel used before it updated only the pivot row's nonzeros. Swapping them
-into `lp` must leave every outcome equal field for field: same status,
-primal, dual, objective, Farkas vector and ray, because a skipped column
-would only have received u - f * 0 = u.
+The reference below is a dense `Fraction` kernel: the tableau pivot that
+scales its pivot row to 1 and subtracts full rows, Bland's `_optimize`, the
+two-phase tableau path of `solve_lp` and a Gauss-Jordan `solve_unique`. The
+kernel in `lp` keeps every row as a primitive integer multiple of these
+rows, so every sign, Bland choice and certificate must be equal field for
+field: same status, primal, dual, objective, Farkas vector and ray.
 """
 
 import copy
@@ -25,6 +26,7 @@ from markets import (
     trinomial_straddle_market,
 )
 
+_ZERO = F(0)
 _ONE = F(1)
 
 
@@ -88,6 +90,84 @@ def _dense_solve_unique(rows, rhs):
     return x
 
 
+def _dense_optimize(tab, rhs, red, basis, ncols):
+    while True:
+        jc = next((j for j in range(ncols) if red[j] < 0), -1)
+        if jc < 0:
+            return None
+        r, best, best_var = -1, None, -1
+        for i, row in enumerate(tab):
+            a = row[jc]
+            if a > 0:
+                ratio = rhs[i] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < best_var):
+                    best, r, best_var = ratio, i, basis[i]
+        if r < 0:
+            return jc
+        _dense_pivot(tab, rhs, red, basis, r, jc)
+
+
+def _dense_basis_dual(std, active, basis, costs):
+    if not basis:
+        return {}
+    n = std.ncols
+    mat = [[_ONE if k == col - n else _ZERO for k in active] if col >= n
+           else [std.rows[k][col] for k in active] for col in basis]
+    y = _dense_solve_unique(mat, [costs(col) for col in basis])
+    assert y is not None
+    return {k: y[pos] for pos, k in enumerate(active)}
+
+
+def _dense_solve_lp(p):
+    """Two-phase Bland simplex on a dense Fraction tableau (reference)."""
+    lp._validate(p)
+    std = lp._StdForm(p)
+    m, n, nrows = len(std.rows), std.ncols, len(p.rows)
+    tab = [row[:] for row in std.rows]
+    rhs = std.rhs[:]
+    basis = [n + i for i in range(m)]
+    active = list(range(m))
+    red = [-sum((row[j] for row in tab), _ZERO) for j in range(n)]
+    assert _dense_optimize(tab, rhs, red, basis, n) is None
+    if sum((rhs[i] for i in range(m) if basis[i] >= n), _ZERO) > 0:
+        y_std = _dense_basis_dual(std, active, basis, lambda col: _ONE if col >= n else _ZERO)
+        return lp.LpOutcome(status=lp.INFEASIBLE,
+                            farkas=std.to_original_dual(y_std, nrows, negate=False))
+    keep = []
+    for i in range(m):
+        if basis[i] >= n:
+            jc = next((j for j in range(n) if tab[i][j]), -1)
+            if jc < 0:
+                continue
+            _dense_pivot(tab, rhs, red, basis, i, jc)
+        keep.append(i)
+    tab = [tab[i] for i in keep]
+    rhs = [rhs[i] for i in keep]
+    basis = [basis[i] for i in keep]
+    active = [active[i] for i in keep]
+    red = std.cost[:]
+    for i, row in enumerate(tab):
+        cb = std.cost[basis[i]]
+        red = [u - cb * v for u, v in zip(red, row)]
+    jc = _dense_optimize(tab, rhs, red, basis, n)
+    z = [_ZERO] * n
+    for i, col in enumerate(basis):
+        z[col] = rhs[i]
+    if jc is not None:
+        d = [_ZERO] * n
+        d[jc] = _ONE
+        for i, row in enumerate(tab):
+            if row[jc]:
+                d[basis[i]] = -row[jc]
+        return lp.LpOutcome(status=lp.UNBOUNDED, primal=std.to_original_point(z),
+                            ray=std.to_original_ray(d))
+    x = std.to_original_point(z)
+    y_std = _dense_basis_dual(std, active, basis, lambda col: std.cost[col])
+    y = std.to_original_dual(y_std, nrows, negate=not std.minimize)
+    value = sum((c * v for c, v in zip(p.objective, x) if c), _ZERO)
+    return lp.LpOutcome(status=lp.OPTIMAL, primal=x, dual=y, objective_value=value)
+
+
 QUERIES = (
     lambda m, f: arbitrage.check_na(m),
     lambda m, f: arbitrage.check_nar(m),
@@ -129,26 +209,16 @@ def _query_programs(monkeypatch) -> list[lp.LpProblem]:
     return programs
 
 
-def _outcomes(problems, monkeypatch, dense):
-    with monkeypatch.context() as patch:
-        if dense:
-            patch.setattr(lp, "_pivot", _dense_pivot)
-            patch.setattr(lp, "solve_unique", _dense_solve_unique)
-        return [lp.solve_lp(copy.deepcopy(p)) for p in problems]
+def _assert_identical(problems):
+    for p in problems:
+        assert lp.solve_lp(copy.deepcopy(p)) == _dense_solve_lp(copy.deepcopy(p)), p
 
 
-def _assert_identical(problems, monkeypatch):
-    sparse = _outcomes(problems, monkeypatch, dense=False)
-    dense = _outcomes(problems, monkeypatch, dense=True)
-    for p, s, d in zip(problems, sparse, dense):
-        assert s == d, p
-
-
-def test_random_lps_match_the_dense_kernel(monkeypatch):
+def test_random_lps_match_the_dense_kernel():
     rng = random.Random(31337)
     problems = [random_lp(rng) for _ in range(1000)]
-    _assert_identical(problems, monkeypatch)
-    statuses = {p.status for p in _outcomes(problems, monkeypatch, dense=False)}
+    _assert_identical(problems)
+    statuses = {lp.solve_lp(p).status for p in problems}
     assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
 
 
@@ -159,7 +229,7 @@ def test_market_programs_match_the_dense_kernel(monkeypatch):
     widest = max(problems, key=lambda p: len(p.rows) * len(p.objective))
     cells = len(widest.rows) * len(widest.objective)
     assert sum(1 for row in widest.rows for a in row if a) < cells / 2
-    _assert_identical(problems, monkeypatch)
+    _assert_identical(problems)
 
 
 def test_solve_unique_matches_the_dense_elimination():
@@ -170,3 +240,47 @@ def test_solve_unique_matches_the_dense_elimination():
                 for _ in range(m)]
         rhs = [F(rng.randint(-3, 3)) for _ in range(m)]
         assert lp.solve_unique(rows, rhs) == _dense_solve_unique(rows, rhs), (rows, rhs)
+
+
+WIDE_DENOMINATORS = (3, 5, 7, 11, 64, 10**6 + 3)
+
+
+def _wide_rational(rng, zero_share=0.0):
+    if rng.random() < zero_share:
+        return _ZERO
+    # a numerator past 2**64 in a third of the draws
+    top = 2**72 if rng.random() < 1 / 3 else 9
+    return F(rng.randint(-top, top), rng.choice(WIDE_DENOMINATORS))
+
+
+def _wide_lp(rng):
+    """Programs whose row scaling needs the lcm of coprime denominators."""
+    n, m = rng.randint(1, 5), rng.randint(1, 5)
+    rows = [[_wide_rational(rng, 0.3) for _ in range(n)] for _ in range(m)]
+    rhs = [_wide_rational(rng, 0.2) for _ in range(m)]
+    if m >= 2 and rng.random() < 0.3:
+        rows[1] = [3 * a for a in rows[0]]  # a dependent row
+        rhs[1] = 3 * rhs[0]
+    lower, upper = [], []
+    for _ in range(n):
+        kind = rng.choice(("lower", "free", "fixed", "boxed", "upper"))
+        lo = _wide_rational(rng)
+        lower.append(None if kind in ("free", "upper") else lo)
+        upper.append({"lower": None, "free": None, "fixed": lo,
+                      "boxed": lo + abs(_wide_rational(rng)), "upper": lo}[kind])
+    return lp.LpProblem(rng.choice((lp.MIN, lp.MAX)), [_wide_rational(rng, 0.2) for _ in range(n)],
+                        rows, [rng.choice((lp.LE, lp.EQ, lp.GE)) for _ in range(m)], rhs,
+                        lower, upper)
+
+
+def test_wide_denominator_lps_match_the_dense_kernel():
+    rng = random.Random(1000003)
+    statuses = set()
+    for _ in range(400):
+        p = _wide_lp(rng)
+        out = lp.solve_lp(copy.deepcopy(p))
+        assert out == _dense_solve_lp(copy.deepcopy(p)), p
+        assert lp.verify_certificate(p, out), p
+        assert lp.solve_unique(p.rows, p.rhs) == _dense_solve_unique(p.rows, p.rhs), p
+        statuses.add(out.status)
+    assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
