@@ -238,12 +238,11 @@ def _cmd_strict_dual(args) -> tuple[int, dict]:
     m = _load_market(args.market)
     f = _load_claim(args.claim, m)
     eps = marketio.parse_rational_text(args.eps)
-    measure = superhedge.strict_dual_approx(m, f, eps)
+    value, measure = superhedge._strict_dual(m, f, eps)
     achieved = measure.expectation(f.payoff)
     if args.verify:
         _require(arbitrage.verify_measure(m, measure), "approximate dual measure")
         _require(arbitrage.strictly_inside_quotes(m, measure), "strict interiority")
-        value, _ = superhedge.dual_price(m, f)
         _require(achieved >= value - eps, "epsilon optimality")
     return EXIT_OK, _report(
         "strict-dual",

@@ -21,8 +21,17 @@ pivot on column c with pivot row p replaces each row with a nonzero entry
 a at c by p[c] * row - a * p, divided by its gcd; rows with a zero at c are
 untouched. The ratio test compares b_i / a_i by cross-multiplication. The
 Gauss-Jordan solve behind the basis duals (`solve_unique`) uses the same
-elimination. Fractions appear only at the boundary: rows enter scaled by
-the lcm of their denominators, and values leave as b_i / a_i,B(i).
+elimination.
+
+Fractions appear only at the boundary. The standard form builds each row
+[A | b] once, from the problem's nonzero entries, as a primitive integer
+vector rows[k] = scale[k] * (rational row k) with scale[k] > 0. The tableau
+starts as a copy of these rows; the phase-1 reduced costs are
+-sum_k rows[k] / scale[k] over one common integer denominator, a positive
+multiple of the rational phase-1 row; the basis duals solve y'^T B' = c_B
+on the integer columns and return y_k = scale[k] * y'_k. Values leave as
+b_i / a_i,B(i). Every problem entry must be an int or a Fraction; anything
+else is a StructureError naming the field and index.
 
 Every outcome carries a certificate checkable from the untouched data:
 
@@ -80,6 +89,18 @@ class LpOutcome:
     ray: list[Fraction] | None = None
 
 
+_RATIONAL = (int, Fraction)
+
+
+def _rational(v, field: str, index: int):
+    """v itself; StructureError unless it is an int or a Fraction."""
+    if not isinstance(v, _RATIONAL):
+        raise StructureError(
+            f"{field}[{index}] is {type(v).__name__} {v!r}, not an int or a Fraction"
+        )
+    return v
+
+
 def _validate(p: LpProblem) -> None:
     if p.sense not in (MIN, MAX):
         raise StructureError(f"unknown sense {p.sense!r}")
@@ -97,6 +118,10 @@ def _validate(p: LpProblem) -> None:
         raise StructureError("bound vectors must match the variable count")
     for j in range(n):
         lo, up = p.lower[j], p.upper[j]
+        if lo is not None:
+            _rational(lo, "lower", j)
+        if up is not None:
+            _rational(up, "upper", j)
         if lo is not None and up is not None and lo > up:
             raise StructureError(f"variable {j}: lower bound {lo} exceeds upper bound {up}")
 
@@ -183,106 +208,110 @@ def solve_unique(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
 class _StdForm:
     """Reduction to   min cost.z  s.t.  A z = b (b >= 0), z >= 0.
 
+    Each row [A | b] is built once, straight from the problem's nonzero
+    entries, as a primitive integer vector with the rhs last: rows[k] equals
+    scale[k] > 0 times the rational row, the invariant the tableau keeps.
+    Shifts and splits of a column are negations of its integer entry, a
+    slack entry is +-den (den the lcm of the row's denominators), and a row
+    whose rhs is negative is built negated. Only the rhs of a row meeting a
+    nonzero shift is computed in Fractions.
+
     Bookkeeping to map certificates back:
-      terms[j] / shift[j]:  x_j = shift_j + sum(coef * z_col)
+      terms[j] / shift[j]:  x_j = shift_j + sum(sign * z_col), sign = +-1
       row_source[k]: ("row", i) for original row i, ("bound", j) for the
                      synthetic cap row of a doubly bounded variable
       row_sign[k]: -1 when the row was negated to make its rhs nonnegative
-      slack_col[k]: the slack column of row k (None for equalities)
     """
 
     def __init__(self, p: LpProblem):
         minimize = p.sense == MIN
-        n = len(p.objective)
-        obj = [c if minimize else -c for c in p.objective]
-
-        terms: list[list[tuple[int, Fraction]]] = []
+        terms: list[tuple[tuple[int, int], ...]] = []
         shift: list[Fraction] = []
         ncols = 0
         bound_caps: list[tuple[int, Fraction, int]] = []
-        for j in range(n):
-            lo, up = p.lower[j], p.upper[j]
+        for j, (lo, up) in enumerate(zip(p.lower, p.upper)):
             if lo is not None and up is not None and lo == up:
-                terms.append([])
+                terms.append(())
                 shift.append(lo)
             elif lo is not None:
-                terms.append([(ncols, _ONE)])
+                terms.append(((ncols, 1),))
                 shift.append(lo)
                 if up is not None:
                     bound_caps.append((ncols, up - lo, j))
                 ncols += 1
             elif up is not None:
-                terms.append([(ncols, Fraction(-1))])
+                terms.append(((ncols, -1),))
                 shift.append(up)
                 ncols += 1
             else:
-                terms.append([(ncols, _ONE), (ncols + 1, Fraction(-1))])
+                terms.append(((ncols, 1), (ncols + 1, -1)))
                 shift.append(_ZERO)
                 ncols += 2
 
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        rels: list[str] = []
+        slack = ncols
+        total = ncols + sum(1 for rel in p.relations if rel != EQ) + len(bound_caps)
+        rows: list[list[int]] = []
+        scale: list[int | Fraction] = []
+        sign: list[int] = []
         source: list[tuple[str, int]] = []
-        for i in range(len(p.rows)):
-            coefs = [_ZERO] * ncols
-            base = p.rhs[i]
-            for j, a in enumerate(p.rows[i]):
-                if not a:
-                    continue
-                if shift[j]:
-                    base -= a * shift[j]
-                for col, cf in terms[j]:
-                    coefs[col] += a * cf
-            rows.append(coefs)
-            rhs.append(base)
-            rels.append(p.relations[i])
+        for i, coefs in enumerate(p.rows):
+            base = _rational(p.rhs[i], "rhs", i)
+            entries = []
+            for j, a in enumerate(coefs):
+                if a:
+                    if not isinstance(a, _RATIONAL):  # the label is built only to raise
+                        _rational(a, f"rows[{i}]", j)
+                    if shift[j]:
+                        base -= a * shift[j]
+                    if terms[j]:
+                        entries.append((terms[j], a))
+            den = lcm(base.denominator, *(a.denominator for _, a in entries))
+            d = -den if base < 0 else den  # a negative rhs negates the row
+            values = [(cols, a.numerator * (d // a.denominator)) for cols, a in entries]
+            rel = p.relations[i]
+            slack_value = 0 if rel == EQ else d if rel == LE else -d
+            rhs = base.numerator * (d // base.denominator)
+            g = gcd(rhs, slack_value, *(v for _, v in values)) or 1  # all-zero rows stay zero
+            row = [0] * (total + 1)
+            for cols, v in values:
+                v //= g
+                for col, s in cols:
+                    row[col] = v if s > 0 else -v
+            if slack_value:
+                row[slack] = slack_value // g
+                slack += 1
+            row[total] = rhs // g
+            rows.append(row)
+            scale.append(Fraction(den, g))
+            sign.append(-1 if d < 0 else 1)
             source.append(("row", i))
         for col, cap, j in bound_caps:
-            coefs = [_ZERO] * ncols
-            coefs[col] = _ONE
-            rows.append(coefs)
-            rhs.append(cap)
-            rels.append(LE)
+            # cap > 0 is in lowest terms, so [den, den | num] is primitive
+            row = [0] * (total + 1)
+            row[col] = row[slack] = cap.denominator
+            row[total] = cap.numerator
+            slack += 1
+            rows.append(row)
+            scale.append(cap.denominator)
+            sign.append(1)
             source.append(("bound", j))
 
-        nslack = sum(1 for rel in rels if rel != EQ)
-        slack_col: list[int | None] = []
-        k = ncols
-        for rel in rels:
-            if rel == EQ:
-                slack_col.append(None)
-            else:
-                slack_col.append(k)
-                k += 1
-        total = ncols + nslack
-        sign: list[int] = []
-        for i, row in enumerate(rows):
-            row.extend([_ZERO] * nslack)
-            sc = slack_col[i]
-            if sc is not None:
-                row[sc] = _ONE if rels[i] == LE else Fraction(-1)
-            if rhs[i] < 0:
-                rows[i] = [-v for v in row]
-                rhs[i] = -rhs[i]
-                sign.append(-1)
-            else:
-                sign.append(1)
-
         cost = [_ZERO] * total
-        for j in range(n):
-            cj = obj[j]
-            if cj:
-                for col, cf in terms[j]:
-                    cost[col] += cj * cf
+        for j, c in enumerate(p.objective):
+            _rational(c, "objective", j)
+            if c:
+                if not minimize:
+                    c = -c
+                for col, s in terms[j]:
+                    cost[col] = c if s > 0 else -c
 
         self.minimize = minimize
-        self.nvars = n
+        self.nvars = len(terms)
         self.terms = terms
         self.shift = shift
         self.ncols = total
         self.rows = rows
-        self.rhs = rhs
+        self.scale = scale
         self.row_source = source
         self.row_sign = sign
         self.cost = cost
@@ -351,8 +380,10 @@ def _optimize(tab, red, basis, ncols):
 def _basis_dual(std: _StdForm, active: list[int], basis: list[int], costs) -> dict[int, Fraction]:
     """Exact duals from the final basis: solve y^T B = cost_B afresh.
 
+    B is read from the integer rows, B' = diag(scale) B, so the solve gives
+    y' with y'^T B' = cost_B and the duals are y_k = scale[k] * y'_k.
     Columns at index >= ncols are artificials, whose standard column is the
-    identity vector of their row.
+    identity vector of their row: scale[k] at row k in B'.
     """
     if not basis:
         return {}
@@ -361,14 +392,14 @@ def _basis_dual(std: _StdForm, active: list[int], basis: list[int], costs) -> di
     target = []
     for col in basis:
         if col >= n:
-            mat.append([_ONE if k == col - n else _ZERO for k in active])
+            mat.append([std.scale[k] if k == col - n else 0 for k in active])
         else:
             mat.append([std.rows[k][col] for k in active])
         target.append(costs(col))
     y = solve_unique(mat, target)
     if y is None:
         raise SoundnessError("basis matrix singular; solver invariant broken")
-    return {k: y[pos] for pos, k in enumerate(active)}
+    return {k: std.scale[k] * v for k, v in zip(active, y)}
 
 
 def _basic_point(tab, basis, n) -> list[Fraction]:
@@ -387,19 +418,24 @@ def solve_lp(p: LpProblem) -> LpOutcome:
     n = std.ncols
     nrows = len(p.rows)
 
-    tab = [_int_row([*row, b]) for row, b in zip(std.rows, std.rhs)]
+    tab = [row[:] for row in std.rows]
     basis = [n + i for i in range(m)]  # artificial variables, columns implicit
     active = list(range(m))
 
     # Phase 1: minimize the sum of artificials. Reduced cost of column j is
-    # -sum of its tableau column (all artificial costs are one).
-    red = [_ZERO] * (n + 1)
-    for row, b in zip(std.rows, std.rhs):
+    # -sum of its rational column, -sum_k rows[k][j] / scale[k], here times
+    # the lcm of the scales' numerators: a positive multiple, so every Bland
+    # choice is the rational one's.
+    den = lcm(*(s.numerator for s in std.scale))
+    red = [0] * (n + 1)
+    for row, s in zip(std.rows, std.scale):
+        w = den // s.numerator * s.denominator
         for j, v in enumerate(row):
             if v:
-                red[j] -= v
-        red[n] -= b
-    red = _int_row(red)
+                red[j] -= w * v
+    g = gcd(*red)
+    if g > 1:
+        red = [v // g for v in red]
     if _optimize(tab, red, basis, n) is not None:
         raise SoundnessError("phase-1 unbounded; solver invariant broken")
 

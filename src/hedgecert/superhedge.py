@@ -154,6 +154,11 @@ def strict_dual_approx(m: Market, f: Claim, eps: Fraction) -> MartingaleMeasure:
     weight small enough to lose at most eps of value; the witness's full
     support and strict quote interiority survive any positive mixing weight.
     """
+    return _strict_dual(m, f, eps)[1]
+
+
+def _strict_dual(m: Market, f: Claim, eps: Fraction) -> tuple[Fraction, MartingaleMeasure]:
+    """The dual optimum and `strict_dual_approx`'s measure, from one dual solve."""
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}")
     c = require_valid(m)
@@ -169,7 +174,7 @@ def strict_dual_approx(m: Market, f: Claim, eps: Fraction) -> MartingaleMeasure:
     weights = [
         (1 - lam) * a + lam * b for a, b in zip(best.weights, interior.weights)
     ]
-    return measure_from_weights(c, weights)
+    return value, measure_from_weights(c, weights)
 
 
 def claim_price_bounds(m: Market, f: Claim) -> tuple[Fraction, Fraction]:

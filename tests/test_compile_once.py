@@ -1,17 +1,19 @@
-"""Each public query validates its market exactly once, and sharper_ftap
-solves one program per spread option plus the NA and NAR programs.
+"""Each public query validates its market exactly once, sharper_ftap
+solves one program per spread option plus the NA and NAR programs, and
+`strict-dual --verify` solves the dual program once.
 
 Both counts come from rebinding `validate_market` and `lp.solve_lp` around
 a single call, so they hold for whatever the call delegates to.
 """
 
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
 import hedgecert.model as model
-from hedgecert import arbitrage, lp, redundancy, superhedge
+from hedgecert import arbitrage, cli, lp, marketio, redundancy, superhedge
 from hedgecert.errors import HedgecertError, PreconditionError
 from markets import (
     binomial_market,
@@ -95,3 +97,22 @@ def test_sharper_ftap_solves_spread_options_plus_two(monkeypatch):
         assert len(bundle.dominating) == len(m.measures.generators)
         settled += 1
     assert settled >= 6
+
+
+def test_strict_dual_verify_solves_the_dual_once(monkeypatch, tmp_path, capsys):
+    duals = _Counter(monkeypatch, superhedge, "dual_price")
+    rng = random.Random(5)
+    commands = 0
+    for k, m in enumerate(_markets()):
+        if not arbitrage.check_nar(m).holds:
+            continue
+        market, claim = tmp_path / f"m{k}.json", tmp_path / f"f{k}.json"
+        market.write_text(marketio.dump_market(m))
+        claim.write_text(json.dumps(marketio.claim_to_json(m, random_claim(rng, m))))
+        before = duals.calls
+        argv = ["strict-dual", str(market), "--claim", str(claim), "--eps", "1/100", "--verify"]
+        assert cli.main(argv) == 0
+        assert duals.calls - before == 1
+        commands += 1
+    capsys.readouterr()
+    assert commands >= 4

@@ -1,5 +1,7 @@
 import copy
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -71,6 +73,26 @@ def test_dimension_mismatch_is_structural():
         lp.solve_lp(lp.LpProblem(lp.MIN, [I], [[I, I]], [lp.LE], [I], [Z], [None]))
     with pytest.raises(StructureError):
         lp.solve_lp(lp.LpProblem(lp.MIN, [I], [[I]], [lp.LE], [I], [F(2)], [I]))
+
+
+def test_non_rational_entries_are_structural():
+    # LpProblem is public: a float or Decimal anywhere is named, never an
+    # AttributeError from inside the reduction
+    def base():
+        return lp.LpProblem(lp.MIN, [I, I], [[I, I]], [lp.LE], [F(2)], [Z, None], [I, None])
+
+    for bad in (0.5, Decimal("0.5")):
+        for field, put in [
+            ("objective[1]", lambda p: p.objective.__setitem__(1, bad)),
+            ("rows[0][1]", lambda p: p.rows[0].__setitem__(1, bad)),
+            ("rhs[0]", lambda p: p.rhs.__setitem__(0, bad)),
+            ("lower[0]", lambda p: p.lower.__setitem__(0, bad)),
+            ("upper[0]", lambda p: p.upper.__setitem__(0, bad)),
+        ]:
+            p = base()
+            put(p)
+            with pytest.raises(StructureError, match=re.escape(field)):
+                lp.solve_lp(p)
 
 
 def test_beale_cycling_instance_terminates_under_bland():
@@ -177,13 +199,14 @@ def test_solve_unique():
 
 def test_solver_never_writes_to_its_inputs(monkeypatch):
     # the kernel eliminates in place; only its own copies may change, never
-    # the caller's data or the standard form _basis_dual re-solves from
+    # the caller's data or the standard form that the tableau is copied from
+    # and _basis_dual re-solves from
     built = []
 
     class RecordedStdForm(lp._StdForm):
         def __init__(self, p):
             super().__init__(p)
-            built.append((self, copy.deepcopy(self.rows), copy.deepcopy(self.rhs)))
+            built.append((self, copy.deepcopy(self.rows), copy.deepcopy(self.scale)))
 
     monkeypatch.setattr(lp, "_StdForm", RecordedStdForm)
     rng = random.Random(7)
@@ -192,12 +215,12 @@ def test_solver_never_writes_to_its_inputs(monkeypatch):
         before = copy.deepcopy(p)
         lp.solve_lp(p)
         assert p == before
+        std, rows, scale = built[-1]
+        assert std.rows == rows and std.scale == scale
         system = (p.rows, p.rhs)
         lp.solve_unique(*system)
         assert system == (before.rows, before.rhs)
     assert len(built) == 300
-    for std, rows, rhs in built:
-        assert std.rows == rows and std.rhs == rhs
 
 
 @settings(max_examples=60, deadline=None)

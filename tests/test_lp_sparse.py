@@ -1,19 +1,24 @@
 """The fraction-free simplex kernel returns exactly what a Fraction one did.
 
-The reference below is a dense `Fraction` kernel: the tableau pivot that
-scales its pivot row to 1 and subtracts full rows, Bland's `_optimize`, the
-two-phase tableau path of `solve_lp` and a Gauss-Jordan `solve_unique`. The
-kernel in `lp` keeps every row as a primitive integer multiple of these
-rows, so every sign, Bland choice and certificate must be equal field for
-field: same status, primal, dual, objective, Farkas vector and ray.
+The reference below is a dense `Fraction` kernel: its own reduction to
+standard form with `Fraction` rows and rhs, the tableau pivot that scales
+its pivot row to 1 and subtracts full rows, Bland's `_optimize`, the
+two-phase tableau path of `solve_lp` and a Gauss-Jordan `solve_unique`. It
+shares no reduction or kernel code with `lp`. The kernel in `lp` keeps every
+row as a primitive integer multiple of these rows, so every sign, Bland
+choice and certificate must be equal field for field: same status, primal,
+dual, objective, Farkas vector and ray.
 """
 
 import copy
 import random
+from fractions import Fraction
 from fractions import Fraction as F
+from math import gcd
 
 from hedgecert import arbitrage, lp, redundancy, superhedge
 from hedgecert.errors import HedgecertError
+from hedgecert.lp import EQ, LE, MIN, LpProblem
 from markets import (
     binomial_market,
     binomial_with_free_option,
@@ -28,6 +33,145 @@ from markets import (
 
 _ZERO = F(0)
 _ONE = F(1)
+
+
+class _ReferenceStdForm:
+    """Reduction to   min cost.z  s.t.  A z = b (b >= 0), z >= 0.
+
+    Bookkeeping to map certificates back:
+      terms[j] / shift[j]:  x_j = shift_j + sum(coef * z_col)
+      row_source[k]: ("row", i) for original row i, ("bound", j) for the
+                     synthetic cap row of a doubly bounded variable
+      row_sign[k]: -1 when the row was negated to make its rhs nonnegative
+      slack_col[k]: the slack column of row k (None for equalities)
+    """
+
+    def __init__(self, p: LpProblem):
+        minimize = p.sense == MIN
+        n = len(p.objective)
+        obj = [c if minimize else -c for c in p.objective]
+
+        terms: list[list[tuple[int, Fraction]]] = []
+        shift: list[Fraction] = []
+        ncols = 0
+        bound_caps: list[tuple[int, Fraction, int]] = []
+        for j in range(n):
+            lo, up = p.lower[j], p.upper[j]
+            if lo is not None and up is not None and lo == up:
+                terms.append([])
+                shift.append(lo)
+            elif lo is not None:
+                terms.append([(ncols, _ONE)])
+                shift.append(lo)
+                if up is not None:
+                    bound_caps.append((ncols, up - lo, j))
+                ncols += 1
+            elif up is not None:
+                terms.append([(ncols, Fraction(-1))])
+                shift.append(up)
+                ncols += 1
+            else:
+                terms.append([(ncols, _ONE), (ncols + 1, Fraction(-1))])
+                shift.append(_ZERO)
+                ncols += 2
+
+        rows: list[list[Fraction]] = []
+        rhs: list[Fraction] = []
+        rels: list[str] = []
+        source: list[tuple[str, int]] = []
+        for i in range(len(p.rows)):
+            coefs = [_ZERO] * ncols
+            base = p.rhs[i]
+            for j, a in enumerate(p.rows[i]):
+                if not a:
+                    continue
+                if shift[j]:
+                    base -= a * shift[j]
+                for col, cf in terms[j]:
+                    coefs[col] += a * cf
+            rows.append(coefs)
+            rhs.append(base)
+            rels.append(p.relations[i])
+            source.append(("row", i))
+        for col, cap, j in bound_caps:
+            coefs = [_ZERO] * ncols
+            coefs[col] = _ONE
+            rows.append(coefs)
+            rhs.append(cap)
+            rels.append(LE)
+            source.append(("bound", j))
+
+        nslack = sum(1 for rel in rels if rel != EQ)
+        slack_col: list[int | None] = []
+        k = ncols
+        for rel in rels:
+            if rel == EQ:
+                slack_col.append(None)
+            else:
+                slack_col.append(k)
+                k += 1
+        total = ncols + nslack
+        sign: list[int] = []
+        for i, row in enumerate(rows):
+            row.extend([_ZERO] * nslack)
+            sc = slack_col[i]
+            if sc is not None:
+                row[sc] = _ONE if rels[i] == LE else Fraction(-1)
+            if rhs[i] < 0:
+                rows[i] = [-v for v in row]
+                rhs[i] = -rhs[i]
+                sign.append(-1)
+            else:
+                sign.append(1)
+
+        cost = [_ZERO] * total
+        for j in range(n):
+            cj = obj[j]
+            if cj:
+                for col, cf in terms[j]:
+                    cost[col] += cj * cf
+
+        self.minimize = minimize
+        self.nvars = n
+        self.terms = terms
+        self.shift = shift
+        self.ncols = total
+        self.rows = rows
+        self.rhs = rhs
+        self.row_source = source
+        self.row_sign = sign
+        self.cost = cost
+
+    def to_original_point(self, z: list[Fraction]) -> list[Fraction]:
+        out = []
+        for j in range(self.nvars):
+            v = self.shift[j]
+            for col, cf in self.terms[j]:
+                if z[col]:
+                    v += cf * z[col]
+            out.append(v)
+        return out
+
+    def to_original_ray(self, d: list[Fraction]) -> list[Fraction]:
+        out = []
+        for j in range(self.nvars):
+            v = _ZERO
+            for col, cf in self.terms[j]:
+                if d[col]:
+                    v += cf * d[col]
+            out.append(v)
+        return out
+
+    def to_original_dual(self, y_std: dict[int, Fraction], nrows: int, negate: bool) -> list[Fraction]:
+        out = [_ZERO] * nrows
+        for k, (kind, idx) in enumerate(self.row_source):
+            if kind != "row":
+                continue
+            v = y_std.get(k, _ZERO)
+            if self.row_sign[k] < 0:
+                v = -v
+            out[idx] = -v if negate else v
+        return out
 
 
 def _dense_pivot(tab, rhs, red, basis, r, jc):
@@ -121,7 +265,7 @@ def _dense_basis_dual(std, active, basis, costs):
 def _dense_solve_lp(p):
     """Two-phase Bland simplex on a dense Fraction tableau (reference)."""
     lp._validate(p)
-    std = lp._StdForm(p)
+    std = _ReferenceStdForm(p)
     m, n, nrows = len(std.rows), std.ncols, len(p.rows)
     tab = [row[:] for row in std.rows]
     rhs = std.rhs[:]
@@ -284,3 +428,20 @@ def test_wide_denominator_lps_match_the_dense_kernel():
         assert lp.solve_unique(p.rows, p.rhs) == _dense_solve_unique(p.rows, p.rhs), p
         statuses.add(out.status)
     assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
+
+
+def test_integer_rows_are_primitive_multiples_of_the_fraction_rows():
+    rng = random.Random(31337)
+    problems = [random_lp(rng) for _ in range(1000)]
+    rng = random.Random(1000003)
+    problems += [_wide_lp(rng) for _ in range(400)]
+    for p in problems:
+        std, ref = lp._StdForm(p), _ReferenceStdForm(p)
+        assert std.ncols == ref.ncols and len(std.rows) == len(ref.rows), p
+        assert std.cost == ref.cost and std.row_sign == ref.row_sign, p
+        assert std.shift == ref.shift and std.row_source == ref.row_source, p
+        assert [list(t) for t in std.terms] == ref.terms, p
+        for row, s, ref_row, ref_b in zip(std.rows, std.scale, ref.rows, ref.rhs):
+            assert s > 0 and all(type(v) is int for v in row), p
+            assert gcd(*row) in (0, 1), p
+            assert row == [s * v for v in ref_row + [ref_b]], p
