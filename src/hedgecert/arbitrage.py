@@ -1,14 +1,18 @@
 """No-arbitrage and robust no-arbitrage verdicts with replayable certificates.
 
 Plain no-arbitrage asks that no semi-static strategy have nonnegative gain on
-every charged scenario and strictly positive gain on one of them. The robust
-variant additionally requires survival after every nonzero bid-ask spread is
-shrunk strictly into its interior; on a finite tree that is equivalent to the
-existence of a martingale measure that charges every supported scenario and
-prices every spread option strictly inside its quotes, which this module
-decides through a single slack-maximization program. Both verdict directions
-come with machine-checkable evidence: a gain-positive strategy when arbitrage
-exists, an interior measure plus shrunk quotes when robustness holds.
+every charged scenario and strictly positive gain on one of them. By the
+fundamental theorem with bid-ask quoted options, it holds exactly when some
+martingale measure consistent with the closed quotes charges every charged
+scenario. The robust variant additionally requires survival after every
+nonzero bid-ask spread is shrunk strictly into its interior; on a finite
+tree that is equivalent to such a measure that also prices every spread
+option strictly inside its quotes. Both are decided by one measure program
+that maximizes a floor t under every charged scenario's weight; for the
+robust verdict t also pushes the spread quotes inward. Both verdict
+directions come with machine-checkable evidence: a gain-positive strategy,
+read off the program's row multipliers, when arbitrage exists; an interior
+measure plus shrunk quotes when robustness holds.
 """
 
 from __future__ import annotations
@@ -89,101 +93,88 @@ def measure_from_weights(m: Market, weights: list[Fraction]) -> MartingaleMeasur
     return MartingaleMeasure(list(weights), values)
 
 
-def check_na(m: Market) -> NaVerdict:
-    """Decide no-arbitrage by maximizing total surplus over charged leaves.
+def _consistency_rows(c: CompiledMarket, objective: list[Fraction], push=None):
+    """The measure program over charged leaves: max objective, and its layout.
 
-    Variables are a strategy plus one surplus per charged leaf; the gain on
-    each charged leaf must equal its surplus (hence be nonnegative) and the
-    surpluses are capped at total one so the program stays bounded. The cap
-    makes the optimum zero exactly when no arbitrage exists, and any positive
-    optimizer is itself an arbitrage certificate.
+    Variables are R_w >= 0 per charged leaf, plus a trailing floor t >= 0
+    unless `push` is None; the measure itself is Q_w = R_w + t. Rows: total
+    mass one, every node-level martingale identity whose coefficients on the
+    charged leaves are not all zero, and the quote rows, with equality on
+    zero-spread options and bid/ask inequalities on spread options, whose
+    bounds move inward by push * t. `layout[r]` names row r: ("mass", 0),
+    ("martingale", dynamic column) or ("option", option index).
+    """
+    supp = c.charged
+    rows, rels, rhs, layout = [], [], [], []
+
+    def add(coefs, rel, bound, name, inward=0):
+        t = [] if push is None else [sum(coefs, inward * push)]
+        rows.append(coefs + t)
+        rels.append(rel)
+        rhs.append(bound)
+        layout.append(name)
+
+    add([ONE] * len(supp), lp.EQ, ONE, ("mass", 0))
+    for col in range(len(c.columns)):
+        coefs = [c.gain_rows[pos][col] for pos in supp]
+        if any(coefs):
+            add(coefs, lp.EQ, ZERO, ("martingale", col))
+    for i, opt in enumerate(c.options):
+        coefs = [opt.payoff[pos] for pos in supp]
+        if not opt.has_spread():
+            add(coefs, lp.EQ, opt.bid, ("option", i))
+        else:
+            add(coefs, lp.GE, opt.bid, ("option", i), inward=-1)
+            add(coefs, lp.LE, opt.ask, ("option", i), inward=1)
+    ncols = len(objective)
+    problem = lp.LpProblem(lp.MAX, objective, rows, rels, rhs, [ZERO] * ncols, [None] * ncols)
+    return problem, layout
+
+
+def _floor_program(c: CompiledMarket, push):
+    """max t: the floor every charged leaf's weight Q_w = R_w + t sits on."""
+    return _consistency_rows(c, [ZERO] * len(c.charged) + [ONE], push)
+
+
+def check_na(m: Market) -> NaVerdict:
+    """Decide no-arbitrage on the measure side: maximize a floor t >= 0 on
+    every charged leaf's weight over quote-consistent martingale measures.
+
+    No-arbitrage holds exactly when the optimum is positive. Otherwise one
+    row-multiplier vector y is an arbitrage: the optimal duals at t* = 0, or
+    the negated Farkas vector when no consistent measure exists. Either way
+    y is >= 0 on <= rows and <= 0 on >= rows, y . A_w >= 0 on every leaf
+    column and y . rhs <= 0, with y . A_t = sum_w y . A_w >= 1 in the first
+    case and y . rhs < 0 in the second. Reading the martingale-row
+    multipliers as dynamic positions and an option row's multiplier as a
+    buy (if positive) or sell (if negative) leg gives the gain
+    y . A_w - y . rhs on leaf w: nonnegative everywhere, positive somewhere.
     """
     c = require_valid(m)
-    nh, e, k = len(c.columns), len(c.options), len(c.charged)
-    width = nh + 2 * e
-
-    rows, rels, rhs = [], [], []
-    for idx, pos in enumerate(c.charged):
-        coefs = c.strategy_row(pos) + [ZERO] * k
-        coefs[width + idx] = Fraction(-1)
-        rows.append(coefs)
-        rels.append(lp.EQ)
-        rhs.append(ZERO)
-    rows.append([ZERO] * width + [ONE] * k)
-    rels.append(lp.LE)
-    rhs.append(ONE)
-
-    problem = lp.LpProblem(
-        sense=lp.MAX,
-        objective=[ZERO] * width + [ONE] * k,
-        rows=rows,
-        relations=rels,
-        rhs=rhs,
-        lower=[None] * nh + [ZERO] * (2 * e + k),
-        upper=[None] * (width + k),
-    )
+    problem, layout = _floor_program(c, push=0)
     out = lp.solve_lp(problem)
-    if out.status != lp.OPTIMAL:
-        raise SoundnessError(f"surplus program ended {out.status}; it is always solvable")
-    if out.objective_value == 0:
-        return NaVerdict(True)
+    if out.status == lp.OPTIMAL:
+        if out.objective_value > 0:
+            return NaVerdict(True)
+        y = out.dual
+    elif out.status == lp.INFEASIBLE:
+        y = [-v for v in out.farkas]
+    else:
+        raise SoundnessError("floor program unbounded; the mass constraint caps it")
 
-    strategy = canonical_legs(c.strategy_from(out.primal))
+    nh, e = len(c.columns), len(c.options)
+    position = [ZERO] * (nh + 2 * e)  # in strategy_row column order
+    for (kind, index), v in zip(layout, y):
+        if kind == "martingale":
+            position[index] = v
+        elif kind == "option" and v:
+            position[nh + index if v > 0 else nh + e + index] += abs(v)
+    strategy = canonical_legs(c.strategy_from(position))
     gains = terminal_gain(c, strategy)
     strict = next((pos for pos in c.charged if gains[pos] > 0), None)
     if strict is None:
-        raise SoundnessError("positive surplus reported but no strictly positive gain found")
+        raise SoundnessError("measure-side multipliers give no strictly positive gain")
     return NaVerdict(False, ArbitrageCertificate(strategy, gains, strict))
-
-
-def _consistency_rows(c: CompiledMarket, with_slack: bool):
-    """Shared constraint block for measure programs over charged leaves.
-
-    Variables are R_w >= 0 per charged leaf (plus a trailing slack variable
-    when `with_slack`), where the measure itself is Q_w = R_w + slack. Rows:
-    total mass one, every node-level martingale identity, and the quote rows,
-    with equality on zero-spread options and slack-tightened inequalities on
-    spread options.
-    """
-    supp = c.charged
-    k = len(supp)
-    ncols = k + 1 if with_slack else k
-    rows, rels, rhs = [], [], []
-
-    total = [ONE] * k + ([Fraction(k)] if with_slack else [])
-    rows.append(total)
-    rels.append(lp.EQ)
-    rhs.append(ONE)
-
-    for col in range(len(c.columns)):
-        coefs = [c.gain_rows[pos][col] for pos in supp]
-        if not any(coefs):
-            continue
-        if with_slack:
-            coefs = coefs + [sum(coefs, ZERO)]
-        rows.append(coefs)
-        rels.append(lp.EQ)
-        rhs.append(ZERO)
-
-    for opt in c.options:
-        gcoefs = [opt.payoff[pos] for pos in supp]
-        gsum = sum(gcoefs, ZERO)
-        if not opt.has_spread():
-            row = gcoefs + ([gsum] if with_slack else [])
-            rows.append(row)
-            rels.append(lp.EQ)
-            rhs.append(opt.bid)
-        else:
-            lo = gcoefs + ([gsum - 1] if with_slack else [])
-            hi = gcoefs + ([gsum + 1] if with_slack else [])
-            rows.append(lo)
-            rels.append(lp.GE)
-            rhs.append(opt.bid)
-            rows.append(hi)
-            rels.append(lp.LE)
-            rhs.append(opt.ask)
-
-    return ncols, rows, rels, rhs
 
 
 def _weights_on_charged(c: CompiledMarket, values, shift=ZERO) -> list[Fraction]:
@@ -203,18 +194,7 @@ def check_nar(m: Market) -> NarVerdict:
     yields the interior measure and the strictly shrunk quotes.
     """
     c = require_valid(m)
-    ncols, rows, rels, rhs = _consistency_rows(c, with_slack=True)
-
-    problem = lp.LpProblem(
-        sense=lp.MAX,
-        objective=[ZERO] * (ncols - 1) + [ONE],
-        rows=rows,
-        relations=rels,
-        rhs=rhs,
-        lower=[ZERO] * ncols,
-        upper=[None] * ncols,
-    )
-    out = lp.solve_lp(problem)
+    out = lp.solve_lp(_floor_program(c, push=1)[0])
     if out.status == lp.INFEASIBLE:
         return NarVerdict(
             False,
@@ -284,18 +264,9 @@ def scenario_pricing_measure(m: Market, leaf: int) -> MartingaleMeasure | None:
     if leaf not in c.charged:
         raise DomainError(f"leaf {leaf} is not charged by any generator")
 
-    ncols, rows, rels, rhs = _consistency_rows(c, with_slack=False)
-    objective = [ZERO] * ncols
+    objective = [ZERO] * len(c.charged)
     objective[c.charged.index(leaf)] = ONE
-    problem = lp.LpProblem(
-        sense=lp.MAX,
-        objective=objective,
-        rows=rows,
-        relations=rels,
-        rhs=rhs,
-        lower=[ZERO] * ncols,
-        upper=[None] * ncols,
-    )
+    problem, _ = _consistency_rows(c, objective)
     out = lp.solve_lp(problem)
     if out.status == lp.INFEASIBLE:
         return None

@@ -20,8 +20,9 @@ rational tableau's. A row's coefficient at its basic column is positive. A
 pivot on column c with pivot row p replaces each row with a nonzero entry
 a at c by p[c] * row - a * p, divided by its gcd; rows with a zero at c are
 untouched. The ratio test compares b_i / a_i by cross-multiplication. The
-Gauss-Jordan solve behind the basis duals (`solve_unique`) uses the same
-elimination.
+Gauss-Jordan solve `solve_linear` uses the same elimination; it returns a
+particular solution and the rank, which the basis duals (through
+`solve_unique`) and the replication test of `redundancy` read.
 
 Fractions appear only at the boundary. The standard form builds each row
 [A | b] once, from the problem's nonzero entries, as a primitive integer
@@ -31,7 +32,8 @@ starts as a copy of these rows; the phase-1 reduced costs are
 multiple of the rational phase-1 row; the basis duals solve y'^T B' = c_B
 on the integer columns and return y_k = scale[k] * y'_k. Values leave as
 b_i / a_i,B(i). Every problem entry must be an int or a Fraction; anything
-else is a StructureError naming the field and index.
+else is a StructureError naming the field and index, and makes
+`verify_certificate` return False.
 
 Every outcome carries a certificate checkable from the untouched data:
 
@@ -92,13 +94,16 @@ class LpOutcome:
 _RATIONAL = (int, Fraction)
 
 
-def _rational(v, field: str, index: int):
-    """v itself; StructureError unless it is an int or a Fraction."""
-    if not isinstance(v, _RATIONAL):
-        raise StructureError(
-            f"{field}[{index}] is {type(v).__name__} {v!r}, not an int or a Fraction"
-        )
-    return v
+def _rationals(values, field: str, bounds: bool = False) -> None:
+    """StructureError naming the first entry that is not an int or a Fraction
+    (nor None, for `bounds`)."""
+    if {int, Fraction}.issuperset(map(type, values)):
+        return  # the common case, decided in one pass over the types
+    for j, v in enumerate(values):
+        if not isinstance(v, _RATIONAL) and not (bounds and v is None):
+            raise StructureError(
+                f"{field}[{j}] is {type(v).__name__} {v!r}, not an int or a Fraction"
+            )
 
 
 def _validate(p: LpProblem) -> None:
@@ -116,12 +121,13 @@ def _validate(p: LpProblem) -> None:
             raise StructureError(f"row {i}: unknown relation {rel!r}")
     if len(p.lower) != n or len(p.upper) != n:
         raise StructureError("bound vectors must match the variable count")
-    for j in range(n):
-        lo, up = p.lower[j], p.upper[j]
-        if lo is not None:
-            _rational(lo, "lower", j)
-        if up is not None:
-            _rational(up, "upper", j)
+    _rationals(p.objective, "objective")
+    _rationals(p.rhs, "rhs")
+    for i, row in enumerate(p.rows):
+        _rationals(row, f"rows[{i}]")
+    _rationals(p.lower, "lower", bounds=True)
+    _rationals(p.upper, "upper", bounds=True)
+    for j, (lo, up) in enumerate(zip(p.lower, p.upper)):
         if lo is not None and up is not None and lo > up:
             raise StructureError(f"variable {j}: lower bound {lo} exceeds upper bound {up}")
 
@@ -166,20 +172,20 @@ def _pivot(rows, r, c, red=None):
         _combine(red, c, pc, nonzeros)
 
 
-def solve_unique(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve a linear system exactly; None unless the solution is unique.
+def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> tuple[list[Fraction], int] | None:
+    """Solve rows . x = rhs exactly by Gauss-Jordan elimination.
 
-    Accepts any shape. Returns None when the system is inconsistent or the
-    solution space has positive dimension.
+    Returns a solution, with every column that takes no pivot at 0, and the
+    rank of `rows`; None when the system is inconsistent. Accepts any shape.
     """
     m = len(rows)
-    if m == 0:
-        return None
-    n = len(rows[0])
+    n = len(rows[0]) if m else 0
     a = [_int_row([*row, rhs[i]]) for i, row in enumerate(rows)]
     piv_cols: list[int] = []
     r = 0
     for col in range(n):
+        if r == m:
+            break
         sel = None
         for i in range(r, m):
             if a[i][col]:
@@ -191,18 +197,22 @@ def solve_unique(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
         _pivot(a, r, col)
         piv_cols.append(col)
         r += 1
-        if r == m:
-            break
     for i in range(r, m):
         if a[i][n]:
             return None  # inconsistent
-    if len(piv_cols) < n:
-        return None  # underdetermined
     x = [_ZERO] * n
     for k, col in enumerate(piv_cols):
         if a[k][n]:
             x[col] = Fraction(a[k][n], a[k][col])
-    return x
+    return x, r
+
+
+def solve_unique(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """The solution of a linear system; None unless it exists and is unique."""
+    solved = solve_linear(rows, rhs) if rows else None
+    if solved is None or solved[1] < len(rows[0]):
+        return None
+    return solved[0]
 
 
 class _StdForm:
@@ -255,12 +265,10 @@ class _StdForm:
         sign: list[int] = []
         source: list[tuple[str, int]] = []
         for i, coefs in enumerate(p.rows):
-            base = _rational(p.rhs[i], "rhs", i)
+            base = p.rhs[i]
             entries = []
             for j, a in enumerate(coefs):
                 if a:
-                    if not isinstance(a, _RATIONAL):  # the label is built only to raise
-                        _rational(a, f"rows[{i}]", j)
                     if shift[j]:
                         base -= a * shift[j]
                     if terms[j]:
@@ -298,7 +306,6 @@ class _StdForm:
 
         cost = [_ZERO] * total
         for j, c in enumerate(p.objective):
-            _rational(c, "objective", j)
             if c:
                 if not minimize:
                     c = -c

@@ -2,7 +2,9 @@
 
 An option is redundant when cash, dynamic stock trading, and the other
 options replicate its payoff exactly on every charged scenario; quotes play
-no role in that question, only payoffs do. When every option with a nonzero
+no role in that question, only payoffs do. It is a linear system, with no
+inequality and no objective, so one exact elimination decides it and any
+solution is the replication certificate. When every option with a nonzero
 spread is non-redundant, plain no-arbitrage already implies the robust
 version, so a single no-arbitrage check plus its dual package settles the
 whole market; `sharper_ftap` bundles exactly that.
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import lp
 from .arbitrage import (
     MartingaleMeasure,
     NaVerdict,
@@ -23,6 +24,7 @@ from .arbitrage import (
     check_nar,
 )
 from .errors import DomainError, PreconditionError, SoundnessError
+from .lp import solve_linear
 from .model import Market, Strategy, ZERO, ONE, require_valid, terminal_gain
 
 
@@ -56,40 +58,25 @@ class SharperFtapBundle:
 
 
 def check_nonredundant(m: Market, i: int) -> NonredundancyVerdict:
-    """Feasibility of x + dynamic gains + other options == option i, exactly."""
+    """Solve x + dynamic gains + other options == option i on the charged
+    leaves, exactly; a solution is the replication certificate."""
     c = require_valid(m)
     if not 0 <= i < len(c.options):
         raise DomainError(f"option index {i} out of range")
     others = [k for k in range(len(c.options)) if k != i]
-    nh = len(c.columns)
-    ncols = 1 + nh + len(others)
-
-    rows, rhs = [], []
-    for pos in c.charged:
-        coefs = [ONE] + list(c.gain_rows[pos])
-        coefs.extend(c.options[k].payoff[pos] for k in others)
-        rows.append(coefs)
-        rhs.append(c.options[i].payoff[pos])
-    problem = lp.LpProblem(
-        sense=lp.MIN,
-        objective=[ZERO] * ncols,
-        rows=rows,
-        relations=[lp.EQ] * len(rows),
-        rhs=rhs,
-        lower=[None] * ncols,
-        upper=[None] * ncols,
-    )
-    out = lp.solve_lp(problem)
-    if out.status == lp.INFEASIBLE:
+    rows = [
+        [ONE, *c.gain_rows[pos], *(c.options[k].payoff[pos] for k in others)]
+        for pos in c.charged
+    ]
+    solved = solve_linear(rows, [c.options[i].payoff[pos] for pos in c.charged])
+    if solved is None:
         return NonredundancyVerdict(True)
-    if out.status != lp.OPTIMAL:
-        raise SoundnessError("replication program has a constant objective")
 
     # the static columns here are signed positions, not legs: keep the dynamic part
-    dynamic = c.strategy_from(out.primal[1:]).dynamic
-    static = list(out.primal[1 + nh:])
+    x = solved[0]
+    dynamic = c.strategy_from(x[1:]).dynamic
     return NonredundancyVerdict(
-        False, ReplicationCertificate(out.primal[0], dynamic, static)
+        False, ReplicationCertificate(x[0], dynamic, x[1 + len(c.columns):])
     )
 
 

@@ -107,16 +107,7 @@ def dual_price(m: Market, f: Claim) -> tuple[Fraction, MartingaleMeasure]:
     """Maximal claim expectation over quote-consistent martingale measures."""
     c = require_valid(m)
     _check_claim(c, f)
-    ncols, rows, rels, rhs = _consistency_rows(c, with_slack=False)
-    problem = lp.LpProblem(
-        sense=lp.MAX,
-        objective=[f.payoff[pos] for pos in c.charged],
-        rows=rows,
-        relations=rels,
-        rhs=rhs,
-        lower=[ZERO] * ncols,
-        upper=[None] * ncols,
-    )
+    problem, _ = _consistency_rows(c, [f.payoff[pos] for pos in c.charged])
     out = lp.solve_lp(problem)
     if out.status == lp.INFEASIBLE:
         raise ArbitrageError(

@@ -1,9 +1,12 @@
-"""Brute-force cross-checks for the test suite. Never on the production path.
+"""Independent cross-checks for the test suite. Never on the production path.
 
-Exponential-time by design, behind hard size guards: vertex enumeration of
-the consistent-measure polytope (so dual prices can be checked against a
-max over vertices) and the definitional robust-no-arbitrage scan that
-shrinks quotes through a dyadic ladder and reruns the plain arbitrage check.
+Two reference programs, each an LP formulation the package no longer uses:
+the strategy-side surplus program for no-arbitrage and the replication LP
+for option redundancy. And, exponential-time by design behind hard size
+guards: vertex enumeration of the consistent-measure polytope (so dual
+prices can be checked against a max over vertices) and the definitional
+robust-no-arbitrage scan that shrinks quotes through a dyadic ladder and
+reruns the reference no-arbitrage check.
 """
 
 from __future__ import annotations
@@ -12,16 +15,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from hedgecert.arbitrage import check_na
+from hedgecert import lp
+from hedgecert.arbitrage import ArbitrageCertificate, NaVerdict
 from hedgecert.errors import DomainError
 from hedgecert.lp import solve_unique
 from hedgecert.model import (
+    Market,
     MarketModel,
     OptionQuote,
     ZERO,
     ONE,
+    canonical_legs,
     require_valid,
+    terminal_gain,
 )
+from hedgecert.redundancy import NonredundancyVerdict, ReplicationCertificate
 
 MAX_ORACLE_LEAVES = 10
 
@@ -45,6 +53,71 @@ class VertexSet:
 class NarScanResult:
     holds: bool
     passes_at: int | None = None
+
+
+def surplus_na(m: Market) -> NaVerdict:
+    """No-arbitrage by maximizing total surplus over charged leaves.
+
+    Variables are a strategy plus one surplus per charged leaf; the gain on
+    each charged leaf must equal its surplus (hence be nonnegative) and the
+    surpluses are capped at total one so the program stays bounded. The
+    optimum is zero exactly when no arbitrage exists, and any positive
+    optimizer is itself an arbitrage.
+    """
+    c = require_valid(m)
+    nh, e, k = len(c.columns), len(c.options), len(c.charged)
+    width = nh + 2 * e
+    rows = []
+    for idx, pos in enumerate(c.charged):
+        coefs = c.strategy_row(pos) + [ZERO] * k
+        coefs[width + idx] = Fraction(-1)
+        rows.append(coefs)
+    rows.append([ZERO] * width + [ONE] * k)
+    problem = lp.LpProblem(
+        sense=lp.MAX,
+        objective=[ZERO] * width + [ONE] * k,
+        rows=rows,
+        relations=[lp.EQ] * k + [lp.LE],
+        rhs=[ZERO] * k + [ONE],
+        lower=[None] * nh + [ZERO] * (2 * e + k),
+        upper=[None] * (width + k),
+    )
+    out = lp.solve_lp(problem)
+    assert out.status == lp.OPTIMAL, out.status
+    if out.objective_value == 0:
+        return NaVerdict(True)
+    strategy = canonical_legs(c.strategy_from(out.primal))
+    gains = terminal_gain(c, strategy)
+    strict = next(pos for pos in c.charged if gains[pos] > 0)
+    return NaVerdict(False, ArbitrageCertificate(strategy, gains, strict))
+
+
+def replication_lp(m: Market, i: int) -> NonredundancyVerdict:
+    """Redundancy of option i as the feasibility of a zero-objective LP over
+    free columns: x + dynamic gains + other options == option i."""
+    c = require_valid(m)
+    others = [k for k in range(len(c.options)) if k != i]
+    nh = len(c.columns)
+    ncols = 1 + nh + len(others)
+    rows = [[ONE, *c.gain_rows[pos], *(c.options[k].payoff[pos] for k in others)]
+            for pos in c.charged]
+    problem = lp.LpProblem(
+        sense=lp.MIN,
+        objective=[ZERO] * ncols,
+        rows=rows,
+        relations=[lp.EQ] * len(rows),
+        rhs=[c.options[i].payoff[pos] for pos in c.charged],
+        lower=[None] * ncols,
+        upper=[None] * ncols,
+    )
+    out = lp.solve_lp(problem)
+    if out.status == lp.INFEASIBLE:
+        return NonredundancyVerdict(True)
+    assert out.status == lp.OPTIMAL, out.status
+    dynamic = c.strategy_from(out.primal[1:]).dynamic
+    return NonredundancyVerdict(
+        False, ReplicationCertificate(out.primal[0], dynamic, out.primal[1 + nh:])
+    )
 
 
 def _rank(rows: list[list[Fraction]]) -> int:
@@ -162,14 +235,14 @@ def definitional_nar_scan(m: MarketModel, depth: int) -> NarScanResult:
     """Robust no-arbitrage by its definition: scan dyadic quote shrinks.
 
     Level j pulls each nonzero spread in by (ask - bid) / 2^(j+1) per side
-    and reruns the plain no-arbitrage check. Because the feasible region is
-    polyhedral in the shrink, a market that is robustly arbitrage-free passes
+    and reruns the reference no-arbitrage check. Because the feasible region
+    is polyhedral in the shrink, a market that is robustly arbitrage-free passes
     at every sufficiently deep level; the scan reports the first.
     """
     require_valid(m)
     if depth < 1:
         raise DomainError(f"scan depth must be >= 1, got {depth}")
     for level in range(1, depth + 1):
-        if check_na(_shrunk_market(m, level)).holds:
+        if surplus_na(_shrunk_market(m, level)).holds:
             return NarScanResult(True, level)
     return NarScanResult(False)

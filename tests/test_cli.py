@@ -123,7 +123,7 @@ def test_sharper_ftap_arbitrage(capsys, tmp_path):
     path.write_text(dump_market(binomial_with_free_option()))
     code, out, _ = run(capsys, "sharper-ftap", str(path))
     assert code == 3
-    assert out["certificates"]["arbitrage"]["gains"] == ["1", "0"]
+    assert out["certificates"]["arbitrage"]["gains"] == ["1", "1"]
 
 
 def test_dominate(capsys):

@@ -35,12 +35,12 @@ MARKETS = {
 # (market, subcommand) -> (exit code, sha256 of stdout)
 PINNED = {
     ("free-option", "bounds"): (0, "204d646571fb80e148a40342ec436e9dc65924ef377f99b497cc7606dc150017"),
-    ("free-option", "check-na"): (3, "fb890ede51d775dc782e1050ea387360a45226861511cb0fd16a496171820d5a"),
+    ("free-option", "check-na"): (3, "e24bc8a9569ce16095800ea6747691c631ca0a96e23cf37e994294b344c817c6"),
     ("free-option", "check-nar"): (3, "2fbe8dad21886860a241aefcf041c3fa7d461b1368b047c2fa78575ccabe4b1a"),
     ("free-option", "dominate"): (3, "44c9639ac56f9513e675db317770503081a14a5c35b748625d85192e9001b547"),
     ("free-option", "dual"): (3, "8a38d4eb43ad22a09e9a3d071bd139039110c876489120558588c17555ab8727"),
     ("free-option", "redundancy"): (0, "de0f6d836488d68bb95969a9405a81b8828c316d0f034ad3f218b44ed483921b"),
-    ("free-option", "sharper-ftap"): (3, "d175abe5f3f8371c28565a4f21aeb274f3d418584d3ce586d08e320d4dd8c9b3"),
+    ("free-option", "sharper-ftap"): (3, "14af52a470910a27c4e8c0ee7ec7c20667c28a7539a447ae80377340e2699f3b"),
     ("free-option", "strict-dual"): (3, "8798ff126c63b87e9e73f74bdfe577b207c66135b745fbfae0bbe1125c61763b"),
     ("free-option", "superhedge"): (3, "44b9a075282527061459c83cb622da6544924c3e5fcd29323b0c093dc77b3102"),
     ("random-12", "bounds"): (0, "4a2560b68fda0beb5b697f8358b84143157da971dc26bd94720279c9c4bfbae7"),

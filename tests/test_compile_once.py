@@ -1,9 +1,10 @@
 """Each public query validates its market exactly once, sharper_ftap
-solves one program per spread option plus the NA and NAR programs, and
-`strict-dual --verify` solves the dual program once.
+solves the NA and NAR programs plus one linear system per spread option,
+and `strict-dual --verify` solves the dual program once.
 
-Both counts come from rebinding `validate_market` and `lp.solve_lp` around
-a single call, so they hold for whatever the call delegates to.
+The counts come from rebinding `validate_market`, `lp.solve_lp` and the
+replication test's `solve_linear` around a single call, so they hold for
+whatever the call delegates to.
 """
 
 import json
@@ -83,17 +84,19 @@ def test_public_query_validates_once(monkeypatch, query):
 
 def test_sharper_ftap_solves_spread_options_plus_two(monkeypatch):
     solves = _Counter(monkeypatch, lp, "solve_lp")
+    eliminations = _Counter(monkeypatch, redundancy, "solve_linear")
     settled = 0
     for m in _markets():
         if not arbitrage.check_na(m).holds:
             continue
-        before = solves.calls
+        before, eliminated = solves.calls, eliminations.calls
         try:
             bundle = redundancy.sharper_ftap(m)
         except PreconditionError:
             continue
         spread = sum(1 for opt in m.options if opt.has_spread())
-        assert solves.calls - before == spread + 2
+        assert solves.calls - before == 2
+        assert eliminations.calls - eliminated == spread
         assert len(bundle.dominating) == len(m.measures.generators)
         settled += 1
     assert settled >= 6

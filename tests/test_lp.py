@@ -95,6 +95,23 @@ def test_non_rational_entries_are_structural():
                 lp.solve_lp(p)
 
 
+def test_verify_rejects_non_rational_entries():
+    # the outcome of a valid problem, replayed against a copy with one float or
+    # Decimal entry: False, neither True nor an arithmetic TypeError
+    def base():
+        return lp.LpProblem(lp.MIN, [I, I], [[I, I]], [lp.LE], [F(2)], [Z, Z], [None, None])
+
+    out = lp.solve_lp(base())
+    assert lp.verify_certificate(base(), out)
+    for bad in (0.5, Decimal("0.5")):
+        for put in (lambda p: p.objective.__setitem__(1, bad),
+                    lambda p: p.rows[0].__setitem__(1, bad),
+                    lambda p: p.rhs.__setitem__(0, bad)):
+            p = base()
+            put(p)
+            assert lp.verify_certificate(p, out) is False, (bad, p)
+
+
 def test_beale_cycling_instance_terminates_under_bland():
     # classic instance that cycles under naive pivoting; optimum is 1/20
     p = lp.LpProblem(

@@ -3,11 +3,12 @@
 The reference below is a dense `Fraction` kernel: its own reduction to
 standard form with `Fraction` rows and rhs, the tableau pivot that scales
 its pivot row to 1 and subtracts full rows, Bland's `_optimize`, the
-two-phase tableau path of `solve_lp` and a Gauss-Jordan `solve_unique`. It
-shares no reduction or kernel code with `lp`. The kernel in `lp` keeps every
-row as a primitive integer multiple of these rows, so every sign, Bland
-choice and certificate must be equal field for field: same status, primal,
-dual, objective, Farkas vector and ray.
+two-phase tableau path of `solve_lp` and the Gauss-Jordan elimination that
+`solve_unique` and `solve_linear` are checked against. It shares no
+reduction or kernel code with `lp`. The kernel in `lp` keeps every row as a
+primitive integer multiple of these rows, so every sign, Bland choice and
+certificate must be equal field for field: same status, primal, dual,
+objective, Farkas vector and ray.
 """
 
 import copy
@@ -194,11 +195,9 @@ def _dense_pivot(tab, rhs, red, basis, r, jc):
     basis[r] = jc
 
 
-def _dense_solve_unique(rows, rhs):
-    m = len(rows)
-    if m == 0:
-        return None
-    n = len(rows[0])
+def _dense_gauss_jordan(rows, rhs):
+    """The reduced rows [A | b] and the pivot columns, in pivot order."""
+    m, n = len(rows), len(rows[0])
     a = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
     piv_cols = []
     r = 0
@@ -223,15 +222,40 @@ def _dense_solve_unique(rows, rhs):
         r += 1
         if r == m:
             break
-    for i in range(r, m):
-        if a[i][n]:
-            return None
-    if len(piv_cols) < n:
+    return a, piv_cols
+
+
+def _dense_inconsistent(a, piv_cols):
+    return any(row[-1] for row in a[len(piv_cols):])
+
+
+def _dense_solve_unique(rows, rhs):
+    if not rows:
+        return None
+    a, piv_cols = _dense_gauss_jordan(rows, rhs)
+    n = len(rows[0])
+    if _dense_inconsistent(a, piv_cols) or len(piv_cols) < n:
         return None
     x = [F(0)] * n
     for k, col in enumerate(piv_cols):
         x[col] = a[k][n]
     return x
+
+
+def _assert_linear_solve(rows, rhs):
+    """`solve_linear` against the dense elimination: None exactly when the
+    system is inconsistent, else an exact solution, the rank, and the unique
+    solution whenever the rank is full."""
+    a, piv_cols = _dense_gauss_jordan(rows, rhs)
+    solved = lp.solve_linear(rows, rhs)
+    assert (solved is None) == _dense_inconsistent(a, piv_cols), (rows, rhs)
+    if solved is not None:
+        x, rank = solved
+        assert rank == len(piv_cols), (rows, rhs)
+        for row, b in zip(rows, rhs):
+            assert sum((c * v for c, v in zip(row, x)), _ZERO) == b, (rows, rhs)
+        if rank == len(rows[0]):
+            assert x == lp.solve_unique(rows, rhs), (rows, rhs)
 
 
 def _dense_optimize(tab, rhs, red, basis, ncols):
@@ -333,6 +357,9 @@ def _query_programs(monkeypatch) -> list[lp.LpProblem]:
     markets += [random_arbitrage_free_market(rng, min_periods=3) for _ in range(4)]
     markets += [random_arbitrage_free_market(rng, max_leaves=24, min_periods=3) for _ in range(2)]
     markets += [random_arbitrary_market(rng) for _ in range(6)]
+    # a four-period tree: 16 leaves, so the dynamic gains outweigh the options
+    markets.append(random_arbitrage_free_market(random.Random(1), max_periods=4,
+                                                min_periods=4, max_leaves=16))
 
     programs = []
     solve = lp.solve_lp
@@ -369,8 +396,10 @@ def test_random_lps_match_the_dense_kernel():
 def test_market_programs_match_the_dense_kernel(monkeypatch):
     problems = _query_programs(monkeypatch)
     assert len(problems) > 100
-    # the tree programs are the sparse ones: most coefficients are zero
-    widest = max(problems, key=lambda p: len(p.rows) * len(p.objective))
+    # the hedge programs (the MIN ones) are the sparse ones: most coefficients
+    # are zero; a measure program's rows cover every charged leaf
+    widest = max((p for p in problems if p.sense == lp.MIN),
+                 key=lambda p: len(p.rows) * len(p.objective))
     cells = len(widest.rows) * len(widest.objective)
     assert sum(1 for row in widest.rows for a in row if a) < cells / 2
     _assert_identical(problems)
@@ -384,6 +413,7 @@ def test_solve_unique_matches_the_dense_elimination():
                 for _ in range(m)]
         rhs = [F(rng.randint(-3, 3)) for _ in range(m)]
         assert lp.solve_unique(rows, rhs) == _dense_solve_unique(rows, rhs), (rows, rhs)
+        _assert_linear_solve(rows, rhs)
 
 
 WIDE_DENOMINATORS = (3, 5, 7, 11, 64, 10**6 + 3)
@@ -426,6 +456,7 @@ def test_wide_denominator_lps_match_the_dense_kernel():
         assert out == _dense_solve_lp(copy.deepcopy(p)), p
         assert lp.verify_certificate(p, out), p
         assert lp.solve_unique(p.rows, p.rhs) == _dense_solve_unique(p.rows, p.rhs), p
+        _assert_linear_solve(p.rows, p.rhs)
         statuses.add(out.status)
     assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
 

@@ -3,19 +3,34 @@ from fractions import Fraction as F
 
 import pytest
 
-from hedgecert.arbitrage import check_nar
+from hedgecert import lp
+from hedgecert.arbitrage import check_na, check_nar, verify_na_certificate
 from hedgecert.errors import DomainError
 from hedgecert.model import OptionQuote
-from oracle import definitional_nar_scan, enumerate_consistent_measures
+from hedgecert.redundancy import check_nonredundant, verify_replication
+from oracle import (
+    definitional_nar_scan,
+    enumerate_consistent_measures,
+    replication_lp,
+    surplus_na,
+)
 from hedgecert.superhedge import dual_price
 from markets import (
     binomial_market,
+    binomial_with_free_option,
+    nar_fixture_markets,
     pinned_identical_options_market,
     random_arbitrary_market,
     stockless_market,
     trinomial_straddle_market,
     wide_quote_identical_options_market,
 )
+
+
+def _reference_markets():
+    fixtures = nar_fixture_markets() + [pinned_identical_options_market(), binomial_with_free_option()]
+    rng = random.Random(20250101)
+    return fixtures + [random_arbitrary_market(rng, max_options=3) for _ in range(300)]
 
 
 def test_binomial_single_vertex():
@@ -99,3 +114,42 @@ def test_scan_agrees_with_slack_program_on_random_markets():
     for _ in range(30):
         m = random_arbitrary_market(rng, max_leaves=5)
         assert check_nar(m).holds == definitional_nar_scan(m, 20).holds
+
+
+def test_verdicts_match_the_reference_programs():
+    # measure-side NA against the surplus program, elimination against the
+    # replication LP: the same verdict on every market and option
+    for m in _reference_markets():
+        assert check_na(m).holds == surplus_na(m).holds, m
+        for i in range(len(m.options)):
+            got, want = check_nonredundant(m, i), replication_lp(m, i)
+            assert got.non_redundant == want.non_redundant, (m, i)
+
+
+def test_both_na_certificate_paths_occur_and_replay(monkeypatch):
+    # an arbitrage is read from the optimal duals at floor 0, or from the
+    # Farkas vector when no consistent measure exists; both paths must be
+    # exercised and every certificate must replay
+    statuses = []
+    solve = lp.solve_lp
+
+    def record(problem):
+        out = solve(problem)
+        statuses.append(out.status)
+        return out
+
+    monkeypatch.setattr(lp, "solve_lp", record)
+    paths = {lp.OPTIMAL: 0, lp.INFEASIBLE: 0}
+    replications = 0
+    for m in _reference_markets():
+        verdict = check_na(m)
+        if not verdict.holds:
+            paths[statuses[-1]] += 1
+            assert verify_na_certificate(m, verdict.certificate), m
+        for i in range(len(m.options)):
+            for v in (check_nonredundant(m, i), replication_lp(m, i)):
+                if not v.non_redundant:
+                    assert verify_replication(m, i, v.certificate), (m, i)
+                    replications += 1
+    assert paths[lp.OPTIMAL] >= 5 and paths[lp.INFEASIBLE] >= 5, paths
+    assert replications >= 20
