@@ -136,6 +136,20 @@ def _floor_program(c: CompiledMarket, push):
     return _consistency_rows(c, [ZERO] * len(c.charged) + [ONE], push)
 
 
+def _strategy_from_multipliers(c: CompiledMarket, layout, y) -> Strategy:
+    """The strategy row multipliers y of a measure program encode: martingale
+    rows give dynamic positions, option rows buy (y > 0) or sell (y < 0) legs,
+    and the mass row's capital is left out. It gains y . A_w - y . rhs on w."""
+    nh, e = len(c.columns), len(c.options)
+    position = [ZERO] * (nh + 2 * e)  # in strategy_from column order
+    for (kind, index), v in zip(layout, y):
+        if kind == "martingale":
+            position[index] = v
+        elif kind == "option" and v:
+            position[nh + index if v > 0 else nh + e + index] += abs(v)
+    return canonical_legs(c.strategy_from(position))
+
+
 def check_na(m: Market) -> NaVerdict:
     """Decide no-arbitrage on the measure side: maximize a floor t >= 0 on
     every charged leaf's weight over quote-consistent martingale measures.
@@ -145,10 +159,9 @@ def check_na(m: Market) -> NaVerdict:
     the negated Farkas vector when no consistent measure exists. Either way
     y is >= 0 on <= rows and <= 0 on >= rows, y . A_w >= 0 on every leaf
     column and y . rhs <= 0, with y . A_t = sum_w y . A_w >= 1 in the first
-    case and y . rhs < 0 in the second. Reading the martingale-row
-    multipliers as dynamic positions and an option row's multiplier as a
-    buy (if positive) or sell (if negative) leg gives the gain
-    y . A_w - y . rhs on leaf w: nonnegative everywhere, positive somewhere.
+    case and y . rhs < 0 in the second. The strategy y encodes
+    (`_strategy_from_multipliers`) gains y . A_w - y . rhs on leaf w:
+    nonnegative everywhere, positive somewhere.
     """
     c = require_valid(m)
     problem, layout = _floor_program(c, push=0)
@@ -162,14 +175,7 @@ def check_na(m: Market) -> NaVerdict:
     else:
         raise SoundnessError("floor program unbounded; the mass constraint caps it")
 
-    nh, e = len(c.columns), len(c.options)
-    position = [ZERO] * (nh + 2 * e)  # in strategy_row column order
-    for (kind, index), v in zip(layout, y):
-        if kind == "martingale":
-            position[index] = v
-        elif kind == "option" and v:
-            position[nh + index if v > 0 else nh + e + index] += abs(v)
-    strategy = canonical_legs(c.strategy_from(position))
+    strategy = _strategy_from_multipliers(c, layout, y)
     gains = terminal_gain(c, strategy)
     strict = next((pos for pos in c.charged if gains[pos] > 0), None)
     if strict is None:

@@ -24,8 +24,9 @@ class ArbitrageError(HedgecertError):
 class RobustArbitrageError(ArbitrageError):
     """Robust no-arbitrage fails.
 
-    Carries the blocking description and, when the failure surfaced as an
-    unbounded hedging problem, the improving ray that scales the arbitrage.
+    Carries the blocking description and, from super-hedging, a ray read off
+    the measure program's Farkas vector: capital < 0 and a strategy with
+    capital + gain >= 0 on every charged leaf.
     """
 
     def __init__(self, message: str, *, blocking: str | None = None, ray=None):

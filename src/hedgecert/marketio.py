@@ -175,6 +175,39 @@ def _parse_nodes(raw, issues: _Issues) -> list[Node]:
     return nodes
 
 
+def _named_entries(raw, section: str, keys: set[str], vector: str, reorder: list[int],
+                   issues: _Issues):
+    """Yield (path, entry, name, vector) for each entry of "options" or
+    "measures" that is an object with exactly `keys` and a unique non-empty
+    name; its `vector` field is parsed and put in canonical leaf order."""
+    if not isinstance(raw, list):
+        issues.add(section, "expected a list")
+        issues.raise_if_any()
+    kind = section[:-1]
+    seen_names = set()
+    for k, item in enumerate(raw):
+        path = f"{section}[{k}]"
+        if not isinstance(item, dict):
+            issues.add(path, "expected an object")
+            continue
+        _check_keys(item, keys, path, issues)
+        missing = keys - set(item)
+        if missing:
+            issues.add(path, f"missing fields: {', '.join(sorted(missing))}")
+            continue
+        name = item["name"]
+        if not isinstance(name, str) or not name:
+            issues.add(f"{path}.name", "expected a non-empty string")
+            continue
+        if name in seen_names:
+            issues.add(f"{path}.name", f"duplicate {kind} name {name!r}")
+        seen_names.add(name)
+        values = _take_rational_list(item[vector], f"{path}.{vector}", issues)
+        if len(values) == len(reorder):
+            values = [values[i] for i in reorder]
+        yield path, item, name, values
+
+
 def parse_market(data: bytes | str) -> MarketModel:
     """Exact parse of a market file; every problem is reported with its path."""
     issues = _Issues()
@@ -215,63 +248,16 @@ def parse_market(data: bytes | str) -> MarketModel:
     reorder = [slot[leaf] for leaf in leaves]  # file index per canonical position
 
     options = []
-    options_raw = raw["options"]
-    if not isinstance(options_raw, list):
-        issues.add("options", "expected a list")
-        issues.raise_if_any()
-    seen_names = set()
-    for k, item in enumerate(options_raw):
-        path = f"options[{k}]"
-        if not isinstance(item, dict):
-            issues.add(path, "expected an object")
-            continue
-        _check_keys(item, _OPTION_KEYS, path, issues)
-        missing = _OPTION_KEYS - set(item)
-        if missing:
-            issues.add(path, f"missing fields: {', '.join(sorted(missing))}")
-            continue
-        name = item["name"]
-        if not isinstance(name, str) or not name:
-            issues.add(f"{path}.name", "expected a non-empty string")
-            continue
-        if name in seen_names:
-            issues.add(f"{path}.name", f"duplicate option name {name!r}")
-        seen_names.add(name)
-        payoff = _take_rational_list(item["payoff"], f"{path}.payoff", issues)
+    entries = _named_entries(raw["options"], "options", _OPTION_KEYS, "payoff", reorder, issues)
+    for path, item, name, payoff in entries:
         bid = _take_rational(item["bid"], f"{path}.bid", issues)
         ask = _take_rational(item["ask"], f"{path}.ask", issues)
-        if bid is None or ask is None:
-            continue
-        if len(payoff) == len(leaves):
-            payoff = [payoff[i] for i in reorder]
-        options.append(OptionQuote(name, payoff, bid, ask))
+        if bid is not None and ask is not None:
+            options.append(OptionQuote(name, payoff, bid, ask))
 
-    measures_raw = raw["measures"]
     generators, gen_names = [], []
-    if not isinstance(measures_raw, list):
-        issues.add("measures", "expected a list")
-        issues.raise_if_any()
-    seen_names = set()
-    for k, item in enumerate(measures_raw):
-        path = f"measures[{k}]"
-        if not isinstance(item, dict):
-            issues.add(path, "expected an object")
-            continue
-        _check_keys(item, _MEASURE_KEYS, path, issues)
-        missing = _MEASURE_KEYS - set(item)
-        if missing:
-            issues.add(path, f"missing fields: {', '.join(sorted(missing))}")
-            continue
-        name = item["name"]
-        if not isinstance(name, str) or not name:
-            issues.add(f"{path}.name", "expected a non-empty string")
-            continue
-        if name in seen_names:
-            issues.add(f"{path}.name", f"duplicate measure name {name!r}")
-        seen_names.add(name)
-        weights = _take_rational_list(item["weights"], f"{path}.weights", issues)
-        if len(weights) == len(leaves):
-            weights = [weights[i] for i in reorder]
+    entries = _named_entries(raw["measures"], "measures", _MEASURE_KEYS, "weights", reorder, issues)
+    for _, _, name, weights in entries:
         generators.append(weights)
         gen_names.append(name)
     issues.raise_if_any()

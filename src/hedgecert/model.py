@@ -240,16 +240,9 @@ class CompiledMarket:
     def measures(self) -> MeasureFamily:
         return self.market.measures
 
-    def strategy_row(self, pos: int) -> list[Fraction]:
-        """Gain on leaf `pos` per unit of each strategy column: the dynamic
-        columns, then one buy leg and one sell leg per option."""
-        row = list(self.gain_rows[pos])
-        row += [opt.payoff[pos] - opt.ask for opt in self.options]
-        row += [-(opt.payoff[pos] - opt.bid) for opt in self.options]
-        return row
-
     def strategy_from(self, primal: list[Fraction]) -> Strategy:
-        """The strategy a solution encodes in the `strategy_row` column order."""
+        """The strategy a vector encodes in strategy-column order: the
+        dynamic columns, then one buy leg and one sell leg per option."""
         nh, e = len(self.columns), len(self.options)
         dynamic = {nid: [ZERO] * self.tree.num_assets for nid in self.nonleaf}
         for (nid, asset), value in zip(self.columns, primal):

@@ -1,12 +1,12 @@
 """Super-hedging prices, optimal semi-static strategies, and dual measures.
 
 The super-hedging price of a claim is the least initial capital from which
-some semi-static strategy dominates the claim on every charged scenario. On
-a finite tree that is one linear program, and its exact dual maximizes the
-claim's expectation over quote-consistent martingale measures; both sides
-are solved here and their values must agree to the last digit. A strictly
-interior near-optimizer is available by mixing the dual optimizer with the
-robustness witness.
+some semi-static strategy dominates the claim on every charged scenario. By
+exact LP duality it is the claim's largest expectation over quote-consistent
+martingale measures. Only that measure program is solved: its optimum is the
+dual price and its row multipliers are the hedge, so both sides come from one
+solve and must agree to the last digit. A strictly interior near-optimizer
+is available by mixing the dual optimizer with the robustness witness.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from . import lp
 from .arbitrage import (
     MartingaleMeasure,
     _consistency_rows,
+    _strategy_from_multipliers,
     _weights_on_charged,
     check_nar,
     measure_from_weights,
@@ -36,8 +37,6 @@ from .model import (
     MarketModel,
     Strategy,
     ZERO,
-    ONE,
-    canonical_legs,
     require_valid,
     terminal_gain,
 )
@@ -58,72 +57,70 @@ class PricingReport:
     gap: Fraction
 
 
-def _check_claim(c: CompiledMarket, f: Claim) -> None:
+def _solve_pricing(c: CompiledMarket, f: Claim):
+    """Solve the measure program that maximizes the claim's expectation: the
+    one solve behind both sides of the pricing duality."""
     if len(f.payoff) != len(c.leaves):
         raise StructureError(
             f"claim has {len(f.payoff)} payoffs, market has {len(c.leaves)} leaves"
         )
-
-
-def _hedge_program(c: CompiledMarket, payoff: list[Fraction]) -> lp.LpProblem:
-    """min x over (x, strategy): x + gain >= payoff on every charged leaf."""
-    nh, e = len(c.columns), len(c.options)
-    ncols = 1 + nh + 2 * e
-    rows = [[ONE] + c.strategy_row(pos) for pos in c.charged]
-    return lp.LpProblem(
-        sense=lp.MIN,
-        objective=[ONE] + [ZERO] * (ncols - 1),
-        rows=rows,
-        relations=[lp.GE] * len(rows),
-        rhs=[payoff[pos] for pos in c.charged],
-        lower=[None] * (1 + nh) + [ZERO] * (2 * e),
-        upper=[None] * ncols,
-    )
-
-
-def superhedge_price(m: Market, f: Claim) -> tuple[Fraction, Strategy]:
-    """Least super-replication capital and a strategy attaining it.
-
-    Under robust no-arbitrage the program is bounded; when it is unbounded
-    below, the improving ray is a scalable arbitrage and is raised as such
-    rather than reported as a price. Capital is a free column, so the
-    program is always feasible.
-    """
-    c = require_valid(m)
-    _check_claim(c, f)
-    out = lp.solve_lp(_hedge_program(c, f.payoff))
+    problem, layout = _consistency_rows(c, [f.payoff[pos] for pos in c.charged])
+    out = lp.solve_lp(problem)
     if out.status == lp.UNBOUNDED:
+        raise SoundnessError("dual program unbounded over a probability simplex")
+    return problem, layout, out
+
+
+def _hedge_side(c: CompiledMarket, solved) -> tuple[Fraction, Strategy]:
+    """Capital y . rhs and the strategy row multipliers y encode, which gains
+    y . A_w - y . rhs on leaf w. Optimal duals have y . A_w >= payoff: a
+    super-hedge. With no consistent measure the negated Farkas vector has
+    y . A_w >= 0 > y . rhs: a ray along which the cost falls without bound."""
+    problem, layout, out = solved
+    y = out.dual if out.status == lp.OPTIMAL else [-v for v in out.farkas]
+    capital = sum((a * b for a, b in zip(y, problem.rhs) if a), ZERO)
+    strategy = _strategy_from_multipliers(c, layout, y)
+    if out.status == lp.INFEASIBLE:
         raise RobustArbitrageError(
             "market admits robust arbitrage: super-hedging cost decreases without bound",
             blocking="unbounded super-hedging program",
-            ray=(out.ray[0], c.strategy_from(out.ray[1:])),
+            ray=(capital, strategy),
         )
-    if out.status != lp.OPTIMAL:
-        raise SoundnessError(f"super-hedging program ended {out.status}; capital is free")
-    return out.objective_value, canonical_legs(c.strategy_from(out.primal[1:]))
+    return capital, strategy
 
 
-def dual_price(m: Market, f: Claim) -> tuple[Fraction, MartingaleMeasure]:
-    """Maximal claim expectation over quote-consistent martingale measures."""
-    c = require_valid(m)
-    _check_claim(c, f)
-    problem, _ = _consistency_rows(c, [f.payoff[pos] for pos in c.charged])
-    out = lp.solve_lp(problem)
+def _measure_side(c: CompiledMarket, solved) -> tuple[Fraction, MartingaleMeasure]:
+    _, _, out = solved
     if out.status == lp.INFEASIBLE:
         raise ArbitrageError(
             "no quote-consistent martingale measure exists: "
             "the market admits arbitrage on some charged scenario"
         )
-    if out.status != lp.OPTIMAL:
-        raise SoundnessError("dual program unbounded over a probability simplex")
     return out.objective_value, measure_from_weights(c, _weights_on_charged(c, out.primal))
 
 
-def duality_report(m: Market, f: Claim) -> PricingReport:
-    """Run both sides and insist on an exactly zero gap."""
+def superhedge_price(m: Market, f: Claim) -> tuple[Fraction, Strategy]:
+    """Least super-replication capital and a strategy attaining it, read off
+    the row multipliers of the measure program `dual_price` solves. With no
+    quote-consistent measure the cost is unbounded below, and its ray is
+    raised as a robust arbitrage rather than reported as a price."""
     c = require_valid(m)
-    price, strategy = superhedge_price(c, f)
-    value, measure = dual_price(c, f)
+    return _hedge_side(c, _solve_pricing(c, f))
+
+
+def dual_price(m: Market, f: Claim) -> tuple[Fraction, MartingaleMeasure]:
+    """Maximal claim expectation over quote-consistent martingale measures."""
+    c = require_valid(m)
+    return _measure_side(c, _solve_pricing(c, f))
+
+
+def duality_report(m: Market, f: Claim) -> PricingReport:
+    """Both sides of one measure-program solve: the multipliers' y . rhs and
+    the optimal measure's expectation of the claim must agree exactly."""
+    c = require_valid(m)
+    solved = _solve_pricing(c, f)
+    price, strategy = _hedge_side(c, solved)
+    value, measure = _measure_side(c, solved)
     gap = price - value
     if gap != 0:
         raise SoundnessError(f"pricing duality gap {gap} is nonzero; solver bug")
@@ -210,5 +207,7 @@ def verify_super_replication(
 ) -> bool:
     """Exact replay: price + gain covers the claim on every charged leaf."""
     c = require_valid(m)
+    if len(f.payoff) != len(c.leaves):
+        return False
     gains = terminal_gain(c, strategy)
     return all(price + gains[pos] >= f.payoff[pos] for pos in c.charged)

@@ -1,8 +1,9 @@
 """Independent cross-checks for the test suite. Never on the production path.
 
-Two reference programs, each an LP formulation the package no longer uses:
-the strategy-side surplus program for no-arbitrage and the replication LP
-for option redundancy. And, exponential-time by design behind hard size
+Three reference programs, each an LP formulation the package no longer
+uses: the strategy-side surplus program for no-arbitrage, the strategy-side
+hedge program for super-hedging prices and the replication LP for option
+redundancy. And, exponential-time by design behind hard size
 guards: vertex enumeration of the consistent-measure polytope (so dual
 prices can be checked against a max over vertices) and the definitional
 robust-no-arbitrage scan that shrinks quotes through a dyadic ladder and
@@ -20,9 +21,12 @@ from hedgecert.arbitrage import ArbitrageCertificate, NaVerdict
 from hedgecert.errors import DomainError
 from hedgecert.lp import solve_unique
 from hedgecert.model import (
+    Claim,
+    CompiledMarket,
     Market,
     MarketModel,
     OptionQuote,
+    Strategy,
     ZERO,
     ONE,
     canonical_legs,
@@ -55,6 +59,16 @@ class NarScanResult:
     passes_at: int | None = None
 
 
+def strategy_row(c: CompiledMarket, pos: int) -> list[Fraction]:
+    """Gain on leaf `pos` per unit of each strategy column, in the order
+    `CompiledMarket.strategy_from` reads: the dynamic columns, then one buy
+    leg and one sell leg per option."""
+    row = list(c.gain_rows[pos])
+    row += [opt.payoff[pos] - opt.ask for opt in c.options]
+    row += [-(opt.payoff[pos] - opt.bid) for opt in c.options]
+    return row
+
+
 def surplus_na(m: Market) -> NaVerdict:
     """No-arbitrage by maximizing total surplus over charged leaves.
 
@@ -69,7 +83,7 @@ def surplus_na(m: Market) -> NaVerdict:
     width = nh + 2 * e
     rows = []
     for idx, pos in enumerate(c.charged):
-        coefs = c.strategy_row(pos) + [ZERO] * k
+        coefs = strategy_row(c, pos) + [ZERO] * k
         coefs[width + idx] = Fraction(-1)
         rows.append(coefs)
     rows.append([ZERO] * width + [ONE] * k)
@@ -90,6 +104,30 @@ def surplus_na(m: Market) -> NaVerdict:
     gains = terminal_gain(c, strategy)
     strict = next(pos for pos in c.charged if gains[pos] > 0)
     return NaVerdict(False, ArbitrageCertificate(strategy, gains, strict))
+
+
+def hedge_lp(m: Market, f: Claim) -> tuple[Fraction, Strategy] | None:
+    """Super-hedging on the strategy side: min x over (x, strategy) with
+    x + gain >= payoff on every charged leaf. Capital is a free column, so
+    the program is feasible; None when it is unbounded below."""
+    c = require_valid(m)
+    nh, e = len(c.columns), len(c.options)
+    ncols = 1 + nh + 2 * e
+    rows = [[ONE] + strategy_row(c, pos) for pos in c.charged]
+    problem = lp.LpProblem(
+        sense=lp.MIN,
+        objective=[ONE] + [ZERO] * (ncols - 1),
+        rows=rows,
+        relations=[lp.GE] * len(rows),
+        rhs=[f.payoff[pos] for pos in c.charged],
+        lower=[None] * (1 + nh) + [ZERO] * (2 * e),
+        upper=[None] * ncols,
+    )
+    out = lp.solve_lp(problem)
+    if out.status == lp.UNBOUNDED:
+        return None
+    assert out.status == lp.OPTIMAL, out.status
+    return out.objective_value, canonical_legs(c.strategy_from(out.primal[1:]))
 
 
 def replication_lp(m: Market, i: int) -> NonredundancyVerdict:

@@ -60,7 +60,7 @@ PINNED = {
     ("random-3", "redundancy"): (3, "c6a8d7899344f39d68196aaa4b7bee88af3aa5df5b9bb99caabbd0c2d1bb13bb"),
     ("random-3", "sharper-ftap"): (3, "ed00e13405b05aae8a4b5f1db04b258cd5594d6e266b57972b1c37776b0c1384"),
     ("random-3", "strict-dual"): (0, "82c58a7bacdb277ba27dd4b2a17cd417f7d4e3116fa8877ee101fe217e29db0d"),
-    ("random-3", "superhedge"): (0, "647a8c6cc9e9d09a8c0a950da4873766cd630bb6818db79c28742cc8f5f5d4a7"),
+    ("random-3", "superhedge"): (0, "0e56714d143105b94cb4995419d69051b7c465b81af670b9643fbf6c57b8bf5f"),
     ("trinomial-straddle", "bounds"): (0, "cc2e6e196049f1cc08eb7949dc71a1efdd1524a82c2fb9195a8c378ca9e6e01b"),
     ("trinomial-straddle", "check-na"): (0, "915f4f13e4fe704a6569004b686729911e9ce20e98bdd1b88ba4363d95967373"),
     ("trinomial-straddle", "check-nar"): (0, "7c4726dc8d659e1573892f8fbdba1e4f7845927149fdd99008536bdd56efb045"),

@@ -1,6 +1,7 @@
 """Each public query validates its market exactly once, sharper_ftap
 solves the NA and NAR programs plus one linear system per spread option,
-and `strict-dual --verify` solves the dual program once.
+superhedge_price and duality_report each solve one program, and
+`strict-dual --verify` solves the dual program once.
 
 The counts come from rebinding `validate_market`, `lp.solve_lp` and the
 replication test's `solve_linear` around a single call, so they hold for
@@ -100,6 +101,21 @@ def test_sharper_ftap_solves_spread_options_plus_two(monkeypatch):
         assert len(bundle.dominating) == len(m.measures.generators)
         settled += 1
     assert settled >= 6
+
+
+@pytest.mark.parametrize("query", ["superhedge_price", "duality_report"])
+def test_pricing_solves_one_program(monkeypatch, query):
+    # the hedge is read off the measure program's multipliers, so both sides
+    # of the duality come from a single solve, also when arbitrage is raised
+    solves = _Counter(monkeypatch, lp, "solve_lp")
+    rng = random.Random(query)
+    for m in _markets():
+        before = solves.calls
+        try:
+            QUERIES[query](m, random_claim(rng, m))
+        except HedgecertError:
+            pass
+        assert solves.calls - before == 1, query
 
 
 def test_strict_dual_verify_solves_the_dual_once(monkeypatch, tmp_path, capsys):

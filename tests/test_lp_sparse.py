@@ -31,6 +31,7 @@ from markets import (
     random_lp,
     trinomial_straddle_market,
 )
+from oracle import hedge_lp
 
 _ZERO = F(0)
 _ONE = F(1)
@@ -346,7 +347,8 @@ QUERIES = (
 
 
 def _query_programs(monkeypatch) -> list[lp.LpProblem]:
-    """Every program the five benchmark queries hand to `lp.solve_lp`."""
+    """Every program the five benchmark queries and the reference hedge LP
+    hand to `lp.solve_lp`."""
     markets = nar_fixture_markets() + [
         pinned_identical_options_market(),
         binomial_with_free_option(),
@@ -371,7 +373,7 @@ def _query_programs(monkeypatch) -> list[lp.LpProblem]:
     monkeypatch.setattr(lp, "solve_lp", record)
     for m in markets:
         claim = random_claim(rng, m)
-        for query in QUERIES:
+        for query in (*QUERIES, hedge_lp):
             try:
                 query(m, claim)
             except HedgecertError:
@@ -396,8 +398,8 @@ def test_random_lps_match_the_dense_kernel():
 def test_market_programs_match_the_dense_kernel(monkeypatch):
     problems = _query_programs(monkeypatch)
     assert len(problems) > 100
-    # the hedge programs (the MIN ones) are the sparse ones: most coefficients
-    # are zero; a measure program's rows cover every charged leaf
+    # the reference hedge programs (the MIN ones) are the sparse ones: most
+    # coefficients are zero; a measure program's rows cover every charged leaf
     widest = max((p for p in problems if p.sense == lp.MIN),
                  key=lambda p: len(p.rows) * len(p.objective))
     cells = len(widest.rows) * len(widest.objective)

@@ -34,6 +34,8 @@ from markets import (
 )
 import random
 
+from oracle import strategy_row
+
 
 def test_rational_substrate_invariants():
     # lowest terms, positive denominator, canonical zero
@@ -227,4 +229,4 @@ def test_strategy_rows_price_what_terminal_gain_replays(seed):
     primal = [abs(F(rng.randint(-6, 6), rng.randint(1, 3))) for _ in range(width)]
     gains = terminal_gain(c, c.strategy_from(primal))
     for pos in range(len(c.leaves)):
-        assert sum(a * x for a, x in zip(c.strategy_row(pos), primal)) == gains[pos]
+        assert sum(a * x for a, x in zip(strategy_row(c, pos), primal)) == gains[pos]

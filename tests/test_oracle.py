@@ -5,22 +5,24 @@ import pytest
 
 from hedgecert import lp
 from hedgecert.arbitrage import check_na, check_nar, verify_na_certificate
-from hedgecert.errors import DomainError
-from hedgecert.model import OptionQuote
+from hedgecert.errors import DomainError, RobustArbitrageError
+from hedgecert.model import OptionQuote, support, terminal_gain
 from hedgecert.redundancy import check_nonredundant, verify_replication
 from oracle import (
     definitional_nar_scan,
     enumerate_consistent_measures,
+    hedge_lp,
     replication_lp,
     surplus_na,
 )
-from hedgecert.superhedge import dual_price
+from hedgecert.superhedge import dual_price, superhedge_price, verify_super_replication
 from markets import (
     binomial_market,
     binomial_with_free_option,
     nar_fixture_markets,
     pinned_identical_options_market,
     random_arbitrary_market,
+    random_claim,
     stockless_market,
     trinomial_straddle_market,
     wide_quote_identical_options_market,
@@ -124,6 +126,32 @@ def test_verdicts_match_the_reference_programs():
         for i in range(len(m.options)):
             got, want = check_nonredundant(m, i), replication_lp(m, i)
             assert got.non_redundant == want.non_redundant, (m, i)
+
+
+def test_superhedge_matches_the_reference_hedge_program():
+    # the hedge read off the measure program's multipliers against the
+    # strategy-side hedge LP: the same price, robust arbitrage exactly when
+    # the hedge LP is unbounded, and every strategy and ray replays
+    rng = random.Random(20250102)
+    priced = rays = 0
+    for m in _reference_markets():
+        f = random_claim(rng, m)
+        want = hedge_lp(m, f)
+        try:
+            price, strategy = superhedge_price(m, f)
+        except RobustArbitrageError as err:
+            assert want is None, (m, f)
+            x_ray, ray_strategy = err.ray
+            gains = terminal_gain(m, ray_strategy)
+            assert x_ray < 0, (m, f)
+            assert all(x_ray + gains[pos] >= 0 for pos in support(m)), (m, f)
+            rays += 1
+            continue
+        assert want is not None and price == want[0], (m, f)
+        assert verify_super_replication(m, f, price, strategy), (m, f)
+        assert verify_super_replication(m, f, *want), (m, f)
+        priced += 1
+    assert priced >= 50 and rays >= 50, (priced, rays)
 
 
 def test_both_na_certificate_paths_occur_and_replay(monkeypatch):

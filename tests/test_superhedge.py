@@ -127,6 +127,15 @@ def test_claim_length_mismatch_is_structural():
         superhedge_price(binomial_market(), Claim([F(1)]))
 
 
+def test_replay_rejects_a_claim_of_the_wrong_length():
+    m = binomial_market()
+    f = Claim([F(1), F(0)])
+    price, strategy = superhedge_price(m, f)
+    assert verify_super_replication(m, f, price, strategy)
+    assert not verify_super_replication(m, Claim([F(1), F(0), F(5)]), price, strategy)
+    assert not verify_super_replication(m, Claim([F(1)]), price, strategy)
+
+
 def test_strict_dual_approx_binomial_degenerate_mixture():
     q = strict_dual_approx(binomial_market(), Claim([F(1), F(0)]), F(1, 100))
     assert q.weights == [F(1, 3), F(2, 3)]
