@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import lp
 from .errors import DomainError, RobustArbitrageError, SoundnessError
@@ -85,6 +86,10 @@ class NarVerdict:
     blocking: str | None = None
 
 
+# why a measure program is infeasible, in every verdict or error that says so
+_NO_CONSISTENT_MEASURE = "no quote-consistent martingale measure is supported on the charged scenarios"
+
+
 def measure_from_weights(m: Market, weights: list[Fraction]) -> MartingaleMeasure:
     values = [
         sum((w * opt.payoff[pos] for pos, w in enumerate(weights) if w), ZERO)
@@ -108,7 +113,7 @@ def _consistency_rows(c: CompiledMarket, objective: list[Fraction], push=None):
     rows, rels, rhs, layout = [], [], [], []
 
     def add(coefs, rel, bound, name, inward=0):
-        t = [] if push is None else [sum(coefs, inward * push)]
+        t = [] if push is None else [_floor_coefficient(coefs, inward * push)]
         rows.append(coefs + t)
         rels.append(rel)
         rhs.append(bound)
@@ -129,6 +134,13 @@ def _consistency_rows(c: CompiledMarket, objective: list[Fraction], push=None):
     ncols = len(objective)
     problem = lp.LpProblem(lp.MAX, objective, rows, rels, rhs, [ZERO] * ncols, [None] * ncols)
     return problem, layout
+
+
+def _floor_coefficient(coefs, offset: int) -> Fraction:
+    """sum(coefs) + offset, summed in integers over one common denominator."""
+    den = lcm(*(a.denominator for a in coefs))
+    num = sum(a.numerator * (den // a.denominator) for a in coefs)
+    return Fraction(num + offset * den, den)
 
 
 def _floor_program(c: CompiledMarket, push):
@@ -202,10 +214,7 @@ def check_nar(m: Market) -> NarVerdict:
     c = require_valid(m)
     out = lp.solve_lp(_floor_program(c, push=1)[0])
     if out.status == lp.INFEASIBLE:
-        return NarVerdict(
-            False,
-            blocking="no quote-consistent martingale measure is supported on the charged scenarios",
-        )
+        return NarVerdict(False, blocking=_NO_CONSISTENT_MEASURE)
     if out.status != lp.OPTIMAL:
         raise SoundnessError("slack program unbounded; the mass constraint caps it")
     slack = out.objective_value

@@ -7,9 +7,16 @@ standard output; errors are additionally emitted as structured JSON on
 standard error. Output is deterministic: fixed key order, canonical
 fractions. `--verify` replays every certificate in the report before
 printing and aborts with exit 5 if any replay fails.
+
+A process builds one argument parser, on its first `main` call, never at
+import, and every later call reuses it. Reuse is safe because `parse_args`
+leaves the parser untouched: each call fills a fresh namespace, and usage,
+help and error text are formatted, at the current terminal width, only when
+they are printed. Each market file is validated once, by `parse_market`.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -19,10 +26,11 @@ from .errors import (
     ArbitrageError,
     DomainError,
     PreconditionError,
+    RobustArbitrageError,
     SoundnessError,
     StructureError,
 )
-from .model import Claim, CompiledMarket, require_valid
+from .model import ZERO, Claim, CompiledMarket, _compile
 
 EXIT_OK = 0
 EXIT_FAILS = 3
@@ -45,8 +53,10 @@ def _report(command: str, verdict: str, values=None, certificates=None, diagnost
 
 
 def _load_market(path: str) -> CompiledMarket:
+    # parse_market has validated the model, so it is compiled without a
+    # second validation pass
     with open(path, "rb") as handle:
-        return require_valid(marketio.parse_market(handle.read()))
+        return _compile(marketio.parse_market(handle.read()))
 
 
 def _load_claim(path: str, m: CompiledMarket) -> Claim:
@@ -109,7 +119,29 @@ def _cmd_check_nar(args) -> tuple[int, dict]:
 def _cmd_superhedge(args) -> tuple[int, dict]:
     m = _load_market(args.market)
     f = _load_claim(args.claim, m)
-    price, strategy = superhedge.superhedge_price(m, f)
+    try:
+        price, strategy = superhedge.superhedge_price(m, f)
+    except RobustArbitrageError as exc:
+        # no consistent measure: report the ray along which the cost falls
+        capital, ray = exc.ray
+        if args.verify:
+            zero = Claim([ZERO] * len(f.payoff))
+            _require(
+                capital < 0 and superhedge.verify_super_replication(m, zero, capital, ray),
+                "robust-arbitrage ray",
+            )
+        _emit_error("arbitrage", exc)
+        return EXIT_FAILS, _report(
+            "superhedge",
+            "fails",
+            certificates={
+                "ray": {
+                    "capital": marketio.format_rational(capital),
+                    "strategy": marketio.strategy_to_json(m, ray),
+                }
+            },
+            diagnostics={"blocking": exc.blocking},
+        )
     if args.verify:
         _require(
             superhedge.verify_super_replication(m, f, price, strategy),
@@ -255,7 +287,9 @@ def _cmd_strict_dual(args) -> tuple[int, dict]:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call."""
     parser = argparse.ArgumentParser(
         prog="hedgecert",
         description="Exact arbitrage verdicts and super-hedging prices for "

@@ -20,9 +20,10 @@ rational tableau's. A row's coefficient at its basic column is positive. A
 pivot on column c with pivot row p replaces each row with a nonzero entry
 a at c by p[c] * row - a * p, divided by its gcd; rows with a zero at c are
 untouched. The ratio test compares b_i / a_i by cross-multiplication. The
-Gauss-Jordan solve `solve_linear` uses the same elimination; it returns a
-particular solution and the rank, which the basis duals (through
-`solve_unique`) and the replication test of `redundancy` read.
+Gauss-Jordan solve `solve_linear` uses the same elimination (`_eliminate`,
+on integer rows); it returns a particular solution and the rank, which the
+replication test of `redundancy` reads. The basis duals build their integer
+rows directly and call `_eliminate` themselves.
 
 Fractions appear only at the boundary. The standard form builds each row
 [A | b] once, from the problem's nonzero entries, as a primitive integer
@@ -178,9 +179,14 @@ def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> tuple[list[
     Returns a solution, with every column that takes no pivot at 0, and the
     rank of `rows`; None when the system is inconsistent. Accepts any shape.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [_int_row([*row, rhs[i]]) for i, row in enumerate(rows)]
+    n = len(rows[0]) if rows else 0
+    return _eliminate([_int_row([*row, rhs[i]]) for i, row in enumerate(rows)], n)
+
+
+def _eliminate(a: list[list[int]], n: int) -> tuple[list[Fraction], int] | None:
+    """`solve_linear` on integer rows [A | b], each a positive multiple of
+    its rational row, of n columns plus the rhs; `a` is overwritten."""
+    m = len(a)
     piv_cols: list[int] = []
     r = 0
     for col in range(n):
@@ -390,23 +396,32 @@ def _basis_dual(std: _StdForm, active: list[int], basis: list[int], costs) -> di
     B is read from the integer rows, B' = diag(scale) B, so the solve gives
     y' with y'^T B' = cost_B and the duals are y_k = scale[k] * y'_k.
     Columns at index >= ncols are artificials, whose standard column is the
-    identity vector of their row: scale[k] at row k in B'.
+    identity vector of their row: scale[k] at row k in B'. Each equation is
+    built as an integer row, a positive multiple of [B' column | cost].
     """
     if not basis:
         return {}
     n = std.ncols
     mat = []
-    target = []
     for col in basis:
+        cost = costs(col)
         if col >= n:
-            mat.append([std.scale[k] if k == col - n else 0 for k in active])
+            k = col - n
+            s = std.scale[k]
+            den = lcm(s.denominator, cost.denominator)
+            row = [s.numerator * (den // s.denominator) if i == k else 0 for i in active]
+            row.append(cost.numerator * (den // cost.denominator))
         else:
-            mat.append([std.rows[k][col] for k in active])
-        target.append(costs(col))
-    y = solve_unique(mat, target)
-    if y is None:
+            den = cost.denominator
+            row = [std.rows[i][col] for i in active]
+            if den > 1:
+                row = [v * den for v in row]
+            row.append(cost.numerator)
+        mat.append(row)
+    solved = _eliminate(mat, len(active))
+    if solved is None or solved[1] < len(active):
         raise SoundnessError("basis matrix singular; solver invariant broken")
-    return {k: std.scale[k] * v for k, v in zip(active, y)}
+    return {k: std.scale[k] * v for k, v in zip(active, solved[0])}
 
 
 def _basic_point(tab, basis, n) -> list[Fraction]:

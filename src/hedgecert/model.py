@@ -256,14 +256,21 @@ Market = MarketModel | CompiledMarket
 def require_valid(m: Market) -> CompiledMarket:
     """Validate a market and compile it; a compiled market passes unchanged.
 
-    This is the single place that builds the tree navigation, the charged
-    support, the dynamic gain rows and the strategy-column layout.
+    This is the public entry point to compilation (`_compile`), the single
+    place that builds the tree navigation, the charged support, the dynamic
+    gain rows and the strategy-column layout.
     """
     if isinstance(m, CompiledMarket):
         return m
     report = validate_market(m)
     if not report.ok:
         raise StructureError("invalid market: " + "; ".join(report.violations))
+    return _compile(m)
+
+
+def _compile(m: MarketModel) -> CompiledMarket:
+    """Compile a market that has already passed `validate_market`, as every
+    `marketio.parse_market` result has."""
     tree = m.tree
     n, assets = len(tree.nodes), tree.num_assets
     parent: list[int | None] = [None] * n

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import lp
 from .arbitrage import (
+    _NO_CONSISTENT_MEASURE,
     MartingaleMeasure,
     _consistency_rows,
     _strategy_from_multipliers,
@@ -83,7 +84,7 @@ def _hedge_side(c: CompiledMarket, solved) -> tuple[Fraction, Strategy]:
     if out.status == lp.INFEASIBLE:
         raise RobustArbitrageError(
             "market admits robust arbitrage: super-hedging cost decreases without bound",
-            blocking="unbounded super-hedging program",
+            blocking=_NO_CONSISTENT_MEASURE,
             ray=(capital, strategy),
         )
     return capital, strategy

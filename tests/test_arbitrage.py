@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hedgecert import lp
 from hedgecert.arbitrage import (
+    _floor_program,
     check_na,
     check_nar,
     dominating_measure,
@@ -17,7 +19,7 @@ from hedgecert.arbitrage import (
     verify_nar_witness,
 )
 from hedgecert.errors import DomainError, RobustArbitrageError, StructureError
-from hedgecert.model import OptionQuote, support
+from hedgecert.model import OptionQuote, require_valid, support
 from markets import (
     binomial_market,
     binomial_with_free_option,
@@ -225,3 +227,19 @@ def test_redundant_spread_option_market_is_still_robust():
     q = verdict.witness.interior_measure
     assert q.weights == [F(1, 3), F(2, 3)]
     assert q.option_values == [F(1, 3)]
+
+
+def test_floor_column_is_the_row_sum_plus_the_push_offset():
+    # the floor t enters every row through all charged leaves' weights
+    # Q_w = R_w + t, and spread quote rows move inward by push * t
+    rng = random.Random(20250301)
+    markets = nar_fixture_markets() + [pinned_identical_options_market(), binomial_with_free_option()]
+    markets += [random_arbitrary_market(rng, max_options=3) for _ in range(300)]
+    offset = {lp.EQ: 0, lp.GE: -1, lp.LE: 1}
+    for m in markets:
+        c = require_valid(m)
+        for push in (0, 1):
+            problem, _ = _floor_program(c, push)
+            for row, rel in zip(problem.rows, problem.relations):
+                assert row[-1] == sum(row[:-1], F(0)) + offset[rel] * push
+                assert type(row[-1]) is F

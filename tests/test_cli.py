@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
+from hedgecert.arbitrage import check_nar
 from hedgecert.cli import main
 from hedgecert.marketio import claim_to_json, dump_market
+from hedgecert.model import Claim, Strategy
+from hedgecert.superhedge import verify_super_replication
 from markets import (
     binomial_with_free_option,
     spread_option_only_market,
@@ -142,8 +148,6 @@ def test_dominate_fails_without_robustness(capsys):
 def test_strict_dual(capsys, tmp_path):
     claim = tmp_path / "claim.json"
     m = wide_quote_identical_options_market()
-    from hedgecert.model import Claim
-
     claim.write_text(json.dumps(claim_to_json(m, Claim([F(1), F(0)]))))
     code, out, _ = run(
         capsys,
@@ -286,29 +290,66 @@ def test_verify_replay_failure_exits_5(capsys, monkeypatch):
 
 
 def test_solver_fault_exits_5(capsys, monkeypatch):
-    # a broken kernel is a soundness failure, never "invalid input"
+    # a broken kernel is a soundness failure, never "invalid input": the
+    # basis-dual solve finds no solution and must raise, not return
     import hedgecert.lp as lp_mod
 
-    monkeypatch.setattr(lp_mod, "solve_unique", lambda rows, rhs: None)
+    monkeypatch.setattr(lp_mod, "_eliminate", lambda rows, n: None)
     code, out, err = run(capsys, "check-nar", str(DATA / "m1.json"))
     assert code == 5
     assert out is None
     assert err["error"]["type"] == "soundness"
 
 
-def test_console_script_entrypoint():
-    import os
-    import subprocess
-    import sys
-
-    # run the checkout's package, as the in-process tests do
+def _fresh_process(*argv) -> subprocess.CompletedProcess:
+    """Run the checkout's CLI in a new interpreter, as the in-process tests
+    run the checkout's package."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run(
-        [sys.executable, "-m", "hedgecert.cli", "check-na", str(DATA / "m1.json")],
-        capture_output=True,
-        text=True,
-        env=env,
+    return subprocess.run(
+        [sys.executable, "-m", "hedgecert.cli", *argv], capture_output=True, text=True, env=env
     )
+
+
+def test_console_script_entrypoint():
+    result = _fresh_process("check-na", str(DATA / "m1.json"))
     assert result.returncode == 0
     assert json.loads(result.stdout)["verdict"] == "holds"
+
+
+def test_reused_parser_leaks_no_option_into_later_commands(capsys):
+    # the process keeps one parser; --pretty on one command must not reach
+    # the next, and each report is the single compact line a new process prints
+    market = str(DATA / "m1.json")
+    code = main(["superhedge", market, "--claim", str(DATA / "call.json"), "--pretty"])
+    assert code == 0 and "\n  " in capsys.readouterr().out
+    for argv in (["check-na", market], ["check-na", market, "--verify"]):
+        code = main(argv)
+        out = capsys.readouterr().out
+        fresh = _fresh_process(*argv)
+        assert (code, out) == (fresh.returncode, fresh.stdout)
+        assert out.count("\n") == 1 and out == json.dumps(json.loads(out), separators=(",", ":")) + "\n"
+
+
+def test_superhedge_reports_the_robust_arbitrage_ray(capsys, tmp_path):
+    # with no consistent measure the report names that cause and ships the
+    # ray: negative capital whose strategy covers the zero claim
+    m = binomial_with_free_option()
+    market = tmp_path / "m.json"
+    market.write_text(dump_market(m))
+    claim = tmp_path / "f.json"
+    claim.write_text(json.dumps({"schemaVersion": 1, "leafOrder": [1, 2], "payoff": ["1", "0"]}))
+    code, out, err = run(capsys, "superhedge", str(market), "--claim", str(claim), "--verify")
+    assert code == 3
+    assert err["error"]["type"] == "arbitrage"
+    assert out["verdict"] == "fails" and out["values"] == {}
+    assert out["diagnostics"]["blocking"] == check_nar(m).blocking
+    ray = out["certificates"]["ray"]
+    capital = F(ray["capital"])
+    strategy = Strategy(
+        {int(nid): [F(v) for v in pos] for nid, pos in ray["strategy"]["dynamic"].items()},
+        [F(v) for v in ray["strategy"]["buyLeg"]],
+        [F(v) for v in ray["strategy"]["sellLeg"]],
+    )
+    assert capital < 0
+    assert verify_super_replication(m, Claim([F(0), F(0)]), capital, strategy)

@@ -42,7 +42,7 @@ PINNED = {
     ("free-option", "redundancy"): (0, "de0f6d836488d68bb95969a9405a81b8828c316d0f034ad3f218b44ed483921b"),
     ("free-option", "sharper-ftap"): (3, "14af52a470910a27c4e8c0ee7ec7c20667c28a7539a447ae80377340e2699f3b"),
     ("free-option", "strict-dual"): (3, "8798ff126c63b87e9e73f74bdfe577b207c66135b745fbfae0bbe1125c61763b"),
-    ("free-option", "superhedge"): (3, "44b9a075282527061459c83cb622da6544924c3e5fcd29323b0c093dc77b3102"),
+    ("free-option", "superhedge"): (3, "97bea2ccf27426ea4926ed72ce8270807555dfd286b24b2f93fd9155ab1471ba"),
     ("random-12", "bounds"): (0, "4a2560b68fda0beb5b697f8358b84143157da971dc26bd94720279c9c4bfbae7"),
     ("random-12", "check-na"): (0, "915f4f13e4fe704a6569004b686729911e9ce20e98bdd1b88ba4363d95967373"),
     ("random-12", "check-nar"): (0, "e830001808e74cae749b0faf158e5087212bd71fb5f1517525827adafaa191fb"),

@@ -1,15 +1,21 @@
 """Each public query validates its market exactly once, sharper_ftap
 solves the NA and NAR programs plus one linear system per spread option,
 superhedge_price and duality_report each solve one program, and
-`strict-dual --verify` solves the dual program once.
+`strict-dual --verify` solves the dual program once. The CLI validates each
+market file once and builds its parser once per process, never at import.
 
 The counts come from rebinding `validate_market`, `lp.solve_lp` and the
 replication test's `solve_linear` around a single call, so they hold for
 whatever the call delegates to.
 """
 
+import argparse
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from fractions import Fraction as F
 
 import pytest
@@ -135,3 +141,72 @@ def test_strict_dual_verify_solves_the_dual_once(monkeypatch, tmp_path, capsys):
         commands += 1
     capsys.readouterr()
     assert commands >= 4
+
+
+class _ParserCounter:
+    """Counts `argparse.ArgumentParser.__init__` runs, subparsers included."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            self.calls += 1
+            original(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+
+
+def _cli_commands(tmp_path):
+    """One argv per subcommand, with --verify, on a small arbitrage-free market."""
+    m = random_arbitrage_free_market(random.Random(2), min_periods=2)
+    market, claim = tmp_path / "m.json", tmp_path / "f.json"
+    market.write_text(marketio.dump_market(m))
+    claim.write_text(json.dumps(marketio.claim_to_json(m, random_claim(random.Random(2), m))))
+    extra = {
+        "superhedge": ["--claim", str(claim)],
+        "dual": ["--claim", str(claim)],
+        "bounds": ["--option", m.options[0].name],
+        "dominate": ["--generator", (m.measures.names or ["P0"])[0]],
+        "strict-dual": ["--claim", str(claim), "--eps", "1/100"],
+    }
+    commands = ["check-na", "check-nar", "superhedge", "dual", "bounds", "redundancy",
+                "sharper-ftap", "dominate", "strict-dual"]
+    return [[command, str(market), *extra.get(command, []), "--verify"] for command in commands]
+
+
+def test_cli_builds_its_parser_once_per_process(monkeypatch, tmp_path, capsys):
+    commands = _cli_commands(tmp_path)
+    cli.main(commands[0])
+    parsers = _ParserCounter(monkeypatch)
+    for k in range(20):
+        cli.main(commands[k % len(commands)])
+    capsys.readouterr()
+    assert parsers.calls == 0
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "original = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: (built.append(1), original(self, *a, **k))[1]\n"
+        "import hedgecert.cli\n"
+        "print(len(built))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stdout) == (0, "0\n"), result.stderr
+
+
+def test_each_cli_command_validates_its_market_once(monkeypatch, tmp_path, capsys):
+    # parse_market validates; the CLI compiles its result without a second pass
+    validations = _Counter(monkeypatch, model, "validate_market")
+    monkeypatch.setattr(marketio, "validate_market", model.validate_market)
+    for argv in _cli_commands(tmp_path):
+        before = validations.calls
+        assert cli.main(argv) in (0, 3)
+        assert validations.calls - before == 1, argv[0]
+    capsys.readouterr()
