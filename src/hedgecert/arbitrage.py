@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import lp
-from .errors import DomainError, RobustArbitrageError, SoundnessError
+from .errors import DomainError, RobustArbitrageError, SoundnessError, StructureError
 from .model import (
     CompiledMarket,
     Market,
@@ -48,6 +48,10 @@ class MartingaleMeasure:
     option_values: list[Fraction]
 
     def expectation(self, payoff: list[Fraction]) -> Fraction:
+        if len(payoff) != len(self.weights):
+            raise StructureError(
+                f"payoff has {len(payoff)} entries for a measure on {len(self.weights)} leaves"
+            )
         return sum((w * v for w, v in zip(self.weights, payoff) if w), ZERO)
 
 
@@ -91,11 +95,9 @@ _NO_CONSISTENT_MEASURE = "no quote-consistent martingale measure is supported on
 
 
 def measure_from_weights(m: Market, weights: list[Fraction]) -> MartingaleMeasure:
-    values = [
-        sum((w * opt.payoff[pos] for pos, w in enumerate(weights) if w), ZERO)
-        for opt in m.options
-    ]
-    return MartingaleMeasure(list(weights), values)
+    q = MartingaleMeasure(list(weights), [])
+    q.option_values = [q.expectation(opt.payoff) for opt in m.options]
+    return q
 
 
 def _consistency_rows(c: CompiledMarket, objective: list[Fraction], push=None):
@@ -131,9 +133,7 @@ def _consistency_rows(c: CompiledMarket, objective: list[Fraction], push=None):
         else:
             add(coefs, lp.GE, opt.bid, ("option", i), inward=-1)
             add(coefs, lp.LE, opt.ask, ("option", i), inward=1)
-    ncols = len(objective)
-    problem = lp.LpProblem(lp.MAX, objective, rows, rels, rhs, [ZERO] * ncols, [None] * ncols)
-    return problem, layout
+    return lp.LpProblem(lp.MAX, objective, rows, rels, rhs), layout
 
 
 def _floor_coefficient(coefs, offset: int) -> Fraction:
@@ -324,7 +324,7 @@ def verify_measure(m: Market, q: MartingaleMeasure) -> bool:
             if drift != 0:
                 return False
     for i, opt in enumerate(c.options):
-        value = sum((w * opt.payoff[pos] for pos, w in enumerate(q.weights) if w), ZERO)
+        value = q.expectation(opt.payoff)
         if value != q.option_values[i]:
             return False
         if not opt.bid <= value <= opt.ask:
@@ -333,7 +333,10 @@ def verify_measure(m: Market, q: MartingaleMeasure) -> bool:
 
 
 def strictly_inside_quotes(m: Market, q: MartingaleMeasure) -> bool:
-    """True when every spread option is valued strictly inside its quotes."""
+    """True when every spread option is valued strictly inside its quotes,
+    and every zero-spread option exactly at its quote."""
+    if len(q.option_values) != len(m.options):
+        return False
     for i, opt in enumerate(m.options):
         v = q.option_values[i]
         if opt.has_spread():

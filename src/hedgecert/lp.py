@@ -1,10 +1,10 @@
 """Exact rational linear programming with verifiable certificates.
 
-Problems are stated in natural mixed form:
+Problems are stated over nonnegative variables only:
 
     optimize   c . x            (sense "min" or "max")
     subject to row_i . x  (<= | = | >=)  rhs_i       for every row
-               lower_j <= x_j <= upper_j              (None = unbounded side)
+               x >= 0
 
 and solved by a two-phase tableau simplex under Bland's rule: entering
 variable is the lowest-index column with negative reduced cost, leaving row
@@ -41,9 +41,9 @@ Every outcome carries a certificate checkable from the untouched data:
   optimal    -> primal vector, per-row dual vector, objective value; strong
                 duality and complementary slackness hold as exact identities
   infeasible -> Farkas vector y (nonnegative on >= rows, nonpositive on <=
-                rows) whose aggregated inequality is violated even at the
-                most favorable corner of the variable box
-  unbounded  -> feasible point plus an improving ray
+                rows) with y^T A <= 0 and y . rhs > 0, so no x >= 0 meets
+                the aggregated row y^T A x = y . rhs
+  unbounded  -> feasible point plus an improving ray r >= 0
 
 `verify_certificate` re-derives all of this from scratch; it shares no state
 with the solver beyond the problem statement.
@@ -78,8 +78,6 @@ class LpProblem:
     rows: list[list[Fraction]]
     relations: list[str]
     rhs: list[Fraction]
-    lower: list[Fraction | None]
-    upper: list[Fraction | None]
 
 
 @dataclass
@@ -95,13 +93,12 @@ class LpOutcome:
 _RATIONAL = (int, Fraction)
 
 
-def _rationals(values, field: str, bounds: bool = False) -> None:
-    """StructureError naming the first entry that is not an int or a Fraction
-    (nor None, for `bounds`)."""
+def _rationals(values, field: str) -> None:
+    """StructureError naming the first entry that is not an int or a Fraction."""
     if {int, Fraction}.issuperset(map(type, values)):
         return  # the common case, decided in one pass over the types
     for j, v in enumerate(values):
-        if not isinstance(v, _RATIONAL) and not (bounds and v is None):
+        if not isinstance(v, _RATIONAL):
             raise StructureError(
                 f"{field}[{j}] is {type(v).__name__} {v!r}, not an int or a Fraction"
             )
@@ -120,17 +117,10 @@ def _validate(p: LpProblem) -> None:
     for i, rel in enumerate(p.relations):
         if rel not in (LE, EQ, GE):
             raise StructureError(f"row {i}: unknown relation {rel!r}")
-    if len(p.lower) != n or len(p.upper) != n:
-        raise StructureError("bound vectors must match the variable count")
     _rationals(p.objective, "objective")
     _rationals(p.rhs, "rhs")
     for i, row in enumerate(p.rows):
         _rationals(row, f"rows[{i}]")
-    _rationals(p.lower, "lower", bounds=True)
-    _rationals(p.upper, "upper", bounds=True)
-    for j, (lo, up) in enumerate(zip(p.lower, p.upper)):
-        if lo is not None and up is not None and lo > up:
-            raise StructureError(f"variable {j}: lower bound {lo} exceeds upper bound {up}")
 
 
 def _int_row(values) -> list[int]:
@@ -213,84 +203,37 @@ def _eliminate(a: list[list[int]], n: int) -> tuple[list[Fraction], int] | None:
     return x, r
 
 
-def solve_unique(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """The solution of a linear system; None unless it exists and is unique."""
-    solved = solve_linear(rows, rhs) if rows else None
-    if solved is None or solved[1] < len(rows[0]):
-        return None
-    return solved[0]
-
-
 class _StdForm:
     """Reduction to   min cost.z  s.t.  A z = b (b >= 0), z >= 0.
 
-    Each row [A | b] is built once, straight from the problem's nonzero
-    entries, as a primitive integer vector with the rhs last: rows[k] equals
-    scale[k] > 0 times the rational row, the invariant the tableau keeps.
-    Shifts and splits of a column are negations of its integer entry, a
-    slack entry is +-den (den the lcm of the row's denominators), and a row
-    whose rhs is negative is built negated. Only the rhs of a row meeting a
-    nonzero shift is computed in Fractions.
-
-    Bookkeeping to map certificates back:
-      terms[j] / shift[j]:  x_j = shift_j + sum(sign * z_col), sign = +-1
-      row_source[k]: ("row", i) for original row i, ("bound", j) for the
-                     synthetic cap row of a doubly bounded variable
-      row_sign[k]: -1 when the row was negated to make its rhs nonnegative
+    The columns of z are the problem's n columns, in order, then one slack
+    per inequality row, so a point or ray of the problem is z[:n]. Each row
+    [A | b] is built once, straight from the problem's nonzero entries, as a
+    primitive integer vector with the rhs last: rows[k] equals scale[k] > 0
+    times the rational row, the invariant the tableau keeps. A slack entry
+    is +-den (den the lcm of the row's denominators), and a row whose rhs is
+    negative is built negated; row_sign[k] is then -1.
     """
 
     def __init__(self, p: LpProblem):
         minimize = p.sense == MIN
-        terms: list[tuple[tuple[int, int], ...]] = []
-        shift: list[Fraction] = []
-        ncols = 0
-        bound_caps: list[tuple[int, Fraction, int]] = []
-        for j, (lo, up) in enumerate(zip(p.lower, p.upper)):
-            if lo is not None and up is not None and lo == up:
-                terms.append(())
-                shift.append(lo)
-            elif lo is not None:
-                terms.append(((ncols, 1),))
-                shift.append(lo)
-                if up is not None:
-                    bound_caps.append((ncols, up - lo, j))
-                ncols += 1
-            elif up is not None:
-                terms.append(((ncols, -1),))
-                shift.append(up)
-                ncols += 1
-            else:
-                terms.append(((ncols, 1), (ncols + 1, -1)))
-                shift.append(_ZERO)
-                ncols += 2
-
-        slack = ncols
-        total = ncols + sum(1 for rel in p.relations if rel != EQ) + len(bound_caps)
+        n = len(p.objective)
+        slack = n
+        total = n + sum(1 for rel in p.relations if rel != EQ)
         rows: list[list[int]] = []
-        scale: list[int | Fraction] = []
+        scale: list[Fraction] = []
         sign: list[int] = []
-        source: list[tuple[str, int]] = []
-        for i, coefs in enumerate(p.rows):
-            base = p.rhs[i]
-            entries = []
-            for j, a in enumerate(coefs):
-                if a:
-                    if shift[j]:
-                        base -= a * shift[j]
-                    if terms[j]:
-                        entries.append((terms[j], a))
-            den = lcm(base.denominator, *(a.denominator for _, a in entries))
-            d = -den if base < 0 else den  # a negative rhs negates the row
-            values = [(cols, a.numerator * (d // a.denominator)) for cols, a in entries]
-            rel = p.relations[i]
+        for coefs, rel, b in zip(p.rows, p.relations, p.rhs):
+            entries = [(j, a) for j, a in enumerate(coefs) if a]
+            den = lcm(b.denominator, *(a.denominator for _, a in entries))
+            d = -den if b < 0 else den  # a negative rhs negates the row
+            values = [(j, a.numerator * (d // a.denominator)) for j, a in entries]
             slack_value = 0 if rel == EQ else d if rel == LE else -d
-            rhs = base.numerator * (d // base.denominator)
+            rhs = b.numerator * (d // b.denominator)
             g = gcd(rhs, slack_value, *(v for _, v in values)) or 1  # all-zero rows stay zero
             row = [0] * (total + 1)
-            for cols, v in values:
-                v //= g
-                for col, s in cols:
-                    row[col] = v if s > 0 else -v
+            for j, v in values:
+                row[j] = v // g
             if slack_value:
                 row[slack] = slack_value // g
                 slack += 1
@@ -298,66 +241,25 @@ class _StdForm:
             rows.append(row)
             scale.append(Fraction(den, g))
             sign.append(-1 if d < 0 else 1)
-            source.append(("row", i))
-        for col, cap, j in bound_caps:
-            # cap > 0 is in lowest terms, so [den, den | num] is primitive
-            row = [0] * (total + 1)
-            row[col] = row[slack] = cap.denominator
-            row[total] = cap.numerator
-            slack += 1
-            rows.append(row)
-            scale.append(cap.denominator)
-            sign.append(1)
-            source.append(("bound", j))
 
         cost = [_ZERO] * total
         for j, c in enumerate(p.objective):
             if c:
-                if not minimize:
-                    c = -c
-                for col, s in terms[j]:
-                    cost[col] = c if s > 0 else -c
+                cost[j] = c if minimize else -c
 
         self.minimize = minimize
-        self.nvars = len(terms)
-        self.terms = terms
-        self.shift = shift
         self.ncols = total
         self.rows = rows
         self.scale = scale
-        self.row_source = source
         self.row_sign = sign
         self.cost = cost
 
-    def to_original_point(self, z: list[Fraction]) -> list[Fraction]:
+    def to_original_dual(self, y_std: dict[int, Fraction], negate: bool) -> list[Fraction]:
+        flip = -1 if negate else 1
         out = []
-        for j in range(self.nvars):
-            v = self.shift[j]
-            for col, cf in self.terms[j]:
-                if z[col]:
-                    v += cf * z[col]
-            out.append(v)
-        return out
-
-    def to_original_ray(self, d: list[Fraction]) -> list[Fraction]:
-        out = []
-        for j in range(self.nvars):
-            v = _ZERO
-            for col, cf in self.terms[j]:
-                if d[col]:
-                    v += cf * d[col]
-            out.append(v)
-        return out
-
-    def to_original_dual(self, y_std: dict[int, Fraction], nrows: int, negate: bool) -> list[Fraction]:
-        out = [_ZERO] * nrows
-        for k, (kind, idx) in enumerate(self.row_source):
-            if kind != "row":
-                continue
+        for k, s in enumerate(self.row_sign):
             v = y_std.get(k, _ZERO)
-            if self.row_sign[k] < 0:
-                v = -v
-            out[idx] = -v if negate else v
+            out.append(v if s == flip else -v)
         return out
 
 
@@ -438,7 +340,7 @@ def solve_lp(p: LpProblem) -> LpOutcome:
     std = _StdForm(p)
     m = len(std.rows)
     n = std.ncols
-    nrows = len(p.rows)
+    nvars = len(p.objective)
 
     tab = [row[:] for row in std.rows]
     basis = [n + i for i in range(m)]  # artificial variables, columns implicit
@@ -464,7 +366,7 @@ def solve_lp(p: LpProblem) -> LpOutcome:
     if any(row[n] > 0 for row, col in zip(tab, basis) if col >= n):
         y_std = _basis_dual(std, active, basis,
                             lambda col: _ONE if col >= n else _ZERO)
-        farkas = std.to_original_dual(y_std, nrows, negate=False)
+        farkas = std.to_original_dual(y_std, negate=False)
         return LpOutcome(status=INFEASIBLE, farkas=farkas)
 
     # Drive remaining zero-level artificials out of the basis; rows that
@@ -503,13 +405,13 @@ def solve_lp(p: LpProblem) -> LpOutcome:
                 d[col] = Fraction(-row[jc], row[col])
         return LpOutcome(
             status=UNBOUNDED,
-            primal=std.to_original_point(_basic_point(tab, basis, n)),
-            ray=std.to_original_ray(d),
+            primal=_basic_point(tab, basis, n)[:nvars],
+            ray=d[:nvars],
         )
 
-    x = std.to_original_point(_basic_point(tab, basis, n))
+    x = _basic_point(tab, basis, n)[:nvars]
     y_std = _basis_dual(std, active, basis, lambda col: std.cost[col])
-    y = std.to_original_dual(y_std, nrows, negate=not std.minimize)
+    y = std.to_original_dual(y_std, negate=not std.minimize)
     value = sum((c * v for c, v in zip(p.objective, x) if c), _ZERO)
     return LpOutcome(status=OPTIMAL, primal=x, dual=y, objective_value=value)
 
@@ -519,12 +421,8 @@ def _row_value(row: list[Fraction], x: list[Fraction]) -> Fraction:
 
 
 def _primal_feasible(p: LpProblem, x: list[Fraction]) -> bool:
-    for j, v in enumerate(x):
-        lo, up = p.lower[j], p.upper[j]
-        if lo is not None and v < lo:
-            return False
-        if up is not None and v > up:
-            return False
+    if any(v < 0 for v in x):
+        return False
     for i, row in enumerate(p.rows):
         lhs = _row_value(row, x)
         rel = p.relations[i]
@@ -552,16 +450,15 @@ def _dual_row_signs_ok(p: LpProblem, y: list[Fraction], minimize: bool) -> bool:
     return True
 
 
-def _reduced_costs(p: LpProblem, y: list[Fraction]) -> list[Fraction]:
-    n = len(p.objective)
-    d = list(p.objective)
-    for i, yi in enumerate(y):
+def _aggregate(p: LpProblem, y: list[Fraction]) -> list[Fraction]:
+    """y^T A: the rows of p weighted by y and summed."""
+    total = [_ZERO] * len(p.objective)
+    for yi, row in zip(y, p.rows):
         if yi:
-            row = p.rows[i]
-            for j in range(n):
-                if row[j]:
-                    d[j] -= yi * row[j]
-    return d
+            for j, a in enumerate(row):
+                if a:
+                    total[j] += yi * a
+    return total
 
 
 def verify_certificate(p: LpProblem, o: LpOutcome) -> bool:
@@ -587,32 +484,20 @@ def verify_certificate(p: LpProblem, o: LpOutcome) -> bool:
             return False
         if not _dual_row_signs_ok(p, o.dual, minimize):
             return False
-        d = _reduced_costs(p, o.dual)
-        dual_value = sum((yi * bi for yi, bi in zip(o.dual, p.rhs) if yi), _ZERO)
-        for j in range(n):
-            dj = d[j]
-            lo, up = p.lower[j], p.upper[j]
-            if not dj:
-                continue
-            # sign admissibility, the bound the variable must sit on, and
-            # that bound's contribution to the dual objective
-            at_lower = (dj > 0) if minimize else (dj < 0)
-            if at_lower:
-                if lo is None:
-                    return False
-                if o.primal[j] != lo:
-                    return False
-                dual_value += dj * lo
-            else:
-                if up is None:
-                    return False
-                if o.primal[j] != up:
-                    return False
-                dual_value += dj * up
+        # dual feasibility and complementary slackness: a nonzero reduced
+        # cost has the sign that holds its variable at 0, and it is 0; a row
+        # with a nonzero dual is tight. With the primal feasible these give
+        # c . x = y . rhs, so x and y are both optimal.
+        for cj, sj, xj in zip(p.objective, _aggregate(p, o.dual), o.primal):
+            dj = cj - sj
+            if dj and ((dj < 0) if minimize else (dj > 0)):
+                return False
+            if dj and xj:
+                return False
         for i in range(m):
             if o.dual[i] and _row_value(p.rows[i], o.primal) != p.rhs[i]:
                 return False
-        return dual_value == o.objective_value
+        return True
 
     if o.status == INFEASIBLE:
         if o.farkas is None:
@@ -629,26 +514,11 @@ def verify_certificate(p: LpProblem, o: LpOutcome) -> bool:
                 return False
             if rel == LE and y[i] > 0:
                 return False
-        sigma = [_ZERO] * n
-        for i, yi in enumerate(y):
-            if yi:
-                row = p.rows[i]
-                for j in range(n):
-                    if row[j]:
-                        sigma[j] += yi * row[j]
-        box_sup = _ZERO
-        for j in range(n):
-            sj = sigma[j]
-            if sj > 0:
-                if p.upper[j] is None:
-                    return False
-                box_sup += sj * p.upper[j]
-            elif sj < 0:
-                if p.lower[j] is None:
-                    return False
-                box_sup += sj * p.lower[j]
-        agg_rhs = sum((yi * bi for yi, bi in zip(y, p.rhs) if yi), _ZERO)
-        return box_sup < agg_rhs
+        # y^T A <= 0 while y . rhs > 0: for x >= 0 the aggregated row
+        # y^T A x = y . rhs has a nonpositive left side and a positive right
+        if any(v > 0 for v in _aggregate(p, y)):
+            return False
+        return sum((yi * bi for yi, bi in zip(y, p.rhs) if yi), _ZERO) > 0
 
     if o.status == UNBOUNDED:
         if o.primal is None or o.ray is None:
@@ -660,11 +530,8 @@ def verify_certificate(p: LpProblem, o: LpOutcome) -> bool:
         if not _primal_feasible(p, o.primal):
             return False
         r = o.ray
-        for j in range(n):
-            if p.lower[j] is not None and r[j] < 0:
-                return False
-            if p.upper[j] is not None and r[j] > 0:
-                return False
+        if any(v < 0 for v in r):
+            return False
         for i, rel in enumerate(p.relations):
             drift = _row_value(p.rows[i], r)
             if rel == LE and drift > 0:

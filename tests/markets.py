@@ -306,7 +306,7 @@ def random_strategy(rng, m: MarketModel) -> Strategy:
 
 
 def random_lp(rng, max_vars=5, max_rows=5) -> lp.LpProblem:
-    """Small random programs with deliberate degeneracies."""
+    """Small random programs over x >= 0 with deliberate degeneracies."""
     n = rng.randint(1, max_vars)
     m = rng.randint(0, max_rows)
 
@@ -331,32 +331,10 @@ def random_lp(rng, max_vars=5, max_rows=5) -> lp.LpProblem:
     objective = [coef() for _ in range(n)]
     if rng.random() < 0.15:
         objective = [ZERO] * n
-    lower, upper = [], []
-    for _ in range(n):
-        kind = rng.random()
-        if kind < 0.4:
-            lower.append(ZERO)
-            upper.append(None)
-        elif kind < 0.55:
-            lower.append(None)
-            upper.append(None)
-        elif kind < 0.7:
-            lo = random_rational(rng, -2, 0, dens=(1, 2))
-            upper.append(lo + abs(random_rational(rng, 0, 2, dens=(1, 2))))
-            lower.append(lo)
-        elif kind < 0.85:
-            lower.append(None)
-            upper.append(random_rational(rng, -1, 2, dens=(1, 2)))
-        else:
-            pin = random_rational(rng, -1, 1, dens=(1, 2))
-            lower.append(pin)
-            upper.append(pin)
     return lp.LpProblem(
         sense=rng.choice([lp.MIN, lp.MAX]),
         objective=objective,
         rows=rows,
         relations=relations,
         rhs=rhs,
-        lower=lower,
-        upper=upper,
     )

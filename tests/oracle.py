@@ -3,7 +3,8 @@
 Three reference programs, each an LP formulation the package no longer
 uses: the strategy-side surplus program for no-arbitrage, the strategy-side
 hedge program for super-hedging prices and the replication LP for option
-redundancy. And, exponential-time by design behind hard size
+redundancy. `lp` solves over x >= 0 only, so `_solve_free` splits their
+free columns. And, exponential-time by design behind hard size
 guards: vertex enumeration of the consistent-measure polytope (so dual
 prices can be checked against a max over vertices) and the definitional
 robust-no-arbitrage scan that shrinks quotes through a dyadic ladder and
@@ -19,7 +20,6 @@ from itertools import combinations
 from hedgecert import lp
 from hedgecert.arbitrage import ArbitrageCertificate, NaVerdict
 from hedgecert.errors import DomainError
-from hedgecert.lp import solve_unique
 from hedgecert.model import (
     Claim,
     CompiledMarket,
@@ -69,6 +69,22 @@ def strategy_row(c: CompiledMarket, pos: int) -> list[Fraction]:
     return row
 
 
+def _solve_free(sense, objective, rows, relations, rhs, free: int) -> lp.LpOutcome:
+    """`lp.solve_lp` with the first `free` columns unrestricted in sign.
+
+    Each is split into the adjacent column pair (x+, x-), x = x+ - x-, and an
+    optimal primal is mapped back; other outcomes are returned as solved.
+    """
+    def split(v):
+        return [u for a in v[:free] for u in (a, -a)] + v[free:]
+
+    out = lp.solve_lp(lp.LpProblem(sense, split(objective), [split(r) for r in rows], relations, rhs))
+    if out.status == lp.OPTIMAL:
+        z = out.primal
+        out.primal = [z[2 * j] - z[2 * j + 1] for j in range(free)] + z[2 * free:]
+    return out
+
+
 def surplus_na(m: Market) -> NaVerdict:
     """No-arbitrage by maximizing total surplus over charged leaves.
 
@@ -87,16 +103,8 @@ def surplus_na(m: Market) -> NaVerdict:
         coefs[width + idx] = Fraction(-1)
         rows.append(coefs)
     rows.append([ZERO] * width + [ONE] * k)
-    problem = lp.LpProblem(
-        sense=lp.MAX,
-        objective=[ZERO] * width + [ONE] * k,
-        rows=rows,
-        relations=[lp.EQ] * k + [lp.LE],
-        rhs=[ZERO] * k + [ONE],
-        lower=[None] * nh + [ZERO] * (2 * e + k),
-        upper=[None] * (width + k),
-    )
-    out = lp.solve_lp(problem)
+    out = _solve_free(lp.MAX, [ZERO] * width + [ONE] * k, rows,
+                      [lp.EQ] * k + [lp.LE], [ZERO] * k + [ONE], free=nh)
     assert out.status == lp.OPTIMAL, out.status
     if out.objective_value == 0:
         return NaVerdict(True)
@@ -114,16 +122,8 @@ def hedge_lp(m: Market, f: Claim) -> tuple[Fraction, Strategy] | None:
     nh, e = len(c.columns), len(c.options)
     ncols = 1 + nh + 2 * e
     rows = [[ONE] + strategy_row(c, pos) for pos in c.charged]
-    problem = lp.LpProblem(
-        sense=lp.MIN,
-        objective=[ONE] + [ZERO] * (ncols - 1),
-        rows=rows,
-        relations=[lp.GE] * len(rows),
-        rhs=[f.payoff[pos] for pos in c.charged],
-        lower=[None] * (1 + nh) + [ZERO] * (2 * e),
-        upper=[None] * ncols,
-    )
-    out = lp.solve_lp(problem)
+    out = _solve_free(lp.MIN, [ONE] + [ZERO] * (ncols - 1), rows, [lp.GE] * len(rows),
+                      [f.payoff[pos] for pos in c.charged], free=1 + nh)
     if out.status == lp.UNBOUNDED:
         return None
     assert out.status == lp.OPTIMAL, out.status
@@ -139,16 +139,8 @@ def replication_lp(m: Market, i: int) -> NonredundancyVerdict:
     ncols = 1 + nh + len(others)
     rows = [[ONE, *c.gain_rows[pos], *(c.options[k].payoff[pos] for k in others)]
             for pos in c.charged]
-    problem = lp.LpProblem(
-        sense=lp.MIN,
-        objective=[ZERO] * ncols,
-        rows=rows,
-        relations=[lp.EQ] * len(rows),
-        rhs=[c.options[i].payoff[pos] for pos in c.charged],
-        lower=[None] * ncols,
-        upper=[None] * ncols,
-    )
-    out = lp.solve_lp(problem)
+    out = _solve_free(lp.MIN, [ZERO] * ncols, rows, [lp.EQ] * len(rows),
+                      [c.options[i].payoff[pos] for pos in c.charged], free=ncols)
     if out.status == lp.INFEASIBLE:
         return NonredundancyVerdict(True)
     assert out.status == lp.OPTIMAL, out.status
@@ -242,17 +234,13 @@ def enumerate_consistent_measures(m: MarketModel) -> VertexSet:
             full[pos] = q[idx]
         vertices.append(full)
 
-    if dim <= 0:
-        q = solve_unique(eq_rows, eq_rhs)
-        if q is not None:
-            admit(q)
-    else:
-        for chosen in combinations(range(len(ineq)), dim):
-            rows = list(eq_rows) + [ineq[c][0] for c in chosen]
-            rhs = list(eq_rhs) + [ineq[c][1] for c in chosen]
-            q = solve_unique(rows, rhs)
-            if q is not None:
-                admit(q)
+    # dim = 0 chooses the one empty set: the equalities alone
+    for chosen in combinations(range(len(ineq)), dim):
+        rows = list(eq_rows) + [ineq[c][0] for c in chosen]
+        rhs = list(eq_rhs) + [ineq[c][1] for c in chosen]
+        solved = lp.solve_linear(rows, rhs)
+        if solved is not None and solved[1] == k:  # a unique solution
+            admit(solved[0])
 
     vertices.sort(key=tuple)
     return VertexSet(vertices)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hedgecert import lp
 from hedgecert.arbitrage import (
+    MartingaleMeasure,
     _floor_program,
     check_na,
     check_nar,
@@ -218,6 +219,22 @@ def test_verify_measure_rejects_mass_off_support():
     m = stockless_market(2, [], [[F(1), F(0)]])
     off = measure_from_weights(m, [F(1, 2), F(1, 2)])
     assert not verify_measure(m, off)
+
+
+def test_measure_helpers_reject_wrong_lengths():
+    m = binomial_with_spread_option()
+    q = check_nar(m).witness.interior_measure
+    assert strictly_inside_quotes(m, q)
+    # one option value too few or too many is not an interior measure
+    assert not strictly_inside_quotes(m, MartingaleMeasure(q.weights, []))
+    assert not strictly_inside_quotes(m, MartingaleMeasure(q.weights, q.option_values * 2))
+    # a payoff must have one entry per leaf the measure weighs
+    with pytest.raises(StructureError, match="1 entries"):
+        q.expectation([F(1)])
+    with pytest.raises(StructureError):
+        q.expectation([F(1)] * 3)
+    with pytest.raises(StructureError):
+        measure_from_weights(m, [F(1)])
 
 
 def test_redundant_spread_option_market_is_still_robust():

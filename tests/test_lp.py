@@ -17,7 +17,7 @@ I = F(1)
 
 
 def test_one_variable_maximum():
-    p = lp.LpProblem(lp.MAX, [I], [[I]], [lp.LE], [I], [Z], [None])
+    p = lp.LpProblem(lp.MAX, [I], [[I]], [lp.LE], [I])
     out = lp.solve_lp(p)
     assert out.status == lp.OPTIMAL
     assert out.primal == [I]
@@ -26,7 +26,7 @@ def test_one_variable_maximum():
 
 
 def test_obvious_ray():
-    p = lp.LpProblem(lp.MAX, [I], [], [], [], [Z], [None])
+    p = lp.LpProblem(lp.MAX, [I], [], [], [])
     out = lp.solve_lp(p)
     assert out.status == lp.UNBOUNDED
     assert out.ray == [I]
@@ -34,7 +34,7 @@ def test_obvious_ray():
 
 
 def test_contradictory_rows_infeasible():
-    p = lp.LpProblem(lp.MAX, [Z], [[I], [I]], [lp.LE, lp.GE], [Z, I], [None], [None])
+    p = lp.LpProblem(lp.MAX, [Z], [[I], [I]], [lp.LE, lp.GE], [Z, I])
     out = lp.solve_lp(p)
     assert out.status == lp.INFEASIBLE
     assert out.farkas is not None
@@ -42,7 +42,7 @@ def test_contradictory_rows_infeasible():
 
 
 def test_verify_rejects_perturbed_primal():
-    p = lp.LpProblem(lp.MAX, [I], [[I]], [lp.LE], [I], [Z], [None])
+    p = lp.LpProblem(lp.MAX, [I], [[I]], [lp.LE], [I])
     out = lp.solve_lp(p)
     bad = lp.LpOutcome(
         status=out.status,
@@ -54,14 +54,14 @@ def test_verify_rejects_perturbed_primal():
 
 
 def test_verify_rejects_zeroed_farkas():
-    p = lp.LpProblem(lp.MAX, [Z], [[I], [I]], [lp.LE, lp.GE], [Z, I], [None], [None])
+    p = lp.LpProblem(lp.MAX, [Z], [[I], [I]], [lp.LE, lp.GE], [Z, I])
     out = lp.solve_lp(p)
     bad = lp.LpOutcome(status=lp.INFEASIBLE, farkas=[Z, Z])
     assert not lp.verify_certificate(p, bad)
 
 
 def test_verify_rejects_wrong_field_population():
-    p = lp.LpProblem(lp.MAX, [I], [[I]], [lp.LE], [I], [Z], [None])
+    p = lp.LpProblem(lp.MAX, [I], [[I]], [lp.LE], [I])
     out = lp.solve_lp(p)
     assert not lp.verify_certificate(
         p, lp.LpOutcome(status=lp.OPTIMAL, primal=out.primal, dual=out.dual)
@@ -70,24 +70,22 @@ def test_verify_rejects_wrong_field_population():
 
 def test_dimension_mismatch_is_structural():
     with pytest.raises(StructureError):
-        lp.solve_lp(lp.LpProblem(lp.MIN, [I], [[I, I]], [lp.LE], [I], [Z], [None]))
+        lp.solve_lp(lp.LpProblem(lp.MIN, [I], [[I, I]], [lp.LE], [I]))
     with pytest.raises(StructureError):
-        lp.solve_lp(lp.LpProblem(lp.MIN, [I], [[I]], [lp.LE], [I], [F(2)], [I]))
+        lp.solve_lp(lp.LpProblem(lp.MIN, [I], [[I]], [lp.LE], [I, I]))
 
 
 def test_non_rational_entries_are_structural():
     # LpProblem is public: a float or Decimal anywhere is named, never an
     # AttributeError from inside the reduction
     def base():
-        return lp.LpProblem(lp.MIN, [I, I], [[I, I]], [lp.LE], [F(2)], [Z, None], [I, None])
+        return lp.LpProblem(lp.MIN, [I, I], [[I, I]], [lp.LE], [F(2)])
 
     for bad in (0.5, Decimal("0.5")):
         for field, put in [
             ("objective[1]", lambda p: p.objective.__setitem__(1, bad)),
             ("rows[0][1]", lambda p: p.rows[0].__setitem__(1, bad)),
             ("rhs[0]", lambda p: p.rhs.__setitem__(0, bad)),
-            ("lower[0]", lambda p: p.lower.__setitem__(0, bad)),
-            ("upper[0]", lambda p: p.upper.__setitem__(0, bad)),
         ]:
             p = base()
             put(p)
@@ -99,7 +97,7 @@ def test_verify_rejects_non_rational_entries():
     # the outcome of a valid problem, replayed against a copy with one float or
     # Decimal entry: False, neither True nor an arithmetic TypeError
     def base():
-        return lp.LpProblem(lp.MIN, [I, I], [[I, I]], [lp.LE], [F(2)], [Z, Z], [None, None])
+        return lp.LpProblem(lp.MIN, [I, I], [[I, I]], [lp.LE], [F(2)])
 
     out = lp.solve_lp(base())
     assert lp.verify_certificate(base(), out)
@@ -124,8 +122,6 @@ def test_beale_cycling_instance_terminates_under_bland():
         ],
         [lp.LE, lp.LE, lp.LE],
         [Z, Z, I],
-        [Z] * 4,
-        [None] * 4,
     )
     out = lp.solve_lp(p)
     assert out.status == lp.OPTIMAL
@@ -138,16 +134,14 @@ def test_a_revisited_basis_raises_instead_of_looping(monkeypatch):
     # costs re-enters the same column forever unless the kernel notices
     pivot = lp._pivot
     monkeypatch.setattr(lp, "_pivot", lambda rows, r, c, red=None: pivot(rows, r, c))
-    p = lp.LpProblem(lp.MAX, [I], [[I]], [lp.LE], [I], [Z], [None])
+    p = lp.LpProblem(lp.MAX, [I], [[I]], [lp.LE], [I])
     with pytest.raises(SoundnessError, match="revisited a basis"):
         lp.solve_lp(p)
 
 
 def test_fixed_variable_and_equality_rows():
-    # x pinned at 1, y in [0, 2]: min x + y with x + y = 2 gives y = 1
-    p = lp.LpProblem(
-        lp.MIN, [I, I], [[I, I]], [lp.EQ], [F(2)], [I, Z], [I, F(2)]
-    )
+    # x pinned at 1 by its own equality row: min x + y with x + y = 2 gives y = 1
+    p = lp.LpProblem(lp.MIN, [I, I], [[I, I], [I, Z]], [lp.EQ, lp.EQ], [F(2), I])
     out = lp.solve_lp(p)
     assert out.status == lp.OPTIMAL
     assert out.primal == [I, I]
@@ -156,36 +150,58 @@ def test_fixed_variable_and_equality_rows():
 
 
 def test_free_variable_equality_system():
-    # classic replication system: x + h = 1, x - h/2 = 0 over free variables
+    # x + h = 1, x - 2h = 4 has h = -1: a free variable is stated as the
+    # difference of two nonnegative columns, h = h+ - h-
     p = lp.LpProblem(
         lp.MIN,
-        [Z, Z],
-        [[I, I], [I, F(-1, 2)]],
+        [Z, Z, Z, Z],
+        [[I, F(-1), I, F(-1)], [I, F(-1), F(-2), F(2)]],
         [lp.EQ, lp.EQ],
-        [I, Z],
-        [None, None],
-        [None, None],
+        [I, F(4)],
     )
     out = lp.solve_lp(p)
     assert out.status == lp.OPTIMAL
-    assert out.primal == [F(1, 3), F(2, 3)]
-    assert lp.verify_certificate(p, out)
-
-
-def test_upper_bounded_only_variable():
-    p = lp.LpProblem(lp.MAX, [I], [], [], [], [None], [F(5)])
-    out = lp.solve_lp(p)
-    assert out.status == lp.OPTIMAL
-    assert out.primal == [F(5)]
+    x = out.primal
+    assert [x[0] - x[1], x[2] - x[3]] == [F(2), F(-1)]
     assert lp.verify_certificate(p, out)
 
 
 def test_infeasible_via_bounds_and_row():
-    # x <= 1 by bound but row wants x >= 2
-    p = lp.LpProblem(lp.MIN, [Z], [[I]], [lp.GE], [F(2)], [Z], [I])
+    # the row wants x + y <= -1, the nonnegativity of x and y forbids it
+    p = lp.LpProblem(lp.MIN, [Z, Z], [[I, I]], [lp.LE], [F(-1)])
     out = lp.solve_lp(p)
     assert out.status == lp.INFEASIBLE
+    assert out.farkas == [F(-1)]
     assert lp.verify_certificate(p, out)
+
+
+def test_verify_rejects_each_broken_nonnegative_certificate():
+    # each outcome below breaks exactly one condition of the x >= 0 form and
+    # meets every other check, so it is that condition's check that rejects it
+    def optimal(primal, dual, value):
+        return lp.LpOutcome(lp.OPTIMAL, primal=primal, dual=dual, objective_value=value)
+
+    both = lp.LpProblem(lp.MIN, [I, I], [[I, I]], [lp.EQ], [I])
+    tied = lp.LpProblem(lp.MIN, [I, Z], [[I, F(-1)]], [lp.EQ], [Z])
+    assert lp.verify_certificate(both, optimal([I, Z], [I], I))
+    assert lp.verify_certificate(tied, optimal([Z, Z], [Z], Z))
+    # a negative primal entry that meets every row, with zero reduced costs
+    assert not lp.verify_certificate(both, optimal([F(-1), F(2)], [I], I))
+    # reduced costs (-1, 2) at x = 0: the -1 would let x0 lower the minimum
+    assert not lp.verify_certificate(tied, optimal([Z, Z], [F(2)], Z))
+    # reduced costs (1/2, 1/2), right-signed, but x0 = 1 is not held at 0
+    assert not lp.verify_certificate(both, optimal([I, Z], [F(1, 2)], I))
+
+    # x >= 1 is feasible: y = 1 has y . rhs > 0 but y^T A = 1 > 0
+    at_least = lp.LpProblem(lp.MIN, [Z], [[I]], [lp.GE], [I])
+    assert not lp.verify_certificate(at_least, lp.LpOutcome(lp.INFEASIBLE, farkas=[I]))
+
+    # max x0 with x0 + x1 = 1 is bounded: the ray (1, -1) leaves x >= 0
+    capped = lp.LpProblem(lp.MAX, [I, Z], [[I, I]], [lp.EQ], [I])
+    assert lp.verify_certificate(capped, lp.solve_lp(capped))
+    assert not lp.verify_certificate(
+        capped, lp.LpOutcome(lp.UNBOUNDED, primal=[I, Z], ray=[I, F(-1)])
+    )
 
 
 def test_redundant_rows_are_dropped_cleanly():
@@ -195,8 +211,6 @@ def test_redundant_rows_are_dropped_cleanly():
         [[I, I], [I, I], [F(2), F(2)]],
         [lp.EQ, lp.EQ, lp.EQ],
         [F(2), F(2), F(4)],
-        [Z, Z],
-        [None, None],
     )
     out = lp.solve_lp(p)
     assert out.status == lp.OPTIMAL
@@ -205,13 +219,14 @@ def test_redundant_rows_are_dropped_cleanly():
 
 
 def test_solve_unique():
-    assert lp.solve_unique([[I, I], [I, F(-1)]], [F(2), Z]) == [I, I]
-    # underdetermined
-    assert lp.solve_unique([[I, I]], [F(2)]) is None
+    # a system has a unique solution iff solve_linear finds one of full rank
+    assert lp.solve_linear([[I, I], [I, F(-1)]], [F(2), Z]) == ([I, I], 2)
+    # underdetermined: a particular solution, rank 1 of 2
+    assert lp.solve_linear([[I, I]], [F(2)]) == ([F(2), Z], 1)
     # inconsistent
-    assert lp.solve_unique([[I, I], [I, I]], [F(2), F(3)]) is None
+    assert lp.solve_linear([[I, I], [I, I]], [F(2), F(3)]) is None
     # overdetermined but consistent
-    assert lp.solve_unique([[I, Z], [Z, I], [I, I]], [I, F(2), F(3)]) == [I, F(2)]
+    assert lp.solve_linear([[I, Z], [Z, I], [I, I]], [I, F(2), F(3)]) == ([I, F(2)], 2)
 
 
 def test_solver_never_writes_to_its_inputs(monkeypatch):
@@ -235,7 +250,7 @@ def test_solver_never_writes_to_its_inputs(monkeypatch):
         std, rows, scale = built[-1]
         assert std.rows == rows and std.scale == scale
         system = (p.rows, p.rhs)
-        lp.solve_unique(*system)
+        lp.solve_linear(*system)
         assert system == (before.rows, before.rhs)
     assert len(built) == 300
 
@@ -257,16 +272,6 @@ def test_strong_duality_is_exact_on_random_optima(seed):
     out = lp.solve_lp(p)
     if out.status != lp.OPTIMAL:
         return
+    # every variable's lower bound is 0, so the dual objective is y . rhs
     dual_value = sum((y * b for y, b in zip(out.dual, p.rhs)), Z)
-    d = list(p.objective)
-    for i, yi in enumerate(out.dual):
-        if yi:
-            for j, a in enumerate(p.rows[i]):
-                d[j] -= yi * a
-    minimize = p.sense == lp.MIN
-    for j, dj in enumerate(d):
-        if not dj:
-            continue
-        at_lower = (dj > 0) if minimize else (dj < 0)
-        dual_value += dj * (p.lower[j] if at_lower else p.upper[j])
     assert dual_value == out.objective_value

@@ -4,7 +4,7 @@ The reference below is a dense `Fraction` kernel: its own reduction to
 standard form with `Fraction` rows and rhs, the tableau pivot that scales
 its pivot row to 1 and subtracts full rows, Bland's `_optimize`, the
 two-phase tableau path of `solve_lp` and the Gauss-Jordan elimination that
-`solve_unique` and `solve_linear` are checked against. It shares no
+`solve_linear` is checked against. It shares no
 reduction or kernel code with `lp`. The kernel in `lp` keeps every row as a
 primitive integer multiple of these rows, so every sign, Bland choice and
 certificate must be equal field for field: same status, primal, dual,
@@ -40,85 +40,24 @@ _ONE = F(1)
 class _ReferenceStdForm:
     """Reduction to   min cost.z  s.t.  A z = b (b >= 0), z >= 0.
 
-    Bookkeeping to map certificates back:
-      terms[j] / shift[j]:  x_j = shift_j + sum(coef * z_col)
-      row_source[k]: ("row", i) for original row i, ("bound", j) for the
-                     synthetic cap row of a doubly bounded variable
-      row_sign[k]: -1 when the row was negated to make its rhs nonnegative
-      slack_col[k]: the slack column of row k (None for equalities)
+    z is the problem's columns, then one slack per inequality row, so a
+    point or ray of the problem is z[:n]. row_sign[k] is -1 when the row
+    was negated to make its rhs nonnegative.
     """
 
     def __init__(self, p: LpProblem):
         minimize = p.sense == MIN
         n = len(p.objective)
-        obj = [c if minimize else -c for c in p.objective]
-
-        terms: list[list[tuple[int, Fraction]]] = []
-        shift: list[Fraction] = []
-        ncols = 0
-        bound_caps: list[tuple[int, Fraction, int]] = []
-        for j in range(n):
-            lo, up = p.lower[j], p.upper[j]
-            if lo is not None and up is not None and lo == up:
-                terms.append([])
-                shift.append(lo)
-            elif lo is not None:
-                terms.append([(ncols, _ONE)])
-                shift.append(lo)
-                if up is not None:
-                    bound_caps.append((ncols, up - lo, j))
-                ncols += 1
-            elif up is not None:
-                terms.append([(ncols, Fraction(-1))])
-                shift.append(up)
-                ncols += 1
-            else:
-                terms.append([(ncols, _ONE), (ncols + 1, Fraction(-1))])
-                shift.append(_ZERO)
-                ncols += 2
-
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        rels: list[str] = []
-        source: list[tuple[str, int]] = []
-        for i in range(len(p.rows)):
-            coefs = [_ZERO] * ncols
-            base = p.rhs[i]
-            for j, a in enumerate(p.rows[i]):
-                if not a:
-                    continue
-                if shift[j]:
-                    base -= a * shift[j]
-                for col, cf in terms[j]:
-                    coefs[col] += a * cf
-            rows.append(coefs)
-            rhs.append(base)
-            rels.append(p.relations[i])
-            source.append(("row", i))
-        for col, cap, j in bound_caps:
-            coefs = [_ZERO] * ncols
-            coefs[col] = _ONE
-            rows.append(coefs)
-            rhs.append(cap)
-            rels.append(LE)
-            source.append(("bound", j))
-
-        nslack = sum(1 for rel in rels if rel != EQ)
-        slack_col: list[int | None] = []
-        k = ncols
-        for rel in rels:
-            if rel == EQ:
-                slack_col.append(None)
-            else:
-                slack_col.append(k)
-                k += 1
-        total = ncols + nslack
+        rows = [list(row) for row in p.rows]
+        rhs = list(p.rhs)
+        nslack = sum(1 for rel in p.relations if rel != EQ)
+        k = n
         sign: list[int] = []
         for i, row in enumerate(rows):
             row.extend([_ZERO] * nslack)
-            sc = slack_col[i]
-            if sc is not None:
-                row[sc] = _ONE if rels[i] == LE else Fraction(-1)
+            if p.relations[i] != EQ:
+                row[k] = _ONE if p.relations[i] == LE else Fraction(-1)
+                k += 1
             if rhs[i] < 0:
                 rows[i] = [-v for v in row]
                 rhs[i] = -rhs[i]
@@ -126,53 +65,21 @@ class _ReferenceStdForm:
             else:
                 sign.append(1)
 
-        cost = [_ZERO] * total
-        for j in range(n):
-            cj = obj[j]
-            if cj:
-                for col, cf in terms[j]:
-                    cost[col] += cj * cf
-
         self.minimize = minimize
         self.nvars = n
-        self.terms = terms
-        self.shift = shift
-        self.ncols = total
+        self.ncols = n + nslack
         self.rows = rows
         self.rhs = rhs
-        self.row_source = source
         self.row_sign = sign
-        self.cost = cost
+        self.cost = [c if minimize else -c for c in p.objective] + [_ZERO] * nslack
 
-    def to_original_point(self, z: list[Fraction]) -> list[Fraction]:
+    def to_original_dual(self, y_std: dict[int, Fraction], negate: bool) -> list[Fraction]:
         out = []
-        for j in range(self.nvars):
-            v = self.shift[j]
-            for col, cf in self.terms[j]:
-                if z[col]:
-                    v += cf * z[col]
-            out.append(v)
-        return out
-
-    def to_original_ray(self, d: list[Fraction]) -> list[Fraction]:
-        out = []
-        for j in range(self.nvars):
-            v = _ZERO
-            for col, cf in self.terms[j]:
-                if d[col]:
-                    v += cf * d[col]
-            out.append(v)
-        return out
-
-    def to_original_dual(self, y_std: dict[int, Fraction], nrows: int, negate: bool) -> list[Fraction]:
-        out = [_ZERO] * nrows
-        for k, (kind, idx) in enumerate(self.row_source):
-            if kind != "row":
-                continue
+        for k, s in enumerate(self.row_sign):
             v = y_std.get(k, _ZERO)
-            if self.row_sign[k] < 0:
+            if s < 0:
                 v = -v
-            out[idx] = -v if negate else v
+            out.append(-v if negate else v)
         return out
 
 
@@ -255,8 +162,9 @@ def _assert_linear_solve(rows, rhs):
         assert rank == len(piv_cols), (rows, rhs)
         for row, b in zip(rows, rhs):
             assert sum((c * v for c, v in zip(row, x)), _ZERO) == b, (rows, rhs)
-        if rank == len(rows[0]):
-            assert x == lp.solve_unique(rows, rhs), (rows, rhs)
+    # unique exactly when consistent and of full rank, and then the same
+    unique = x if solved is not None and rank == len(rows[0]) else None
+    assert unique == _dense_solve_unique(rows, rhs), (rows, rhs)
 
 
 def _dense_optimize(tab, rhs, red, basis, ncols):
@@ -291,7 +199,7 @@ def _dense_solve_lp(p):
     """Two-phase Bland simplex on a dense Fraction tableau (reference)."""
     lp._validate(p)
     std = _ReferenceStdForm(p)
-    m, n, nrows = len(std.rows), std.ncols, len(p.rows)
+    m, n, nvars = len(std.rows), std.ncols, std.nvars
     tab = [row[:] for row in std.rows]
     rhs = std.rhs[:]
     basis = [n + i for i in range(m)]
@@ -301,7 +209,7 @@ def _dense_solve_lp(p):
     if sum((rhs[i] for i in range(m) if basis[i] >= n), _ZERO) > 0:
         y_std = _dense_basis_dual(std, active, basis, lambda col: _ONE if col >= n else _ZERO)
         return lp.LpOutcome(status=lp.INFEASIBLE,
-                            farkas=std.to_original_dual(y_std, nrows, negate=False))
+                            farkas=std.to_original_dual(y_std, negate=False))
     keep = []
     for i in range(m):
         if basis[i] >= n:
@@ -328,11 +236,10 @@ def _dense_solve_lp(p):
         for i, row in enumerate(tab):
             if row[jc]:
                 d[basis[i]] = -row[jc]
-        return lp.LpOutcome(status=lp.UNBOUNDED, primal=std.to_original_point(z),
-                            ray=std.to_original_ray(d))
-    x = std.to_original_point(z)
+        return lp.LpOutcome(status=lp.UNBOUNDED, primal=z[:nvars], ray=d[:nvars])
+    x = z[:nvars]
     y_std = _dense_basis_dual(std, active, basis, lambda col: std.cost[col])
-    y = std.to_original_dual(y_std, nrows, negate=not std.minimize)
+    y = std.to_original_dual(y_std, negate=not std.minimize)
     value = sum((c * v for c, v in zip(p.objective, x) if c), _ZERO)
     return lp.LpOutcome(status=lp.OPTIMAL, primal=x, dual=y, objective_value=value)
 
@@ -414,7 +321,6 @@ def test_solve_unique_matches_the_dense_elimination():
         rows = [[F(rng.choice((0, 0, 0, 1, -1, 2)), rng.choice((1, 3))) for _ in range(n)]
                 for _ in range(m)]
         rhs = [F(rng.randint(-3, 3)) for _ in range(m)]
-        assert lp.solve_unique(rows, rhs) == _dense_solve_unique(rows, rhs), (rows, rhs)
         _assert_linear_solve(rows, rhs)
 
 
@@ -437,16 +343,8 @@ def _wide_lp(rng):
     if m >= 2 and rng.random() < 0.3:
         rows[1] = [3 * a for a in rows[0]]  # a dependent row
         rhs[1] = 3 * rhs[0]
-    lower, upper = [], []
-    for _ in range(n):
-        kind = rng.choice(("lower", "free", "fixed", "boxed", "upper"))
-        lo = _wide_rational(rng)
-        lower.append(None if kind in ("free", "upper") else lo)
-        upper.append({"lower": None, "free": None, "fixed": lo,
-                      "boxed": lo + abs(_wide_rational(rng)), "upper": lo}[kind])
     return lp.LpProblem(rng.choice((lp.MIN, lp.MAX)), [_wide_rational(rng, 0.2) for _ in range(n)],
-                        rows, [rng.choice((lp.LE, lp.EQ, lp.GE)) for _ in range(m)], rhs,
-                        lower, upper)
+                        rows, [rng.choice((lp.LE, lp.EQ, lp.GE)) for _ in range(m)], rhs)
 
 
 def test_wide_denominator_lps_match_the_dense_kernel():
@@ -457,7 +355,6 @@ def test_wide_denominator_lps_match_the_dense_kernel():
         out = lp.solve_lp(copy.deepcopy(p))
         assert out == _dense_solve_lp(copy.deepcopy(p)), p
         assert lp.verify_certificate(p, out), p
-        assert lp.solve_unique(p.rows, p.rhs) == _dense_solve_unique(p.rows, p.rhs), p
         _assert_linear_solve(p.rows, p.rhs)
         statuses.add(out.status)
     assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
@@ -472,8 +369,6 @@ def test_integer_rows_are_primitive_multiples_of_the_fraction_rows():
         std, ref = lp._StdForm(p), _ReferenceStdForm(p)
         assert std.ncols == ref.ncols and len(std.rows) == len(ref.rows), p
         assert std.cost == ref.cost and std.row_sign == ref.row_sign, p
-        assert std.shift == ref.shift and std.row_source == ref.row_source, p
-        assert [list(t) for t in std.terms] == ref.terms, p
         for row, s, ref_row, ref_b in zip(std.rows, std.scale, ref.rows, ref.rhs):
             assert s > 0 and all(type(v) is int for v in row), p
             assert gcd(*row) in (0, 1), p
