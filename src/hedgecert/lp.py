@@ -13,26 +13,31 @@ terminates on every input and there are no numeric failure modes; a basis
 seen twice in one phase can only come from a kernel fault and raises
 SoundnessError instead of looping.
 
-The tableau is fraction-free. Each row, rhs last, and the reduced-cost row
-are stored as primitive integer vectors (gcd 1), each a positive multiple of
+The tableau is fraction-free and sparse. Each row and the reduced-cost row
+is a dict {column: int} of its nonzero entries, the rhs under key ncols,
+and stands for a primitive integer vector (gcd 1), a positive multiple of
 the rational row, so every sign, and with it every Bland choice, is the
-rational tableau's. A row's coefficient at its basic column is positive. A
-pivot on column c with pivot row p replaces each row with a nonzero entry
-a at c by p[c] * row - a * p, divided by its gcd; rows with a zero at c are
+rational tableau's: the entering column is the least key below ncols with
+a negative reduced cost. A row's coefficient at its basic column is
+positive. A pivot on column c with pivot row p replaces each row holding
+an entry a at c by p[c] * row - a * p, divided by its gcd; it visits only
+p's nonzeros and deletes the entries that cancel, and rows without c are
 untouched. The ratio test compares b_i / a_i by cross-multiplication. The
 Gauss-Jordan solve `solve_linear` uses the same elimination (`_eliminate`,
-on integer rows); it returns a particular solution and the rank, which the
-replication test of `redundancy` reads. The basis duals build their integer
-rows directly and call `_eliminate` themselves.
+on integer rows) and returns a particular solution and the rank;
+`reduce_linear` stops the same elimination after a prefix of the columns,
+which is how `redundancy` reduces every option's payoff at once. The basis
+duals build their integer rows directly and call `_eliminate` themselves.
+`LpProblem` itself stays dense.
 
 Fractions appear only at the boundary. The standard form builds each row
-[A | b] once, from the problem's nonzero entries, as a primitive integer
-vector rows[k] = scale[k] * (rational row k) with scale[k] > 0. The tableau
-starts as a copy of these rows; the phase-1 reduced costs are
--sum_k rows[k] / scale[k] over one common integer denominator, a positive
-multiple of the rational phase-1 row; the basis duals solve y'^T B' = c_B
-on the integer columns and return y_k = scale[k] * y'_k. Values leave as
-b_i / a_i,B(i). Every problem entry must be an int or a Fraction; anything
+[A | b] once, from the problem's nonzero entries, as the nonzeros of a
+primitive integer vector rows[k] = scale[k] * (rational row k) with
+scale[k] > 0. The tableau starts as a copy of these rows; the phase-1
+reduced costs are -sum_k rows[k] / scale[k] over one common integer
+denominator, a positive multiple of the rational phase-1 row; the basis
+duals solve y'^T B' = c_B on the integer columns and return
+y_k = scale[k] * y'_k. Values leave as b_i / a_i,B(i). Every problem entry must be an int or a Fraction; anything
 else is a StructureError naming the field and index, and makes
 `verify_certificate` return False.
 
@@ -123,83 +128,151 @@ def _validate(p: LpProblem) -> None:
         _rationals(row, f"rows[{i}]")
 
 
-def _int_row(values) -> list[int]:
-    """The primitive integer vector that is a positive multiple of `values`."""
-    den = lcm(*(v.denominator for v in values))
-    row = [v.numerator * (den // v.denominator) for v in values]
-    g = gcd(*row)
-    return [u // g for u in row] if g > 1 else row
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """`row` divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {j: u // g for j, u in row.items()} if g > 1 else row
+
+
+def _int_row(values) -> dict[int, int]:
+    """The primitive integer vector that is a positive multiple of `values`,
+    as the dict of its nonzero entries."""
+    ratios = [(j, v.as_integer_ratio()) for j, v in enumerate(values) if v]
+    den = lcm(*(q for _, (_, q) in ratios))
+    return _primitive({j: u * (den // q) for j, (u, q) in ratios})
 
 
 def _combine(row, c, pc, nonzeros):
-    """row <- pc * row - row[c] * p in place, p given by its nonzeros; then / gcd."""
+    """row <- pc * row - row[c] * p in place, p given by its nonzeros; then / gcd.
+
+    Entries that cancel are deleted, so a row stores only its nonzeros."""
     a = row[c]
     g = gcd(pc, a)
     s, a = pc // g, a // g
     if s != 1:
-        row[:] = [s * u for u in row]
+        for j in row:
+            row[j] *= s
     for j, v in nonzeros:
-        row[j] -= a * v
-    g = gcd(*row)
+        if j in row:
+            u = row[j] - a * v
+            if u:
+                row[j] = u
+            else:
+                del row[j]
+        else:
+            row[j] = -a * v
+    g = gcd(*row.values())
     if g > 1:
-        row[:] = [u // g for u in row]
+        for j in row:
+            row[j] //= g
 
 
 def _pivot(rows, r, c, red=None):
     """Eliminate column c from every row but r, and from `red`, by row r.
 
     Row r is negated first if its entry at c is negative, so every updated
-    row stays a positive multiple of its rational counterpart.
+    row stays a positive multiple of its rational counterpart. Only rows
+    holding column c change, and each by row r's nonzeros alone.
     """
     p = rows[r]
     if p[c] < 0:
-        p[:] = [-v for v in p]
+        for j in p:
+            p[j] = -p[j]
     pc = p[c]
-    nonzeros = [(j, v) for j, v in enumerate(p) if v]
+    nonzeros = list(p.items())
     for i, row in enumerate(rows):
-        if i != r and row[c]:
+        if c in row and i != r:
             _combine(row, c, pc, nonzeros)
-    if red is not None and red[c]:
+    if red is not None and c in red:
         _combine(red, c, pc, nonzeros)
+
+
+def _system_width(rows, rhs=None) -> int:
+    """The column count of a linear system, after checking its shape and
+    entries; StructureError naming the first fault."""
+    if not rows:
+        raise StructureError("a linear system needs at least one row to fix its column count")
+    n = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise StructureError(f"rows[{i}] has {len(row)} entries, expected {n}")
+        _rationals(row, f"rows[{i}]")
+    if rhs is not None:
+        if len(rhs) != len(rows):
+            raise StructureError(f"rhs has {len(rhs)} entries for {len(rows)} rows")
+        _rationals(rhs, "rhs")
+    return n
 
 
 def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> tuple[list[Fraction], int] | None:
     """Solve rows . x = rhs exactly by Gauss-Jordan elimination.
 
     Returns a solution, with every column that takes no pivot at 0, and the
-    rank of `rows`; None when the system is inconsistent. Accepts any shape.
+    rank of `rows`; None when the system is inconsistent. Any shape with at
+    least one row is accepted; a ragged row, an rhs of another length or an
+    entry that is not an int or a Fraction is a StructureError.
     """
-    n = len(rows[0]) if rows else 0
-    return _eliminate([_int_row([*row, rhs[i]]) for i, row in enumerate(rows)], n)
+    n = _system_width(rows, rhs)
+    return _eliminate([_int_row([*row, b]) for row, b in zip(rows, rhs)], n)
 
 
-def _eliminate(a: list[list[int]], n: int) -> tuple[list[Fraction], int] | None:
-    """`solve_linear` on integer rows [A | b], each a positive multiple of
-    its rational row, of n columns plus the rhs; `a` is overwritten."""
+def reduce_linear(rows: list[list[Fraction]], n: int) -> tuple[list[int], list[list[Fraction]]]:
+    """Gauss-Jordan elimination of `rows` on their first n columns only.
+
+    Pivots are taken in column order, each on the first remaining row that
+    holds the column, as in `solve_linear`. Returns the pivot columns and,
+    for every row in eliminated order, its entries from column n on. Row k
+    below the rank has been divided by its pivot, so its entries are exact;
+    each later row is zero on the first n columns, and its entries are a
+    positive multiple of the exact residual, which is all a span test needs.
+    """
+    width = _system_width(rows)
+    if not 0 <= n <= width:
+        raise StructureError(f"cannot eliminate {n} columns of rows with {width}")
+    a = [_int_row(row) for row in rows]
+    piv_cols = _reduce(a, n)
+    tails = []
+    for k, row in enumerate(a):
+        d = row[piv_cols[k]] if k < len(piv_cols) else 1
+        tails.append([Fraction(row.get(j, 0), d) for j in range(n, width)])
+    return piv_cols, tails
+
+
+def _reduce(a: list[dict[int, int]], n: int) -> list[int]:
+    """Gauss-Jordan on integer rows over their columns below n, in place.
+
+    Rows are swapped so that row k holds the k-th pivot; returns the pivot
+    columns. Every row after the last pivot row is zero below column n."""
     m = len(a)
     piv_cols: list[int] = []
     r = 0
     for col in range(n):
         if r == m:
             break
-        sel = None
-        for i in range(r, m):
-            if a[i][col]:
-                sel = i
+        for sel in range(r, m):
+            if col in a[sel]:
                 break
-        if sel is None:
+        else:
             continue
         a[r], a[sel] = a[sel], a[r]
         _pivot(a, r, col)
         piv_cols.append(col)
         r += 1
-    for i in range(r, m):
-        if a[i][n]:
-            return None  # inconsistent
+    return piv_cols
+
+
+def _eliminate(a: list[dict[int, int]], n: int) -> tuple[list[Fraction], int] | None:
+    """`solve_linear` on integer rows [A | b], each a positive multiple of
+    its rational row, of n columns with the rhs at key n; `a` is overwritten."""
+    piv_cols = _reduce(a, n)
+    r = len(piv_cols)
+    if any(n in row for row in a[r:]):
+        return None  # inconsistent
     x = [_ZERO] * n
-    for k, col in enumerate(piv_cols):
-        if a[k][n]:
-            x[col] = Fraction(a[k][n], a[k][col])
+    for row, col in zip(a, piv_cols):
+        b = row.get(n)
+        if b:
+            x[col] = Fraction(b, row[col])
     return x, r
 
 
@@ -208,11 +281,12 @@ class _StdForm:
 
     The columns of z are the problem's n columns, in order, then one slack
     per inequality row, so a point or ray of the problem is z[:n]. Each row
-    [A | b] is built once, straight from the problem's nonzero entries, as a
-    primitive integer vector with the rhs last: rows[k] equals scale[k] > 0
-    times the rational row, the invariant the tableau keeps. A slack entry
-    is +-den (den the lcm of the row's denominators), and a row whose rhs is
-    negative is built negated; row_sign[k] is then -1.
+    [A | b] is built once, straight from the problem's nonzero entries, as
+    the dict of the nonzeros of a primitive integer vector, with the rhs at
+    key ncols: rows[k] equals scale[k] > 0 times the rational row, the
+    invariant the tableau keeps. A slack entry is +-den (den the lcm of the
+    row's denominators), and a row whose rhs is negative is built negated;
+    row_sign[k] is then -1.
     """
 
     def __init__(self, p: LpProblem):
@@ -220,25 +294,22 @@ class _StdForm:
         n = len(p.objective)
         slack = n
         total = n + sum(1 for rel in p.relations if rel != EQ)
-        rows: list[list[int]] = []
+        rows: list[dict[int, int]] = []
         scale: list[Fraction] = []
         sign: list[int] = []
         for coefs, rel, b in zip(p.rows, p.relations, p.rhs):
-            entries = [(j, a) for j, a in enumerate(coefs) if a]
-            den = lcm(b.denominator, *(a.denominator for _, a in entries))
-            d = -den if b < 0 else den  # a negative rhs negates the row
-            values = [(j, a.numerator * (d // a.denominator)) for j, a in entries]
-            slack_value = 0 if rel == EQ else d if rel == LE else -d
-            rhs = b.numerator * (d // b.denominator)
-            g = gcd(rhs, slack_value, *(v for _, v in values)) or 1  # all-zero rows stay zero
-            row = [0] * (total + 1)
-            for j, v in values:
-                row[j] = v // g
-            if slack_value:
-                row[slack] = slack_value // g
+            entries = [(j, a.as_integer_ratio()) for j, a in enumerate(coefs) if a]
+            bn, bd = b.as_integer_ratio()
+            den = lcm(bd, *(q for _, (_, q) in entries))
+            d = -den if bn < 0 else den  # a negative rhs negates the row
+            row = {j: u * (d // q) for j, (u, q) in entries}
+            if rel != EQ:
+                row[slack] = d if rel == LE else -d
                 slack += 1
-            row[total] = rhs // g
-            rows.append(row)
+            if bn:
+                row[total] = bn * (d // bd)
+            g = gcd(*row.values()) or 1  # an all-zero row stays empty
+            rows.append({j: v // g for j, v in row.items()} if g > 1 else row)
             scale.append(Fraction(den, g))
             sign.append(-1 if d < 0 else 1)
 
@@ -267,21 +338,19 @@ def _optimize(tab, red, basis, ncols):
     """Run Bland pivots to optimality; return entering column if unbounded."""
     seen = set()
     while True:
-        jc = -1
-        for j in range(ncols):
-            if red[j] < 0:
-                jc = j
-                break
-        if jc < 0:
+        entering = [j for j, v in red.items() if v < 0 and j < ncols]
+        if not entering:
             return None
+        jc = min(entering)
         r = br = ar = -1
         for i, row in enumerate(tab):
-            a = row[jc]
-            if a > 0:
+            if jc in row and row[jc] > 0:
                 # ratio b / a against the best b_r / a_r; both divisors are positive
-                d = -1 if r < 0 else row[ncols] * ar - br * a
+                a = row[jc]
+                b = row[ncols] if ncols in row else 0
+                d = -1 if r < 0 else b * ar - br * a
                 if d < 0 or (d == 0 and basis[i] < basis[r]):
-                    r, br, ar = i, row[ncols], a
+                    r, br, ar = i, b, a
         if r < 0:
             return jc
         key = tuple(basis)
@@ -299,29 +368,35 @@ def _basis_dual(std: _StdForm, active: list[int], basis: list[int], costs) -> di
     y' with y'^T B' = cost_B and the duals are y_k = scale[k] * y'_k.
     Columns at index >= ncols are artificials, whose standard column is the
     identity vector of their row: scale[k] at row k in B'. Each equation is
-    built as an integer row, a positive multiple of [B' column | cost].
+    built as a primitive integer row, a positive multiple of
+    [B' column | cost], with the cost at key len(active).
     """
     if not basis:
         return {}
     n = std.ncols
-    mat = []
-    for col in basis:
+    m = len(active)
+    equation = {col: k for k, col in enumerate(basis) if col < n}  # column -> its equation
+    mat: list[dict[int, int]] = [{} for _ in basis]
+    for pos, i in enumerate(active):
+        for col, v in std.rows[i].items():
+            if col in equation:
+                mat[equation[col]][pos] = v
+    for k, col in enumerate(basis):
         cost = costs(col)
-        if col >= n:
-            k = col - n
-            s = std.scale[k]
+        row = mat[k]
+        if col >= n:  # an artificial, basic in its own row
+            s = std.scale[col - n]
             den = lcm(s.denominator, cost.denominator)
-            row = [s.numerator * (den // s.denominator) if i == k else 0 for i in active]
-            row.append(cost.numerator * (den // cost.denominator))
+            row = {active.index(col - n): s.numerator * (den // s.denominator)}
         else:
             den = cost.denominator
-            row = [std.rows[i][col] for i in active]
             if den > 1:
-                row = [v * den for v in row]
-            row.append(cost.numerator)
-        mat.append(row)
-    solved = _eliminate(mat, len(active))
-    if solved is None or solved[1] < len(active):
+                row = {j: v * den for j, v in row.items()}
+        if cost:
+            row[m] = cost.numerator * (den // cost.denominator)
+        mat[k] = _primitive(row)
+    solved = _eliminate(mat, m)
+    if solved is None or solved[1] < m:
         raise SoundnessError("basis matrix singular; solver invariant broken")
     return {k: std.scale[k] * v for k, v in zip(active, solved[0])}
 
@@ -329,8 +404,9 @@ def _basis_dual(std: _StdForm, active: list[int], basis: list[int], costs) -> di
 def _basic_point(tab, basis, n) -> list[Fraction]:
     z = [_ZERO] * n
     for row, col in zip(tab, basis):
-        if row[n]:
-            z[col] = Fraction(row[n], row[col])
+        b = row.get(n)
+        if b:
+            z[col] = Fraction(b, row[col])
     return z
 
 
@@ -342,7 +418,7 @@ def solve_lp(p: LpProblem) -> LpOutcome:
     n = std.ncols
     nvars = len(p.objective)
 
-    tab = [row[:] for row in std.rows]
+    tab = [row.copy() for row in std.rows]
     basis = [n + i for i in range(m)]  # artificial variables, columns implicit
     active = list(range(m))
 
@@ -351,19 +427,19 @@ def solve_lp(p: LpProblem) -> LpOutcome:
     # the lcm of the scales' numerators: a positive multiple, so every Bland
     # choice is the rational one's.
     den = lcm(*(s.numerator for s in std.scale))
-    red = [0] * (n + 1)
+    red: dict[int, int] = {}
     for row, s in zip(std.rows, std.scale):
         w = den // s.numerator * s.denominator
-        for j, v in enumerate(row):
-            if v:
+        for j, v in row.items():
+            if j in red:
                 red[j] -= w * v
-    g = gcd(*red)
-    if g > 1:
-        red = [v // g for v in red]
+            else:
+                red[j] = -w * v
+    red = _primitive({j: v for j, v in red.items() if v})
     if _optimize(tab, red, basis, n) is not None:
         raise SoundnessError("phase-1 unbounded; solver invariant broken")
 
-    if any(row[n] > 0 for row, col in zip(tab, basis) if col >= n):
+    if any(row.get(n, 0) > 0 for row, col in zip(tab, basis) if col >= n):
         y_std = _basis_dual(std, active, basis,
                             lambda col: _ONE if col >= n else _ZERO)
         farkas = std.to_original_dual(y_std, negate=False)
@@ -374,11 +450,7 @@ def solve_lp(p: LpProblem) -> LpOutcome:
     keep = []
     for i in range(len(tab)):
         if basis[i] >= n:
-            jc = -1
-            for j in range(n):
-                if tab[i][j]:
-                    jc = j
-                    break
+            jc = min((j for j in tab[i] if j < n), default=-1)
             if jc < 0:
                 continue  # redundant row
             _pivot(tab, i, jc, red)
@@ -391,9 +463,9 @@ def solve_lp(p: LpProblem) -> LpOutcome:
 
     # Phase 2 on the real objective: eliminate every basic column from the
     # cost row, the same update a pivot applies.
-    red = _int_row([*std.cost, _ZERO])
+    red = _int_row(std.cost)
     for i, col in enumerate(basis):
-        if red[col]:
+        if col in red:
             _pivot(tab, i, col, red)
     jc = _optimize(tab, red, basis, n)
 
@@ -401,7 +473,7 @@ def solve_lp(p: LpProblem) -> LpOutcome:
         d = [_ZERO] * n
         d[jc] = _ONE
         for row, col in zip(tab, basis):
-            if row[jc]:
+            if jc in row:
                 d[col] = Fraction(-row[jc], row[col])
         return LpOutcome(
             status=UNBOUNDED,

@@ -3,11 +3,14 @@
 An option is redundant when cash, dynamic stock trading, and the other
 options replicate its payoff exactly on every charged scenario; quotes play
 no role in that question, only payoffs do. It is a linear system, with no
-inequality and no objective, so one exact elimination decides it and any
-solution is the replication certificate. When every option with a nonzero
-spread is non-redundant, plain no-arbitrage already implies the robust
-version, so a single no-arbitrage check plus its dual package settles the
-whole market; `sharper_ftap` bundles exactly that.
+inequality and no objective, so exact elimination decides it and any
+solution is the replication certificate. One elimination of [1 | G] on the
+charged leaves, carrying every payoff column, serves all options at once:
+option i is then decided on the small block of payoff residuals left below
+the [1 | G] pivot rows. When every option with a nonzero spread is
+non-redundant, plain no-arbitrage already implies the robust version, so
+the robust program alone settles the whole market; `sharper_ftap` bundles
+exactly that.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from .arbitrage import (
     check_nar,
 )
 from .errors import DomainError, PreconditionError, SoundnessError
-from .lp import solve_linear
-from .model import Market, Strategy, ZERO, ONE, require_valid, terminal_gain
+from .lp import reduce_linear, solve_linear
+from .model import CompiledMarket, Market, Strategy, ZERO, ONE, require_valid, terminal_gain
 
 
 @dataclass
@@ -57,36 +60,58 @@ class SharperFtapBundle:
     dominating: list[MartingaleMeasure] | None
 
 
+def _replications(c: CompiledMarket, targets: list[int]) -> dict[int, NonredundancyVerdict]:
+    """Decide every option in `targets` from one elimination.
+
+    [1 | G | P] on the charged leaves is eliminated on its [1 | G] columns
+    once. Below the pivot rows the payoff columns leave a residual block R,
+    and option i is redundant iff R_others λ = R_i has a solution. Then
+    static positions λ and, at the [1 | G] pivot columns, T_i - Σ λ_k T_k
+    replicate it, T_k being option k's reduced column at the pivot rows.
+    Column-ordered Gauss-Jordan picks the same pivots as eliminating
+    [1 | G | P_others] against P_i, so this is that system's solution, with
+    every column that takes no pivot at 0.
+    """
+    if not targets:
+        return {}
+    nb = 1 + len(c.columns)
+    piv, tails = reduce_linear(
+        [[ONE, *c.gain_rows[pos], *(opt.payoff[pos] for opt in c.options)] for pos in c.charged],
+        nb,
+    )
+    top, residual = tails[:len(piv)], tails[len(piv):]
+    verdicts = {}
+    for i in targets:
+        others = [k for k in range(len(c.options)) if k != i]
+        if residual:
+            solved = solve_linear([[row[k] for k in others] for row in residual],
+                                  [row[i] for row in residual])
+            if solved is None:
+                verdicts[i] = NonredundancyVerdict(True)
+                continue
+            static = solved[0]
+        else:  # [1 | G] has full row rank: it spans every payoff alone
+            static = [ZERO] * len(others)
+        x = [ZERO] * nb
+        for row, col in zip(top, piv):
+            x[col] = row[i] - sum((h * row[k] for h, k in zip(static, others) if h), ZERO)
+        dynamic = c.strategy_from(x[1:]).dynamic
+        verdicts[i] = NonredundancyVerdict(False, ReplicationCertificate(x[0], dynamic, static))
+    return verdicts
+
+
 def check_nonredundant(m: Market, i: int) -> NonredundancyVerdict:
     """Solve x + dynamic gains + other options == option i on the charged
     leaves, exactly; a solution is the replication certificate."""
     c = require_valid(m)
     if not 0 <= i < len(c.options):
         raise DomainError(f"option index {i} out of range")
-    others = [k for k in range(len(c.options)) if k != i]
-    rows = [
-        [ONE, *c.gain_rows[pos], *(c.options[k].payoff[pos] for k in others)]
-        for pos in c.charged
-    ]
-    solved = solve_linear(rows, [c.options[i].payoff[pos] for pos in c.charged])
-    if solved is None:
-        return NonredundancyVerdict(True)
-
-    # the static columns here are signed positions, not legs: keep the dynamic part
-    x = solved[0]
-    dynamic = c.strategy_from(x[1:]).dynamic
-    return NonredundancyVerdict(
-        False, ReplicationCertificate(x[0], dynamic, x[1 + len(c.columns):])
-    )
+    return _replications(c, [i])[i]
 
 
 def all_spread_options_nonredundant(m: Market) -> SpreadOptionsReport:
     c = require_valid(m)
-    verdicts = {
-        i: check_nonredundant(c, i)
-        for i, opt in enumerate(c.options)
-        if opt.has_spread()
-    }
+    verdicts = _replications(c, [i for i, opt in enumerate(c.options) if opt.has_spread()])
     return SpreadOptionsReport(
         all(v.non_redundant for v in verdicts.values()), verdicts
     )
@@ -102,6 +127,11 @@ def sharper_ftap(m: Market) -> SharperFtapBundle:
     it is that measure for every generator at once. A market passing the
     precondition where the implication fails would be a solver bug, not a
     market.
+
+    The robust program is solved first. Robust no-arbitrage implies
+    no-arbitrage, since a consistent measure with floor t > 0 when the quotes
+    are pushed inward is one with the quotes left in place, so a market it
+    settles costs one LP; the no-arbitrage program runs only when it fails.
     """
     c = require_valid(m)
     report = all_spread_options_nonredundant(c)
@@ -113,18 +143,20 @@ def sharper_ftap(m: Market) -> SharperFtapBundle:
             "redundant spread options: " + ", ".join(bad),
             details=report,
         )
+    nar = check_nar(c)
+    if nar.holds:
+        measure = nar.witness.interior_measure
+        _require_domination(measure, c.measures.generators)
+        return SharperFtapBundle(
+            NaVerdict(True), nar.witness, [measure] * len(c.measures.generators)
+        )
     na = check_na(c)
     if not na.holds:
         return SharperFtapBundle(na, None, None)
-    nar = check_nar(c)
-    if not nar.holds:
-        raise SoundnessError(
-            "no-arbitrage holds with non-redundant spread options, yet the robust "
-            f"check fails ({nar.blocking}); this contradicts an exact implication"
-        )
-    measure = nar.witness.interior_measure
-    _require_domination(measure, c.measures.generators)
-    return SharperFtapBundle(na, nar.witness, [measure] * len(c.measures.generators))
+    raise SoundnessError(
+        "no-arbitrage holds with non-redundant spread options, yet the robust "
+        f"check fails ({nar.blocking}); this contradicts an exact implication"
+    )
 
 
 def verify_replication(m: Market, i: int, cert: ReplicationCertificate) -> bool:

@@ -4,11 +4,14 @@ Three reference programs, each an LP formulation the package no longer
 uses: the strategy-side surplus program for no-arbitrage, the strategy-side
 hedge program for super-hedging prices and the replication LP for option
 redundancy. `lp` solves over x >= 0 only, so `_solve_free` splits their
-free columns. And, exponential-time by design behind hard size
-guards: vertex enumeration of the consistent-measure polytope (so dual
-prices can be checked against a max over vertices) and the definitional
-robust-no-arbitrage scan that shrinks quotes through a dyadic ladder and
-reruns the reference no-arbitrage check.
+free columns. Two reference pipelines the package replaced: redundancy by
+one elimination of [1 | G | P_others] per option, and `sharper_ftap` that
+solves the no-arbitrage program before the robust one. And,
+exponential-time by design behind hard size guards: vertex enumeration of
+the consistent-measure polytope (so dual prices can be checked against a
+max over vertices) and the definitional robust-no-arbitrage scan that
+shrinks quotes through a dyadic ladder and reruns the reference
+no-arbitrage check.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from hedgecert import lp
-from hedgecert.arbitrage import ArbitrageCertificate, NaVerdict
-from hedgecert.errors import DomainError
+from hedgecert.arbitrage import ArbitrageCertificate, NaVerdict, check_na, check_nar
+from hedgecert.errors import DomainError, PreconditionError, SoundnessError
 from hedgecert.model import (
     Claim,
     CompiledMarket,
@@ -33,7 +36,12 @@ from hedgecert.model import (
     require_valid,
     terminal_gain,
 )
-from hedgecert.redundancy import NonredundancyVerdict, ReplicationCertificate
+from hedgecert.redundancy import (
+    NonredundancyVerdict,
+    ReplicationCertificate,
+    SharperFtapBundle,
+    SpreadOptionsReport,
+)
 
 MAX_ORACLE_LEAVES = 10
 
@@ -148,6 +156,44 @@ def replication_lp(m: Market, i: int) -> NonredundancyVerdict:
     return NonredundancyVerdict(
         False, ReplicationCertificate(out.primal[0], dynamic, out.primal[1 + nh:])
     )
+
+
+def replication_solve(m: Market, i: int) -> NonredundancyVerdict:
+    """Redundancy of option i by its own elimination of [1 | G | P_others]
+    against P_i on the charged leaves, redoing the [1 | G] part per option."""
+    c = require_valid(m)
+    nh = len(c.columns)
+    others = [k for k in range(len(c.options)) if k != i]
+    rows = [[ONE, *c.gain_rows[pos], *(c.options[k].payoff[pos] for k in others)]
+            for pos in c.charged]
+    solved = lp.solve_linear(rows, [c.options[i].payoff[pos] for pos in c.charged])
+    if solved is None:
+        return NonredundancyVerdict(True)
+    x = solved[0]
+    dynamic = c.strategy_from(x[1:1 + nh]).dynamic
+    return NonredundancyVerdict(False, ReplicationCertificate(x[0], dynamic, x[1 + nh:]))
+
+
+def two_program_sharper_ftap(m: Market) -> SharperFtapBundle:
+    """`sharper_ftap` with the precondition decided by `replication_solve`
+    and both programs solved: no-arbitrage first, then the robust one."""
+    c = require_valid(m)
+    verdicts = {i: replication_solve(c, i) for i, opt in enumerate(c.options) if opt.has_spread()}
+    report = SpreadOptionsReport(all(v.non_redundant for v in verdicts.values()), verdicts)
+    if not report.all_non_redundant:
+        bad = sorted(c.options[i].name for i, v in verdicts.items() if not v.non_redundant)
+        raise PreconditionError("redundant spread options: " + ", ".join(bad), details=report)
+    na = check_na(c)
+    if not na.holds:
+        return SharperFtapBundle(na, None, None)
+    nar = check_nar(c)
+    if not nar.holds:
+        raise SoundnessError(
+            "no-arbitrage holds with non-redundant spread options, yet the robust "
+            f"check fails ({nar.blocking}); this contradicts an exact implication"
+        )
+    measure = nar.witness.interior_measure
+    return SharperFtapBundle(na, nar.witness, [measure] * len(c.measures.generators))
 
 
 def _rank(rows: list[list[Fraction]]) -> int:

@@ -1,11 +1,11 @@
 """Each public query validates its market exactly once, sharper_ftap
-solves the NA and NAR programs plus one linear system per spread option,
+settles a market with one program and one shared elimination,
 superhedge_price and duality_report each solve one program, and
 `strict-dual --verify` solves the dual program once. The CLI validates each
 market file once and builds its parser once per process, never at import.
 
 The counts come from rebinding `validate_market`, `lp.solve_lp` and the
-replication test's `solve_linear` around a single call, so they hold for
+replication test's `reduce_linear` around a single call, so they hold for
 whatever the call delegates to.
 """
 
@@ -89,9 +89,12 @@ def test_public_query_validates_once(monkeypatch, query):
         assert validations.calls - before == 1, query
 
 
-def test_sharper_ftap_solves_spread_options_plus_two(monkeypatch):
+def test_sharper_ftap_solves_one_program_and_one_elimination(monkeypatch):
+    # robust no-arbitrage implies no-arbitrage, so a settled market needs the
+    # robust program alone; every spread option is decided from one shared
+    # elimination of [1 | G], which is skipped when no option has a spread
     solves = _Counter(monkeypatch, lp, "solve_lp")
-    eliminations = _Counter(monkeypatch, redundancy, "solve_linear")
+    eliminations = _Counter(monkeypatch, redundancy, "reduce_linear")
     settled = 0
     for m in _markets():
         if not arbitrage.check_na(m).holds:
@@ -101,9 +104,9 @@ def test_sharper_ftap_solves_spread_options_plus_two(monkeypatch):
             bundle = redundancy.sharper_ftap(m)
         except PreconditionError:
             continue
-        spread = sum(1 for opt in m.options if opt.has_spread())
-        assert solves.calls - before == 2
-        assert eliminations.calls - eliminated == spread
+        spread = any(opt.has_spread() for opt in m.options)
+        assert solves.calls - before == 1
+        assert eliminations.calls - eliminated == (1 if spread else 0)
         assert len(bundle.dominating) == len(m.measures.generators)
         settled += 1
     assert settled >= 6

@@ -229,6 +229,47 @@ def test_solve_unique():
     assert lp.solve_linear([[I, Z], [Z, I], [I, I]], [I, F(2), F(3)]) == ([I, F(2)], 2)
 
 
+@pytest.mark.parametrize(
+    "rows, rhs, located",
+    [
+        ([[I], [I, I]], [I, F(2)], "rows[1] has 2 entries, expected 1"),  # ragged
+        ([[I, I]], [I, I], "rhs has 2 entries for 1 rows"),  # an extra rhs entry
+        ([[I], [I]], [I], "rhs has 1 entries for 2 rows"),  # a short rhs
+        ([[I, 0.5]], [I], "rows[0][1] is float"),
+        ([[I]], [Decimal("0.5")], "rhs[0] is Decimal"),
+        ([], [], "at least one row"),  # no row fixes the column count
+    ],
+)
+def test_solve_linear_rejects_malformed_systems(rows, rhs, located):
+    with pytest.raises(StructureError, match=re.escape(located)):
+        lp.solve_linear(rows, rhs)
+
+
+@pytest.mark.parametrize(
+    "rows, n, located",
+    [
+        ([[I], [I, I]], 1, "rows[1] has 2 entries, expected 1"),
+        ([[I, 0.5]], 1, "rows[0][1] is float"),
+        ([], 0, "at least one row"),
+        ([[I, I]], 3, "cannot eliminate 3 columns of rows with 2"),
+        ([[I, I]], -1, "cannot eliminate -1 columns"),
+    ],
+)
+def test_reduce_linear_rejects_malformed_systems(rows, n, located):
+    with pytest.raises(StructureError, match=re.escape(located)):
+        lp.reduce_linear(rows, n)
+
+
+def test_reduce_linear_leaves_exact_pivot_tails_and_a_residual():
+    # x + y, 2x + 2y, y: pivots on x (row 0) and y (row 2, swapped up);
+    # the tails are the third column after eliminating the first two
+    piv, tails = lp.reduce_linear([[I, I, F(3)], [F(2), F(2), F(5)], [Z, I, I]], 2)
+    assert piv == [0, 1]
+    assert tails[:2] == [[F(2)], [I]]
+    # the residual 5 - 2 * 3 = -1 is kept up to a positive factor
+    assert len(tails[2]) == 1 and tails[2][0] < 0
+
+
 def test_solver_never_writes_to_its_inputs(monkeypatch):
     # the kernel eliminates in place; only its own copies may change, never
     # the caller's data or the standard form that the tableau is copied from
@@ -250,7 +291,11 @@ def test_solver_never_writes_to_its_inputs(monkeypatch):
         std, rows, scale = built[-1]
         assert std.rows == rows and std.scale == scale
         system = (p.rows, p.rhs)
-        lp.solve_linear(*system)
+        if p.rows:
+            lp.solve_linear(*system)
+        else:  # no row fixes the column count
+            with pytest.raises(StructureError):
+                lp.solve_linear(*system)
         assert system == (before.rows, before.rhs)
     assert len(built) == 300
 

@@ -369,7 +369,31 @@ def test_integer_rows_are_primitive_multiples_of_the_fraction_rows():
         std, ref = lp._StdForm(p), _ReferenceStdForm(p)
         assert std.ncols == ref.ncols and len(std.rows) == len(ref.rows), p
         assert std.cost == ref.cost and std.row_sign == ref.row_sign, p
-        for row, s, ref_row, ref_b in zip(std.rows, std.scale, ref.rows, ref.rhs):
-            assert s > 0 and all(type(v) is int for v in row), p
+        for stored, s, ref_row, ref_b in zip(std.rows, std.scale, ref.rows, ref.rhs):
+            # a row stores its nonzeros by column, the rhs at key ncols
+            assert all(type(v) is int and v for v in stored.values()), p
+            row = [stored.get(j, 0) for j in range(std.ncols + 1)]
+            assert s > 0 and len(stored) == sum(1 for v in row if v), p
             assert gcd(*row) in (0, 1), p
             assert row == [s * v for v in ref_row + [ref_b]], p
+
+
+def test_pivots_store_only_nonzeros_of_primitive_rows(monkeypatch):
+    # after every pivot, in the tableau, the reduced-cost row and the basis
+    # dual solves alike: no stored entry is 0 and every nonempty row has gcd 1
+    pivot = lp._pivot
+    pivots = 0
+
+    def checked(rows, r, c, red=None):
+        nonlocal pivots
+        pivot(rows, r, c, red)
+        pivots += 1
+        for row in rows if red is None else [*rows, red]:
+            assert all(type(v) is int and v for v in row.values()), row
+            assert not row or gcd(*row.values()) == 1, row
+
+    monkeypatch.setattr(lp, "_pivot", checked)
+    rng = random.Random(31337)
+    for _ in range(1000):
+        lp.solve_lp(random_lp(rng))
+    assert pivots > 1000

@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracle
 from hedgecert.arbitrage import strictly_inside_quotes, verify_measure
-from hedgecert.errors import DomainError, PreconditionError
+from hedgecert.errors import DomainError, HedgecertError, PreconditionError
 from hedgecert.model import OptionQuote
 from hedgecert.redundancy import (
     all_spread_options_nonredundant,
@@ -17,6 +18,7 @@ from markets import (
     binomial_with_free_option,
     binomial_with_spread_option,
     pinned_identical_options_market,
+    random_arbitrary_market,
     spread_option_only_market,
     stockless_market,
     wide_quote_identical_options_market,
@@ -71,9 +73,9 @@ def test_index_out_of_range():
         check_nonredundant(binomial_market(), 0)
 
 
-def test_redundancy_only_over_charged_leaves():
+def _uncharged_leaf_market():
     # third leaf carries no mass, so disagreement there does not matter
-    m = stockless_market(
+    return stockless_market(
         3,
         [
             OptionQuote("g1", [F(0), F(1), F(5)], F(1, 4), F(1, 2)),
@@ -81,6 +83,10 @@ def test_redundancy_only_over_charged_leaves():
         ],
         [[F(1, 2), F(1, 2), F(0)]],
     )
+
+
+def test_redundancy_only_over_charged_leaves():
+    m = _uncharged_leaf_market()
     verdict = check_nonredundant(m, 1)
     assert not verdict.non_redundant
     assert verify_replication(m, 1, verdict.certificate)
@@ -152,3 +158,55 @@ def test_replication_invariant_under_uncharged_leaf_changes():
             [[F(2, 3), F(1, 3), F(0)]],
         )
         assert not check_nonredundant(m, 1).non_redundant
+
+
+def _reference_markets():
+    """The fixtures with pinned, zero-spread and uncharged-leaf options,
+    then 300 random markets of up to three options."""
+    fixtures = [
+        pinned_identical_options_market(),
+        binomial_with_free_option(),
+        binomial_with_spread_option(),
+        wide_quote_identical_options_market(),
+        trinomial_straddle_market(),
+        spread_option_only_market(),
+        _uncharged_leaf_market(),
+    ]
+    rng = random.Random(20261018)
+    return fixtures + [random_arbitrary_market(rng, max_options=3) for _ in range(300)]
+
+
+def test_shared_elimination_equals_one_elimination_per_option():
+    seen = {True: 0, False: 0}
+    for m in _reference_markets():
+        report = all_spread_options_nonredundant(m)
+        assert set(report.verdicts) == {i for i, opt in enumerate(m.options) if opt.has_spread()}
+        for i in range(len(m.options)):
+            verdict = check_nonredundant(m, i)
+            assert verdict == oracle.replication_solve(m, i), (m, i)
+            if i in report.verdicts:
+                assert report.verdicts[i] == verdict
+            if not verdict.non_redundant:
+                assert verify_replication(m, i, verdict.certificate)
+            seen[verdict.non_redundant] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def _outcome(query, m):
+    try:
+        return query(m)
+    except HedgecertError as err:
+        return type(err), str(err), getattr(err, "details", None)
+
+
+def test_sharper_ftap_equals_the_two_program_path():
+    kinds = {"settled": 0, "arbitrage": 0, "precondition": 0}
+    for m in _reference_markets():
+        outcome = _outcome(sharper_ftap, m)
+        assert outcome == _outcome(oracle.two_program_sharper_ftap, m), m
+        if isinstance(outcome, tuple):
+            assert outcome[0] is PreconditionError, outcome
+            kinds["precondition"] += 1
+        else:
+            kinds["settled" if outcome.na.holds else "arbitrage"] += 1
+    assert min(kinds.values()) >= 10, kinds
