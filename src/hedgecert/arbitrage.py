@@ -12,7 +12,9 @@ that maximizes a floor t under every charged scenario's weight; for the
 robust verdict t also pushes the spread quotes inward. Both verdict
 directions come with machine-checkable evidence: a gain-positive strategy,
 read off the program's row multipliers, when arbitrage exists; an interior
-measure plus shrunk quotes when robustness holds.
+measure plus shrunk quotes when robustness holds. Every measure program,
+`superhedge`'s and `redundancy`'s too, is solved by `_solve` and its
+multipliers read by `_hedge`; `_arbitrage` and `_robustness` read a verdict.
 """
 
 from __future__ import annotations
@@ -143,15 +145,30 @@ def _floor_coefficient(coefs, offset: int) -> Fraction:
     return Fraction(num + offset * den, den)
 
 
-def _floor_program(c: CompiledMarket, push):
-    """max t: the floor every charged leaf's weight Q_w = R_w + t sits on."""
-    return _consistency_rows(c, [ZERO] * len(c.charged) + [ONE], push)
+def _solve(c: CompiledMarket, objective: list[Fraction], push=None):
+    """Build the measure program (`_consistency_rows`) and solve it once:
+    (problem, layout, outcome). The mass row caps every objective, so an
+    unbounded outcome can only be a solver fault."""
+    problem, layout = _consistency_rows(c, objective, push)
+    out = lp.solve_lp(problem)
+    if out.status == lp.UNBOUNDED:
+        raise SoundnessError("measure program unbounded; the mass row caps every objective")
+    return problem, layout, out
 
 
-def _strategy_from_multipliers(c: CompiledMarket, layout, y) -> Strategy:
-    """The strategy row multipliers y of a measure program encode: martingale
-    rows give dynamic positions, option rows buy (y > 0) or sell (y < 0) legs,
-    and the mass row's capital is left out. It gains y . A_w - y . rhs on w."""
+def _floor(c: CompiledMarket, push):
+    """Solve max t: the floor every charged leaf's weight Q_w = R_w + t sits on."""
+    return _solve(c, [ZERO] * len(c.charged) + [ONE], push)
+
+
+def _hedge(c: CompiledMarket, solved) -> tuple[Fraction, Strategy]:
+    """Capital y . rhs and the strategy row multipliers y encode: the optimal
+    duals, or the negated Farkas vector of an infeasible program. Martingale
+    rows give dynamic positions, option rows buy (y > 0) or sell (y < 0)
+    legs; the mass row's y is capital only. The strategy gains
+    y . A_w - y . rhs on leaf w, plus what netting its legs adds."""
+    problem, layout, out = solved
+    y = out.dual if out.status == lp.OPTIMAL else [-v for v in out.farkas]
     nh, e = len(c.columns), len(c.options)
     position = [ZERO] * (nh + 2 * e)  # in strategy_from column order
     for (kind, index), v in zip(layout, y):
@@ -159,40 +176,37 @@ def _strategy_from_multipliers(c: CompiledMarket, layout, y) -> Strategy:
             position[index] = v
         elif kind == "option" and v:
             position[nh + index if v > 0 else nh + e + index] += abs(v)
-    return canonical_legs(c.strategy_from(position))
+    capital = sum((a * b for a, b in zip(y, problem.rhs) if a), ZERO)
+    return capital, canonical_legs(c.strategy_from(position))
+
+
+def _arbitrage(c: CompiledMarket, solved) -> NaVerdict:
+    """The arbitrage a floor program's multipliers encode when its optimum is
+    0 or it is infeasible. Either way y . A_w >= 0 on every leaf column and
+    y . rhs <= 0, with y . A_t >= 1 or y . rhs < 0, so the strategy gains
+    y . A_w - y . rhs >= 0 on every charged leaf; one where it is positive
+    is the strict leaf, and a strategy with none is a SoundnessError."""
+    _, strategy = _hedge(c, solved)
+    gains = terminal_gain(c, strategy)
+    strict = next((pos for pos in c.charged if gains[pos] > 0), None)
+    if strict is None:
+        raise SoundnessError("measure-side multipliers give no strictly positive gain")
+    return NaVerdict(False, ArbitrageCertificate(strategy, gains, strict))
 
 
 def check_na(m: Market) -> NaVerdict:
     """Decide no-arbitrage on the measure side: maximize a floor t >= 0 on
     every charged leaf's weight over quote-consistent martingale measures.
 
-    No-arbitrage holds exactly when the optimum is positive. Otherwise one
-    row-multiplier vector y is an arbitrage: the optimal duals at t* = 0, or
-    the negated Farkas vector when no consistent measure exists. Either way
-    y is >= 0 on <= rows and <= 0 on >= rows, y . A_w >= 0 on every leaf
-    column and y . rhs <= 0, with y . A_t = sum_w y . A_w >= 1 in the first
-    case and y . rhs < 0 in the second. The strategy y encodes
-    (`_strategy_from_multipliers`) gains y . A_w - y . rhs on leaf w:
-    nonnegative everywhere, positive somewhere.
+    No-arbitrage holds exactly when the optimum is positive. Otherwise the
+    row multipliers are an arbitrage (`_arbitrage`): with push 0 the t
+    column is sum_w A_w, so y . A_t >= 1 puts a positive gain on some leaf.
     """
     c = require_valid(m)
-    problem, layout = _floor_program(c, push=0)
-    out = lp.solve_lp(problem)
-    if out.status == lp.OPTIMAL:
-        if out.objective_value > 0:
-            return NaVerdict(True)
-        y = out.dual
-    elif out.status == lp.INFEASIBLE:
-        y = [-v for v in out.farkas]
-    else:
-        raise SoundnessError("floor program unbounded; the mass constraint caps it")
-
-    strategy = _strategy_from_multipliers(c, layout, y)
-    gains = terminal_gain(c, strategy)
-    strict = next((pos for pos in c.charged if gains[pos] > 0), None)
-    if strict is None:
-        raise SoundnessError("measure-side multipliers give no strictly positive gain")
-    return NaVerdict(False, ArbitrageCertificate(strategy, gains, strict))
+    solved = _floor(c, push=0)
+    if solved[2].status == lp.OPTIMAL and solved[2].objective_value > 0:
+        return NaVerdict(True)
+    return _arbitrage(c, solved)
 
 
 def _weights_on_charged(c: CompiledMarket, values, shift=ZERO) -> list[Fraction]:
@@ -203,20 +217,11 @@ def _weights_on_charged(c: CompiledMarket, values, shift=ZERO) -> list[Fraction]
     return weights
 
 
-def check_nar(m: Market) -> NarVerdict:
-    """Decide robust no-arbitrage by maximizing a uniform slack.
-
-    The slack simultaneously lower-bounds every charged leaf's weight and the
-    distance of every spread option's value from both quotes. Robustness
-    holds exactly when the maximal slack is positive; the optimizer then
-    yields the interior measure and the strictly shrunk quotes.
-    """
-    c = require_valid(m)
-    out = lp.solve_lp(_floor_program(c, push=1)[0])
+def _robustness(c: CompiledMarket, out: lp.LpOutcome) -> NarVerdict:
+    """The robust verdict of a solved push-1 floor program: the interior
+    measure and the strictly shrunk quotes when the slack is positive."""
     if out.status == lp.INFEASIBLE:
         return NarVerdict(False, blocking=_NO_CONSISTENT_MEASURE)
-    if out.status != lp.OPTIMAL:
-        raise SoundnessError("slack program unbounded; the mass constraint caps it")
     slack = out.objective_value
     if slack == 0:
         return NarVerdict(
@@ -240,6 +245,27 @@ def check_nar(m: Market) -> NarVerdict:
     return NarVerdict(True, RobustnessWitness(shrunk_bids, shrunk_asks, measure, slack))
 
 
+def check_nar(m: Market) -> NarVerdict:
+    """Decide robust no-arbitrage by maximizing a uniform slack.
+
+    The slack simultaneously lower-bounds every charged leaf's weight and the
+    distance of every spread option's value from both quotes. Robustness
+    holds exactly when the maximal slack is positive; the optimizer then
+    yields the interior measure and the strictly shrunk quotes.
+    """
+    c = require_valid(m)
+    return _robustness(c, _floor(c, push=1)[2])
+
+
+def _require_nar(c: CompiledMarket, failure: str) -> RobustnessWitness:
+    """The robustness witness, or RobustArbitrageError saying `failure` and
+    what blocks robust no-arbitrage."""
+    verdict = check_nar(c)
+    if not verdict.holds:
+        raise RobustArbitrageError(f"{failure}: {verdict.blocking}", blocking=verdict.blocking)
+    return verdict.witness
+
+
 def _require_domination(q: MartingaleMeasure, generators: list[list[Fraction]]) -> None:
     if any(w > 0 and not q.weights[pos] > 0 for gen in generators for pos, w in enumerate(gen)):
         raise SoundnessError("witness fails to dominate a generator it must dominate")
@@ -256,13 +282,7 @@ def dominating_measure(m: Market, generator_index: int) -> MartingaleMeasure:
     c = require_valid(m)
     if not 0 <= generator_index < len(c.measures.generators):
         raise DomainError(f"generator index {generator_index} out of range")
-    verdict = check_nar(c)
-    if not verdict.holds:
-        raise RobustArbitrageError(
-            f"robust no-arbitrage fails: {verdict.blocking}",
-            blocking=verdict.blocking,
-        )
-    measure = verdict.witness.interior_measure
+    measure = _require_nar(c, "robust no-arbitrage fails").interior_measure
     _require_domination(measure, [c.measures.generators[generator_index]])
     return measure
 
@@ -281,13 +301,8 @@ def scenario_pricing_measure(m: Market, leaf: int) -> MartingaleMeasure | None:
 
     objective = [ZERO] * len(c.charged)
     objective[c.charged.index(leaf)] = ONE
-    problem, _ = _consistency_rows(c, objective)
-    out = lp.solve_lp(problem)
-    if out.status == lp.INFEASIBLE:
-        return None
-    if out.status != lp.OPTIMAL:
-        raise SoundnessError("pricing-measure program unbounded over a probability simplex")
-    if out.objective_value == 0:
+    out = _solve(c, objective)[2]
+    if out.status == lp.INFEASIBLE or out.objective_value == 0:
         return None
     return measure_from_weights(c, _weights_on_charged(c, out.primal))
 
@@ -349,7 +364,10 @@ def strictly_inside_quotes(m: Market, q: MartingaleMeasure) -> bool:
 
 def verify_na_certificate(m: Market, cert: ArbitrageCertificate) -> bool:
     c = require_valid(m)
-    gains = terminal_gain(c, cert.strategy)
+    try:
+        gains = terminal_gain(c, cert.strategy)
+    except StructureError:  # a strategy malformed for this market
+        return False
     if gains != cert.gains:
         return False
     if cert.strict_leaf not in c.charged:

@@ -82,20 +82,24 @@ def _require(condition: bool, what: str) -> None:
         raise SoundnessError(f"certificate replay failed: {what}")
 
 
+def _arbitrage_report(command: str, m: CompiledMarket, cert, verify: bool) -> tuple[int, dict]:
+    """The exit-3 report of an arbitrage certificate, replayed first under --verify."""
+    if verify:
+        _require(arbitrage.verify_na_certificate(m, cert), "arbitrage certificate")
+    return EXIT_FAILS, _report(
+        command,
+        "fails",
+        certificates={"arbitrage": marketio.na_certificate_to_json(m, cert)},
+        diagnostics={"strictLeaf": cert.strict_leaf},
+    )
+
+
 def _cmd_check_na(args) -> tuple[int, dict]:
     m = _load_market(args.market)
     verdict = arbitrage.check_na(m)
     if verdict.holds:
         return EXIT_OK, _report("check-na", "holds")
-    cert = verdict.certificate
-    if args.verify:
-        _require(arbitrage.verify_na_certificate(m, cert), "arbitrage certificate")
-    return EXIT_FAILS, _report(
-        "check-na",
-        "fails",
-        certificates={"arbitrage": marketio.na_certificate_to_json(m, cert)},
-        diagnostics={"strictLeaf": cert.strict_leaf},
-    )
+    return _arbitrage_report("check-na", m, verdict.certificate, args.verify)
 
 
 def _cmd_check_nar(args) -> tuple[int, dict]:
@@ -218,15 +222,7 @@ def _cmd_sharper_ftap(args) -> tuple[int, dict]:
     m = _load_market(args.market)
     bundle = redundancy.sharper_ftap(m)
     if not bundle.na.holds:
-        cert = bundle.na.certificate
-        if args.verify:
-            _require(arbitrage.verify_na_certificate(m, cert), "arbitrage certificate")
-        return EXIT_FAILS, _report(
-            "sharper-ftap",
-            "fails",
-            certificates={"arbitrage": marketio.na_certificate_to_json(m, cert)},
-            diagnostics={"strictLeaf": cert.strict_leaf},
-        )
+        return _arbitrage_report("sharper-ftap", m, bundle.na.certificate, args.verify)
     if args.verify:
         _require(arbitrage.verify_nar_witness(m, bundle.nar_witness), "robustness witness")
         for q in bundle.dominating:

@@ -325,13 +325,9 @@ class _StdForm:
         self.row_sign = sign
         self.cost = cost
 
-    def to_original_dual(self, y_std: dict[int, Fraction], negate: bool) -> list[Fraction]:
+    def to_original_dual(self, y_std: list[Fraction], negate: bool) -> list[Fraction]:
         flip = -1 if negate else 1
-        out = []
-        for k, s in enumerate(self.row_sign):
-            v = y_std.get(k, _ZERO)
-            out.append(v if s == flip else -v)
-        return out
+        return [v if s == flip else -v for v, s in zip(y_std, self.row_sign)]
 
 
 def _optimize(tab, red, basis, ncols):
@@ -361,7 +357,7 @@ def _optimize(tab, red, basis, ncols):
         basis[r] = jc
 
 
-def _basis_dual(std: _StdForm, active: list[int], basis: list[int], costs) -> dict[int, Fraction]:
+def _basis_dual(std: _StdForm, basis: list[int], costs) -> list[Fraction]:
     """Exact duals from the final basis: solve y^T B = cost_B afresh.
 
     B is read from the integer rows, B' = diag(scale) B, so the solve gives
@@ -369,25 +365,27 @@ def _basis_dual(std: _StdForm, active: list[int], basis: list[int], costs) -> di
     Columns at index >= ncols are artificials, whose standard column is the
     identity vector of their row: scale[k] at row k in B'. Each equation is
     built as a primitive integer row, a positive multiple of
-    [B' column | cost], with the cost at key len(active).
+    [B' column | cost], with the cost at key len(basis).
     """
     if not basis:
-        return {}
+        return []
     n = std.ncols
-    m = len(active)
+    m = len(basis)
     equation = {col: k for k, col in enumerate(basis) if col < n}  # column -> its equation
     mat: list[dict[int, int]] = [{} for _ in basis]
-    for pos, i in enumerate(active):
-        for col, v in std.rows[i].items():
+    for i, row in enumerate(std.rows):
+        if basis[i] >= n and not costs(basis[i]):
+            continue  # its artificial's equation alone gives y_i = 0
+        for col, v in row.items():
             if col in equation:
-                mat[equation[col]][pos] = v
+                mat[equation[col]][i] = v
     for k, col in enumerate(basis):
         cost = costs(col)
         row = mat[k]
         if col >= n:  # an artificial, basic in its own row
             s = std.scale[col - n]
             den = lcm(s.denominator, cost.denominator)
-            row = {active.index(col - n): s.numerator * (den // s.denominator)}
+            row = {col - n: s.numerator * (den // s.denominator)}
         else:
             den = cost.denominator
             if den > 1:
@@ -398,7 +396,7 @@ def _basis_dual(std: _StdForm, active: list[int], basis: list[int], costs) -> di
     solved = _eliminate(mat, m)
     if solved is None or solved[1] < m:
         raise SoundnessError("basis matrix singular; solver invariant broken")
-    return {k: std.scale[k] * v for k, v in zip(active, solved[0])}
+    return [s * v for s, v in zip(std.scale, solved[0])]
 
 
 def _basic_point(tab, basis, n) -> list[Fraction]:
@@ -420,7 +418,6 @@ def solve_lp(p: LpProblem) -> LpOutcome:
 
     tab = [row.copy() for row in std.rows]
     basis = [n + i for i in range(m)]  # artificial variables, columns implicit
-    active = list(range(m))
 
     # Phase 1: minimize the sum of artificials. Reduced cost of column j is
     # -sum of its rational column, -sum_k rows[k][j] / scale[k], here times
@@ -440,33 +437,27 @@ def solve_lp(p: LpProblem) -> LpOutcome:
         raise SoundnessError("phase-1 unbounded; solver invariant broken")
 
     if any(row.get(n, 0) > 0 for row, col in zip(tab, basis) if col >= n):
-        y_std = _basis_dual(std, active, basis,
-                            lambda col: _ONE if col >= n else _ZERO)
+        y_std = _basis_dual(std, basis, lambda col: _ONE if col >= n else _ZERO)
         farkas = std.to_original_dual(y_std, negate=False)
         return LpOutcome(status=INFEASIBLE, farkas=farkas)
 
-    # Drive remaining zero-level artificials out of the basis; rows that
-    # cannot pivot are redundant and are dropped (their dual is zero).
-    keep = []
-    for i in range(len(tab)):
-        if basis[i] >= n:
-            jc = min((j for j in tab[i] if j < n), default=-1)
-            if jc < 0:
-                continue  # redundant row
+    # Drive remaining zero-level artificials out of the basis; their rows
+    # have rhs 0, so they hold real columns only. A row that cannot pivot is
+    # redundant and empty: its artificial stays basic at zero, no pivot
+    # touches it, and its basis-dual equation scale * y_k = 0 gives it dual 0.
+    for i, row in enumerate(tab):
+        if basis[i] >= n and row:
+            jc = min(row)
             _pivot(tab, i, jc, red)
             basis[i] = jc
-        keep.append(i)
-    if len(keep) != len(tab):
-        tab = [tab[i] for i in keep]
-        basis = [basis[i] for i in keep]
-        active = [active[i] for i in keep]
 
     # Phase 2 on the real objective: eliminate every basic column from the
-    # cost row, the same update a pivot applies.
+    # cost row. A basic column is zero outside its own row, whose entry there
+    # is positive, so only the cost row changes.
     red = _int_row(std.cost)
-    for i, col in enumerate(basis):
+    for row, col in zip(tab, basis):
         if col in red:
-            _pivot(tab, i, col, red)
+            _combine(red, col, row[col], row.items())
     jc = _optimize(tab, red, basis, n)
 
     if jc is not None:
@@ -482,7 +473,7 @@ def solve_lp(p: LpProblem) -> LpOutcome:
         )
 
     x = _basic_point(tab, basis, n)[:nvars]
-    y_std = _basis_dual(std, active, basis, lambda col: std.cost[col])
+    y_std = _basis_dual(std, basis, lambda col: std.cost[col] if col < n else _ZERO)
     y = std.to_original_dual(y_std, negate=not std.minimize)
     value = sum((c * v for c, v in zip(p.objective, x) if c), _ZERO)
     return LpOutcome(status=OPTIMAL, primal=x, dual=y, objective_value=value)

@@ -8,9 +8,9 @@ solution is the replication certificate. One elimination of [1 | G] on the
 charged leaves, carrying every payoff column, serves all options at once:
 option i is then decided on the small block of payoff residuals left below
 the [1 | G] pivot rows. When every option with a nonzero spread is
-non-redundant, plain no-arbitrage already implies the robust version, so
-the robust program alone settles the whole market; `sharper_ftap` bundles
-exactly that.
+non-redundant, no-arbitrage and robust no-arbitrage coincide, so one solve
+of the robust program settles the whole market either way; `sharper_ftap`
+bundles exactly that, and solves no other program.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ from .arbitrage import (
     MartingaleMeasure,
     NaVerdict,
     RobustnessWitness,
+    _arbitrage,
+    _floor,
     _require_domination,
-    check_na,
-    check_nar,
+    _robustness,
 )
-from .errors import DomainError, PreconditionError, SoundnessError
+from .errors import DomainError, PreconditionError, StructureError
 from .lp import reduce_linear, solve_linear
 from .model import CompiledMarket, Market, Strategy, ZERO, ONE, require_valid, terminal_gain
 
@@ -118,20 +119,27 @@ def all_spread_options_nonredundant(m: Market) -> SpreadOptionsReport:
 
 
 def sharper_ftap(m: Market) -> SharperFtapBundle:
-    """Settle the market from plain no-arbitrage alone.
+    """Settle the market from one solve of the robust program.
 
-    Precondition: every spread option non-redundant. If arbitrage exists the
-    verdict carries its certificate; otherwise robust no-arbitrage must
-    follow, and the bundle includes the robustness witness plus a dominating
-    measure per generator. The witness charges every supported scenario, so
-    it is that measure for every generator at once. A market passing the
-    precondition where the implication fails would be a solver bug, not a
-    market.
+    Precondition: every spread option non-redundant. Robust no-arbitrage
+    implies no-arbitrage, since a consistent measure with floor t > 0 when
+    the quotes are pushed inward is one with the quotes left in place. If it
+    holds, the bundle carries the robustness witness plus a dominating
+    measure per generator: the witness charges every supported scenario, so
+    it is that measure for every generator at once. Otherwise the verdict is
+    an arbitrage read off the same solve's multipliers (`_arbitrage`).
 
-    The robust program is solved first. Robust no-arbitrage implies
-    no-arbitrage, since a consistent measure with floor t > 0 when the quotes
-    are pushed inward is one with the quotes left in place, so a market it
-    settles costs one LP; the no-arbitrage program runs only when it fails.
+    Why that is exact. The push-1 multipliers y gain
+    g_w = y . A_w - y . rhs >= 0 on every charged leaf w. A Farkas y has
+    y . rhs < 0, so every leaf is strict. At t* = 0, y . rhs = 0 and
+    y . A_t = sum_w y . A_w + sum over spread options of
+    (|y_bid| + |y_ask|) >= 1; so if every g_w = 0, some spread leg is
+    nonzero. Netting the legs (`canonical_legs`) then either adds
+    min(buy, sell) * (ask - bid) > 0 on every leaf, or leaves a nonzero net
+    spread position with zero gain. A zero-gain position would replicate
+    that option from cash, the stock and the other options, making it
+    redundant, which the precondition excludes. So a certificate without a
+    strict leaf, `_arbitrage`'s SoundnessError, can only be a solver fault.
     """
     c = require_valid(m)
     report = all_spread_options_nonredundant(c)
@@ -143,19 +151,14 @@ def sharper_ftap(m: Market) -> SharperFtapBundle:
             "redundant spread options: " + ", ".join(bad),
             details=report,
         )
-    nar = check_nar(c)
-    if nar.holds:
-        measure = nar.witness.interior_measure
-        _require_domination(measure, c.measures.generators)
-        return SharperFtapBundle(
-            NaVerdict(True), nar.witness, [measure] * len(c.measures.generators)
-        )
-    na = check_na(c)
-    if not na.holds:
-        return SharperFtapBundle(na, None, None)
-    raise SoundnessError(
-        "no-arbitrage holds with non-redundant spread options, yet the robust "
-        f"check fails ({nar.blocking}); this contradicts an exact implication"
+    solved = _floor(c, push=1)
+    nar = _robustness(c, solved[2])
+    if not nar.holds:
+        return SharperFtapBundle(_arbitrage(c, solved), None, None)
+    measure = nar.witness.interior_measure
+    _require_domination(measure, c.measures.generators)
+    return SharperFtapBundle(
+        NaVerdict(True), nar.witness, [measure] * len(c.measures.generators)
     )
 
 
@@ -171,7 +174,10 @@ def verify_replication(m: Market, i: int, cert: ReplicationCertificate) -> bool:
     if set(cert.dynamic) != set(c.nonleaf):
         return False
     e = len(c.options)
-    gains = terminal_gain(c, Strategy(cert.dynamic, [ZERO] * e, [ZERO] * e))
+    try:
+        gains = terminal_gain(c, Strategy(cert.dynamic, [ZERO] * e, [ZERO] * e))
+    except StructureError:  # a node with the wrong number of positions
+        return False
     for pos in c.charged:
         total = cert.initial_capital + gains[pos]
         for k, h in zip(others, cert.static_signed):

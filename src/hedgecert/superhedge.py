@@ -18,10 +18,10 @@ from . import lp
 from .arbitrage import (
     _NO_CONSISTENT_MEASURE,
     MartingaleMeasure,
-    _consistency_rows,
-    _strategy_from_multipliers,
+    _hedge,
+    _require_nar,
+    _solve,
     _weights_on_charged,
-    check_nar,
     measure_from_weights,
 )
 from .errors import (
@@ -37,7 +37,6 @@ from .model import (
     Market,
     MarketModel,
     Strategy,
-    ZERO,
     require_valid,
     terminal_gain,
 )
@@ -65,23 +64,16 @@ def _solve_pricing(c: CompiledMarket, f: Claim):
         raise StructureError(
             f"claim has {len(f.payoff)} payoffs, market has {len(c.leaves)} leaves"
         )
-    problem, layout = _consistency_rows(c, [f.payoff[pos] for pos in c.charged])
-    out = lp.solve_lp(problem)
-    if out.status == lp.UNBOUNDED:
-        raise SoundnessError("dual program unbounded over a probability simplex")
-    return problem, layout, out
+    return _solve(c, [f.payoff[pos] for pos in c.charged])
 
 
 def _hedge_side(c: CompiledMarket, solved) -> tuple[Fraction, Strategy]:
-    """Capital y . rhs and the strategy row multipliers y encode, which gains
-    y . A_w - y . rhs on leaf w. Optimal duals have y . A_w >= payoff: a
-    super-hedge. With no consistent measure the negated Farkas vector has
-    y . A_w >= 0 > y . rhs: a ray along which the cost falls without bound."""
-    problem, layout, out = solved
-    y = out.dual if out.status == lp.OPTIMAL else [-v for v in out.farkas]
-    capital = sum((a * b for a, b in zip(y, problem.rhs) if a), ZERO)
-    strategy = _strategy_from_multipliers(c, layout, y)
-    if out.status == lp.INFEASIBLE:
+    """The hedge the multipliers encode (`arbitrage._hedge`). Optimal duals
+    have y . A_w >= payoff: a super-hedge. With no consistent measure the
+    negated Farkas vector has y . A_w >= 0 > y . rhs: a ray along which the
+    cost falls without bound."""
+    capital, strategy = _hedge(c, solved)
+    if solved[2].status == lp.INFEASIBLE:
         raise RobustArbitrageError(
             "market admits robust arbitrage: super-hedging cost decreases without bound",
             blocking=_NO_CONSISTENT_MEASURE,
@@ -151,13 +143,8 @@ def _strict_dual(m: Market, f: Claim, eps: Fraction) -> tuple[Fraction, Martinga
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}")
     c = require_valid(m)
-    verdict = check_nar(c)
-    if not verdict.holds:
-        raise RobustArbitrageError(
-            f"robust no-arbitrage fails: {verdict.blocking}", blocking=verdict.blocking
-        )
+    interior = _require_nar(c, "robust no-arbitrage fails").interior_measure
     value, best = dual_price(c, f)
-    interior = verdict.witness.interior_measure
     drift = abs(value - interior.expectation(f.payoff))
     lam = _largest_dyadic_at_most(min(Fraction(1, 2), eps / (1 + drift)))
     weights = [
@@ -193,13 +180,7 @@ def price_bounds_excluding(m: Market, i: int) -> tuple[Fraction, Fraction]:
         raise DomainError(f"option index {i} out of range")
     # no compiled field depends on the options, so the reduced market keeps them
     reduced = replace(c, market=market_without_option(c, i))
-    verdict = check_nar(reduced)
-    if not verdict.holds:
-        raise RobustArbitrageError(
-            f"market without option '{c.options[i].name}' fails robust no-arbitrage: "
-            f"{verdict.blocking}",
-            blocking=verdict.blocking,
-        )
+    _require_nar(reduced, f"market without option '{c.options[i].name}' fails robust no-arbitrage")
     return claim_price_bounds(reduced, Claim(list(c.options[i].payoff)))
 
 
@@ -210,5 +191,8 @@ def verify_super_replication(
     c = require_valid(m)
     if len(f.payoff) != len(c.leaves):
         return False
-    gains = terminal_gain(c, strategy)
+    try:
+        gains = terminal_gain(c, strategy)
+    except StructureError:  # a strategy malformed for this market
+        return False
     return all(price + gains[pos] >= f.payoff[pos] for pos in c.charged)

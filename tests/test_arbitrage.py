@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from hedgecert import lp
 from hedgecert.arbitrage import (
     MartingaleMeasure,
-    _floor_program,
+    _floor,
     check_na,
     check_nar,
     dominating_measure,
@@ -20,7 +21,9 @@ from hedgecert.arbitrage import (
     verify_nar_witness,
 )
 from hedgecert.errors import DomainError, RobustArbitrageError, StructureError
-from hedgecert.model import OptionQuote, require_valid, support
+from hedgecert.model import Claim, OptionQuote, Strategy, require_valid, support
+from hedgecert.redundancy import check_nonredundant, verify_replication
+from hedgecert.superhedge import superhedge_price, verify_super_replication
 from markets import (
     binomial_market,
     binomial_with_free_option,
@@ -31,6 +34,7 @@ from markets import (
     random_arbitrary_market,
     single_leaf_market,
     stockless_market,
+    trinomial_straddle_market,
     wide_quote_identical_options_market,
 )
 
@@ -221,6 +225,41 @@ def test_verify_measure_rejects_mass_off_support():
     assert not verify_measure(m, off)
 
 
+def _malformed(s: Strategy) -> list[Strategy]:
+    """s with a missing node, a node with one position too many, a short
+    buy leg and a negative sell leg."""
+    node = min(s.dynamic)
+    return [
+        replace(s, dynamic={k: v for k, v in s.dynamic.items() if k != node}),
+        replace(s, dynamic={**s.dynamic, node: [*s.dynamic[node], F(0)]}),
+        replace(s, buy_leg=s.buy_leg[:-1]),
+        replace(s, sell_leg=[F(-1), *s.sell_leg[1:]]),
+    ]
+
+
+def test_verifiers_reject_malformed_strategies():
+    # a certificate malformed for its market fails replay, as a malformed
+    # measure or witness does, instead of raising
+    m = binomial_with_free_option()
+    cert = check_na(m).certificate
+    assert verify_na_certificate(m, cert)
+    for s in _malformed(cert.strategy):
+        assert not verify_na_certificate(m, replace(cert, strategy=s))
+
+    m = trinomial_straddle_market()
+    f = Claim([F(1), F(0), F(0)])
+    price, strategy = superhedge_price(m, f)
+    assert verify_super_replication(m, f, price, strategy)
+    for s in _malformed(strategy):
+        assert not verify_super_replication(m, f, price, s)
+
+    m = binomial_with_spread_option()
+    cert = check_nonredundant(m, 0).certificate
+    assert verify_replication(m, 0, cert)
+    for s in _malformed(Strategy(cert.dynamic, [], []))[:2]:
+        assert not verify_replication(m, 0, replace(cert, dynamic=s.dynamic))
+
+
 def test_measure_helpers_reject_wrong_lengths():
     m = binomial_with_spread_option()
     q = check_nar(m).witness.interior_measure
@@ -256,7 +295,7 @@ def test_floor_column_is_the_row_sum_plus_the_push_offset():
     for m in markets:
         c = require_valid(m)
         for push in (0, 1):
-            problem, _ = _floor_program(c, push)
+            problem = _floor(c, push)[0]
             for row, rel in zip(problem.rows, problem.relations):
                 assert row[-1] == sum(row[:-1], F(0)) + offset[rel] * push
                 assert type(row[-1]) is F

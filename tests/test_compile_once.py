@@ -1,8 +1,9 @@
 """Each public query validates its market exactly once, sharper_ftap
-settles a market with one program and one shared elimination,
-superhedge_price and duality_report each solve one program, and
-`strict-dual --verify` solves the dual program once. The CLI validates each
-market file once and builds its parser once per process, never at import.
+settles a market, arbitrage included, with one program and one shared
+elimination, superhedge_price and duality_report each solve one program,
+and `strict-dual --verify` solves the dual program once. The CLI validates
+each market file once and builds its parser once per process, never at
+import.
 
 The counts come from rebinding `validate_market`, `lp.solve_lp` and the
 replication test's `reduce_linear` around a single call, so they hold for
@@ -23,6 +24,7 @@ import pytest
 import hedgecert.model as model
 from hedgecert import arbitrage, cli, lp, marketio, redundancy, superhedge
 from hedgecert.errors import HedgecertError, PreconditionError
+from hedgecert.model import OptionQuote
 from markets import (
     binomial_market,
     binomial_with_free_option,
@@ -30,6 +32,7 @@ from markets import (
     random_arbitrage_free_market,
     random_claim,
     spread_option_only_market,
+    stockless_market,
     trinomial_straddle_market,
     two_period_stock_market,
     wide_quote_identical_options_market,
@@ -90,15 +93,18 @@ def test_public_query_validates_once(monkeypatch, query):
 
 
 def test_sharper_ftap_solves_one_program_and_one_elimination(monkeypatch):
-    # robust no-arbitrage implies no-arbitrage, so a settled market needs the
-    # robust program alone; every spread option is decided from one shared
+    # one solve of the robust program settles the market either way: its
+    # witness when robust no-arbitrage holds, else the arbitrage its
+    # multipliers encode; every spread option is decided from one shared
     # elimination of [1 | G], which is skipped when no option has a spread
     solves = _Counter(monkeypatch, lp, "solve_lp")
     eliminations = _Counter(monkeypatch, redundancy, "reduce_linear")
-    settled = 0
-    for m in _markets():
-        if not arbitrage.check_na(m).holds:
-            continue
+    # a non-redundant spread option bid above its largest payoff
+    overbid = stockless_market(
+        2, [OptionQuote("digital", [F(0), F(1)], F(3, 2), F(2))], [[F(1), F(0)], [F(0), F(1)]]
+    )
+    kinds = {"settled": 0, "arbitrage": 0, "spread arbitrage": 0}
+    for m in _markets() + [overbid]:
         before, eliminated = solves.calls, eliminations.calls
         try:
             bundle = redundancy.sharper_ftap(m)
@@ -107,9 +113,13 @@ def test_sharper_ftap_solves_one_program_and_one_elimination(monkeypatch):
         spread = any(opt.has_spread() for opt in m.options)
         assert solves.calls - before == 1
         assert eliminations.calls - eliminated == (1 if spread else 0)
-        assert len(bundle.dominating) == len(m.measures.generators)
-        settled += 1
-    assert settled >= 6
+        if bundle.na.holds:
+            assert len(bundle.dominating) == len(m.measures.generators)
+            kinds["settled"] += 1
+        else:
+            assert arbitrage.verify_na_certificate(m, bundle.na.certificate)
+            kinds["spread arbitrage" if spread else "arbitrage"] += 1
+    assert kinds == {"settled": 8, "arbitrage": 1, "spread arbitrage": 1}, kinds
 
 
 @pytest.mark.parametrize("query", ["superhedge_price", "duality_report"])

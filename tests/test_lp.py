@@ -204,7 +204,9 @@ def test_verify_rejects_each_broken_nonnegative_certificate():
     )
 
 
-def test_redundant_rows_are_dropped_cleanly():
+def test_redundant_rows_keep_a_zero_dual():
+    # rows 2 and 3 repeat row 1: their artificials stay basic at zero, and
+    # their duals are 0
     p = lp.LpProblem(
         lp.MIN,
         [I, I],
@@ -215,6 +217,7 @@ def test_redundant_rows_are_dropped_cleanly():
     out = lp.solve_lp(p)
     assert out.status == lp.OPTIMAL
     assert out.objective_value == 2
+    assert out.dual == [1, 0, 0]
     assert lp.verify_certificate(p, out)
 
 
