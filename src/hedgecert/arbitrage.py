@@ -135,7 +135,7 @@ def _consistency_rows(c: CompiledMarket, objective: list[Fraction], push=None):
         else:
             add(coefs, lp.GE, opt.bid, ("option", i), inward=-1)
             add(coefs, lp.LE, opt.ask, ("option", i), inward=1)
-    return lp.LpProblem(lp.MAX, objective, rows, rels, rhs), layout
+    return lp.LpProblem(objective, rows, rels, rhs), layout
 
 
 def _floor_coefficient(coefs, offset: int) -> Fraction:
@@ -315,6 +315,8 @@ def verify_measure(m: Market, q: MartingaleMeasure) -> bool:
     rows the programs are built from.
     """
     c = require_valid(m)
+    if not lp._rational_lists(q.weights, q.option_values):
+        return False
     if len(q.weights) != len(c.leaves) or len(q.option_values) != len(c.options):
         return False
     if any(w < 0 for w in q.weights):
@@ -350,7 +352,7 @@ def verify_measure(m: Market, q: MartingaleMeasure) -> bool:
 def strictly_inside_quotes(m: Market, q: MartingaleMeasure) -> bool:
     """True when every spread option is valued strictly inside its quotes,
     and every zero-spread option exactly at its quote."""
-    if len(q.option_values) != len(m.options):
+    if not lp._rational_lists(q.option_values) or len(q.option_values) != len(m.options):
         return False
     for i, opt in enumerate(m.options):
         v = q.option_values[i]
@@ -364,6 +366,8 @@ def strictly_inside_quotes(m: Market, q: MartingaleMeasure) -> bool:
 
 def verify_na_certificate(m: Market, cert: ArbitrageCertificate) -> bool:
     c = require_valid(m)
+    if not lp._rational_lists(cert.gains) or not isinstance(cert.strict_leaf, int):
+        return False
     try:
         gains = terminal_gain(c, cert.strategy)
     except StructureError:  # a strategy malformed for this market
@@ -378,7 +382,7 @@ def verify_na_certificate(m: Market, cert: ArbitrageCertificate) -> bool:
 
 
 def verify_nar_witness(m: Market, w: RobustnessWitness) -> bool:
-    if w.slack <= 0:
+    if not lp._rational_lists([w.slack], w.shrunk_bids, w.shrunk_asks) or w.slack <= 0:
         return False
     e = len(m.options)
     if len(w.shrunk_bids) != e or len(w.shrunk_asks) != e:

@@ -8,6 +8,8 @@ standard error. Output is deterministic: fixed key order, canonical
 fractions. `--verify` replays every certificate in the report before
 printing and aborts with exit 5 if any replay fails.
 
+A malformed command line is invalid input too (exit 4); `--help` exits 0.
+
 A process builds one argument parser, on its first `main` call, never at
 import, and every later call reuses it. Reuse is safe because `parse_args`
 leaves the parser untouched: each call fills a fresh namespace, and usage,
@@ -283,10 +285,18 @@ def _cmd_strict_dual(args) -> tuple[int, dict]:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors are StructureErrors, so `main` reports
+    them as invalid input; its subcommand parsers are of the same class."""
+
+    def error(self, message):
+        raise StructureError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one parser, built on the first call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hedgecert",
         description="Exact arbitrage verdicts and super-hedging prices for "
         "finite markets with bid-ask quoted hedging options.",
@@ -343,11 +353,8 @@ def _print_report(report: dict, pretty: bool) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    pretty = getattr(args, "pretty", False)
-    command = args.command
     try:
+        args = build_parser().parse_args(argv)
         code, report = args.handler(args)
     except (StructureError, DomainError) as exc:
         _emit_error("invalid-input", exc)
@@ -358,8 +365,8 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         _emit_error("precondition", exc)
         _print_report(
-            _report(command, "precondition-failed", diagnostics={"reason": str(exc)}),
-            pretty,
+            _report(args.command, "precondition-failed", diagnostics={"reason": str(exc)}),
+            args.pretty,
         )
         return EXIT_FAILS
     except SoundnessError as exc:
@@ -368,10 +375,10 @@ def main(argv=None) -> int:
     except ArbitrageError as exc:
         _emit_error("arbitrage", exc)
         _print_report(
-            _report(command, "fails", diagnostics={"blocking": exc.blocking}), pretty
+            _report(args.command, "fails", diagnostics={"blocking": exc.blocking}), args.pretty
         )
         return EXIT_FAILS
-    _print_report(report, pretty)
+    _print_report(report, args.pretty)
     return code
 
 

@@ -1,8 +1,8 @@
 """Exact rational linear programming with verifiable certificates.
 
-Problems are stated over nonnegative variables only:
+Problems are maximizations over nonnegative variables only:
 
-    optimize   c . x            (sense "min" or "max")
+    maximize   c . x
     subject to row_i . x  (<= | = | >=)  rhs_i       for every row
                x >= 0
 
@@ -11,7 +11,9 @@ variable is the lowest-index column with negative reduced cost, leaving row
 breaks ratio ties by lowest basic-variable index. With exact arithmetic this
 terminates on every input and there are no numeric failure modes; a basis
 seen twice in one phase can only come from a kernel fault and raises
-SoundnessError instead of looping.
+SoundnessError instead of looping. A minimization of c . x is the
+maximization of -c . x: the same standard form and pivots, with the value
+and the duals negated.
 
 The tableau is fraction-free and sparse. Each row and the reduced-cost row
 is a dict {column: int} of its nonzero entries, the rhs under key ncols,
@@ -32,23 +34,27 @@ duals build their integer rows directly and call `_eliminate` themselves.
 
 Fractions appear only at the boundary. The standard form builds each row
 [A | b] once, from the problem's nonzero entries, as the nonzeros of a
-primitive integer vector rows[k] = scale[k] * (rational row k) with
-scale[k] > 0. The tableau starts as a copy of these rows; the phase-1
-reduced costs are -sum_k rows[k] / scale[k] over one common integer
+primitive integer vector rows[k] = scale[k] * (problem row k, slack
+included), with scale[k] < 0 exactly where the row is negated to make its
+rhs nonnegative. The tableau starts as a copy of these rows; the phase-1
+reduced costs are -sum_k rows[k] / |scale[k]| over one common integer
 denominator, a positive multiple of the rational phase-1 row; the basis
 duals solve y'^T B' = c_B on the integer columns and return
-y_k = scale[k] * y'_k. Values leave as b_i / a_i,B(i). Every problem entry must be an int or a Fraction; anything
+y_k = scale[k] * y'_k, the multiplier of problem row k. Values leave as
+b_i / a_i,B(i). Every problem entry must be an int or a Fraction; anything
 else is a StructureError naming the field and index, and makes
-`verify_certificate` return False.
+`verify_certificate` return False, as does a certificate entry that is not
+an int or a Fraction.
 
 Every outcome carries a certificate checkable from the untouched data:
 
-  optimal    -> primal vector, per-row dual vector, objective value; strong
-                duality and complementary slackness hold as exact identities
+  optimal    -> primal vector, per-row dual vector (nonnegative on <= rows,
+                nonpositive on >= rows), objective value; strong duality
+                and complementary slackness hold as exact identities
   infeasible -> Farkas vector y (nonnegative on >= rows, nonpositive on <=
                 rows) with y^T A <= 0 and y . rhs > 0, so no x >= 0 meets
                 the aggregated row y^T A x = y . rhs
-  unbounded  -> feasible point plus an improving ray r >= 0
+  unbounded  -> feasible point plus an improving ray r >= 0, c . r > 0
 
 `verify_certificate` re-derives all of this from scratch; it shares no state
 with the solver beyond the problem statement.
@@ -62,8 +68,6 @@ from math import gcd, lcm
 
 from .errors import SoundnessError, StructureError
 
-MIN = "min"
-MAX = "max"
 LE = "<="
 EQ = "="
 GE = ">="
@@ -78,7 +82,6 @@ _ONE = Fraction(1)
 
 @dataclass
 class LpProblem:
-    sense: str
     objective: list[Fraction]
     rows: list[list[Fraction]]
     relations: list[str]
@@ -109,9 +112,14 @@ def _rationals(values, field: str) -> None:
             )
 
 
+def _rational_lists(*lists) -> bool:
+    """True when every argument is a list or tuple of ints and Fractions,
+    the only entries an exact replay accepts."""
+    return all(isinstance(v, (list, tuple)) and {int, Fraction}.issuperset(map(type, v))
+               for v in lists)
+
+
 def _validate(p: LpProblem) -> None:
-    if p.sense not in (MIN, MAX):
-        raise StructureError(f"unknown sense {p.sense!r}")
     n = len(p.objective)
     m = len(p.rows)
     if len(p.relations) != m or len(p.rhs) != m:
@@ -261,42 +269,46 @@ def _reduce(a: list[dict[int, int]], n: int) -> list[int]:
     return piv_cols
 
 
+def _basic_point(tab, basis, n) -> list[Fraction]:
+    """The point whose basic column in each row takes that row's b / a, and
+    every other column of the n takes 0."""
+    z = [_ZERO] * n
+    for row, col in zip(tab, basis):
+        b = row.get(n)
+        if b:
+            z[col] = Fraction(b, row[col])
+    return z
+
+
 def _eliminate(a: list[dict[int, int]], n: int) -> tuple[list[Fraction], int] | None:
     """`solve_linear` on integer rows [A | b], each a positive multiple of
     its rational row, of n columns with the rhs at key n; `a` is overwritten."""
     piv_cols = _reduce(a, n)
-    r = len(piv_cols)
-    if any(n in row for row in a[r:]):
+    if any(n in row for row in a[len(piv_cols):]):
         return None  # inconsistent
-    x = [_ZERO] * n
-    for row, col in zip(a, piv_cols):
-        b = row.get(n)
-        if b:
-            x[col] = Fraction(b, row[col])
-    return x, r
+    return _basic_point(a, piv_cols, n), len(piv_cols)
 
 
 class _StdForm:
-    """Reduction to   min cost.z  s.t.  A z = b (b >= 0), z >= 0.
+    """Reduction to   min cost.z  s.t.  A z = b (b >= 0), z >= 0,  cost = -c.
 
     The columns of z are the problem's n columns, in order, then one slack
     per inequality row, so a point or ray of the problem is z[:n]. Each row
     [A | b] is built once, straight from the problem's nonzero entries, as
     the dict of the nonzeros of a primitive integer vector, with the rhs at
-    key ncols: rows[k] equals scale[k] > 0 times the rational row, the
-    invariant the tableau keeps. A slack entry is +-den (den the lcm of the
-    row's denominators), and a row whose rhs is negative is built negated;
-    row_sign[k] is then -1.
+    key ncols: rows[k] is scale[k] times problem row k, slack included. A
+    slack entry is +-den (den the lcm of the row's denominators), and a row
+    whose rhs is negative is built negated, so scale[k] < 0 exactly there.
+    rows[k] is then |scale[k]| times the rational standard row, the
+    invariant the tableau keeps.
     """
 
     def __init__(self, p: LpProblem):
-        minimize = p.sense == MIN
         n = len(p.objective)
         slack = n
         total = n + sum(1 for rel in p.relations if rel != EQ)
         rows: list[dict[int, int]] = []
         scale: list[Fraction] = []
-        sign: list[int] = []
         for coefs, rel, b in zip(p.rows, p.relations, p.rhs):
             entries = [(j, a.as_integer_ratio()) for j, a in enumerate(coefs) if a]
             bn, bd = b.as_integer_ratio()
@@ -310,24 +322,12 @@ class _StdForm:
                 row[total] = bn * (d // bd)
             g = gcd(*row.values()) or 1  # an all-zero row stays empty
             rows.append({j: v // g for j, v in row.items()} if g > 1 else row)
-            scale.append(Fraction(den, g))
-            sign.append(-1 if d < 0 else 1)
+            scale.append(Fraction(d, g))
 
-        cost = [_ZERO] * total
-        for j, c in enumerate(p.objective):
-            if c:
-                cost[j] = c if minimize else -c
-
-        self.minimize = minimize
         self.ncols = total
         self.rows = rows
         self.scale = scale
-        self.row_sign = sign
-        self.cost = cost
-
-    def to_original_dual(self, y_std: list[Fraction], negate: bool) -> list[Fraction]:
-        flip = -1 if negate else 1
-        return [v if s == flip else -v for v, s in zip(y_std, self.row_sign)]
+        self.cost = [-c for c in p.objective] + [_ZERO] * (total - n)
 
 
 def _optimize(tab, red, basis, ncols):
@@ -360,10 +360,11 @@ def _optimize(tab, red, basis, ncols):
 def _basis_dual(std: _StdForm, basis: list[int], costs) -> list[Fraction]:
     """Exact duals from the final basis: solve y^T B = cost_B afresh.
 
-    B is read from the integer rows, B' = diag(scale) B, so the solve gives
-    y' with y'^T B' = cost_B and the duals are y_k = scale[k] * y'_k.
-    Columns at index >= ncols are artificials, whose standard column is the
-    identity vector of their row: scale[k] at row k in B'. Each equation is
+    B is read from the integer rows, B' = diag(scale) B with B the problem
+    rows' basis columns, so the solve gives y' with y'^T B' = cost_B and the
+    problem rows' multipliers are y_k = scale[k] * y'_k. Columns at index
+    >= ncols are artificials, whose standard column is the identity vector
+    of their row: |scale[k]| at row k in B'. Each equation is
     built as a primitive integer row, a positive multiple of
     [B' column | cost], with the cost at key len(basis).
     """
@@ -383,7 +384,7 @@ def _basis_dual(std: _StdForm, basis: list[int], costs) -> list[Fraction]:
         cost = costs(col)
         row = mat[k]
         if col >= n:  # an artificial, basic in its own row
-            s = std.scale[col - n]
+            s = abs(std.scale[col - n])
             den = lcm(s.denominator, cost.denominator)
             row = {col - n: s.numerator * (den // s.denominator)}
         else:
@@ -399,15 +400,6 @@ def _basis_dual(std: _StdForm, basis: list[int], costs) -> list[Fraction]:
     return [s * v for s, v in zip(std.scale, solved[0])]
 
 
-def _basic_point(tab, basis, n) -> list[Fraction]:
-    z = [_ZERO] * n
-    for row, col in zip(tab, basis):
-        b = row.get(n)
-        if b:
-            z[col] = Fraction(b, row[col])
-    return z
-
-
 def solve_lp(p: LpProblem) -> LpOutcome:
     """Two-phase exact simplex with Bland's rule and certificate extraction."""
     _validate(p)
@@ -419,14 +411,14 @@ def solve_lp(p: LpProblem) -> LpOutcome:
     tab = [row.copy() for row in std.rows]
     basis = [n + i for i in range(m)]  # artificial variables, columns implicit
 
-    # Phase 1: minimize the sum of artificials. Reduced cost of column j is
-    # -sum of its rational column, -sum_k rows[k][j] / scale[k], here times
+    # Phase 1: the least sum of artificials. Reduced cost of column j is
+    # -sum of its rational column, -sum_k rows[k][j] / |scale[k]|, here times
     # the lcm of the scales' numerators: a positive multiple, so every Bland
     # choice is the rational one's.
     den = lcm(*(s.numerator for s in std.scale))
     red: dict[int, int] = {}
     for row, s in zip(std.rows, std.scale):
-        w = den // s.numerator * s.denominator
+        w = den // abs(s.numerator) * s.denominator
         for j, v in row.items():
             if j in red:
                 red[j] -= w * v
@@ -437,8 +429,7 @@ def solve_lp(p: LpProblem) -> LpOutcome:
         raise SoundnessError("phase-1 unbounded; solver invariant broken")
 
     if any(row.get(n, 0) > 0 for row, col in zip(tab, basis) if col >= n):
-        y_std = _basis_dual(std, basis, lambda col: _ONE if col >= n else _ZERO)
-        farkas = std.to_original_dual(y_std, negate=False)
+        farkas = _basis_dual(std, basis, lambda col: _ONE if col >= n else _ZERO)
         return LpOutcome(status=INFEASIBLE, farkas=farkas)
 
     # Drive remaining zero-level artificials out of the basis; their rows
@@ -473,8 +464,8 @@ def solve_lp(p: LpProblem) -> LpOutcome:
         )
 
     x = _basic_point(tab, basis, n)[:nvars]
-    y_std = _basis_dual(std, basis, lambda col: std.cost[col] if col < n else _ZERO)
-    y = std.to_original_dual(y_std, negate=not std.minimize)
+    # y^T B = c_B: the duals of max c . x, the negated duals of min cost . z
+    y = _basis_dual(std, basis, lambda col: p.objective[col] if col < nvars else _ZERO)
     value = sum((c * v for c, v in zip(p.objective, x) if c), _ZERO)
     return LpOutcome(status=OPTIMAL, primal=x, dual=y, objective_value=value)
 
@@ -483,34 +474,21 @@ def _row_value(row: list[Fraction], x: list[Fraction]) -> Fraction:
     return sum((a * v for a, v in zip(row, x) if a), _ZERO)
 
 
-def _primal_feasible(p: LpProblem, x: list[Fraction]) -> bool:
+def _feasible(p: LpProblem, x: list[Fraction], rhs: list[Fraction]) -> bool:
+    """x >= 0 meets every row of p, each against its entry of `rhs`."""
     if any(v < 0 for v in x):
         return False
-    for i, row in enumerate(p.rows):
+    for row, rel, b in zip(p.rows, p.relations, rhs):
         lhs = _row_value(row, x)
-        rel = p.relations[i]
-        if rel == LE and lhs > p.rhs[i]:
-            return False
-        if rel == GE and lhs < p.rhs[i]:
-            return False
-        if rel == EQ and lhs != p.rhs[i]:
+        if rel == LE and lhs > b or rel == GE and lhs < b or rel == EQ and lhs != b:
             return False
     return True
 
 
-def _dual_row_signs_ok(p: LpProblem, y: list[Fraction], minimize: bool) -> bool:
-    for i, rel in enumerate(p.relations):
-        yi = y[i]
-        if not yi:
-            continue
-        if rel == EQ:
-            continue
-        wants_nonneg = (rel == GE) if minimize else (rel == LE)
-        if wants_nonneg and yi < 0:
-            return False
-        if not wants_nonneg and yi > 0:
-            return False
-    return True
+def _dual_signs_ok(p: LpProblem, y: list[Fraction]) -> bool:
+    """y >= 0 on every <= row and y <= 0 on every >= row."""
+    return not any((v < 0 and rel == LE) or (v > 0 and rel == GE)
+                   for v, rel in zip(y, p.relations))
 
 
 def _aggregate(p: LpProblem, y: list[Fraction]) -> list[Fraction]:
@@ -530,30 +508,29 @@ def verify_certificate(p: LpProblem, o: LpOutcome) -> bool:
         _validate(p)
     except StructureError:
         return False
-    minimize = p.sense == MIN
     n = len(p.objective)
     m = len(p.rows)
 
     if o.status == OPTIMAL:
-        if o.primal is None or o.dual is None or o.objective_value is None:
+        if not _rational_lists(o.primal, o.dual, [o.objective_value]):
             return False
         if o.farkas is not None or o.ray is not None:
             return False
         if len(o.primal) != n or len(o.dual) != m:
             return False
-        if not _primal_feasible(p, o.primal):
+        if not _feasible(p, o.primal, p.rhs):
             return False
         if _row_value(p.objective, o.primal) != o.objective_value:
             return False
-        if not _dual_row_signs_ok(p, o.dual, minimize):
+        if not _dual_signs_ok(p, o.dual):
             return False
         # dual feasibility and complementary slackness: a nonzero reduced
-        # cost has the sign that holds its variable at 0, and it is 0; a row
+        # cost is negative, which holds its variable at 0, and it is 0; a row
         # with a nonzero dual is tight. With the primal feasible these give
         # c . x = y . rhs, so x and y are both optimal.
         for cj, sj, xj in zip(p.objective, _aggregate(p, o.dual), o.primal):
             dj = cj - sj
-            if dj and ((dj < 0) if minimize else (dj > 0)):
+            if dj > 0:
                 return False
             if dj and xj:
                 return False
@@ -563,20 +540,16 @@ def verify_certificate(p: LpProblem, o: LpOutcome) -> bool:
         return True
 
     if o.status == INFEASIBLE:
-        if o.farkas is None:
+        if not _rational_lists(o.farkas):
             return False
         if o.primal is not None or o.dual is not None or o.ray is not None:
             return False
         if o.objective_value is not None:
             return False
         y = o.farkas
-        if len(y) != m:
+        # signed as a dual negated: nonnegative on >= rows, nonpositive on <=
+        if len(y) != m or not _dual_signs_ok(p, [-v for v in y]):
             return False
-        for i, rel in enumerate(p.relations):
-            if rel == GE and y[i] < 0:
-                return False
-            if rel == LE and y[i] > 0:
-                return False
         # y^T A <= 0 while y . rhs > 0: for x >= 0 the aggregated row
         # y^T A x = y . rhs has a nonpositive left side and a positive right
         if any(v > 0 for v in _aggregate(p, y)):
@@ -584,26 +557,16 @@ def verify_certificate(p: LpProblem, o: LpOutcome) -> bool:
         return sum((yi * bi for yi, bi in zip(y, p.rhs) if yi), _ZERO) > 0
 
     if o.status == UNBOUNDED:
-        if o.primal is None or o.ray is None:
+        if not _rational_lists(o.primal, o.ray):
             return False
         if o.dual is not None or o.farkas is not None or o.objective_value is not None:
             return False
         if len(o.primal) != n or len(o.ray) != n:
             return False
-        if not _primal_feasible(p, o.primal):
+        # the point is feasible, and so is every step along the ray r >= 0:
+        # each row's drift along r keeps to its relation against 0
+        if not _feasible(p, o.primal, p.rhs) or not _feasible(p, o.ray, [_ZERO] * m):
             return False
-        r = o.ray
-        if any(v < 0 for v in r):
-            return False
-        for i, rel in enumerate(p.relations):
-            drift = _row_value(p.rows[i], r)
-            if rel == LE and drift > 0:
-                return False
-            if rel == GE and drift < 0:
-                return False
-            if rel == EQ and drift != 0:
-                return False
-        gain = _row_value(p.objective, r)
-        return gain < 0 if minimize else gain > 0
+        return _row_value(p.objective, o.ray) > 0
 
     return False

@@ -2,9 +2,9 @@
 
 Every quantity is an exact rational (`fractions.Fraction`). Arbitrage is a
 strict-inequality phenomenon, so nothing in the core ever touches floating
-point. All types are treated as immutable once constructed and every
-operation is a pure function, which makes concurrent use on shared inputs
-safe without synchronization.
+point. No field of a model type can be reassigned once constructed and
+every operation is a pure function, which makes concurrent use on shared
+inputs safe without synchronization.
 
 Leaves are indexed by *position* 0..L-1 in ascending node-id order among the
 nodes at the final period. Option payoffs, measure weights, and claims all
@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import StructureError
+from .lp import _rational_lists
 
 # The rational substrate. Fraction already guarantees the invariants this
 # package relies on: positive denominator, lowest terms, canonical zero.
@@ -45,7 +46,7 @@ def rat(value: Fraction | int | str) -> Fraction:
     raise StructureError(f"cannot interpret {type(value).__name__} as a rational")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Node:
     """One tree node: a market state at a given period.
 
@@ -59,14 +60,14 @@ class Node:
     prices: list[Fraction]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioTree:
     nodes: list[Node]
     periods: int      # number of trading periods (final time)
     num_assets: int   # dynamically traded assets per node
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptionQuote:
     """A statically tradable option: payoff per leaf, quoted bid and ask."""
 
@@ -79,7 +80,7 @@ class OptionQuote:
         return self.bid < self.ask
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeasureFamily:
     """Finitely generated family of scenario weightings.
 
@@ -91,21 +92,21 @@ class MeasureFamily:
     names: list[str] | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class MarketModel:
     tree: ScenarioTree
     options: list[OptionQuote]
     measures: MeasureFamily
 
 
-@dataclass
+@dataclass(frozen=True)
 class Claim:
     """A contingent claim, as its payoff on each leaf."""
 
     payoff: list[Fraction]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Strategy:
     """Semi-static strategy: dynamic stock positions plus static option legs.
 
@@ -324,6 +325,10 @@ def support(m: Market) -> set[int]:
 
 
 def _check_strategy_shape(c: CompiledMarket, s: Strategy) -> None:
+    if not isinstance(s.dynamic, dict) or set(s.dynamic) != set(c.nonleaf):
+        raise StructureError("strategy dynamic positions must cover exactly the non-leaf nodes")
+    if not _rational_lists(s.buy_leg, s.sell_leg, *s.dynamic.values()):
+        raise StructureError("strategy positions must be lists of ints and Fractions")
     e = len(c.options)
     if len(s.buy_leg) != e or len(s.sell_leg) != e:
         raise StructureError(
@@ -331,8 +336,6 @@ def _check_strategy_shape(c: CompiledMarket, s: Strategy) -> None:
         )
     if any(v < 0 for v in s.buy_leg) or any(v < 0 for v in s.sell_leg):
         raise StructureError("strategy legs must be nonnegative")
-    if set(s.dynamic) != set(c.nonleaf):
-        raise StructureError("strategy dynamic positions must cover exactly the non-leaf nodes")
     for node_id, positions in s.dynamic.items():
         if len(positions) != c.tree.num_assets:
             raise StructureError(

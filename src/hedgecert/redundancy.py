@@ -28,7 +28,7 @@ from .arbitrage import (
     _robustness,
 )
 from .errors import DomainError, PreconditionError, StructureError
-from .lp import reduce_linear, solve_linear
+from .lp import _rational_lists, reduce_linear, solve_linear
 from .model import CompiledMarket, Market, Strategy, ZERO, ONE, require_valid, terminal_gain
 
 
@@ -169,14 +169,14 @@ def verify_replication(m: Market, i: int, cert: ReplicationCertificate) -> bool:
     if not 0 <= i < len(c.options):
         return False
     others = [k for k in range(len(c.options)) if k != i]
-    if len(cert.static_signed) != len(others):
+    if not _rational_lists([cert.initial_capital], cert.static_signed):
         return False
-    if set(cert.dynamic) != set(c.nonleaf):
+    if len(cert.static_signed) != len(others):
         return False
     e = len(c.options)
     try:
         gains = terminal_gain(c, Strategy(cert.dynamic, [ZERO] * e, [ZERO] * e))
-    except StructureError:  # a node with the wrong number of positions
+    except StructureError:  # dynamic positions malformed for this market
         return False
     for pos in c.charged:
         total = cert.initial_capital + gains[pos]

@@ -189,7 +189,7 @@ def verify_super_replication(
 ) -> bool:
     """Exact replay: price + gain covers the claim on every charged leaf."""
     c = require_valid(m)
-    if len(f.payoff) != len(c.leaves):
+    if not lp._rational_lists([price]) or len(f.payoff) != len(c.leaves):
         return False
     try:
         gains = terminal_gain(c, strategy)

@@ -10,6 +10,7 @@ pinned at its exact price.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 from hedgecert import lp
@@ -206,12 +207,12 @@ def random_martingale_tree(rng, max_periods=3, max_assets=2, max_leaves=12, min_
     """
     nodes, periods = _random_topology(rng, max_periods, max_leaves, min_periods)
     num_assets = rng.randint(0, max_assets)
-    by_id = {n.id: n for n in nodes}
     children: dict[int, list[int]] = {n.id: [] for n in nodes}
     for n in nodes:
         if n.parent is not None:
             children[n.parent].append(n.id)
-    by_id[0].prices = [random_rational(rng, 1, 4) for _ in range(num_assets)]
+    prices: dict[int, list[F]] = {n.id: [] for n in nodes}
+    prices[0] = [random_rational(rng, 1, 4) for _ in range(num_assets)]
     leaf_weight: dict[int, F] = {0: ONE}
     for n in nodes:
         kids = children[n.id]
@@ -224,9 +225,10 @@ def random_martingale_tree(rng, max_periods=3, max_assets=2, max_leaves=12, min_
             deltas = [random_rational(rng, -2, 2) for _ in range(len(kids) - 1)]
             balance = -sum((wk * dk for wk, dk in zip(w, deltas)), ZERO) / w[-1]
             deltas.append(balance)
-            base = by_id[n.id].prices[j]
+            base = prices[n.id][j]
             for kid, dk in zip(kids, deltas):
-                by_id[kid].prices.append(base + dk)
+                prices[kid].append(base + dk)
+    nodes = [replace(n, prices=prices[n.id]) for n in nodes]
     tree = ScenarioTree(nodes, periods, num_assets)
     leaves = sorted(n.id for n in nodes if n.time == periods)
     qref = [leaf_weight[leaf] for leaf in leaves]
@@ -274,8 +276,8 @@ def random_arbitrary_market(
     """No construction guarantees: may admit arbitrage, partial support."""
     nodes, periods = _random_topology(rng, max_periods, max_leaves)
     num_assets = rng.randint(0, max_assets)
-    for n in nodes:
-        n.prices = [random_rational(rng, 0, 3) for _ in range(num_assets)]
+    nodes = [replace(n, prices=[random_rational(rng, 0, 3) for _ in range(num_assets)])
+             for n in nodes]
     tree = ScenarioTree(nodes, periods, num_assets)
     leaves = sum(1 for n in nodes if n.time == periods)
     options = []
@@ -331,10 +333,6 @@ def random_lp(rng, max_vars=5, max_rows=5) -> lp.LpProblem:
     objective = [coef() for _ in range(n)]
     if rng.random() < 0.15:
         objective = [ZERO] * n
-    return lp.LpProblem(
-        sense=rng.choice([lp.MIN, lp.MAX]),
-        objective=objective,
-        rows=rows,
-        relations=relations,
-        rhs=rhs,
-    )
+    if rng.choice((True, False)):  # drew a minimization: min c . x is max -c . x
+        objective = [-c for c in objective]
+    return lp.LpProblem(objective=objective, rows=rows, relations=relations, rhs=rhs)

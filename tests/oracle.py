@@ -77,7 +77,7 @@ def strategy_row(c: CompiledMarket, pos: int) -> list[Fraction]:
     return row
 
 
-def _solve_free(sense, objective, rows, relations, rhs, free: int) -> lp.LpOutcome:
+def _solve_free(objective, rows, relations, rhs, free: int) -> lp.LpOutcome:
     """`lp.solve_lp` with the first `free` columns unrestricted in sign.
 
     Each is split into the adjacent column pair (x+, x-), x = x+ - x-, and an
@@ -86,7 +86,7 @@ def _solve_free(sense, objective, rows, relations, rhs, free: int) -> lp.LpOutco
     def split(v):
         return [u for a in v[:free] for u in (a, -a)] + v[free:]
 
-    out = lp.solve_lp(lp.LpProblem(sense, split(objective), [split(r) for r in rows], relations, rhs))
+    out = lp.solve_lp(lp.LpProblem(split(objective), [split(r) for r in rows], relations, rhs))
     if out.status == lp.OPTIMAL:
         z = out.primal
         out.primal = [z[2 * j] - z[2 * j + 1] for j in range(free)] + z[2 * free:]
@@ -111,7 +111,7 @@ def surplus_na(m: Market) -> NaVerdict:
         coefs[width + idx] = Fraction(-1)
         rows.append(coefs)
     rows.append([ZERO] * width + [ONE] * k)
-    out = _solve_free(lp.MAX, [ZERO] * width + [ONE] * k, rows,
+    out = _solve_free([ZERO] * width + [ONE] * k, rows,
                       [lp.EQ] * k + [lp.LE], [ZERO] * k + [ONE], free=nh)
     assert out.status == lp.OPTIMAL, out.status
     if out.objective_value == 0:
@@ -124,18 +124,18 @@ def surplus_na(m: Market) -> NaVerdict:
 
 def hedge_lp(m: Market, f: Claim) -> tuple[Fraction, Strategy] | None:
     """Super-hedging on the strategy side: min x over (x, strategy) with
-    x + gain >= payoff on every charged leaf. Capital is a free column, so
-    the program is feasible; None when it is unbounded below."""
+    x + gain >= payoff on every charged leaf, solved as max -x. Capital is a
+    free column, so the program is feasible; None when it is unbounded below."""
     c = require_valid(m)
     nh, e = len(c.columns), len(c.options)
     ncols = 1 + nh + 2 * e
     rows = [[ONE] + strategy_row(c, pos) for pos in c.charged]
-    out = _solve_free(lp.MIN, [ONE] + [ZERO] * (ncols - 1), rows, [lp.GE] * len(rows),
+    out = _solve_free([-ONE] + [ZERO] * (ncols - 1), rows, [lp.GE] * len(rows),
                       [f.payoff[pos] for pos in c.charged], free=1 + nh)
     if out.status == lp.UNBOUNDED:
         return None
     assert out.status == lp.OPTIMAL, out.status
-    return out.objective_value, canonical_legs(c.strategy_from(out.primal[1:]))
+    return -out.objective_value, canonical_legs(c.strategy_from(out.primal[1:]))
 
 
 def replication_lp(m: Market, i: int) -> NonredundancyVerdict:
@@ -147,7 +147,7 @@ def replication_lp(m: Market, i: int) -> NonredundancyVerdict:
     ncols = 1 + nh + len(others)
     rows = [[ONE, *c.gain_rows[pos], *(c.options[k].payoff[pos] for k in others)]
             for pos in c.charged]
-    out = _solve_free(lp.MIN, [ZERO] * ncols, rows, [lp.EQ] * len(rows),
+    out = _solve_free([ZERO] * ncols, rows, [lp.EQ] * len(rows),
                       [c.options[i].payoff[pos] for pos in c.charged], free=ncols)
     if out.status == lp.INFEASIBLE:
         return NonredundancyVerdict(True)

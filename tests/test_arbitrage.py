@@ -260,6 +260,64 @@ def test_verifiers_reject_malformed_strategies():
         assert not verify_replication(m, 0, replace(cert, dynamic=s.dynamic))
 
 
+def test_every_replay_rejects_an_entry_that_is_not_rational():
+    # a float, a string or None where a certificate holds a rational fails
+    # replay: False, neither True from float arithmetic nor a TypeError
+    m = binomial_with_free_option()
+    cert = check_na(m).certificate
+    s, node = cert.strategy, min(cert.strategy.dynamic)
+    floats = {k: [float(v) for v in p] for k, p in s.dynamic.items()}
+    for bad in (
+        replace(cert, strategy=replace(s, dynamic={**s.dynamic, node: None})),
+        replace(cert, strategy=replace(s, buy_leg=["x"] * len(s.buy_leg))),
+        replace(cert, strategy=replace(s, dynamic=floats)),
+        replace(cert, gains=[float(g) for g in cert.gains]),
+    ):
+        assert verify_na_certificate(m, bad) is False
+
+    m = binomial_market()
+    w = check_nar(m).witness
+    q = w.interior_measure
+    for bad in (replace(w, slack=None), replace(w, shrunk_bids=None)):
+        assert verify_nar_witness(m, bad) is False
+    for bad in (replace(q, weights=None), replace(q, weights=[float(v) for v in q.weights])):
+        assert verify_measure(m, bad) is False
+    assert strictly_inside_quotes(m, replace(q, option_values=None)) is False
+
+    m = trinomial_straddle_market()
+    f = Claim([F(1), F(0), F(0)])
+    price, strategy = superhedge_price(m, f)
+    for bad in (None, float(price)):
+        assert verify_super_replication(m, f, bad, strategy) is False
+
+    m = wide_quote_identical_options_market()
+    cert = check_nonredundant(m, 0).certificate
+    assert verify_replication(m, 0, cert)
+    for bad in (
+        replace(cert, static_signed=["x"] * len(cert.static_signed)),
+        replace(cert, initial_capital=None),
+        replace(cert, dynamic={k: None for k in cert.dynamic}),
+    ):
+        assert verify_replication(m, 0, bad) is False
+
+    I = F(1)
+    p = lp.LpProblem([I], [[I]], [lp.LE], [I])
+    out = lp.solve_lp(p)
+    for bad in (
+        replace(out, primal=[1.0]),
+        replace(out, primal=[None]),
+        replace(out, dual=[float(v) for v in out.dual]),
+        replace(out, objective_value=1.0),
+    ):
+        assert lp.verify_certificate(p, bad) is False
+    p = lp.LpProblem([F(0)], [[I], [I]], [lp.LE, lp.GE], [F(0), I])
+    out = lp.solve_lp(p)
+    assert lp.verify_certificate(p, replace(out, farkas=[float(v) for v in out.farkas])) is False
+    p = lp.LpProblem([I], [], [], [])
+    out = lp.solve_lp(p)
+    assert lp.verify_certificate(p, replace(out, ray=[1.0])) is False
+
+
 def test_measure_helpers_reject_wrong_lengths():
     m = binomial_with_spread_option()
     q = check_nar(m).witness.interior_measure

@@ -6,6 +6,8 @@ from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 from hedgecert.arbitrage import check_nar
 from hedgecert.cli import main
 from hedgecert.marketio import claim_to_json, dump_market
@@ -40,6 +42,28 @@ def test_check_na_missing_file(capsys):
     assert code == 4
     assert out is None
     assert err["error"]["type"] == "io-error"
+
+
+def test_malformed_command_lines_exit_4_with_a_json_error(capsys):
+    # argparse would exit 2 and print its usage; a bad command line is
+    # invalid input like any other: exit 4, JSON on stderr, nothing on stdout
+    m1 = str(DATA / "m1.json")
+    for argv in (
+        [],
+        ["check-na"],
+        ["superhedge", m1],
+        ["bounds", m1],
+        ["dominate", m1],
+        ["strict-dual", m1, "--claim", m1],
+        ["check-na", m1, "--bogus"],
+        ["no-such-command", m1],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err["error"]["type"]) == (4, None, "invalid-input"), argv
+    with pytest.raises(SystemExit) as stopped:
+        main(["check-na", "--help"])
+    assert stopped.value.code == 0
+    assert "usage: hedgecert check-na" in capsys.readouterr().out
 
 
 def test_check_na_and_nar_on_pinned_market(capsys):

@@ -17,7 +17,7 @@ I = F(1)
 
 
 def test_one_variable_maximum():
-    p = lp.LpProblem(lp.MAX, [I], [[I]], [lp.LE], [I])
+    p = lp.LpProblem([I], [[I]], [lp.LE], [I])
     out = lp.solve_lp(p)
     assert out.status == lp.OPTIMAL
     assert out.primal == [I]
@@ -26,7 +26,7 @@ def test_one_variable_maximum():
 
 
 def test_obvious_ray():
-    p = lp.LpProblem(lp.MAX, [I], [], [], [])
+    p = lp.LpProblem([I], [], [], [])
     out = lp.solve_lp(p)
     assert out.status == lp.UNBOUNDED
     assert out.ray == [I]
@@ -34,7 +34,7 @@ def test_obvious_ray():
 
 
 def test_contradictory_rows_infeasible():
-    p = lp.LpProblem(lp.MAX, [Z], [[I], [I]], [lp.LE, lp.GE], [Z, I])
+    p = lp.LpProblem([Z], [[I], [I]], [lp.LE, lp.GE], [Z, I])
     out = lp.solve_lp(p)
     assert out.status == lp.INFEASIBLE
     assert out.farkas is not None
@@ -42,7 +42,7 @@ def test_contradictory_rows_infeasible():
 
 
 def test_verify_rejects_perturbed_primal():
-    p = lp.LpProblem(lp.MAX, [I], [[I]], [lp.LE], [I])
+    p = lp.LpProblem([I], [[I]], [lp.LE], [I])
     out = lp.solve_lp(p)
     bad = lp.LpOutcome(
         status=out.status,
@@ -54,14 +54,14 @@ def test_verify_rejects_perturbed_primal():
 
 
 def test_verify_rejects_zeroed_farkas():
-    p = lp.LpProblem(lp.MAX, [Z], [[I], [I]], [lp.LE, lp.GE], [Z, I])
+    p = lp.LpProblem([Z], [[I], [I]], [lp.LE, lp.GE], [Z, I])
     out = lp.solve_lp(p)
     bad = lp.LpOutcome(status=lp.INFEASIBLE, farkas=[Z, Z])
     assert not lp.verify_certificate(p, bad)
 
 
 def test_verify_rejects_wrong_field_population():
-    p = lp.LpProblem(lp.MAX, [I], [[I]], [lp.LE], [I])
+    p = lp.LpProblem([I], [[I]], [lp.LE], [I])
     out = lp.solve_lp(p)
     assert not lp.verify_certificate(
         p, lp.LpOutcome(status=lp.OPTIMAL, primal=out.primal, dual=out.dual)
@@ -70,16 +70,16 @@ def test_verify_rejects_wrong_field_population():
 
 def test_dimension_mismatch_is_structural():
     with pytest.raises(StructureError):
-        lp.solve_lp(lp.LpProblem(lp.MIN, [I], [[I, I]], [lp.LE], [I]))
+        lp.solve_lp(lp.LpProblem([I], [[I, I]], [lp.LE], [I]))
     with pytest.raises(StructureError):
-        lp.solve_lp(lp.LpProblem(lp.MIN, [I], [[I]], [lp.LE], [I, I]))
+        lp.solve_lp(lp.LpProblem([I], [[I]], [lp.LE], [I, I]))
 
 
 def test_non_rational_entries_are_structural():
     # LpProblem is public: a float or Decimal anywhere is named, never an
     # AttributeError from inside the reduction
     def base():
-        return lp.LpProblem(lp.MIN, [I, I], [[I, I]], [lp.LE], [F(2)])
+        return lp.LpProblem([-I, -I], [[I, I]], [lp.LE], [F(2)])
 
     for bad in (0.5, Decimal("0.5")):
         for field, put in [
@@ -97,7 +97,7 @@ def test_verify_rejects_non_rational_entries():
     # the outcome of a valid problem, replayed against a copy with one float or
     # Decimal entry: False, neither True nor an arithmetic TypeError
     def base():
-        return lp.LpProblem(lp.MIN, [I, I], [[I, I]], [lp.LE], [F(2)])
+        return lp.LpProblem([-I, -I], [[I, I]], [lp.LE], [F(2)])
 
     out = lp.solve_lp(base())
     assert lp.verify_certificate(base(), out)
@@ -113,7 +113,6 @@ def test_verify_rejects_non_rational_entries():
 def test_beale_cycling_instance_terminates_under_bland():
     # classic instance that cycles under naive pivoting; optimum is 1/20
     p = lp.LpProblem(
-        lp.MAX,
         [F(3, 4), F(-150), F(1, 50), F(-6)],
         [
             [F(1, 4), F(-60), F(-1, 25), F(9)],
@@ -134,18 +133,18 @@ def test_a_revisited_basis_raises_instead_of_looping(monkeypatch):
     # costs re-enters the same column forever unless the kernel notices
     pivot = lp._pivot
     monkeypatch.setattr(lp, "_pivot", lambda rows, r, c, red=None: pivot(rows, r, c))
-    p = lp.LpProblem(lp.MAX, [I], [[I]], [lp.LE], [I])
+    p = lp.LpProblem([I], [[I]], [lp.LE], [I])
     with pytest.raises(SoundnessError, match="revisited a basis"):
         lp.solve_lp(p)
 
 
 def test_fixed_variable_and_equality_rows():
-    # x pinned at 1 by its own equality row: min x + y with x + y = 2 gives y = 1
-    p = lp.LpProblem(lp.MIN, [I, I], [[I, I], [I, Z]], [lp.EQ, lp.EQ], [F(2), I])
+    # x pinned at 1 by its own equality row: max -x - y with x + y = 2 gives y = 1
+    p = lp.LpProblem([-I, -I], [[I, I], [I, Z]], [lp.EQ, lp.EQ], [F(2), I])
     out = lp.solve_lp(p)
     assert out.status == lp.OPTIMAL
     assert out.primal == [I, I]
-    assert out.objective_value == 2
+    assert out.objective_value == -2
     assert lp.verify_certificate(p, out)
 
 
@@ -153,7 +152,6 @@ def test_free_variable_equality_system():
     # x + h = 1, x - 2h = 4 has h = -1: a free variable is stated as the
     # difference of two nonnegative columns, h = h+ - h-
     p = lp.LpProblem(
-        lp.MIN,
         [Z, Z, Z, Z],
         [[I, F(-1), I, F(-1)], [I, F(-1), F(-2), F(2)]],
         [lp.EQ, lp.EQ],
@@ -168,7 +166,7 @@ def test_free_variable_equality_system():
 
 def test_infeasible_via_bounds_and_row():
     # the row wants x + y <= -1, the nonnegativity of x and y forbids it
-    p = lp.LpProblem(lp.MIN, [Z, Z], [[I, I]], [lp.LE], [F(-1)])
+    p = lp.LpProblem([Z, Z], [[I, I]], [lp.LE], [F(-1)])
     out = lp.solve_lp(p)
     assert out.status == lp.INFEASIBLE
     assert out.farkas == [F(-1)]
@@ -181,23 +179,33 @@ def test_verify_rejects_each_broken_nonnegative_certificate():
     def optimal(primal, dual, value):
         return lp.LpOutcome(lp.OPTIMAL, primal=primal, dual=dual, objective_value=value)
 
-    both = lp.LpProblem(lp.MIN, [I, I], [[I, I]], [lp.EQ], [I])
-    tied = lp.LpProblem(lp.MIN, [I, Z], [[I, F(-1)]], [lp.EQ], [Z])
-    assert lp.verify_certificate(both, optimal([I, Z], [I], I))
+    both = lp.LpProblem([-I, -I], [[I, I]], [lp.EQ], [I])
+    tied = lp.LpProblem([-I, Z], [[I, F(-1)]], [lp.EQ], [Z])
+    assert lp.verify_certificate(both, optimal([I, Z], [-I], -I))
     assert lp.verify_certificate(tied, optimal([Z, Z], [Z], Z))
     # a negative primal entry that meets every row, with zero reduced costs
-    assert not lp.verify_certificate(both, optimal([F(-1), F(2)], [I], I))
-    # reduced costs (-1, 2) at x = 0: the -1 would let x0 lower the minimum
-    assert not lp.verify_certificate(tied, optimal([Z, Z], [F(2)], Z))
-    # reduced costs (1/2, 1/2), right-signed, but x0 = 1 is not held at 0
-    assert not lp.verify_certificate(both, optimal([I, Z], [F(1, 2)], I))
+    assert not lp.verify_certificate(both, optimal([F(-1), F(2)], [-I], -I))
+    # reduced costs (1, -2) at x = 0: the 1 would let x0 raise the maximum
+    assert not lp.verify_certificate(tied, optimal([Z, Z], [F(-2)], Z))
+    # reduced costs (-1/2, -1/2), right-signed, but x0 = 1 is not held at 0
+    assert not lp.verify_certificate(both, optimal([I, Z], [F(-1, 2)], -I))
+
+    # max x with x <= 1 and x >= 1: duals (1, 0) are right; (0, 1) meet
+    # every identity, but a >= row's dual must be <= 0
+    pinned = lp.LpProblem([I], [[I], [I]], [lp.LE, lp.GE], [I, I])
+    assert lp.verify_certificate(pinned, optimal([I], [I, Z], I))
+    assert not lp.verify_certificate(pinned, optimal([I], [Z, I], I))
 
     # x >= 1 is feasible: y = 1 has y . rhs > 0 but y^T A = 1 > 0
-    at_least = lp.LpProblem(lp.MIN, [Z], [[I]], [lp.GE], [I])
+    at_least = lp.LpProblem([Z], [[I]], [lp.GE], [I])
     assert not lp.verify_certificate(at_least, lp.LpOutcome(lp.INFEASIBLE, farkas=[I]))
+    # -x <= 1 is feasible: y = 1 has y^T A = -1 <= 0 and y . rhs > 0, but a
+    # Farkas vector is <= 0 on a <= row
+    at_most = lp.LpProblem([Z], [[-I]], [lp.LE], [I])
+    assert not lp.verify_certificate(at_most, lp.LpOutcome(lp.INFEASIBLE, farkas=[I]))
 
     # max x0 with x0 + x1 = 1 is bounded: the ray (1, -1) leaves x >= 0
-    capped = lp.LpProblem(lp.MAX, [I, Z], [[I, I]], [lp.EQ], [I])
+    capped = lp.LpProblem([I, Z], [[I, I]], [lp.EQ], [I])
     assert lp.verify_certificate(capped, lp.solve_lp(capped))
     assert not lp.verify_certificate(
         capped, lp.LpOutcome(lp.UNBOUNDED, primal=[I, Z], ray=[I, F(-1)])
@@ -208,16 +216,15 @@ def test_redundant_rows_keep_a_zero_dual():
     # rows 2 and 3 repeat row 1: their artificials stay basic at zero, and
     # their duals are 0
     p = lp.LpProblem(
-        lp.MIN,
-        [I, I],
+        [-I, -I],
         [[I, I], [I, I], [F(2), F(2)]],
         [lp.EQ, lp.EQ, lp.EQ],
         [F(2), F(2), F(4)],
     )
     out = lp.solve_lp(p)
     assert out.status == lp.OPTIMAL
-    assert out.objective_value == 2
-    assert out.dual == [1, 0, 0]
+    assert out.objective_value == -2
+    assert out.dual == [-1, 0, 0]
     assert lp.verify_certificate(p, out)
 
 

@@ -19,7 +19,7 @@ from math import gcd
 
 from hedgecert import arbitrage, lp, redundancy, superhedge
 from hedgecert.errors import HedgecertError
-from hedgecert.lp import EQ, LE, MIN, LpProblem
+from hedgecert.lp import EQ, LE, LpProblem
 from markets import (
     binomial_market,
     binomial_with_free_option,
@@ -38,7 +38,8 @@ _ONE = F(1)
 
 
 class _ReferenceStdForm:
-    """Reduction to   min cost.z  s.t.  A z = b (b >= 0), z >= 0.
+    """Reduction of max c.x to   min cost.z  s.t.  A z = b (b >= 0), z >= 0,
+    with cost = -c.
 
     z is the problem's columns, then one slack per inequality row, so a
     point or ray of the problem is z[:n]. row_sign[k] is -1 when the row
@@ -46,7 +47,6 @@ class _ReferenceStdForm:
     """
 
     def __init__(self, p: LpProblem):
-        minimize = p.sense == MIN
         n = len(p.objective)
         rows = [list(row) for row in p.rows]
         rhs = list(p.rhs)
@@ -65,22 +65,16 @@ class _ReferenceStdForm:
             else:
                 sign.append(1)
 
-        self.minimize = minimize
         self.nvars = n
         self.ncols = n + nslack
         self.rows = rows
         self.rhs = rhs
         self.row_sign = sign
-        self.cost = [c if minimize else -c for c in p.objective] + [_ZERO] * nslack
+        self.cost = [-c for c in p.objective] + [_ZERO] * nslack
 
-    def to_original_dual(self, y_std: dict[int, Fraction], negate: bool) -> list[Fraction]:
-        out = []
-        for k, s in enumerate(self.row_sign):
-            v = y_std.get(k, _ZERO)
-            if s < 0:
-                v = -v
-            out.append(-v if negate else v)
-        return out
+    def problem_multipliers(self, y_std: dict[int, Fraction]) -> list[Fraction]:
+        """The standard rows' multipliers as the problem rows' multipliers."""
+        return [s * y_std.get(k, _ZERO) for k, s in enumerate(self.row_sign)]
 
 
 def _dense_pivot(tab, rhs, red, basis, r, jc):
@@ -209,7 +203,7 @@ def _dense_solve_lp(p):
     if sum((rhs[i] for i in range(m) if basis[i] >= n), _ZERO) > 0:
         y_std = _dense_basis_dual(std, active, basis, lambda col: _ONE if col >= n else _ZERO)
         return lp.LpOutcome(status=lp.INFEASIBLE,
-                            farkas=std.to_original_dual(y_std, negate=False))
+                            farkas=std.problem_multipliers(y_std))
     keep = []
     for i in range(m):
         if basis[i] >= n:
@@ -239,7 +233,7 @@ def _dense_solve_lp(p):
         return lp.LpOutcome(status=lp.UNBOUNDED, primal=z[:nvars], ray=d[:nvars])
     x = z[:nvars]
     y_std = _dense_basis_dual(std, active, basis, lambda col: std.cost[col])
-    y = std.to_original_dual(y_std, negate=not std.minimize)
+    y = [-v for v in std.problem_multipliers(y_std)]  # min cost . z negated: max c . x
     value = sum((c * v for c, v in zip(p.objective, x) if c), _ZERO)
     return lp.LpOutcome(status=lp.OPTIMAL, primal=x, dual=y, objective_value=value)
 
@@ -253,9 +247,9 @@ QUERIES = (
 )
 
 
-def _query_programs(monkeypatch) -> list[lp.LpProblem]:
+def _query_programs(monkeypatch) -> tuple[list[lp.LpProblem], list[lp.LpProblem]]:
     """Every program the five benchmark queries and the reference hedge LP
-    hand to `lp.solve_lp`."""
+    hand to `lp.solve_lp`, and the hedge LP's programs among them."""
     markets = nar_fixture_markets() + [
         pinned_identical_options_market(),
         binomial_with_free_option(),
@@ -278,15 +272,19 @@ def _query_programs(monkeypatch) -> list[lp.LpProblem]:
         return solve(problem)
 
     monkeypatch.setattr(lp, "solve_lp", record)
+    hedges = []
     for m in markets:
         claim = random_claim(rng, m)
         for query in (*QUERIES, hedge_lp):
+            start = len(programs)
             try:
                 query(m, claim)
             except HedgecertError:
                 pass  # a failed precondition still handed its programs over
+            if query is hedge_lp:
+                hedges += programs[start:]
     monkeypatch.setattr(lp, "solve_lp", solve)
-    return programs
+    return programs, hedges
 
 
 def _assert_identical(problems):
@@ -303,12 +301,11 @@ def test_random_lps_match_the_dense_kernel():
 
 
 def test_market_programs_match_the_dense_kernel(monkeypatch):
-    problems = _query_programs(monkeypatch)
+    problems, hedges = _query_programs(monkeypatch)
     assert len(problems) > 100
-    # the reference hedge programs (the MIN ones) are the sparse ones: most
-    # coefficients are zero; a measure program's rows cover every charged leaf
-    widest = max((p for p in problems if p.sense == lp.MIN),
-                 key=lambda p: len(p.rows) * len(p.objective))
+    # the reference hedge programs are the sparse ones: most coefficients
+    # are zero; a measure program's rows cover every charged leaf
+    widest = max(hedges, key=lambda p: len(p.rows) * len(p.objective))
     cells = len(widest.rows) * len(widest.objective)
     assert sum(1 for row in widest.rows for a in row if a) < cells / 2
     _assert_identical(problems)
@@ -343,8 +340,10 @@ def _wide_lp(rng):
     if m >= 2 and rng.random() < 0.3:
         rows[1] = [3 * a for a in rows[0]]  # a dependent row
         rhs[1] = 3 * rhs[0]
-    return lp.LpProblem(rng.choice((lp.MIN, lp.MAX)), [_wide_rational(rng, 0.2) for _ in range(n)],
-                        rows, [rng.choice((lp.LE, lp.EQ, lp.GE)) for _ in range(m)], rhs)
+    minimize = rng.choice((True, False))  # a minimization is max -c . x
+    objective = [_wide_rational(rng, 0.2) for _ in range(n)]
+    relations = [rng.choice((lp.LE, lp.EQ, lp.GE)) for _ in range(m)]
+    return lp.LpProblem([-c for c in objective] if minimize else objective, rows, relations, rhs)
 
 
 def test_wide_denominator_lps_match_the_dense_kernel():
@@ -368,14 +367,16 @@ def test_integer_rows_are_primitive_multiples_of_the_fraction_rows():
     for p in problems:
         std, ref = lp._StdForm(p), _ReferenceStdForm(p)
         assert std.ncols == ref.ncols and len(std.rows) == len(ref.rows), p
-        assert std.cost == ref.cost and std.row_sign == ref.row_sign, p
-        for stored, s, ref_row, ref_b in zip(std.rows, std.scale, ref.rows, ref.rhs):
-            # a row stores its nonzeros by column, the rhs at key ncols
+        assert std.cost == ref.cost, p
+        for stored, s, sign, ref_row, ref_b in zip(std.rows, std.scale, ref.row_sign,
+                                                   ref.rows, ref.rhs):
+            # a row stores its nonzeros by column, the rhs at key ncols; its
+            # scale is negative exactly where the reference negated the row
             assert all(type(v) is int and v for v in stored.values()), p
             row = [stored.get(j, 0) for j in range(std.ncols + 1)]
-            assert s > 0 and len(stored) == sum(1 for v in row if v), p
+            assert (s < 0) == (sign < 0) and len(stored) == sum(1 for v in row if v), p
             assert gcd(*row) in (0, 1), p
-            assert row == [s * v for v in ref_row + [ref_b]], p
+            assert row == [abs(s) * v for v in ref_row + [ref_b]], p
 
 
 def test_pivots_store_only_nonzeros_of_primitive_rows(monkeypatch):
