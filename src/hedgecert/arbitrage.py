@@ -27,10 +27,11 @@ from . import lp
 from .errors import DomainError, RobustArbitrageError, SoundnessError, StructureError
 from .model import (
     CompiledMarket,
-    Market,
+    MarketModel,
     Strategy,
     ZERO,
     ONE,
+    _index,
     canonical_legs,
     require_valid,
     terminal_gain,
@@ -96,7 +97,7 @@ class NarVerdict:
 _NO_CONSISTENT_MEASURE = "no quote-consistent martingale measure is supported on the charged scenarios"
 
 
-def measure_from_weights(m: Market, weights: list[Fraction]) -> MartingaleMeasure:
+def measure_from_weights(m: MarketModel, weights: list[Fraction]) -> MartingaleMeasure:
     q = MartingaleMeasure(list(weights), [])
     q.option_values = [q.expectation(opt.payoff) for opt in m.options]
     return q
@@ -194,7 +195,7 @@ def _arbitrage(c: CompiledMarket, solved) -> NaVerdict:
     return NaVerdict(False, ArbitrageCertificate(strategy, gains, strict))
 
 
-def check_na(m: Market) -> NaVerdict:
+def check_na(m: MarketModel) -> NaVerdict:
     """Decide no-arbitrage on the measure side: maximize a floor t >= 0 on
     every charged leaf's weight over quote-consistent martingale measures.
 
@@ -245,7 +246,7 @@ def _robustness(c: CompiledMarket, out: lp.LpOutcome) -> NarVerdict:
     return NarVerdict(True, RobustnessWitness(shrunk_bids, shrunk_asks, measure, slack))
 
 
-def check_nar(m: Market) -> NarVerdict:
+def check_nar(m: MarketModel) -> NarVerdict:
     """Decide robust no-arbitrage by maximizing a uniform slack.
 
     The slack simultaneously lower-bounds every charged leaf's weight and the
@@ -266,12 +267,19 @@ def _require_nar(c: CompiledMarket, failure: str) -> RobustnessWitness:
     return verdict.witness
 
 
+def dominates(q: MartingaleMeasure, generator: list[Fraction]) -> bool:
+    """True when q charges every leaf the generator charges."""
+    return len(q.weights) == len(generator) and all(
+        q.weights[pos] > 0 for pos, w in enumerate(generator) if w > 0
+    )
+
+
 def _require_domination(q: MartingaleMeasure, generators: list[list[Fraction]]) -> None:
-    if any(w > 0 and not q.weights[pos] > 0 for gen in generators for pos, w in enumerate(gen)):
+    if not all(dominates(q, gen) for gen in generators):
         raise SoundnessError("witness fails to dominate a generator it must dominate")
 
 
-def dominating_measure(m: Market, generator_index: int) -> MartingaleMeasure:
+def dominating_measure(m: MarketModel, generator_index: int) -> MartingaleMeasure:
     """A consistent measure dominating the chosen generator.
 
     The robustness witness already charges every supported scenario with
@@ -280,22 +288,20 @@ def dominating_measure(m: Market, generator_index: int) -> MartingaleMeasure:
     output deterministic and the domination as strong as possible.
     """
     c = require_valid(m)
-    if not 0 <= generator_index < len(c.measures.generators):
-        raise DomainError(f"generator index {generator_index} out of range")
+    k = _index(generator_index, len(c.measures.generators), "generator index")
     measure = _require_nar(c, "robust no-arbitrage fails").interior_measure
-    _require_domination(measure, [c.measures.generators[generator_index]])
+    _require_domination(measure, [c.measures.generators[k]])
     return measure
 
 
-def scenario_pricing_measure(m: Market, leaf: int) -> MartingaleMeasure | None:
+def scenario_pricing_measure(m: MarketModel, leaf: int) -> MartingaleMeasure | None:
     """A consistent measure charging the given leaf, or None if none exists.
 
     No-arbitrage holds exactly when the answer is non-None for every charged
     leaf, which makes this the per-scenario diagnosis of an arbitrage verdict.
     """
     c = require_valid(m)
-    if not 0 <= leaf < len(c.leaves):
-        raise DomainError(f"leaf position {leaf} out of range")
+    _index(leaf, len(c.leaves), "leaf position")
     if leaf not in c.charged:
         raise DomainError(f"leaf {leaf} is not charged by any generator")
 
@@ -307,7 +313,7 @@ def scenario_pricing_measure(m: Market, leaf: int) -> MartingaleMeasure | None:
     return measure_from_weights(c, _weights_on_charged(c, out.primal))
 
 
-def verify_measure(m: Market, q: MartingaleMeasure) -> bool:
+def verify_measure(m: MarketModel, q: MartingaleMeasure) -> bool:
     """Replay every measure invariant exactly: mass, support, martingale, quotes.
 
     The martingale identity is checked by walking the tree directly (mass
@@ -315,7 +321,7 @@ def verify_measure(m: Market, q: MartingaleMeasure) -> bool:
     rows the programs are built from.
     """
     c = require_valid(m)
-    if not lp._rational_lists(q.weights, q.option_values):
+    if not isinstance(q, MartingaleMeasure) or not lp._rational_lists(q.weights, q.option_values):
         return False
     if len(q.weights) != len(c.leaves) or len(q.option_values) != len(c.options):
         return False
@@ -349,10 +355,11 @@ def verify_measure(m: Market, q: MartingaleMeasure) -> bool:
     return True
 
 
-def strictly_inside_quotes(m: Market, q: MartingaleMeasure) -> bool:
+def strictly_inside_quotes(m: MarketModel, q: MartingaleMeasure) -> bool:
     """True when every spread option is valued strictly inside its quotes,
     and every zero-spread option exactly at its quote."""
-    if not lp._rational_lists(q.option_values) or len(q.option_values) != len(m.options):
+    values = q.option_values if isinstance(q, MartingaleMeasure) else None
+    if not lp._rational_lists(values) or len(values) != len(m.options):
         return False
     for i, opt in enumerate(m.options):
         v = q.option_values[i]
@@ -364,9 +371,11 @@ def strictly_inside_quotes(m: Market, q: MartingaleMeasure) -> bool:
     return True
 
 
-def verify_na_certificate(m: Market, cert: ArbitrageCertificate) -> bool:
+def verify_na_certificate(m: MarketModel, cert: ArbitrageCertificate) -> bool:
     c = require_valid(m)
-    if not lp._rational_lists(cert.gains) or not isinstance(cert.strict_leaf, int):
+    if not isinstance(cert, ArbitrageCertificate) or not isinstance(cert.strict_leaf, int):
+        return False
+    if not lp._rational_lists(cert.gains):
         return False
     try:
         gains = terminal_gain(c, cert.strategy)
@@ -381,7 +390,9 @@ def verify_na_certificate(m: Market, cert: ArbitrageCertificate) -> bool:
     return gains[cert.strict_leaf] > 0
 
 
-def verify_nar_witness(m: Market, w: RobustnessWitness) -> bool:
+def verify_nar_witness(m: MarketModel, w: RobustnessWitness) -> bool:
+    if not isinstance(w, RobustnessWitness):
+        return False
     if not lp._rational_lists([w.slack], w.shrunk_bids, w.shrunk_asks) or w.slack <= 0:
         return False
     e = len(m.options)

@@ -14,7 +14,9 @@ A process builds one argument parser, on its first `main` call, never at
 import, and every later call reuses it. Reuse is safe because `parse_args`
 leaves the parser untouched: each call fills a fresh namespace, and usage,
 help and error text are formatted, at the current terminal width, only when
-they are printed. Each market file is validated once, by `parse_market`.
+they are printed. `main` reads the market, and the claim (None for a
+subcommand without `--claim`), once per command and passes both to the
+handler. Each market file is validated once, by `parse_market`.
 """
 
 import argparse
@@ -54,29 +56,15 @@ def _report(command: str, verdict: str, values=None, certificates=None, diagnost
     }
 
 
-def _load_market(path: str) -> CompiledMarket:
-    # parse_market has validated the model, so it is compiled without a
-    # second validation pass
+def _read(path: str) -> bytes:
     with open(path, "rb") as handle:
-        return _compile(marketio.parse_market(handle.read()))
+        return handle.read()
 
 
-def _load_claim(path: str, m: CompiledMarket) -> Claim:
-    with open(path, "rb") as handle:
-        return marketio.parse_claim(handle.read(), m)
-
-
-def _option_index(m: CompiledMarket, name: str) -> int:
-    for i, opt in enumerate(m.options):
-        if opt.name == name:
-            return i
-    raise DomainError(f"no option named {name!r}")
-
-
-def _generator_index(m: CompiledMarket, name: str) -> int:
-    if name not in m.generator_names:
-        raise DomainError(f"no generator named {name!r}")
-    return m.generator_names.index(name)
+def _index_of(names, name: str, kind: str) -> int:
+    if name not in names:
+        raise DomainError(f"no {kind} named {name!r}")
+    return names.index(name)
 
 
 def _require(condition: bool, what: str) -> None:
@@ -96,16 +84,14 @@ def _arbitrage_report(command: str, m: CompiledMarket, cert, verify: bool) -> tu
     )
 
 
-def _cmd_check_na(args) -> tuple[int, dict]:
-    m = _load_market(args.market)
+def _cmd_check_na(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
     verdict = arbitrage.check_na(m)
     if verdict.holds:
         return EXIT_OK, _report("check-na", "holds")
     return _arbitrage_report("check-na", m, verdict.certificate, args.verify)
 
 
-def _cmd_check_nar(args) -> tuple[int, dict]:
-    m = _load_market(args.market)
+def _cmd_check_nar(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
     verdict = arbitrage.check_nar(m)
     if not verdict.holds:
         return EXIT_FAILS, _report(
@@ -122,9 +108,7 @@ def _cmd_check_nar(args) -> tuple[int, dict]:
     )
 
 
-def _cmd_superhedge(args) -> tuple[int, dict]:
-    m = _load_market(args.market)
-    f = _load_claim(args.claim, m)
+def _cmd_superhedge(args, m: CompiledMarket, f: Claim) -> tuple[int, dict]:
     try:
         price, strategy = superhedge.superhedge_price(m, f)
     except RobustArbitrageError as exc:
@@ -161,12 +145,11 @@ def _cmd_superhedge(args) -> tuple[int, dict]:
     )
 
 
-def _cmd_dual(args) -> tuple[int, dict]:
-    m = _load_market(args.market)
-    f = _load_claim(args.claim, m)
+def _cmd_dual(args, m: CompiledMarket, f: Claim) -> tuple[int, dict]:
     value, measure = superhedge.dual_price(m, f)
     if args.verify:
         _require(arbitrage.verify_measure(m, measure), "dual measure")
+        _require(measure.expectation(f.payoff) == value, "dual value")
     return EXIT_OK, _report(
         "dual",
         "priced",
@@ -175,9 +158,8 @@ def _cmd_dual(args) -> tuple[int, dict]:
     )
 
 
-def _cmd_bounds(args) -> tuple[int, dict]:
-    m = _load_market(args.market)
-    i = _option_index(m, args.option)
+def _cmd_bounds(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
+    i = _index_of([opt.name for opt in m.options], args.option, "option")
     lower, upper = superhedge.price_bounds_excluding(m, i)
     return EXIT_OK, _report(
         "bounds",
@@ -190,8 +172,7 @@ def _cmd_bounds(args) -> tuple[int, dict]:
     )
 
 
-def _cmd_redundancy(args) -> tuple[int, dict]:
-    m = _load_market(args.market)
+def _cmd_redundancy(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
     report = redundancy.all_spread_options_nonredundant(m)
     verdicts = []
     certificates = {}
@@ -220,16 +201,16 @@ def _cmd_redundancy(args) -> tuple[int, dict]:
     )
 
 
-def _cmd_sharper_ftap(args) -> tuple[int, dict]:
-    m = _load_market(args.market)
+def _cmd_sharper_ftap(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
     bundle = redundancy.sharper_ftap(m)
     if not bundle.na.holds:
         return _arbitrage_report("sharper-ftap", m, bundle.na.certificate, args.verify)
     if args.verify:
         _require(arbitrage.verify_nar_witness(m, bundle.nar_witness), "robustness witness")
-        for q in bundle.dominating:
+        for q, generator in zip(bundle.dominating, m.measures.generators):
             _require(arbitrage.verify_measure(m, q), "dominating measure")
             _require(arbitrage.strictly_inside_quotes(m, q), "strict interiority")
+            _require(arbitrage.dominates(q, generator), "domination")
     return EXIT_OK, _report(
         "sharper-ftap",
         "holds",
@@ -244,18 +225,13 @@ def _cmd_sharper_ftap(args) -> tuple[int, dict]:
     )
 
 
-def _cmd_dominate(args) -> tuple[int, dict]:
-    m = _load_market(args.market)
-    k = _generator_index(m, args.generator)
+def _cmd_dominate(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
+    k = _index_of(m.generator_names, args.generator, "generator")
     measure = arbitrage.dominating_measure(m, k)
     if args.verify:
         _require(arbitrage.verify_measure(m, measure), "dominating measure")
         _require(arbitrage.strictly_inside_quotes(m, measure), "strict interiority")
-        generator = m.measures.generators[k]
-        _require(
-            all(measure.weights[p] > 0 for p, w in enumerate(generator) if w > 0),
-            "domination",
-        )
+        _require(arbitrage.dominates(measure, m.measures.generators[k]), "domination")
     return EXIT_OK, _report(
         "dominate",
         "computed",
@@ -264,9 +240,7 @@ def _cmd_dominate(args) -> tuple[int, dict]:
     )
 
 
-def _cmd_strict_dual(args) -> tuple[int, dict]:
-    m = _load_market(args.market)
-    f = _load_claim(args.claim, m)
+def _cmd_strict_dual(args, m: CompiledMarket, f: Claim) -> tuple[int, dict]:
     eps = marketio.parse_rational_text(args.eps)
     value, measure = superhedge._strict_dual(m, f, eps)
     achieved = measure.expectation(f.payoff)
@@ -318,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--verify", action="store_true", help="replay all certificates before printing"
         )
-        cmd.set_defaults(handler=handler)
+        cmd.set_defaults(handler=handler, claim=None)
 
     add("check-na", _cmd_check_na, "decide no-arbitrage")
     add("check-nar", _cmd_check_nar, "decide robust no-arbitrage")
@@ -355,7 +329,10 @@ def _print_report(report: dict, pretty: bool) -> None:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        code, report = args.handler(args)
+        # parse_market has validated the market: compile it without a second pass
+        m = _compile(marketio.parse_market(_read(args.market)))
+        f = None if args.claim is None else marketio.parse_claim(_read(args.claim), m)
+        code, report = args.handler(args, m, f)
     except (StructureError, DomainError) as exc:
         _emit_error("invalid-input", exc)
         return EXIT_INVALID

@@ -504,6 +504,8 @@ def _aggregate(p: LpProblem, y: list[Fraction]) -> list[Fraction]:
 
 def verify_certificate(p: LpProblem, o: LpOutcome) -> bool:
     """Re-check an outcome from scratch, exactly. True iff everything holds."""
+    if not isinstance(p, LpProblem) or not isinstance(o, LpOutcome):
+        return False
     try:
         _validate(p)
     except StructureError:

@@ -5,6 +5,10 @@ finite decimals ("0.25") parsed exactly as p/10^k. Output always uses the
 canonical lowest-terms form, so identical models print identical bytes.
 Leaf ordering is explicit in every file (`leafOrder`), never inferred, and
 payoff/weight arrays align with it.
+
+Problems are (path, message) pairs in a plain list; `_fields` checks each
+JSON object's shape once, and `_stop` raises the problems found so far when
+they block further parsing.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from .arbitrage import ArbitrageCertificate, MartingaleMeasure, RobustnessWitnes
 from .errors import StructureError
 from .model import (
     Claim,
-    Market,
     MarketModel,
     MeasureFamily,
     Node,
@@ -51,24 +54,25 @@ class MarketParseError(StructureError):
         super().__init__("; ".join(f"{path}: {message}" for path, message in issues))
 
 
-class _Issues:
-    def __init__(self):
-        self.items: list[tuple[str, str]] = []
+def _stop(issues: list, since: int = 0) -> None:
+    """Raise every issue so far if any came after the first `since`: those
+    block further parsing."""
+    if len(issues) > since:
+        raise MarketParseError(issues)
 
-    def add(self, path: str, message: str) -> None:
-        self.items.append((path, message))
 
-    def mark(self) -> int:
-        return len(self.items)
-
-    def raise_if_added(self, mark: int) -> None:
-        # this section's problems block further parsing; report everything so far
-        if len(self.items) > mark:
-            raise MarketParseError(self.items)
-
-    def raise_if_any(self) -> None:
-        if self.items:
-            raise MarketParseError(self.items)
+def _fields(obj, keys: set[str], path: str, issues: list) -> bool:
+    """The one shape check of a JSON object: an issue if `obj` is not an
+    object, one per unknown key, and one naming the missing keys, sorted.
+    True when `obj` is an object holding every key."""
+    if not isinstance(obj, dict):
+        issues.append((path, "expected an object"))
+        return False
+    issues += [(f"{path}.{key}", "unknown field") for key in obj if key not in keys]
+    missing = sorted(keys - obj.keys())
+    if missing:
+        issues.append((path, f"missing fields: {', '.join(missing)}"))
+    return not missing
 
 
 def parse_rational_text(text) -> Fraction:
@@ -116,17 +120,17 @@ def _is_id_list(obj) -> bool:
     )
 
 
-def _take_rational(obj, path: str, issues: _Issues) -> Fraction | None:
+def _take_rational(obj, path: str, issues: list) -> Fraction | None:
     try:
         return parse_rational_text(obj)
     except StructureError as exc:
-        issues.add(path, str(exc))
+        issues.append((path, str(exc)))
         return None
 
 
-def _take_rational_list(obj, path: str, issues: _Issues) -> list[Fraction]:
+def _take_rational_list(obj, path: str, issues: list) -> list[Fraction]:
     if not isinstance(obj, list):
-        issues.add(path, "expected a list of rational strings")
+        issues.append((path, "expected a list of rational strings"))
         return []
     out = []
     for k, item in enumerate(obj):
@@ -135,35 +139,23 @@ def _take_rational_list(obj, path: str, issues: _Issues) -> list[Fraction]:
     return out
 
 
-def _check_keys(obj: dict, allowed: set[str], path: str, issues: _Issues) -> None:
-    for key in obj:
-        if key not in allowed:
-            issues.add(f"{path}.{key}", "unknown field")
-
-
-def _take_int(obj, path: str, issues: _Issues, allow_none: bool = False):
+def _take_int(obj, path: str, issues: list, allow_none: bool = False):
     if allow_none and obj is None:
         return None
     if isinstance(obj, bool) or not isinstance(obj, int):
-        issues.add(path, f"expected an integer, got {obj!r}")
+        issues.append((path, f"expected an integer, got {obj!r}"))
         return None
     return obj
 
 
-def _parse_nodes(raw, issues: _Issues) -> list[Node]:
+def _parse_nodes(raw, issues: list) -> list[Node]:
     nodes = []
     if not isinstance(raw, list) or not raw:
-        issues.add("tree.nodes", "expected a non-empty list")
+        issues.append(("tree.nodes", "expected a non-empty list"))
         return nodes
     for k, item in enumerate(raw):
         path = f"tree.nodes[{k}]"
-        if not isinstance(item, dict):
-            issues.add(path, "expected an object")
-            continue
-        _check_keys(item, _NODE_KEYS, path, issues)
-        missing = _NODE_KEYS - set(item)
-        if missing:
-            issues.add(path, f"missing fields: {', '.join(sorted(missing))}")
+        if not _fields(item, _NODE_KEYS, path, issues):
             continue
         nid = _take_int(item["id"], f"{path}.id", issues)
         time = _take_int(item["time"], f"{path}.time", issues)
@@ -176,31 +168,25 @@ def _parse_nodes(raw, issues: _Issues) -> list[Node]:
 
 
 def _named_entries(raw, section: str, keys: set[str], vector: str, reorder: list[int],
-                   issues: _Issues):
+                   issues: list):
     """Yield (path, entry, name, vector) for each entry of "options" or
     "measures" that is an object with exactly `keys` and a unique non-empty
     name; its `vector` field is parsed and put in canonical leaf order."""
     if not isinstance(raw, list):
-        issues.add(section, "expected a list")
-        issues.raise_if_any()
+        issues.append((section, "expected a list"))
+        _stop(issues)
     kind = section[:-1]
     seen_names = set()
     for k, item in enumerate(raw):
         path = f"{section}[{k}]"
-        if not isinstance(item, dict):
-            issues.add(path, "expected an object")
-            continue
-        _check_keys(item, keys, path, issues)
-        missing = keys - set(item)
-        if missing:
-            issues.add(path, f"missing fields: {', '.join(sorted(missing))}")
+        if not _fields(item, keys, path, issues):
             continue
         name = item["name"]
         if not isinstance(name, str) or not name:
-            issues.add(f"{path}.name", "expected a non-empty string")
+            issues.append((f"{path}.name", "expected a non-empty string"))
             continue
         if name in seen_names:
-            issues.add(f"{path}.name", f"duplicate {kind} name {name!r}")
+            issues.append((f"{path}.name", f"duplicate {kind} name {name!r}"))
         seen_names.add(name)
         values = _take_rational_list(item[vector], f"{path}.{vector}", issues)
         if len(values) == len(reorder):
@@ -210,40 +196,32 @@ def _named_entries(raw, section: str, keys: set[str], vector: str, reorder: list
 
 def parse_market(data: bytes | str) -> MarketModel:
     """Exact parse of a market file; every problem is reported with its path."""
-    issues = _Issues()
+    issues = []
     raw = _load_object(data)
     version = raw.get("schemaVersion")
     if version != SCHEMA_VERSION:
         raise MarketParseError([("schemaVersion", f"unsupported value {version!r}, expected {SCHEMA_VERSION}")])
-    _check_keys(raw, _MARKET_KEYS, "$", issues)
-    missing_top = _MARKET_KEYS - set(raw)
-    if missing_top:
-        for key in missing_top:
-            issues.add(key, "missing field")
-        issues.raise_if_any()
-
-    mark = issues.mark()
-    tree_raw = raw["tree"]
-    if not isinstance(tree_raw, dict):
-        issues.add("tree", "expected an object")
-        issues.raise_if_any()
-    _check_keys(tree_raw, _TREE_KEYS, "tree", issues)
-    nodes = _parse_nodes(tree_raw.get("nodes"), issues)
-    issues.raise_if_added(mark)
+    if not _fields(raw, _MARKET_KEYS, "$", issues):
+        _stop(issues)
+    mark = len(issues)
+    if not _fields(raw["tree"], _TREE_KEYS, "tree", issues):
+        _stop(issues)
+    nodes = _parse_nodes(raw["tree"]["nodes"], issues)
+    _stop(issues, mark)
 
     periods = max(node.time for node in nodes)
     roots = [n for n in nodes if n.parent is None]
     num_assets = len(roots[0].prices) if roots else 0
     tree = ScenarioTree(nodes, periods, num_assets)
 
-    mark = issues.mark()
+    mark = len(issues)
     leaves = leaf_ids(tree)
     order_raw = raw["leafOrder"]
     if not _is_id_list(order_raw):
-        issues.add("leafOrder", "expected a list of node ids")
+        issues.append(("leafOrder", "expected a list of node ids"))
     elif sorted(order_raw) != leaves:
-        issues.add("leafOrder", "must list exactly the nodes at the final period")
-    issues.raise_if_added(mark)
+        issues.append(("leafOrder", "must list exactly the nodes at the final period"))
+    _stop(issues, mark)
     slot = {leaf: k for k, leaf in enumerate(order_raw)}
     reorder = [slot[leaf] for leaf in leaves]  # file index per canonical position
 
@@ -260,7 +238,7 @@ def parse_market(data: bytes | str) -> MarketModel:
     for _, _, name, weights in entries:
         generators.append(weights)
         gen_names.append(name)
-    issues.raise_if_any()
+    _stop(issues)
 
     market = MarketModel(tree, options, MeasureFamily(generators, gen_names))
     report = validate_market(market)
@@ -269,7 +247,7 @@ def parse_market(data: bytes | str) -> MarketModel:
     return market
 
 
-def market_to_json(m: Market) -> dict:
+def market_to_json(m: MarketModel) -> dict:
     c = require_valid(m)
     return {
         "schemaVersion": SCHEMA_VERSION,
@@ -301,35 +279,33 @@ def market_to_json(m: Market) -> dict:
     }
 
 
-def dump_market(m: Market) -> str:
+def dump_market(m: MarketModel) -> str:
     return json.dumps(market_to_json(m), indent=2)
 
 
-def parse_claim(data: bytes | str, m: Market) -> Claim:
+def parse_claim(data: bytes | str, m: MarketModel) -> Claim:
     """Parse a claim file against a market's leaves."""
-    issues = _Issues()
+    issues = []
     raw = _load_object(data)
     if raw.get("schemaVersion") != SCHEMA_VERSION:
         raise MarketParseError([("schemaVersion", f"unsupported value {raw.get('schemaVersion')!r}")])
-    _check_keys(raw, _CLAIM_KEYS, "$", issues)
-    for key in _CLAIM_KEYS - set(raw):
-        issues.add(key, "missing field")
-    issues.raise_if_any()
+    _fields(raw, _CLAIM_KEYS, "$", issues)
+    _stop(issues)
 
     leaves = leaf_ids(m.tree)
     order = raw["leafOrder"]
     if not _is_id_list(order) or sorted(order) != leaves:
-        issues.add("leafOrder", "must list exactly the market's final-period nodes")
-        issues.raise_if_any()
+        issues.append(("leafOrder", "must list exactly the market's final-period nodes"))
+        _stop(issues)
     payoff = _take_rational_list(raw["payoff"], "payoff", issues)
     if len(payoff) != len(order):
-        issues.add("payoff", f"{len(payoff)} entries for {len(order)} leaves")
-    issues.raise_if_any()
+        issues.append(("payoff", f"{len(payoff)} entries for {len(order)} leaves"))
+    _stop(issues)
     slot = {leaf: k for k, leaf in enumerate(order)}
     return Claim([payoff[slot[leaf]] for leaf in leaves])
 
 
-def claim_to_json(m: Market, f: Claim) -> dict:
+def claim_to_json(m: MarketModel, f: Claim) -> dict:
     return {
         "schemaVersion": SCHEMA_VERSION,
         "leafOrder": leaf_ids(m.tree),
@@ -337,7 +313,7 @@ def claim_to_json(m: Market, f: Claim) -> dict:
     }
 
 
-def strategy_to_json(m: Market, s: Strategy) -> dict:
+def strategy_to_json(m: MarketModel, s: Strategy) -> dict:
     return {
         "dynamic": {
             str(nid): [format_rational(v) for v in s.dynamic[nid]]
@@ -356,7 +332,7 @@ def measure_to_json(q: MartingaleMeasure) -> dict:
     }
 
 
-def na_certificate_to_json(m: Market, cert: ArbitrageCertificate) -> dict:
+def na_certificate_to_json(m: MarketModel, cert: ArbitrageCertificate) -> dict:
     return {
         "strategy": strategy_to_json(m, cert.strategy),
         "gains": [format_rational(g) for g in cert.gains],
@@ -364,7 +340,7 @@ def na_certificate_to_json(m: Market, cert: ArbitrageCertificate) -> dict:
     }
 
 
-def witness_to_json(m: Market, w: RobustnessWitness) -> dict:
+def witness_to_json(m: MarketModel, w: RobustnessWitness) -> dict:
     return {
         "shrunkBids": [format_rational(v) for v in w.shrunk_bids],
         "shrunkAsks": [format_rational(v) for v in w.shrunk_asks],
@@ -373,7 +349,7 @@ def witness_to_json(m: Market, w: RobustnessWitness) -> dict:
     }
 
 
-def replication_to_json(m: Market, i: int, cert: ReplicationCertificate) -> dict:
+def replication_to_json(m: MarketModel, i: int, cert: ReplicationCertificate) -> dict:
     others = [k for k in range(len(m.options)) if k != i]
     return {
         "option": m.options[i].name,

@@ -1,14 +1,18 @@
 """Finite-market data model: scenario trees, quoted options, measure families.
 
-Every quantity is an exact rational (`fractions.Fraction`). Arbitrage is a
-strict-inequality phenomenon, so nothing in the core ever touches floating
-point. No field of a model type can be reassigned once constructed and
-every operation is a pure function, which makes concurrent use on shared
-inputs safe without synchronization.
+Every quantity is an exact rational (a `fractions.Fraction` or an int), and
+validation reports any other entry. Arbitrage is a strict-inequality
+phenomenon, so nothing in the core ever touches floating point. No field of
+a model type can be reassigned once constructed and every operation is a
+pure function, which makes concurrent use on shared inputs safe without
+synchronization.
 
 Leaves are indexed by *position* 0..L-1 in ascending node-id order among the
 nodes at the final period. Option payoffs, measure weights, and claims all
 follow that ordering.
+
+`require_valid` validates a `MarketModel` once and returns a
+`CompiledMarket`: a `MarketModel` plus what the programs are built from.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import StructureError
+from .errors import DomainError, StructureError
 from .lp import _rational_lists
 
 # The rational substrate. Fraction already guarantees the invariants this
@@ -132,9 +136,43 @@ def leaf_ids(tree: ScenarioTree) -> list[int]:
     return sorted(node.id for node in tree.nodes if node.time == tree.periods)
 
 
+def _inexact(m: MarketModel) -> list[str]:
+    """A violation per node price, option payoff, bid or ask and generator
+    weight that is not an int or a Fraction. One type pass over them all
+    settles the common case; only a market that fails it is searched."""
+    options, gens = m.options, m.measures.generators
+    lists = [node.prices for node in m.tree.nodes] + [opt.payoff for opt in options] + list(gens)
+    if _rational_lists([q for opt in options for q in (opt.bid, opt.ask)], *lists):
+        return []
+    where = [f"tree: node {node.id} prices" for node in m.tree.nodes]
+    where += [f"options[{k}] ('{opt.name}'): payoff" for k, opt in enumerate(options)]
+    where += [f"measures[{k}]: weights" for k in range(len(gens))]
+    issues = [f"{at} is {type(values).__name__}, not a list"
+              for at, values in zip(where, lists) if not isinstance(values, (list, tuple))]
+    entries = [(f"{at}[{j}]", v) for at, values in zip(where, lists)
+               if isinstance(values, (list, tuple)) for j, v in enumerate(values)]
+    entries += [(f"options[{k}] ('{opt.name}'): {side}", getattr(opt, side))
+                for k, opt in enumerate(options) for side in ("bid", "ask")]
+    return issues + [f"{at} is {type(v).__name__} {v!r}, not an int or a Fraction"
+                     for at, v in entries if type(v) not in (int, Fraction)]
+
+
+def _index(i, n: int, what: str) -> int:
+    """`i` when it is an int in [0, n); otherwise a DomainError naming `what`."""
+    if type(i) is not int:
+        raise DomainError(f"{what} {i!r} is not an int")
+    if not 0 <= i < n:
+        raise DomainError(f"{what} {i} out of range")
+    return i
+
+
 def validate_market(m: MarketModel) -> ValidationReport:
     """Check every model invariant; violations are data, not exceptions."""
-    issues: list[str] = []
+    if not isinstance(m, MarketModel):
+        return ValidationReport(False, [f"market is {type(m).__name__}, not a MarketModel"])
+    issues = _inexact(m)
+    if issues:  # nothing below compares or sums an entry of the wrong type
+        return ValidationReport(False, issues)
     tree = m.tree
     n = len(tree.nodes)
     if n == 0:
@@ -208,17 +246,16 @@ def validate_market(m: MarketModel) -> ValidationReport:
 
 
 @dataclass(frozen=True)
-class CompiledMarket:
+class CompiledMarket(MarketModel):
     """A validated market plus everything its programs are built from.
 
     Built once per call by `require_valid` and read-only afterwards. Node
     ids are dense after validation, so per-node data is indexed by id; leaf
-    data is indexed by leaf position. The `tree`, `options` and `measures`
-    of the underlying model read through, so every query accepts a compiled
-    market wherever it accepts a MarketModel.
+    data is indexed by leaf position. No compiled field depends on the
+    options, so `replace(c, options=...)` with a subset of them is still a
+    compiled market.
     """
 
-    market: MarketModel
     prices: tuple[tuple[Fraction, ...], ...]        # by node id
     children: tuple[tuple[int, ...], ...]           # by node id, ascending
     leaves: tuple[int, ...]                         # leaf node ids, ascending
@@ -228,18 +265,6 @@ class CompiledMarket:
     columns: tuple[tuple[int, int], ...]            # (node id, asset) per dynamic column
     gain_rows: tuple[tuple[Fraction, ...], ...]     # by position, one entry per column
     generator_names: tuple[str, ...]
-
-    @property
-    def tree(self) -> ScenarioTree:
-        return self.market.tree
-
-    @property
-    def options(self) -> list[OptionQuote]:
-        return self.market.options
-
-    @property
-    def measures(self) -> MeasureFamily:
-        return self.market.measures
 
     def strategy_from(self, primal: list[Fraction]) -> Strategy:
         """The strategy a vector encodes in strategy-column order: the
@@ -251,10 +276,7 @@ class CompiledMarket:
         return Strategy(dynamic, list(primal[nh:nh + e]), list(primal[nh + e:nh + 2 * e]))
 
 
-Market = MarketModel | CompiledMarket
-
-
-def require_valid(m: Market) -> CompiledMarket:
+def require_valid(m: MarketModel) -> CompiledMarket:
     """Validate a market and compile it; a compiled market passes unchanged.
 
     This is the public entry point to compilation (`_compile`), the single
@@ -302,7 +324,7 @@ def _compile(m: MarketModel) -> CompiledMarket:
 
     gens = m.measures.generators
     return CompiledMarket(
-        market=m,
+        m.tree, m.options, m.measures,
         prices=tuple(prices),
         children=tuple(tuple(sorted(kids)) for kids in children),
         leaves=tuple(leaves),
@@ -315,7 +337,7 @@ def _compile(m: MarketModel) -> CompiledMarket:
     )
 
 
-def support(m: Market) -> set[int]:
+def support(m: MarketModel) -> set[int]:
     """Leaf positions charged by at least one generator.
 
     The complement is the largest set that every generator ignores, so a
@@ -325,6 +347,8 @@ def support(m: Market) -> set[int]:
 
 
 def _check_strategy_shape(c: CompiledMarket, s: Strategy) -> None:
+    if not isinstance(s, Strategy):
+        raise StructureError(f"strategy is {type(s).__name__}, not a Strategy")
     if not isinstance(s.dynamic, dict) or set(s.dynamic) != set(c.nonleaf):
         raise StructureError("strategy dynamic positions must cover exactly the non-leaf nodes")
     if not _rational_lists(s.buy_leg, s.sell_leg, *s.dynamic.values()):
@@ -344,7 +368,7 @@ def _check_strategy_shape(c: CompiledMarket, s: Strategy) -> None:
             )
 
 
-def terminal_gain(m: Market, s: Strategy) -> list[Fraction]:
+def terminal_gain(m: MarketModel, s: Strategy) -> list[Fraction]:
     """Terminal wealth of a strategy on each leaf, from zero initial capital.
 
     Dynamic trading gains accrue per period step along the leaf's path;
@@ -373,7 +397,7 @@ def terminal_gain(m: Market, s: Strategy) -> list[Fraction]:
     return gains
 
 
-def zero_strategy(m: Market) -> Strategy:
+def zero_strategy(m: MarketModel) -> Strategy:
     c = require_valid(m)
     e = len(c.options)
     return Strategy({nid: [ZERO] * c.tree.num_assets for nid in c.nonleaf}, [ZERO] * e, [ZERO] * e)

@@ -27,9 +27,10 @@ from .arbitrage import (
     _require_domination,
     _robustness,
 )
-from .errors import DomainError, PreconditionError, StructureError
+from .errors import PreconditionError, StructureError
 from .lp import _rational_lists, reduce_linear, solve_linear
-from .model import CompiledMarket, Market, Strategy, ZERO, ONE, require_valid, terminal_gain
+from .model import (CompiledMarket, MarketModel, Strategy, ZERO, ONE, _index, require_valid,
+                    terminal_gain)
 
 
 @dataclass
@@ -101,16 +102,14 @@ def _replications(c: CompiledMarket, targets: list[int]) -> dict[int, Nonredunda
     return verdicts
 
 
-def check_nonredundant(m: Market, i: int) -> NonredundancyVerdict:
+def check_nonredundant(m: MarketModel, i: int) -> NonredundancyVerdict:
     """Solve x + dynamic gains + other options == option i on the charged
     leaves, exactly; a solution is the replication certificate."""
     c = require_valid(m)
-    if not 0 <= i < len(c.options):
-        raise DomainError(f"option index {i} out of range")
-    return _replications(c, [i])[i]
+    return _replications(c, [_index(i, len(c.options), "option index")])[i]
 
 
-def all_spread_options_nonredundant(m: Market) -> SpreadOptionsReport:
+def all_spread_options_nonredundant(m: MarketModel) -> SpreadOptionsReport:
     c = require_valid(m)
     verdicts = _replications(c, [i for i, opt in enumerate(c.options) if opt.has_spread()])
     return SpreadOptionsReport(
@@ -118,7 +117,7 @@ def all_spread_options_nonredundant(m: Market) -> SpreadOptionsReport:
     )
 
 
-def sharper_ftap(m: Market) -> SharperFtapBundle:
+def sharper_ftap(m: MarketModel) -> SharperFtapBundle:
     """Settle the market from one solve of the robust program.
 
     Precondition: every spread option non-redundant. Robust no-arbitrage
@@ -162,11 +161,13 @@ def sharper_ftap(m: Market) -> SharperFtapBundle:
     )
 
 
-def verify_replication(m: Market, i: int, cert: ReplicationCertificate) -> bool:
+def verify_replication(m: MarketModel, i: int, cert: ReplicationCertificate) -> bool:
     """Replay the replication identity on every charged leaf, walking the
     tree for the dynamic gains."""
     c = require_valid(m)
-    if not 0 <= i < len(c.options):
+    if type(i) is not int or not 0 <= i < len(c.options):
+        return False
+    if not isinstance(cert, ReplicationCertificate):
         return False
     others = [k for k in range(len(c.options)) if k != i]
     if not _rational_lists([cert.initial_capital], cert.static_signed):

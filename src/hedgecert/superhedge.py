@@ -34,9 +34,9 @@ from .errors import (
 from .model import (
     Claim,
     CompiledMarket,
-    Market,
     MarketModel,
     Strategy,
+    _index,
     require_valid,
     terminal_gain,
 )
@@ -57,13 +57,19 @@ class PricingReport:
     gap: Fraction
 
 
+def _check_claim(c: CompiledMarket, f: Claim) -> None:
+    """StructureError unless f is a Claim with one int or Fraction per leaf."""
+    if not isinstance(f, Claim) or not isinstance(f.payoff, (list, tuple)):
+        raise StructureError(f"claim is {type(f).__name__}, not a Claim with a payoff list")
+    lp._rationals(f.payoff, "claim payoff")
+    if len(f.payoff) != len(c.leaves):
+        raise StructureError(f"claim has {len(f.payoff)} payoffs, market has {len(c.leaves)} leaves")
+
+
 def _solve_pricing(c: CompiledMarket, f: Claim):
     """Solve the measure program that maximizes the claim's expectation: the
     one solve behind both sides of the pricing duality."""
-    if len(f.payoff) != len(c.leaves):
-        raise StructureError(
-            f"claim has {len(f.payoff)} payoffs, market has {len(c.leaves)} leaves"
-        )
+    _check_claim(c, f)
     return _solve(c, [f.payoff[pos] for pos in c.charged])
 
 
@@ -92,7 +98,7 @@ def _measure_side(c: CompiledMarket, solved) -> tuple[Fraction, MartingaleMeasur
     return out.objective_value, measure_from_weights(c, _weights_on_charged(c, out.primal))
 
 
-def superhedge_price(m: Market, f: Claim) -> tuple[Fraction, Strategy]:
+def superhedge_price(m: MarketModel, f: Claim) -> tuple[Fraction, Strategy]:
     """Least super-replication capital and a strategy attaining it, read off
     the row multipliers of the measure program `dual_price` solves. With no
     quote-consistent measure the cost is unbounded below, and its ray is
@@ -101,13 +107,13 @@ def superhedge_price(m: Market, f: Claim) -> tuple[Fraction, Strategy]:
     return _hedge_side(c, _solve_pricing(c, f))
 
 
-def dual_price(m: Market, f: Claim) -> tuple[Fraction, MartingaleMeasure]:
+def dual_price(m: MarketModel, f: Claim) -> tuple[Fraction, MartingaleMeasure]:
     """Maximal claim expectation over quote-consistent martingale measures."""
     c = require_valid(m)
     return _measure_side(c, _solve_pricing(c, f))
 
 
-def duality_report(m: Market, f: Claim) -> PricingReport:
+def duality_report(m: MarketModel, f: Claim) -> PricingReport:
     """Both sides of one measure-program solve: the multipliers' y . rhs and
     the optimal measure's expectation of the claim must agree exactly."""
     c = require_valid(m)
@@ -128,7 +134,7 @@ def _largest_dyadic_at_most(bound: Fraction) -> Fraction:
     return lam
 
 
-def strict_dual_approx(m: Market, f: Claim, eps: Fraction) -> MartingaleMeasure:
+def strict_dual_approx(m: MarketModel, f: Claim, eps: Fraction) -> MartingaleMeasure:
     """A strictly interior consistent measure within eps of the dual optimum.
 
     Mixes the dual optimizer toward the robustness witness with a dyadic
@@ -138,8 +144,10 @@ def strict_dual_approx(m: Market, f: Claim, eps: Fraction) -> MartingaleMeasure:
     return _strict_dual(m, f, eps)[1]
 
 
-def _strict_dual(m: Market, f: Claim, eps: Fraction) -> tuple[Fraction, MartingaleMeasure]:
+def _strict_dual(m: MarketModel, f: Claim, eps: Fraction) -> tuple[Fraction, MartingaleMeasure]:
     """The dual optimum and `strict_dual_approx`'s measure, from one dual solve."""
+    if not lp._rational_lists([eps]):
+        raise DomainError(f"eps is {type(eps).__name__}, not an int or a Fraction")
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}")
     c = require_valid(m)
@@ -153,7 +161,7 @@ def _strict_dual(m: Market, f: Claim, eps: Fraction) -> tuple[Fraction, Martinga
     return value, measure_from_weights(c, weights)
 
 
-def claim_price_bounds(m: Market, f: Claim) -> tuple[Fraction, Fraction]:
+def claim_price_bounds(m: MarketModel, f: Claim) -> tuple[Fraction, Fraction]:
     """Sub- and super-replication prices of a claim in the market as given."""
     c = require_valid(m)
     upper, _ = superhedge_price(c, f)
@@ -161,12 +169,12 @@ def claim_price_bounds(m: Market, f: Claim) -> tuple[Fraction, Fraction]:
     return -lower_neg, upper
 
 
-def market_without_option(m: Market, i: int) -> MarketModel:
-    options = [opt for k, opt in enumerate(m.options) if k != i]
-    return MarketModel(tree=m.tree, options=options, measures=m.measures)
+def market_without_option(m: MarketModel, i: int) -> MarketModel:
+    """The market less option i; a compiled market stays compiled."""
+    return replace(m, options=[opt for k, opt in enumerate(m.options) if k != i])
 
 
-def price_bounds_excluding(m: Market, i: int) -> tuple[Fraction, Fraction]:
+def price_bounds_excluding(m: MarketModel, i: int) -> tuple[Fraction, Fraction]:
     """Price interval for option i implied by the rest of the market.
 
     Requires the reduced market (everything except option i) to be robustly
@@ -176,23 +184,22 @@ def price_bounds_excluding(m: Market, i: int) -> tuple[Fraction, Fraction]:
     quoting it strictly outside creates arbitrage.
     """
     c = require_valid(m)
-    if not 0 <= i < len(c.options):
-        raise DomainError(f"option index {i} out of range")
-    # no compiled field depends on the options, so the reduced market keeps them
-    reduced = replace(c, market=market_without_option(c, i))
+    _index(i, len(c.options), "option index")
+    reduced = market_without_option(c, i)
     _require_nar(reduced, f"market without option '{c.options[i].name}' fails robust no-arbitrage")
     return claim_price_bounds(reduced, Claim(list(c.options[i].payoff)))
 
 
 def verify_super_replication(
-    m: Market, f: Claim, price: Fraction, strategy: Strategy
+    m: MarketModel, f: Claim, price: Fraction, strategy: Strategy
 ) -> bool:
     """Exact replay: price + gain covers the claim on every charged leaf."""
     c = require_valid(m)
-    if not lp._rational_lists([price]) or len(f.payoff) != len(c.leaves):
+    if not lp._rational_lists([price]):
         return False
     try:
+        _check_claim(c, f)
         gains = terminal_gain(c, strategy)
-    except StructureError:  # a strategy malformed for this market
+    except StructureError:  # a claim or strategy malformed for this market
         return False
     return all(price + gains[pos] >= f.payoff[pos] for pos in c.charged)

@@ -26,7 +26,6 @@ from hedgecert.errors import DomainError, PreconditionError, SoundnessError
 from hedgecert.model import (
     Claim,
     CompiledMarket,
-    Market,
     MarketModel,
     OptionQuote,
     Strategy,
@@ -93,7 +92,7 @@ def _solve_free(objective, rows, relations, rhs, free: int) -> lp.LpOutcome:
     return out
 
 
-def surplus_na(m: Market) -> NaVerdict:
+def surplus_na(m: MarketModel) -> NaVerdict:
     """No-arbitrage by maximizing total surplus over charged leaves.
 
     Variables are a strategy plus one surplus per charged leaf; the gain on
@@ -122,7 +121,7 @@ def surplus_na(m: Market) -> NaVerdict:
     return NaVerdict(False, ArbitrageCertificate(strategy, gains, strict))
 
 
-def hedge_lp(m: Market, f: Claim) -> tuple[Fraction, Strategy] | None:
+def hedge_lp(m: MarketModel, f: Claim) -> tuple[Fraction, Strategy] | None:
     """Super-hedging on the strategy side: min x over (x, strategy) with
     x + gain >= payoff on every charged leaf, solved as max -x. Capital is a
     free column, so the program is feasible; None when it is unbounded below."""
@@ -138,7 +137,7 @@ def hedge_lp(m: Market, f: Claim) -> tuple[Fraction, Strategy] | None:
     return -out.objective_value, canonical_legs(c.strategy_from(out.primal[1:]))
 
 
-def replication_lp(m: Market, i: int) -> NonredundancyVerdict:
+def replication_lp(m: MarketModel, i: int) -> NonredundancyVerdict:
     """Redundancy of option i as the feasibility of a zero-objective LP over
     free columns: x + dynamic gains + other options == option i."""
     c = require_valid(m)
@@ -158,7 +157,7 @@ def replication_lp(m: Market, i: int) -> NonredundancyVerdict:
     )
 
 
-def replication_solve(m: Market, i: int) -> NonredundancyVerdict:
+def replication_solve(m: MarketModel, i: int) -> NonredundancyVerdict:
     """Redundancy of option i by its own elimination of [1 | G | P_others]
     against P_i on the charged leaves, redoing the [1 | G] part per option."""
     c = require_valid(m)
@@ -174,7 +173,7 @@ def replication_solve(m: Market, i: int) -> NonredundancyVerdict:
     return NonredundancyVerdict(False, ReplicationCertificate(x[0], dynamic, x[1 + nh:]))
 
 
-def two_program_sharper_ftap(m: Market) -> SharperFtapBundle:
+def two_program_sharper_ftap(m: MarketModel) -> SharperFtapBundle:
     """`sharper_ftap` with the precondition decided by `replication_solve`
     and both programs solved: no-arbitrage first, then the robust one."""
     c = require_valid(m)

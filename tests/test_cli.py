@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from hedgecert.arbitrage import check_nar
+from hedgecert.arbitrage import check_nar, measure_from_weights
 from hedgecert.cli import main
 from hedgecert.marketio import claim_to_json, dump_market
 from hedgecert.model import Claim, Strategy
@@ -16,6 +17,7 @@ from hedgecert.superhedge import verify_super_replication
 from markets import (
     binomial_with_free_option,
     spread_option_only_market,
+    trinomial_straddle_market,
     wide_quote_identical_options_market,
 )
 
@@ -313,6 +315,46 @@ def test_verify_replay_failure_exits_5(capsys, monkeypatch):
     assert err["error"]["type"] == "soundness"
 
 
+def test_dual_verify_replays_the_printed_value(capsys, monkeypatch):
+    # a measure that passes every check but does not attain the printed value
+    import hedgecert.superhedge as superhedge_mod
+
+    dual_price = superhedge_mod.dual_price
+
+    def off_by_one(m, f):
+        value, measure = dual_price(m, f)
+        return value + 1, measure
+
+    monkeypatch.setattr(superhedge_mod, "dual_price", off_by_one)
+    argv = ["dual", str(DATA / "m1.json"), "--claim", str(DATA / "call.json")]
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, "--verify")
+    assert code == 5
+    assert out is None
+    assert err["error"]["type"] == "soundness"
+
+
+def test_sharper_ftap_verify_replays_domination(capsys, monkeypatch, tmp_path):
+    # an extreme martingale measure of the trinomial tree is consistent and,
+    # with no option quoted, strictly inside every quote, but it leaves the
+    # middle leaf the flat generator charges uncharged
+    import hedgecert.redundancy as redundancy_mod
+
+    m = replace(trinomial_straddle_market(), options=[])
+    extreme = measure_from_weights(m, [F(1, 2), F(0), F(1, 2)])
+    sharper_ftap = redundancy_mod.sharper_ftap
+    monkeypatch.setattr(
+        redundancy_mod, "sharper_ftap", lambda m: replace(sharper_ftap(m), dominating=[extreme])
+    )
+    market = tmp_path / "m.json"
+    market.write_text(dump_market(m))
+    assert run(capsys, "sharper-ftap", str(market))[0] == 0
+    code, out, err = run(capsys, "sharper-ftap", str(market), "--verify")
+    assert code == 5
+    assert out is None
+    assert err["error"]["type"] == "soundness"
+
+
 def test_solver_fault_exits_5(capsys, monkeypatch):
     # a broken kernel is a soundness failure, never "invalid input": the
     # basis-dual solve finds no solution and must raise, not return
@@ -325,11 +367,11 @@ def test_solver_fault_exits_5(capsys, monkeypatch):
     assert err["error"]["type"] == "soundness"
 
 
-def _fresh_process(*argv) -> subprocess.CompletedProcess:
+def _fresh_process(*argv, **env) -> subprocess.CompletedProcess:
     """Run the checkout's CLI in a new interpreter, as the in-process tests
-    run the checkout's package."""
+    run the checkout's package, with `env` added to the environment."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
         [sys.executable, "-m", "hedgecert.cli", *argv], capture_output=True, text=True, env=env
     )
@@ -377,3 +419,25 @@ def test_superhedge_reports_the_robust_arbitrage_ray(capsys, tmp_path):
     )
     assert capital < 0
     assert verify_super_replication(m, Claim([F(0), F(0)]), capital, strategy)
+
+
+def test_missing_field_errors_are_the_same_bytes_under_every_hash_seed(tmp_path):
+    # missing fields are named in one sorted issue, never in set order
+    market = json.loads((DATA / "m1.json").read_text())
+    for key in ("options", "measures", "leafOrder"):
+        del market[key]
+    bad_market = tmp_path / "market.json"
+    bad_market.write_text(json.dumps(market))
+    bad_claim = tmp_path / "claim.json"
+    bad_claim.write_text(json.dumps({"schemaVersion": 1}))
+    cases = {
+        ("check-na", str(bad_market)): "$: missing fields: leafOrder, measures, options",
+        ("superhedge", str(DATA / "m1.json"), "--claim", str(bad_claim)):
+            "$: missing fields: leafOrder, payoff",
+    }
+    for argv, message in cases.items():
+        runs = [_fresh_process(*argv, PYTHONHASHSEED=str(seed)) for seed in range(4)]
+        assert {r.returncode for r in runs} == {4}
+        errors = {r.stderr for r in runs}
+        assert len(errors) == 1, errors
+        assert json.loads(errors.pop())["error"]["message"] == message

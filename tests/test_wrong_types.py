@@ -1,0 +1,116 @@
+"""Inputs of the wrong type: a replay answers False, a query raises a
+StructureError or a DomainError, and nothing ends in an AttributeError or a
+TypeError from deep inside the package."""
+
+import re
+from dataclasses import replace
+from fractions import Fraction as F
+
+import pytest
+
+from hedgecert import lp
+from hedgecert.arbitrage import (
+    check_na,
+    check_nar,
+    dominating_measure,
+    scenario_pricing_measure,
+    strictly_inside_quotes,
+    verify_measure,
+    verify_na_certificate,
+    verify_nar_witness,
+)
+from hedgecert.errors import DomainError, StructureError
+from hedgecert.model import Claim, MeasureFamily, OptionQuote, validate_market
+from hedgecert.redundancy import (
+    all_spread_options_nonredundant,
+    check_nonredundant,
+    verify_replication,
+)
+from hedgecert.superhedge import (
+    price_bounds_excluding,
+    superhedge_price,
+    verify_super_replication,
+)
+from markets import binomial_market, binomial_with_free_option, binomial_with_spread_option
+
+
+def test_replays_return_false_on_missing_or_mistyped_certificates():
+    m = binomial_market()
+    witness = check_nar(m).witness
+    free = binomial_with_free_option()
+    cert = check_na(free).certificate
+    claim = Claim([F(1), F(0)])
+    price, strategy = superhedge_price(m, claim)
+    problem = lp.LpProblem([F(1)], [[F(1)]], [lp.LE], [F(1)])
+    cases = {
+        "no witness": lambda: verify_nar_witness(m, None),
+        "no interior measure": lambda: verify_nar_witness(m, replace(witness, interior_measure=None)),
+        "no arbitrage certificate": lambda: verify_na_certificate(free, None),
+        "no arbitrage strategy": lambda: verify_na_certificate(free, replace(cert, strategy=None)),
+        "no measure": lambda: verify_measure(m, None),
+        "no interior candidate": lambda: strictly_inside_quotes(m, None),
+        "no hedge": lambda: verify_super_replication(m, claim, price, None),
+        "no claim": lambda: verify_super_replication(m, None, price, strategy),
+        # the same claim in floating point would replay in floating point
+        "float claim": lambda: verify_super_replication(m, Claim([1.0, 0.0]), price, strategy),
+        "no replication": lambda: verify_replication(free, 0, None),
+        "no outcome": lambda: lp.verify_certificate(problem, None),
+    }
+    for name, replay in cases.items():
+        assert replay() is False, name
+    # the certificates themselves still replay
+    assert verify_nar_witness(m, witness) and verify_na_certificate(free, cert)
+    assert verify_super_replication(m, claim, price, strategy)
+    assert lp.verify_certificate(problem, lp.solve_lp(problem))
+
+
+def _with_prices(m, convert):
+    nodes = [replace(node, prices=[convert(p) for p in node.prices]) for node in m.tree.nodes]
+    return replace(m, tree=replace(m.tree, nodes=nodes))
+
+
+_QUOTED = OptionQuote("c", [F(1), F(0)], F(1, 4), F(1, 2))
+
+WRONG_ENTRIES = {
+    "float prices": (_with_prices(binomial_market([_QUOTED]), float),
+                     "tree: node 0 prices[0] is float 1.0"),
+    "float payoff": (binomial_market([replace(_QUOTED, payoff=[1.0, F(0)])]),
+                     "options[0] ('c'): payoff[0] is float 1.0"),
+    "no bid": (binomial_market([replace(_QUOTED, bid=None)]),
+               "options[0] ('c'): bid is NoneType None"),
+    "string ask": (binomial_market([replace(_QUOTED, ask="1/2")]),
+                   "options[0] ('c'): ask is str '1/2'"),
+    "float weights": (replace(binomial_market([_QUOTED]), measures=MeasureFamily([[0.5, 0.5]])),
+                      "measures[0]: weights[0] is float 0.5"),
+    "no payoff list": (binomial_market([replace(_QUOTED, payoff=None)]),
+                       "options[0] ('c'): payoff is NoneType, not a list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_ENTRIES))
+def test_market_entries_that_are_not_rationals_are_located_violations(case):
+    m, where = WRONG_ENTRIES[case]
+    report = validate_market(m)
+    assert not report.ok
+    assert any(v.startswith(where) for v in report.violations), report.violations
+    queries = [
+        check_na,
+        check_nar,
+        lambda m: superhedge_price(m, Claim([F(1), F(0)])),
+        all_spread_options_nonredundant,
+    ]
+    for query in queries:
+        with pytest.raises(StructureError, match=re.escape(where)):
+            query(m)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [dominating_measure, scenario_pricing_measure, check_nonredundant, price_bounds_excluding],
+)
+def test_index_arguments_that_are_not_ints_are_domain_errors(query):
+    m = binomial_with_spread_option()
+    for bad in (0.5, 1.0, None, "0"):
+        with pytest.raises(DomainError, match="is not an int"):
+            query(m, bad)
+    query(m, 0)  # an int in range is answered
