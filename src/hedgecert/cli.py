@@ -16,7 +16,8 @@ leaves the parser untouched: each call fills a fresh namespace, and usage,
 help and error text are formatted, at the current terminal width, only when
 they are printed. `main` reads the market, and the claim (None for a
 subcommand without `--claim`), once per command and passes both to the
-handler. Each market file is validated once, by `parse_market`.
+handler. Each market file is validated and compiled once, by
+`parse_market`, and every query and replay reads the compiled market.
 """
 
 import argparse
@@ -34,7 +35,7 @@ from .errors import (
     SoundnessError,
     StructureError,
 )
-from .model import ZERO, Claim, CompiledMarket, _compile
+from .model import ZERO, Claim, CompiledMarket
 
 EXIT_OK = 0
 EXIT_FAILS = 3
@@ -329,8 +330,7 @@ def _print_report(report: dict, pretty: bool) -> None:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        # parse_market has validated the market: compile it without a second pass
-        m = _compile(marketio.parse_market(_read(args.market)))
+        m = marketio.parse_market(_read(args.market))
         f = None if args.claim is None else marketio.parse_claim(_read(args.claim), m)
         code, report = args.handler(args, m, f)
     except (StructureError, DomainError) as exc:

@@ -22,12 +22,14 @@ from .arbitrage import ArbitrageCertificate, MartingaleMeasure, RobustnessWitnes
 from .errors import StructureError
 from .model import (
     Claim,
+    CompiledMarket,
     MarketModel,
     MeasureFamily,
     Node,
     OptionQuote,
     ScenarioTree,
     Strategy,
+    _compile,
     leaf_ids,
     require_valid,
     validate_market,
@@ -194,8 +196,11 @@ def _named_entries(raw, section: str, keys: set[str], vector: str, reorder: list
         yield path, item, name, values
 
 
-def parse_market(data: bytes | str) -> MarketModel:
-    """Exact parse of a market file; every problem is reported with its path."""
+def parse_market(data: bytes | str) -> CompiledMarket:
+    """Exact parse of a market file; every problem is reported with its path.
+
+    The market is validated and compiled here, once, so every query on it
+    skips both steps."""
     issues = []
     raw = _load_object(data)
     version = raw.get("schemaVersion")
@@ -244,7 +249,7 @@ def parse_market(data: bytes | str) -> MarketModel:
     report = validate_market(market)
     if not report.ok:
         raise MarketParseError([("market", v) for v in report.violations])
-    return market
+    return _compile(market)
 
 
 def market_to_json(m: MarketModel) -> dict:

@@ -13,6 +13,8 @@ follow that ordering.
 
 `require_valid` validates a `MarketModel` once and returns a
 `CompiledMarket`: a `MarketModel` plus what the programs are built from.
+`marketio.parse_market` returns one too, so a parsed market reaches every
+query already validated and compiled.
 """
 
 from __future__ import annotations
@@ -136,6 +138,47 @@ def leaf_ids(tree: ScenarioTree) -> list[int]:
     return sorted(node.id for node in tree.nodes if node.time == tree.periods)
 
 
+def _mistyped(m: MarketModel) -> list[str]:
+    """A violation per structural field of the wrong type: the tree and the
+    measure family, the node, option and generator lists, the nodes and
+    options in them, the generator names, the period and asset counts and
+    each node's id, time and parent. Each level is checked only once the one
+    above it holds, so nothing here reads a field of the wrong type."""
+    tree, measures = m.tree, m.measures
+    parts = (("tree", tree, ScenarioTree), ("measures", measures, MeasureFamily))
+    issues = [f"{at} is {type(v).__name__}, not a {kind.__name__}"
+              for at, v, kind in parts if not isinstance(v, kind)]
+    if issues:
+        return issues
+    lists = (("tree: nodes", tree.nodes), ("options", m.options),
+             ("measures: generators", measures.generators))
+    issues = [f"{at} is {type(v).__name__}, not a list"
+              for at, v in lists if not isinstance(v, (list, tuple))]
+    names = measures.names
+    if names is not None and not isinstance(names, (list, tuple)):
+        issues.append(f"measures: names is {type(names).__name__}, not a list or None")
+    if issues:
+        return issues
+    issues = [f"tree: nodes[{k}] is {type(v).__name__}, not a Node"
+              for k, v in enumerate(tree.nodes) if not isinstance(v, Node)]
+    issues += [f"options[{k}] is {type(v).__name__}, not an OptionQuote"
+               for k, v in enumerate(m.options) if not isinstance(v, OptionQuote)]
+    if issues:
+        return issues
+    nodes = tree.nodes
+    counts = [tree.periods, tree.num_assets, *(node.id for node in nodes),
+              *(node.time for node in nodes),
+              *(node.parent for node in nodes if node.parent is not None)]
+    if {int}.issuperset(map(type, counts)):
+        return []  # one type pass settles the common case, as in `_inexact`
+    located = [(f"tree: {name}", getattr(tree, name)) for name in ("periods", "num_assets")]
+    located += [(f"tree: nodes[{k}].{name}", getattr(node, name))
+                for k, node in enumerate(nodes) for name in ("id", "time", "parent")
+                if name != "parent" or node.parent is not None]
+    return [f"{at} is {type(v).__name__} {v!r}, not an int"
+            for at, v in located if type(v) is not int]
+
+
 def _inexact(m: MarketModel) -> list[str]:
     """A violation per node price, option payoff, bid or ask and generator
     weight that is not an int or a Fraction. One type pass over them all
@@ -170,8 +213,8 @@ def validate_market(m: MarketModel) -> ValidationReport:
     """Check every model invariant; violations are data, not exceptions."""
     if not isinstance(m, MarketModel):
         return ValidationReport(False, [f"market is {type(m).__name__}, not a MarketModel"])
-    issues = _inexact(m)
-    if issues:  # nothing below compares or sums an entry of the wrong type
+    issues = _mistyped(m) or _inexact(m)
+    if issues:  # nothing below compares or sums a field of the wrong type
         return ValidationReport(False, issues)
     tree = m.tree
     n = len(tree.nodes)
@@ -249,11 +292,16 @@ def validate_market(m: MarketModel) -> ValidationReport:
 class CompiledMarket(MarketModel):
     """A validated market plus everything its programs are built from.
 
-    Built once per call by `require_valid` and read-only afterwards. Node
-    ids are dense after validation, so per-node data is indexed by id; leaf
-    data is indexed by leaf position. No compiled field depends on the
-    options, so `replace(c, options=...)` with a subset of them is still a
-    compiled market.
+    Built once, by `require_valid` or by `marketio.parse_market`, and
+    read-only afterwards: its lists are shared with the market it was
+    built from and must not be mutated in place, or the compiled fields
+    no longer match them. Dataclass equality compares classes, so a
+    compiled market never equals a plain `MarketModel`; compare
+    `marketio.market_to_json` instead. Node ids are dense after
+    validation, so per-node data is indexed by id; leaf data is indexed by
+    leaf position. No compiled field depends on the options, so
+    `replace(c, options=...)` with a subset of them is still a compiled
+    market.
     """
 
     prices: tuple[tuple[Fraction, ...], ...]        # by node id
@@ -279,9 +327,9 @@ class CompiledMarket(MarketModel):
 def require_valid(m: MarketModel) -> CompiledMarket:
     """Validate a market and compile it; a compiled market passes unchanged.
 
-    This is the public entry point to compilation (`_compile`), the single
-    place that builds the tree navigation, the charged support, the dynamic
-    gain rows and the strategy-column layout.
+    This and `marketio.parse_market` are the entry points to compilation
+    (`_compile`), the single place that builds the tree navigation, the
+    charged support, the dynamic gain rows and the strategy-column layout.
     """
     if isinstance(m, CompiledMarket):
         return m
@@ -292,20 +340,23 @@ def require_valid(m: MarketModel) -> CompiledMarket:
 
 
 def _compile(m: MarketModel) -> CompiledMarket:
-    """Compile a market that has already passed `validate_market`, as every
-    `marketio.parse_market` result has."""
+    """Compile a market that has already passed `validate_market`; its two
+    callers, `require_valid` and `marketio.parse_market`, run that pass."""
     tree = m.tree
     n, assets = len(tree.nodes), tree.num_assets
-    parent: list[int | None] = [None] * n
-    prices: list[tuple[Fraction, ...]] = [()] * n
-    children: list[list[int]] = [[] for _ in range(n)]
+    by_id: list = [None] * n
     for node in tree.nodes:
-        parent[node.id] = node.parent
-        prices[node.id] = tuple(node.prices)
+        by_id[node.id] = node
+    parent = [node.parent for node in by_id]
+    prices = tuple(tuple(node.prices) for node in by_id)
+    children: list[list[int]] = [[] for _ in range(n)]
+    step = [()] * n  # each edge's price increment, once, by its child's id
+    leaves, nonleaf = [], []
+    for node in by_id:  # ascending ids, so every list below comes out sorted
         if node.parent is not None:
             children[node.parent].append(node.id)
-    leaves = leaf_ids(tree)
-    nonleaf = sorted(node.id for node in tree.nodes if node.time < tree.periods)
+            step[node.id] = tuple(b - a for a, b in zip(prices[node.parent], prices[node.id]))
+        (leaves if node.time == tree.periods else nonleaf).append(node.id)
     paths = []
     for leaf in leaves:
         path = [leaf]
@@ -313,24 +364,26 @@ def _compile(m: MarketModel) -> CompiledMarket:
             path.append(parent[path[-1]])
         paths.append(tuple(reversed(path)))
 
+    # an edge's increment is copied into every gain row whose path crosses it
     first_column = {nid: k * assets for k, nid in enumerate(nonleaf)}
     gain_rows = []
     for path in paths:
         row = [ZERO] * (len(nonleaf) * assets)
-        for here, there in zip(path, path[1:]):
-            for j in range(assets):
-                row[first_column[here] + j] = prices[there][j] - prices[here][j]
+        for there in path[1:]:
+            k = first_column[parent[there]]
+            row[k:k + assets] = step[there]
         gain_rows.append(tuple(row))
 
     gens = m.measures.generators
     return CompiledMarket(
         m.tree, m.options, m.measures,
-        prices=tuple(prices),
-        children=tuple(tuple(sorted(kids)) for kids in children),
+        prices=prices,
+        children=tuple(map(tuple, children)),
         leaves=tuple(leaves),
         paths=tuple(paths),
         nonleaf=tuple(nonleaf),
-        charged=tuple(sorted({pos for w in gens for pos, v in enumerate(w) if v > 0})),
+        # weights are validated nonnegative, so a nonzero one is positive
+        charged=tuple(sorted({pos for w in gens for pos, v in enumerate(w) if v})),
         columns=tuple((nid, j) for nid in nonleaf for j in range(assets)),
         gain_rows=tuple(gain_rows),
         generator_names=tuple(m.measures.names or (f"P{k}" for k in range(len(gens)))),

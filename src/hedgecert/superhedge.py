@@ -170,7 +170,9 @@ def claim_price_bounds(m: MarketModel, f: Claim) -> tuple[Fraction, Fraction]:
 
 
 def market_without_option(m: MarketModel, i: int) -> MarketModel:
-    """The market less option i; a compiled market stays compiled."""
+    """The market less option i; a compiled market stays compiled. An `i`
+    that is not an int in range is a DomainError."""
+    _index(i, len(m.options), "option index")
     return replace(m, options=[opt for k, opt in enumerate(m.options) if k != i])
 
 
@@ -184,7 +186,6 @@ def price_bounds_excluding(m: MarketModel, i: int) -> tuple[Fraction, Fraction]:
     quoting it strictly outside creates arbitrage.
     """
     c = require_valid(m)
-    _index(i, len(c.options), "option index")
     reduced = market_without_option(c, i)
     _require_nar(reduced, f"market without option '{c.options[i].name}' fails robust no-arbitrage")
     return claim_price_bounds(reduced, Claim(list(c.options[i].payoff)))

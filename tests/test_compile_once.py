@@ -1,13 +1,15 @@
-"""Each public query validates its market exactly once, sharper_ftap
-settles a market, arbitrage included, with one program and one shared
-elimination, superhedge_price and duality_report each solve one program,
-and `strict-dual --verify` solves the dual program once. The CLI validates
-each market file once and builds its parser once per process, never at
-import.
+"""Each public query validates its market exactly once, and a parsed
+market, which `parse_market` has validated and compiled, not at all.
+sharper_ftap settles a market, arbitrage included, with one program and one
+shared elimination, superhedge_price and duality_report each solve one
+program, and `strict-dual --verify` solves the dual program once. The CLI validates
+and compiles each market file once and builds its parser once per process,
+never at import. The compiled gain rows match a reference built from the
+price differences along each leaf's path.
 
-The counts come from rebinding `validate_market`, `lp.solve_lp` and the
-replication test's `reduce_linear` around a single call, so they hold for
-whatever the call delegates to.
+The counts come from rebinding `validate_market`, `_compile`, `lp.solve_lp`
+and the replication test's `reduce_linear` around a single call, so they
+hold for whatever the call delegates to.
 """
 
 import argparse
@@ -16,20 +18,22 @@ import os
 import random
 import subprocess
 import sys
-from pathlib import Path
+from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 import hedgecert.model as model
 from hedgecert import arbitrage, cli, lp, marketio, redundancy, superhedge
 from hedgecert.errors import HedgecertError, PreconditionError
-from hedgecert.model import OptionQuote
+from hedgecert.model import CompiledMarket, OptionQuote, ZERO
 from markets import (
     binomial_market,
     binomial_with_free_option,
     binomial_with_spread_option,
     random_arbitrage_free_market,
+    random_arbitrary_market,
     random_claim,
     spread_option_only_market,
     stockless_market,
@@ -90,6 +94,71 @@ def test_public_query_validates_once(monkeypatch, query):
         except HedgecertError:
             pass  # an arbitrage or precondition verdict still compiles once
         assert validations.calls - before == 1, query
+
+
+def _parsed(m):
+    return marketio.parse_market(marketio.dump_market(m))
+
+
+def test_parse_market_returns_a_compiled_market():
+    for m in _markets():
+        parsed = _parsed(m)
+        assert isinstance(parsed, CompiledMarket)
+        assert marketio.market_to_json(parsed) == marketio.market_to_json(m)
+        # dataclass equality compares classes: a parsed market never equals
+        # a plain MarketModel, even one with the same fields
+        assert parsed != model.MarketModel(parsed.tree, parsed.options, parsed.measures)
+
+
+@pytest.mark.parametrize(
+    "query", ["check_na", "check_nar", "superhedge_price", "dual_price", "sharper_ftap"]
+)
+def test_queries_on_a_parsed_market_neither_validate_nor_compile(monkeypatch, query):
+    rng = random.Random(query)
+    parsed = [(_parsed(m), random_claim(rng, m)) for m in _markets()]
+    validations = _Counter(monkeypatch, model, "validate_market")
+    compiles = _Counter(monkeypatch, model, "_compile")
+    for m, f in parsed:
+        try:
+            QUERIES[query](m, f)
+        except HedgecertError:
+            pass  # an arbitrage or precondition verdict reads the same compiled market
+    assert (validations.calls, compiles.calls) == (0, 0), query
+
+
+def _reference_gain_rows(m):
+    """Per leaf, in leaf order: the price change of each asset across each
+    period step of the leaf's path, at the (node, asset) column of the node
+    the step leaves, and zero at every column off the path."""
+    by_id = {node.id: node for node in m.tree.nodes}
+    leaves = sorted(node.id for node in m.tree.nodes if node.time == m.tree.periods)
+    nonleaf = sorted(node.id for node in m.tree.nodes if node.time < m.tree.periods)
+    columns = [(nid, j) for nid in nonleaf for j in range(m.tree.num_assets)]
+    rows = []
+    for leaf in leaves:
+        change = {}
+        node = by_id[leaf]
+        while node.parent is not None:
+            here = by_id[node.parent]
+            for j in range(m.tree.num_assets):
+                change[here.id, j] = node.prices[j] - here.prices[j]
+            node = here
+        rows.append(tuple(change.get(column, ZERO) for column in columns))
+    return tuple(columns), tuple(rows)
+
+
+def test_gain_rows_match_per_path_price_differences():
+    rng = random.Random(11)
+    markets = [random_arbitrage_free_market(rng, min_periods=2) for _ in range(40)]
+    markets += [random_arbitrary_market(rng, max_periods=3, max_assets=2) for _ in range(40)]
+    for m in markets:
+        # node order in the list is not id order: compile must not rely on it
+        nodes = list(m.tree.nodes)
+        rng.shuffle(nodes)
+        shuffled = replace(m, tree=replace(m.tree, nodes=nodes))
+        for market in (m, shuffled):
+            c = model.require_valid(market)
+            assert (c.columns, c.gain_rows) == _reference_gain_rows(m)
 
 
 def test_sharper_ftap_solves_one_program_and_one_elimination(monkeypatch):
@@ -215,11 +284,14 @@ def test_importing_the_cli_builds_no_parser():
 
 
 def test_each_cli_command_validates_its_market_once(monkeypatch, tmp_path, capsys):
-    # parse_market validates; the CLI compiles its result without a second pass
+    # parse_market validates and compiles; every query and replay after it
+    # reads the compiled market it returns
     validations = _Counter(monkeypatch, model, "validate_market")
+    compiles = _Counter(monkeypatch, model, "_compile")
     monkeypatch.setattr(marketio, "validate_market", model.validate_market)
+    monkeypatch.setattr(marketio, "_compile", model._compile)
     for argv in _cli_commands(tmp_path):
-        before = validations.calls
+        before = (validations.calls, compiles.calls)
         assert cli.main(argv) in (0, 3)
-        assert validations.calls - before == 1, argv[0]
+        assert (validations.calls - before[0], compiles.calls - before[1]) == (1, 1), argv[0]
     capsys.readouterr()

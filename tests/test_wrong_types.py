@@ -27,6 +27,7 @@ from hedgecert.redundancy import (
     verify_replication,
 )
 from hedgecert.superhedge import (
+    market_without_option,
     price_bounds_excluding,
     superhedge_price,
     verify_super_replication,
@@ -114,3 +115,67 @@ def test_index_arguments_that_are_not_ints_are_domain_errors(query):
         with pytest.raises(DomainError, match="is not an int"):
             query(m, bad)
     query(m, 0)  # an int in range is answered
+
+
+def _with_tree(m, **fields):
+    return replace(m, tree=replace(m.tree, **fields))
+
+
+def _with_node(m, k, **fields):
+    nodes = list(m.tree.nodes)
+    nodes[k] = replace(nodes[k], **fields)
+    return _with_tree(m, nodes=nodes)
+
+
+_SPREAD = binomial_with_spread_option()
+
+WRONG_STRUCTURE = {
+    "no tree": (replace(_SPREAD, tree=None), "tree is NoneType, not a ScenarioTree"),
+    "no measure family": (replace(_SPREAD, measures=[[F(1), F(0)]]),
+                          "measures is list, not a MeasureFamily"),
+    "no generator list": (replace(_SPREAD, measures=MeasureFamily(None)),
+                          "measures: generators is NoneType, not a list"),
+    "no node list": (_with_tree(_SPREAD, nodes=None), "tree: nodes is NoneType, not a list"),
+    "no option list": (replace(_SPREAD, options=None), "options is NoneType, not a list"),
+    "string names": (replace(_SPREAD, measures=MeasureFamily([[F(1), F(0)]], "up")),
+                     "measures: names is str, not a list or None"),
+    "no node": (_with_tree(_SPREAD, nodes=[*_SPREAD.tree.nodes[:2], None]),
+                "tree: nodes[2] is NoneType, not a Node"),
+    "no option": (replace(_SPREAD, options=[None]), "options[0] is NoneType, not an OptionQuote"),
+    "no periods": (_with_tree(_SPREAD, periods=None), "tree: periods is NoneType None, not an int"),
+    "float periods": (_with_tree(_SPREAD, periods=1.0), "tree: periods is float 1.0, not an int"),
+    "bool asset count": (_with_tree(_SPREAD, num_assets=True),
+                         "tree: num_assets is bool True, not an int"),
+    "string node id": (_with_node(_SPREAD, 1, id="1"), "tree: nodes[1].id is str '1', not an int"),
+    "no node time": (_with_node(_SPREAD, 2, time=None),
+                     "tree: nodes[2].time is NoneType None, not an int"),
+    "float parent": (_with_node(_SPREAD, 1, parent=0.0),
+                     "tree: nodes[1].parent is float 0.0, not an int"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_STRUCTURE))
+def test_structural_fields_of_the_wrong_type_are_located_violations(case):
+    m, where = WRONG_STRUCTURE[case]
+    report = validate_market(m)  # a report, never a TypeError
+    assert report.violations == [where]
+    queries = [
+        check_na,
+        check_nar,
+        lambda m: superhedge_price(m, Claim([F(1), F(0)])),
+        all_spread_options_nonredundant,
+    ]
+    for query in queries:
+        with pytest.raises(StructureError, match=re.escape(where)):
+            query(m)
+
+
+def test_market_without_option_takes_only_an_option_index():
+    m = binomial_with_spread_option()
+    for bad in (0.5, 1.0, None, "0", True):
+        with pytest.raises(DomainError, match="is not an int"):
+            market_without_option(m, bad)
+    for bad in (1, -1):
+        with pytest.raises(DomainError, match="out of range"):
+            market_without_option(m, bad)
+    assert market_without_option(m, 0).options == []
