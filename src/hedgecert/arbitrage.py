@@ -149,8 +149,17 @@ def _floor_coefficient(coefs, offset: int) -> Fraction:
 def _solve(c: CompiledMarket, objective: list[Fraction], push=None):
     """Build the measure program (`_consistency_rows`) and solve it once:
     (problem, layout, outcome). The mass row caps every objective, so an
-    unbounded outcome can only be a solver fault."""
+    unbounded outcome can only be a solver fault.
+
+    Every measure program of a market has the same t = 0 face: its charged
+    leaves' columns and all of its rows. The market keeps one phase 1 of
+    that face, built from the first program solved, and every solve starts
+    phase 2 from it; the floor column t is a late column, the leaf columns'
+    sum plus push times each spread row's slack column (`lp.Phase1`)."""
     problem, layout = _consistency_rows(c, objective, push)
+    if c._phase1 is None:  # state kept with the market, not market data
+        object.__setattr__(c, "_phase1", lp.phase_one(problem, len(c.charged)))
+    problem.phase1 = c._phase1
     out = lp.solve_lp(problem)
     if out.status == lp.UNBOUNDED:
         raise SoundnessError("measure program unbounded; the mass row caps every objective")

@@ -46,6 +46,26 @@ else is a StructureError naming the field and index, and makes
 `verify_certificate` return False, as does a certificate entry that is not
 an int or a Fraction.
 
+Phase 1 and phase 2 are separate routines, and a phase 1 can be stored.
+`phase_one(p, nvars)` runs phase 1 on p's face, its first nvars columns
+with every row, and keeps a `Phase1`: p's own row, relation and rhs lists
+(not copies, so they must not change after), the face's standard form and
+its tableau and basis after the drive-out, or instead of these the Farkas
+vector when the face is infeasible. Phase 1 never sees the
+objective, so every problem whose `LpProblem.phase1` names it, and whose
+rows, relations and rhs agree with the face (else StructureError), starts
+phase 2 from a copy of its tableau. Columns past the face are late: none
+enters phase 1 or the drive-out. Each must be the sum of the face's
+columns plus an integer mu_k >= 0 times the slack column of each
+inequality row k, which the solver checks and uses to derive the late
+column of the tableau as the same sum of the tableau's columns; any other
+late column is a StructureError. Such a column keeps feasibility with the
+face (move its value onto every face column and mu_k times it onto each
+slack) and keeps a face's Farkas vector y one of the whole problem
+(y . A_late is a sum of y . A_j <= 0 and mu_k y_k (+-1) <= 0), so the
+face's verdict and basis serve the whole problem. `solve_lp` without a
+stored phase 1 runs phase 1 on all of the problem's columns.
+
 Every outcome carries a certificate checkable from the untouched data:
 
   optimal    -> primal vector, per-row dual vector (nonnegative on <= rows,
@@ -62,7 +82,7 @@ with the solver beyond the problem statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -86,6 +106,9 @@ class LpProblem:
     rows: list[list[Fraction]]
     relations: list[str]
     rhs: list[Fraction]
+    # a stored phase 1 of the problem's face (`phase_one`) to start phase 2
+    # from; the problem it was built from keeps its lists unchanged after
+    phase1: Phase1 | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -290,7 +313,8 @@ def _eliminate(a: list[dict[int, int]], n: int) -> tuple[list[Fraction], int] | 
 
 
 class _StdForm:
-    """Reduction to   min cost.z  s.t.  A z = b (b >= 0), z >= 0,  cost = -c.
+    """Reduction of the rows to   A z = b (b >= 0), z >= 0;  phase 2
+    minimizes -c . z over it.
 
     The columns of z are the problem's n columns, in order, then one slack
     per inequality row, so a point or ray of the problem is z[:n]. Each row
@@ -327,7 +351,22 @@ class _StdForm:
         self.ncols = total
         self.rows = rows
         self.scale = scale
-        self.cost = [-c for c in p.objective] + [_ZERO] * (total - n)
+
+
+def _widen(rows, heads, nf: int, shift: int, mus: list[dict[int, int]]) -> list[dict[int, int]]:
+    """Copies of integer rows, the columns from nf on moved by `shift`,
+    with late column nf + l of a row put in as its sum over the columns
+    below nf, heads[row], plus mus[l][j] times its entry at each column j
+    that mus[l] names."""
+    out = []
+    for row, head in zip(rows, heads):
+        new = {j if j < nf else j + shift: v for j, v in row.items()} if shift else row.copy()
+        for l, mu in enumerate(mus):
+            v = head + sum(m * row[j] for j, m in mu.items() if j in row) if mu else head
+            if v:
+                new[nf + l] = v
+        out.append(new)
+    return out
 
 
 def _optimize(tab, red, basis, ncols):
@@ -400,21 +439,18 @@ def _basis_dual(std: _StdForm, basis: list[int], costs) -> list[Fraction]:
     return [s * v for s, v in zip(std.scale, solved[0])]
 
 
-def solve_lp(p: LpProblem) -> LpOutcome:
-    """Two-phase exact simplex with Bland's rule and certificate extraction."""
-    _validate(p)
-    std = _StdForm(p)
+def _phase_one(std: _StdForm):
+    """Phase 1 on a standard form: the least sum of artificials, then the
+    drive-out of zero-level artificials. Returns the tableau, the basis and
+    the Farkas vector of an infeasible program, else None."""
     m = len(std.rows)
     n = std.ncols
-    nvars = len(p.objective)
-
     tab = [row.copy() for row in std.rows]
     basis = [n + i for i in range(m)]  # artificial variables, columns implicit
 
-    # Phase 1: the least sum of artificials. Reduced cost of column j is
-    # -sum of its rational column, -sum_k rows[k][j] / |scale[k]|, here times
-    # the lcm of the scales' numerators: a positive multiple, so every Bland
-    # choice is the rational one's.
+    # The reduced cost of column j is -sum of its rational column,
+    # -sum_k rows[k][j] / |scale[k]|, here times the lcm of the scales'
+    # numerators: a positive multiple, so every Bland choice is the rational one's.
     den = lcm(*(s.numerator for s in std.scale))
     red: dict[int, int] = {}
     for row, s in zip(std.rows, std.scale):
@@ -429,8 +465,7 @@ def solve_lp(p: LpProblem) -> LpOutcome:
         raise SoundnessError("phase-1 unbounded; solver invariant broken")
 
     if any(row.get(n, 0) > 0 for row, col in zip(tab, basis) if col >= n):
-        farkas = _basis_dual(std, basis, lambda col: _ONE if col >= n else _ZERO)
-        return LpOutcome(status=INFEASIBLE, farkas=farkas)
+        return tab, basis, _basis_dual(std, basis, lambda col: _ONE if col >= n else _ZERO)
 
     # Drive remaining zero-level artificials out of the basis; their rows
     # have rhs 0, so they hold real columns only. A row that cannot pivot is
@@ -439,13 +474,130 @@ def solve_lp(p: LpProblem) -> LpOutcome:
     for i, row in enumerate(tab):
         if basis[i] >= n and row:
             jc = min(row)
-            _pivot(tab, i, jc, red)
+            _pivot(tab, i, jc)
             basis[i] = jc
+    return tab, basis, None
 
-    # Phase 2 on the real objective: eliminate every basic column from the
-    # cost row. A basic column is zero outside its own row, whose entry there
-    # is positive, so only the cost row changes.
-    red = _int_row(std.cost)
+
+class Phase1:
+    """The end of phase 1 on a problem's face, kept so that every problem
+    on the face starts phase 2 from it (see the module docstring). Built by
+    `phase_one`; read-only after. Its standard form numbers the columns as
+    the problem it was built from, whose late columns stay empty, so a
+    problem with as many late columns needs no renumbering.
+    """
+
+    def __init__(self, p: LpProblem, nvars: int):
+        width = len(p.objective)
+        self.nvars, self.width = nvars, width
+        # p's own lists, kept to check later problems against: they must
+        # not change after, as `LpProblem.phase1` says
+        self.rows, self.relations, self.rhs = p.rows, p.relations, p.rhs
+        # the face numbered as p, its late columns left empty
+        face = p.rows if nvars == width else [row[:nvars] for row in p.rows]
+        std = _StdForm(LpProblem([_ZERO] * width, face, p.relations, p.rhs))
+        tab, basis, self.farkas = _phase_one(std)
+        # Each row's sum over the face's columns: every column from nvars
+        # on is a slack column or the rhs, so it is the whole row's sum less
+        # the entries at those few columns. `_widen` starts each late entry
+        # from it; `_late` compares with the standard row's over its scale,
+        # kept in lowest terms as sum_num / sum_den.
+        ncols = std.ncols
+        self.heads, self.sum_num, self.sum_den = [], [], []
+        slack = width  # a standard row's only slack column
+        for row, rel, s in zip(std.rows, p.relations, std.scale):
+            head = sum(row.values()) - row.get(ncols, 0)
+            if rel != EQ:
+                head -= row.get(slack, 0)
+                slack += 1
+            den, num = s.as_integer_ratio()  # head / s = head * num / den
+            num *= head
+            g = gcd(num, den) if den > 0 else -gcd(num, den)
+            self.heads.append(head)
+            self.sum_num.append(num // g)
+            self.sum_den.append(den // g)
+        self.std = self.tab = self.basis = self.tab_heads = None
+        if self.farkas is None:  # an infeasible face keeps its Farkas vector alone
+            self.std, self.tab, self.basis = std, tab, basis
+            past = range(width, ncols + 1)
+            self.tab_heads = [sum(row.values()) - sum(row[j] for j in past if j in row)
+                              for row in tab]
+
+    def _late(self, p: LpProblem, col: int) -> dict[int, int]:
+        """mu with column `col` of p the sum of the face's columns plus
+        mu[s] times each slack column s, mu[s] a positive integer;
+        StructureError when there is none."""
+        mu = {}
+        slack = self.width  # the slack column of the next inequality row
+        for k, (row, rel, sn, sd) in enumerate(
+                zip(p.rows, self.relations, self.sum_num, self.sum_den)):
+            an, ad = row[col].as_integer_ratio()
+            if an != sn or ad != sd:
+                # the entry less the sum is num / den, den > 0
+                num, den = an * sd - sn * ad, ad * sd
+                if rel == EQ or (num < 0) == (rel == LE) or num % den:
+                    raise StructureError(
+                        f"column {col} is not the sum of the face's columns plus a "
+                        f"nonnegative integer multiple of each slack column: rows[{k}] has {row[col]}"
+                    )
+                mu[slack] = abs(num) // den
+            slack += rel != EQ
+        return mu
+
+    def _start(self, p: LpProblem):
+        """p's standard form, tableau and basis to start phase 2 from, and
+        the Farkas vector when the face is infeasible; StructureError when p
+        is not a problem on this face."""
+        nf, n = self.nvars, len(p.objective)
+        if n < nf or len(p.rows) != len(self.rows):
+            raise StructureError(
+                f"phase 1 is of {len(self.rows)} rows and {nf} columns, "
+                f"the problem has {len(p.rows)} rows and {n} columns"
+            )
+        if list(p.relations) != list(self.relations):
+            raise StructureError("the problem's relations differ from its phase 1's")
+        if list(p.rhs) != list(self.rhs):
+            raise StructureError("the problem's rhs differs from its phase 1's")
+        if p.rows is not self.rows:
+            for i, (row, face) in enumerate(zip(p.rows, self.rows)):
+                if list(row[:nf]) != list(face[:nf]):
+                    raise StructureError(f"rows[{i}] differs from its phase 1's face")
+        mus = [self._late(p, col) for col in range(nf, n)]
+        if self.farkas is not None:
+            return None, None, None, list(self.farkas)
+        shift = n - self.width
+        tab = _widen(self.tab, self.tab_heads, nf, shift, mus)
+        basis = [col if col < nf else col + shift for col in self.basis]
+        std = self.std
+        if mus or shift:
+            std = object.__new__(_StdForm)
+            std.rows = _widen(self.std.rows, self.heads, nf, shift, mus)
+            std.scale, std.ncols = self.std.scale, self.std.ncols + shift
+        return std, tab, basis, None
+
+
+def phase_one(p: LpProblem, nvars: int | None = None) -> Phase1:
+    """Phase 1 of p's face: its first `nvars` columns (all by default) with
+    all of its rows. Neither the objective nor the other columns play a
+    part, so every problem with the same face can start phase 2 from it by
+    naming it in `LpProblem.phase1`."""
+    _validate(p)
+    n = len(p.objective)
+    if nvars is None:
+        nvars = n
+    if type(nvars) is not int or not 0 <= nvars <= n:
+        raise StructureError(f"a face of {nvars!r} columns of a problem with {n}")
+    return Phase1(p, nvars)
+
+
+def _phase_two(p: LpProblem, std: _StdForm, tab, basis) -> LpOutcome:
+    """Phase 2 on the real objective from a feasible basis, and the outcome."""
+    n = std.ncols
+    nvars = len(p.objective)
+    # Eliminate every basic column from the cost row of min -c . x. A basic
+    # column is zero outside its own row, whose entry there is positive, so
+    # only the cost row changes.
+    red = _int_row([-c for c in p.objective])
     for row, col in zip(tab, basis):
         if col in red:
             _combine(red, col, row[col], row.items())
@@ -468,6 +620,24 @@ def solve_lp(p: LpProblem) -> LpOutcome:
     y = _basis_dual(std, basis, lambda col: p.objective[col] if col < nvars else _ZERO)
     value = sum((c * v for c, v in zip(p.objective, x) if c), _ZERO)
     return LpOutcome(status=OPTIMAL, primal=x, dual=y, objective_value=value)
+
+
+def solve_lp(p: LpProblem) -> LpOutcome:
+    """Two-phase exact simplex with Bland's rule and certificate extraction.
+
+    Phase 2 starts from `p.phase1` when the problem names one, else from
+    a phase 1 of the whole problem."""
+    _validate(p)
+    if p.phase1 is None:
+        std = _StdForm(p)
+        tab, basis, farkas = _phase_one(std)
+    elif isinstance(p.phase1, Phase1):
+        std, tab, basis, farkas = p.phase1._start(p)
+    else:
+        raise StructureError(f"phase1 is {type(p.phase1).__name__}, not a Phase1")
+    if farkas is not None:
+        return LpOutcome(status=INFEASIBLE, farkas=farkas)
+    return _phase_two(p, std, tab, basis)
 
 
 def _row_value(row: list[Fraction], x: list[Fraction]) -> Fraction:

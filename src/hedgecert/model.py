@@ -5,7 +5,9 @@ validation reports any other entry. Arbitrage is a strict-inequality
 phenomenon, so nothing in the core ever touches floating point. No field of
 a model type can be reassigned once constructed and every operation is a
 pure function, which makes concurrent use on shared inputs safe without
-synchronization.
+synchronization. The one exception is a compiled market's stored phase 1,
+set once on its first solve; two threads that race to set it build equal
+ones, and neither writes to it after.
 
 Leaves are indexed by *position* 0..L-1 in ascending node-id order among the
 nodes at the final period. Option payoffs, measure weights, and claims all
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, StructureError
-from .lp import _rational_lists
+from .lp import Phase1, _rational_lists
 
 # The rational substrate. Fraction already guarantees the invariants this
 # package relies on: positive denominator, lowest terms, canonical zero.
@@ -209,6 +211,20 @@ def _index(i, n: int, what: str) -> int:
     return i
 
 
+def _name_issues(section: str, kind: str, names) -> list[str]:
+    """A violation per name that is not a non-empty string or repeats an
+    earlier one, the names the file format (`marketio`) accepts."""
+    issues, seen = [], set()
+    for k, name in enumerate(names):
+        if not isinstance(name, str) or not name:
+            issues.append(f"{section}[{k}]: name {name!r} is not a non-empty string")
+        elif name in seen:
+            issues.append(f"{section}[{k}]: duplicate {kind} name {name!r}")
+        else:
+            seen.add(name)
+    return issues
+
+
 def validate_market(m: MarketModel) -> ValidationReport:
     """Check every model invariant; violations are data, not exceptions."""
     if not isinstance(m, MarketModel):
@@ -261,6 +277,7 @@ def validate_market(m: MarketModel) -> ValidationReport:
             issues.append(f"tree: node {node.id} at time {node.time} has no children")
 
     leaf_count = sum(1 for node in tree.nodes if node.time == tree.periods)
+    issues += _name_issues("options", "option", [opt.name for opt in m.options])
     for k, option in enumerate(m.options):
         label = f"options[{k}] ('{option.name}')"
         if len(option.payoff) != leaf_count:
@@ -272,8 +289,10 @@ def validate_market(m: MarketModel) -> ValidationReport:
     if not gens:
         issues.append("measures: at least one generator required")
     names = m.measures.names
-    if names is not None and len(names) != len(gens):
-        issues.append(f"measures: {len(names)} names for {len(gens)} generators")
+    if names is not None:
+        if len(names) != len(gens):
+            issues.append(f"measures: {len(names)} names for {len(gens)} generators")
+        issues += _name_issues("measures", "generator", names)
     for k, weights in enumerate(gens):
         label = f"measures[{k}]"
         if len(weights) != leaf_count:
@@ -299,9 +318,11 @@ class CompiledMarket(MarketModel):
     compiled market never equals a plain `MarketModel`; compare
     `marketio.market_to_json` instead. Node ids are dense after
     validation, so per-node data is indexed by id; leaf data is indexed by
-    leaf position. No compiled field depends on the options, so
-    `replace(c, options=...)` with a subset of them is still a compiled
-    market.
+    leaf position. Of the compiled fields only `_phase1` depends on the
+    options: it is the measure programs' phase 1 (`arbitrage._solve`),
+    built on the market's first solve, and never compared, shown or
+    serialized. It is not an init field, so `replace(c, options=...)` with
+    a subset of the options is a compiled market that builds its own.
     """
 
     prices: tuple[tuple[Fraction, ...], ...]        # by node id
@@ -313,6 +334,7 @@ class CompiledMarket(MarketModel):
     columns: tuple[tuple[int, int], ...]            # (node id, asset) per dynamic column
     gain_rows: tuple[tuple[Fraction, ...], ...]     # by position, one entry per column
     generator_names: tuple[str, ...]
+    _phase1: Phase1 | None = field(default=None, init=False, compare=False, repr=False)
 
     def strategy_from(self, primal: list[Fraction]) -> Strategy:
         """The strategy a vector encodes in strategy-column order: the

@@ -1,9 +1,12 @@
+import itertools
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+from hedgecert.errors import StructureError
 from hedgecert.marketio import (
     MarketParseError,
     claim_to_json,
@@ -14,6 +17,7 @@ from hedgecert.marketio import (
     parse_market,
     parse_rational_text,
 )
+from hedgecert.model import MeasureFamily, validate_market
 from markets import (
     binomial_market,
     binomial_with_spread_option,
@@ -133,6 +137,51 @@ def test_round_trip_models():
     for m in fixtures:
         again = parse_market(dump_market(m))
         assert market_to_json(again) == market_to_json(m)
+
+
+def _renamed(option_names, generator_names):
+    """binomial_with_spread_option with its option repeated once per name
+    and its two generators named as given."""
+    m = binomial_with_spread_option()
+    option = m.options[0]
+    return replace(
+        m,
+        options=[replace(option, name=name) for name in option_names],
+        measures=MeasureFamily(m.measures.generators, generator_names),
+    )
+
+
+@pytest.mark.parametrize("option_names, generator_names, located", [
+    (["digital"], [1, 2], "measures[0]: name 1 is not a non-empty string"),
+    ([None], ["up", "down"], "options[0]: name None is not a non-empty string"),
+    (["digital", ""], ["up", "down"], "options[1]: name '' is not a non-empty string"),
+    (["digital", "digital"], ["up", "down"], "options[1]: duplicate option name 'digital'"),
+    (["digital"], ["up", "up"], "measures[1]: duplicate generator name 'up'"),
+])
+def test_names_the_file_format_rejects_are_located_violations(option_names, generator_names, located):
+    m = _renamed(option_names, generator_names)
+    assert located in validate_market(m).violations
+    with pytest.raises(StructureError, match="invalid market"):
+        dump_market(m)  # never a file that parse_market cannot read
+
+
+def test_every_market_validation_accepts_round_trips_through_a_file():
+    # names drawn from ones the format takes and ones it rejects: a market
+    # validate_market accepts is written and read back unchanged, and one
+    # it rejects is never written
+    pool = ["a", "b", "", None, 1]
+    accepted = 0
+    for option_names in itertools.chain.from_iterable(
+            itertools.product(pool, repeat=k) for k in range(3)):
+        for generator_names in [None, *itertools.product(pool, repeat=2)]:
+            m = _renamed(list(option_names), generator_names and list(generator_names))
+            if validate_market(m).ok:
+                accepted += 1
+                assert market_to_json(parse_market(dump_market(m))) == market_to_json(m)
+            else:
+                with pytest.raises(StructureError):
+                    dump_market(m)
+    assert accepted == 5 * 3  # option names: (), a, b, ab, ba; generators: None, ab, ba
 
 
 def test_dump_is_deterministic():

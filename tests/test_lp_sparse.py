@@ -367,7 +367,6 @@ def test_integer_rows_are_primitive_multiples_of_the_fraction_rows():
     for p in problems:
         std, ref = lp._StdForm(p), _ReferenceStdForm(p)
         assert std.ncols == ref.ncols and len(std.rows) == len(ref.rows), p
-        assert std.cost == ref.cost, p
         for stored, s, sign, ref_row, ref_b in zip(std.rows, std.scale, ref.row_sign,
                                                    ref.rows, ref.rhs):
             # a row stores its nonzeros by column, the rhs at key ncols; its
