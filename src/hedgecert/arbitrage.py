@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import lp
 from .errors import DomainError, RobustArbitrageError, SoundnessError, StructureError
@@ -103,63 +102,55 @@ def measure_from_weights(m: MarketModel, weights: list[Fraction]) -> MartingaleM
     return q
 
 
-def _consistency_rows(c: CompiledMarket, objective: list[Fraction], push=None):
-    """The measure program over charged leaves: max objective, and its layout.
+def _face(c: CompiledMarket):
+    """The measure programs' t = 0 face and its layout, built once with
+    `lp.phase_one` and kept with the market: (phase 1, layout).
 
-    Variables are R_w >= 0 per charged leaf, plus a trailing floor t >= 0
-    unless `push` is None; the measure itself is Q_w = R_w + t. Rows: total
-    mass one, every node-level martingale identity whose coefficients on the
-    charged leaves are not all zero, and the quote rows, with equality on
-    zero-spread options and bid/ask inequalities on spread options, whose
-    bounds move inward by push * t. `layout[r]` names row r: ("mass", 0),
-    ("martingale", dynamic column) or ("option", option index).
+    Variables are R_w >= 0 per charged leaf. Rows: total mass one, every
+    node-level martingale identity whose coefficients on the charged leaves
+    are not all zero, and the quote rows, with equality on zero-spread
+    options and bid/ask inequalities on spread options. `layout[r]` names
+    row r: ("mass", 0), ("martingale", dynamic column) or ("option", option
+    index).
     """
-    supp = c.charged
-    rows, rels, rhs, layout = [], [], [], []
+    if c._face is None:  # state kept with the market, not market data
+        supp = c.charged
+        rows, rels, rhs, layout = [], [], [], []
 
-    def add(coefs, rel, bound, name, inward=0):
-        t = [] if push is None else [_floor_coefficient(coefs, inward * push)]
-        rows.append(coefs + t)
-        rels.append(rel)
-        rhs.append(bound)
-        layout.append(name)
+        def add(coefs, rel, bound, name):
+            rows.append(coefs)
+            rels.append(rel)
+            rhs.append(bound)
+            layout.append(name)
 
-    add([ONE] * len(supp), lp.EQ, ONE, ("mass", 0))
-    for col in range(len(c.columns)):
-        coefs = [c.gain_rows[pos][col] for pos in supp]
-        if any(coefs):
-            add(coefs, lp.EQ, ZERO, ("martingale", col))
-    for i, opt in enumerate(c.options):
-        coefs = [opt.payoff[pos] for pos in supp]
-        if not opt.has_spread():
-            add(coefs, lp.EQ, opt.bid, ("option", i))
-        else:
-            add(coefs, lp.GE, opt.bid, ("option", i), inward=-1)
-            add(coefs, lp.LE, opt.ask, ("option", i), inward=1)
-    return lp.LpProblem(objective, rows, rels, rhs), layout
-
-
-def _floor_coefficient(coefs, offset: int) -> Fraction:
-    """sum(coefs) + offset, summed in integers over one common denominator."""
-    den = lcm(*(a.denominator for a in coefs))
-    num = sum(a.numerator * (den // a.denominator) for a in coefs)
-    return Fraction(num + offset * den, den)
+        add([ONE] * len(supp), lp.EQ, ONE, ("mass", 0))
+        for col in range(len(c.columns)):
+            coefs = [c.gain_rows[pos][col] for pos in supp]
+            if any(coefs):
+                add(coefs, lp.EQ, ZERO, ("martingale", col))
+        for i, opt in enumerate(c.options):
+            coefs = [opt.payoff[pos] for pos in supp]
+            if not opt.has_spread():
+                add(coefs, lp.EQ, opt.bid, ("option", i))
+            else:
+                add(coefs, lp.GE, opt.bid, ("option", i))
+                add(coefs, lp.LE, opt.ask, ("option", i))
+        face = lp.LpProblem([ZERO] * len(supp), rows, rels, rhs)
+        object.__setattr__(c, "_face", (lp.phase_one(face), tuple(layout)))
+    return c._face
 
 
 def _solve(c: CompiledMarket, objective: list[Fraction], push=None):
-    """Build the measure program (`_consistency_rows`) and solve it once:
-    (problem, layout, outcome). The mass row caps every objective, so an
-    unbounded outcome can only be a solver fault.
+    """Build a measure program on the market's face (`_face`) and solve it
+    once: (problem, layout, outcome). The mass row caps every objective, so
+    an unbounded outcome can only be a solver fault.
 
-    Every measure program of a market has the same t = 0 face: its charged
-    leaves' columns and all of its rows. The market keeps one phase 1 of
-    that face, built from the first program solved, and every solve starts
-    phase 2 from it; the floor column t is a late column, the leaf columns'
-    sum plus push times each spread row's slack column (`lp.Phase1`)."""
-    problem, layout = _consistency_rows(c, objective, push)
-    if c._phase1 is None:  # state kept with the market, not market data
-        object.__setattr__(c, "_phase1", lp.phase_one(problem, len(c.charged)))
-    problem.phase1 = c._phase1
+    Unless `push` is None the program has a trailing floor t >= 0, and the
+    measure itself is Q_w = R_w + t; the spread quote bounds move inward by
+    push * t. Its column is the leaf columns' sum plus push times each
+    spread row's slack column, the late column `lp.Phase1.program` builds."""
+    phase1, layout = _face(c)
+    problem = phase1.program(objective, push)
     out = lp.solve_lp(problem)
     if out.status == lp.UNBOUNDED:
         raise SoundnessError("measure program unbounded; the mass row caps every objective")
@@ -367,10 +358,11 @@ def verify_measure(m: MarketModel, q: MartingaleMeasure) -> bool:
 def strictly_inside_quotes(m: MarketModel, q: MartingaleMeasure) -> bool:
     """True when every spread option is valued strictly inside its quotes,
     and every zero-spread option exactly at its quote."""
+    c = require_valid(m)
     values = q.option_values if isinstance(q, MartingaleMeasure) else None
-    if not lp._rational_lists(values) or len(values) != len(m.options):
+    if not lp._rational_lists(values) or len(values) != len(c.options):
         return False
-    for i, opt in enumerate(m.options):
+    for i, opt in enumerate(c.options):
         v = q.option_values[i]
         if opt.has_spread():
             if not opt.bid < v < opt.ask:
@@ -400,21 +392,21 @@ def verify_na_certificate(m: MarketModel, cert: ArbitrageCertificate) -> bool:
 
 
 def verify_nar_witness(m: MarketModel, w: RobustnessWitness) -> bool:
+    c = require_valid(m)
     if not isinstance(w, RobustnessWitness):
         return False
     if not lp._rational_lists([w.slack], w.shrunk_bids, w.shrunk_asks) or w.slack <= 0:
         return False
-    e = len(m.options)
+    e = len(c.options)
     if len(w.shrunk_bids) != e or len(w.shrunk_asks) != e:
         return False
-    for i, opt in enumerate(m.options):
+    for i, opt in enumerate(c.options):
         sb, sa = w.shrunk_bids[i], w.shrunk_asks[i]
         if opt.has_spread():
             if not (opt.bid < sb <= sa < opt.ask):
                 return False
         elif sb != opt.bid or sa != opt.bid:
             return False
-    c = require_valid(m)
     q = w.interior_measure
     if not verify_measure(c, q):
         return False

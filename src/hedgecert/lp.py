@@ -47,24 +47,24 @@ else is a StructureError naming the field and index, and makes
 an int or a Fraction.
 
 Phase 1 and phase 2 are separate routines, and a phase 1 can be stored.
-`phase_one(p, nvars)` runs phase 1 on p's face, its first nvars columns
-with every row, and keeps a `Phase1`: p's own row, relation and rhs lists
-(not copies, so they must not change after), the face's standard form and
-its tableau and basis after the drive-out, or instead of these the Farkas
-vector when the face is infeasible. Phase 1 never sees the
-objective, so every problem whose `LpProblem.phase1` names it, and whose
-rows, relations and rhs agree with the face (else StructureError), starts
-phase 2 from a copy of its tableau. Columns past the face are late: none
-enters phase 1 or the drive-out. Each must be the sum of the face's
-columns plus an integer mu_k >= 0 times the slack column of each
-inequality row k, which the solver checks and uses to derive the late
-column of the tableau as the same sum of the tableau's columns; any other
-late column is a StructureError. Such a column keeps feasibility with the
-face (move its value onto every face column and mu_k times it onto each
-slack) and keeps a face's Farkas vector y one of the whole problem
-(y . A_late is a sum of y . A_j <= 0 and mu_k y_k (+-1) <= 0), so the
-face's verdict and basis serve the whole problem. `solve_lp` without a
-stored phase 1 runs phase 1 on all of the problem's columns.
+`phase_one(p)` runs phase 1 on all of p's columns and rows, its face, and
+keeps a `Phase1`: p's own row, relation and rhs lists (not copies, so they
+must not change after), the face's standard form and its tableau and basis
+after the drive-out, or instead of these the Farkas vector when the face is
+infeasible. Phase 1 never sees the objective, so `Phase1.program` builds
+every program on the face from it and names it in `LpProblem.phase1`; phase
+2 starts from a copy of its tableau. A program's rows are the face's own
+list, or with an int mu >= 0 the face plus one late column: the face's
+column sum plus mu times each inequality row's slack column. Its dense rows
+are built once per mu, and its tableau column is the same sum of the
+tableau's columns. Such a column keeps feasibility with the face (move its
+value onto every face column and mu times it onto each slack) and keeps a
+face's Farkas vector y one of the whole problem (y . A_late is a sum of
+y . A_j <= 0 and mu y_k (+-1) <= 0), so the face's verdict and basis serve
+the whole problem. A problem whose relations, rhs and rows are not these
+lists, by identity, is a StructureError; the face was validated once, so
+only the objective is checked. `solve_lp` without a stored phase 1 is
+`phase_one(p)` and then the same start.
 
 Every outcome carries a certificate checkable from the untouched data:
 
@@ -106,8 +106,8 @@ class LpProblem:
     rows: list[list[Fraction]]
     relations: list[str]
     rhs: list[Fraction]
-    # a stored phase 1 of the problem's face (`phase_one`) to start phase 2
-    # from; the problem it was built from keeps its lists unchanged after
+    # the stored phase 1 (`phase_one`) whose `Phase1.program` built this
+    # problem on its lists, to start phase 2 from; they must not change after
     phase1: Phase1 | None = field(default=None, compare=False, repr=False)
 
 
@@ -353,19 +353,28 @@ class _StdForm:
         self.scale = scale
 
 
-def _widen(rows, heads, nf: int, shift: int, mus: list[dict[int, int]]) -> list[dict[int, int]]:
-    """Copies of integer rows, the columns from nf on moved by `shift`,
-    with late column nf + l of a row put in as its sum over the columns
-    below nf, heads[row], plus mus[l][j] times its entry at each column j
-    that mus[l] names."""
+def _widen(rows, sums, n: int, mu: int) -> list[dict[int, int]]:
+    """Copies of integer rows with one late column put in at n, the columns
+    from n on moved up by one: row k's entry there is its sum over the
+    columns below n plus mu times its sum over the slack columns, both
+    given in sums[k]."""
     out = []
-    for row, head in zip(rows, heads):
-        new = {j if j < nf else j + shift: v for j, v in row.items()} if shift else row.copy()
-        for l, mu in enumerate(mus):
-            v = head + sum(m * row[j] for j, m in mu.items() if j in row) if mu else head
-            if v:
-                new[nf + l] = v
+    for row, (head, slacks) in zip(rows, sums):
+        new = {j if j < n else j + 1: v for j, v in row.items()}
+        v = head + mu * slacks
+        if v:
+            new[n] = v
         out.append(new)
+    return out
+
+
+def _sums(rows, n: int, ncols: int) -> list[tuple[int, int]]:
+    """Each integer row's sum over the columns below n and its sum over the
+    slack columns n .. ncols - 1, the two parts of a late column."""
+    out = []
+    for row in rows:
+        slacks = sum(v for j, v in row.items() if n <= j < ncols)
+        out.append((sum(row.values()) - row.get(ncols, 0) - slacks, slacks))
     return out
 
 
@@ -480,114 +489,80 @@ def _phase_one(std: _StdForm):
 
 
 class Phase1:
-    """The end of phase 1 on a problem's face, kept so that every problem
-    on the face starts phase 2 from it (see the module docstring). Built by
-    `phase_one`; read-only after. Its standard form numbers the columns as
-    the problem it was built from, whose late columns stay empty, so a
-    problem with as many late columns needs no renumbering.
+    """The end of phase 1 on a face, kept so that every program on the face
+    starts phase 2 from it (see the module docstring). Built by `phase_one`
+    and read-only after, but for the late rows `program` adds once per mu.
     """
 
-    def __init__(self, p: LpProblem, nvars: int):
-        width = len(p.objective)
-        self.nvars, self.width = nvars, width
-        # p's own lists, kept to check later problems against: they must
-        # not change after, as `LpProblem.phase1` says
+    def __init__(self, p: LpProblem):
+        # p's own lists, which every program shares: they must not change
+        # after, as `LpProblem.phase1` says
         self.rows, self.relations, self.rhs = p.rows, p.relations, p.rhs
-        # the face numbered as p, its late columns left empty
-        face = p.rows if nvars == width else [row[:nvars] for row in p.rows]
-        std = _StdForm(LpProblem([_ZERO] * width, face, p.relations, p.rhs))
+        self.n = n = len(p.objective)
+        std = _StdForm(p)
         tab, basis, self.farkas = _phase_one(std)
-        # Each row's sum over the face's columns: every column from nvars
-        # on is a slack column or the rhs, so it is the whole row's sum less
-        # the entries at those few columns. `_widen` starts each late entry
-        # from it; `_late` compares with the standard row's over its scale,
-        # kept in lowest terms as sum_num / sum_den.
-        ncols = std.ncols
-        self.heads, self.sum_num, self.sum_den = [], [], []
-        slack = width  # a standard row's only slack column
-        for row, rel, s in zip(std.rows, p.relations, std.scale):
-            head = sum(row.values()) - row.get(ncols, 0)
-            if rel != EQ:
-                head -= row.get(slack, 0)
-                slack += 1
-            den, num = s.as_integer_ratio()  # head / s = head * num / den
-            num *= head
-            g = gcd(num, den) if den > 0 else -gcd(num, den)
-            self.heads.append(head)
-            self.sum_num.append(num // g)
-            self.sum_den.append(den // g)
-        self.std = self.tab = self.basis = self.tab_heads = None
+        # row k's face column sum is std_sums[k][0] / scale[k], the start of
+        # its late entry in every mu's dense rows
+        self.scale = std.scale
+        self.std_sums = _sums(std.rows, n, std.ncols)
+        self.late: dict[int, list[list[Fraction]]] = {}  # mu -> the dense rows
+        self.std = self.tab = self.basis = self.tab_sums = None
         if self.farkas is None:  # an infeasible face keeps its Farkas vector alone
             self.std, self.tab, self.basis = std, tab, basis
-            past = range(width, ncols + 1)
-            self.tab_heads = [sum(row.values()) - sum(row[j] for j in past if j in row)
-                              for row in tab]
+            self.tab_sums = _sums(tab, n, std.ncols)
 
-    def _late(self, p: LpProblem, col: int) -> dict[int, int]:
-        """mu with column `col` of p the sum of the face's columns plus
-        mu[s] times each slack column s, mu[s] a positive integer;
-        StructureError when there is none."""
-        mu = {}
-        slack = self.width  # the slack column of the next inequality row
-        for k, (row, rel, sn, sd) in enumerate(
-                zip(p.rows, self.relations, self.sum_num, self.sum_den)):
-            an, ad = row[col].as_integer_ratio()
-            if an != sn or ad != sd:
-                # the entry less the sum is num / den, den > 0
-                num, den = an * sd - sn * ad, ad * sd
-                if rel == EQ or (num < 0) == (rel == LE) or num % den:
-                    raise StructureError(
-                        f"column {col} is not the sum of the face's columns plus a "
-                        f"nonnegative integer multiple of each slack column: rows[{k}] has {row[col]}"
-                    )
-                mu[slack] = abs(num) // den
-            slack += rel != EQ
-        return mu
+    def program(self, objective: list[Fraction], mu: int | None = None) -> LpProblem:
+        """The problem that maximizes `objective` on the face, with phase1
+        set: the face's own rows, or with mu an int >= 0, the rows with one
+        late column, the face's column sum plus mu times each inequality
+        row's slack column. The rows of one mu are built once and shared."""
+        if mu is None:
+            return LpProblem(objective, self.rows, self.relations, self.rhs, self)
+        if type(mu) is not int or mu < 0:
+            raise StructureError(f"a late column's mu is {mu!r}, not an int >= 0")
+        rows = self.late.get(mu)
+        if rows is None:
+            slack = {LE: mu, EQ: 0, GE: -mu}
+            rows = self.late.setdefault(mu, [
+                [*row, Fraction(head * s.denominator, s.numerator) + slack[rel]]
+                for row, rel, (head, _), s in zip(self.rows, self.relations, self.std_sums, self.scale)
+            ])
+        return LpProblem(objective, rows, self.relations, self.rhs, self)
 
     def _start(self, p: LpProblem):
         """p's standard form, tableau and basis to start phase 2 from, and
-        the Farkas vector when the face is infeasible; StructureError when p
-        is not a problem on this face."""
-        nf, n = self.nvars, len(p.objective)
-        if n < nf or len(p.rows) != len(self.rows):
-            raise StructureError(
-                f"phase 1 is of {len(self.rows)} rows and {nf} columns, "
-                f"the problem has {len(p.rows)} rows and {n} columns"
-            )
-        if list(p.relations) != list(self.relations):
-            raise StructureError("the problem's relations differ from its phase 1's")
-        if list(p.rhs) != list(self.rhs):
-            raise StructureError("the problem's rhs differs from its phase 1's")
-        if p.rows is not self.rows:
-            for i, (row, face) in enumerate(zip(p.rows, self.rows)):
-                if list(row[:nf]) != list(face[:nf]):
-                    raise StructureError(f"rows[{i}] differs from its phase 1's face")
-        mus = [self._late(p, col) for col in range(nf, n)]
+        the Farkas vector when the face is infeasible; StructureError unless
+        p holds this phase 1's own lists, as `program` builds them."""
+        if p.relations is not self.relations or p.rhs is not self.rhs:
+            raise StructureError("the problem's relations or rhs are not its phase 1's lists")
+        if p.rows is self.rows:
+            mu = None
+        else:
+            # a snapshot: another thread's `program` may add a mu meanwhile
+            mu = next((mu for mu, rows in tuple(self.late.items()) if rows is p.rows), None)
+            if mu is None:
+                raise StructureError("the problem's rows are not its phase 1's; build it with Phase1.program")
+        n = self.n + (mu is not None)
+        if len(p.objective) != n:
+            raise StructureError(f"objective has {len(p.objective)} entries, expected {n}")
+        _rationals(p.objective, "objective")
         if self.farkas is not None:
             return None, None, None, list(self.farkas)
-        shift = n - self.width
-        tab = _widen(self.tab, self.tab_heads, nf, shift, mus)
-        basis = [col if col < nf else col + shift for col in self.basis]
-        std = self.std
-        if mus or shift:
-            std = object.__new__(_StdForm)
-            std.rows = _widen(self.std.rows, self.heads, nf, shift, mus)
-            std.scale, std.ncols = self.std.scale, self.std.ncols + shift
-        return std, tab, basis, None
+        if mu is None:
+            return self.std, [row.copy() for row in self.tab], list(self.basis), None
+        std = object.__new__(_StdForm)
+        std.rows = _widen(self.std.rows, self.std_sums, self.n, mu)
+        std.scale, std.ncols = self.scale, self.std.ncols + 1
+        tab = _widen(self.tab, self.tab_sums, self.n, mu)
+        return std, tab, [col + (col >= self.n) for col in self.basis], None
 
 
-def phase_one(p: LpProblem, nvars: int | None = None) -> Phase1:
-    """Phase 1 of p's face: its first `nvars` columns (all by default) with
-    all of its rows. Neither the objective nor the other columns play a
-    part, so every problem with the same face can start phase 2 from it by
-    naming it in `LpProblem.phase1`."""
+def phase_one(p: LpProblem) -> Phase1:
+    """Phase 1 of p on all of its columns and rows, its face. The objective
+    plays no part, so every program `Phase1.program` builds on the face
+    starts phase 2 from it."""
     _validate(p)
-    n = len(p.objective)
-    if nvars is None:
-        nvars = n
-    if type(nvars) is not int or not 0 <= nvars <= n:
-        raise StructureError(f"a face of {nvars!r} columns of a problem with {n}")
-    return Phase1(p, nvars)
+    return Phase1(p)
 
 
 def _phase_two(p: LpProblem, std: _StdForm, tab, basis) -> LpOutcome:
@@ -626,11 +601,9 @@ def solve_lp(p: LpProblem) -> LpOutcome:
     """Two-phase exact simplex with Bland's rule and certificate extraction.
 
     Phase 2 starts from `p.phase1` when the problem names one, else from
-    a phase 1 of the whole problem."""
-    _validate(p)
+    `phase_one(p)`."""
     if p.phase1 is None:
-        std = _StdForm(p)
-        tab, basis, farkas = _phase_one(std)
+        std, tab, basis, farkas = phase_one(p)._start(p)
     elif isinstance(p.phase1, Phase1):
         std, tab, basis, farkas = p.phase1._start(p)
     else:

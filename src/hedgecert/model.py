@@ -5,9 +5,12 @@ validation reports any other entry. Arbitrage is a strict-inequality
 phenomenon, so nothing in the core ever touches floating point. No field of
 a model type can be reassigned once constructed and every operation is a
 pure function, which makes concurrent use on shared inputs safe without
-synchronization. The one exception is a compiled market's stored phase 1,
-set once on its first solve; two threads that race to set it build equal
-ones, and neither writes to it after.
+synchronization. The one exception is a compiled market's measure-program
+face (`arbitrage._face`), set once on its first solve: two threads that
+race to set it build equal ones, each solves on the one it built, and
+neither writes to it after but for the rows of one late column per push,
+which `lp.Phase1.program` stores with `dict.setdefault`, so threads that
+race on a push share one list.
 
 Leaves are indexed by *position* 0..L-1 in ascending node-id order among the
 nodes at the final period. Option payoffs, measure weights, and claims all
@@ -318,11 +321,14 @@ class CompiledMarket(MarketModel):
     compiled market never equals a plain `MarketModel`; compare
     `marketio.market_to_json` instead. Node ids are dense after
     validation, so per-node data is indexed by id; leaf data is indexed by
-    leaf position. Of the compiled fields only `_phase1` depends on the
-    options: it is the measure programs' phase 1 (`arbitrage._solve`),
-    built on the market's first solve, and never compared, shown or
-    serialized. It is not an init field, so `replace(c, options=...)` with
-    a subset of the options is a compiled market that builds its own.
+    leaf position. Of the compiled fields only `_face` depends on the
+    options: it is the measure programs' face, its phase 1 and row layout
+    (`arbitrage._face`), built on the market's first solve and never
+    compared, shown or serialized. Every measure program is built from it
+    and starts phase 2 from its phase 1, so concurrent queries on one
+    market need no lock (see the module docstring). It is not an init
+    field, so `replace(c, options=...)` with a subset of the options is a
+    compiled market that builds its own.
     """
 
     prices: tuple[tuple[Fraction, ...], ...]        # by node id
@@ -334,7 +340,7 @@ class CompiledMarket(MarketModel):
     columns: tuple[tuple[int, int], ...]            # (node id, asset) per dynamic column
     gain_rows: tuple[tuple[Fraction, ...], ...]     # by position, one entry per column
     generator_names: tuple[str, ...]
-    _phase1: Phase1 | None = field(default=None, init=False, compare=False, repr=False)
+    _face: tuple[Phase1, tuple] | None = field(default=None, init=False, compare=False, repr=False)
 
     def strategy_from(self, primal: list[Fraction]) -> Strategy:
         """The strategy a vector encodes in strategy-column order: the

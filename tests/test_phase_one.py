@@ -1,16 +1,20 @@
-"""One phase 1 per market: every measure program of a compiled market starts
-phase 2 from the phase 1 of their shared t = 0 face (`lp.Phase1`).
+"""One phase 1 per market: every measure program of a compiled market is
+built by the phase 1 of their shared t = 0 face (`lp.Phase1.program`) and
+starts phase 2 from it.
 
 Warm outcomes are checked against a cold `solve_lp` of the same problem (no
 stored phase 1): the pricing and push-0 programs equal it field for field,
 because the floor column of push 0 never enters phase 1 (its reduced cost is
 the sum of the leaf columns'); the push-1 program may end at another optimal
-basis, so it matches in status and value and both outcomes replay. A stored
-phase 1 that does not fit a problem is a StructureError, never an answer.
+basis, so it matches in status and value and both outcomes replay. A
+problem that does not hold a phase 1's own lists is a StructureError, never
+an answer.
 """
 
 import copy
 import random
+import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -25,6 +29,7 @@ from markets import (
     binomial_with_spread_option,
     random_arbitrage_free_market,
     random_arbitrary_market,
+    random_claim,
     random_lp,
     random_rational,
 )
@@ -42,12 +47,16 @@ def _programs(rng, c):
     floor = [ZERO] * len(c.charged) + [ONE]
     programs = [("push 0", floor, 0), ("push 1", floor, 1),
                 ("pricing", [random_rational(rng, -3, 3) for _ in c.charged], None)]
-    rng.shuffle(programs)  # any of them may be the one that builds phase 1
+    rng.shuffle(programs)  # any of them may be the one that builds the face
     return programs
 
 
 def _cold(problem):
     return lp.solve_lp(replace(problem, phase1=None))
+
+
+def _phase1(c):
+    return c._face[0]
 
 
 def _state(phase1):
@@ -61,9 +70,9 @@ def test_warm_outcomes_match_a_cold_solve_of_the_same_problem():
         built = None
         for name, objective, push in _programs(rng, c):
             problem, _, warm = arbitrage._solve(c, objective, push)
-            assert problem.phase1 is c._phase1 is not None
-            built = built or _state(c._phase1)
-            assert _state(c._phase1) == built  # every phase 2 works on a copy
+            assert problem.phase1 is _phase1(c) is not None
+            built = built or _state(_phase1(c))
+            assert _state(_phase1(c)) == built  # every phase 2 works on a copy
             cold = _cold(problem)
             assert lp.verify_certificate(problem, warm), name
             statuses.add((name, warm.status))
@@ -81,13 +90,14 @@ def test_an_infeasible_face_gives_every_program_a_fresh_farkas_vector_that_repla
     solved = [arbitrage._solve(c, objective, push) for _, objective, push
               in _programs(random.Random(3), c)]
     outcomes = [out for _, _, out in solved]
+    farkas = _phase1(c).farkas
     assert all(out.status == lp.INFEASIBLE for out in outcomes)
-    assert all(out.farkas == c._phase1.farkas for out in outcomes)
-    assert len({id(out.farkas) for out in outcomes} | {id(c._phase1.farkas)}) == 4
+    assert all(out.farkas == farkas for out in outcomes)
+    assert len({id(out.farkas) for out in outcomes} | {id(farkas)}) == 4
     for problem, _, out in solved:
         assert lp.verify_certificate(problem, out)
     outcomes[0].farkas[0] += 1  # a caller's edit reaches no other outcome
-    assert outcomes[1].farkas == c._phase1.farkas
+    assert outcomes[1].farkas == farkas
 
 
 def test_infeasible_faces_of_random_markets_replay_against_every_program():
@@ -95,109 +105,109 @@ def test_infeasible_faces_of_random_markets_replay_against_every_program():
     for rng, c in _random_markets(12, 160):
         programs = _programs(rng, c)
         arbitrage._solve(c, *programs[0][1:])
-        if c._phase1.farkas is None:
+        if _phase1(c).farkas is None:
             continue
         infeasible += 1
         for _, objective, push in programs:
             problem, _, out = arbitrage._solve(c, objective, push)
-            assert out.status == lp.INFEASIBLE and out.farkas == c._phase1.farkas
+            assert out.status == lp.INFEASIBLE and out.farkas == _phase1(c).farkas
             assert lp.verify_certificate(problem, out)
     assert infeasible > 20
 
 
-def _with_late(rng, face, count):
-    """face with `count` late columns, each the face's column sum plus a
-    random nonnegative integer multiple of every slack column, and a random
-    objective."""
-    rows = [list(row) for row in face.rows]
-    for _ in range(count):
-        for row, rel in zip(rows, face.relations):
-            mu = rng.choice((0, 0, 1, 2)) if rel != lp.EQ else 0
-            row.append(sum(row[:len(face.objective)], ZERO) + (mu if rel == lp.LE else -mu))
-    objective = [random_rational(rng, -3, 3) for _ in range(len(rows[0]) if rows else
-                                                            len(face.objective) + count)]
-    return lp.LpProblem(objective, rows, list(face.relations), list(face.rhs))
-
-
 def test_late_columns_of_random_programs_keep_status_and_value():
-    # phase 1s built on the face alone or on a problem with two late
-    # columns, used by problems with 0, 1 or 2 late columns: the late
-    # columns move up or down past the slack columns, rows with a negative
-    # rhs are negated in the standard form, and the answers are a cold
-    # solve's
+    # every program of a random face, on its own columns or with the late
+    # column of mu 0, 1 or 2, against a cold solve of the same problem:
+    # rows with a negative rhs are negated in the standard form, the late
+    # column moves the slack columns up by one, and a late column on an
+    # infeasible face keeps its Farkas vector
     rng = random.Random(14)
     statuses = set()
     for _ in range(300):
-        face = random_lp(rng)
-        builder = face if rng.random() < 0.5 else _with_late(rng, face, 2)
-        phase1 = lp.phase_one(builder, len(face.objective))
-        for count in (0, 1, 2):
-            p = _with_late(rng, face, count)
-            warm = lp.solve_lp(replace(p, phase1=phase1))
-            cold = lp.solve_lp(p)
-            assert lp.verify_certificate(p, warm)
+        face = lp.phase_one(random_lp(rng))
+        for mu in (None, 0, 1, 2):
+            width = face.n + (mu is not None)
+            p = face.program([random_rational(rng, -3, 3) for _ in range(width)], mu)
+            assert p.phase1 is face and p.relations is face.relations and p.rhs is face.rhs
+            warm = lp.solve_lp(p)
+            cold = _cold(p)
             assert (warm.status, warm.objective_value) == (cold.status, cold.objective_value)
+            assert lp.verify_certificate(p, warm) and lp.verify_certificate(p, cold)
+            if mu is None:
+                assert warm == cold  # the same phase 1, the same pivots
             statuses.add(warm.status)
     assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
 
 
 def _face_and_floor():
-    """A phase 1 of the robust program's face, and that program."""
+    """The robust program's phase 1 and that program."""
     c = require_valid(binomial_with_spread_option())
-    problem, _ = arbitrage._consistency_rows(c, [ZERO] * len(c.charged) + [ONE], push=1)
-    return lp.phase_one(problem, len(c.charged)), problem
+    problem = arbitrage._solve(c, [ZERO] * len(c.charged) + [ONE], push=1)[0]
+    return problem.phase1, problem
 
 
 def test_a_late_column_that_cannot_be_derived_is_structural():
+    # a late column is only ever one `program` built: the same entries in
+    # another list, or the floor column of another push written by hand,
+    # is not a problem on the face, though a cold solve answers it
     phase1, problem = _face_and_floor()
-    assert lp.solve_lp(replace(problem, phase1=phase1)).status == lp.OPTIMAL
-    relations = problem.relations
-    eq = relations.index(lp.EQ)
-    ge, le = relations.index(lp.GE), relations.index(lp.LE)
-    # the floor column is the leaf sum on = rows, one below it on the >= row
-    # and one above on the <= row: off the sum on an = row, a negative
-    # multiple of a slack column, or a fractional one
-    for row, delta in [(eq, ONE), (ge, F(2)), (le, F(-2)), (le, F(-1, 2))]:
-        rows = [list(r) for r in problem.rows]
-        rows[row][-1] += delta
-        bad = replace(problem, rows=rows, phase1=phase1)
-        with pytest.raises(StructureError, match=f"rows\\[{row}\\]"):
+    assert lp.solve_lp(problem).status == lp.OPTIMAL
+    offset = {lp.EQ: 0, lp.GE: -1, lp.LE: 1}
+    push2 = [[*row[:-1], sum(row[:-1], ZERO) + 2 * offset[rel]]
+             for row, rel in zip(problem.rows, problem.relations)]
+    assert push2 == phase1.program(problem.objective, 2).rows
+    for rows in (copy.deepcopy(problem.rows), list(problem.rows), push2):
+        bad = replace(problem, rows=rows)
+        with pytest.raises(StructureError, match="build it with Phase1.program"):
             lp.solve_lp(bad)
         lp.solve_lp(replace(bad, phase1=None))  # the problem itself is fine
 
 
 def test_a_phase_one_of_another_problem_is_structural():
     phase1, problem = _face_and_floor()
-    le = problem.relations.index(lp.LE)
-    rows = [list(r) for r in problem.rows]
-    rows[0][0] += 1
     variants = {
-        "row count": replace(problem, rows=problem.rows[:-1], relations=problem.relations[:-1],
-                             rhs=problem.rhs[:-1]),
-        "relations": replace(problem, relations=[lp.GE if r == lp.LE else r
-                                                 for r in problem.relations]),
-        "rhs": replace(problem, rhs=[b + (k == le) for k, b in enumerate(problem.rhs)]),
-        "face": replace(problem, rows=rows),
-        "columns": replace(problem, objective=problem.objective[:1],
-                           rows=[r[:1] for r in problem.rows]),
+        "equal rows": replace(problem, rows=[list(r) for r in problem.rows]),
+        "face rows": replace(problem, rows=phase1.rows),
+        "relations": replace(problem, relations=list(problem.relations)),
+        "rhs": replace(problem, rhs=list(problem.rhs)),
+        "objective length": replace(problem, objective=problem.objective[:-1]),
+        "objective entry": replace(problem, objective=[*problem.objective[:-1], 1.0]),
     }
     for what, p in variants.items():
         with pytest.raises(StructureError):
-            lp.solve_lp(replace(p, phase1=phase1))
-        lp.solve_lp(p)  # a cold solve of the same problem raises nothing
+            lp.solve_lp(p)
+    with pytest.raises(StructureError, match="objective has 3 entries, expected 2"):
+        lp.solve_lp(variants["face rows"])
+    with pytest.raises(StructureError, match=r"objective\[2\] is float"):
+        lp.solve_lp(variants["objective entry"])
     with pytest.raises(StructureError, match="not a Phase1"):
         lp.solve_lp(replace(problem, phase1="phase 1"))
-    with pytest.raises(StructureError):
-        lp.phase_one(problem, len(problem.objective) + 1)
+    for mu in (-1, 1.0, True, "1", F(1)):
+        with pytest.raises(StructureError, match="not an int >= 0"):
+            phase1.program(problem.objective, mu)
+    with pytest.raises(StructureError):  # the face itself is validated
+        lp.phase_one(replace(problem, rows=problem.rows[:-1]))
+
+
+def test_programs_of_one_mu_share_one_rows_list():
+    phase1, problem = _face_and_floor()
+    objective = [ZERO] * phase1.n + [ONE]
+    again = phase1.program([ONE] * (phase1.n + 1), 1)
+    assert again.rows is problem.rows and phase1.late[1] is problem.rows
+    push0 = phase1.program(objective, 0)
+    assert push0.rows is phase1.program(objective, 0).rows is not problem.rows
+    assert phase1.program(objective[:-1]).rows is phase1.rows
+    assert sorted(phase1.late) == [0, 1]
+    assert lp.solve_lp(again).status == lp.solve_lp(push0).status == lp.OPTIMAL
 
 
 def test_each_market_runs_phase_one_once(monkeypatch, tmp_path, capsys):
     built = []
     original = lp.phase_one
 
-    def counted(problem, nvars=None):
+    def counted(problem):
         built.append(len(problem.rows))
-        return original(problem, nvars)
+        return original(problem)
 
     monkeypatch.setattr(lp, "phase_one", counted)
     c = require_valid(binomial_with_spread_option())
@@ -234,7 +244,7 @@ def test_a_reduced_market_builds_its_own_phase_one(monkeypatch):
         arbitrage.check_nar(c)  # the full market's phase 1 is built
         for i in range(len(c.options)):
             reduced = superhedge.market_without_option(c, i)
-            assert reduced._phase1 is None
+            assert reduced._face is None
             warm = bounds(c, i)
             # cold: a fresh parse of the same market, every solve without a phase 1
             with monkeypatch.context() as patch:
@@ -244,13 +254,86 @@ def test_a_reduced_market_builds_its_own_phase_one(monkeypatch):
     assert checked > 20
 
 
+def _queries(c, claim):
+    """The four queries on one market, each answer or the error it raised."""
+    def answer(query):
+        try:
+            return query()
+        except Exception as exc:  # a market may admit arbitrage
+            return type(exc), str(exc)
+
+    return [lambda: answer(lambda: arbitrage.check_na(c)),
+            lambda: answer(lambda: arbitrage.check_nar(c)),
+            lambda: answer(lambda: superhedge.dual_price(c, claim)),
+            lambda: answer(lambda: superhedge.superhedge_price(c, claim))]
+
+
+def test_four_threads_on_one_fresh_market_get_the_sequential_answers():
+    # thread i runs the four queries from the i-th on: every thread may
+    # find the face unbuilt and build its own, and two threads may race to
+    # build the late rows of one push
+    rng = random.Random(15)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for k in range(24):
+            maker = random_arbitrary_market if k % 2 else random_arbitrage_free_market
+            m = maker(rng)
+            text, claim = dump_market(require_valid(m)), random_claim(rng, m)
+            expected = [query() for query in _queries(parse_market(text), claim)]
+            c = parse_market(text)
+            queries = _queries(c, claim)
+            answers = [None] * 4
+            start = threading.Barrier(4)
+
+            def run(i):
+                start.wait()
+                answers[i] = [queries[(i + j) % 4]() for j in range(4)]
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert answers == [expected[i:] + expected[:i] for i in range(4)], k
+            assert c._face is not None
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_threads_that_race_to_build_one_mu_share_its_rows():
+    rng = random.Random(16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            face = lp.phase_one(random_lp(rng, max_vars=40, max_rows=40))
+            objective = [ONE] * (face.n + 1)
+            problems = [None] * 4
+            start = threading.Barrier(4)
+
+            def run(i):
+                start.wait()
+                problems[i] = face.program(objective, 1)
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert all(p.rows is face.late[1] for p in problems)
+            assert len({lp.solve_lp(p).status for p in problems}) == 1
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_the_stored_phase_one_reaches_no_comparison_repr_or_file():
     warm = parse_market(dump_market(binomial_with_spread_option()))
     fresh = parse_market(dump_market(warm))
     arbitrage.check_nar(warm)
-    assert warm._phase1 is not None and fresh._phase1 is None
+    assert warm._face is not None and fresh._face is None
     assert warm == fresh
-    assert repr(warm) == repr(fresh) and "phase1" not in repr(warm)
+    assert repr(warm) == repr(fresh) and "_face" not in repr(warm)
     assert market_to_json(warm) == market_to_json(fresh)
     assert dump_market(warm) == dump_market(fresh)
     problem, _, _ = arbitrage._solve(warm, [ZERO] * len(warm.charged) + [ONE], 1)

@@ -179,3 +179,19 @@ def test_market_without_option_takes_only_an_option_index():
         with pytest.raises(DomainError, match="out of range"):
             market_without_option(m, bad)
     assert market_without_option(m, 0).options == []
+
+
+def test_interior_replays_validate_the_market_first():
+    # a market whose option list holds None, and one quoted with bid > ask:
+    # both replays raise the market's StructureError, as `verify_measure`
+    # does, instead of reading the options of a market never validated
+    m = binomial_with_spread_option()
+    witness = check_nar(m).witness
+    measure = witness.interior_measure
+    assert strictly_inside_quotes(m, measure) and verify_nar_witness(m, witness)
+    no_option = replace(m, options=[None])
+    crossed = replace(m, options=[replace(m.options[0], bid=F(1, 2), ask=F(1, 4))])
+    for bad, where in [(no_option, "options[0] is NoneType"), (crossed, "options[0] ('digital')")]:
+        for replay in (strictly_inside_quotes, verify_nar_witness, verify_measure):
+            with pytest.raises(StructureError, match=re.escape(where)):
+                replay(bad, witness if replay is verify_nar_witness else measure)
