@@ -256,16 +256,15 @@ def test_a_reduced_market_builds_its_own_phase_one(monkeypatch):
 
 def _queries(c, claim):
     """The four queries on one market, each answer or the error it raised."""
-    def answer(query):
+    def answer(query, *args):
         try:
-            return query()
+            return query(c, *args)
         except Exception as exc:  # a market may admit arbitrage
             return type(exc), str(exc)
 
-    return [lambda: answer(lambda: arbitrage.check_na(c)),
-            lambda: answer(lambda: arbitrage.check_nar(c)),
-            lambda: answer(lambda: superhedge.dual_price(c, claim)),
-            lambda: answer(lambda: superhedge.superhedge_price(c, claim))]
+    return [lambda: answer(arbitrage.check_na), lambda: answer(arbitrage.check_nar),
+            lambda: answer(superhedge.dual_price, claim),
+            lambda: answer(superhedge.superhedge_price, claim)]
 
 
 def test_four_threads_on_one_fresh_market_get_the_sequential_answers():
