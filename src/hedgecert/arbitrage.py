@@ -19,6 +19,7 @@ multipliers read by `_hedge`; `_arbitrage` and `_robustness` read a verdict.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -102,9 +103,14 @@ def measure_from_weights(m: MarketModel, weights: list[Fraction]) -> MartingaleM
     return q
 
 
+_FACE_LOCK = threading.Lock()  # held while any market's face is built
+
+
 def _face(c: CompiledMarket):
-    """The measure programs' t = 0 face and its layout, built once with
-    `lp.phase_one` and kept with the market: (phase 1, layout).
+    """The measure programs' t = 0 face and its layout, built once, under
+    `_FACE_LOCK`, with `lp.phase_one` and kept with the market: (phase 1,
+    layout). Concurrent first queries on a market run one phase 1; phase 1
+    holds the GIL, so a build that waits on another loses nothing.
 
     Variables are R_w >= 0 per charged leaf. Rows: total mass one, every
     node-level martingale identity whose coefficients on the charged leaves
@@ -113,7 +119,11 @@ def _face(c: CompiledMarket):
     row r: ("mass", 0), ("martingale", dynamic column) or ("option", option
     index).
     """
-    if c._face is None:  # state kept with the market, not market data
+    if c._face is not None:  # state kept with the market, not market data
+        return c._face
+    with _FACE_LOCK:
+        if c._face is not None:  # another thread built it while this one waited
+            return c._face
         supp = c.charged
         rows, rels, rhs, layout = [], [], [], []
 
@@ -137,7 +147,7 @@ def _face(c: CompiledMarket):
                 add(coefs, lp.LE, opt.ask, ("option", i))
         face = lp.LpProblem([ZERO] * len(supp), rows, rels, rhs)
         object.__setattr__(c, "_face", (lp.phase_one(face), tuple(layout)))
-    return c._face
+        return c._face
 
 
 def _solve(c: CompiledMarket, objective: list[Fraction], push=None):

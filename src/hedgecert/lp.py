@@ -32,17 +32,18 @@ which is how `redundancy` reduces every option's payoff at once. The basis
 duals build their integer rows directly and call `_eliminate` themselves.
 `LpProblem` itself stays dense.
 
-Fractions appear only at the boundary. The standard form builds each row
-[A | b] once, from the problem's nonzero entries, as the nonzeros of a
-primitive integer vector rows[k] = scale[k] * (problem row k, slack
-included), with scale[k] < 0 exactly where the row is negated to make its
-rhs nonnegative. The tableau starts as a copy of these rows; the phase-1
-reduced costs are -sum_k rows[k] / |scale[k]| over one common integer
-denominator, a positive multiple of the rational phase-1 row; the basis
-duals solve y'^T B' = c_B on the integer columns and return
-y_k = scale[k] * y'_k, the multiplier of problem row k. Values leave as
-b_i / a_i,B(i). Every problem entry must be an int or a Fraction; anything
-else is a StructureError naming the field and index, and makes
+Fractions appear only at the boundary. The standard form's columns are the
+problem's n, an empty slot at n for a late column (below) and the slacks
+from n + 1. It builds each row [A | b] once, from the problem's nonzero
+entries, as the nonzeros of a primitive integer vector rows[k] =
+scale[k] * (problem row k, slack included), with scale[k] < 0 exactly where
+the row is negated to make its rhs nonnegative. The tableau starts as a copy
+of these rows; the phase-1 reduced costs are -sum_k rows[k] / |scale[k]|
+over one common integer denominator, a positive multiple of the rational
+phase-1 row; the basis duals solve y'^T B' = c_B on the integer columns and
+return y_k = scale[k] * y'_k, the multiplier of problem row k. Values leave
+as b_i / a_i,B(i). Every problem entry must be an int or a Fraction;
+anything else is a StructureError naming the field and index, and makes
 `verify_certificate` return False, as does a certificate entry that is not
 an int or a Fraction.
 
@@ -52,14 +53,17 @@ keeps a `Phase1`: p's own row, relation and rhs lists (not copies, so they
 must not change after), the face's standard form and its tableau and basis
 after the drive-out, or instead of these the Farkas vector when the face is
 infeasible. Phase 1 never sees the objective, so `Phase1.program` builds
-every program on the face from it and names it in `LpProblem.phase1`; phase
-2 starts from a copy of its tableau. A program's rows are the face's own
-list, or with an int mu >= 0 the face plus one late column: the face's
-column sum plus mu times each inequality row's slack column. Its dense rows
-are built once per mu, and its tableau column is the same sum of the
-tableau's columns. Such a column keeps feasibility with the face (move its
-value onto every face column and mu times it onto each slack) and keeps a
-face's Farkas vector y one of the whole problem (y . A_late is a sum of
+every program on the face from it and names it in `LpProblem.phase1`. A
+program's rows are the face's own list, or with an int mu >= 0 the face plus
+one late column: the face's column sum plus mu times each inequality row's
+slack column, its dense rows built once per mu. Phase 2 starts from the
+face's own standard form, read-only, and copies of its tableau and basis; a
+late column is written into the copy's slot as the same sum of the
+tableau's columns, and its standard entries go to the basis duals beside
+the standard form. An empty slot never enters, so Bland's order is the
+face's. Such a column keeps feasibility with the face (move its value onto
+every face column and mu times it onto each slack) and keeps a face's
+Farkas vector y one of the whole problem (y . A_late is a sum of
 y . A_j <= 0 and mu y_k (+-1) <= 0), so the face's verdict and basis serve
 the whole problem. A problem whose relations, rhs and rows are not these
 lists, by identity, is a StructureError; the face was validated once, so
@@ -316,21 +320,22 @@ class _StdForm:
     """Reduction of the rows to   A z = b (b >= 0), z >= 0;  phase 2
     minimizes -c . z over it.
 
-    The columns of z are the problem's n columns, in order, then one slack
-    per inequality row, so a point or ray of the problem is z[:n]. Each row
-    [A | b] is built once, straight from the problem's nonzero entries, as
-    the dict of the nonzeros of a primitive integer vector, with the rhs at
-    key ncols: rows[k] is scale[k] times problem row k, slack included. A
-    slack entry is +-den (den the lcm of the row's denominators), and a row
-    whose rhs is negative is built negated, so scale[k] < 0 exactly there.
-    rows[k] is then |scale[k]| times the rational standard row, the
-    invariant the tableau keeps.
+    The columns of z are the problem's n columns, in order, an empty slot at
+    n for a late column (`Phase1._start`), then one slack per inequality
+    row, so a point or ray of the problem is z[:n]. Each row [A | b] is
+    built once, straight from the problem's nonzero entries, as the dict of
+    the nonzeros of a primitive integer vector, with the rhs at key ncols:
+    rows[k] is scale[k] times problem row k, slack included. A slack entry
+    is +-den (den the lcm of the row's denominators), and a row whose rhs is
+    negative is built negated, so scale[k] < 0 exactly there. rows[k] is
+    then |scale[k]| times the rational standard row, the invariant the
+    tableau keeps.
     """
 
     def __init__(self, p: LpProblem):
-        n = len(p.objective)
-        slack = n
-        total = n + sum(1 for rel in p.relations if rel != EQ)
+        self.slot = n = len(p.objective)
+        slack = n + 1
+        total = slack + sum(1 for rel in p.relations if rel != EQ)
         rows: list[dict[int, int]] = []
         scale: list[Fraction] = []
         for coefs, rel, b in zip(p.rows, p.relations, p.rhs):
@@ -353,27 +358,13 @@ class _StdForm:
         self.scale = scale
 
 
-def _widen(rows, sums, n: int, mu: int) -> list[dict[int, int]]:
-    """Copies of integer rows with one late column put in at n, the columns
-    from n on moved up by one: row k's entry there is its sum over the
-    columns below n plus mu times its sum over the slack columns, both
-    given in sums[k]."""
-    out = []
-    for row, (head, slacks) in zip(rows, sums):
-        new = {j if j < n else j + 1: v for j, v in row.items()}
-        v = head + mu * slacks
-        if v:
-            new[n] = v
-        out.append(new)
-    return out
-
-
 def _sums(rows, n: int, ncols: int) -> list[tuple[int, int]]:
     """Each integer row's sum over the columns below n and its sum over the
-    slack columns n .. ncols - 1, the two parts of a late column."""
+    slack columns n + 1 .. ncols - 1, the two parts of a late column; the
+    slot n between them is empty."""
     out = []
     for row in rows:
-        slacks = sum(v for j, v in row.items() if n <= j < ncols)
+        slacks = sum(v for j, v in row.items() if n < j < ncols)
         out.append((sum(row.values()) - row.get(ncols, 0) - slacks, slacks))
     return out
 
@@ -405,16 +396,17 @@ def _optimize(tab, red, basis, ncols):
         basis[r] = jc
 
 
-def _basis_dual(std: _StdForm, basis: list[int], costs) -> list[Fraction]:
+def _basis_dual(std: _StdForm, basis: list[int], costs, late=None) -> list[Fraction]:
     """Exact duals from the final basis: solve y^T B = cost_B afresh.
 
     B is read from the integer rows, B' = diag(scale) B with B the problem
     rows' basis columns, so the solve gives y' with y'^T B' = cost_B and the
-    problem rows' multipliers are y_k = scale[k] * y'_k. Columns at index
-    >= ncols are artificials, whose standard column is the identity vector
-    of their row: |scale[k]| at row k in B'. Each equation is
-    built as a primitive integer row, a positive multiple of
-    [B' column | cost], with the cost at key len(basis).
+    problem rows' multipliers are y_k = scale[k] * y'_k. The slot's column
+    (`_StdForm.slot`) is `late`, when given. Columns at index >= ncols are
+    artificials, whose standard column is the identity vector of their row:
+    |scale[k]| at row k in B'. Each equation is built as a primitive integer
+    row, a positive multiple of [B' column | cost], with the cost at key
+    len(basis).
     """
     if not basis:
         return []
@@ -422,12 +414,15 @@ def _basis_dual(std: _StdForm, basis: list[int], costs) -> list[Fraction]:
     m = len(basis)
     equation = {col: k for k, col in enumerate(basis) if col < n}  # column -> its equation
     mat: list[dict[int, int]] = [{} for _ in basis]
+    slot = equation.get(std.slot) if late is not None else None
     for i, row in enumerate(std.rows):
         if basis[i] >= n and not costs(basis[i]):
             continue  # its artificial's equation alone gives y_i = 0
         for col, v in row.items():
             if col in equation:
                 mat[equation[col]][i] = v
+        if slot is not None and late[i]:
+            mat[slot][i] = late[i]
     for k, col in enumerate(basis):
         cost = costs(col)
         row = mat[k]
@@ -530,9 +525,10 @@ class Phase1:
         return LpProblem(objective, rows, self.relations, self.rhs, self)
 
     def _start(self, p: LpProblem):
-        """p's standard form, tableau and basis to start phase 2 from, and
-        the Farkas vector when the face is infeasible; StructureError unless
-        p holds this phase 1's own lists, as `program` builds them."""
+        """Copies of the tableau and basis to start p's phase 2 from, and
+        the standard entries of p's late column (None without one); None
+        when the face is infeasible. StructureError unless p holds this
+        phase 1's own lists, as `program` builds them."""
         if p.relations is not self.relations or p.rhs is not self.rhs:
             raise StructureError("the problem's relations or rhs are not its phase 1's lists")
         if p.rows is self.rows:
@@ -547,14 +543,15 @@ class Phase1:
             raise StructureError(f"objective has {len(p.objective)} entries, expected {n}")
         _rationals(p.objective, "objective")
         if self.farkas is not None:
-            return None, None, None, list(self.farkas)
+            return None
+        tab = [row.copy() for row in self.tab]
         if mu is None:
-            return self.std, [row.copy() for row in self.tab], list(self.basis), None
-        std = object.__new__(_StdForm)
-        std.rows = _widen(self.std.rows, self.std_sums, self.n, mu)
-        std.scale, std.ncols = self.scale, self.std.ncols + 1
-        tab = _widen(self.tab, self.tab_sums, self.n, mu)
-        return std, tab, [col + (col >= self.n) for col in self.basis], None
+            return tab, list(self.basis), None
+        for row, (head, slacks) in zip(tab, self.tab_sums):
+            v = head + mu * slacks
+            if v:
+                row[self.n] = v
+        return tab, list(self.basis), [head + mu * slacks for head, slacks in self.std_sums]
 
 
 def phase_one(p: LpProblem) -> Phase1:
@@ -565,8 +562,9 @@ def phase_one(p: LpProblem) -> Phase1:
     return Phase1(p)
 
 
-def _phase_two(p: LpProblem, std: _StdForm, tab, basis) -> LpOutcome:
-    """Phase 2 on the real objective from a feasible basis, and the outcome."""
+def _phase_two(p: LpProblem, std: _StdForm, tab, basis, late) -> LpOutcome:
+    """Phase 2 on the real objective from a feasible basis, and the outcome;
+    `late` is the standard column in the slot, as `Phase1._start` gives it."""
     n = std.ncols
     nvars = len(p.objective)
     # Eliminate every basic column from the cost row of min -c . x. A basic
@@ -577,6 +575,7 @@ def _phase_two(p: LpProblem, std: _StdForm, tab, basis) -> LpOutcome:
         if col in red:
             _combine(red, col, row[col], row.items())
     jc = _optimize(tab, red, basis, n)
+    x = _basic_point(tab, basis, n)[:nvars]
 
     if jc is not None:
         d = [_ZERO] * n
@@ -584,15 +583,10 @@ def _phase_two(p: LpProblem, std: _StdForm, tab, basis) -> LpOutcome:
         for row, col in zip(tab, basis):
             if jc in row:
                 d[col] = Fraction(-row[jc], row[col])
-        return LpOutcome(
-            status=UNBOUNDED,
-            primal=_basic_point(tab, basis, n)[:nvars],
-            ray=d[:nvars],
-        )
+        return LpOutcome(status=UNBOUNDED, primal=x, ray=d[:nvars])
 
-    x = _basic_point(tab, basis, n)[:nvars]
     # y^T B = c_B: the duals of max c . x, the negated duals of min cost . z
-    y = _basis_dual(std, basis, lambda col: p.objective[col] if col < nvars else _ZERO)
+    y = _basis_dual(std, basis, lambda col: p.objective[col] if col < nvars else _ZERO, late)
     value = sum((c * v for c, v in zip(p.objective, x) if c), _ZERO)
     return LpOutcome(status=OPTIMAL, primal=x, dual=y, objective_value=value)
 
@@ -603,14 +597,15 @@ def solve_lp(p: LpProblem) -> LpOutcome:
     Phase 2 starts from `p.phase1` when the problem names one, else from
     `phase_one(p)`."""
     if p.phase1 is None:
-        std, tab, basis, farkas = phase_one(p)._start(p)
+        phase1 = phase_one(p)
     elif isinstance(p.phase1, Phase1):
-        std, tab, basis, farkas = p.phase1._start(p)
+        phase1 = p.phase1
     else:
         raise StructureError(f"phase1 is {type(p.phase1).__name__}, not a Phase1")
-    if farkas is not None:
-        return LpOutcome(status=INFEASIBLE, farkas=farkas)
-    return _phase_two(p, std, tab, basis)
+    start = phase1._start(p)
+    if start is None:
+        return LpOutcome(status=INFEASIBLE, farkas=list(phase1.farkas))
+    return _phase_two(p, phase1.std, *start)
 
 
 def _row_value(row: list[Fraction], x: list[Fraction]) -> Fraction:

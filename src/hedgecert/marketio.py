@@ -172,28 +172,20 @@ def _parse_nodes(raw, issues: list) -> list[Node]:
 def _named_entries(raw, section: str, keys: set[str], vector: str, reorder: list[int],
                    issues: list):
     """Yield (path, entry, name, vector) for each entry of "options" or
-    "measures" that is an object with exactly `keys` and a unique non-empty
-    name; its `vector` field is parsed and put in canonical leaf order."""
+    "measures" that is an object with exactly `keys`; its `vector` field is
+    parsed and put in canonical leaf order. `validate_market` checks the
+    names with the rest of the market."""
     if not isinstance(raw, list):
         issues.append((section, "expected a list"))
         _stop(issues)
-    kind = section[:-1]
-    seen_names = set()
     for k, item in enumerate(raw):
         path = f"{section}[{k}]"
         if not _fields(item, keys, path, issues):
             continue
-        name = item["name"]
-        if not isinstance(name, str) or not name:
-            issues.append((f"{path}.name", "expected a non-empty string"))
-            continue
-        if name in seen_names:
-            issues.append((f"{path}.name", f"duplicate {kind} name {name!r}"))
-        seen_names.add(name)
         values = _take_rational_list(item[vector], f"{path}.{vector}", issues)
         if len(values) == len(reorder):
             values = [values[i] for i in reorder]
-        yield path, item, name, values
+        yield path, item, item["name"], values
 
 
 def parse_market(data: bytes | str) -> CompiledMarket:

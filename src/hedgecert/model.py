@@ -6,11 +6,11 @@ phenomenon, so nothing in the core ever touches floating point. No field of
 a model type can be reassigned once constructed and every operation is a
 pure function, which makes concurrent use on shared inputs safe without
 synchronization. The one exception is a compiled market's measure-program
-face (`arbitrage._face`), set once on its first solve: two threads that
-race to set it build equal ones, each solves on the one it built, and
-neither writes to it after but for the rows of one late column per push,
-which `lp.Phase1.program` stores with `dict.setdefault`, so threads that
-race on a push share one list.
+face (`arbitrage._face`), built under a lock on its first solve: a thread
+that finds it unbuilt takes the lock and looks again, so concurrent first
+queries run one phase 1. Nothing writes to the face after but for the rows
+of one late column per push, which `lp.Phase1.program` stores with
+`dict.setdefault`, so threads that race on a push share one list.
 
 Leaves are indexed by *position* 0..L-1 in ascending node-id order among the
 nodes at the final period. Option payoffs, measure weights, and claims all
@@ -216,7 +216,7 @@ def _index(i, n: int, what: str) -> int:
 
 def _name_issues(section: str, kind: str, names) -> list[str]:
     """A violation per name that is not a non-empty string or repeats an
-    earlier one, the names the file format (`marketio`) accepts."""
+    earlier one: the one name check, `marketio.parse_market`'s too."""
     issues, seen = [], set()
     for k, name in enumerate(names):
         if not isinstance(name, str) or not name:
@@ -323,10 +323,10 @@ class CompiledMarket(MarketModel):
     validation, so per-node data is indexed by id; leaf data is indexed by
     leaf position. Of the compiled fields only `_face` depends on the
     options: it is the measure programs' face, its phase 1 and row layout
-    (`arbitrage._face`), built on the market's first solve and never
-    compared, shown or serialized. Every measure program is built from it
-    and starts phase 2 from its phase 1, so concurrent queries on one
-    market need no lock (see the module docstring). It is not an init
+    (`arbitrage._face`), built once, under a lock, on the market's first
+    solve and never compared, shown or serialized. Every measure program is
+    built from it and starts phase 2 from its phase 1, and concurrent
+    queries share one build (see the module docstring). It is not an init
     field, so `replace(c, options=...)` with a subset of the options is a
     compiled market that builds its own.
     """

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hedgecert import lp
 from hedgecert.arbitrage import (
+    ArbitrageCertificate,
     MartingaleMeasure,
     _floor,
     check_na,
@@ -21,7 +22,15 @@ from hedgecert.arbitrage import (
     verify_nar_witness,
 )
 from hedgecert.errors import DomainError, RobustArbitrageError, StructureError
-from hedgecert.model import Claim, OptionQuote, Strategy, require_valid, support
+from hedgecert.model import (
+    Claim,
+    OptionQuote,
+    Strategy,
+    require_valid,
+    support,
+    terminal_gain,
+    zero_strategy,
+)
 from hedgecert.redundancy import check_nonredundant, verify_replication
 from hedgecert.superhedge import superhedge_price, verify_super_replication
 from markets import (
@@ -217,6 +226,72 @@ def test_verify_measure_rejects_bad_weights():
     assert not verify_measure(m, bad)
     lopsided = measure_from_weights(m, [F(1, 3), F(1, 3)])  # mass 2/3
     assert not verify_measure(m, lopsided)
+    # one weight too many, and a negative weight in a mass of one
+    assert not verify_measure(m, MartingaleMeasure([*good.weights, F(0)], []))
+    assert not verify_measure(m, MartingaleMeasure([F(4, 3), F(-1, 3)], []))
+
+
+def test_verify_measure_rejects_option_values_off_the_weights_or_the_quotes():
+    # the one martingale measure of the binomial market values the digital
+    # (1, 0) at 1/3: inside [1/4, 1/2], below the bid of [1/2, 1]
+    m = binomial_with_spread_option()
+    q = check_nar(m).witness.interior_measure
+    assert verify_measure(m, q)
+    assert not verify_measure(m, replace(q, option_values=[F(1, 2)]))
+    tight = binomial_market([OptionQuote("digital", [F(1), F(0)], F(1, 2), F(1))])
+    assert not verify_measure(tight, measure_from_weights(tight, q.weights))
+
+
+def test_strictly_inside_quotes_rejects_a_value_on_a_quote():
+    # a spread option valued at its bid, and a zero-spread one off its quote
+    m = binomial_with_spread_option()
+    q = check_nar(m).witness.interior_measure
+    assert not strictly_inside_quotes(m, replace(q, option_values=[F(1, 4)]))
+    pinned = binomial_market([OptionQuote("pinned", [F(1), F(0)], F(1, 3), F(1, 3))])
+    assert strictly_inside_quotes(pinned, q)
+    assert not strictly_inside_quotes(pinned, replace(q, option_values=[F(1, 4)]))
+
+
+def test_verify_na_certificate_rejects_each_broken_condition():
+    m = binomial_with_free_option()
+    cert = check_na(m).certificate
+    assert verify_na_certificate(m, cert)
+    # gains that are not the strategy's
+    assert not verify_na_certificate(m, replace(cert, gains=[g + 1 for g in cert.gains]))
+    # selling the free option: its own gains, but -1 on leaf 0
+    sold = replace(zero_strategy(m), sell_leg=[F(1)])
+    assert not verify_na_certificate(m, ArbitrageCertificate(sold, terminal_gain(m, sold), 0))
+    # a strict leaf no generator charges, though its gain is positive
+    m = stockless_market(2, [OptionQuote("free", [F(1), F(1)], F(0), F(0))], [[F(1), F(0)]])
+    cert = check_na(m).certificate
+    assert verify_na_certificate(m, cert) and cert.gains[1] > 0
+    assert not verify_na_certificate(m, replace(cert, strict_leaf=1))
+
+
+def test_verify_nar_witness_rejects_each_broken_condition():
+    # the digital (1, 0) quoted [1/4, 1/2] is valued at 1/3
+    m = binomial_with_spread_option()
+    w = check_nar(m).witness
+    assert verify_nar_witness(m, w)
+    for bad in (
+        replace(w, shrunk_bids=w.shrunk_bids * 2),  # one shrunk bid per option
+        replace(w, shrunk_bids=[F(1, 4)]),  # not strictly above the bid
+        replace(w, shrunk_bids=[F(5, 12)], shrunk_asks=[F(5, 12)]),  # 1/3 below them
+    ):
+        assert not verify_nar_witness(m, bad)
+    # a zero-spread option's shrunk quotes are its quote
+    pinned = binomial_market([OptionQuote("pinned", [F(1), F(0)], F(1, 3), F(1, 3))])
+    w = check_nar(pinned).witness
+    assert verify_nar_witness(pinned, w)
+    assert not verify_nar_witness(pinned, replace(w, shrunk_asks=[F(1, 2)]))
+    # stock 1 -> {2, 1, 0}: (1/2, 0, 1/2) is a martingale measure, but it
+    # leaves the charged middle leaf at weight 0
+    m = replace(trinomial_straddle_market(), options=[])
+    w = check_nar(m).witness
+    assert verify_nar_witness(m, w)
+    zero = measure_from_weights(m, [F(1, 2), F(0), F(1, 2)])
+    assert verify_measure(m, zero)
+    assert not verify_nar_witness(m, replace(w, interior_measure=zero))
 
 
 def test_verify_measure_rejects_mass_off_support():
@@ -258,6 +333,18 @@ def test_verifiers_reject_malformed_strategies():
     assert verify_replication(m, 0, cert)
     for s in _malformed(Strategy(cert.dynamic, [], []))[:2]:
         assert not verify_replication(m, 0, replace(cert, dynamic=s.dynamic))
+
+
+def test_verify_replication_rejects_each_broken_condition():
+    # the digital (1, 0) is 1/3 plus 2/3 of a share from the root
+    m = binomial_with_spread_option()
+    cert = check_nonredundant(m, 0).certificate
+    assert verify_replication(m, 0, cert)
+    for i in (1, -1, True):  # no option 1 or -1, and True is not an index
+        assert not verify_replication(m, i, cert)
+    # a position in an option other than the one replicated, of which there is none
+    assert not verify_replication(m, 0, replace(cert, static_signed=[F(0)]))
+    assert not verify_replication(m, 0, replace(cert, initial_capital=cert.initial_capital + 1))
 
 
 def test_every_replay_rejects_an_entry_that_is_not_rational():

@@ -121,6 +121,8 @@ def test_duplicate_option_name_rejected():
     with pytest.raises(MarketParseError) as err:
         parse_market(json.dumps(market))
     assert any("duplicate option name" in msg for _, msg in err.value.issues)
+    # validate_market's own name check, located in the market
+    assert ("market", "options[1]: duplicate option name 'g1'") in err.value.issues
 
 
 def test_round_trip_models():

@@ -1,6 +1,7 @@
 import copy
 import random
 import re
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -66,6 +67,20 @@ def test_verify_rejects_wrong_field_population():
     assert not lp.verify_certificate(
         p, lp.LpOutcome(status=lp.OPTIMAL, primal=out.primal, dual=out.dual)
     )
+    # a field another status fills, a wrong length, and a status of none
+    assert not lp.verify_certificate(p, replace(out, farkas=[Z]))
+    assert not lp.verify_certificate(p, replace(out, primal=[I, Z]))
+    assert not lp.verify_certificate(p, replace(out, status="maybe"))
+    p = lp.LpProblem([Z], [[I], [I]], [lp.LE, lp.GE], [Z, I])
+    out = lp.solve_lp(p)
+    assert lp.verify_certificate(p, out)
+    assert not lp.verify_certificate(p, replace(out, primal=[Z]))
+    assert not lp.verify_certificate(p, replace(out, objective_value=Z))
+    p = lp.LpProblem([I], [], [], [])
+    out = lp.solve_lp(p)
+    assert lp.verify_certificate(p, out)
+    assert not lp.verify_certificate(p, replace(out, dual=[]))
+    assert not lp.verify_certificate(p, replace(out, ray=[I, I]))
 
 
 def test_dimension_mismatch_is_structural():
@@ -189,6 +204,13 @@ def test_verify_rejects_each_broken_nonnegative_certificate():
     assert not lp.verify_certificate(tied, optimal([Z, Z], [F(-2)], Z))
     # reduced costs (-1/2, -1/2), right-signed, but x0 = 1 is not held at 0
     assert not lp.verify_certificate(both, optimal([I, Z], [F(-1, 2)], -I))
+    # an objective value that is not c . x
+    assert not lp.verify_certificate(both, optimal([I, Z], [-I], Z))
+
+    # max -x with x <= 1: x = 0 leaves the row slack, so its dual must be 0
+    slack = lp.LpProblem([-I], [[I]], [lp.LE], [I])
+    assert lp.verify_certificate(slack, optimal([Z], [Z], Z))
+    assert not lp.verify_certificate(slack, optimal([Z], [I], Z))
 
     # max x with x <= 1 and x >= 1: duals (1, 0) are right; (0, 1) meet
     # every identity, but a >= row's dual must be <= 0

@@ -41,9 +41,10 @@ class _ReferenceStdForm:
     """Reduction of max c.x to   min cost.z  s.t.  A z = b (b >= 0), z >= 0,
     with cost = -c.
 
-    z is the problem's columns, then one slack per inequality row, so a
-    point or ray of the problem is z[:n]. row_sign[k] is -1 when the row
-    was negated to make its rhs nonnegative.
+    z is the problem's columns, then the empty slot column that `lp` keeps
+    for a late column, then one slack per inequality row, so a point or ray
+    of the problem is z[:n]. row_sign[k] is -1 when the row was negated to
+    make its rhs nonnegative.
     """
 
     def __init__(self, p: LpProblem):
@@ -51,10 +52,10 @@ class _ReferenceStdForm:
         rows = [list(row) for row in p.rows]
         rhs = list(p.rhs)
         nslack = sum(1 for rel in p.relations if rel != EQ)
-        k = n
+        k = n + 1
         sign: list[int] = []
         for i, row in enumerate(rows):
-            row.extend([_ZERO] * nslack)
+            row.extend([_ZERO] * (1 + nslack))
             if p.relations[i] != EQ:
                 row[k] = _ONE if p.relations[i] == LE else Fraction(-1)
                 k += 1
@@ -66,11 +67,11 @@ class _ReferenceStdForm:
                 sign.append(1)
 
         self.nvars = n
-        self.ncols = n + nslack
+        self.ncols = n + 1 + nslack
         self.rows = rows
         self.rhs = rhs
         self.row_sign = sign
-        self.cost = [-c for c in p.objective] + [_ZERO] * nslack
+        self.cost = [-c for c in p.objective] + [_ZERO] * (1 + nslack)
 
     def problem_multipliers(self, y_std: dict[int, Fraction]) -> list[Fraction]:
         """The standard rows' multipliers as the problem rows' multipliers."""

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -87,6 +88,44 @@ def test_validate_tree_shape_problems():
     report = validate_market(m)
     assert not report.ok
     assert any("exactly one root" in v for v in report.violations)
+
+
+_ROOT, _UP = (0, 0, None, [F(1)]), (1, 1, 0, [F(2)])
+
+
+def _broken(nodes=(_ROOT, _UP, (2, 1, 0, [F(1, 2)])), periods=1, num_assets=1, options=(),
+            generators=([F(1), F(0)], [F(0), F(1)]), names=("up", "down")):
+    """binomial_market, stock 1 -> {2, 1/2} with generators up and down,
+    with the parts given replaced; a node is (id, time, parent, prices)."""
+    tree = ScenarioTree([Node(*node) for node in nodes], periods, num_assets)
+    return MarketModel(tree, list(options), MeasureFamily(list(generators), list(names)))
+
+
+@pytest.mark.parametrize("market, violation", [
+    (_broken(nodes=[]), "tree: no nodes"),
+    (_broken(periods=0), "tree: periods is 0, must be >= 1"),
+    (_broken(num_assets=-1), "tree: num_assets is -1, must be >= 0"),
+    (_broken(nodes=[_ROOT, _UP, (5, 1, 0, [F(1, 2)])]), "tree: node ids are not dense 0..n-1"),
+    (_broken(nodes=[(0, 1, None, [F(1)]), _UP, (2, 1, 0, [F(1, 2)])]),
+     "tree: root node 0 has time 1, must be 0"),
+    (_broken(nodes=[_ROOT, _UP, (2, 2, 0, [F(1, 2)])]), "tree: node 2 has time 2 outside [0, 1]"),
+    (_broken(nodes=[_ROOT, _UP, (2, 1, 7, [F(1, 2)])]), "tree: node 2 refers to missing parent 7"),
+    (_broken(nodes=[_ROOT, _UP, (2, 1, 1, [F(1, 2)])]),
+     "tree: node 2 at time 1 has parent at time 1"),
+    (_broken(nodes=[_ROOT, (1, 1, 0, [F(2), F(3)]), (2, 1, 0, [F(1, 2)])]),
+     "tree: node 1 carries 2 prices, expected 1"),
+    (_broken(options=[OptionQuote("short", [F(1)], F(0), F(1))]),
+     "options[0] ('short'): payoff has 1 entries, expected 2"),
+    (_broken(generators=[]), "measures: at least one generator required"),
+    (_broken(names=["up"]), "measures: 1 names for 2 generators"),
+    (_broken(generators=[[F(1)]]), "measures[0]: 1 weights, expected 2"),
+    (_broken(generators=[[F(2), F(-1)]]), "measures[0]: negative weight"),
+])
+def test_validate_reports_each_violation(market, violation):
+    report = validate_market(market)
+    assert not report.ok and violation in report.violations, report.violations
+    with pytest.raises(StructureError, match=re.escape(violation)):
+        require_valid(market)
 
 
 def test_support_point_mass_generators():

@@ -15,6 +15,7 @@ import copy
 import random
 import sys
 import threading
+import time
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -298,6 +299,37 @@ def test_four_threads_on_one_fresh_market_get_the_sequential_answers():
             assert c._face is not None
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_concurrent_first_queries_on_one_market_run_one_phase_one(monkeypatch):
+    # a slow phase 1 keeps every thread's first query in flight together:
+    # each finds the face unbuilt, and all but one must wait for that one
+    phase_one, calls = lp.phase_one, []
+
+    def slow(p):
+        calls.append(p)
+        time.sleep(0.05)
+        return phase_one(p)
+
+    claim = Claim([F(1), F(0)])
+    expected = [query() for query in _queries(require_valid(binomial_with_spread_option()), claim)]
+    monkeypatch.setattr(lp, "phase_one", slow)
+    c = require_valid(binomial_with_spread_option())
+    queries, answers = _queries(c, claim), [None] * 4
+    start = threading.Barrier(4, timeout=60)
+
+    def run(i):
+        start.wait()
+        answers[i] = queries[i]()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(calls) == 1
+    assert answers == expected
 
 
 def test_threads_that_race_to_build_one_mu_share_its_rows():
