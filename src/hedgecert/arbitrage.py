@@ -278,7 +278,10 @@ def _require_nar(c: CompiledMarket, failure: str) -> RobustnessWitness:
 
 
 def dominates(q: MartingaleMeasure, generator: list[Fraction]) -> bool:
-    """True when q charges every leaf the generator charges."""
+    """True when q charges every leaf the generator charges; False when q
+    is not a measure or an entry is not an int or a Fraction."""
+    if not isinstance(q, MartingaleMeasure) or not lp._rational_lists(q.weights, generator):
+        return False
     return len(q.weights) == len(generator) and all(
         q.weights[pos] > 0 for pos, w in enumerate(generator) if w > 0
     )

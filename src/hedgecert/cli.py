@@ -5,8 +5,10 @@ fails (a certificate or blocking description accompanies the report), 4 the
 input is invalid, 5 an internal soundness check failed. Reports go to
 standard output; errors are additionally emitted as structured JSON on
 standard error. Output is deterministic: fixed key order, canonical
-fractions. `--verify` replays every certificate in the report before
-printing and aborts with exit 5 if any replay fails.
+fractions. Every command replays each certificate in its report before
+printing it and exits 5, printing no report, if a replay fails; `bounds`
+replays both hedges behind its interval. `--verify` is accepted on every
+subcommand, so older command lines keep running, and changes nothing.
 
 A malformed command line is invalid input too (exit 4); `--help` exits 0.
 
@@ -73,10 +75,16 @@ def _require(condition: bool, what: str) -> None:
         raise SoundnessError(f"certificate replay failed: {what}")
 
 
-def _arbitrage_report(command: str, m: CompiledMarket, cert, verify: bool) -> tuple[int, dict]:
-    """The exit-3 report of an arbitrage certificate, replayed first under --verify."""
-    if verify:
-        _require(arbitrage.verify_na_certificate(m, cert), "arbitrage certificate")
+def _require_interior(m: CompiledMarket, q, what: str) -> None:
+    """Replay a printed interior measure: consistent with the market and
+    strictly inside every spread quote."""
+    _require(arbitrage.verify_measure(m, q), what)
+    _require(arbitrage.strictly_inside_quotes(m, q), "strict interiority")
+
+
+def _arbitrage_report(command: str, m: CompiledMarket, cert) -> tuple[int, dict]:
+    """The exit-3 report of an arbitrage certificate, replayed first."""
+    _require(arbitrage.verify_na_certificate(m, cert), "arbitrage certificate")
     return EXIT_FAILS, _report(
         command,
         "fails",
@@ -89,7 +97,7 @@ def _cmd_check_na(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
     verdict = arbitrage.check_na(m)
     if verdict.holds:
         return EXIT_OK, _report("check-na", "holds")
-    return _arbitrage_report("check-na", m, verdict.certificate, args.verify)
+    return _arbitrage_report("check-na", m, verdict.certificate)
 
 
 def _cmd_check_nar(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
@@ -99,8 +107,7 @@ def _cmd_check_nar(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
             "check-nar", "fails", diagnostics={"blocking": verdict.blocking}
         )
     witness = verdict.witness
-    if args.verify:
-        _require(arbitrage.verify_nar_witness(m, witness), "robustness witness")
+    _require(arbitrage.verify_nar_witness(m, witness), "robustness witness")
     return EXIT_OK, _report(
         "check-nar",
         "holds",
@@ -115,12 +122,9 @@ def _cmd_superhedge(args, m: CompiledMarket, f: Claim) -> tuple[int, dict]:
     except RobustArbitrageError as exc:
         # no consistent measure: report the ray along which the cost falls
         capital, ray = exc.ray
-        if args.verify:
-            zero = Claim([ZERO] * len(f.payoff))
-            _require(
-                capital < 0 and superhedge.verify_super_replication(m, zero, capital, ray),
-                "robust-arbitrage ray",
-            )
+        zero = Claim([ZERO] * len(f.payoff))
+        _require(capital < 0 and superhedge.verify_super_replication(m, zero, capital, ray),
+                 "robust-arbitrage ray")
         _emit_error("arbitrage", exc)
         return EXIT_FAILS, _report(
             "superhedge",
@@ -133,11 +137,7 @@ def _cmd_superhedge(args, m: CompiledMarket, f: Claim) -> tuple[int, dict]:
             },
             diagnostics={"blocking": exc.blocking},
         )
-    if args.verify:
-        _require(
-            superhedge.verify_super_replication(m, f, price, strategy),
-            "super-replication",
-        )
+    _require(superhedge.verify_super_replication(m, f, price, strategy), "super-replication")
     return EXIT_OK, _report(
         "superhedge",
         "priced",
@@ -148,9 +148,8 @@ def _cmd_superhedge(args, m: CompiledMarket, f: Claim) -> tuple[int, dict]:
 
 def _cmd_dual(args, m: CompiledMarket, f: Claim) -> tuple[int, dict]:
     value, measure = superhedge.dual_price(m, f)
-    if args.verify:
-        _require(arbitrage.verify_measure(m, measure), "dual measure")
-        _require(measure.expectation(f.payoff) == value, "dual value")
+    _require(arbitrage.verify_measure(m, measure), "dual measure")
+    _require(measure.expectation(f.payoff) == value, "dual value")
     return EXIT_OK, _report(
         "dual",
         "priced",
@@ -161,12 +160,15 @@ def _cmd_dual(args, m: CompiledMarket, f: Claim) -> tuple[int, dict]:
 
 def _cmd_bounds(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
     i = _index_of([opt.name for opt in m.options], args.option, "option")
-    lower, upper = superhedge.price_bounds_excluding(m, i)
+    reduced, option = superhedge._option_in_reduced_market(m, i)
+    (_, upper, over), (short, lower_neg, under) = superhedge._bound_hedges(reduced, option)
+    _require(superhedge.verify_super_replication(reduced, option, upper, over), "super-replication")
+    _require(superhedge.verify_super_replication(reduced, short, lower_neg, under), "sub-replication")
     return EXIT_OK, _report(
         "bounds",
         "computed",
         values={
-            "lower": marketio.format_rational(lower),
+            "lower": marketio.format_rational(-lower_neg),
             "upper": marketio.format_rational(upper),
         },
         diagnostics={"option": args.option},
@@ -184,11 +186,7 @@ def _cmd_redundancy(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
             {"option": name, "verdict": "nonRedundant" if verdict.non_redundant else "redundant"}
         )
         if not verdict.non_redundant:
-            if args.verify:
-                _require(
-                    redundancy.verify_replication(m, i, verdict.certificate),
-                    f"replication of {name}",
-                )
+            _require(redundancy.verify_replication(m, i, verdict.certificate), f"replication of {name}")
             certificates[name] = marketio.replication_to_json(m, i, verdict.certificate)
     if report.all_non_redundant:
         return EXIT_OK, _report(
@@ -205,13 +203,12 @@ def _cmd_redundancy(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
 def _cmd_sharper_ftap(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
     bundle = redundancy.sharper_ftap(m)
     if not bundle.na.holds:
-        return _arbitrage_report("sharper-ftap", m, bundle.na.certificate, args.verify)
-    if args.verify:
-        _require(arbitrage.verify_nar_witness(m, bundle.nar_witness), "robustness witness")
-        for q, generator in zip(bundle.dominating, m.measures.generators):
-            _require(arbitrage.verify_measure(m, q), "dominating measure")
-            _require(arbitrage.strictly_inside_quotes(m, q), "strict interiority")
-            _require(arbitrage.dominates(q, generator), "domination")
+        return _arbitrage_report("sharper-ftap", m, bundle.na.certificate)
+    _require(arbitrage.verify_nar_witness(m, bundle.nar_witness), "robustness witness")
+    for q in {id(q): q for q in bundle.dominating}.values():  # each distinct measure once
+        _require_interior(m, q, "dominating measure")
+    for q, generator in zip(bundle.dominating, m.measures.generators):
+        _require(arbitrage.dominates(q, generator), "domination")
     return EXIT_OK, _report(
         "sharper-ftap",
         "holds",
@@ -229,10 +226,8 @@ def _cmd_sharper_ftap(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
 def _cmd_dominate(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
     k = _index_of(m.generator_names, args.generator, "generator")
     measure = arbitrage.dominating_measure(m, k)
-    if args.verify:
-        _require(arbitrage.verify_measure(m, measure), "dominating measure")
-        _require(arbitrage.strictly_inside_quotes(m, measure), "strict interiority")
-        _require(arbitrage.dominates(measure, m.measures.generators[k]), "domination")
+    _require_interior(m, measure, "dominating measure")
+    _require(arbitrage.dominates(measure, m.measures.generators[k]), "domination")
     return EXIT_OK, _report(
         "dominate",
         "computed",
@@ -245,10 +240,8 @@ def _cmd_strict_dual(args, m: CompiledMarket, f: Claim) -> tuple[int, dict]:
     eps = marketio.parse_rational_text(args.eps)
     value, measure = superhedge._strict_dual(m, f, eps)
     achieved = measure.expectation(f.payoff)
-    if args.verify:
-        _require(arbitrage.verify_measure(m, measure), "approximate dual measure")
-        _require(arbitrage.strictly_inside_quotes(m, measure), "strict interiority")
-        _require(achieved >= value - eps, "epsilon optimality")
+    _require_interior(m, measure, "approximate dual measure")
+    _require(achieved >= value - eps, "epsilon optimality")
     return EXIT_OK, _report(
         "strict-dual",
         "computed",
@@ -290,9 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
         if eps:
             cmd.add_argument("--eps", required=True, help="positive rational, e.g. 1/100")
         cmd.add_argument("--pretty", action="store_true", help="indented output")
-        cmd.add_argument(
-            "--verify", action="store_true", help="replay all certificates before printing"
-        )
+        cmd.add_argument("--verify", action="store_true", help="accepted and ignored: every "
+                         "command replays its certificates before printing")
         cmd.set_defaults(handler=handler, claim=None)
 
     add("check-na", _cmd_check_na, "decide no-arbitrage")

@@ -42,8 +42,9 @@ of these rows; the phase-1 reduced costs are -sum_k rows[k] / |scale[k]|
 over one common integer denominator, a positive multiple of the rational
 phase-1 row; the basis duals solve y'^T B' = c_B on the integer columns and
 return y_k = scale[k] * y'_k, the multiplier of problem row k. Values leave
-as b_i / a_i,B(i). Every problem entry must be an int or a Fraction;
-anything else is a StructureError naming the field and index, and makes
+as b_i / a_i,B(i). The objective, the rows, each row, the relations and
+the rhs must be lists or tuples, and every problem entry an int or a
+Fraction; anything else is a StructureError naming the field, and makes
 `verify_certificate` return False, as does a certificate entry that is not
 an int or a Fraction.
 
@@ -146,12 +147,21 @@ def _rational_lists(*lists) -> bool:
                for v in lists)
 
 
+def _list(value, field: str) -> None:
+    """StructureError unless value is a list or a tuple."""
+    if not isinstance(value, (list, tuple)):
+        raise StructureError(f"{field} is {type(value).__name__}, not a list")
+
+
 def _validate(p: LpProblem) -> None:
+    for name in ("objective", "rows", "relations", "rhs"):
+        _list(getattr(p, name), name)
     n = len(p.objective)
     m = len(p.rows)
     if len(p.relations) != m or len(p.rhs) != m:
         raise StructureError("row count mismatch between rows, relations, rhs")
     for i, row in enumerate(p.rows):
+        _list(row, f"rows[{i}]")
         if len(row) != n:
             raise StructureError(f"row {i} has {len(row)} coefficients, expected {n}")
     for i, rel in enumerate(p.relations):
@@ -225,10 +235,12 @@ def _pivot(rows, r, c, red=None):
 def _system_width(rows, rhs=None) -> int:
     """The column count of a linear system, after checking its shape and
     entries; StructureError naming the first fault."""
+    _list(rows, "rows")
     if not rows:
         raise StructureError("a linear system needs at least one row to fix its column count")
-    n = len(rows[0])
     for i, row in enumerate(rows):
+        _list(row, f"rows[{i}]")
+        n = len(rows[0])  # rows[0] passed the check above at i = 0
         if len(row) != n:
             raise StructureError(f"rows[{i}] has {len(row)} entries, expected {n}")
         _rationals(row, f"rows[{i}]")
@@ -244,9 +256,11 @@ def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> tuple[list[
 
     Returns a solution, with every column that takes no pivot at 0, and the
     rank of `rows`; None when the system is inconsistent. Any shape with at
-    least one row is accepted; a ragged row, an rhs of another length or an
-    entry that is not an int or a Fraction is a StructureError.
+    least one row is accepted; rows, a row or an rhs that is not a list, a
+    ragged row, an rhs of another length or an entry that is not an int or a
+    Fraction is a StructureError.
     """
+    _list(rhs, "rhs")
     n = _system_width(rows, rhs)
     return _eliminate([_int_row([*row, b]) for row, b in zip(rows, rhs)], n)
 
@@ -539,6 +553,7 @@ class Phase1:
             if mu is None:
                 raise StructureError("the problem's rows are not its phase 1's; build it with Phase1.program")
         n = self.n + (mu is not None)
+        _list(p.objective, "objective")
         if len(p.objective) != n:
             raise StructureError(f"objective has {len(p.objective)} entries, expected {n}")
         _rationals(p.objective, "objective")

@@ -161,11 +161,18 @@ def _strict_dual(m: MarketModel, f: Claim, eps: Fraction) -> tuple[Fraction, Mar
     return value, measure_from_weights(c, weights)
 
 
+def _bound_hedges(c: CompiledMarket, f: Claim):
+    """The two super-hedges behind a claim's price bounds, each as (claim,
+    capital, strategy): f's, whose capital is the upper bound, then -f's,
+    whose capital is minus the lower bound."""
+    upper = superhedge_price(c, f)
+    short = Claim([-v for v in f.payoff])
+    return (f, *upper), (short, *superhedge_price(c, short))
+
+
 def claim_price_bounds(m: MarketModel, f: Claim) -> tuple[Fraction, Fraction]:
     """Sub- and super-replication prices of a claim in the market as given."""
-    c = require_valid(m)
-    upper, _ = superhedge_price(c, f)
-    lower_neg, _ = superhedge_price(c, Claim([-v for v in f.payoff]))
+    (_, upper, _), (_, lower_neg, _) = _bound_hedges(require_valid(m), f)
     return -lower_neg, upper
 
 
@@ -185,10 +192,16 @@ def price_bounds_excluding(m: MarketModel, i: int) -> tuple[Fraction, Fraction]:
     option strictly inside this interval preserves robust no-arbitrage,
     quoting it strictly outside creates arbitrage.
     """
+    return claim_price_bounds(*_option_in_reduced_market(m, i))
+
+
+def _option_in_reduced_market(m: MarketModel, i: int) -> tuple[CompiledMarket, Claim]:
+    """The market less option i, checked robustly arbitrage-free, and
+    option i's payoff as a claim in it."""
     c = require_valid(m)
     reduced = market_without_option(c, i)
     _require_nar(reduced, f"market without option '{c.options[i].name}' fails robust no-arbitrage")
-    return claim_price_bounds(reduced, Claim(list(c.options[i].payoff)))
+    return reduced, Claim(list(c.options[i].payoff))
 
 
 def verify_super_replication(

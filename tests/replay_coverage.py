@@ -28,6 +28,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from hedgecert import arbitrage, lp, redundancy, superhedge  # noqa: E402
 
 REPLAYS = (
+    arbitrage.dominates,
     arbitrage.verify_measure,
     arbitrage.strictly_inside_quotes,
     arbitrage.verify_na_certificate,

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -327,11 +328,11 @@ def test_dual_verify_replays_the_printed_value(capsys, monkeypatch):
 
     monkeypatch.setattr(superhedge_mod, "dual_price", off_by_one)
     argv = ["dual", str(DATA / "m1.json"), "--claim", str(DATA / "call.json")]
-    assert run(capsys, *argv)[0] == 0
-    code, out, err = run(capsys, *argv, "--verify")
-    assert code == 5
-    assert out is None
-    assert err["error"]["type"] == "soundness"
+    for flags in ([], ["--verify"]):  # the replay runs with or without the flag
+        code, out, err = run(capsys, *argv, *flags)
+        assert code == 5
+        assert out is None
+        assert err["error"]["type"] == "soundness"
 
 
 def test_sharper_ftap_verify_replays_domination(capsys, monkeypatch, tmp_path):
@@ -348,11 +349,95 @@ def test_sharper_ftap_verify_replays_domination(capsys, monkeypatch, tmp_path):
     )
     market = tmp_path / "m.json"
     market.write_text(dump_market(m))
-    assert run(capsys, "sharper-ftap", str(market))[0] == 0
-    code, out, err = run(capsys, "sharper-ftap", str(market), "--verify")
-    assert code == 5
-    assert out is None
-    assert err["error"]["type"] == "soundness"
+    for flags in ([], ["--verify"]):  # the replay runs with or without the flag
+        code, out, err = run(capsys, "sharper-ftap", str(market), *flags)
+        assert code == 5
+        assert out is None
+        assert err["error"]["type"] == "soundness"
+        assert err["error"]["message"] == "certificate replay failed: domination"
+
+
+def _dumped(tmp_path, m) -> str:
+    path = tmp_path / "m.json"
+    path.write_text(dump_market(m))
+    return str(path)
+
+
+def _first_leaf_claim(tmp_path) -> str:
+    """A claim paying 1 on leaf 1 of a two-leaf market, 0 on leaf 2."""
+    path = tmp_path / "claim.json"
+    path.write_text(json.dumps({"schemaVersion": 1, "leafOrder": [1, 2], "payoff": ["1", "0"]}))
+    return str(path)
+
+
+# each command's report, and a replay it runs before printing: (command
+# line, module, replay function)
+REPLAYED = {
+    "check-na": (lambda tmp: ["check-na", _dumped(tmp, binomial_with_free_option())],
+                 "arbitrage", "verify_na_certificate"),
+    "check-nar": (lambda tmp: ["check-nar", str(DATA / "m3.json")], "arbitrage", "verify_nar_witness"),
+    "superhedge": (lambda tmp: ["superhedge", str(DATA / "m1.json"), "--claim", str(DATA / "call.json")],
+                   "superhedge", "verify_super_replication"),
+    "superhedge ray": (lambda tmp: ["superhedge", _dumped(tmp, binomial_with_free_option()),
+                                    "--claim", _first_leaf_claim(tmp)],
+                       "superhedge", "verify_super_replication"),
+    "dual": (lambda tmp: ["dual", str(DATA / "m1.json"), "--claim", str(DATA / "call.json")],
+             "arbitrage", "verify_measure"),
+    "bounds": (lambda tmp: ["bounds", str(DATA / "m2.json"), "--option", "g1"],
+               "superhedge", "verify_super_replication"),
+    "redundancy": (lambda tmp: ["redundancy", str(DATA / "m3.json")], "redundancy", "verify_replication"),
+    "sharper-ftap": (lambda tmp: ["sharper-ftap", _dumped(tmp, spread_option_only_market())],
+                     "arbitrage", "strictly_inside_quotes"),
+    "sharper-ftap arbitrage": (lambda tmp: ["sharper-ftap", _dumped(tmp, binomial_with_free_option())],
+                               "arbitrage", "verify_na_certificate"),
+    "dominate": (lambda tmp: ["dominate", str(DATA / "m1.json"), "--generator", "up"],
+                 "arbitrage", "strictly_inside_quotes"),
+    "strict-dual": (lambda tmp: ["strict-dual", str(DATA / "m3.json"), "--claim", _first_leaf_claim(tmp),
+                                 "--eps", "1/4"],
+                    "arbitrage", "strictly_inside_quotes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLAYED))
+def test_every_command_replays_its_report_without_verify(capsys, monkeypatch, tmp_path, case):
+    # --verify changes no byte, and a failed replay exits 5 without it
+    build, module, replay = REPLAYED[case]
+    argv = build(tmp_path)
+    plain = main(argv), capsys.readouterr()
+    assert plain == (main([*argv, "--verify"]), capsys.readouterr())
+    assert plain[0] in (0, 3)
+    monkeypatch.setattr(importlib.import_module(f"hedgecert.{module}"), replay, lambda *args: False)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err["error"]["type"]) == (5, None, "soundness")
+
+
+def test_bounds_replays_both_hedges_on_the_reduced_market(capsys, monkeypatch):
+    # m2 less g1 keeps g2, quoted 1/4 to 1/2 on g1's payoff: the upper bound
+    # super-replicates the payoff, the lower one's negation its negation
+    import hedgecert.superhedge as superhedge_mod
+
+    replayed = []
+
+    def recording(m, f, price, strategy):
+        replayed.append(([opt.name for opt in m.options], f.payoff, price))
+        return verify_super_replication(m, f, price, strategy)
+
+    monkeypatch.setattr(superhedge_mod, "verify_super_replication", recording)
+    code, out, _ = run(capsys, "bounds", str(DATA / "m2.json"), "--option", "g1")
+    assert code == 0 and out["values"] == {"lower": "1/4", "upper": "1/2"}
+    assert replayed == [(["g2"], [F(0), F(1)], F(1, 2)), (["g2"], [F(0), F(-1)], F(-1, 4))]
+
+
+def test_pretty_colours_the_verdict_on_a_terminal_unless_no_color(capsys, monkeypatch):
+    argv = ["check-na", str(DATA / "m1.json"), "--pretty"]
+    monkeypatch.delenv("NO_COLOR", raising=False)
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+    assert main(argv) == 0
+    assert '"verdict": "\x1b[32mholds\x1b[0m"' in capsys.readouterr().out
+    monkeypatch.setenv("NO_COLOR", "1")
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "\x1b[" not in out and json.loads(out)["verdict"] == "holds"
 
 
 def test_solver_fault_exits_5(capsys, monkeypatch):

@@ -216,12 +216,23 @@ def test_format_rational_canonical():
     assert format_rational(F(0)) == "0"
 
 
+def _m1_with(edit) -> bytes:
+    """m1.json with `edit` applied to its parsed object, as bytes."""
+    market = json.loads((DATA / "m1.json").read_text())
+    edit(market)
+    return json.dumps(market).encode()
+
+
 @pytest.mark.parametrize(
     "data, path",
     [
         (b"[" * 100_000, "$"),
         (b'{"schemaVersion": 1, "x": "\xff"}', "$"),
         (b'{"schemaVersion": 1' + b"0" * 5000 + b"}", "$"),
+        (b"[1]", "$"),  # a top level that is not an object
+        (_m1_with(lambda m: m.update(options={})), "options"),
+        (_m1_with(lambda m: m.update(leafOrder=[1, "2"])), "leafOrder"),
+        (_m1_with(lambda m: m["tree"]["nodes"][0].update(id="0")), "tree.nodes[0].id"),
     ],
 )
 def test_hostile_bytes_are_located_parse_errors(data, path):

@@ -125,6 +125,36 @@ def test_verify_rejects_non_rational_entries():
             assert lp.verify_certificate(p, out) is False, (bad, p)
 
 
+@pytest.mark.parametrize(
+    "field, value, located",
+    [
+        ("objective", None, "objective is NoneType, not a list"),
+        ("rows", None, "rows is NoneType, not a list"),
+        ("rows", [None], "rows[0] is NoneType, not a list"),
+        ("relations", None, "relations is NoneType, not a list"),
+        ("rhs", None, "rhs is NoneType, not a list"),
+        ("relations", ["<"], "row 0: unknown relation '<'"),
+    ],
+)
+def test_wrongly_typed_problem_fields_are_structural(field, value, located):
+    # a located StructureError from the solver, and False from the replay of
+    # a valid problem's outcome against the broken copy
+    def base():
+        return lp.LpProblem([-I, -I], [[I, I]], [lp.LE], [F(2)])
+
+    out = lp.solve_lp(base())
+    p = replace(base(), **{field: value})
+    with pytest.raises(StructureError, match=re.escape(located)):
+        lp.solve_lp(p)
+    assert lp.verify_certificate(p, out) is False
+
+
+def test_a_stored_phase_one_refuses_an_objective_that_is_not_a_list():
+    face = lp.phase_one(lp.LpProblem([-I, -I], [[I, I]], [lp.LE], [F(2)]))
+    with pytest.raises(StructureError, match="objective is NoneType, not a list"):
+        lp.solve_lp(face.program(None))
+
+
 def test_beale_cycling_instance_terminates_under_bland():
     # classic instance that cycles under naive pivoting; optimum is 1/20
     p = lp.LpProblem(
@@ -270,6 +300,9 @@ def test_solve_unique():
         ([[I, 0.5]], [I], "rows[0][1] is float"),
         ([[I]], [Decimal("0.5")], "rhs[0] is Decimal"),
         ([], [], "at least one row"),  # no row fixes the column count
+        ([None], [I], "rows[0] is NoneType, not a list"),
+        ([[I]], None, "rhs is NoneType, not a list"),
+        (None, [I], "rows is NoneType, not a list"),
     ],
 )
 def test_solve_linear_rejects_malformed_systems(rows, rhs, located):

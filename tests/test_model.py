@@ -53,8 +53,12 @@ def test_rat_parses_literals_exactly():
     assert rat("0.25") == F(1, 4)
     assert rat("-2") == F(-2)
     assert rat(3) == F(3)
+    third = F(1, 3)
+    assert rat(third) is third
     with pytest.raises(StructureError):
         rat("1/0")
+    with pytest.raises(StructureError, match="cannot interpret True"):
+        rat(True)
     with pytest.raises(StructureError):
         rat(0.5)
 
@@ -120,6 +124,7 @@ def _broken(nodes=(_ROOT, _UP, (2, 1, 0, [F(1, 2)])), periods=1, num_assets=1, o
     (_broken(names=["up"]), "measures: 1 names for 2 generators"),
     (_broken(generators=[[F(1)]]), "measures[0]: 1 weights, expected 2"),
     (_broken(generators=[[F(2), F(-1)]]), "measures[0]: negative weight"),
+    ("not a market", "market is str, not a MarketModel"),
 ])
 def test_validate_reports_each_violation(market, violation):
     report = validate_market(market)

@@ -12,6 +12,7 @@ from hedgecert import lp
 from hedgecert.arbitrage import (
     check_na,
     check_nar,
+    dominates,
     dominating_measure,
     scenario_pricing_measure,
     strictly_inside_quotes,
@@ -29,6 +30,7 @@ from hedgecert.redundancy import (
 from hedgecert.superhedge import (
     market_without_option,
     price_bounds_excluding,
+    strict_dual_approx,
     superhedge_price,
     verify_super_replication,
 )
@@ -43,6 +45,7 @@ def test_replays_return_false_on_missing_or_mistyped_certificates():
     claim = Claim([F(1), F(0)])
     price, strategy = superhedge_price(m, claim)
     problem = lp.LpProblem([F(1)], [[F(1)]], [lp.LE], [F(1)])
+    interior, generator = witness.interior_measure, m.measures.generators[0]
     cases = {
         "no witness": lambda: verify_nar_witness(m, None),
         "no interior measure": lambda: verify_nar_witness(m, replace(witness, interior_measure=None)),
@@ -56,12 +59,17 @@ def test_replays_return_false_on_missing_or_mistyped_certificates():
         "float claim": lambda: verify_super_replication(m, Claim([1.0, 0.0]), price, strategy),
         "no replication": lambda: verify_replication(free, 0, None),
         "no outcome": lambda: lp.verify_certificate(problem, None),
+        "no dominating measure": lambda: dominates(None, generator),
+        "no weight": lambda: dominates(replace(interior, weights=[None, F(1)]), generator),
+        "no generator": lambda: dominates(interior, None),
+        "no generator weight": lambda: dominates(interior, [None, F(1)]),
     }
     for name, replay in cases.items():
         assert replay() is False, name
     # the certificates themselves still replay
     assert verify_nar_witness(m, witness) and verify_na_certificate(free, cert)
     assert verify_super_replication(m, claim, price, strategy)
+    assert dominates(interior, generator)
     assert lp.verify_certificate(problem, lp.solve_lp(problem))
 
 
@@ -115,6 +123,13 @@ def test_index_arguments_that_are_not_ints_are_domain_errors(query):
         with pytest.raises(DomainError, match="is not an int"):
             query(m, bad)
     query(m, 0)  # an int in range is answered
+
+
+def test_an_eps_that_is_not_an_int_or_a_fraction_is_a_domain_error():
+    m = binomial_with_spread_option()
+    for bad in (0.25, None, "1/4"):
+        with pytest.raises(DomainError, match="not an int or a Fraction"):
+            strict_dual_approx(m, Claim([F(1), F(0)]), bad)
 
 
 def _with_tree(m, **fields):
