@@ -205,10 +205,10 @@ def _cmd_sharper_ftap(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
     if not bundle.na.holds:
         return _arbitrage_report("sharper-ftap", m, bundle.na.certificate)
     _require(arbitrage.verify_nar_witness(m, bundle.nar_witness), "robustness witness")
-    for q in {id(q): q for q in bundle.dominating}.values():  # each distinct measure once
-        _require_interior(m, q, "dominating measure")
     for q, generator in zip(bundle.dominating, m.measures.generators):
-        _require(arbitrage.dominates(q, generator), "domination")
+        if q is not bundle.nar_witness.interior_measure:  # replayed above, domination in sharper_ftap
+            _require_interior(m, q, "dominating measure")
+            _require(arbitrage.dominates(q, generator), "domination")
     return EXIT_OK, _report(
         "sharper-ftap",
         "holds",
@@ -226,8 +226,7 @@ def _cmd_sharper_ftap(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
 def _cmd_dominate(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
     k = _index_of(m.generator_names, args.generator, "generator")
     measure = arbitrage.dominating_measure(m, k)
-    _require_interior(m, measure, "dominating measure")
-    _require(arbitrage.dominates(measure, m.measures.generators[k]), "domination")
+    _require_interior(m, measure, "dominating measure")  # dominating_measure checked domination
     return EXIT_OK, _report(
         "dominate",
         "computed",

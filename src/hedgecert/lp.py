@@ -37,39 +37,40 @@ problem's n, an empty slot at n for a late column (below) and the slacks
 from n + 1. It builds each row [A | b] once, from the problem's nonzero
 entries, as the nonzeros of a primitive integer vector rows[k] =
 scale[k] * (problem row k, slack included), with scale[k] < 0 exactly where
-the row is negated to make its rhs nonnegative. The tableau starts as a copy
-of these rows; the phase-1 reduced costs are -sum_k rows[k] / |scale[k]|
-over one common integer denominator, a positive multiple of the rational
-phase-1 row; the basis duals solve y'^T B' = c_B on the integer columns and
-return y_k = scale[k] * y'_k, the multiplier of problem row k. Values leave
-as b_i / a_i,B(i). The objective, the rows, each row, the relations and
-the rhs must be lists or tuples, and every problem entry an int or a
-Fraction; anything else is a StructureError naming the field, and makes
+the row is negated to make its rhs nonnegative, and keeps the same entries
+by column. The tableau starts as a copy of the rows; the phase-1 reduced
+costs are -sum_k rows[k] / |scale[k]| over one common integer denominator,
+a positive multiple of the rational phase-1 row; the basis duals take each
+equation of y'^T B' = c_B from a basic column's stored entries and return
+y_k = scale[k] * y'_k, the multiplier of problem row k. Values leave as
+b_i / a_i,B(i). The objective, the rows, each row, the relations and the
+rhs must be lists or tuples, and every problem entry an int or a Fraction;
+anything else is a StructureError naming the field, and makes
 `verify_certificate` return False, as does a certificate entry that is not
 an int or a Fraction.
 
 Phase 1 and phase 2 are separate routines, and a phase 1 can be stored.
 `phase_one(p)` runs phase 1 on all of p's columns and rows, its face, and
 keeps a `Phase1`: p's own row, relation and rhs lists (not copies, so they
-must not change after), the face's standard form and its tableau and basis
-after the drive-out, or instead of these the Farkas vector when the face is
-infeasible. Phase 1 never sees the objective, so `Phase1.program` builds
-every program on the face from it and names it in `LpProblem.phase1`. A
-program's rows are the face's own list, or with an int mu >= 0 the face plus
-one late column: the face's column sum plus mu times each inequality row's
-slack column, its dense rows built once per mu. Phase 2 starts from the
-face's own standard form, read-only, and copies of its tableau and basis; a
-late column is written into the copy's slot as the same sum of the
-tableau's columns, and its standard entries go to the basis duals beside
-the standard form. An empty slot never enters, so Bland's order is the
-face's. Such a column keeps feasibility with the face (move its value onto
-every face column and mu times it onto each slack) and keeps a face's
-Farkas vector y one of the whole problem (y . A_late is a sum of
-y . A_j <= 0 and mu y_k (+-1) <= 0), so the face's verdict and basis serve
-the whole problem. A problem whose relations, rhs and rows are not these
-lists, by identity, is a StructureError; the face was validated once, so
-only the objective is checked. `solve_lp` without a stored phase 1 is
-`phase_one(p)` and then the same start.
+must not change after), the face's standard columns and its tableau and
+basis after the drive-out, or instead of these the Farkas vector when the
+face is infeasible; the standard rows go once phase 1 has used them. Phase 1
+never sees the objective, so `Phase1.program` builds every program on the
+face from it and names it in `LpProblem.phase1`. A program's rows are the
+face's own list, or with an int mu >= 0 the face plus one late column: the
+face's column sum plus mu times each inequality row's slack column, its
+dense rows and its standard column in the slot built once per mu. Phase 2
+starts from copies of the face's tableau and basis; a late column is
+written into the copy's slot as the same sum of the tableau's columns. An
+empty slot never enters, so Bland's order is the face's. Such a column
+keeps feasibility with the face (move its value onto every face column and
+mu times it onto each slack) and keeps a face's Farkas vector y one of the
+whole problem (y . A_late is a sum of y . A_j <= 0 and mu y_k (+-1) <= 0),
+so the face's verdict and basis serve the whole problem. A problem whose
+relations, rhs and rows are not these lists, by identity, is a
+StructureError; the face was validated once, so only the objective is
+checked. `solve_lp` without a stored phase 1 is `phase_one(p)` and then
+the same start.
 
 Every outcome carries a certificate checkable from the untouched data:
 
@@ -126,15 +127,13 @@ class LpOutcome:
     ray: list[Fraction] | None = None
 
 
-_RATIONAL = (int, Fraction)
-
-
 def _rationals(values, field: str) -> None:
-    """StructureError naming the first entry that is not an int or a Fraction."""
+    """StructureError naming the first entry that is not an int or a
+    Fraction; a bool is neither."""
     if {int, Fraction}.issuperset(map(type, values)):
         return  # the common case, decided in one pass over the types
     for j, v in enumerate(values):
-        if not isinstance(v, _RATIONAL):
+        if type(v) not in (int, Fraction):
             raise StructureError(
                 f"{field}[{j}] is {type(v).__name__} {v!r}, not an int or a Fraction"
             )
@@ -343,12 +342,12 @@ class _StdForm:
     is +-den (den the lcm of the row's denominators), and a row whose rhs is
     negative is built negated, so scale[k] < 0 exactly there. rows[k] is
     then |scale[k]| times the rational standard row, the invariant the
-    tableau keeps.
+    tableau keeps. cols[j] holds column j of the same rows, {row: int}, the
+    form the basis duals read.
     """
 
     def __init__(self, p: LpProblem):
-        self.slot = n = len(p.objective)
-        slack = n + 1
+        slack = len(p.objective) + 1  # after the problem's columns and the slot
         total = slack + sum(1 for rel in p.relations if rel != EQ)
         rows: list[dict[int, int]] = []
         scale: list[Fraction] = []
@@ -370,6 +369,11 @@ class _StdForm:
         self.ncols = total
         self.rows = rows
         self.scale = scale
+        self.cols: list[dict[int, int]] = [{} for _ in range(total + 1)]
+        for k, row in enumerate(rows):
+            for j, v in row.items():
+                self.cols[j][k] = v
+        del self.cols[total]  # the rhs is no column
 
 
 def _sums(rows, n: int, ncols: int) -> list[tuple[int, int]]:
@@ -410,51 +414,37 @@ def _optimize(tab, red, basis, ncols):
         basis[r] = jc
 
 
-def _basis_dual(std: _StdForm, basis: list[int], costs, late=None) -> list[Fraction]:
+def _basis_dual(cols, scale, basis: list[int], costs) -> list[Fraction]:
     """Exact duals from the final basis: solve y^T B = cost_B afresh.
 
-    B is read from the integer rows, B' = diag(scale) B with B the problem
-    rows' basis columns, so the solve gives y' with y'^T B' = cost_B and the
-    problem rows' multipliers are y_k = scale[k] * y'_k. The slot's column
-    (`_StdForm.slot`) is `late`, when given. Columns at index >= ncols are
-    artificials, whose standard column is the identity vector of their row:
-    |scale[k]| at row k in B'. Each equation is built as a primitive integer
-    row, a positive multiple of [B' column | cost], with the cost at key
-    len(basis).
+    Equation k is basic column k's standard column, as `cols` stores each,
+    {row: int}: a column of B' = diag(scale) B, B the problem rows' basis
+    columns, so y' with y'^T B' = cost_B gives the multipliers
+    y_k = scale[k] * y'_k. Column len(cols) + k is row k's artificial,
+    |scale[k]| at row k in B'. Each equation is a primitive integer row, a
+    positive multiple of [B' column | cost], with the cost at key len(basis).
     """
     if not basis:
         return []
-    n = std.ncols
+    n = len(cols)
     m = len(basis)
-    equation = {col: k for k, col in enumerate(basis) if col < n}  # column -> its equation
-    mat: list[dict[int, int]] = [{} for _ in basis]
-    slot = equation.get(std.slot) if late is not None else None
-    for i, row in enumerate(std.rows):
-        if basis[i] >= n and not costs(basis[i]):
-            continue  # its artificial's equation alone gives y_i = 0
-        for col, v in row.items():
-            if col in equation:
-                mat[equation[col]][i] = v
-        if slot is not None and late[i]:
-            mat[slot][i] = late[i]
-    for k, col in enumerate(basis):
+    mat: list[dict[int, int]] = []
+    for col in basis:
         cost = costs(col)
-        row = mat[k]
         if col >= n:  # an artificial, basic in its own row
-            s = abs(std.scale[col - n])
+            s = abs(scale[col - n])
             den = lcm(s.denominator, cost.denominator)
             row = {col - n: s.numerator * (den // s.denominator)}
         else:
             den = cost.denominator
-            if den > 1:
-                row = {j: v * den for j, v in row.items()}
+            row = {i: v * den for i, v in cols[col].items()}
         if cost:
             row[m] = cost.numerator * (den // cost.denominator)
-        mat[k] = _primitive(row)
+        mat.append(_primitive(row))
     solved = _eliminate(mat, m)
     if solved is None or solved[1] < m:
         raise SoundnessError("basis matrix singular; solver invariant broken")
-    return [s * v for s, v in zip(std.scale, solved[0])]
+    return [s * v for s, v in zip(scale, solved[0])]
 
 
 def _phase_one(std: _StdForm):
@@ -483,7 +473,7 @@ def _phase_one(std: _StdForm):
         raise SoundnessError("phase-1 unbounded; solver invariant broken")
 
     if any(row.get(n, 0) > 0 for row, col in zip(tab, basis) if col >= n):
-        return tab, basis, _basis_dual(std, basis, lambda col: _ONE if col >= n else _ZERO)
+        return tab, basis, _basis_dual(std.cols, std.scale, basis, lambda col: _ONE if col >= n else _ZERO)
 
     # Drive remaining zero-level artificials out of the basis; their rows
     # have rhs 0, so they hold real columns only. A row that cannot pivot is
@@ -499,8 +489,10 @@ def _phase_one(std: _StdForm):
 
 class Phase1:
     """The end of phase 1 on a face, kept so that every program on the face
-    starts phase 2 from it (see the module docstring). Built by `phase_one`
-    and read-only after, but for the late rows `program` adds once per mu.
+    starts phase 2 from it (see the module docstring). Of the face's standard
+    form it keeps the columns the basis duals read, not the rows. Built by
+    `phase_one` and read-only after, but for what `program` adds once per
+    mu: the dense rows, and the standard columns with the late one in the slot.
     """
 
     def __init__(self, p: LpProblem):
@@ -515,9 +507,10 @@ class Phase1:
         self.scale = std.scale
         self.std_sums = _sums(std.rows, n, std.ncols)
         self.late: dict[int, list[list[Fraction]]] = {}  # mu -> the dense rows
-        self.std = self.tab = self.basis = self.tab_sums = None
+        self.late_cols: dict[int, list[dict[int, int]]] = {}  # mu -> the standard columns
+        self.cols = self.tab = self.basis = self.tab_sums = None
         if self.farkas is None:  # an infeasible face keeps its Farkas vector alone
-            self.std, self.tab, self.basis = std, tab, basis
+            self.cols, self.tab, self.basis = std.cols, tab, basis
             self.tab_sums = _sums(tab, n, std.ncols)
 
     def program(self, objective: list[Fraction], mu: int | None = None) -> LpProblem:
@@ -531,6 +524,9 @@ class Phase1:
             raise StructureError(f"a late column's mu is {mu!r}, not an int >= 0")
         rows = self.late.get(mu)
         if rows is None:
+            if self.cols is not None:  # set before the rows, by which `_start` finds mu
+                late = {k: v for k, v in enumerate(head + mu * slacks for head, slacks in self.std_sums) if v}
+                self.late_cols.setdefault(mu, [*self.cols[:self.n], late, *self.cols[self.n + 1:]])
             slack = {LE: mu, EQ: 0, GE: -mu}
             rows = self.late.setdefault(mu, [
                 [*row, Fraction(head * s.denominator, s.numerator) + slack[rel]]
@@ -540,7 +536,7 @@ class Phase1:
 
     def _start(self, p: LpProblem):
         """Copies of the tableau and basis to start p's phase 2 from, and
-        the standard entries of p's late column (None without one); None
+        p's standard columns, its late column (if any) in the slot; None
         when the face is infeasible. StructureError unless p holds this
         phase 1's own lists, as `program` builds them."""
         if p.relations is not self.relations or p.rhs is not self.rhs:
@@ -561,12 +557,12 @@ class Phase1:
             return None
         tab = [row.copy() for row in self.tab]
         if mu is None:
-            return tab, list(self.basis), None
+            return tab, list(self.basis), self.cols
         for row, (head, slacks) in zip(tab, self.tab_sums):
             v = head + mu * slacks
             if v:
                 row[self.n] = v
-        return tab, list(self.basis), [head + mu * slacks for head, slacks in self.std_sums]
+        return tab, list(self.basis), self.late_cols[mu]
 
 
 def phase_one(p: LpProblem) -> Phase1:
@@ -577,10 +573,10 @@ def phase_one(p: LpProblem) -> Phase1:
     return Phase1(p)
 
 
-def _phase_two(p: LpProblem, std: _StdForm, tab, basis, late) -> LpOutcome:
+def _phase_two(p: LpProblem, scale, tab, basis, cols) -> LpOutcome:
     """Phase 2 on the real objective from a feasible basis, and the outcome;
-    `late` is the standard column in the slot, as `Phase1._start` gives it."""
-    n = std.ncols
+    `cols` are the standard columns, as `Phase1._start` gives them."""
+    n = len(cols)
     nvars = len(p.objective)
     # Eliminate every basic column from the cost row of min -c . x. A basic
     # column is zero outside its own row, whose entry there is positive, so
@@ -601,7 +597,7 @@ def _phase_two(p: LpProblem, std: _StdForm, tab, basis, late) -> LpOutcome:
         return LpOutcome(status=UNBOUNDED, primal=x, ray=d[:nvars])
 
     # y^T B = c_B: the duals of max c . x, the negated duals of min cost . z
-    y = _basis_dual(std, basis, lambda col: p.objective[col] if col < nvars else _ZERO, late)
+    y = _basis_dual(cols, scale, basis, lambda col: p.objective[col] if col < nvars else _ZERO)
     value = sum((c * v for c, v in zip(p.objective, x) if c), _ZERO)
     return LpOutcome(status=OPTIMAL, primal=x, dual=y, objective_value=value)
 
@@ -620,7 +616,7 @@ def solve_lp(p: LpProblem) -> LpOutcome:
     start = phase1._start(p)
     if start is None:
         return LpOutcome(status=INFEASIBLE, farkas=list(phase1.farkas))
-    return _phase_two(p, phase1.std, *start)
+    return _phase_two(p, phase1.scale, *start)
 
 
 def _row_value(row: list[Fraction], x: list[Fraction]) -> Fraction:

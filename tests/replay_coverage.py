@@ -1,32 +1,39 @@
-"""Run the test suite under a tracer that follows only the certificate
-replays, and fail with every statement of theirs that never ran.
+"""Run the test suite under a tracer that follows every function of the
+package, and fail with every statement of theirs that never ran.
 
-A replay answers False on each way a certificate can be wrong; a branch
-that no test reaches is a rejection nobody has seen work. The tracer is
-`sys.settrace` (and `threading.settrace` for the suite's threads) and
-follows only the replay functions' own frames, so it needs nothing beyond
-the standard library.
+A replay answers False on each way a certificate can be wrong, a guard
+raises on each way the solver can fault and a parser names each way its
+input can be malformed; a statement that no test reaches is a branch nobody
+has seen work. The tracer is `sys.settrace` (and `threading.settrace` for
+the suite's threads) and follows only frames of code under
+`src/hedgecert/`, so it needs nothing beyond the standard library. Every
+statement in the body of a function counts, methods, nested functions and
+closures included; module-level code runs on import, before the tracer
+starts, and is left out, cli.py's `if __name__ == "__main__":` body with it.
 
     python tests/replay_coverage.py [pytest arguments]
 
-Exits 1 when the suite fails or a replay statement never ran, listing
-each as path:line: source.
+Prints how many statements ran, in the replay functions of `REPLAYS` and in
+the whole package, and exits 1 when the suite fails or a statement never
+ran, listing each as path:line: source.
 """
 
 import ast
 import inspect
 import os
 import sys
-import textwrap
 import threading
+import types
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
 from hedgecert import arbitrage, lp, redundancy, superhedge  # noqa: E402
 
+PACKAGE = Path(lp.__file__).parent
 REPLAYS = (
     arbitrage.dominates,
     arbitrage.verify_measure,
@@ -37,33 +44,37 @@ REPLAYS = (
     redundancy.verify_replication,
     superhedge.verify_super_replication,
 )
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def statements(fn) -> dict[int, str]:
-    """The first line of every statement in fn's body that has code, with
-    its source; the docstring is not a statement here."""
-    lines, first = inspect.getsourcelines(fn)
-    tree = ast.parse(textwrap.dedent("".join(lines)))
-    body = tree.body[0].body
-    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
-        body = body[1:]
-    starts = {node.lineno + first - 1 for stmt in body for node in ast.walk(stmt)
-              if isinstance(node, ast.stmt)}
-    coded = {line for _, _, line in fn.__code__.co_lines() if line is not None}
-    return {line: lines[line - first].strip() for line in sorted(starts & coded)}
+def statements(path: Path) -> dict[int, str]:
+    """The first line of every statement with code in the body of one of the
+    module's functions, at any depth, with its source. A docstring has no
+    code, so it is not a statement here."""
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source, str(path))
+    starts = {sub.lineno for fn in ast.walk(tree) if isinstance(fn, FUNCTIONS)
+              for stmt in fn.body for sub in ast.walk(stmt) if isinstance(sub, ast.stmt)}
+    coded, codes = set(), [compile(tree, str(path), "exec")]
+    while codes:
+        code = codes.pop()
+        coded |= {line for _, _, line in code.co_lines() if line is not None}
+        codes += [const for const in code.co_consts if isinstance(const, types.CodeType)]
+    lines = source.splitlines()
+    return {line: lines[line - 1].strip() for line in sorted(starts & coded)}
 
 
 def main(args: list[str]) -> int:
-    codes = {fn.__code__: fn for fn in REPLAYS}
-    ran: set[tuple[object, int]] = set()
+    prefix = str(PACKAGE) + os.sep
+    ran: set[tuple[str, int]] = set()
 
     def local(frame, event, arg):
         if event == "line":
-            ran.add((frame.f_code, frame.f_lineno))
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
         return local
 
     def follow(frame, event, arg):
-        return local if frame.f_code in codes else None
+        return local if frame.f_code.co_filename.startswith(prefix) else None
 
     threading.settrace(follow)
     sys.settrace(follow)
@@ -73,13 +84,22 @@ def main(args: list[str]) -> int:
         sys.settrace(None)
         threading.settrace(None)
 
-    missed = [f"{os.path.relpath(inspect.getsourcefile(fn))}:{line}: {source}"
-              for code, fn in codes.items()
-              for line, source in statements(fn).items() if (code, line) not in ran]
-    total = sum(len(statements(fn)) for fn in REPLAYS)
-    print(f"replay coverage: {total - len(missed)} of {total} statements in "
+    found = {path: statements(path) for path in sorted(PACKAGE.glob("*.py"))}
+    missed = [(path, line) for path, lines in found.items() for line in lines
+              if (str(path), line) not in ran]
+    replay_lines = set()
+    for fn in REPLAYS:
+        source, first = inspect.getsourcelines(fn)
+        replay_lines |= {(Path(inspect.getsourcefile(fn)), line)
+                         for line in range(first, first + len(source))}
+    replays = {key for key in replay_lines if key[1] in found[key[0]]}
+    total = sum(map(len, found.values()))
+    print(f"replay coverage: {len(replays - set(missed))} of {len(replays)} statements in "
           f"{len(REPLAYS)} replay functions ran")
-    print("\n".join(missed) or "every replay statement ran")
+    print(f"package coverage: {total - len(missed)} of {total} statements in the functions "
+          f"of {len(found)} modules ran")
+    print("\n".join(f"{os.path.relpath(path)}:{line}: {found[path][line]}" for path, line in missed)
+          or "every statement ran")
     return 1 if status or missed else 0
 
 

@@ -387,7 +387,7 @@ REPLAYED = {
                "superhedge", "verify_super_replication"),
     "redundancy": (lambda tmp: ["redundancy", str(DATA / "m3.json")], "redundancy", "verify_replication"),
     "sharper-ftap": (lambda tmp: ["sharper-ftap", _dumped(tmp, spread_option_only_market())],
-                     "arbitrage", "strictly_inside_quotes"),
+                     "arbitrage", "verify_nar_witness"),
     "sharper-ftap arbitrage": (lambda tmp: ["sharper-ftap", _dumped(tmp, binomial_with_free_option())],
                                "arbitrage", "verify_na_certificate"),
     "dominate": (lambda tmp: ["dominate", str(DATA / "m1.json"), "--generator", "up"],
@@ -409,6 +409,24 @@ def test_every_command_replays_its_report_without_verify(capsys, monkeypatch, tm
     monkeypatch.setattr(importlib.import_module(f"hedgecert.{module}"), replay, lambda *args: False)
     code, out, err = run(capsys, *argv)
     assert (code, out, err["error"]["type"]) == (5, None, "soundness")
+
+
+def test_sharper_ftap_replays_its_one_measure_once(capsys, monkeypatch, tmp_path):
+    # every dominating measure is the robustness witness's interior measure,
+    # which verify_nar_witness replays; the command replays it no second time
+    import hedgecert.arbitrage as arbitrage_mod
+
+    replayed = []
+    verify = arbitrage_mod.verify_measure
+
+    def counting(m, q):
+        replayed.append(q)
+        return verify(m, q)
+
+    monkeypatch.setattr(arbitrage_mod, "verify_measure", counting)
+    code, out, _ = run(capsys, "sharper-ftap", _dumped(tmp_path, spread_option_only_market()))
+    assert code == 0 and out["certificates"]["dominating"]
+    assert len(replayed) == 1
 
 
 def test_bounds_replays_both_hedges_on_the_reduced_market(capsys, monkeypatch):

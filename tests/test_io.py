@@ -233,6 +233,13 @@ def _m1_with(edit) -> bytes:
         (_m1_with(lambda m: m.update(options={})), "options"),
         (_m1_with(lambda m: m.update(leafOrder=[1, "2"])), "leafOrder"),
         (_m1_with(lambda m: m["tree"]["nodes"][0].update(id="0")), "tree.nodes[0].id"),
+        # no node list: "expected a non-empty list"
+        (_m1_with(lambda m: m["tree"].update(nodes=[])), "tree.nodes"),
+        (_m1_with(lambda m: m["tree"].update(nodes="x")), "tree.nodes"),
+        (_m1_with(lambda m: m.update(tree=[])), "tree"),  # "expected an object"
+        (_m1_with(lambda m: m.update(tree={})), "tree"),  # "missing fields: nodes"
+        (_m1_with(lambda m: m["tree"]["nodes"][0].update(prices="1")), "tree.nodes[0].prices"),
+        (_m1_with(lambda m: m.update(options=[1])), "options[0]"),  # "expected an object"
     ],
 )
 def test_hostile_bytes_are_located_parse_errors(data, path):

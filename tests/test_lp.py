@@ -91,12 +91,12 @@ def test_dimension_mismatch_is_structural():
 
 
 def test_non_rational_entries_are_structural():
-    # LpProblem is public: a float or Decimal anywhere is named, never an
-    # AttributeError from inside the reduction
+    # LpProblem is public: a float, Decimal or bool anywhere is named, never
+    # an AttributeError from inside the reduction nor, for a bool, an answer
     def base():
         return lp.LpProblem([-I, -I], [[I, I]], [lp.LE], [F(2)])
 
-    for bad in (0.5, Decimal("0.5")):
+    for bad in (0.5, Decimal("0.5"), True):
         for field, put in [
             ("objective[1]", lambda p: p.objective.__setitem__(1, bad)),
             ("rows[0][1]", lambda p: p.rows[0].__setitem__(1, bad)),

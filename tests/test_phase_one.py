@@ -61,8 +61,7 @@ def _phase1(c):
 
 
 def _state(phase1):
-    std = phase1.std and (phase1.std.rows, phase1.std.scale)
-    return copy.deepcopy((std, phase1.tab, phase1.basis, phase1.farkas))
+    return copy.deepcopy((phase1.cols, phase1.scale, phase1.tab, phase1.basis, phase1.farkas))
 
 
 def test_warm_outcomes_match_a_cold_solve_of_the_same_problem():

@@ -28,6 +28,7 @@ from hedgecert.redundancy import (
     verify_replication,
 )
 from hedgecert.superhedge import (
+    dual_price,
     market_without_option,
     price_bounds_excluding,
     strict_dual_approx,
@@ -123,6 +124,15 @@ def test_index_arguments_that_are_not_ints_are_domain_errors(query):
         with pytest.raises(DomainError, match="is not an int"):
             query(m, bad)
     query(m, 0)  # an int in range is answered
+
+
+def test_a_bool_claim_payoff_is_structural():
+    # bool is an int subclass, but a payoff of True is no rational: every
+    # query taking a claim names it, as `validate_market` names one in a market
+    m = binomial_market()
+    for query in (superhedge_price, dual_price, lambda m, f: strict_dual_approx(m, f, F(1, 4))):
+        with pytest.raises(StructureError, match=re.escape("claim payoff[0] is bool True")):
+            query(m, Claim([True, F(0)]))
 
 
 def test_an_eps_that_is_not_an_int_or_a_fraction_is_a_domain_error():
