@@ -38,39 +38,38 @@ from n + 1. It builds each row [A | b] once, from the problem's nonzero
 entries, as the nonzeros of a primitive integer vector rows[k] =
 scale[k] * (problem row k, slack included), with scale[k] < 0 exactly where
 the row is negated to make its rhs nonnegative, and keeps the same entries
-by column. The tableau starts as a copy of the rows; the phase-1 reduced
-costs are -sum_k rows[k] / |scale[k]| over one common integer denominator,
-a positive multiple of the rational phase-1 row; the basis duals take each
-equation of y'^T B' = c_B from a basic column's stored entries and return
-y_k = scale[k] * y'_k, the multiplier of problem row k. Values leave as
-b_i / a_i,B(i). The objective, the rows, each row, the relations and the
-rhs must be lists or tuples, and every problem entry an int or a Fraction;
-anything else is a StructureError naming the field, and makes
-`verify_certificate` return False, as does a certificate entry that is not
-an int or a Fraction.
+by column. Phase 1 pivots these rows themselves into its tableau; its
+reduced costs are -sum_k rows[k] / |scale[k]| over one common integer
+denominator, a positive multiple of the rational phase-1 row; the basis
+duals take each equation of y'^T B' = c_B from a basic column's stored
+entries and return y_k = scale[k] * y'_k, the multiplier of problem row k.
+Values leave as b_i / a_i,B(i). The objective, the rows, each row, the
+relations and the rhs must be lists or tuples, and every problem entry an
+int or a Fraction; anything else is a StructureError naming the field, and
+makes `verify_certificate` return False, as does a certificate entry that
+is not an int or a Fraction.
 
 Phase 1 and phase 2 are separate routines, and a phase 1 can be stored.
 `phase_one(p)` runs phase 1 on all of p's columns and rows, its face, and
 keeps a `Phase1`: p's own row, relation and rhs lists (not copies, so they
 must not change after), the face's standard columns and its tableau and
 basis after the drive-out, or instead of these the Farkas vector when the
-face is infeasible; the standard rows go once phase 1 has used them. Phase 1
-never sees the objective, so `Phase1.program` builds every program on the
-face from it and names it in `LpProblem.phase1`. A program's rows are the
-face's own list, or with an int mu >= 0 the face plus one late column: the
-face's column sum plus mu times each inequality row's slack column, its
-dense rows and its standard column in the slot built once per mu. Phase 2
-starts from copies of the face's tableau and basis; a late column is
-written into the copy's slot as the same sum of the tableau's columns. An
-empty slot never enters, so Bland's order is the face's. Such a column
-keeps feasibility with the face (move its value onto every face column and
-mu times it onto each slack) and keeps a face's Farkas vector y one of the
-whole problem (y . A_late is a sum of y . A_j <= 0 and mu y_k (+-1) <= 0),
-so the face's verdict and basis serve the whole problem. A problem whose
-relations, rhs and rows are not these lists, by identity, is a
-StructureError; the face was validated once, so only the objective is
-checked. `solve_lp` without a stored phase 1 is `phase_one(p)` and then
-the same start.
+face is infeasible. Phase 1 never sees the objective, so `Phase1.program`
+builds every program on the face from it and names it in `LpProblem.phase1`.
+A program's rows are the face's own list, or with an int mu >= 0 the face
+plus one late column: the face's column sum plus mu times each inequality
+row's slack column, kept once per mu as one record of its dense rows and
+the standard columns with it in the slot. Phase 2 starts from copies of the
+face's tableau and basis; a late column is written into the copy's slot as
+the same sum of the tableau's columns. An empty slot never enters, so
+Bland's order is the face's. Such a column keeps feasibility with the face
+(move its value onto every face column and mu times it onto each slack) and
+keeps a face's Farkas vector y one of the whole problem (y . A_late is a sum
+of y . A_j <= 0 and mu y_k (+-1) <= 0), so the face's verdict and basis
+serve the whole problem. A problem whose relations, rhs and rows are not
+these lists, by identity, is a StructureError; the face was validated once,
+so only the objective is checked. `solve_lp` without a stored phase 1 is
+`phase_one(p)` and then the same start.
 
 Every outcome carries a certificate checkable from the untouched data:
 
@@ -329,12 +328,12 @@ def _eliminate(a: list[dict[int, int]], n: int) -> tuple[list[Fraction], int] | 
     return _basic_point(a, piv_cols, n), len(piv_cols)
 
 
-class _StdForm:
+def _standard(p: LpProblem):
     """Reduction of the rows to   A z = b (b >= 0), z >= 0;  phase 2
-    minimizes -c . z over it.
+    minimizes -c . z over it. Returns (rows, scale, sums, cols, ncols).
 
     The columns of z are the problem's n columns, in order, an empty slot at
-    n for a late column (`Phase1._start`), then one slack per inequality
+    n for a late column (`Phase1.program`), then one slack per inequality
     row, so a point or ray of the problem is z[:n]. Each row [A | b] is
     built once, straight from the problem's nonzero entries, as the dict of
     the nonzeros of a primitive integer vector, with the rhs at key ncols:
@@ -342,49 +341,35 @@ class _StdForm:
     is +-den (den the lcm of the row's denominators), and a row whose rhs is
     negative is built negated, so scale[k] < 0 exactly there. rows[k] is
     then |scale[k]| times the rational standard row, the invariant the
-    tableau keeps. cols[j] holds column j of the same rows, {row: int}, the
-    form the basis duals read.
+    tableau keeps; phase 1 pivots these rows in place. As each row is built,
+    sums[k] takes its sum over the problem's columns and its slack entry (0
+    on an equation), and cols[j] its entry in column j, {row: int}.
     """
-
-    def __init__(self, p: LpProblem):
-        slack = len(p.objective) + 1  # after the problem's columns and the slot
-        total = slack + sum(1 for rel in p.relations if rel != EQ)
-        rows: list[dict[int, int]] = []
-        scale: list[Fraction] = []
-        for coefs, rel, b in zip(p.rows, p.relations, p.rhs):
-            entries = [(j, a.as_integer_ratio()) for j, a in enumerate(coefs) if a]
-            bn, bd = b.as_integer_ratio()
-            den = lcm(bd, *(q for _, (_, q) in entries))
-            d = -den if bn < 0 else den  # a negative rhs negates the row
-            row = {j: u * (d // q) for j, (u, q) in entries}
-            if rel != EQ:
-                row[slack] = d if rel == LE else -d
-                slack += 1
-            if bn:
-                row[total] = bn * (d // bd)
-            g = gcd(*row.values()) or 1  # an all-zero row stays empty
-            rows.append({j: v // g for j, v in row.items()} if g > 1 else row)
-            scale.append(Fraction(d, g))
-
-        self.ncols = total
-        self.rows = rows
-        self.scale = scale
-        self.cols: list[dict[int, int]] = [{} for _ in range(total + 1)]
-        for k, row in enumerate(rows):
-            for j, v in row.items():
-                self.cols[j][k] = v
-        del self.cols[total]  # the rhs is no column
-
-
-def _sums(rows, n: int, ncols: int) -> list[tuple[int, int]]:
-    """Each integer row's sum over the columns below n and its sum over the
-    slack columns n + 1 .. ncols - 1, the two parts of a late column; the
-    slot n between them is empty."""
-    out = []
-    for row in rows:
-        slacks = sum(v for j, v in row.items() if n < j < ncols)
-        out.append((sum(row.values()) - row.get(ncols, 0) - slacks, slacks))
-    return out
+    slack = len(p.objective) + 1  # after the problem's columns and the slot
+    total = slack + sum(1 for rel in p.relations if rel != EQ)
+    rows, scale, sums = [], [], []
+    cols: list[dict[int, int]] = [{} for _ in range(total + 1)]
+    for k, (coefs, rel, b) in enumerate(zip(p.rows, p.relations, p.rhs)):
+        entries = [(j, a.as_integer_ratio()) for j, a in enumerate(coefs) if a]
+        bn, bd = b.as_integer_ratio()
+        den = lcm(bd, *(q for _, (_, q) in entries))
+        d = -den if bn < 0 else den  # a negative rhs negates the row
+        row = {j: u * (d // q) for j, (u, q) in entries}
+        head, s = sum(row.values()), 0
+        if rel != EQ:
+            s = row[slack] = d if rel == LE else -d
+            slack += 1
+        if bn:
+            row[total] = bn * (d // bd)
+        g = gcd(*row.values()) or 1  # an all-zero row stays empty
+        row = {j: v // g for j, v in row.items()} if g > 1 else row
+        rows.append(row)
+        scale.append(Fraction(d, g))
+        sums.append((head // g, s // g))
+        for j, v in row.items():
+            cols[j][k] = v
+    del cols[total]  # the rhs is no column
+    return rows, scale, sums, cols, total
 
 
 def _optimize(tab, red, basis, ncols):
@@ -447,21 +432,19 @@ def _basis_dual(cols, scale, basis: list[int], costs) -> list[Fraction]:
     return [s * v for s, v in zip(scale, solved[0])]
 
 
-def _phase_one(std: _StdForm):
-    """Phase 1 on a standard form: the least sum of artificials, then the
-    drive-out of zero-level artificials. Returns the tableau, the basis and
-    the Farkas vector of an infeasible program, else None."""
-    m = len(std.rows)
-    n = std.ncols
-    tab = [row.copy() for row in std.rows]
-    basis = [n + i for i in range(m)]  # artificial variables, columns implicit
+def _phase_one(tab, scale, cols, n):
+    """Phase 1 on a standard form's rows, `tab`, pivoted in place into its
+    tableau: the least sum of artificials, then the drive-out of zero-level
+    artificials. Returns the basis, and the Farkas vector of an infeasible
+    program, else None."""
+    basis = [n + i for i in range(len(tab))]  # artificial variables, columns implicit
 
     # The reduced cost of column j is -sum of its rational column,
     # -sum_k rows[k][j] / |scale[k]|, here times the lcm of the scales'
     # numerators: a positive multiple, so every Bland choice is the rational one's.
-    den = lcm(*(s.numerator for s in std.scale))
+    den = lcm(*(s.numerator for s in scale))
     red: dict[int, int] = {}
-    for row, s in zip(std.rows, std.scale):
+    for row, s in zip(tab, scale):
         w = den // abs(s.numerator) * s.denominator
         for j, v in row.items():
             if j in red:
@@ -473,7 +456,7 @@ def _phase_one(std: _StdForm):
         raise SoundnessError("phase-1 unbounded; solver invariant broken")
 
     if any(row.get(n, 0) > 0 for row, col in zip(tab, basis) if col >= n):
-        return tab, basis, _basis_dual(std.cols, std.scale, basis, lambda col: _ONE if col >= n else _ZERO)
+        return basis, _basis_dual(cols, scale, basis, lambda col: _ONE if col >= n else _ZERO)
 
     # Drive remaining zero-level artificials out of the basis; their rows
     # have rhs 0, so they hold real columns only. A row that cannot pivot is
@@ -484,15 +467,16 @@ def _phase_one(std: _StdForm):
             jc = min(row)
             _pivot(tab, i, jc)
             basis[i] = jc
-    return tab, basis, None
+    return basis, None
 
 
 class Phase1:
     """The end of phase 1 on a face, kept so that every program on the face
-    starts phase 2 from it (see the module docstring). Of the face's standard
-    form it keeps the columns the basis duals read, not the rows. Built by
-    `phase_one` and read-only after, but for what `program` adds once per
-    mu: the dense rows, and the standard columns with the late one in the slot.
+    starts phase 2 from it (see the module docstring): the face's standard
+    rows, pivoted by phase 1 into its tableau, its basis, and its standard
+    columns, which the basis duals read. Built by `phase_one` and read-only
+    after, but for the one record `program` adds per mu: the dense rows and
+    the standard columns with the late one in the slot.
     """
 
     def __init__(self, p: LpProblem):
@@ -500,39 +484,41 @@ class Phase1:
         # after, as `LpProblem.phase1` says
         self.rows, self.relations, self.rhs = p.rows, p.relations, p.rhs
         self.n = n = len(p.objective)
-        std = _StdForm(p)
-        tab, basis, self.farkas = _phase_one(std)
-        # row k's face column sum is std_sums[k][0] / scale[k], the start of
-        # its late entry in every mu's dense rows
-        self.scale = std.scale
-        self.std_sums = _sums(std.rows, n, std.ncols)
-        self.late: dict[int, list[list[Fraction]]] = {}  # mu -> the dense rows
-        self.late_cols: dict[int, list[dict[int, int]]] = {}  # mu -> the standard columns
+        tab, self.scale, self.sums, cols, ncols = _standard(p)
+        basis, self.farkas = _phase_one(tab, self.scale, cols, ncols)
+        self.late: dict[int, tuple] = {}  # mu -> (the dense rows, the standard columns)
         self.cols = self.tab = self.basis = self.tab_sums = None
         if self.farkas is None:  # an infeasible face keeps its Farkas vector alone
-            self.cols, self.tab, self.basis = std.cols, tab, basis
-            self.tab_sums = _sums(tab, n, std.ncols)
+            self.cols, self.tab, self.basis = cols, tab, basis
+            # each tableau row's sums over the problem's columns and over the
+            # slacks, the two parts of its late entry, as `sums` has them
+            self.tab_sums = []
+            for row in tab:
+                slacks = sum(v for j, v in row.items() if n < j < ncols)
+                self.tab_sums.append((sum(row.values()) - row.get(ncols, 0) - slacks, slacks))
 
     def program(self, objective: list[Fraction], mu: int | None = None) -> LpProblem:
         """The problem that maximizes `objective` on the face, with phase1
         set: the face's own rows, or with mu an int >= 0, the rows with one
         late column, the face's column sum plus mu times each inequality
-        row's slack column. The rows of one mu are built once and shared."""
+        row's slack column. Each mu's record, its rows and standard
+        columns, is built once and shared."""
         if mu is None:
             return LpProblem(objective, self.rows, self.relations, self.rhs, self)
         if type(mu) is not int or mu < 0:
             raise StructureError(f"a late column's mu is {mu!r}, not an int >= 0")
-        rows = self.late.get(mu)
-        if rows is None:
-            if self.cols is not None:  # set before the rows, by which `_start` finds mu
-                late = {k: v for k, v in enumerate(head + mu * slacks for head, slacks in self.std_sums) if v}
-                self.late_cols.setdefault(mu, [*self.cols[:self.n], late, *self.cols[self.n + 1:]])
-            slack = {LE: mu, EQ: 0, GE: -mu}
-            rows = self.late.setdefault(mu, [
-                [*row, Fraction(head * s.denominator, s.numerator) + slack[rel]]
-                for row, rel, (head, _), s in zip(self.rows, self.relations, self.std_sums, self.scale)
-            ])
-        return LpProblem(objective, rows, self.relations, self.rhs, self)
+        late = self.late.get(mu)
+        if late is None:
+            # v_k = scale[k] * (row k's late entry): its slack part
+            # mu * slack_k / scale[k] is +-mu on an inequality row, 0 on an equation
+            v = [head + mu * slack for head, slack in self.sums]
+            cols = None if self.cols is None else [
+                *self.cols[:self.n], {k: x for k, x in enumerate(v) if x}, *self.cols[self.n + 1:]]
+            late = self.late.setdefault(mu, ([
+                [*row, Fraction(x * s.denominator, s.numerator)]
+                for row, x, s in zip(self.rows, v, self.scale)
+            ], cols))
+        return LpProblem(objective, late[0], self.relations, self.rhs, self)
 
     def _start(self, p: LpProblem):
         """Copies of the tableau and basis to start p's phase 2 from, and
@@ -545,7 +531,7 @@ class Phase1:
             mu = None
         else:
             # a snapshot: another thread's `program` may add a mu meanwhile
-            mu = next((mu for mu, rows in tuple(self.late.items()) if rows is p.rows), None)
+            mu = next((mu for mu, late in tuple(self.late.items()) if late[0] is p.rows), None)
             if mu is None:
                 raise StructureError("the problem's rows are not its phase 1's; build it with Phase1.program")
         n = self.n + (mu is not None)
@@ -562,7 +548,7 @@ class Phase1:
             v = head + mu * slacks
             if v:
                 row[self.n] = v
-        return tab, list(self.basis), self.late_cols[mu]
+        return tab, list(self.basis), self.late[mu][1]
 
 
 def phase_one(p: LpProblem) -> Phase1:

@@ -1,7 +1,8 @@
 """JSON market and claim files, plus the serializers the CLI reports use.
 
-Rationals travel as strings: integers ("3", "-2"), fractions ("1/3"), or
-finite decimals ("0.25") parsed exactly as p/10^k. Output always uses the
+Rationals travel as strings of ASCII digits with no whitespace: integers
+("3", "-2"), fractions ("1/3"), or finite decimals ("0.25") parsed exactly
+as p/10^k, in the one grammar `model` keeps. Output always uses the
 canonical lowest-terms form, so identical models print identical bytes.
 Leaf ordering is explicit in every file (`leafOrder`), never inferred, and
 payoff/weight arrays align with it.
@@ -14,7 +15,6 @@ they block further parsing.
 from __future__ import annotations
 
 import json
-import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -30,6 +30,7 @@ from .model import (
     ScenarioTree,
     Strategy,
     _compile,
+    _parse_rational,
     leaf_ids,
     require_valid,
     validate_market,
@@ -38,7 +39,7 @@ from .redundancy import ReplicationCertificate
 
 SCHEMA_VERSION = 1
 
-_RATIONAL_RE = re.compile(r"^-?\d+$|^-?\d+/\d+$|^-?\d+\.\d+$")
+parse_rational_text = _parse_rational  # files and the command line share it
 
 _MARKET_KEYS = {"schemaVersion", "tree", "options", "measures", "leafOrder"}
 _TREE_KEYS = {"nodes"}
@@ -75,18 +76,6 @@ def _fields(obj, keys: set[str], path: str, issues: list) -> bool:
     if missing:
         issues.append((path, f"missing fields: {', '.join(missing)}"))
     return not missing
-
-
-def parse_rational_text(text) -> Fraction:
-    """Strict rational grammar; raises StructureError on anything else."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
-        raise StructureError(f"not a rational string: {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise StructureError("zero denominator") from None
-    except ValueError:  # the grammar matched, so only the int-string limit is left
-        raise StructureError(f"rational string of {len(text)} characters is too long") from None
 
 
 def format_rational(value: Fraction) -> str:

@@ -8,9 +8,9 @@ pure function, which makes concurrent use on shared inputs safe without
 synchronization. The one exception is a compiled market's measure-program
 face (`arbitrage._face`), built under a lock on its first solve: a thread
 that finds it unbuilt takes the lock and looks again, so concurrent first
-queries run one phase 1. Nothing writes to the face after but for the rows
-of one late column per push, which `lp.Phase1.program` stores with
-`dict.setdefault`, so threads that race on a push share one list.
+queries run one phase 1. Nothing writes to the face after but for one
+record per push (its late column's rows and standard columns), stored by
+one `dict.setdefault` in `lp.Phase1.program`, so racing threads share it.
 
 Leaves are indexed by *position* 0..L-1 in ascending node-id order among the
 nodes at the final period. Option payoffs, measure weights, and claims all
@@ -24,6 +24,7 @@ query already validated and compiled.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -38,22 +39,45 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
+
+
+def _parse_rational(text) -> Fraction:
+    """The rational a literal spells in the one grammar of files, `--eps`
+    and `rat`: an optional minus and ASCII digits, then "/" and digits or "."
+    and digits, a decimal read exactly as p/10^k. No plus, exponent,
+    underscore, whitespace or other digit; StructureError on anything else."""
+    match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise StructureError(f"not a rational string: {text!r}")
+    whole, den, frac = match.groups()
+    try:
+        if den is not None:
+            return Fraction(int(whole), int(den))
+        if frac is not None:
+            return Fraction(int(whole + frac), 10 ** len(frac))
+        return Fraction(int(whole))
+    except ZeroDivisionError:
+        raise StructureError("zero denominator") from None
+    except ValueError:  # the grammar matched, so only the int-string limit is left
+        raise StructureError(f"rational string of {len(text)} characters is too long") from None
+
+
 def rat(value: Fraction | int | str) -> Fraction:
     """Coerce a literal to an exact rational.
 
-    Accepts Fractions, ints, and strings such as "3", "-2", "1/3", "0.25"
-    (decimals are parsed exactly as p/10^k). Floats are rejected: they have
-    no place in an exact pipeline.
+    Accepts Fractions, ints, and strings of the file grammar such as "3",
+    "-2", "1/3", "0.25". Floats are rejected: they have no place in an
+    exact pipeline.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise StructureError(f"cannot interpret {value!r} as a rational")
-    if isinstance(value, (int, str)):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise StructureError(f"not a rational literal: {value!r}") from exc
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        return _parse_rational(value)
     raise StructureError(f"cannot interpret {type(value).__name__} as a rational")
 
 

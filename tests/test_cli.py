@@ -205,6 +205,22 @@ def test_strict_dual_nonpositive_eps(capsys):
     assert err["error"]["type"] == "invalid-input"
 
 
+@pytest.mark.parametrize("eps", ["1/100\n", "\u0661/100"])
+def test_strict_dual_eps_outside_the_literal_grammar(capsys, eps):
+    code, out, err = run(
+        capsys,
+        "strict-dual",
+        str(DATA / "m1.json"),
+        "--claim",
+        str(DATA / "call.json"),
+        "--eps",
+        eps,
+    )
+    assert code == 4
+    assert err["error"]["type"] == "invalid-input"
+    assert "not a rational string" in err["error"]["message"]
+
+
 def _m1_with(mutate) -> bytes:
     doc = json.loads((DATA / "m1.json").read_text())
     mutate(doc)

@@ -240,6 +240,11 @@ def _m1_with(edit) -> bytes:
         (_m1_with(lambda m: m.update(tree={})), "tree"),  # "missing fields: nodes"
         (_m1_with(lambda m: m["tree"]["nodes"][0].update(prices="1")), "tree.nodes[0].prices"),
         (_m1_with(lambda m: m.update(options=[1])), "options[0]"),  # "expected an object"
+        # the literal grammar is ASCII digits alone, with nothing around them
+        (_m1_with(lambda m: m["tree"]["nodes"][0].update(prices=["3\n"])), "tree.nodes[0].prices[0]"),
+        (_m1_with(lambda m: m["tree"]["nodes"][0].update(prices=["\u0663"])), "tree.nodes[0].prices[0]"),
+        (_m1_with(lambda m: m["tree"]["nodes"][0].update(prices=["1/\u0664"])), "tree.nodes[0].prices[0]"),
+        (_m1_with(lambda m: m["tree"]["nodes"][0].update(prices=["\uff11"])), "tree.nodes[0].prices[0]"),
     ],
 )
 def test_hostile_bytes_are_located_parse_errors(data, path):

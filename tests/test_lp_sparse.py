@@ -366,17 +366,24 @@ def test_integer_rows_are_primitive_multiples_of_the_fraction_rows():
     rng = random.Random(1000003)
     problems += [_wide_lp(rng) for _ in range(400)]
     for p in problems:
-        std, ref = lp._StdForm(p), _ReferenceStdForm(p)
-        assert std.ncols == ref.ncols and len(std.rows) == len(ref.rows), p
-        for stored, s, sign, ref_row, ref_b in zip(std.rows, std.scale, ref.row_sign,
-                                                   ref.rows, ref.rhs):
+        (rows, scale, sums, cols, ncols), ref = lp._standard(p), _ReferenceStdForm(p)
+        assert ncols == ref.ncols and len(rows) == len(ref.rows), p
+        n = ref.nvars
+        for k, (stored, s, sign, ref_row, ref_b) in enumerate(zip(rows, scale, ref.row_sign,
+                                                                  ref.rows, ref.rhs)):
             # a row stores its nonzeros by column, the rhs at key ncols; its
             # scale is negative exactly where the reference negated the row
             assert all(type(v) is int and v for v in stored.values()), p
-            row = [stored.get(j, 0) for j in range(std.ncols + 1)]
+            row = [stored.get(j, 0) for j in range(ncols + 1)]
             assert (s < 0) == (sign < 0) and len(stored) == sum(1 for v in row if v), p
             assert gcd(*row) in (0, 1), p
             assert row == [abs(s) * v for v in ref_row + [ref_b]], p
+            # the late column's two parts: the sum over the problem's
+            # columns and the slack entry, the slot n between them empty
+            assert row[n] == 0 and sums[k] == (sum(row[:n]), sum(row[n + 1:ncols])), p
+        # the same entries by column, the rhs left out
+        assert cols == [{k: row[j] for k, row in enumerate(rows) if j in row}
+                        for j in range(ncols)], p
 
 
 def test_pivots_store_only_nonzeros_of_primitive_rows(monkeypatch):

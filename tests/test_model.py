@@ -55,8 +55,16 @@ def test_rat_parses_literals_exactly():
     assert rat(3) == F(3)
     third = F(1, 3)
     assert rat(third) is third
-    with pytest.raises(StructureError):
+    assert rat("-0.125") == F(-1, 8)
+    with pytest.raises(StructureError, match="zero denominator"):
         rat("1/0")
+    with pytest.raises(StructureError, match="too long"):
+        rat("1" + "0" * 5000)
+    # the file grammar alone: no exponent, whitespace, underscore, plus,
+    # bare point or digit outside ASCII
+    for text in ("1e3", " 3 ", "3\n", "1_000", "+2", ".5", "1.", "\u0663", "1/\u0664", "\uff11"):
+        with pytest.raises(StructureError, match="not a rational string"):
+            rat(text)
     with pytest.raises(StructureError, match="cannot interpret True"):
         rat(True)
     with pytest.raises(StructureError):
