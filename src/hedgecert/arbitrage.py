@@ -32,6 +32,8 @@ from .model import (
     ZERO,
     ONE,
     _index,
+    _integer_prices,
+    _top_down,
     canonical_legs,
     require_valid,
     terminal_gain,
@@ -51,11 +53,19 @@ class MartingaleMeasure:
     option_values: list[Fraction]
 
     def expectation(self, payoff: list[Fraction]) -> Fraction:
+        """The payoff's exact expectation under the weights: one integer
+        sum (`lp._dot`). The payoff and the weights must be lists of ints and
+        Fractions of one length, or it is a StructureError naming the entry;
+        a float would be read as the binary fraction it stores."""
+        lp._list(payoff, "payoff")
+        lp._list(self.weights, "weights")
         if len(payoff) != len(self.weights):
             raise StructureError(
                 f"payoff has {len(payoff)} entries for a measure on {len(self.weights)} leaves"
             )
-        return sum((w * v for w, v in zip(self.weights, payoff) if w), ZERO)
+        lp._rationals(payoff, "payoff")
+        lp._rationals(self.weights, "weights")
+        return lp._dot(self.weights, payoff)
 
 
 @dataclass
@@ -187,7 +197,7 @@ def _hedge(c: CompiledMarket, solved) -> tuple[Fraction, Strategy]:
             position[index] = v
         elif kind == "option" and v:
             position[nh + index if v > 0 else nh + e + index] += abs(v)
-    capital = sum((a * b for a, b in zip(y, problem.rhs) if a), ZERO)
+    capital = lp._dot(y, problem.rhs)
     return capital, canonical_legs(c.strategy_from(position))
 
 
@@ -329,35 +339,36 @@ def scenario_pricing_measure(m: MarketModel, leaf: int) -> MartingaleMeasure | N
 def verify_measure(m: MarketModel, q: MartingaleMeasure) -> bool:
     """Replay every measure invariant exactly: mass, support, martingale, quotes.
 
-    The martingale identity is checked by walking the tree directly (mass
-    under each child times the price step), independently of the coefficient
-    rows the programs are built from.
+    The weights enter as integers over one common denominator. The mass
+    under each node is summed bottom-up from the leaves, once per tree edge,
+    and each (node, asset) martingale identity, the mass under each child
+    times its price step, is tested as an integer sum equal to 0. It walks
+    the tree directly, independently of the rows the programs are built from.
     """
     c = require_valid(m)
     if not isinstance(q, MartingaleMeasure) or not lp._rational_lists(q.weights, q.option_values):
         return False
     if len(q.weights) != len(c.leaves) or len(q.option_values) != len(c.options):
         return False
-    if any(w < 0 for w in q.weights):
-        return False
-    if sum(q.weights, ZERO) != 1:
+    weights, den = lp._over_lcm(q.weights)
+    if any(w < 0 for w in weights) or sum(weights) != den:
         return False
     supp = set(c.charged)
-    if any(w > 0 for pos, w in enumerate(q.weights) if pos not in supp):
+    if any(w for pos, w in enumerate(weights) if pos not in supp):
         return False
-    mass = [ZERO] * len(c.prices)
-    for pos, path in enumerate(c.paths):
-        if q.weights[pos]:
-            for nid in path:
-                mass[nid] += q.weights[pos]
-    for nid in c.nonleaf:
-        here = c.prices[nid]
-        for j in range(c.tree.num_assets):
-            drift = sum(
-                (mass[kid] * (c.prices[kid][j] - here[j]) for kid in c.children[nid]),
-                ZERO,
-            )
-            if drift != 0:
+    a = c.tree.num_assets
+    if a:
+        prices, _ = _integer_prices(c)
+        mass = [0] * len(c.prices)
+        for leaf, w in zip(c.leaves, weights):
+            mass[leaf] = w
+        for nid in reversed(_top_down(c)):
+            kids = c.children[nid]
+            if not kids:
+                continue
+            total = mass[nid] = sum(mass[kid] for kid in kids)
+            if total and any(sum(mass[kid] * prices[kid][j] for kid in kids) != total * p
+                             for j, p in enumerate(prices[nid])):
                 return False
     for i, opt in enumerate(c.options):
         value = q.expectation(opt.payoff)

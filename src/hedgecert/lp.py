@@ -30,7 +30,9 @@ on integer rows) and returns a particular solution and the rank;
 `reduce_linear` stops the same elimination after a prefix of the columns,
 which is how `redundancy` reduces every option's payoff at once. The basis
 duals build their integer rows directly and call `_eliminate` themselves.
-`LpProblem` itself stays dense.
+`LpProblem` itself stays dense. The certificate replays in `model` and
+`arbitrage` use the same integer arithmetic: `_over_lcm` puts rationals over
+one common denominator, and `_dot` is the exact dot product built on it.
 
 Fractions appear only at the boundary. The standard form's columns are the
 problem's n, an empty slot at n for a late column (below) and the slacks
@@ -90,6 +92,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import SoundnessError, StructureError
 
@@ -183,6 +186,21 @@ def _int_row(values) -> dict[int, int]:
     ratios = [(j, v.as_integer_ratio()) for j, v in enumerate(values) if v]
     den = lcm(*(q for _, (_, q) in ratios))
     return _primitive({j: u * (den // q) for j, (u, q) in ratios})
+
+
+def _over_lcm(values) -> tuple[list[int], int]:
+    """(numerators, den): every value as an integer over one positive common
+    denominator, the lcm of theirs, so values[j] == numerators[j] / den."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = lcm(*[q for _, q in ratios])
+    return [u * (den // q) for u, q in ratios], den
+
+
+def _dot(a, b) -> Fraction:
+    """The exact dot product of two rational vectors: one integer sum over
+    the product of their common denominators, made one Fraction at the end."""
+    (u, du), (v, dv) = _over_lcm(a), _over_lcm(b)
+    return Fraction(sum(map(mul, u, v)), du * dv)
 
 
 def _combine(row, c, pc, nonzeros):

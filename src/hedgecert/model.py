@@ -27,9 +27,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import DomainError, StructureError
-from .lp import Phase1, _rational_lists
+from .lp import Phase1, _dot, _over_lcm, _rational_lists
 
 # The rational substrate. Fraction already guarantees the invariants this
 # package relies on: positive denominator, lowest terms, canonical zero.
@@ -473,33 +475,68 @@ def _check_strategy_shape(c: CompiledMarket, s: Strategy) -> None:
             )
 
 
+def _top_down(c: CompiledMarket) -> list[int]:
+    """Every node id, each after its parent: breadth-first from the root
+    through `children`. Validation lets a child's id be below its parent's,
+    so ascending ids are not such an order."""
+    order = [c.paths[0][0]]
+    for nid in order:  # the list grows by each node's children as it is read
+        order.extend(c.children[nid])
+    return order
+
+
+def _integer_prices(c: CompiledMarket) -> tuple[list[list[int]], int]:
+    """Every node's prices, by node id, as integers over one common
+    denominator: (numerators, denominator). The market has an asset."""
+    a = c.tree.num_assets
+    flat, den = _over_lcm([p for row in c.prices for p in row])
+    return [flat[k:k + a] for k in range(0, len(flat), a)], den
+
+
 def terminal_gain(m: MarketModel, s: Strategy) -> list[Fraction]:
     """Terminal wealth of a strategy on each leaf, from zero initial capital.
 
-    Dynamic trading gains accrue per period step along the leaf's path;
-    each option bought contributes payoff minus ask, each option sold
-    contributes bid minus payoff. The walk reads prices off the tree, never
-    the compiled gain rows, so it replays the programs independently.
+    Wealth accrues top-down, once per tree edge: a child holds its parent's
+    wealth plus the parent's positions times the price step along the edge.
+    The option legs net to (buy - sell) . payoff on each leaf plus the one
+    constant sell . bid - buy . ask. Positions, prices and payoffs enter as
+    integers over common denominators, so each leaf's gain is one Fraction,
+    built last. The walk reads prices off the tree, never the compiled gain
+    rows, so it replays the programs independently.
     """
     c = require_valid(m)
     _check_strategy_shape(c, s)
-    gains: list[Fraction] = []
-    for pos, path in enumerate(c.paths):
-        total = ZERO
-        for here, there in zip(path, path[1:]):
-            held = s.dynamic[here]
-            p_here, p_there = c.prices[here], c.prices[there]
-            for j in range(c.tree.num_assets):
-                h = held[j]
-                if h:
-                    total += h * (p_there[j] - p_here[j])
-        for i, option in enumerate(c.options):
-            if s.buy_leg[i]:
-                total += s.buy_leg[i] * (option.payoff[pos] - option.ask)
-            if s.sell_leg[i]:
-                total -= s.sell_leg[i] * (option.payoff[pos] - option.bid)
-        gains.append(total)
-    return gains
+    a = c.tree.num_assets
+    held, held_den = _over_lcm([h for nid in c.nonleaf for h in s.dynamic[nid]])
+    wealth, wealth_den = [0] * len(c.prices), 1
+    if any(held):
+        prices, price_den = _integer_prices(c)
+        wealth_den = held_den * price_den
+        first = dict(zip(c.nonleaf, range(0, len(held), a)))
+        for nid in _top_down(c):
+            k = first.get(nid)
+            if k is not None:  # a non-leaf node
+                h = held[k:k + a]
+                base = wealth[nid] - sum(map(mul, h, prices[nid]))
+                for kid in c.children[nid]:
+                    wealth[kid] = base + sum(map(mul, h, prices[kid]))
+
+    # the constant as one more net leg, on a payoff of 1 on every leaf
+    n_leaves = len(c.leaves)
+    constant = _dot(s.sell_leg, [opt.bid for opt in c.options]) - _dot(
+        s.buy_leg, [opt.ask for opt in c.options])
+    legs = [(b - v, opt.payoff) for b, v, opt in zip(s.buy_leg, s.sell_leg, c.options)]
+    legs = [leg for leg in legs + [(constant, [1] * n_leaves)] if leg[0]]
+    net, net_den = _over_lcm([x for x, _ in legs])
+    pay, pay_den = _over_lcm([p for _, payoff in legs for p in payoff])
+    static = [0] * n_leaves
+    for k, x in enumerate(net):
+        static = [u + x * p for u, p in zip(static, pay[k * n_leaves:(k + 1) * n_leaves])]
+
+    den = lcm(wealth_den, net_den * pay_den)
+    fw, fs = den // wealth_den, den // (net_den * pay_den)
+    return [Fraction(wealth[leaf] * fw + static[pos] * fs, den)
+            for pos, leaf in enumerate(c.leaves)]
 
 
 def zero_strategy(m: MarketModel) -> Strategy:

@@ -11,7 +11,9 @@ exponential-time by design behind hard size guards: vertex enumeration of
 the consistent-measure polytope (so dual prices can be checked against a
 max over vertices) and the definitional robust-no-arbitrage scan that
 shrinks quotes through a dyadic ladder and reruns the reference
-no-arbitrage check.
+no-arbitrage check. Last, the two certificate walks the package replaced:
+terminal gains and the martingale replay in `Fraction` arithmetic, path by
+path from the root to each leaf.
 """
 
 from __future__ import annotations
@@ -21,7 +23,13 @@ from fractions import Fraction
 from itertools import combinations
 
 from hedgecert import lp
-from hedgecert.arbitrage import ArbitrageCertificate, NaVerdict, check_na, check_nar
+from hedgecert.arbitrage import (
+    ArbitrageCertificate,
+    MartingaleMeasure,
+    NaVerdict,
+    check_na,
+    check_nar,
+)
 from hedgecert.errors import DomainError, PreconditionError, SoundnessError
 from hedgecert.model import (
     Claim,
@@ -31,6 +39,7 @@ from hedgecert.model import (
     Strategy,
     ZERO,
     ONE,
+    _check_strategy_shape,
     canonical_legs,
     require_valid,
     terminal_gain,
@@ -317,3 +326,67 @@ def definitional_nar_scan(m: MarketModel, depth: int) -> NarScanResult:
         if surplus_na(_shrunk_market(m, level)).holds:
             return NarScanResult(True, level)
     return NarScanResult(False)
+
+
+def path_terminal_gain(m: MarketModel, s: Strategy) -> list[Fraction]:
+    """`model.terminal_gain` path by path in `Fraction` arithmetic: each
+    step's positions times its price increment along the leaf's path, then
+    payoff minus ask per option bought and bid minus payoff per option sold."""
+    c = require_valid(m)
+    _check_strategy_shape(c, s)
+    gains: list[Fraction] = []
+    for pos, path in enumerate(c.paths):
+        total = ZERO
+        for here, there in zip(path, path[1:]):
+            held = s.dynamic[here]
+            p_here, p_there = c.prices[here], c.prices[there]
+            for j in range(c.tree.num_assets):
+                h = held[j]
+                if h:
+                    total += h * (p_there[j] - p_here[j])
+        for i, option in enumerate(c.options):
+            if s.buy_leg[i]:
+                total += s.buy_leg[i] * (option.payoff[pos] - option.ask)
+            if s.sell_leg[i]:
+                total -= s.sell_leg[i] * (option.payoff[pos] - option.bid)
+        gains.append(total)
+    return gains
+
+
+def path_verify_measure(m: MarketModel, q: MartingaleMeasure) -> bool:
+    """`arbitrage.verify_measure` in `Fraction` arithmetic: each leaf's
+    weight added to the mass of every node on its path, each drift summed
+    over the children and every expectation summed leaf by leaf."""
+    c = require_valid(m)
+    if not isinstance(q, MartingaleMeasure) or not lp._rational_lists(q.weights, q.option_values):
+        return False
+    if len(q.weights) != len(c.leaves) or len(q.option_values) != len(c.options):
+        return False
+    if any(w < 0 for w in q.weights):
+        return False
+    if sum(q.weights, ZERO) != 1:
+        return False
+    supp = set(c.charged)
+    if any(w > 0 for pos, w in enumerate(q.weights) if pos not in supp):
+        return False
+    mass = [ZERO] * len(c.prices)
+    for pos, path in enumerate(c.paths):
+        if q.weights[pos]:
+            for nid in path:
+                mass[nid] += q.weights[pos]
+    for nid in c.nonleaf:
+        here = c.prices[nid]
+        for j in range(c.tree.num_assets):
+            drift = sum(
+                (mass[kid] * (c.prices[kid][j] - here[j]) for kid in c.children[nid]),
+                ZERO,
+            )
+            if drift != 0:
+                return False
+    for i, opt in enumerate(c.options):
+        value = sum((w * v for w, v in zip(q.weights, opt.payoff) if w), ZERO)
+        if value != q.option_values[i]:
+            return False
+        if not opt.bid <= value <= opt.ask:
+            return False
+    return True

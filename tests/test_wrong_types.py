@@ -10,6 +10,7 @@ import pytest
 
 from hedgecert import lp
 from hedgecert.arbitrage import (
+    MartingaleMeasure,
     check_na,
     check_nar,
     dominates,
@@ -220,3 +221,22 @@ def test_interior_replays_validate_the_market_first():
         for replay in (strictly_inside_quotes, verify_nar_witness, verify_measure):
             with pytest.raises(StructureError, match=re.escape(where)):
                 replay(bad, witness if replay is verify_nar_witness else measure)
+
+
+def test_an_expectation_takes_only_exact_entries():
+    # a float would be read as the binary fraction it stores, and a bool is
+    # no rational: each is a StructureError naming the entry, not a value
+    q = MartingaleMeasure([F(1, 3), F(2, 3)], [])
+    cases = {
+        "payoff[0] is float 0.1": ([0.1, 1], q),
+        "payoff[0] is bool True": ([True, 1], q),
+        "payoff[1] is str '1'": ([F(1), "1"], q),
+        "payoff is NoneType, not a list": (None, q),
+        "weights[1] is float 0.5": ([F(1), 1], MartingaleMeasure([F(1, 2), 0.5], [])),
+        "weights is NoneType, not a list": ([F(1), 1], MartingaleMeasure(None, [])),
+    }
+    for where, (payoff, measure) in cases.items():
+        with pytest.raises(StructureError, match=re.escape(where)):
+            measure.expectation(payoff)
+    assert q.expectation([F(1, 2), 1]) == F(5, 6)
+    assert type(q.expectation([1, 1])) is F
