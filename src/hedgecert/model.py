@@ -479,7 +479,7 @@ def _top_down(c: CompiledMarket) -> list[int]:
     """Every node id, each after its parent: breadth-first from the root
     through `children`. Validation lets a child's id be below its parent's,
     so ascending ids are not such an order."""
-    order = [c.paths[0][0]]
+    order = [c.paths[0][0]]  # every path starts at the root
     for nid in order:  # the list grows by each node's children as it is read
         order.extend(c.children[nid])
     return order
