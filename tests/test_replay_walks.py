@@ -180,7 +180,6 @@ def test_markets_whose_children_precede_their_parents_answer_alike():
         twin_m, new = _relabeled(m)
         twin = require_valid(twin_m)
         assert any(n.parent is not None and n.id < n.parent for n in twin.tree.nodes)
-        assert twin.leaves != c.leaves or len(c.leaves) == len(c.prices) - 1
         assert twin.charged == c.charged
 
         s = random_strategy(rng, c)
