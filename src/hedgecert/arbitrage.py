@@ -33,6 +33,7 @@ from .model import (
     ONE,
     _index,
     _integer_prices,
+    _terminal_gain,
     _top_down,
     canonical_legs,
     require_valid,
@@ -208,7 +209,7 @@ def _arbitrage(c: CompiledMarket, solved) -> NaVerdict:
     y . A_w - y . rhs >= 0 on every charged leaf; one where it is positive
     is the strict leaf, and a strategy with none is a SoundnessError."""
     _, strategy = _hedge(c, solved)
-    gains = terminal_gain(c, strategy)
+    gains = _terminal_gain(c, strategy)  # `_hedge` builds it to the market's shape
     strict = next((pos for pos in c.charged if gains[pos] > 0), None)
     if strict is None:
         raise SoundnessError("measure-side multipliers give no strictly positive gain")

@@ -25,11 +25,11 @@ positive. A pivot on column c with pivot row p replaces each row holding
 an entry a at c by p[c] * row - a * p, divided by its gcd; it visits only
 p's nonzeros and deletes the entries that cancel, and rows without c are
 untouched. The ratio test compares b_i / a_i by cross-multiplication. The
-Gauss-Jordan solve `solve_linear` uses the same elimination (`_eliminate`,
-on integer rows) and returns a particular solution and the rank;
+Gauss-Jordan solve `solve_linear` uses the same elimination (`_reduce`, on
+integer rows) and returns a particular solution and the rank;
 `reduce_linear` stops the same elimination after a prefix of the columns,
-which is how `redundancy` reduces every option's payoff at once. The basis
-duals build their integer rows directly and call `_eliminate` themselves.
+which is how `redundancy` reduces every option's payoff at once, and
+`_factor` runs it once per face to invert the face's basis.
 `LpProblem` itself stays dense. The certificate replays in `model` and
 `arbitrage` use the same integer arithmetic: `_over_lcm` puts rationals over
 one common denominator, and `_dot` is the exact dot product built on it.
@@ -42,29 +42,38 @@ scale[k] * (problem row k, slack included), with scale[k] < 0 exactly where
 the row is negated to make its rhs nonnegative, and keeps the same entries
 by column. Phase 1 pivots these rows themselves into its tableau; its
 reduced costs are -sum_k rows[k] / |scale[k]| over one common integer
-denominator, a positive multiple of the rational phase-1 row; the basis
-duals take each equation of y'^T B' = c_B from a basic column's stored
-entries and return y_k = scale[k] * y'_k, the multiplier of problem row k.
-Values leave as b_i / a_i,B(i). The objective, the rows, each row, the
-relations and the rhs must be lists or tuples, and every problem entry an
-int or a Fraction; anything else is a StructureError naming the field, and
-makes `verify_certificate` return False, as does a certificate entry that
-is not an int or a Fraction.
+denominator, a positive multiple of the rational phase-1 row. Values leave
+as b_i / a_i,B(i). The objective, the rows, each row, the relations and the
+rhs must be lists or tuples, and every problem entry an int or a Fraction;
+anything else is a StructureError naming the field, and makes
+`verify_certificate` return False, as does a certificate entry that is not
+an int or a Fraction.
+
+The duals come from one factorization per face. `_factor` inverts B0'^T
+once, B0' = diag(scale) B0 the stored columns of the basis B0 phase 1 ends
+on, with scale[k] folded in, so one product gives y_k = scale[k] * y'_k, the
+multiplier of problem row k. Phase 2 keeps its cost row lam times the
+rational one, lam tracked at key -1, which no column uses. Its final
+reduced costs d = red / lam satisfy d_j = -c_j + y'^T A'_j on every column
+whatever the final basis, so y'^T B0' = c + d on B0's columns: a program's
+duals are the stored inverse times c + d, with no elimination. An
+infeasible face's Farkas vector is the same product with the phase-1 costs,
+1 on each artificial, on its phase-1 basis.
 
 Phase 1 and phase 2 are separate routines, and a phase 1 can be stored.
 `phase_one(p)` runs phase 1 on all of p's columns and rows, its face, and
 keeps a `Phase1`: p's own row, relation and rhs lists (not copies, so they
-must not change after), the face's standard columns and its tableau and
-basis after the drive-out, or instead of these the Farkas vector when the
+must not change after), the face's tableau and basis after the drive-out
+and the basis's inverse, or instead of these the Farkas vector when the
 face is infeasible. Phase 1 never sees the objective, so `Phase1.program`
 builds every program on the face from it and names it in `LpProblem.phase1`.
 A program's rows are the face's own list, or with an int mu >= 0 the face
 plus one late column: the face's column sum plus mu times each inequality
-row's slack column, kept once per mu as one record of its dense rows and
-the standard columns with it in the slot. Phase 2 starts from copies of the
-face's tableau and basis; a late column is written into the copy's slot as
-the same sum of the tableau's columns. An empty slot never enters, so
-Bland's order is the face's. Such a column keeps feasibility with the face
+row's slack column, kept once per mu as its dense rows; the late column
+never enters B0, so its programs share B0's inverse. Phase 2 starts from
+copies of the face's tableau and basis; a late column is written into the
+copy's slot as the same sum of the tableau's columns. An empty slot never
+enters, so Bland's order is the face's. Such a column keeps feasibility with the face
 (move its value onto every face column and mu times it onto each slack) and
 keeps a face's Farkas vector y one of the whole problem (y . A_late is a sum
 of y . A_j <= 0 and mu y_k (+-1) <= 0), so the face's verdict and basis
@@ -278,7 +287,11 @@ def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> tuple[list[
     """
     _list(rhs, "rhs")
     n = _system_width(rows, rhs)
-    return _eliminate([_int_row([*row, b]) for row, b in zip(rows, rhs)], n)
+    a = [_int_row([*row, b]) for row, b in zip(rows, rhs)]
+    piv_cols = _reduce(a, n)
+    if any(n in row for row in a[len(piv_cols):]):
+        return None  # inconsistent
+    return _basic_point(a, piv_cols, n), len(piv_cols)
 
 
 def reduce_linear(rows: list[list[Fraction]], n: int) -> tuple[list[int], list[list[Fraction]]]:
@@ -335,15 +348,6 @@ def _basic_point(tab, basis, n) -> list[Fraction]:
         if b:
             z[col] = Fraction(b, row[col])
     return z
-
-
-def _eliminate(a: list[dict[int, int]], n: int) -> tuple[list[Fraction], int] | None:
-    """`solve_linear` on integer rows [A | b], each a positive multiple of
-    its rational row, of n columns with the rhs at key n; `a` is overwritten."""
-    piv_cols = _reduce(a, n)
-    if any(n in row for row in a[len(piv_cols):]):
-        return None  # inconsistent
-    return _basic_point(a, piv_cols, n), len(piv_cols)
 
 
 def _standard(p: LpProblem):
@@ -417,44 +421,55 @@ def _optimize(tab, red, basis, ncols):
         basis[r] = jc
 
 
-def _basis_dual(cols, scale, basis: list[int], costs) -> list[Fraction]:
-    """Exact duals from the final basis: solve y^T B = cost_B afresh.
+def _factor(cols, scale, basis: list[int], n: int):
+    """The inverse of B'^T, B' the basis's columns of the standard form:
+    basic column i's stored entries `cols[col]`, {row: int}, or for row k's
+    artificial, column n + k, |scale[k]| at row k. Returns (columns, dens):
+    for any w, the multipliers y_k = scale[k] * y'_k of the y' with
+    y'^T B' = w are y_k = sum_i columns[i][k] * w_i / dens[k].
 
-    Equation k is basic column k's standard column, as `cols` stores each,
-    {row: int}: a column of B' = diag(scale) B, B the problem rows' basis
-    columns, so y' with y'^T B' = cost_B gives the multipliers
-    y_k = scale[k] * y'_k. Column len(cols) + k is row k's artificial,
-    |scale[k]| at row k in B'. Each equation is a primitive integer row, a
-    positive multiple of [B' column | cost], with the cost at key len(basis).
+    One Gauss-Jordan elimination (`_reduce`) of the equations of y'^T B' = w
+    beside the identity leaves each row k as its pivot and row k of the
+    inverse. An artificial's equation is taken times its scale's
+    denominator, that multiple in the identity, so every entry is an
+    integer. SoundnessError if B' is singular.
     """
-    if not basis:
-        return []
-    n = len(cols)
     m = len(basis)
-    mat: list[dict[int, int]] = []
-    for col in basis:
-        cost = costs(col)
+    a = []
+    for i, col in enumerate(basis):
         if col >= n:  # an artificial, basic in its own row
-            s = abs(scale[col - n])
-            den = lcm(s.denominator, cost.denominator)
-            row = {col - n: s.numerator * (den // s.denominator)}
+            s = scale[col - n]
+            a.append({col - n: abs(s.numerator), m + i: s.denominator})
         else:
-            den = cost.denominator
-            row = {i: v * den for i, v in cols[col].items()}
-        if cost:
-            row[m] = cost.numerator * (den // cost.denominator)
-        mat.append(_primitive(row))
-    solved = _eliminate(mat, m)
-    if solved is None or solved[1] < m:
+            a.append({**cols[col], m + i: 1})
+    if len(_reduce(a, m)) < m:
         raise SoundnessError("basis matrix singular; solver invariant broken")
-    return [s * v for s, v in zip(scale, solved[0])]
+    columns: list[dict[int, int]] = [{} for _ in range(m)]
+    dens = []
+    for k, (row, s) in enumerate(zip(a, scale)):
+        dens.append(row.pop(k) * s.denominator)  # its pivot, > 0, all it holds below m
+        for i, u in row.items():
+            columns[i - m][k] = u * s.numerator
+    return columns, dens
 
 
-def _phase_one(tab, scale, cols, n):
+def _duals(inverse, weights, den: int) -> list[Fraction]:
+    """The multipliers y of the factored basis (`_factor`) for the weights
+    w_i = u / den, given as the pairs (i, u) of the nonzero ones: each
+    weight scatters its column of the inverse, and each y_k is one Fraction."""
+    columns, dens = inverse
+    y = [0] * len(dens)
+    for i, u in weights:
+        for k, v in columns[i].items():
+            y[k] += v * u
+    return [Fraction(v, d * den) if v else _ZERO for v, d in zip(y, dens)]
+
+
+def _phase_one(tab, scale, n):
     """Phase 1 on a standard form's rows, `tab`, pivoted in place into its
     tableau: the least sum of artificials, then the drive-out of zero-level
-    artificials. Returns the basis, and the Farkas vector of an infeasible
-    program, else None."""
+    artificials. Returns the basis, and whether the program is feasible;
+    an infeasible one keeps its phase-1 basis, with no drive-out."""
     basis = [n + i for i in range(len(tab))]  # artificial variables, columns implicit
 
     # The reduced cost of column j is -sum of its rational column,
@@ -474,27 +489,28 @@ def _phase_one(tab, scale, cols, n):
         raise SoundnessError("phase-1 unbounded; solver invariant broken")
 
     if any(row.get(n, 0) > 0 for row, col in zip(tab, basis) if col >= n):
-        return basis, _basis_dual(cols, scale, basis, lambda col: _ONE if col >= n else _ZERO)
+        return basis, False
 
     # Drive remaining zero-level artificials out of the basis; their rows
     # have rhs 0, so they hold real columns only. A row that cannot pivot is
     # redundant and empty: its artificial stays basic at zero, no pivot
-    # touches it, and its basis-dual equation scale * y_k = 0 gives it dual 0.
+    # touches it, so its reduced cost stays 0 in every phase 2 and its
+    # basis equation |scale| * y'_k = 0 gives it dual 0.
     for i, row in enumerate(tab):
         if basis[i] >= n and row:
             jc = min(row)
             _pivot(tab, i, jc)
             basis[i] = jc
-    return basis, None
+    return basis, True
 
 
 class Phase1:
     """The end of phase 1 on a face, kept so that every program on the face
     starts phase 2 from it (see the module docstring): the face's standard
-    rows, pivoted by phase 1 into its tableau, its basis, and its standard
-    columns, which the basis duals read. Built by `phase_one` and read-only
-    after, but for the one record `program` adds per mu: the dense rows and
-    the standard columns with the late one in the slot.
+    rows, pivoted by phase 1 into its tableau, its basis B0, and the inverse
+    of B0'^T (`_factor`), from which every program's duals are one product.
+    Built by `phase_one` and read-only after, but for the one record
+    `program` adds per mu: the dense rows.
     """
 
     def __init__(self, p: LpProblem):
@@ -502,54 +518,56 @@ class Phase1:
         # after, as `LpProblem.phase1` says
         self.rows, self.relations, self.rhs = p.rows, p.relations, p.rhs
         self.n = n = len(p.objective)
-        tab, self.scale, self.sums, cols, ncols = _standard(p)
-        basis, self.farkas = _phase_one(tab, self.scale, cols, ncols)
-        self.late: dict[int, tuple] = {}  # mu -> (the dense rows, the standard columns)
-        self.cols = self.tab = self.basis = self.tab_sums = None
-        if self.farkas is None:  # an infeasible face keeps its Farkas vector alone
-            self.cols, self.tab, self.basis = cols, tab, basis
-            # each tableau row's sums over the problem's columns and over the
-            # slacks, the two parts of its late entry, as `sums` has them
-            self.tab_sums = []
-            for row in tab:
-                slacks = sum(v for j, v in row.items() if n < j < ncols)
-                self.tab_sums.append((sum(row.values()) - row.get(ncols, 0) - slacks, slacks))
+        tab, self.scale, self.sums, cols, self.ncols = _standard(p)
+        basis, feasible = _phase_one(tab, self.scale, self.ncols)
+        inverse = _factor(cols, self.scale, basis, self.ncols)
+        self.late: dict[int, list] = {}  # mu -> the dense rows
+        self.farkas = self.inverse = self.tab = self.basis = self.tab_sums = None
+        if not feasible:
+            # an infeasible face keeps its Farkas vector alone: the duals of
+            # its phase-1 basis for the phase-1 costs, 1 on each artificial
+            self.farkas = _duals(inverse, [(i, 1) for i, col in enumerate(basis)
+                                           if col >= self.ncols], 1)
+            return
+        self.inverse, self.tab, self.basis = inverse, tab, basis
+        # each tableau row's sums over the problem's columns and over the
+        # slacks, the two parts of its late entry, as `sums` has them
+        self.tab_sums = []
+        for row in tab:
+            slacks = sum(v for j, v in row.items() if n < j < self.ncols)
+            self.tab_sums.append((sum(row.values()) - row.get(self.ncols, 0) - slacks, slacks))
 
     def program(self, objective: list[Fraction], mu: int | None = None) -> LpProblem:
         """The problem that maximizes `objective` on the face, with phase1
         set: the face's own rows, or with mu an int >= 0, the rows with one
         late column, the face's column sum plus mu times each inequality
-        row's slack column. Each mu's record, its rows and standard
-        columns, is built once and shared."""
+        row's slack column. Each mu's rows are built once and shared."""
         if mu is None:
             return LpProblem(objective, self.rows, self.relations, self.rhs, self)
         if type(mu) is not int or mu < 0:
             raise StructureError(f"a late column's mu is {mu!r}, not an int >= 0")
-        late = self.late.get(mu)
-        if late is None:
+        rows = self.late.get(mu)
+        if rows is None:
             # v_k = scale[k] * (row k's late entry): its slack part
             # mu * slack_k / scale[k] is +-mu on an inequality row, 0 on an equation
-            v = [head + mu * slack for head, slack in self.sums]
-            cols = None if self.cols is None else [
-                *self.cols[:self.n], {k: x for k, x in enumerate(v) if x}, *self.cols[self.n + 1:]]
-            late = self.late.setdefault(mu, ([
-                [*row, Fraction(x * s.denominator, s.numerator)]
-                for row, x, s in zip(self.rows, v, self.scale)
-            ], cols))
-        return LpProblem(objective, late[0], self.relations, self.rhs, self)
+            rows = self.late.setdefault(mu, [
+                [*row, Fraction((head + mu * slack) * s.denominator, s.numerator)]
+                for row, (head, slack), s in zip(self.rows, self.sums, self.scale)
+            ])
+        return LpProblem(objective, rows, self.relations, self.rhs, self)
 
     def _start(self, p: LpProblem):
-        """Copies of the tableau and basis to start p's phase 2 from, and
-        p's standard columns, its late column (if any) in the slot; None
-        when the face is infeasible. StructureError unless p holds this
-        phase 1's own lists, as `program` builds them."""
+        """Copies of the tableau and basis to start p's phase 2 from, its
+        late column (if any) in the slot; None when the face is infeasible.
+        StructureError unless p holds this phase 1's own lists, as `program`
+        builds them."""
         if p.relations is not self.relations or p.rhs is not self.rhs:
             raise StructureError("the problem's relations or rhs are not its phase 1's lists")
         if p.rows is self.rows:
             mu = None
         else:
             # a snapshot: another thread's `program` may add a mu meanwhile
-            mu = next((mu for mu, late in tuple(self.late.items()) if late[0] is p.rows), None)
+            mu = next((mu for mu, rows in tuple(self.late.items()) if rows is p.rows), None)
             if mu is None:
                 raise StructureError("the problem's rows are not its phase 1's; build it with Phase1.program")
         n = self.n + (mu is not None)
@@ -560,13 +578,12 @@ class Phase1:
         if self.farkas is not None:
             return None
         tab = [row.copy() for row in self.tab]
-        if mu is None:
-            return tab, list(self.basis), self.cols
-        for row, (head, slacks) in zip(tab, self.tab_sums):
-            v = head + mu * slacks
-            if v:
-                row[self.n] = v
-        return tab, list(self.basis), self.late[mu][1]
+        if mu is not None:
+            for row, (head, slacks) in zip(tab, self.tab_sums):
+                v = head + mu * slacks
+                if v:
+                    row[self.n] = v
+        return tab, list(self.basis)
 
 
 def phase_one(p: LpProblem) -> Phase1:
@@ -577,15 +594,18 @@ def phase_one(p: LpProblem) -> Phase1:
     return Phase1(p)
 
 
-def _phase_two(p: LpProblem, scale, tab, basis, cols) -> LpOutcome:
+def _phase_two(p: LpProblem, phase1: Phase1, tab, basis) -> LpOutcome:
     """Phase 2 on the real objective from a feasible basis, and the outcome;
-    `cols` are the standard columns, as `Phase1._start` gives them."""
-    n = len(cols)
+    `tab` and `basis` are the copies `Phase1._start` gives."""
+    n = phase1.ncols
     nvars = len(p.objective)
-    # Eliminate every basic column from the cost row of min -c . x. A basic
-    # column is zero outside its own row, whose entry there is positive, so
-    # only the cost row changes.
-    red = _int_row([-c for c in p.objective])
+    # The cost row of min -c . x, c = cost / den, and at key -1, which no
+    # column uses, an entry of rational value 1 that no pivot row holds: the
+    # row stays lam times its rational row, lam = red[-1] > 0. Eliminate
+    # every basic column from it; a basic column is zero outside its own
+    # row, whose entry there is positive, so only the cost row changes.
+    cost, den = _over_lcm(p.objective)
+    red = _primitive({j: -u for j, u in enumerate(cost) if u} | {-1: den})
     for row, col in zip(tab, basis):
         if col in red:
             _combine(red, col, row[col], row.items())
@@ -600,8 +620,20 @@ def _phase_two(p: LpProblem, scale, tab, basis, cols) -> LpOutcome:
                 d[col] = Fraction(-row[jc], row[col])
         return LpOutcome(status=UNBOUNDED, primal=x, ray=d[:nvars])
 
-    # y^T B = c_B: the duals of max c . x, the negated duals of min cost . z
-    y = _basis_dual(cols, scale, basis, lambda col: p.objective[col] if col < nvars else _ZERO)
+    # The final reduced costs d = red / lam of min -c . z are d_j = -c_j +
+    # y'^T A'_j on every column, y' the duals of max c . x over the standard
+    # rows, so y'^T B0' = c + d on the stored basis B0's columns: the duals
+    # are the stored inverse times w = c + d, over the one denominator den * lam.
+    # An artificial in B0 stays basic at zero (`_phase_one`), so its w is 0;
+    # its column n + k is no key of red, whose key n is the rhs.
+    lam = red[-1]
+    weights = []
+    for i, col in enumerate(phase1.basis):
+        if col < n:
+            u = red.get(col, 0) * den + (cost[col] * lam if col < nvars else 0)
+            if u:
+                weights.append((i, u))
+    y = _duals(phase1.inverse, weights, den * lam)
     value = sum((c * v for c, v in zip(p.objective, x) if c), _ZERO)
     return LpOutcome(status=OPTIMAL, primal=x, dual=y, objective_value=value)
 
@@ -620,7 +652,7 @@ def solve_lp(p: LpProblem) -> LpOutcome:
     start = phase1._start(p)
     if start is None:
         return LpOutcome(status=INFEASIBLE, farkas=list(phase1.farkas))
-    return _phase_two(p, phase1.scale, *start)
+    return _phase_two(p, phase1, *start)
 
 
 def _row_value(row: list[Fraction], x: list[Fraction]) -> Fraction:

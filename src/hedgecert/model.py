@@ -9,8 +9,8 @@ synchronization. The one exception is a compiled market's measure-program
 face (`arbitrage._face`), built under a lock on its first solve: a thread
 that finds it unbuilt takes the lock and looks again, so concurrent first
 queries run one phase 1. Nothing writes to the face after but for one
-record per push (its late column's rows and standard columns), stored by
-one `dict.setdefault` in `lp.Phase1.program`, so racing threads share it.
+record per push (its late column's dense rows), stored by one
+`dict.setdefault` in `lp.Phase1.program`, so racing threads share it.
 
 Leaves are indexed by *position* 0..L-1 in ascending node-id order among the
 nodes at the final period. Option payoffs, measure weights, and claims all
@@ -506,6 +506,12 @@ def terminal_gain(m: MarketModel, s: Strategy) -> list[Fraction]:
     """
     c = require_valid(m)
     _check_strategy_shape(c, s)
+    return _terminal_gain(c, s)
+
+
+def _terminal_gain(c: CompiledMarket, s: Strategy) -> list[Fraction]:
+    """`terminal_gain` of a strategy whose shape is already checked, as a
+    strategy the package builds for the market is."""
     a = c.tree.num_assets
     held, held_den = _over_lcm([h for nid in c.nonleaf for h in s.dynamic[nid]])
     wealth, wealth_den = [0] * len(c.prices), 1

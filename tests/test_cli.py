@@ -476,14 +476,16 @@ def test_pretty_colours_the_verdict_on_a_terminal_unless_no_color(capsys, monkey
 
 def test_solver_fault_exits_5(capsys, monkeypatch):
     # a broken kernel is a soundness failure, never "invalid input": the
-    # basis-dual solve finds no solution and must raise, not return
+    # elimination that factors the face's basis finds no pivot, and the
+    # factorization must raise, not return
     import hedgecert.lp as lp_mod
 
-    monkeypatch.setattr(lp_mod, "_eliminate", lambda rows, n: None)
+    monkeypatch.setattr(lp_mod, "_reduce", lambda rows, n: [])
     code, out, err = run(capsys, "check-nar", str(DATA / "m1.json"))
     assert code == 5
     assert out is None
     assert err["error"]["type"] == "soundness"
+    assert "basis matrix singular" in err["error"]["message"]
 
 
 def _fresh_process(*argv, **env) -> subprocess.CompletedProcess:

@@ -338,18 +338,18 @@ def test_reduce_linear_leaves_exact_pivot_tails_and_a_residual():
 def test_solver_never_writes_to_its_inputs():
     # the kernel eliminates in place; only its own copies may change, never
     # the caller's data or the stored phase 1 that every phase 2 starts from
-    # and _basis_dual re-solves from
+    # and reads its duals off, through the stored inverse
     rng = random.Random(7)
     for _ in range(300):
         p = random_lp(rng)
         before = copy.deepcopy(p)
         phase1 = lp.phase_one(p)
-        stored = copy.deepcopy((phase1.cols, phase1.scale, phase1.tab, phase1.basis))
+        stored = copy.deepcopy((phase1.inverse, phase1.scale, phase1.tab, phase1.basis))
         lp.solve_lp(p)
         for mu in (None, 0, 1, 0):
             lp.solve_lp(phase1.program(p.objective + [I] * (mu is not None), mu))
         assert p == before
-        assert (phase1.cols, phase1.scale, phase1.tab, phase1.basis) == stored
+        assert (phase1.inverse, phase1.scale, phase1.tab, phase1.basis) == stored
         system = (p.rows, p.rhs)
         if p.rows:
             lp.solve_linear(*system)

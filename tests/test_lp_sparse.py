@@ -11,6 +11,7 @@ certificate must be equal field for field: same status, primal, dual,
 objective, Farkas vector and ray.
 """
 
+import collections
 import copy
 import random
 from fractions import Fraction
@@ -29,6 +30,7 @@ from markets import (
     random_arbitrary_market,
     random_claim,
     random_lp,
+    random_rational,
     trinomial_straddle_market,
 )
 from oracle import hedge_lp
@@ -358,6 +360,81 @@ def test_wide_denominator_lps_match_the_dense_kernel():
         _assert_linear_solve(p.rows, p.rhs)
         statuses.add(out.status)
     assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
+
+
+def _reference_dual(phase1, p, basis, costs):
+    """`_dense_basis_dual` of p's reference standard form on the basis `lp`
+    ended on, as problem-row multipliers. `lp` keeps a floor program's late
+    column in its face's slot and the reference after the program's
+    columns, so every column of `lp` past the slot is one further on there;
+    the artificials are unit columns in both."""
+    std = _ReferenceStdForm(p)
+    shift = len(p.objective) - phase1.n  # 1 on a floor program, else 0
+    basis = [col + shift if col > phase1.n else col for col in basis]
+    return std.problem_multipliers(_dense_basis_dual(
+        std, range(len(std.rows)), basis, lambda col: costs(std, col)))
+
+
+def test_duals_from_the_stored_inverse_equal_the_dense_elimination(monkeypatch):
+    # every program's duals are read off its face's stored inverse and its
+    # final reduced costs; the dense elimination of its final basis must
+    # give the same vector, as must the infeasible face's phase-1 basis for
+    # the Farkas vector, the one the dense kernel's own phase 1 returns
+    pivot, optimize = lp._pivot, lp._optimize
+    pivots, ended = 0, []
+
+    def counted(*args):
+        nonlocal pivots
+        pivots += 1
+        pivot(*args)
+
+    def spied(tab, red, basis, ncols):
+        nonlocal pivots
+        pivots = 0
+        out = optimize(tab, red, basis, ncols)
+        ended.append((list(basis), pivots))
+        return out
+
+    monkeypatch.setattr(lp, "_pivot", counted)
+    monkeypatch.setattr(lp, "_optimize", spied)
+    seen = collections.Counter()
+    rng = random.Random(2303)
+    faces = [random_lp(rng) for _ in range(500)] + [_wide_lp(rng) for _ in range(200)]
+    for face in faces:
+        phase1 = lp.phase_one(face)
+        if phase1.farkas is not None:
+            expected = _reference_dual(phase1, face, ended[-1][0],
+                                       lambda std, col: _ONE if col >= std.ncols else _ZERO)
+            assert phase1.farkas == expected == _dense_solve_lp(face).farkas, face
+            seen["infeasible face"] += 1
+            continue
+        redundant = any(col >= phase1.ncols for col in phase1.basis)
+        n = phase1.n
+        programs = [("pricing", face.objective, None), ("zero objective", [_ZERO] * n, None),
+                    ("zero objective", [_ZERO] * (n + 1), 1),
+                    ("pricing", [random_rational(rng, -3, 3) for _ in range(n + 1)], 1)]
+        programs += [(f"floor, mu {mu}", [_ZERO] * n + [_ONE], mu) for mu in (0, 1, 2)]
+        for name, objective, mu in programs:
+            problem = phase1.program(objective, mu)
+            out = lp.solve_lp(problem)
+            if out.status != lp.OPTIMAL:
+                continue
+            basis, count = ended[-1]
+            expected = _reference_dual(phase1, problem, basis, lambda std, col: (
+                std.cost[col] if col < std.ncols else _ZERO))
+            assert out.dual == [-v for v in expected], (name, problem)
+            if mu is None:  # a late column may change the dense kernel's phase 1
+                assert out == _dense_solve_lp(copy.deepcopy(problem)), (name, problem)
+            seen[name] += 1
+            seen["0 phase-2 pivots" if count == 0 else "1 phase-2 pivot" if count == 1
+                 else "several phase-2 pivots"] += 1
+            # an artificial of B0 is still basic, so its reduced cost is 0
+            assert all(col in basis for col in phase1.basis if col >= phase1.ncols)
+            seen["redundant row, its artificial basic"] += redundant
+    assert all(seen[case] >= 10 for case in (
+        "infeasible face", "pricing", "zero objective", "floor, mu 0", "floor, mu 1",
+        "floor, mu 2", "0 phase-2 pivots", "several phase-2 pivots",
+        "redundant row, its artificial basic")), seen
 
 
 def test_integer_rows_are_primitive_multiples_of_the_fraction_rows():

@@ -61,7 +61,7 @@ def _phase1(c):
 
 
 def _state(phase1):
-    return copy.deepcopy((phase1.cols, phase1.scale, phase1.tab, phase1.basis, phase1.farkas))
+    return copy.deepcopy((phase1.inverse, phase1.scale, phase1.tab, phase1.basis, phase1.farkas))
 
 
 def test_warm_outcomes_match_a_cold_solve_of_the_same_problem():
@@ -193,7 +193,7 @@ def test_programs_of_one_mu_share_one_rows_list():
     phase1, problem = _face_and_floor()
     objective = [ZERO] * phase1.n + [ONE]
     again = phase1.program([ONE] * (phase1.n + 1), 1)
-    assert again.rows is problem.rows and phase1.late[1][0] is problem.rows
+    assert again.rows is problem.rows and phase1.late[1] is problem.rows
     push0 = phase1.program(objective, 0)
     assert push0.rows is phase1.program(objective, 0).rows is not problem.rows
     assert phase1.program(objective[:-1]).rows is phase1.rows
@@ -351,7 +351,7 @@ def test_threads_that_race_to_build_one_mu_share_its_rows():
                 thread.start()
             for thread in threads:
                 thread.join()
-            assert all(p.rows is face.late[1][0] for p in problems)
+            assert all(p.rows is face.late[1] for p in problems)
             assert len({lp.solve_lp(p).status for p in problems}) == 1
     finally:
         sys.setswitchinterval(interval)

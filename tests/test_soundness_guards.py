@@ -55,7 +55,7 @@ GUARDS = {
         [lambda tmp: ["check-na", M1]],
     ),
     "no strict leaf": (
-        arbitrage, "terminal_gain", lambda gain: lambda c, s: [F(0)] * len(c.leaves),
+        arbitrage, "_terminal_gain", lambda gain: lambda c, s: [F(0)] * len(c.leaves),
         "no strictly positive gain",
         [lambda: arbitrage.check_na(binomial_with_free_option())],
         [lambda tmp: ["check-na", _dumped(tmp, binomial_with_free_option())]],
