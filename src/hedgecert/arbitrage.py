@@ -399,7 +399,7 @@ def strictly_inside_quotes(m: MarketModel, q: MartingaleMeasure) -> bool:
 
 def verify_na_certificate(m: MarketModel, cert: ArbitrageCertificate) -> bool:
     c = require_valid(m)
-    if not isinstance(cert, ArbitrageCertificate) or not isinstance(cert.strict_leaf, int):
+    if not isinstance(cert, ArbitrageCertificate) or type(cert.strict_leaf) is not int:
         return False
     if not lp._rational_lists(cert.gains):
         return False

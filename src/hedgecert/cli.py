@@ -88,7 +88,7 @@ def _arbitrage_report(command: str, m: CompiledMarket, cert) -> tuple[int, dict]
     return EXIT_FAILS, _report(
         command,
         "fails",
-        certificates={"arbitrage": marketio.na_certificate_to_json(m, cert)},
+        certificates={"arbitrage": marketio.na_certificate_to_json(cert)},
         diagnostics={"strictLeaf": cert.strict_leaf},
     )
 
@@ -112,7 +112,7 @@ def _cmd_check_nar(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
         "check-nar",
         "holds",
         values={"slack": marketio.format_rational(witness.slack)},
-        certificates={"witness": marketio.witness_to_json(m, witness)},
+        certificates={"witness": marketio.witness_to_json(witness)},
     )
 
 
@@ -132,7 +132,7 @@ def _cmd_superhedge(args, m: CompiledMarket, f: Claim) -> tuple[int, dict]:
             certificates={
                 "ray": {
                     "capital": marketio.format_rational(capital),
-                    "strategy": marketio.strategy_to_json(m, ray),
+                    "strategy": marketio.strategy_to_json(ray),
                 }
             },
             diagnostics={"blocking": exc.blocking},
@@ -142,7 +142,7 @@ def _cmd_superhedge(args, m: CompiledMarket, f: Claim) -> tuple[int, dict]:
         "superhedge",
         "priced",
         values={"price": marketio.format_rational(price)},
-        certificates={"strategy": marketio.strategy_to_json(m, strategy)},
+        certificates={"strategy": marketio.strategy_to_json(strategy)},
     )
 
 
@@ -214,7 +214,7 @@ def _cmd_sharper_ftap(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
         "holds",
         values={"slack": marketio.format_rational(bundle.nar_witness.slack)},
         certificates={
-            "witness": marketio.witness_to_json(m, bundle.nar_witness),
+            "witness": marketio.witness_to_json(bundle.nar_witness),
             "dominating": {
                 name: marketio.measure_to_json(q)
                 for name, q in zip(m.generator_names, bundle.dominating)

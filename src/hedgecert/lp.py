@@ -25,11 +25,10 @@ positive. A pivot on column c with pivot row p replaces each row holding
 an entry a at c by p[c] * row - a * p, divided by its gcd; it visits only
 p's nonzeros and deletes the entries that cancel, and rows without c are
 untouched. The ratio test compares b_i / a_i by cross-multiplication. The
-Gauss-Jordan solve `solve_linear` uses the same elimination (`_reduce`, on
-integer rows) and returns a particular solution and the rank;
-`reduce_linear` stops the same elimination after a prefix of the columns,
-which is how `redundancy` reduces every option's payoff at once, and
-`_factor` runs it once per face to invert the face's basis.
+same elimination (`_reduce`, on integer rows) brings a linear system to
+reduced row-echelon form in `_reduce_linear`, which `redundancy` reads
+every option's verdict off, and `_factor` runs it once per face to invert
+the face's basis.
 `LpProblem` itself stays dense. The certificate replays in `model` and
 `arbitrage` use the same integer arithmetic: `_over_lcm` puts rationals over
 one common denominator, and `_dot` is the exact dot product built on it.
@@ -257,63 +256,19 @@ def _pivot(rows, r, c, red=None):
         _combine(red, c, pc, nonzeros)
 
 
-def _system_width(rows, rhs=None) -> int:
-    """The column count of a linear system, after checking its shape and
-    entries; StructureError naming the first fault."""
-    _list(rows, "rows")
-    if not rows:
-        raise StructureError("a linear system needs at least one row to fix its column count")
-    for i, row in enumerate(rows):
-        _list(row, f"rows[{i}]")
-        n = len(rows[0])  # rows[0] passed the check above at i = 0
-        if len(row) != n:
-            raise StructureError(f"rows[{i}] has {len(row)} entries, expected {n}")
-        _rationals(row, f"rows[{i}]")
-    if rhs is not None:
-        if len(rhs) != len(rows):
-            raise StructureError(f"rhs has {len(rhs)} entries for {len(rows)} rows")
-        _rationals(rhs, "rhs")
-    return n
-
-
-def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> tuple[list[Fraction], int] | None:
-    """Solve rows . x = rhs exactly by Gauss-Jordan elimination.
-
-    Returns a solution, with every column that takes no pivot at 0, and the
-    rank of `rows`; None when the system is inconsistent. Any shape with at
-    least one row is accepted; rows, a row or an rhs that is not a list, a
-    ragged row, an rhs of another length or an entry that is not an int or a
-    Fraction is a StructureError.
+def _reduce_linear(rows: list[list[Fraction]], n: int) -> tuple[list[int], list[list[Fraction]]]:
+    """The reduced row-echelon form of `rows`, by Gauss-Jordan elimination
+    in column order (`_reduce`), each pivot on the first remaining row that
+    holds the column. Returns the pivot columns and, for each pivot row in
+    order, its entries from column n on divided by its pivot, so exact. The
+    rows are not checked: at least one, all of one length, every entry an
+    int or a Fraction, as a compiled market builds them.
     """
-    _list(rhs, "rhs")
-    n = _system_width(rows, rhs)
-    a = [_int_row([*row, b]) for row, b in zip(rows, rhs)]
-    piv_cols = _reduce(a, n)
-    if any(n in row for row in a[len(piv_cols):]):
-        return None  # inconsistent
-    return _basic_point(a, piv_cols, n), len(piv_cols)
-
-
-def reduce_linear(rows: list[list[Fraction]], n: int) -> tuple[list[int], list[list[Fraction]]]:
-    """Gauss-Jordan elimination of `rows` on their first n columns only.
-
-    Pivots are taken in column order, each on the first remaining row that
-    holds the column, as in `solve_linear`. Returns the pivot columns and,
-    for every row in eliminated order, its entries from column n on. Row k
-    below the rank has been divided by its pivot, so its entries are exact;
-    each later row is zero on the first n columns, and its entries are a
-    positive multiple of the exact residual, which is all a span test needs.
-    """
-    width = _system_width(rows)
-    if not 0 <= n <= width:
-        raise StructureError(f"cannot eliminate {n} columns of rows with {width}")
     a = [_int_row(row) for row in rows]
-    piv_cols = _reduce(a, n)
-    tails = []
-    for k, row in enumerate(a):
-        d = row[piv_cols[k]] if k < len(piv_cols) else 1
-        tails.append([Fraction(row.get(j, 0), d) for j in range(n, width)])
-    return piv_cols, tails
+    width = len(rows[0])
+    piv_cols = _reduce(a, width)
+    return piv_cols, [[Fraction(row[j], row[c]) if j in row else _ZERO for j in range(n, width)]
+                      for row, c in zip(a, piv_cols)]
 
 
 def _reduce(a: list[dict[int, int]], n: int) -> list[int]:

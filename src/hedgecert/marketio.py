@@ -299,7 +299,7 @@ def claim_to_json(m: MarketModel, f: Claim) -> dict:
     }
 
 
-def strategy_to_json(m: MarketModel, s: Strategy) -> dict:
+def strategy_to_json(s: Strategy) -> dict:
     return {
         "dynamic": {
             str(nid): [format_rational(v) for v in s.dynamic[nid]]
@@ -318,15 +318,15 @@ def measure_to_json(q: MartingaleMeasure) -> dict:
     }
 
 
-def na_certificate_to_json(m: MarketModel, cert: ArbitrageCertificate) -> dict:
+def na_certificate_to_json(cert: ArbitrageCertificate) -> dict:
     return {
-        "strategy": strategy_to_json(m, cert.strategy),
+        "strategy": strategy_to_json(cert.strategy),
         "gains": [format_rational(g) for g in cert.gains],
         "strictLeaf": cert.strict_leaf,
     }
 
 
-def witness_to_json(m: MarketModel, w: RobustnessWitness) -> dict:
+def witness_to_json(w: RobustnessWitness) -> dict:
     return {
         "shrunkBids": [format_rational(v) for v in w.shrunk_bids],
         "shrunkAsks": [format_rational(v) for v in w.shrunk_asks],

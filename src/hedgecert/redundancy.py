@@ -4,13 +4,14 @@ An option is redundant when cash, dynamic stock trading, and the other
 options replicate its payoff exactly on every charged scenario; quotes play
 no role in that question, only payoffs do. It is a linear system, with no
 inequality and no objective, so exact elimination decides it and any
-solution is the replication certificate. One elimination of [1 | G] on the
-charged leaves, carrying every payoff column, serves all options at once:
-option i is then decided on the small block of payoff residuals left below
-the [1 | G] pivot rows. When every option with a nonzero spread is
-non-redundant, no-arbitrage and robust no-arbitrage coincide, so one solve
-of the robust program settles the whole market either way; `sharper_ftap`
-bundles exactly that, and solves no other program.
+solution is the replication certificate. One reduced row-echelon form of
+[1 | G | P] on the charged leaves serves all options at once: whether
+option i's payoff column takes a pivot, and which later payoff columns lean
+on it, decide it and give its certificate. When every option with a
+nonzero spread is non-redundant, no-arbitrage and robust no-arbitrage
+coincide, so one solve of the robust program settles the whole market
+either way; `sharper_ftap` bundles exactly that, and solves no other
+program.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .arbitrage import (
     _robustness,
 )
 from .errors import PreconditionError, StructureError
-from .lp import _rational_lists, reduce_linear, solve_linear
+from .lp import _rational_lists, _reduce_linear
 from .model import (CompiledMarket, MarketModel, Strategy, ZERO, ONE, _index, require_valid,
                     terminal_gain)
 
@@ -63,42 +64,45 @@ class SharperFtapBundle:
 
 
 def _replications(c: CompiledMarket, targets: list[int]) -> dict[int, NonredundancyVerdict]:
-    """Decide every option in `targets` from one elimination.
+    """Decide every option in `targets` from one reduced row-echelon form.
 
-    [1 | G | P] on the charged leaves is eliminated on its [1 | G] columns
-    once. Below the pivot rows the payoff columns leave a residual block R,
-    and option i is redundant iff R_others λ = R_i has a solution. Then
-    static positions λ and, at the [1 | G] pivot columns, T_i - Σ λ_k T_k
-    replicate it, T_k being option k's reduced column at the pivot rows.
-    Column-ordered Gauss-Jordan picks the same pivots as eliminating
-    [1 | G | P_others] against P_i, so this is that system's solution, with
-    every column that takes no pivot at 0.
+    [1 | G | P] on the charged leaves is reduced once, in column order.
+    Option i's payoff column then reads in one of two ways. Without a pivot
+    it is the combination of the pivot columns its reduced entries give.
+    With a pivot in row r it is redundant exactly when a later payoff column
+    without a pivot has a nonzero entry in row r; the first such column f is
+    a combination of the pivot columns, P_i among them, solved for P_i. So
+    column j (i itself, or f) has a dependency d with d . [1 | G | P] = 0
+    and d_j = 1, and the certificate is -d / d_i without column i.
+    Column-ordered Gauss-Jordan on [1 | G | P_others] takes the same
+    pivots, f's in place of P_i's, so this is that system's solution
+    against P_i, with every column that takes no pivot at 0.
     """
     if not targets:
         return {}
-    nb = 1 + len(c.columns)
-    piv, tails = reduce_linear(
+    nb, e = 1 + len(c.columns), len(c.options)
+    piv, tails = _reduce_linear(
         [[ONE, *c.gain_rows[pos], *(opt.payoff[pos] for opt in c.options)] for pos in c.charged],
         nb,
     )
-    top, residual = tails[:len(piv)], tails[len(piv):]
+    row_of = {col: k for k, col in enumerate(piv)}
     verdicts = {}
     for i in targets:
-        others = [k for k in range(len(c.options)) if k != i]
-        if residual:
-            solved = solve_linear([[row[k] for k in others] for row in residual],
-                                  [row[i] for row in residual])
-            if solved is None:
+        j = i
+        if nb + i in row_of:
+            lean = tails[row_of[nb + i]]
+            j = next((f for f in range(i + 1, e) if nb + f not in row_of and lean[f]), None)
+            if j is None:
                 verdicts[i] = NonredundancyVerdict(True)
                 continue
-            static = solved[0]
-        else:  # [1 | G] has full row rank: it spans every payoff alone
-            static = [ZERO] * len(others)
-        x = [ZERO] * nb
-        for row, col in zip(top, piv):
-            x[col] = row[i] - sum((h * row[k] for h, k in zip(static, others) if h), ZERO)
-        dynamic = c.strategy_from(x[1:]).dynamic
-        verdicts[i] = NonredundancyVerdict(False, ReplicationCertificate(x[0], dynamic, static))
+        d = [ZERO] * (nb + e)
+        d[nb + j] = ONE
+        for col, tail in zip(piv, tails):
+            d[col] = -tail[j]
+        s = d.pop(nb + i)  # option i's own coefficient, nonzero
+        x = [-v / s if v else ZERO for v in d]  # over [1 | G | P_others]
+        dynamic = c.strategy_from(x[1:nb]).dynamic
+        verdicts[i] = NonredundancyVerdict(False, ReplicationCertificate(x[0], dynamic, x[nb:]))
     return verdicts
 
 

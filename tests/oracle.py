@@ -11,9 +11,11 @@ exponential-time by design behind hard size guards: vertex enumeration of
 the consistent-measure polytope (so dual prices can be checked against a
 max over vertices) and the definitional robust-no-arbitrage scan that
 shrinks quotes through a dyadic ladder and reruns the reference
-no-arbitrage check. Last, the two certificate walks the package replaced:
-terminal gains and the martingale replay in `Fraction` arithmetic, path by
-path from the root to each leaf.
+no-arbitrage check. The per-option elimination and the vertex enumeration
+run a dense `Fraction` Gauss-Jordan of their own (`_dense_gauss_jordan`),
+which shares no kernel with `lp`. Last, the two certificate walks the
+package replaced: terminal gains and the martingale replay in `Fraction`
+arithmetic, path by path from the root to each leaf.
 """
 
 from __future__ import annotations
@@ -174,7 +176,7 @@ def replication_solve(m: MarketModel, i: int) -> NonredundancyVerdict:
     others = [k for k in range(len(c.options)) if k != i]
     rows = [[ONE, *c.gain_rows[pos], *(c.options[k].payoff[pos] for k in others)]
             for pos in c.charged]
-    solved = lp.solve_linear(rows, [c.options[i].payoff[pos] for pos in c.charged])
+    solved = _dense_solve(rows, [c.options[i].payoff[pos] for pos in c.charged])
     if solved is None:
         return NonredundancyVerdict(True)
     x = solved[0]
@@ -204,29 +206,55 @@ def two_program_sharper_ftap(m: MarketModel) -> SharperFtapBundle:
     return SharperFtapBundle(na, nar.witness, [measure] * len(c.measures.generators))
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    work = [list(r) for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
+def _dense_gauss_jordan(rows, rhs):
+    """The reduced rows [A | b] and the pivot columns, in pivot order: dense
+    `Fraction` Gauss-Jordan in column order, each pivot scaled to 1."""
+    m, n = len(rows), len(rows[0])
+    a = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
+    piv_cols = []
+    r = 0
+    for col in range(n):
         sel = None
-        for i in range(rank, len(work)):
-            if work[i][col]:
+        for i in range(r, m):
+            if a[i][col]:
                 sel = i
                 break
         if sel is None:
             continue
-        work[rank], work[sel] = work[sel], work[rank]
-        prow = work[rank]
+        a[r], a[sel] = a[sel], a[r]
+        prow = a[r]
         inv = ONE / prow[col]
         if inv != 1:
-            work[rank] = prow = [v * inv for v in prow]
-        for i in range(len(work)):
-            if i != rank and work[i][col]:
-                f = work[i][col]
-                work[i] = [u - f * v for u, v in zip(work[i], prow)]
-        rank += 1
-    return rank
+            a[r] = prow = [v * inv for v in prow]
+        for i in range(m):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [u - f * v for u, v in zip(a[i], prow)]
+        piv_cols.append(col)
+        r += 1
+        if r == m:
+            break
+    return a, piv_cols
+
+
+def _dense_solve(rows, rhs) -> tuple[list[Fraction], int] | None:
+    """A solution of rows . x = rhs, every column without a pivot at 0, and
+    the rank of rows; None when the system is inconsistent."""
+    a, piv_cols = _dense_gauss_jordan(rows, rhs)
+    if any(row[-1] for row in a[len(piv_cols):]):
+        return None
+    x = [ZERO] * len(rows[0])
+    for row, col in zip(a, piv_cols):
+        x[col] = row[-1]
+    return x, len(piv_cols)
+
+
+def _dense_solve_unique(rows, rhs) -> list[Fraction] | None:
+    """The unique solution of rows . x = rhs, or None when there is none."""
+    solved = _dense_solve(rows, rhs) if rows else None
+    if solved is None or solved[1] < len(rows[0]):
+        return None
+    return solved[0]
 
 
 def enumerate_consistent_measures(m: MarketModel) -> VertexSet:
@@ -271,7 +299,7 @@ def enumerate_consistent_measures(m: MarketModel) -> VertexSet:
         row[idx] = Fraction(-1)
         ineq.append((row, ZERO))
 
-    dim = k - _rank(eq_rows)
+    dim = k - len(_dense_gauss_jordan(eq_rows, eq_rhs)[1])
     seen: set[tuple] = set()
     vertices: list[list[Fraction]] = []
 
@@ -292,9 +320,9 @@ def enumerate_consistent_measures(m: MarketModel) -> VertexSet:
     for chosen in combinations(range(len(ineq)), dim):
         rows = list(eq_rows) + [ineq[c][0] for c in chosen]
         rhs = list(eq_rhs) + [ineq[c][1] for c in chosen]
-        solved = lp.solve_linear(rows, rhs)
-        if solved is not None and solved[1] == k:  # a unique solution
-            admit(solved[0])
+        solved = _dense_solve_unique(rows, rhs)
+        if solved is not None:
+            admit(solved)
 
     vertices.sort(key=tuple)
     return VertexSet(vertices)

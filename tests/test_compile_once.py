@@ -8,8 +8,8 @@ never at import. The compiled gain rows match a reference built from the
 price differences along each leaf's path.
 
 The counts come from rebinding `validate_market`, `_compile`, `lp.solve_lp`
-and the replication test's `reduce_linear` around a single call, so they
-hold for whatever the call delegates to.
+and `redundancy._reduce_linear` around a single call, so they hold for
+whatever the call delegates to.
 """
 
 import argparse
@@ -164,10 +164,11 @@ def test_gain_rows_match_per_path_price_differences():
 def test_sharper_ftap_solves_one_program_and_one_elimination(monkeypatch):
     # one solve of the robust program settles the market either way: its
     # witness when robust no-arbitrage holds, else the arbitrage its
-    # multipliers encode; every spread option is decided from one shared
-    # elimination of [1 | G], which is skipped when no option has a spread
+    # multipliers encode; every spread option is decided from one reduced
+    # row-echelon form of [1 | G | P], which is skipped when no option has a
+    # spread
     solves = _Counter(monkeypatch, lp, "solve_lp")
-    eliminations = _Counter(monkeypatch, redundancy, "reduce_linear")
+    eliminations = _Counter(monkeypatch, redundancy, "_reduce_linear")
     # a non-redundant spread option bid above its largest payoff
     overbid = stockless_market(
         2, [OptionQuote("digital", [F(0), F(1)], F(3, 2), F(2))], [[F(1), F(0)], [F(0), F(1)]]

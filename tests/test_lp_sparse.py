@@ -3,9 +3,9 @@
 The reference below is a dense `Fraction` kernel: its own reduction to
 standard form with `Fraction` rows and rhs, the tableau pivot that scales
 its pivot row to 1 and subtracts full rows, Bland's `_optimize`, the
-two-phase tableau path of `solve_lp` and the Gauss-Jordan elimination that
-`solve_linear` is checked against. It shares no
-reduction or kernel code with `lp`. The kernel in `lp` keeps every row as a
+two-phase tableau path of `solve_lp`, and from `oracle` the dense
+Gauss-Jordan elimination that `lp._reduce_linear` is checked against. It
+shares no reduction or kernel code with `lp`. The kernel in `lp` keeps every row as a
 primitive integer multiple of these rows, so every sign, Bland choice and
 certificate must be equal field for field: same status, primal, dual,
 objective, Farkas vector and ray.
@@ -33,7 +33,7 @@ from markets import (
     random_rational,
     trinomial_straddle_market,
 )
-from oracle import hedge_lp
+from oracle import _dense_gauss_jordan, _dense_solve_unique, hedge_lp
 
 _ZERO = F(0)
 _ONE = F(1)
@@ -100,68 +100,16 @@ def _dense_pivot(tab, rhs, red, basis, r, jc):
     basis[r] = jc
 
 
-def _dense_gauss_jordan(rows, rhs):
-    """The reduced rows [A | b] and the pivot columns, in pivot order."""
-    m, n = len(rows), len(rows[0])
-    a = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    piv_cols = []
-    r = 0
-    for col in range(n):
-        sel = None
-        for i in range(r, m):
-            if a[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        a[r], a[sel] = a[sel], a[r]
-        prow = a[r]
-        inv = _ONE / prow[col]
-        if inv != 1:
-            a[r] = prow = [v * inv for v in prow]
-        for i in range(m):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [u - f * v for u, v in zip(a[i], prow)]
-        piv_cols.append(col)
-        r += 1
-        if r == m:
-            break
-    return a, piv_cols
-
-
-def _dense_inconsistent(a, piv_cols):
-    return any(row[-1] for row in a[len(piv_cols):])
-
-
-def _dense_solve_unique(rows, rhs):
-    if not rows:
-        return None
-    a, piv_cols = _dense_gauss_jordan(rows, rhs)
-    n = len(rows[0])
-    if _dense_inconsistent(a, piv_cols) or len(piv_cols) < n:
-        return None
-    x = [F(0)] * n
-    for k, col in enumerate(piv_cols):
-        x[col] = a[k][n]
-    return x
-
-
 def _assert_linear_solve(rows, rhs):
-    """`solve_linear` against the dense elimination: None exactly when the
-    system is inconsistent, else an exact solution, the rank, and the unique
-    solution whenever the rank is full."""
-    a, piv_cols = _dense_gauss_jordan(rows, rhs)
-    solved = lp.solve_linear(rows, rhs)
-    assert (solved is None) == _dense_inconsistent(a, piv_cols), (rows, rhs)
-    if solved is not None:
-        x, rank = solved
-        assert rank == len(piv_cols), (rows, rhs)
-        for row, b in zip(rows, rhs):
-            assert sum((c * v for c, v in zip(row, x)), _ZERO) == b, (rows, rhs)
-    # unique exactly when consistent and of full rank, and then the same
-    unique = x if solved is not None and rank == len(rows[0]) else None
-    assert unique == _dense_solve_unique(rows, rhs), (rows, rhs)
+    """`lp._reduce_linear` of [A | b] against the dense elimination. A
+    reduced row-echelon form is unique, so both take the same pivot columns
+    and leave the same pivot rows, entry for entry; b takes a pivot exactly
+    when the system is inconsistent."""
+    augmented = [[*row, b] for row, b in zip(rows, rhs)]
+    a, piv_cols = _dense_gauss_jordan(augmented, [_ZERO] * len(rows))
+    for n in (0, len(rows[0])):
+        expected = [row[n:-1] for row in a[:len(piv_cols)]]
+        assert lp._reduce_linear(augmented, n) == (piv_cols, expected), (rows, rhs, n)
 
 
 def _dense_optimize(tab, rhs, red, basis, ncols):

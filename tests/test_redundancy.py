@@ -6,7 +6,7 @@ import pytest
 import oracle
 from hedgecert.arbitrage import strictly_inside_quotes, verify_measure, verify_na_certificate
 from hedgecert.errors import DomainError, HedgecertError, PreconditionError
-from hedgecert.model import OptionQuote
+from hedgecert.model import ONE, ZERO, OptionQuote, require_valid
 from hedgecert.redundancy import (
     all_spread_options_nonredundant,
     check_nonredundant,
@@ -176,8 +176,26 @@ def _reference_markets():
     return fixtures + [random_arbitrary_market(rng, max_options=3) for _ in range(300)]
 
 
+def _reading(m, i) -> str:
+    """How the reduced row-echelon form of [1 | G | P], by the dense
+    reference, decides option i: "free" when its column takes no pivot,
+    "leaning" when it does and a later column without a pivot has a nonzero
+    entry in its pivot row, else "alone"."""
+    c = require_valid(m)
+    rows = [[ONE, *c.gain_rows[pos], *(opt.payoff[pos] for opt in c.options)]
+            for pos in c.charged]
+    a, piv = oracle._dense_gauss_jordan(rows, [ZERO] * len(rows))
+    col = 1 + len(c.columns) + i
+    if col not in piv:
+        return "free"
+    row = a[piv.index(col)]
+    return "leaning" if any(row[j] for j in range(col + 1, len(rows[0])) if j not in piv) else "alone"
+
+
 def test_shared_elimination_equals_one_elimination_per_option():
-    seen = {True: 0, False: 0}
+    # every verdict and certificate is the one the dense elimination of
+    # [1 | G | P_others] against P_i gives, on enough options of each reading
+    seen = {"free": 0, "leaning": 0, "alone": 0}
     for m in _reference_markets():
         report = all_spread_options_nonredundant(m)
         assert set(report.verdicts) == {i for i, opt in enumerate(m.options) if opt.has_spread()}
@@ -188,8 +206,10 @@ def test_shared_elimination_equals_one_elimination_per_option():
                 assert report.verdicts[i] == verdict
             if not verdict.non_redundant:
                 assert verify_replication(m, i, verdict.certificate)
-            seen[verdict.non_redundant] += 1
-    assert min(seen.values()) >= 50, seen
+            reading = _reading(m, i)
+            assert verdict.non_redundant == (reading == "alone"), (m, i)
+            seen[reading] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def _outcome(query, m):

@@ -53,6 +53,9 @@ def test_replays_return_false_on_missing_or_mistyped_certificates():
         "no interior measure": lambda: verify_nar_witness(m, replace(witness, interior_measure=None)),
         "no arbitrage certificate": lambda: verify_na_certificate(free, None),
         "no arbitrage strategy": lambda: verify_na_certificate(free, replace(cert, strategy=None)),
+        # a bool is no leaf index, though it would index leaf 1 or 0
+        "bool strict leaf 1": lambda: verify_na_certificate(free, replace(cert, strict_leaf=True)),
+        "bool strict leaf 0": lambda: verify_na_certificate(free, replace(cert, strict_leaf=False)),
         "no measure": lambda: verify_measure(m, None),
         "no interior candidate": lambda: strictly_inside_quotes(m, None),
         "no hedge": lambda: verify_super_replication(m, claim, price, None),
