@@ -5,10 +5,10 @@ standard form with `Fraction` rows and rhs, the tableau pivot that scales
 its pivot row to 1 and subtracts full rows, Bland's `_optimize`, the
 two-phase tableau path of `solve_lp`, and from `oracle` the dense
 Gauss-Jordan elimination that `lp._reduce_linear` is checked against. It
-shares no reduction or kernel code with `lp`. The kernel in `lp` keeps every row as a
-primitive integer multiple of these rows, so every sign, Bland choice and
-certificate must be equal field for field: same status, primal, dual,
-objective, Farkas vector and ray.
+shares no reduction or kernel code with `lp`. The kernel in `lp` keeps
+every row as a primitive integer multiple of these rows, so every sign,
+Bland choice and certificate must be equal field for field: same status,
+primal, dual, objective, Farkas vector and ray.
 """
 
 import collections
