@@ -1,13 +1,19 @@
 import random
+import re
+from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 
 import oracle
+from hedgecert import redundancy
 from hedgecert.arbitrage import strictly_inside_quotes, verify_measure, verify_na_certificate
-from hedgecert.errors import DomainError, HedgecertError, PreconditionError
-from hedgecert.model import ONE, ZERO, OptionQuote, require_valid
+from hedgecert.errors import DomainError, HedgecertError, PreconditionError, StructureError
+from hedgecert.model import (ONE, ZERO, MeasureFamily, OptionQuote, require_valid,
+                             validate_market)
 from hedgecert.redundancy import (
+    ReplicationCertificate,
     all_spread_options_nonredundant,
     check_nonredundant,
     sharper_ftap,
@@ -71,6 +77,74 @@ def test_scaled_option_redundant_then_alone_nonredundant():
 def test_index_out_of_range():
     with pytest.raises(DomainError):
         check_nonredundant(binomial_market(), 0)
+
+
+def _spread_node(k, **fields):
+    m = binomial_with_spread_option()
+    nodes = list(m.tree.nodes)
+    nodes[k] = replace(nodes[k], **fields)
+    return replace(m, tree=replace(m.tree, nodes=nodes))
+
+
+def _spread_payoff(payoff):
+    m = binomial_with_spread_option()
+    return replace(m, options=[replace(m.options[0], payoff=payoff)])
+
+
+_SPREAD = binomial_with_spread_option()
+
+# Each market would hand the elimination rows of the wrong shape or with
+# inexact entries: ragged gain rows, a payoff longer or shorter than the
+# leaf count, an entry that is no rational, no row at all, or more or fewer
+# gain columns than the prices carry. The elimination checks none of this;
+# the market's validation stops every one first and names it.
+MALFORMED_ROWS = {
+    "ragged gain row": (_spread_node(1, prices=[F(2), F(3)]),
+                        "tree: node 1 carries 2 prices, expected 1"),
+    "long payoff": (_spread_payoff([F(1), F(0), F(1)]),
+                    "options[0] ('digital'): payoff has 3 entries, expected 2"),
+    "short payoff": (_spread_payoff([F(1)]),
+                     "options[0] ('digital'): payoff has 1 entries, expected 2"),
+    "float leaf price": (_spread_node(2, prices=[0.5]), "tree: node 2 prices[0] is float 0.5"),
+    "Decimal payoff": (_spread_payoff([Decimal("0.5"), F(0)]),
+                       "options[0] ('digital'): payoff[0] is Decimal"),
+    "no generator": (replace(_SPREAD, measures=MeasureFamily([])),
+                     "measures: at least one generator required"),
+    "no payoff entry": (_spread_payoff([F(1), None]),
+                        "options[0] ('digital'): payoff[1] is NoneType None"),
+    "no payoff list": (_spread_payoff(None),
+                       "options[0] ('digital'): payoff is NoneType, not a list"),
+    "no node list": (replace(_SPREAD, tree=replace(_SPREAD.tree, nodes=None)),
+                     "tree: nodes is NoneType, not a list"),
+    "no price list": (_spread_node(1, prices=None), "tree: node 1 prices is NoneType, not a list"),
+    "bool payoff": (_spread_payoff([True, F(0)]),
+                    "options[0] ('digital'): payoff[0] is bool True"),
+    "no node": (replace(_SPREAD, tree=replace(_SPREAD.tree, nodes=[])), "tree: no nodes"),
+    "more assets than prices": (replace(_SPREAD, tree=replace(_SPREAD.tree, num_assets=3)),
+                                "tree: node 0 carries 1 prices, expected 3"),
+    "negative asset count": (replace(_SPREAD, tree=replace(_SPREAD.tree, num_assets=-1)),
+                             "tree: num_assets is -1, must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
+def test_malformed_markets_never_reach_the_elimination(case, monkeypatch):
+    m, where = MALFORMED_ROWS[case]
+    report = validate_market(m)
+    assert not report.ok
+    assert any(v.startswith(where) for v in report.violations), report.violations
+    reached = []
+    monkeypatch.setattr(redundancy, "_reduce_linear", lambda *a: reached.append(a))
+    queries = [
+        lambda m: check_nonredundant(m, 0),
+        all_spread_options_nonredundant,
+        sharper_ftap,
+        lambda m: verify_replication(m, 0, ReplicationCertificate(ZERO, {}, [])),
+    ]
+    for query in queries:
+        with pytest.raises(StructureError, match=re.escape(where)):
+            query(m)
+    assert reached == []
 
 
 def _uncharged_leaf_market():
