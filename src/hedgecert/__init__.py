@@ -43,6 +43,7 @@ from .model import (
     Strategy,
     ValidationReport,
     canonical_legs,
+    market_without_option,
     rat,
     require_valid,
     support,
@@ -65,7 +66,6 @@ from .superhedge import (
     claim_price_bounds,
     dual_price,
     duality_report,
-    market_without_option,
     price_bounds_excluding,
     strict_dual_approx,
     superhedge_price,

@@ -60,26 +60,26 @@ infeasible face's Farkas vector is the same product with the phase-1 costs,
 1 on each artificial, on its phase-1 basis.
 
 Phase 1 and phase 2 are separate routines, and a phase 1 can be stored.
-`phase_one(p)` runs phase 1 on all of p's columns and rows, its face, and
-keeps a `Phase1`: p's own row, relation and rhs lists (not copies, so they
-must not change after), the face's tableau and basis after the drive-out
-and the basis's inverse, or instead of these the Farkas vector when the
-face is infeasible. Phase 1 never sees the objective, so `Phase1.program`
-builds every program on the face from it and names it in `LpProblem.phase1`.
-A program's rows are the face's own list, or with an int mu >= 0 the face
-plus one late column: the face's column sum plus mu times each inequality
-row's slack column, kept once per mu as its dense rows; the late column
-never enters B0, so its programs share B0's inverse. Phase 2 starts from
-copies of the face's tableau and basis; a late column is written into the
-copy's slot as the same sum of the tableau's columns. An empty slot never
-enters, so Bland's order is the face's. Such a column keeps feasibility with the face
+`Phase1(p)` runs phase 1 on all of p's columns and rows, its face, and keeps
+p's own row, relation and rhs lists (not copies, so they must not change
+after), the face's tableau and basis after the drive-out and the basis's
+inverse, or instead of these the Farkas vector when the face is infeasible.
+Phase 1 never sees the objective, so `Phase1.program` builds every program
+on the face from it and sets the program's frozen `phase1` to the route
+(the phase 1, mu), which no constructor or `replace` can. A program's rows
+are the face's own list, or with an int mu >= 0 the face plus one late
+column: the face's column sum plus mu times each inequality row's slack
+column, kept once per mu as its dense rows; the late column never enters
+B0, so its programs share B0's inverse. Phase 2 starts from copies of the
+face's tableau and basis; a late column is written into the copy's slot as
+the same sum of the tableau's columns. An empty slot never enters, so
+Bland's order is the face's. Such a column keeps feasibility with the face
 (move its value onto every face column and mu times it onto each slack) and
 keeps a face's Farkas vector y one of the whole problem (y . A_late is a sum
 of y . A_j <= 0 and mu y_k (+-1) <= 0), so the face's verdict and basis
-serve the whole problem. A problem whose relations, rhs and rows are not
-these lists, by identity, is a StructureError; the face was validated once,
-so only the objective is checked. `solve_lp` without a stored phase 1 is
-`phase_one(p)` and then the same start.
+serve the whole problem. Neither the face nor a routed program is checked,
+as the package builds both from a compiled market; `solve_lp` validates a
+problem with no route, runs `Phase1(p)` and then the same start.
 
 Every outcome carries a certificate checkable from the untouched data:
 
@@ -116,15 +116,15 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LpProblem:
     objective: list[Fraction]
     rows: list[list[Fraction]]
     relations: list[str]
     rhs: list[Fraction]
-    # the stored phase 1 (`phase_one`) whose `Phase1.program` built this
-    # problem on its lists, to start phase 2 from; they must not change after
-    phase1: Phase1 | None = field(default=None, compare=False, repr=False)
+    # (the face's Phase1, mu) when `Phase1.program` built this problem on
+    # its lists; no constructor or `replace` sets it, so a copy has no route
+    phase1: tuple[Phase1, int | None] | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass
@@ -464,13 +464,12 @@ class Phase1:
     starts phase 2 from it (see the module docstring): the face's standard
     rows, pivoted by phase 1 into its tableau, its basis B0, and the inverse
     of B0'^T (`_factor`), from which every program's duals are one product.
-    Built by `phase_one` and read-only after, but for the one record
-    `program` adds per mu: the dense rows.
+    The face is trusted, not validated. Read-only after, but for the one
+    record `program` adds per mu: the dense rows.
     """
 
     def __init__(self, p: LpProblem):
-        # p's own lists, which every program shares: they must not change
-        # after, as `LpProblem.phase1` says
+        # p's own lists, which every program shares: they must not change after
         self.rows, self.relations, self.rhs = p.rows, p.relations, p.rhs
         self.n = n = len(p.objective)
         tab, self.scale, self.sums, cols, self.ncols = _standard(p)
@@ -493,66 +492,35 @@ class Phase1:
             self.tab_sums.append((sum(row.values()) - row.get(self.ncols, 0) - slacks, slacks))
 
     def program(self, objective: list[Fraction], mu: int | None = None) -> LpProblem:
-        """The problem that maximizes `objective` on the face, with phase1
-        set: the face's own rows, or with mu an int >= 0, the rows with one
-        late column, the face's column sum plus mu times each inequality
+        """The problem that maximizes `objective` on the face, routed to this
+        phase 1: the face's own rows, or with mu an int >= 0, the rows with
+        one late column, the face's column sum plus mu times each inequality
         row's slack column. Each mu's rows are built once and shared."""
-        if mu is None:
-            return LpProblem(objective, self.rows, self.relations, self.rhs, self)
-        if type(mu) is not int or mu < 0:
-            raise StructureError(f"a late column's mu is {mu!r}, not an int >= 0")
-        rows = self.late.get(mu)
-        if rows is None:
-            # v_k = scale[k] * (row k's late entry): its slack part
-            # mu * slack_k / scale[k] is +-mu on an inequality row, 0 on an equation
-            rows = self.late.setdefault(mu, [
-                [*row, Fraction((head + mu * slack) * s.denominator, s.numerator)]
-                for row, (head, slack), s in zip(self.rows, self.sums, self.scale)
-            ])
-        return LpProblem(objective, rows, self.relations, self.rhs, self)
-
-    def _start(self, p: LpProblem):
-        """Copies of the tableau and basis to start p's phase 2 from, its
-        late column (if any) in the slot; None when the face is infeasible.
-        StructureError unless p holds this phase 1's own lists, as `program`
-        builds them."""
-        if p.relations is not self.relations or p.rhs is not self.rhs:
-            raise StructureError("the problem's relations or rhs are not its phase 1's lists")
-        if p.rows is self.rows:
-            mu = None
-        else:
-            # a snapshot: another thread's `program` may add a mu meanwhile
-            mu = next((mu for mu, rows in tuple(self.late.items()) if rows is p.rows), None)
-            if mu is None:
-                raise StructureError("the problem's rows are not its phase 1's; build it with Phase1.program")
-        n = self.n + (mu is not None)
-        _list(p.objective, "objective")
-        if len(p.objective) != n:
-            raise StructureError(f"objective has {len(p.objective)} entries, expected {n}")
-        _rationals(p.objective, "objective")
-        if self.farkas is not None:
-            return None
-        tab = [row.copy() for row in self.tab]
+        rows = self.rows
         if mu is not None:
-            for row, (head, slacks) in zip(tab, self.tab_sums):
-                v = head + mu * slacks
-                if v:
-                    row[self.n] = v
-        return tab, list(self.basis)
+            rows = self.late.get(mu)
+            if rows is None:
+                # v_k = scale[k] * (row k's late entry): its slack part
+                # mu * slack_k / scale[k] is +-mu on an inequality row, 0 on an equation
+                rows = self.late.setdefault(mu, [
+                    [*row, Fraction((head + mu * slack) * s.denominator, s.numerator)]
+                    for row, (head, slack), s in zip(self.rows, self.sums, self.scale)
+                ])
+        p = LpProblem(objective, rows, self.relations, self.rhs)
+        object.__setattr__(p, "phase1", (self, mu))
+        return p
 
 
-def phase_one(p: LpProblem) -> Phase1:
-    """Phase 1 of p on all of its columns and rows, its face. The objective
-    plays no part, so every program `Phase1.program` builds on the face
-    starts phase 2 from it."""
-    _validate(p)
-    return Phase1(p)
-
-
-def _phase_two(p: LpProblem, phase1: Phase1, tab, basis) -> LpOutcome:
-    """Phase 2 on the real objective from a feasible basis, and the outcome;
-    `tab` and `basis` are the copies `Phase1._start` gives."""
+def _phase_two(p: LpProblem, phase1: Phase1, mu: int | None) -> LpOutcome:
+    """Phase 2 on the real objective from copies of a feasible face's tableau
+    and basis, mu's late column (if any) in the slot; the outcome."""
     n = phase1.ncols
+    tab, basis = [row.copy() for row in phase1.tab], list(phase1.basis)
+    if mu is not None:
+        for row, (head, slacks) in zip(tab, phase1.tab_sums):
+            v = head + mu * slacks
+            if v:
+                row[phase1.n] = v
     nvars = len(p.objective)
     # The cost row of min -c . x, c = cost / den, and at key -1, which no
     # column uses, an entry of rational value 1 that no pivot row holds: the
@@ -596,18 +564,18 @@ def _phase_two(p: LpProblem, phase1: Phase1, tab, basis) -> LpOutcome:
 def solve_lp(p: LpProblem) -> LpOutcome:
     """Two-phase exact simplex with Bland's rule and certificate extraction.
 
-    Phase 2 starts from `p.phase1` when the problem names one, else from
-    `phase_one(p)`."""
+    Phase 2 starts from the stored phase 1 that `p.phase1` routes the
+    problem to, else from a phase 1 of p, validated first."""
+    if not isinstance(p, LpProblem):
+        raise StructureError(f"problem is {type(p).__name__}, not an LpProblem")
     if p.phase1 is None:
-        phase1 = phase_one(p)
-    elif isinstance(p.phase1, Phase1):
-        phase1 = p.phase1
+        _validate(p)
+        phase1, mu = Phase1(p), None
     else:
-        raise StructureError(f"phase1 is {type(p.phase1).__name__}, not a Phase1")
-    start = phase1._start(p)
-    if start is None:
+        phase1, mu = p.phase1
+    if phase1.farkas is not None:
         return LpOutcome(status=INFEASIBLE, farkas=list(phase1.farkas))
-    return _phase_two(p, phase1, *start)
+    return _phase_two(p, phase1, mu)
 
 
 def _row_value(row: list[Fraction], x: list[Fraction]) -> Fraction:

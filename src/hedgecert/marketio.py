@@ -87,6 +87,8 @@ def format_rational(value: Fraction) -> str:
 
 def _load_object(data: bytes | str) -> dict:
     """Decode and parse one JSON document whose top level is an object."""
+    if not isinstance(data, (bytes, str)):
+        raise MarketParseError([("$", f"input is {type(data).__name__}, not bytes or str")])
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")

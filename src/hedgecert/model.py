@@ -18,14 +18,14 @@ follow that ordering.
 
 `require_valid` validates a `MarketModel` once and returns a
 `CompiledMarket`: a `MarketModel` plus what the programs are built from.
-`marketio.parse_market` returns one too, so a parsed market reaches every
-query already validated and compiled.
+`marketio.parse_market` returns one too. Only a market `_compile` marked
+passes `require_valid` unchecked, so a `replace` copy is validated again.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -340,21 +340,18 @@ def validate_market(m: MarketModel) -> ValidationReport:
 class CompiledMarket(MarketModel):
     """A validated market plus everything its programs are built from.
 
-    Built once, by `require_valid` or by `marketio.parse_market`, and
-    read-only afterwards: its lists are shared with the market it was
-    built from and must not be mutated in place, or the compiled fields
-    no longer match them. Dataclass equality compares classes, so a
-    compiled market never equals a plain `MarketModel`; compare
-    `marketio.market_to_json` instead. Node ids are dense after
+    Built by `_compile` and read-only afterwards: its lists are shared with
+    the market it was built from and must not be mutated in place, or the
+    compiled fields no longer match them. Dataclass equality compares
+    classes, so a compiled market never equals a plain `MarketModel`;
+    compare `marketio.market_to_json` instead. Node ids are dense after
     validation, so per-node data is indexed by id; leaf data is indexed by
-    leaf position. Of the compiled fields only `_face` depends on the
-    options: it is the measure programs' face, its phase 1 and row layout
-    (`arbitrage._face`), built once, under a lock, on the market's first
-    solve and never compared, shown or serialized. Every measure program is
-    built from it and starts phase 2 from its phase 1, and concurrent
-    queries share one build (see the module docstring). It is not an init
-    field, so `replace(c, options=...)` with a subset of the options is a
-    compiled market that builds its own.
+    leaf position. Two fields are not init fields, so no constructor or
+    `replace` sets them, and neither is compared or shown: `_checked` marks
+    the markets `require_valid` passes unchanged, those `_compile` built and
+    `market_without_option` copied, and `_face` is the measure programs'
+    face, its phase 1 and row layout (`arbitrage._face`), built once, under
+    a lock, on the market's first solve (see the module docstring).
     """
 
     prices: tuple[tuple[Fraction, ...], ...]        # by node id
@@ -366,6 +363,7 @@ class CompiledMarket(MarketModel):
     columns: tuple[tuple[int, int], ...]            # (node id, asset) per dynamic column
     gain_rows: tuple[tuple[Fraction, ...], ...]     # by position, one entry per column
     generator_names: tuple[str, ...]
+    _checked: bool = field(default=False, init=False, compare=False, repr=False)
     _face: tuple[Phase1, tuple] | None = field(default=None, init=False, compare=False, repr=False)
 
     def strategy_from(self, primal: list[Fraction]) -> Strategy:
@@ -379,13 +377,13 @@ class CompiledMarket(MarketModel):
 
 
 def require_valid(m: MarketModel) -> CompiledMarket:
-    """Validate a market and compile it; a compiled market passes unchanged.
+    """Validate a market and compile it; a market `_compile` marked passes unchanged.
 
     This and `marketio.parse_market` are the entry points to compilation
     (`_compile`), the single place that builds the tree navigation, the
     charged support, the dynamic gain rows and the strategy-column layout.
     """
-    if isinstance(m, CompiledMarket):
+    if isinstance(m, CompiledMarket) and m._checked:
         return m
     report = validate_market(m)
     if not report.ok:
@@ -394,8 +392,8 @@ def require_valid(m: MarketModel) -> CompiledMarket:
 
 
 def _compile(m: MarketModel) -> CompiledMarket:
-    """Compile a market that has already passed `validate_market`; its two
-    callers, `require_valid` and `marketio.parse_market`, run that pass."""
+    """Compile and mark a market that has already passed `validate_market`;
+    its two callers, `require_valid` and `marketio.parse_market`, run that pass."""
     tree = m.tree
     n, assets = len(tree.nodes), tree.num_assets
     by_id: list = [None] * n
@@ -429,7 +427,7 @@ def _compile(m: MarketModel) -> CompiledMarket:
         gain_rows.append(tuple(row))
 
     gens = m.measures.generators
-    return CompiledMarket(
+    c = CompiledMarket(
         m.tree, m.options, m.measures,
         prices=prices,
         children=tuple(map(tuple, children)),
@@ -442,6 +440,23 @@ def _compile(m: MarketModel) -> CompiledMarket:
         gain_rows=tuple(gain_rows),
         generator_names=tuple(m.measures.names or (f"P{k}" for k in range(len(gens)))),
     )
+    object.__setattr__(c, "_checked", True)
+    return c
+
+
+def market_without_option(m: MarketModel, i: int) -> MarketModel:
+    """The market less option i; a compiled market stays compiled, and a
+    plain one plain. The market is validated first; an `i` that is not an
+    int in range is a DomainError. A subset of a valid market's options is
+    valid and only `_face` depends on them, so a compiled copy stays marked."""
+    c = require_valid(m)
+    _index(i, len(c.options), "option index")
+    options = [opt for k, opt in enumerate(c.options) if k != i]
+    if not isinstance(m, CompiledMarket):
+        return replace(m, options=options)
+    reduced = replace(c, options=options)
+    object.__setattr__(reduced, "_checked", True)
+    return reduced
 
 
 def support(m: MarketModel) -> set[int]:
@@ -557,6 +572,8 @@ def canonical_legs(s: Strategy) -> Strategy:
     Netting adds min(buy, sell) * (ask - bid) >= 0 to the gain on every
     leaf, so it never breaks a super-replication or arbitrage certificate.
     """
+    if not isinstance(s, Strategy):
+        raise StructureError(f"strategy is {type(s).__name__}, not a Strategy")
     buy, sell = [], []
     for b, v in zip(s.buy_leg, s.sell_leg):
         net = b - v

@@ -11,7 +11,7 @@ is available by mixing the dual optimizer with the robustness witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
@@ -36,7 +36,7 @@ from .model import (
     CompiledMarket,
     MarketModel,
     Strategy,
-    _index,
+    market_without_option,
     require_valid,
     terminal_gain,
 )
@@ -174,13 +174,6 @@ def claim_price_bounds(m: MarketModel, f: Claim) -> tuple[Fraction, Fraction]:
     """Sub- and super-replication prices of a claim in the market as given."""
     (_, upper, _), (_, lower_neg, _) = _bound_hedges(require_valid(m), f)
     return -lower_neg, upper
-
-
-def market_without_option(m: MarketModel, i: int) -> MarketModel:
-    """The market less option i; a compiled market stays compiled. An `i`
-    that is not an int in range is a DomainError."""
-    _index(i, len(m.options), "option index")
-    return replace(m, options=[opt for k, opt in enumerate(m.options) if k != i])
 
 
 def price_bounds_excluding(m: MarketModel, i: int) -> tuple[Fraction, Fraction]:

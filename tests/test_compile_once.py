@@ -7,6 +7,10 @@ and compiles each market file once and builds its parser once per process,
 never at import. The compiled gain rows match a reference built from the
 price differences along each leaf's path.
 
+A `replace` copy of a compiled market is validated and compiled again:
+only a market `_compile` built, or `market_without_option` copied from one,
+passes `require_valid` unchanged.
+
 The counts come from rebinding `validate_market`, `_compile`, `lp.solve_lp`
 and `redundancy._reduce_linear` around a single call, so they hold for
 whatever the call delegates to.
@@ -16,6 +20,7 @@ import argparse
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -26,8 +31,9 @@ import pytest
 
 import hedgecert.model as model
 from hedgecert import arbitrage, cli, lp, marketio, redundancy, superhedge
-from hedgecert.errors import HedgecertError, PreconditionError
-from hedgecert.model import CompiledMarket, OptionQuote, ZERO
+from hedgecert.errors import HedgecertError, PreconditionError, StructureError
+from hedgecert.model import (Claim, CompiledMarket, MarketModel, MeasureFamily, Node, OptionQuote,
+                             ScenarioTree, ZERO)
 from markets import (
     binomial_market,
     binomial_with_free_option,
@@ -145,6 +151,81 @@ def _reference_gain_rows(m):
             node = here
         rows.append(tuple(change.get(column, ZERO) for column in columns))
     return tuple(columns), tuple(rows)
+
+
+def _binomial_tree(up, down):
+    return ScenarioTree([Node(0, 0, None, [F(1)]), Node(1, 1, 0, [up]), Node(2, 1, 0, [down])],
+                        periods=1, num_assets=1)
+
+
+_UP = Claim([F(1), F(0)])
+
+
+def _na(m):
+    return arbitrage.check_na(m).holds
+
+
+# (copy of the compiled 1 -> {2, 1/2} market, query, the fresh market's answer)
+# the compiled market holds NA and prices the up claim at 1/3 on both leaves;
+# a copy answered from its compiled fields would say the same
+REPLACE_COPIES = {
+    "tree rising on both children": (dict(tree=_binomial_tree(F(2), F(3, 2))), _na, False),
+    "tree 1 -> {3, 1/2}": (dict(tree=_binomial_tree(F(3), F(1, 2))),
+                           lambda m: superhedge.superhedge_price(m, _UP)[0], F(1, 5)),
+    "measures charging the up leaf": (dict(measures=MeasureFamily([[F(1), F(0)]], ["up"])), _na, False),
+    "measures summing to 2": (dict(measures=MeasureFamily([[F(1), F(1)]], ["twice"])), _na,
+                              "measures[0]: measure sums to 2, expected 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLACE_COPIES))
+def test_replace_copies_of_a_compiled_market_are_validated_and_compiled_again(case):
+    fields, query, expected = REPLACE_COPIES[case]
+    c = model.require_valid(binomial_market())
+    assert _na(c) and superhedge.superhedge_price(c, _UP)[0] == F(1, 3)
+    copy = replace(c, **fields)
+    fresh = MarketModel(copy.tree, copy.options, copy.measures)
+    if isinstance(expected, str):
+        for m in (copy, fresh):
+            with pytest.raises(StructureError, match=re.escape(expected)):
+                query(m)
+        return
+    assert query(copy) == query(fresh) == expected
+    compiled, again = model.require_valid(copy), model.require_valid(fresh)
+    assert compiled is not copy and model.require_valid(compiled) is compiled
+    assert (compiled.gain_rows, compiled.charged) == (again.gain_rows, again.charged)
+
+
+def test_a_replace_copy_with_a_float_payoff_is_named_before_any_program_runs(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("an LP or an elimination ran on an invalid market")
+
+    for module, name in ((lp, "Phase1"), (lp, "solve_lp"), (lp, "_reduce_linear"),
+                         (redundancy, "_reduce_linear")):
+        monkeypatch.setattr(module, name, unreachable)
+    c = model.require_valid(binomial_market())
+    floaty = replace(c, options=[OptionQuote("x", [0.1, F(1)], F(0), F(1))])
+    for query, run in QUERIES.items():
+        with pytest.raises(StructureError, match=re.escape("options[0] ('x'): payoff[0] is float 0.1")):
+            run(floaty, _UP)
+
+
+def test_only_compile_and_market_without_option_mark_a_market():
+    m = binomial_with_spread_option()
+    c = model.require_valid(m)
+    reduced = superhedge.market_without_option(c, 0)
+    assert model.require_valid(reduced) is reduced and reduced._face is None
+    # an unmarked copy is compiled again first, so its reduction is marked too
+    again = superhedge.market_without_option(replace(c), 0)
+    assert isinstance(again, CompiledMarket) and model.require_valid(again) is again
+    plain = superhedge.market_without_option(m, 0)
+    assert type(plain) is MarketModel and plain.options == []
+    with pytest.raises(ValueError, match="init=False"):
+        replace(c, _checked=True)
+    with pytest.raises(TypeError):
+        CompiledMarket(c.tree, c.options, c.measures, c.prices, c.children, c.leaves, c.paths,
+                       c.nonleaf, c.charged, c.columns, c.gain_rows, c.generator_names, True)
+    assert not replace(c)._checked and model.require_valid(replace(c)) is not c
 
 
 def test_gain_rows_match_per_path_price_differences():

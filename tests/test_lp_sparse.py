@@ -349,7 +349,7 @@ def test_duals_from_the_stored_inverse_equal_the_dense_elimination(monkeypatch):
     rng = random.Random(2303)
     faces = [random_lp(rng) for _ in range(500)] + [_wide_lp(rng) for _ in range(200)]
     for face in faces:
-        phase1 = lp.phase_one(face)
+        phase1 = lp.Phase1(face)
         if phase1.farkas is not None:
             expected = _reference_dual(phase1, face, ended[-1][0],
                                        lambda std, col: _ONE if col >= std.ncols else _ZERO)

@@ -2,17 +2,19 @@
 built by the phase 1 of their shared t = 0 face (`lp.Phase1.program`) and
 starts phase 2 from it.
 
-Warm outcomes are checked against a cold `solve_lp` of the same problem (no
-stored phase 1): the pricing and push-0 programs equal it field for field,
-because the floor column of push 0 never enters phase 1 (its reduced cost is
-the sum of the leaf columns'); the push-1 program may end at another optimal
-basis, so it matches in status and value and both outcomes replay. A
-problem that does not hold a phase 1's own lists is a StructureError, never
-an answer.
+Warm outcomes are checked against a cold `solve_lp` of the same problem (a
+`replace` copy, which has no route to a stored phase 1): the pricing and
+push-0 programs equal it field for field, because the floor column of push 0
+never enters phase 1 (its reduced cost is the sum of the leaf columns'); the
+push-1 program may end at another optimal basis, so it matches in status and
+value and both outcomes replay. Only `Phase1.program` sets a route, so no
+problem can start phase 2 from a face it does not match.
 """
 
 import copy
+import dataclasses
 import random
+import re
 import sys
 import threading
 import time
@@ -53,7 +55,7 @@ def _programs(rng, c):
 
 
 def _cold(problem):
-    return lp.solve_lp(replace(problem, phase1=None))
+    return lp.solve_lp(replace(problem))
 
 
 def _phase1(c):
@@ -70,7 +72,7 @@ def test_warm_outcomes_match_a_cold_solve_of_the_same_problem():
         built = None
         for name, objective, push in _programs(rng, c):
             problem, _, warm = arbitrage._solve(c, objective, push)
-            assert problem.phase1 is _phase1(c) is not None
+            assert problem.phase1 == (_phase1(c), push) and _phase1(c) is not None
             built = built or _state(_phase1(c))
             assert _state(_phase1(c)) == built  # every phase 2 works on a copy
             cold = _cold(problem)
@@ -124,11 +126,11 @@ def test_late_columns_of_random_programs_keep_status_and_value():
     rng = random.Random(14)
     statuses = set()
     for _ in range(300):
-        face = lp.phase_one(random_lp(rng))
+        face = lp.Phase1(random_lp(rng))
         for mu in (None, 0, 1, 2):
             width = face.n + (mu is not None)
             p = face.program([random_rational(rng, -3, 3) for _ in range(width)], mu)
-            assert p.phase1 is face and p.relations is face.relations and p.rhs is face.rhs
+            assert p.phase1 == (face, mu) and p.relations is face.relations and p.rhs is face.rhs
             warm = lp.solve_lp(p)
             cold = _cold(p)
             assert (warm.status, warm.objective_value) == (cold.status, cold.objective_value)
@@ -143,50 +145,59 @@ def _face_and_floor():
     """The robust program's phase 1 and that program."""
     c = require_valid(binomial_with_spread_option())
     problem = arbitrage._solve(c, [ZERO] * len(c.charged) + [ONE], push=1)[0]
-    return problem.phase1, problem
+    return problem.phase1[0], problem
 
 
-def test_a_late_column_that_cannot_be_derived_is_structural():
+def test_a_copy_of_a_program_has_no_route_and_is_solved_from_scratch():
     # a late column is only ever one `program` built: the same entries in
     # another list, or the floor column of another push written by hand,
-    # is not a problem on the face, though a cold solve answers it
+    # is a problem of its own, solved cold to the program's answer
     phase1, problem = _face_and_floor()
-    assert lp.solve_lp(problem).status == lp.OPTIMAL
+    warm = lp.solve_lp(problem)
+    assert warm.status == lp.OPTIMAL
     offset = {lp.EQ: 0, lp.GE: -1, lp.LE: 1}
     push2 = [[*row[:-1], sum(row[:-1], ZERO) + 2 * offset[rel]]
              for row, rel in zip(problem.rows, problem.relations)]
-    assert push2 == phase1.program(problem.objective, 2).rows
-    for rows in (copy.deepcopy(problem.rows), list(problem.rows), push2):
+    program2 = phase1.program(problem.objective, 2)
+    assert push2 == program2.rows
+    for rows, routed in ((copy.deepcopy(problem.rows), problem), (list(problem.rows), problem),
+                         (push2, program2)):
         bad = replace(problem, rows=rows)
-        with pytest.raises(StructureError, match="build it with Phase1.program"):
-            lp.solve_lp(bad)
-        lp.solve_lp(replace(bad, phase1=None))  # the problem itself is fine
+        assert bad.phase1 is None
+        expected = lp.solve_lp(routed)
+        out = lp.solve_lp(bad)
+        assert (out.status, out.objective_value) == (expected.status, expected.objective_value)
+    # no field is reassigned, and no copy is given a route
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        problem.rows = push2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        problem.phase1 = (phase1, 2)
+    with pytest.raises(ValueError, match="init=False"):
+        replace(problem, phase1=(phase1, 2))
+    with pytest.raises(TypeError):
+        lp.LpProblem(problem.objective, problem.rows, problem.relations, problem.rhs, (phase1, 1))
 
 
-def test_a_phase_one_of_another_problem_is_structural():
+def test_a_copy_of_a_program_is_validated_as_any_problem_is():
     phase1, problem = _face_and_floor()
+    expected = lp.solve_lp(problem)
     variants = {
         "equal rows": replace(problem, rows=[list(r) for r in problem.rows]),
-        "face rows": replace(problem, rows=phase1.rows),
         "relations": replace(problem, relations=list(problem.relations)),
         "rhs": replace(problem, rhs=list(problem.rhs)),
-        "objective length": replace(problem, objective=problem.objective[:-1]),
-        "objective entry": replace(problem, objective=[*problem.objective[:-1], 1.0]),
     }
     for what, p in variants.items():
-        with pytest.raises(StructureError):
+        out = lp.solve_lp(p)
+        assert (out.status, out.objective_value) == (expected.status, expected.objective_value), what
+    malformed = {
+        "row 0 has 2 coefficients, expected 3": replace(problem, rows=phase1.rows),
+        "row 0 has 3 coefficients, expected 2": replace(problem, objective=problem.objective[:-1]),
+        "objective[2] is float": replace(problem, objective=[*problem.objective[:-1], 1.0]),
+        "row count mismatch": replace(problem, rows=problem.rows[:-1]),
+    }
+    for where, p in malformed.items():
+        with pytest.raises(StructureError, match=re.escape(where)):
             lp.solve_lp(p)
-    with pytest.raises(StructureError, match="objective has 3 entries, expected 2"):
-        lp.solve_lp(variants["face rows"])
-    with pytest.raises(StructureError, match=r"objective\[2\] is float"):
-        lp.solve_lp(variants["objective entry"])
-    with pytest.raises(StructureError, match="not a Phase1"):
-        lp.solve_lp(replace(problem, phase1="phase 1"))
-    for mu in (-1, 1.0, True, "1", F(1)):
-        with pytest.raises(StructureError, match="not an int >= 0"):
-            phase1.program(problem.objective, mu)
-    with pytest.raises(StructureError):  # the face itself is validated
-        lp.phase_one(replace(problem, rows=problem.rows[:-1]))
 
 
 def test_programs_of_one_mu_share_one_rows_list():
@@ -203,13 +214,13 @@ def test_programs_of_one_mu_share_one_rows_list():
 
 def test_each_market_runs_phase_one_once(monkeypatch, tmp_path, capsys):
     built = []
-    original = lp.phase_one
 
-    def counted(problem):
-        built.append(len(problem.rows))
-        return original(problem)
+    class Counted(lp.Phase1):
+        def __init__(self, problem):
+            built.append(len(problem.rows))
+            super().__init__(problem)
 
-    monkeypatch.setattr(lp, "phase_one", counted)
+    monkeypatch.setattr(lp, "Phase1", Counted)
     c = require_valid(binomial_with_spread_option())
     arbitrage.check_na(c)
     arbitrage.check_nar(c)
@@ -229,7 +240,7 @@ def test_a_reduced_market_builds_its_own_phase_one(monkeypatch):
     original = lp.solve_lp
 
     def cold(problem):
-        return original(replace(problem, phase1=None))
+        return original(replace(problem))
 
     def bounds(m, i):
         try:
@@ -303,16 +314,17 @@ def test_four_threads_on_one_fresh_market_get_the_sequential_answers():
 def test_concurrent_first_queries_on_one_market_run_one_phase_one(monkeypatch):
     # a slow phase 1 keeps every thread's first query in flight together:
     # each finds the face unbuilt, and all but one must wait for that one
-    phase_one, calls = lp.phase_one, []
+    calls = []
 
-    def slow(p):
-        calls.append(p)
-        time.sleep(0.05)
-        return phase_one(p)
+    class Slow(lp.Phase1):
+        def __init__(self, p):
+            calls.append(p)
+            time.sleep(0.05)
+            super().__init__(p)
 
     claim = Claim([F(1), F(0)])
     expected = [query() for query in _queries(require_valid(binomial_with_spread_option()), claim)]
-    monkeypatch.setattr(lp, "phase_one", slow)
+    monkeypatch.setattr(lp, "Phase1", Slow)
     c = require_valid(binomial_with_spread_option())
     queries, answers = _queries(c, claim), [None] * 4
     start = threading.Barrier(4, timeout=60)
@@ -337,7 +349,7 @@ def test_threads_that_race_to_build_one_mu_share_its_rows():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            face = lp.phase_one(random_lp(rng, max_vars=40, max_rows=40))
+            face = lp.Phase1(random_lp(rng, max_vars=40, max_rows=40))
             objective = [ONE] * (face.n + 1)
             problems = [None] * 4
             start = threading.Barrier(4)
@@ -367,5 +379,5 @@ def test_the_stored_phase_one_reaches_no_comparison_repr_or_file():
     assert market_to_json(warm) == market_to_json(fresh)
     assert dump_market(warm) == dump_market(fresh)
     problem, _, _ = arbitrage._solve(warm, [ZERO] * len(warm.charged) + [ONE], 1)
-    assert problem == replace(problem, phase1=None)
+    assert problem == replace(problem) and replace(problem).phase1 is None
     assert "phase1" not in repr(problem)

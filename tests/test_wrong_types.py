@@ -22,7 +22,7 @@ from hedgecert.arbitrage import (
     verify_nar_witness,
 )
 from hedgecert.errors import DomainError, StructureError
-from hedgecert.model import Claim, MeasureFamily, OptionQuote, validate_market
+from hedgecert.model import Claim, MeasureFamily, OptionQuote, canonical_legs, validate_market
 from hedgecert.redundancy import (
     all_spread_options_nonredundant,
     check_nonredundant,
@@ -208,6 +208,23 @@ def test_market_without_option_takes_only_an_option_index():
         with pytest.raises(DomainError, match="out of range"):
             market_without_option(m, bad)
     assert market_without_option(m, 0).options == []
+
+
+# each would otherwise end in an AttributeError or a TypeError; a market is
+# validated first, so its error is the one `require_valid` gives
+WRONG_TYPE_CALLS = {
+    "problem is NoneType, not an LpProblem": lambda: lp.solve_lp(None),
+    "invalid market: market is NoneType, not a MarketModel": lambda: market_without_option(None, 0),
+    "invalid market: options is NoneType, not a list":
+        lambda: market_without_option(replace(binomial_with_spread_option(), options=None), 0),
+    "strategy is NoneType, not a Strategy": lambda: canonical_legs(None),
+}
+
+
+@pytest.mark.parametrize("where", sorted(WRONG_TYPE_CALLS))
+def test_helpers_name_a_wrong_type_in_a_structure_error(where):
+    with pytest.raises(StructureError, match=re.escape(where)):
+        WRONG_TYPE_CALLS[where]()
 
 
 def test_interior_replays_validate_the_market_first():
