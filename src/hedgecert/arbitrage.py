@@ -119,7 +119,7 @@ _FACE_LOCK = threading.Lock()  # held while any market's face is built
 
 def _face(c: CompiledMarket):
     """The measure programs' t = 0 face and its layout, built once, under
-    `_FACE_LOCK`, with `lp.Phase1` and kept with the market: (phase 1,
+    `_FACE_LOCK`, with `lp._Phase1` and kept with the market: (phase 1,
     layout). Concurrent first queries on a market run one phase 1; phase 1
     holds the GIL, so a build that waits on another loses nothing.
 
@@ -157,7 +157,7 @@ def _face(c: CompiledMarket):
                 add(coefs, lp.GE, opt.bid, ("option", i))
                 add(coefs, lp.LE, opt.ask, ("option", i))
         face = lp.LpProblem([ZERO] * len(supp), rows, rels, rhs)
-        object.__setattr__(c, "_face", (lp.Phase1(face), tuple(layout)))
+        object.__setattr__(c, "_face", (lp._Phase1(face), tuple(layout)))
         return c._face
 
 
@@ -169,7 +169,7 @@ def _solve(c: CompiledMarket, objective: list[Fraction], push=None):
     Unless `push` is None the program has a trailing floor t >= 0, and the
     measure itself is Q_w = R_w + t; the spread quote bounds move inward by
     push * t. Its column is the leaf columns' sum plus push times each
-    spread row's slack column, the late column `lp.Phase1.program` builds."""
+    spread row's slack column, the late column `lp._Phase1.program` builds."""
     phase1, layout = _face(c)
     problem = phase1.program(objective, push)
     out = lp.solve_lp(problem)

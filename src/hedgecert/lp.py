@@ -8,10 +8,11 @@ Problems are maximizations over nonnegative variables only:
 
 and solved by a two-phase tableau simplex under Bland's rule: entering
 variable is the lowest-index column with negative reduced cost, leaving row
-breaks ratio ties by lowest basic-variable index. With exact arithmetic this
-terminates on every input and there are no numeric failure modes; a basis
-seen twice in one phase can only come from a kernel fault and raises
-SoundnessError instead of looping. A minimization of c . x is the
+breaks ratio ties by lowest basic-variable index. Phase 1 starts Bland's
+rule from a crash basis (below), so it terminates just the same. With exact
+arithmetic this terminates on every input and there are no numeric failure
+modes; a basis seen twice in one phase can only come from a kernel fault and
+raises SoundnessError instead of looping. A minimization of c . x is the
 maximization of -c . x: the same standard form and pivots, with the value
 and the duals negated.
 
@@ -42,11 +43,25 @@ the row is negated to make its rhs nonnegative, and keeps the same entries
 by column. Phase 1 pivots these rows themselves into its tableau; its
 reduced costs are -sum_k rows[k] / |scale[k]| over one common integer
 denominator, a positive multiple of the rational phase-1 row. Values leave
-as b_i / a_i,B(i). The objective, the rows, each row, the relations and the
-rhs must be lists or tuples, and every problem entry an int or a Fraction;
-anything else is a StructureError naming the field, and makes
+as b_i / a_i,B(i). The objective, the rows, each row, the relations and
+the rhs must be lists or tuples, and every problem entry an int or a
+Fraction; anything else is a StructureError naming the field, and makes
 `verify_certificate` return False, as does a certificate entry that is not
 an int or a Fraction.
+
+Phase 1 begins with a crash (Bixby 1992, "Implementing the simplex method:
+the initial basis"). Each row whose rhs is 0, fewest nonzeros first, pivots
+on its column with the fewest nonzeros in the standard form, ties to the
+lowest index; a row that earlier crash pivots emptied keeps its artificial.
+A pivot on a zero rhs moves no value, so the crash basis is feasible for
+phase 1, and the cost row, pivoted with it, stays that basis's reduced
+costs. Bland's rule then runs from there on the rows the crash left
+artificial. On a measure program's face the zero-rhs rows are the
+martingale rows, which the crash takes smallest subtree first, each on a
+leaf below its node: bottom-up elimination of a tree-shaped matrix, which
+fills little (Parter 1961). Bland's rule from an all-artificial basis fills
+the tableau and cancels it again: on the 64-leaf binomial ladder face it
+makes 4042 row updates, the crash and Bland's rule after it 962.
 
 The duals come from one factorization per face. `_factor` inverts B0'^T
 once, B0' = diag(scale) B0 the stored columns of the basis B0 phase 1 ends
@@ -60,11 +75,11 @@ infeasible face's Farkas vector is the same product with the phase-1 costs,
 1 on each artificial, on its phase-1 basis.
 
 Phase 1 and phase 2 are separate routines, and a phase 1 can be stored.
-`Phase1(p)` runs phase 1 on all of p's columns and rows, its face, and keeps
+`_Phase1(p)` runs phase 1 on all of p's columns and rows, its face, and keeps
 p's own row, relation and rhs lists (not copies, so they must not change
 after), the face's tableau and basis after the drive-out and the basis's
 inverse, or instead of these the Farkas vector when the face is infeasible.
-Phase 1 never sees the objective, so `Phase1.program` builds every program
+Phase 1 never sees the objective, so `_Phase1.program` builds every program
 on the face from it and sets the program's frozen `phase1` to the route
 (the phase 1, mu), which no constructor or `replace` can. A program's rows
 are the face's own list, or with an int mu >= 0 the face plus one late
@@ -79,7 +94,7 @@ keeps a face's Farkas vector y one of the whole problem (y . A_late is a sum
 of y . A_j <= 0 and mu y_k (+-1) <= 0), so the face's verdict and basis
 serve the whole problem. Neither the face nor a routed program is checked,
 as the package builds both from a compiled market; `solve_lp` validates a
-problem with no route, runs `Phase1(p)` and then the same start.
+problem with no route, runs `_Phase1(p)` and then the same start.
 
 Every outcome carries a certificate checkable from the untouched data:
 
@@ -122,9 +137,9 @@ class LpProblem:
     rows: list[list[Fraction]]
     relations: list[str]
     rhs: list[Fraction]
-    # (the face's Phase1, mu) when `Phase1.program` built this problem on
+    # (the face's _Phase1, mu) when `_Phase1.program` built this problem on
     # its lists; no constructor or `replace` sets it, so a copy has no route
-    phase1: tuple[Phase1, int | None] | None = field(default=None, init=False, compare=False, repr=False)
+    phase1: tuple[_Phase1, int | None] | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass
@@ -310,7 +325,7 @@ def _standard(p: LpProblem):
     minimizes -c . z over it. Returns (rows, scale, sums, cols, ncols).
 
     The columns of z are the problem's n columns, in order, an empty slot at
-    n for a late column (`Phase1.program`), then one slack per inequality
+    n for a late column (`_Phase1.program`), then one slack per inequality
     row, so a point or ray of the problem is z[:n]. Each row [A | b] is
     built once, straight from the problem's nonzero entries, as the dict of
     the nonzeros of a primitive integer vector, with the rhs at key ncols:
@@ -385,7 +400,10 @@ def _factor(cols, scale, basis: list[int], n: int):
 
     One Gauss-Jordan elimination (`_reduce`) of the equations of y'^T B' = w
     beside the identity leaves each row k as its pivot and row k of the
-    inverse. An artificial's equation is taken times its scale's
+    inverse. The equations go in sparsest first, so each y'_k pivots on the
+    sparsest equation still holding it; the inverse, and so every integer
+    it returns, is the same in any order, but on a tree-shaped basis this
+    one fills least. An artificial's equation is taken times its scale's
     denominator, that multiple in the identity, so every entry is an
     integer. SoundnessError if B' is singular.
     """
@@ -397,6 +415,7 @@ def _factor(cols, scale, basis: list[int], n: int):
             a.append({col - n: abs(s.numerator), m + i: s.denominator})
         else:
             a.append({**cols[col], m + i: 1})
+    a.sort(key=len)  # sparsest first: each pivot is on the sparsest equation holding it
     if len(_reduce(a, m)) < m:
         raise SoundnessError("basis matrix singular; solver invariant broken")
     columns: list[dict[int, int]] = [{} for _ in range(m)]
@@ -420,11 +439,13 @@ def _duals(inverse, weights, den: int) -> list[Fraction]:
     return [Fraction(v, d * den) if v else _ZERO for v, d in zip(y, dens)]
 
 
-def _phase_one(tab, scale, n):
+def _phase_one(tab, scale, cols, n):
     """Phase 1 on a standard form's rows, `tab`, pivoted in place into its
-    tableau: the least sum of artificials, then the drive-out of zero-level
-    artificials. Returns the basis, and whether the program is feasible;
-    an infeasible one keeps its phase-1 basis, with no drive-out."""
+    tableau: the crash (see the module docstring), on the column counts of
+    `cols`, then Bland's rule to the least sum of artificials, then the
+    drive-out of zero-level artificials. Returns the basis, and whether the
+    program is feasible; an infeasible one keeps its phase-1 basis, with no
+    drive-out."""
     basis = [n + i for i in range(len(tab))]  # artificial variables, columns implicit
 
     # The reduced cost of column j is -sum of its rational column,
@@ -440,6 +461,19 @@ def _phase_one(tab, scale, n):
             else:
                 red[j] = -w * v
     red = _primitive({j: v for j, v in red.items() if v})
+
+    # The crash: each row whose rhs is 0, fewest nonzeros first (a stable
+    # sort, so then the lowest index), pivots on its column with the fewest
+    # nonzeros in `cols` (then the lowest index). A pivot on a zero rhs
+    # moves no value, so the basis stays feasible and every rhs keeps its
+    # sign, and `red` stays the reduced costs of the current basis.
+    zero_rhs = [i for i, row in enumerate(tab) if n not in row]
+    for i in sorted(zero_rhs, key=lambda i: len(tab[i])):
+        row = tab[i]
+        if row:  # a row that cancelled to empty keeps its artificial
+            jc = min(row, key=lambda j: (len(cols[j]), j))
+            _pivot(tab, i, jc, red)
+            basis[i] = jc
     if _optimize(tab, red, basis, n) is not None:
         raise SoundnessError("phase-1 unbounded; solver invariant broken")
 
@@ -459,7 +493,7 @@ def _phase_one(tab, scale, n):
     return basis, True
 
 
-class Phase1:
+class _Phase1:
     """The end of phase 1 on a face, kept so that every program on the face
     starts phase 2 from it (see the module docstring): the face's standard
     rows, pivoted by phase 1 into its tableau, its basis B0, and the inverse
@@ -473,7 +507,7 @@ class Phase1:
         self.rows, self.relations, self.rhs = p.rows, p.relations, p.rhs
         self.n = n = len(p.objective)
         tab, self.scale, self.sums, cols, self.ncols = _standard(p)
-        basis, feasible = _phase_one(tab, self.scale, self.ncols)
+        basis, feasible = _phase_one(tab, self.scale, cols, self.ncols)
         inverse = _factor(cols, self.scale, basis, self.ncols)
         self.late: dict[int, list] = {}  # mu -> the dense rows
         self.farkas = self.inverse = self.tab = self.basis = self.tab_sums = None
@@ -511,7 +545,7 @@ class Phase1:
         return p
 
 
-def _phase_two(p: LpProblem, phase1: Phase1, mu: int | None) -> LpOutcome:
+def _phase_two(p: LpProblem, phase1: _Phase1, mu: int | None) -> LpOutcome:
     """Phase 2 on the real objective from copies of a feasible face's tableau
     and basis, mu's late column (if any) in the slot; the outcome."""
     n = phase1.ncols
@@ -570,7 +604,7 @@ def solve_lp(p: LpProblem) -> LpOutcome:
         raise StructureError(f"problem is {type(p).__name__}, not an LpProblem")
     if p.phase1 is None:
         _validate(p)
-        phase1, mu = Phase1(p), None
+        phase1, mu = _Phase1(p), None
     else:
         phase1, mu = p.phase1
     if phase1.farkas is not None:

@@ -10,7 +10,7 @@ face (`arbitrage._face`), built under a lock on its first solve: a thread
 that finds it unbuilt takes the lock and looks again, so concurrent first
 queries run one phase 1. Nothing writes to the face after but for one
 record per push (its late column's dense rows), stored by one
-`dict.setdefault` in `lp.Phase1.program`, so racing threads share it.
+`dict.setdefault` in `lp._Phase1.program`, so racing threads share it.
 
 Leaves are indexed by *position* 0..L-1 in ascending node-id order among the
 nodes at the final period. Option payoffs, measure weights, and claims all
@@ -31,7 +31,7 @@ from math import lcm
 from operator import mul
 
 from .errors import DomainError, StructureError
-from .lp import Phase1, _dot, _over_lcm, _rational_lists
+from .lp import _Phase1, _dot, _list, _over_lcm, _rational_lists, _rationals
 
 # The rational substrate. Fraction already guarantees the invariants this
 # package relies on: positive denominator, lowest terms, canonical zero.
@@ -364,7 +364,7 @@ class CompiledMarket(MarketModel):
     gain_rows: tuple[tuple[Fraction, ...], ...]     # by position, one entry per column
     generator_names: tuple[str, ...]
     _checked: bool = field(default=False, init=False, compare=False, repr=False)
-    _face: tuple[Phase1, tuple] | None = field(default=None, init=False, compare=False, repr=False)
+    _face: tuple[_Phase1, tuple] | None = field(default=None, init=False, compare=False, repr=False)
 
     def strategy_from(self, primal: list[Fraction]) -> Strategy:
         """The strategy a vector encodes in strategy-column order: the
@@ -571,9 +571,17 @@ def canonical_legs(s: Strategy) -> Strategy:
 
     Netting adds min(buy, sell) * (ask - bid) >= 0 to the gain on every
     leaf, so it never breaks a super-replication or arbitrage certificate.
+    The legs must be lists of ints and Fractions of one length, else a
+    StructureError names the bad leg.
     """
     if not isinstance(s, Strategy):
         raise StructureError(f"strategy is {type(s).__name__}, not a Strategy")
+    for name, leg in (("buy_leg", s.buy_leg), ("sell_leg", s.sell_leg)):
+        _list(leg, f"strategy {name}")
+        _rationals(leg, f"strategy {name}")
+    if len(s.buy_leg) != len(s.sell_leg):
+        raise StructureError(
+            f"strategy legs sized {len(s.buy_leg)}/{len(s.sell_leg)}, not one length")
     buy, sell = [], []
     for b, v in zip(s.buy_leg, s.sell_leg):
         net = b - v

@@ -9,11 +9,14 @@ returned) fails here.
 import hashlib
 import json
 import random
+from fractions import Fraction as F
 
 import pytest
 
 from hedgecert.cli import main
 from hedgecert.marketio import claim_to_json, dump_market
+from hedgecert.model import Strategy
+from hedgecert.superhedge import verify_super_replication
 from markets import (
     binomial_with_free_option,
     random_arbitrage_free_market,
@@ -60,7 +63,7 @@ PINNED = {
     ("random-3", "redundancy"): (3, "c6a8d7899344f39d68196aaa4b7bee88af3aa5df5b9bb99caabbd0c2d1bb13bb"),
     ("random-3", "sharper-ftap"): (3, "ed00e13405b05aae8a4b5f1db04b258cd5594d6e266b57972b1c37776b0c1384"),
     ("random-3", "strict-dual"): (0, "82c58a7bacdb277ba27dd4b2a17cd417f7d4e3116fa8877ee101fe217e29db0d"),
-    ("random-3", "superhedge"): (0, "0e56714d143105b94cb4995419d69051b7c465b81af670b9643fbf6c57b8bf5f"),
+    ("random-3", "superhedge"): (0, "647a8c6cc9e9d09a8c0a950da4873766cd630bb6818db79c28742cc8f5f5d4a7"),
     ("trinomial-straddle", "bounds"): (0, "cc2e6e196049f1cc08eb7949dc71a1efdd1524a82c2fb9195a8c378ca9e6e01b"),
     ("trinomial-straddle", "check-na"): (0, "915f4f13e4fe704a6569004b686729911e9ce20e98bdd1b88ba4363d95967373"),
     ("trinomial-straddle", "check-nar"): (0, "7c4726dc8d659e1573892f8fbdba1e4f7845927149fdd99008536bdd56efb045"),
@@ -126,3 +129,36 @@ def _run_all(tmp_path, capsys, label):
 def test_cli_report_bytes_are_pinned(tmp_path, capsys, label):
     got = _run_all(tmp_path, capsys, label)
     assert got == {key: PINNED[key] for key in got}
+
+
+# The random-3 superhedge pin was re-recorded when phase 1 began from a
+# crash basis: phase 2 starts from another vertex and ends on another
+# optimal hedge, with the same price. Both hedges replay at that price,
+# and neither below it.
+RANDOM_3_HEDGES = {
+    "before the crash basis": {0: ["43/378", "-109/378"], 1: ["-4/9", "-61/18"],
+                               2: ["2", "0"], 3: ["0", "-5/24"]},
+    "from the crash basis": {0: ["43/378", "-109/378"], 1: ["-4/9", "-61/18"],
+                             2: ["2", "0"], 3: ["5/9", "0"]},
+}
+
+
+def test_the_random_3_superhedge_before_and_after_the_crash_basis_replay_at_one_price(
+        tmp_path, capsys):
+    label = "random-3"
+    m = MARKETS[label]()
+    claim = random_claim(random.Random(label), m)
+    price = F(79, 54)
+    for name, dynamic in RANDOM_3_HEDGES.items():
+        legs = [F(0)] * len(m.options)
+        hedge = Strategy({nid: [F(v) for v in held] for nid, held in dynamic.items()}, legs, legs)
+        assert verify_super_replication(m, claim, price, hedge), name
+        assert not verify_super_replication(m, claim, price - F(1, 10**6), hedge), name
+    market, claim_path = tmp_path / "market.json", tmp_path / "claim.json"
+    market.write_text(dump_market(m))
+    claim_path.write_text(json.dumps(claim_to_json(m, claim)))
+    assert main(["superhedge", str(market), "--claim", str(claim_path), "--verify"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["values"] == {"price": "79/54"}
+    assert report["certificates"]["strategy"]["dynamic"] == {
+        str(nid): held for nid, held in RANDOM_3_HEDGES["from the crash basis"].items()}

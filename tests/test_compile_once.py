@@ -200,7 +200,7 @@ def test_a_replace_copy_with_a_float_payoff_is_named_before_any_program_runs(mon
     def unreachable(*args):
         raise AssertionError("an LP or an elimination ran on an invalid market")
 
-    for module, name in ((lp, "Phase1"), (lp, "solve_lp"), (lp, "_reduce_linear"),
+    for module, name in ((lp, "_Phase1"), (lp, "solve_lp"), (lp, "_reduce_linear"),
                          (redundancy, "_reduce_linear")):
         monkeypatch.setattr(module, name, unreachable)
     c = model.require_valid(binomial_market())

@@ -307,7 +307,7 @@ def test_solver_never_writes_to_its_inputs():
     for _ in range(300):
         p = random_lp(rng)
         before = copy.deepcopy(p)
-        phase1 = lp.Phase1(p)
+        phase1 = lp._Phase1(p)
         stored = copy.deepcopy((phase1.inverse, phase1.scale, phase1.tab, phase1.basis))
         lp.solve_lp(p)
         for mu in (None, 0, 1, 0):

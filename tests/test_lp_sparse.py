@@ -2,9 +2,10 @@
 
 The reference below is a dense `Fraction` kernel: its own reduction to
 standard form with `Fraction` rows and rhs, the tableau pivot that scales
-its pivot row to 1 and subtracts full rows, Bland's `_optimize`, the
-two-phase tableau path of `solve_lp`, and from `oracle` the dense
-Gauss-Jordan elimination that `lp._reduce_linear` is checked against. It
+its pivot row to 1 and subtracts full rows, the crash basis, Bland's
+`_optimize`, the two-phase tableau path of `solve_lp`, and from `oracle`
+the dense Gauss-Jordan elimination that `lp._reduce_linear` is checked
+against. It
 shares no reduction or kernel code with `lp`. The kernel in `lp` keeps
 every row as a primitive integer multiple of these rows, so every sign,
 Bland choice and certificate must be equal field for field: same status,
@@ -140,6 +141,21 @@ def _dense_basis_dual(std, active, basis, costs):
     return {k: y[pos] for pos, k in enumerate(active)}
 
 
+def _dense_crash(std, tab, rhs, red, basis):
+    """Each row whose rhs is 0, fewest standard-form nonzeros first (then
+    lowest index), pivots on its column with the fewest standard-form
+    nonzeros (then lowest index); a row that cancelled to zero is skipped.
+    A zero rhs moves no value, so every rhs stays where it was."""
+    def count(values):
+        return sum(1 for v in values if v)
+
+    columns = [count(row[j] for row in std.rows) for j in range(std.ncols)]
+    for i in sorted(range(len(tab)), key=lambda i: (count(std.rows[i]), i)):
+        held = [j for j in range(std.ncols) if tab[i][j]]
+        if rhs[i] == 0 and held:
+            _dense_pivot(tab, rhs, red, basis, i, min(held, key=lambda j: (columns[j], j)))
+
+
 def _dense_solve_lp(p):
     """Two-phase Bland simplex on a dense Fraction tableau (reference)."""
     lp._validate(p)
@@ -150,6 +166,7 @@ def _dense_solve_lp(p):
     basis = [n + i for i in range(m)]
     active = list(range(m))
     red = [-sum((row[j] for row in tab), _ZERO) for j in range(n)]
+    _dense_crash(std, tab, rhs, red, basis)
     assert _dense_optimize(tab, rhs, red, basis, n) is None
     if sum((rhs[i] for i in range(m) if basis[i] >= n), _ZERO) > 0:
         y_std = _dense_basis_dual(std, active, basis, lambda col: _ONE if col >= n else _ZERO)
@@ -349,7 +366,7 @@ def test_duals_from_the_stored_inverse_equal_the_dense_elimination(monkeypatch):
     rng = random.Random(2303)
     faces = [random_lp(rng) for _ in range(500)] + [_wide_lp(rng) for _ in range(200)]
     for face in faces:
-        phase1 = lp.Phase1(face)
+        phase1 = lp._Phase1(face)
         if phase1.farkas is not None:
             expected = _reference_dual(phase1, face, ended[-1][0],
                                        lambda std, col: _ONE if col >= std.ncols else _ZERO)
@@ -430,3 +447,82 @@ def test_pivots_store_only_nonzeros_of_primitive_rows(monkeypatch):
     for _ in range(1000):
         lp.solve_lp(random_lp(rng))
     assert pivots > 1000
+
+
+def _crash_spy(monkeypatch):
+    """Records each phase 1's crash: for each `lp._Phase1` built, its
+    problem, the row, column and rhs of each pivot made before Bland's rule
+    starts, and the rational tableau's basis and phase-1 cost row there."""
+    phase_one, optimize, pivot = lp._phase_one, lp._optimize, lp._pivot
+    crashes, state = [], {}
+
+    def spied_phase_one(tab, scale, cols, n):
+        state.update(n=n, crash=True)
+        return phase_one(tab, scale, cols, n)
+
+    def spied_optimize(tab, red, basis, ncols):
+        if state.pop("crash", False):
+            crashes[-1]["basis"], crashes[-1]["red"] = list(basis), dict(red)
+        return optimize(tab, red, basis, ncols)
+
+    def spied_pivot(rows, r, c, red=None):
+        if state.get("crash"):
+            crashes[-1]["pivots"].append((r, c, rows[r].get(state["n"], 0), red is not None))
+        pivot(rows, r, c, red)
+
+    class Recorded(lp._Phase1):
+        def __init__(self, p):
+            crashes.append({"problem": p, "pivots": []})
+            super().__init__(p)
+
+    monkeypatch.setattr(lp, "_phase_one", spied_phase_one)
+    monkeypatch.setattr(lp, "_optimize", spied_optimize)
+    monkeypatch.setattr(lp, "_pivot", spied_pivot)
+    monkeypatch.setattr(lp, "_Phase1", Recorded)
+    return crashes
+
+
+def test_crash_pivots_are_on_zero_rhs_rows_and_keep_the_phase_one_costs(monkeypatch):
+    # every crash pivot is on a row whose rhs is 0 and updates the cost
+    # row; where Bland's rule starts, that row is a positive multiple of
+    # the phase-1 reduced costs and value computed from scratch for the
+    # crash basis: y^T B = 1 on the artificials, d_j = -y . A_j, -y . b
+    crashes = _crash_spy(monkeypatch)
+    rng = random.Random(2707)
+    for _ in range(600):
+        lp.solve_lp(random_lp(rng))
+    for _ in range(200):
+        lp.solve_lp(_wide_lp(rng))
+    for k in range(40):
+        maker = random_arbitrary_market if k % 2 else random_arbitrage_free_market
+        arbitrage.check_na(maker(rng))
+    pivots = 0
+    for crash in crashes:
+        std = _ReferenceStdForm(crash["problem"])
+        n = std.ncols
+        assert all(rhs == 0 and with_costs for _, _, rhs, with_costs in crash["pivots"]), crash
+        pivots += len(crash["pivots"])
+        y = _dense_basis_dual(std, range(len(std.rows)), crash["basis"],
+                              lambda col: _ONE if col >= n else _ZERO)
+        expected = [-sum((v * std.rows[k][j] for k, v in y.items()), _ZERO) for j in range(n)]
+        expected.append(-sum((v * std.rhs[k] for k, v in y.items()), _ZERO))
+        red = crash["red"]
+        assert set(red) == {j for j, v in enumerate(expected) if v}, crash
+        if red:
+            j = min(red)
+            lam = red[j] / expected[j]
+            assert lam > 0 and all(red[j] == lam * expected[j] for j in red), crash
+    assert len(crashes) > 800 and pivots > 400
+
+
+def test_a_zero_rhs_row_that_cancels_in_the_crash_keeps_its_artificial():
+    # rows 0 and 1 are one equation x0 = x1 with rhs 0: row 0 crashes on
+    # x0, which empties row 1; the crash passes it by, its artificial stays
+    # basic through the drive-out, and its dual is 0
+    p = LpProblem([F(1), F(1)], [[F(1), F(-1)], [F(2), F(-2)], [F(1), F(1)]],
+                  [EQ, EQ, LE], [_ZERO, _ZERO, _ONE])
+    phase1 = lp._Phase1(p)
+    assert phase1.basis[:2] == [0, phase1.ncols + 1] and phase1.tab[1] == {}
+    out = lp.solve_lp(p)
+    assert out == _dense_solve_lp(p)
+    assert (out.status, out.objective_value, out.dual[1]) == (lp.OPTIMAL, _ONE, _ZERO)

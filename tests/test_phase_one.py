@@ -1,5 +1,5 @@
 """One phase 1 per market: every measure program of a compiled market is
-built by the phase 1 of their shared t = 0 face (`lp.Phase1.program`) and
+built by the phase 1 of their shared t = 0 face (`lp._Phase1.program`) and
 starts phase 2 from it.
 
 Warm outcomes are checked against a cold `solve_lp` of the same problem (a
@@ -7,7 +7,7 @@ Warm outcomes are checked against a cold `solve_lp` of the same problem (a
 push-0 programs equal it field for field, because the floor column of push 0
 never enters phase 1 (its reduced cost is the sum of the leaf columns'); the
 push-1 program may end at another optimal basis, so it matches in status and
-value and both outcomes replay. Only `Phase1.program` sets a route, so no
+value and both outcomes replay. Only `_Phase1.program` sets a route, so no
 problem can start phase 2 from a face it does not match.
 """
 
@@ -26,7 +26,17 @@ import pytest
 from hedgecert import arbitrage, cli, lp, superhedge
 from hedgecert.errors import StructureError
 from hedgecert.marketio import dump_market, market_to_json, parse_market
-from hedgecert.model import ONE, ZERO, Claim, require_valid
+from hedgecert.model import (
+    ONE,
+    ZERO,
+    Claim,
+    MarketModel,
+    MeasureFamily,
+    Node,
+    OptionQuote,
+    ScenarioTree,
+    require_valid,
+)
 from markets import (
     binomial_with_free_option,
     binomial_with_spread_option,
@@ -126,7 +136,7 @@ def test_late_columns_of_random_programs_keep_status_and_value():
     rng = random.Random(14)
     statuses = set()
     for _ in range(300):
-        face = lp.Phase1(random_lp(rng))
+        face = lp._Phase1(random_lp(rng))
         for mu in (None, 0, 1, 2):
             width = face.n + (mu is not None)
             p = face.program([random_rational(rng, -3, 3) for _ in range(width)], mu)
@@ -213,12 +223,12 @@ def test_programs_of_one_mu_share_one_rows_list():
 def test_each_market_runs_phase_one_once(monkeypatch, tmp_path, capsys):
     built = []
 
-    class Counted(lp.Phase1):
+    class Counted(lp._Phase1):
         def __init__(self, problem):
             built.append(len(problem.rows))
             super().__init__(problem)
 
-    monkeypatch.setattr(lp, "Phase1", Counted)
+    monkeypatch.setattr(lp, "_Phase1", Counted)
     c = require_valid(binomial_with_spread_option())
     arbitrage.check_na(c)
     arbitrage.check_nar(c)
@@ -314,7 +324,7 @@ def test_concurrent_first_queries_on_one_market_run_one_phase_one(monkeypatch):
     # each finds the face unbuilt, and all but one must wait for that one
     calls = []
 
-    class Slow(lp.Phase1):
+    class Slow(lp._Phase1):
         def __init__(self, p):
             calls.append(p)
             time.sleep(0.05)
@@ -322,7 +332,7 @@ def test_concurrent_first_queries_on_one_market_run_one_phase_one(monkeypatch):
 
     claim = Claim([F(1), F(0)])
     expected = [query() for query in _queries(require_valid(binomial_with_spread_option()), claim)]
-    monkeypatch.setattr(lp, "Phase1", Slow)
+    monkeypatch.setattr(lp, "_Phase1", Slow)
     c = require_valid(binomial_with_spread_option())
     queries, answers = _queries(c, claim), [None] * 4
     start = threading.Barrier(4, timeout=60)
@@ -347,7 +357,7 @@ def test_threads_that_race_to_build_one_mu_share_its_rows():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            face = lp.Phase1(random_lp(rng, max_vars=40, max_rows=40))
+            face = lp._Phase1(random_lp(rng, max_vars=40, max_rows=40))
             objective = [ONE] * (face.n + 1)
             problems = [None] * 4
             start = threading.Barrier(4)
@@ -379,3 +389,51 @@ def test_the_stored_phase_one_reaches_no_comparison_repr_or_file():
     problem, _, _ = arbitrage._solve(warm, [ZERO] * len(warm.charged) + [ONE], 1)
     assert problem == replace(problem) and replace(problem).phase1 is None
     assert "phase1" not in repr(problem)
+
+
+def _binomial_ladder_market(periods):
+    """The benchmark ladder's binomial tree: one stock from 1, up 2 or down
+    1/2 with up-weight 1/3, three calls at strikes 1/2, 1 and 2 quoted
+    around the reference measure, which charges every leaf."""
+    nodes, weight, level = [Node(0, 0, None, [ONE])], [ONE], [0]
+    for t in range(1, periods + 1):
+        nxt = []
+        for parent in level:
+            for move, q in ((F(2), F(1, 3)), (F(1, 2), F(2, 3))):
+                nxt.append(len(nodes))
+                nodes.append(Node(len(nodes), t, parent, [nodes[parent].prices[0] * move]))
+                weight.append(weight[parent] * q)
+        level = nxt
+    reference = [weight[nid] for nid in level]
+    options = []
+    for k, strike in enumerate((F(1, 2), ONE, F(2))):
+        payoff = [max(nodes[nid].prices[0] - strike, ZERO) for nid in level]
+        value = sum((q * v for q, v in zip(reference, payoff)), ZERO)
+        options.append(OptionQuote(f"call{k}", payoff, value - F(k + 1, 16), value + F(3 - k, 16)))
+    return MarketModel(ScenarioTree(nodes, periods, 1), options,
+                       MeasureFamily([reference], ["reference"]))
+
+
+def test_phase_one_of_the_64_leaf_binomial_face_makes_at_most_1000_row_updates(monkeypatch):
+    # Bland's rule from an all-artificial basis makes 4042 row updates on
+    # this face; from the crash basis, 962
+    combine, phase_one = lp._combine, lp._phase_one
+    counts = []
+
+    def counted(*args):
+        counts[-1] += 1
+        combine(*args)
+
+    def spied(*args):
+        counts.append(0)
+        monkeypatch.setattr(lp, "_combine", counted)
+        try:
+            return phase_one(*args)
+        finally:
+            monkeypatch.setattr(lp, "_combine", combine)
+
+    monkeypatch.setattr(lp, "_phase_one", spied)
+    c = require_valid(_binomial_ladder_market(6))
+    assert len(c.charged) == 64
+    assert arbitrage.check_na(c).holds
+    assert len(counts) == 1 and counts[0] <= 1000, counts

@@ -22,7 +22,14 @@ from hedgecert.arbitrage import (
     verify_nar_witness,
 )
 from hedgecert.errors import DomainError, StructureError
-from hedgecert.model import Claim, MeasureFamily, OptionQuote, canonical_legs, validate_market
+from hedgecert.model import (
+    Claim,
+    MeasureFamily,
+    OptionQuote,
+    Strategy,
+    canonical_legs,
+    validate_market,
+)
 from hedgecert.redundancy import (
     all_spread_options_nonredundant,
     check_nonredundant,
@@ -218,6 +225,14 @@ WRONG_TYPE_CALLS = {
     "invalid market: options is NoneType, not a list":
         lambda: market_without_option(replace(binomial_with_spread_option(), options=None), 0),
     "strategy is NoneType, not a Strategy": lambda: canonical_legs(None),
+    "strategy buy_leg is NoneType, not a list": lambda: canonical_legs(Strategy({}, None, None)),
+    "strategy sell_leg is float, not a list": lambda: canonical_legs(Strategy({}, [F(1)], 0.5)),
+    "strategy buy_leg[0] is bool True, not an int or a Fraction":
+        lambda: canonical_legs(Strategy({}, [True], [F(1, 2)])),
+    "strategy sell_leg[0] is float 0.5, not an int or a Fraction":
+        lambda: canonical_legs(Strategy({}, [F(1)], [0.5])),
+    "strategy legs sized 1/2, not one length":
+        lambda: canonical_legs(Strategy({}, [F(1)], [F(0), F(1)])),
 }
 
 
