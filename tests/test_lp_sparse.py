@@ -5,11 +5,10 @@ standard form with `Fraction` rows and rhs, the tableau pivot that scales
 its pivot row to 1 and subtracts full rows, the crash basis, Bland's
 `_optimize`, the two-phase tableau path of `solve_lp`, and from `oracle`
 the dense Gauss-Jordan elimination that `lp._reduce_linear` is checked
-against. It
-shares no reduction or kernel code with `lp`. The kernel in `lp` keeps
-every row as a primitive integer multiple of these rows, so every sign,
-Bland choice and certificate must be equal field for field: same status,
-primal, dual, objective, Farkas vector and ray.
+against. It shares no reduction or kernel code with `lp`. The kernel in
+`lp` keeps every row as a primitive integer multiple of these rows, so
+every sign, Bland choice and certificate must be equal field for field:
+same status, primal, dual, objective, Farkas vector and ray.
 """
 
 import collections
@@ -451,8 +450,8 @@ def test_pivots_store_only_nonzeros_of_primitive_rows(monkeypatch):
 
 def _crash_spy(monkeypatch):
     """Records each phase 1's crash: for each `lp._Phase1` built, its
-    problem, the row, column and rhs of each pivot made before Bland's rule
-    starts, and the rational tableau's basis and phase-1 cost row there."""
+    problem, the row, column, rhs and cost-row flag of each pivot made
+    before Bland's rule starts, and the basis and integer cost row there."""
     phase_one, optimize, pivot = lp._phase_one, lp._optimize, lp._pivot
     crashes, state = [], {}
 
