@@ -9,7 +9,11 @@ payoff/weight arrays align with it.
 
 Problems are (path, message) pairs in a plain list; `_fields` checks each
 JSON object's shape once, and `_stop` raises the problems found so far when
-they block further parsing.
+they block further parsing. A location travels as its parts, such as
+("tree.nodes", 3, "prices", 0), and `_path` formats it only for an issue,
+so a well-formed file formats none. Each read holds one dict from literal
+string to `Fraction`, so every distinct literal of a document is parsed
+once and its `Fraction`, immutable, is shared by every list that holds it.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from fractions import Fraction
 from .arbitrage import ArbitrageCertificate, MartingaleMeasure, RobustnessWitness
 from .errors import StructureError
 from .model import (
+    ZERO,
     Claim,
     CompiledMarket,
     MarketModel,
@@ -36,6 +41,7 @@ from .model import (
     validate_market,
 )
 from .redundancy import ReplicationCertificate
+from .superhedge import _check_claim
 
 SCHEMA_VERSION = 1
 
@@ -64,17 +70,26 @@ def _stop(issues: list, since: int = 0) -> None:
         raise MarketParseError(issues)
 
 
-def _fields(obj, keys: set[str], path: str, issues: list) -> bool:
-    """The one shape check of a JSON object: an issue if `obj` is not an
-    object, one per unknown key, and one naming the missing keys, sorted.
-    True when `obj` is an object holding every key."""
+def _path(*where) -> str:
+    """The location a tuple of parts names: the first part, then "[k]" for
+    each int part and ".name" for each str part."""
+    return where[0] + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in where[1:])
+
+
+def _fields(obj, keys: set[str], issues: list, *where) -> bool:
+    """The one shape check of a JSON object at `where`: an issue if `obj` is
+    not an object, one per unknown key, and one naming the missing keys,
+    sorted. True when `obj` is an object holding every key; an object with
+    exactly `keys` returns at once."""
+    if isinstance(obj, dict) and obj.keys() == keys:
+        return True
     if not isinstance(obj, dict):
-        issues.append((path, "expected an object"))
+        issues.append((_path(*where), "expected an object"))
         return False
-    issues += [(f"{path}.{key}", "unknown field") for key in obj if key not in keys]
+    issues += [(_path(*where, key), "unknown field") for key in obj if key not in keys]
     missing = sorted(keys - obj.keys())
     if missing:
-        issues.append((path, f"missing fields: {', '.join(missing)}"))
+        issues.append((_path(*where), f"missing fields: {', '.join(missing)}"))
     return not missing
 
 
@@ -113,47 +128,53 @@ def _is_id_list(obj) -> bool:
     )
 
 
-def _take_rational(obj, path: str, issues: list) -> Fraction | None:
-    try:
-        return parse_rational_text(obj)
-    except StructureError as exc:
-        issues.append((path, str(exc)))
-        return None
+def _take_rational(obj, literals: dict, issues: list, *where) -> Fraction | None:
+    """The Fraction a literal spells, or None and an issue at `where`.
+    `literals` maps each string parsed so far to its Fraction, so a
+    document parses each distinct literal once."""
+    value = literals.get(obj) if isinstance(obj, str) else None
+    if value is None:
+        try:
+            value = literals[obj] = parse_rational_text(obj)
+        except StructureError as exc:
+            issues.append((_path(*where), str(exc)))
+    return value
 
 
-def _take_rational_list(obj, path: str, issues: list) -> list[Fraction]:
+def _take_rational_list(obj, literals: dict, issues: list, *where) -> list[Fraction]:
     if not isinstance(obj, list):
-        issues.append((path, "expected a list of rational strings"))
+        issues.append((_path(*where), "expected a list of rational strings"))
         return []
     out = []
     for k, item in enumerate(obj):
-        v = _take_rational(item, f"{path}[{k}]", issues)
-        out.append(v if v is not None else Fraction(0))
+        v = literals.get(item) if isinstance(item, str) else None  # no call for a repeat
+        if v is None:
+            v = _take_rational(item, literals, issues, *where, k)
+        out.append(v if v is not None else ZERO)
     return out
 
 
-def _take_int(obj, path: str, issues: list, allow_none: bool = False):
-    if allow_none and obj is None:
-        return None
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        issues.append((path, f"expected an integer, got {obj!r}"))
+def _take_int(obj, issues: list, *where):
+    if type(obj) is not int:  # bool is an int subclass
+        issues.append((_path(*where), f"expected an integer, got {obj!r}"))
         return None
     return obj
 
 
-def _parse_nodes(raw, issues: list) -> list[Node]:
+def _parse_nodes(raw, literals: dict, issues: list) -> list[Node]:
     nodes = []
     if not isinstance(raw, list) or not raw:
         issues.append(("tree.nodes", "expected a non-empty list"))
         return nodes
     for k, item in enumerate(raw):
-        path = f"tree.nodes[{k}]"
-        if not _fields(item, _NODE_KEYS, path, issues):
+        if not _fields(item, _NODE_KEYS, issues, "tree.nodes", k):
             continue
-        nid = _take_int(item["id"], f"{path}.id", issues)
-        time = _take_int(item["time"], f"{path}.time", issues)
-        parent = _take_int(item["parent"], f"{path}.parent", issues, allow_none=True)
-        prices = _take_rational_list(item["prices"], f"{path}.prices", issues)
+        nid = _take_int(item["id"], issues, "tree.nodes", k, "id")
+        time = _take_int(item["time"], issues, "tree.nodes", k, "time")
+        parent = item["parent"]
+        if parent is not None:
+            parent = _take_int(parent, issues, "tree.nodes", k, "parent")
+        prices = _take_rational_list(item["prices"], literals, issues, "tree.nodes", k, "prices")
         if nid is None or time is None:
             continue
         nodes.append(Node(nid, time, parent, prices))
@@ -161,8 +182,8 @@ def _parse_nodes(raw, issues: list) -> list[Node]:
 
 
 def _named_entries(raw, section: str, keys: set[str], vector: str, reorder: list[int],
-                   issues: list):
-    """Yield (path, entry, name, vector) for each entry of "options" or
+                   literals: dict, issues: list):
+    """Yield (k, entry, name, vector) for each entry k of "options" or
     "measures" that is an object with exactly `keys`; its `vector` field is
     parsed and put in canonical leaf order. `validate_market` checks the
     names with the rest of the market."""
@@ -170,31 +191,32 @@ def _named_entries(raw, section: str, keys: set[str], vector: str, reorder: list
         issues.append((section, "expected a list"))
         _stop(issues)
     for k, item in enumerate(raw):
-        path = f"{section}[{k}]"
-        if not _fields(item, keys, path, issues):
+        if not _fields(item, keys, issues, section, k):
             continue
-        values = _take_rational_list(item[vector], f"{path}.{vector}", issues)
+        values = _take_rational_list(item[vector], literals, issues, section, k, vector)
         if len(values) == len(reorder):
             values = [values[i] for i in reorder]
-        yield path, item, item["name"], values
+        yield k, item, item["name"], values
 
 
 def parse_market(data: bytes | str) -> CompiledMarket:
     """Exact parse of a market file; every problem is reported with its path.
 
-    The market is validated and compiled here, once, so every query on it
-    skips both steps."""
-    issues = []
+    Each distinct literal is parsed once, into one Fraction that every
+    entry spelling it shares, and a location is formatted only for an
+    issue. The market is validated and compiled here, once, so every query
+    on it skips both steps."""
+    issues, literals = [], {}
     raw = _load_object(data)
     version = raw.get("schemaVersion")
     if version != SCHEMA_VERSION:
         raise MarketParseError([("schemaVersion", f"unsupported value {version!r}, expected {SCHEMA_VERSION}")])
-    if not _fields(raw, _MARKET_KEYS, "$", issues):
+    if not _fields(raw, _MARKET_KEYS, issues, "$"):
         _stop(issues)
     mark = len(issues)
-    if not _fields(raw["tree"], _TREE_KEYS, "tree", issues):
+    if not _fields(raw["tree"], _TREE_KEYS, issues, "tree"):
         _stop(issues)
-    nodes = _parse_nodes(raw["tree"]["nodes"], issues)
+    nodes = _parse_nodes(raw["tree"]["nodes"], literals, issues)
     _stop(issues, mark)
 
     periods = max(node.time for node in nodes)
@@ -214,15 +236,17 @@ def parse_market(data: bytes | str) -> CompiledMarket:
     reorder = [slot[leaf] for leaf in leaves]  # file index per canonical position
 
     options = []
-    entries = _named_entries(raw["options"], "options", _OPTION_KEYS, "payoff", reorder, issues)
-    for path, item, name, payoff in entries:
-        bid = _take_rational(item["bid"], f"{path}.bid", issues)
-        ask = _take_rational(item["ask"], f"{path}.ask", issues)
+    entries = _named_entries(raw["options"], "options", _OPTION_KEYS, "payoff", reorder,
+                             literals, issues)
+    for k, item, name, payoff in entries:
+        bid = _take_rational(item["bid"], literals, issues, "options", k, "bid")
+        ask = _take_rational(item["ask"], literals, issues, "options", k, "ask")
         if bid is not None and ask is not None:
             options.append(OptionQuote(name, payoff, bid, ask))
 
     generators, gen_names = [], []
-    entries = _named_entries(raw["measures"], "measures", _MEASURE_KEYS, "weights", reorder, issues)
+    entries = _named_entries(raw["measures"], "measures", _MEASURE_KEYS, "weights", reorder,
+                             literals, issues)
     for _, _, name, weights in entries:
         generators.append(weights)
         gen_names.append(name)
@@ -263,7 +287,7 @@ def market_to_json(m: MarketModel) -> dict:
             {"name": name, "weights": [format_rational(w) for w in weights]}
             for name, weights in zip(c.generator_names, m.measures.generators)
         ],
-        "leafOrder": leaf_ids(m.tree),
+        "leafOrder": list(c.leaves),
     }
 
 
@@ -272,20 +296,21 @@ def dump_market(m: MarketModel) -> str:
 
 
 def parse_claim(data: bytes | str, m: MarketModel) -> Claim:
-    """Parse a claim file against a market's leaves."""
+    """Parse a claim file against a market's leaves; the market is
+    validated first, and the payoff read as `parse_market` reads a list."""
+    leaves = require_valid(m).leaves
     issues = []
     raw = _load_object(data)
     if raw.get("schemaVersion") != SCHEMA_VERSION:
         raise MarketParseError([("schemaVersion", f"unsupported value {raw.get('schemaVersion')!r}")])
-    _fields(raw, _CLAIM_KEYS, "$", issues)
+    _fields(raw, _CLAIM_KEYS, issues, "$")
     _stop(issues)
 
-    leaves = leaf_ids(m.tree)
     order = raw["leafOrder"]
-    if not _is_id_list(order) or sorted(order) != leaves:
+    if not _is_id_list(order) or tuple(sorted(order)) != leaves:
         issues.append(("leafOrder", "must list exactly the market's final-period nodes"))
         _stop(issues)
-    payoff = _take_rational_list(raw["payoff"], "payoff", issues)
+    payoff = _take_rational_list(raw["payoff"], {}, issues, "payoff")
     if len(payoff) != len(order):
         issues.append(("payoff", f"{len(payoff)} entries for {len(order)} leaves"))
     _stop(issues)
@@ -294,9 +319,13 @@ def parse_claim(data: bytes | str, m: MarketModel) -> Claim:
 
 
 def claim_to_json(m: MarketModel, f: Claim) -> dict:
+    """The claim file of `f` on a valid market; a StructureError names a
+    claim that is not a Claim with one int or Fraction per leaf."""
+    c = require_valid(m)
+    _check_claim(c, f)
     return {
         "schemaVersion": SCHEMA_VERSION,
-        "leafOrder": leaf_ids(m.tree),
+        "leafOrder": list(c.leaves),
         "payoff": [format_rational(v) for v in f.payoff],
     }
 

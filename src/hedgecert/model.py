@@ -327,11 +327,12 @@ def validate_market(m: MarketModel) -> ValidationReport:
         if len(weights) != leaf_count:
             issues.append(f"{label}: {len(weights)} weights, expected {leaf_count}")
             continue
-        if any(w < 0 for w in weights):
+        # signs and the sum in integers over one denominator; a Fraction only for the message
+        nums, den = _over_lcm(weights)
+        if any(u < 0 for u in nums):
             issues.append(f"{label}: negative weight")
-        total = sum(weights, ZERO)
-        if total != 1:
-            issues.append(f"{label}: measure sums to {total}, expected 1")
+        if sum(nums) != den:
+            issues.append(f"{label}: measure sums to {Fraction(sum(nums), den)}, expected 1")
 
     return ValidationReport(not issues, issues)
 
@@ -393,7 +394,10 @@ def require_valid(m: MarketModel) -> CompiledMarket:
 
 def _compile(m: MarketModel) -> CompiledMarket:
     """Compile and mark a market that has already passed `validate_market`;
-    its two callers, `require_valid` and `marketio.parse_market`, run that pass."""
+    its two callers, `require_valid` and `marketio.parse_market`, run that pass.
+    Each distinct price move is one Fraction, kept by the integer ratios of
+    its two prices: hashing the ints costs less than a Fraction subtraction
+    or a Fraction hash."""
     tree = m.tree
     n, assets = len(tree.nodes), tree.num_assets
     by_id: list = [None] * n
@@ -403,11 +407,19 @@ def _compile(m: MarketModel) -> CompiledMarket:
     prices = tuple(tuple(node.prices) for node in by_id)
     children: list[list[int]] = [[] for _ in range(n)]
     step = [()] * n  # each edge's price increment, once, by its child's id
+    moves = {}  # (a, b) integer ratios -> b - a
     leaves, nonleaf = [], []
     for node in by_id:  # ascending ids, so every list below comes out sorted
         if node.parent is not None:
             children[node.parent].append(node.id)
-            step[node.id] = tuple(b - a for a, b in zip(prices[node.parent], prices[node.id]))
+            edge = []
+            for a, b in zip(prices[node.parent], prices[node.id]):
+                key = (a.as_integer_ratio(), b.as_integer_ratio())
+                move = moves.get(key)
+                if move is None:
+                    move = moves[key] = b - a
+                edge.append(move)
+            step[node.id] = tuple(edge)
         (leaves if node.time == tree.periods else nonleaf).append(node.id)
     paths = []
     for leaf in leaves:

@@ -150,6 +150,29 @@ def binomial_with_free_option() -> MarketModel:
     return binomial_market([OptionQuote("free", [F(1), F(0)], F(0), F(0))])
 
 
+def binomial_ladder_market(periods: int) -> MarketModel:
+    """The benchmark ladder's binomial tree: one stock from 1, up 2 or down
+    1/2 with up-weight 1/3, three calls at strikes 1/2, 1 and 2 quoted
+    around the reference measure, which charges every leaf."""
+    nodes, weight, level = [Node(0, 0, None, [ONE])], [ONE], [0]
+    for t in range(1, periods + 1):
+        nxt = []
+        for parent in level:
+            for move, q in ((F(2), F(1, 3)), (F(1, 2), F(2, 3))):
+                nxt.append(len(nodes))
+                nodes.append(Node(len(nodes), t, parent, [nodes[parent].prices[0] * move]))
+                weight.append(weight[parent] * q)
+        level = nxt
+    reference = [weight[nid] for nid in level]
+    options = []
+    for k, strike in enumerate((F(1, 2), ONE, F(2))):
+        payoff = [max(nodes[nid].prices[0] - strike, ZERO) for nid in level]
+        value = sum((q * v for q, v in zip(reference, payoff)), ZERO)
+        options.append(OptionQuote(f"call{k}", payoff, value - F(k + 1, 16), value + F(3 - k, 16)))
+    return MarketModel(ScenarioTree(nodes, periods, 1), options,
+                       MeasureFamily([reference], ["reference"]))
+
+
 def nar_fixture_markets() -> list[MarketModel]:
     """Every fixture on which robust no-arbitrage holds."""
     return [

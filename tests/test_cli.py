@@ -255,6 +255,19 @@ def test_invalid_market_file_exit_code(capsys, tmp_path):
         assert err["error"]["type"] == "invalid-input"
 
 
+@pytest.mark.parametrize("argv, message", [
+    # node 0's prices is the string "1", not a list holding it
+    (["check-na", str(DATA / "prices-string.json")],
+     "tree.nodes[0].prices: expected a list of rational strings"),
+    (["dual", str(DATA / "m1.json"), "--claim", str(DATA / "claim-bool.json")],
+     "payoff[0]: not a rational string: True"),
+])
+def test_hostile_data_files_exit_4_naming_the_entry(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, None)
+    assert err["error"] == {"type": "invalid-input", "message": message}
+
+
 def test_superhedge_on_arbitrage_market_exit_3(capsys, tmp_path):
     market = tmp_path / "m.json"
     market.write_text(dump_market(binomial_with_free_option()))

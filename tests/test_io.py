@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from dataclasses import replace
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from hedgecert import marketio
 from hedgecert.errors import StructureError
 from hedgecert.marketio import (
     MarketParseError,
@@ -17,8 +19,9 @@ from hedgecert.marketio import (
     parse_market,
     parse_rational_text,
 )
-from hedgecert.model import MeasureFamily, validate_market
+from hedgecert.model import CompiledMarket, MeasureFamily, require_valid, validate_market
 from markets import (
+    binomial_ladder_market,
     binomial_market,
     binomial_with_spread_option,
     pinned_identical_options_market,
@@ -223,34 +226,97 @@ def _m1_with(edit) -> bytes:
     return json.dumps(market).encode()
 
 
+def _node0(**fields):
+    """An edit that updates node 0 of the tree with `fields`."""
+    return lambda m: m["tree"]["nodes"][0].update(fields)
+
+
+_LONG = "1" + "0" * 5000  # past the int-string limit of int()
+
+
+def _int_limit_message() -> str:
+    try:
+        int(_LONG)
+    except ValueError as exc:
+        return str(exc)
+    return ""
+
+
 @pytest.mark.parametrize(
-    "data, path",
+    "data, issues",
     [
-        (b"[" * 100_000, "$"),
-        (b'{"schemaVersion": 1, "x": "\xff"}', "$"),
-        (b'{"schemaVersion": 1' + b"0" * 5000 + b"}", "$"),
-        (b"[1]", "$"),  # a top level that is not an object
-        (_m1_with(lambda m: m.update(options={})), "options"),
-        (_m1_with(lambda m: m.update(leafOrder=[1, "2"])), "leafOrder"),
-        (_m1_with(lambda m: m["tree"]["nodes"][0].update(id="0")), "tree.nodes[0].id"),
-        # no node list: "expected a non-empty list"
-        (_m1_with(lambda m: m["tree"].update(nodes=[])), "tree.nodes"),
-        (_m1_with(lambda m: m["tree"].update(nodes="x")), "tree.nodes"),
-        (_m1_with(lambda m: m.update(tree=[])), "tree"),  # "expected an object"
-        (_m1_with(lambda m: m.update(tree={})), "tree"),  # "missing fields: nodes"
-        (_m1_with(lambda m: m["tree"]["nodes"][0].update(prices="1")), "tree.nodes[0].prices"),
-        (_m1_with(lambda m: m.update(options=[1])), "options[0]"),  # "expected an object"
+        (b"[" * 100_000, [("$", "malformed JSON: nested too deeply")]),
+        (b'{"schemaVersion": 1, "x": "\xff"}', [("$", "not UTF-8: invalid byte at offset 27")]),
+        (b'{"schemaVersion": 1' + b"0" * 5000 + b"}",
+         [("$", f"malformed JSON: {_int_limit_message()}")]),
+        (b"[1]", [("$", "top level must be an object")]),
+        (_m1_with(lambda m: m.update(options={})), [("options", "expected a list")]),
+        (_m1_with(lambda m: m.update(leafOrder=[1, "2"])),
+         [("leafOrder", "expected a list of node ids")]),
+        (_m1_with(_node0(id="0")), [("tree.nodes[0].id", "expected an integer, got '0'")]),
+        (_m1_with(lambda m: m["tree"].update(nodes=[])),
+         [("tree.nodes", "expected a non-empty list")]),
+        (_m1_with(lambda m: m["tree"].update(nodes="x")),
+         [("tree.nodes", "expected a non-empty list")]),
+        (_m1_with(lambda m: m.update(tree=[])), [("tree", "expected an object")]),
+        (_m1_with(lambda m: m.update(tree={})), [("tree", "missing fields: nodes")]),
+        # a string is no list, though its characters would each parse
+        (_m1_with(_node0(prices="1")),
+         [("tree.nodes[0].prices", "expected a list of rational strings")]),
+        (_m1_with(lambda m: m.update(options=[1])), [("options[0]", "expected an object")]),
         # the literal grammar is ASCII digits alone, with nothing around them
-        (_m1_with(lambda m: m["tree"]["nodes"][0].update(prices=["3\n"])), "tree.nodes[0].prices[0]"),
-        (_m1_with(lambda m: m["tree"]["nodes"][0].update(prices=["\u0663"])), "tree.nodes[0].prices[0]"),
-        (_m1_with(lambda m: m["tree"]["nodes"][0].update(prices=["1/\u0664"])), "tree.nodes[0].prices[0]"),
-        (_m1_with(lambda m: m["tree"]["nodes"][0].update(prices=["\uff11"])), "tree.nodes[0].prices[0]"),
+        (_m1_with(_node0(prices=["3\n"])),
+         [("tree.nodes[0].prices[0]", "not a rational string: '3\\n'")]),
+        (_m1_with(_node0(prices=["\u0663"])),
+         [("tree.nodes[0].prices[0]", "not a rational string: '\u0663'")]),
+        (_m1_with(_node0(prices=["1/\u0664"])),
+         [("tree.nodes[0].prices[0]", "not a rational string: '1/\u0664'")]),
+        (_m1_with(_node0(prices=["\uff11"])),
+         [("tree.nodes[0].prices[0]", "not a rational string: '\uff11'")]),
+        # entries that are no string: none is looked up as a literal
+        (_m1_with(_node0(prices=[1])), [("tree.nodes[0].prices[0]", "not a rational string: 1")]),
+        (_m1_with(_node0(prices=[True])),
+         [("tree.nodes[0].prices[0]", "not a rational string: True")]),
+        (_m1_with(_node0(prices=[None])),
+         [("tree.nodes[0].prices[0]", "not a rational string: None")]),
+        (_m1_with(_node0(prices=[1.5])),
+         [("tree.nodes[0].prices[0]", "not a rational string: 1.5")]),
+        (_m1_with(_node0(prices=[["1"]])),
+         [("tree.nodes[0].prices[0]", "not a rational string: ['1']")]),
+        (_m1_with(_node0(prices=[{}])), [("tree.nodes[0].prices[0]", "not a rational string: {}")]),
+        (_m1_with(_node0(prices=[_LONG])),
+         [("tree.nodes[0].prices[0]", "rational string of 5001 characters is too long")]),
+        # a literal that fails is never kept: each place it recurs is an issue
+        (_m1_with(lambda m: [node.update(prices=["1/0"]) for node in m["tree"]["nodes"][1:]]),
+         [("tree.nodes[1].prices[0]", "zero denominator"),
+          ("tree.nodes[2].prices[0]", "zero denominator")]),
+        (_m1_with(lambda m: (m["measures"][0].update(weights=["0x1", "0"]),
+                             m["measures"][1].update(weights=["0", "0x1"]))),
+         [("measures[0].weights[0]", "not a rational string: '0x1'"),
+          ("measures[1].weights[1]", "not a rational string: '0x1'")]),
+        # a node's issues in field order: id, then prices
+        (_m1_with(_node0(id="0", prices=["x"])),
+         [("tree.nodes[0].id", "expected an integer, got '0'"),
+          ("tree.nodes[0].prices[0]", "not a rational string: 'x'")]),
+        (_m1_with(_node0(extra=1)), [("tree.nodes[0].extra", "unknown field")]),
+        (_m1_with(lambda m: m["tree"]["nodes"][1].pop("time")),
+         [("tree.nodes[1]", "missing fields: time")]),
+        (_m1_with(lambda m: (m["tree"]["nodes"][1].pop("time"), m["tree"]["nodes"][1].update(b=0, a=0))),
+         [("tree.nodes[1].b", "unknown field"), ("tree.nodes[1].a", "unknown field"),
+          ("tree.nodes[1]", "missing fields: time")]),
+        (_m1_with(lambda m: m.update(options=[{"name": "c", "payoff": "10", "bid": "0", "ask": "1"}])),
+         [("options[0].payoff", "expected a list of rational strings")]),
+        (_m1_with(lambda m: m.update(options=[{"name": "c", "payoff": "10", "bid": "x", "ask": "1"}])),
+         [("options[0].payoff", "expected a list of rational strings"),
+          ("options[0].bid", "not a rational string: 'x'")]),
+        (_m1_with(lambda m: m["measures"][0].update(weights=[True, "0"])),
+         [("measures[0].weights[0]", "not a rational string: True")]),
     ],
 )
-def test_hostile_bytes_are_located_parse_errors(data, path):
+def test_hostile_bytes_are_located_parse_errors(data, issues):
     with pytest.raises(MarketParseError) as err:
         parse_market(data)
-    assert [p for p, _ in err.value.issues] == [path]
+    assert err.value.issues == issues
 
 
 def test_claim_leaf_order_of_mixed_types_is_rejected():
@@ -266,3 +332,51 @@ def test_input_that_is_neither_bytes_nor_str_is_a_located_parse_error(data, kind
         with pytest.raises(MarketParseError) as err:
             parse(data)
         assert err.value.issues == [("$", f"input is {kind}, not bytes or str")]
+
+
+def _literals(document: dict) -> list[str]:
+    """Every rational literal of a market document, in file order."""
+    out = [p for node in document["tree"]["nodes"] for p in node["prices"]]
+    out += [v for opt in document["options"] for v in (*opt["payoff"], opt["bid"], opt["ask"])]
+    return out + [w for gen in document["measures"] for w in gen["weights"]]
+
+
+def _distinct_fractions(m):
+    """m with every price, payoff, quote and weight a Fraction object of its own."""
+    def fresh(v):
+        return F(v.numerator, v.denominator)
+
+    nodes = [replace(node, prices=list(map(fresh, node.prices))) for node in m.tree.nodes]
+    options = [replace(opt, payoff=list(map(fresh, opt.payoff)), bid=fresh(opt.bid),
+                       ask=fresh(opt.ask)) for opt in m.options]
+    generators = [list(map(fresh, w)) for w in m.measures.generators]
+    return replace(m, tree=replace(m.tree, nodes=nodes), options=options,
+                   measures=replace(m.measures, generators=generators))
+
+
+def test_a_document_parses_each_distinct_literal_once(monkeypatch):
+    # the benchmark ladder's 64-leaf binomial tree, where most literals repeat
+    document = market_to_json(binomial_ladder_market(6))
+    literals = _literals(document)
+    parsed_texts = []
+
+    def counted(text):
+        parsed_texts.append(text)
+        return parse_rational_text(text)
+
+    monkeypatch.setattr(marketio, "parse_rational_text", counted)
+    parsed = parse_market(json.dumps(document))
+    assert sorted(parsed_texts) == sorted(set(literals))
+    assert (len(parsed_texts), len(literals)) == (35, 389)
+    # one Fraction object per distinct literal, shared by every entry
+    values = [p for node in parsed.tree.nodes for p in node.prices]
+    values += [v for opt in parsed.options for v in (*opt.payoff, opt.bid, opt.ask)]
+    values += [w for gen in parsed.measures.generators for w in gen]
+    assert len(values) == len(literals)
+    assert len({id(v) for v in values}) == len(set(literals))
+
+    # the shared Fractions compile to the market distinct ones compile to
+    distinct = require_valid(_distinct_fractions(binomial_ladder_market(6)))
+    for f in dataclasses.fields(CompiledMarket):
+        assert getattr(parsed, f.name) == getattr(distinct, f.name), f.name
+    assert dump_market(parsed) == dump_market(distinct)

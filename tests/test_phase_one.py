@@ -26,18 +26,9 @@ import pytest
 from hedgecert import arbitrage, cli, lp, superhedge
 from hedgecert.errors import StructureError
 from hedgecert.marketio import dump_market, market_to_json, parse_market
-from hedgecert.model import (
-    ONE,
-    ZERO,
-    Claim,
-    MarketModel,
-    MeasureFamily,
-    Node,
-    OptionQuote,
-    ScenarioTree,
-    require_valid,
-)
+from hedgecert.model import ONE, ZERO, Claim, require_valid
 from markets import (
+    binomial_ladder_market,
     binomial_with_free_option,
     binomial_with_spread_option,
     random_arbitrage_free_market,
@@ -391,29 +382,6 @@ def test_the_stored_phase_one_reaches_no_comparison_repr_or_file():
     assert "phase1" not in repr(problem)
 
 
-def _binomial_ladder_market(periods):
-    """The benchmark ladder's binomial tree: one stock from 1, up 2 or down
-    1/2 with up-weight 1/3, three calls at strikes 1/2, 1 and 2 quoted
-    around the reference measure, which charges every leaf."""
-    nodes, weight, level = [Node(0, 0, None, [ONE])], [ONE], [0]
-    for t in range(1, periods + 1):
-        nxt = []
-        for parent in level:
-            for move, q in ((F(2), F(1, 3)), (F(1, 2), F(2, 3))):
-                nxt.append(len(nodes))
-                nodes.append(Node(len(nodes), t, parent, [nodes[parent].prices[0] * move]))
-                weight.append(weight[parent] * q)
-        level = nxt
-    reference = [weight[nid] for nid in level]
-    options = []
-    for k, strike in enumerate((F(1, 2), ONE, F(2))):
-        payoff = [max(nodes[nid].prices[0] - strike, ZERO) for nid in level]
-        value = sum((q * v for q, v in zip(reference, payoff)), ZERO)
-        options.append(OptionQuote(f"call{k}", payoff, value - F(k + 1, 16), value + F(3 - k, 16)))
-    return MarketModel(ScenarioTree(nodes, periods, 1), options,
-                       MeasureFamily([reference], ["reference"]))
-
-
 def test_phase_one_of_the_64_leaf_binomial_face_makes_at_most_1000_row_updates(monkeypatch):
     # Bland's rule from an all-artificial basis makes 4042 row updates on
     # this face; from the crash basis, 962
@@ -433,7 +401,7 @@ def test_phase_one_of_the_64_leaf_binomial_face_makes_at_most_1000_row_updates(m
             monkeypatch.setattr(lp, "_combine", combine)
 
     monkeypatch.setattr(lp, "_phase_one", spied)
-    c = require_valid(_binomial_ladder_market(6))
+    c = require_valid(binomial_ladder_market(6))
     assert len(c.charged) == 64
     assert arbitrage.check_na(c).holds
     assert len(counts) == 1 and counts[0] <= 1000, counts

@@ -2,6 +2,7 @@
 StructureError or a DomainError, and nothing ends in an AttributeError or a
 TypeError from deep inside the package."""
 
+import json
 import re
 from dataclasses import replace
 from fractions import Fraction as F
@@ -22,6 +23,7 @@ from hedgecert.arbitrage import (
     verify_nar_witness,
 )
 from hedgecert.errors import DomainError, StructureError
+from hedgecert.marketio import claim_to_json, parse_claim
 from hedgecert.model import (
     Claim,
     MeasureFamily,
@@ -275,3 +277,23 @@ def test_an_expectation_takes_only_exact_entries():
             measure.expectation(payoff)
     assert q.expectation([F(1, 2), 1]) == F(5, 6)
     assert type(q.expectation([1, 1])) is F
+
+
+_CLAIM = Claim([F(1), F(0)])
+_CLAIM_FILE = json.dumps({"schemaVersion": 1, "leafOrder": [1, 2], "payoff": ["1", "0"]})
+
+
+@pytest.mark.parametrize("call, where", [
+    (lambda m: parse_claim(_CLAIM_FILE, None), "invalid market: market is NoneType, not a MarketModel"),
+    (lambda m: parse_claim(_CLAIM_FILE, {}), "invalid market: market is dict, not a MarketModel"),
+    (lambda m: claim_to_json(None, _CLAIM), "invalid market: market is NoneType, not a MarketModel"),
+    (lambda m: claim_to_json(m, None), "claim is NoneType, not a Claim"),
+    (lambda m: claim_to_json(m, Claim([1.0, F(0)])), "claim payoff[0] is float 1.0"),
+    (lambda m: claim_to_json(m, Claim([F(1)])), "claim has 1 payoffs, market has 2 leaves"),
+], ids=["parse None", "parse dict", "write None market", "write None claim",
+        "write float payoff", "write short payoff"])
+def test_the_claim_file_api_names_a_wrong_market_or_claim(call, where):
+    m = binomial_market()
+    with pytest.raises(StructureError, match=re.escape(where)):
+        call(m)
+    assert parse_claim(json.dumps(claim_to_json(m, _CLAIM)), m) == _CLAIM
