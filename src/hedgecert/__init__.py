@@ -30,7 +30,6 @@ from .errors import (
     SoundnessError,
     StructureError,
 )
-from .lp import LpOutcome, LpProblem, solve_lp, verify_certificate
 from .model import (
     Claim,
     CompiledMarket,

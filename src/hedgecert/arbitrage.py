@@ -109,6 +109,7 @@ _NO_CONSISTENT_MEASURE = "no quote-consistent martingale measure is supported on
 
 
 def measure_from_weights(m: MarketModel, weights: list[Fraction]) -> MartingaleMeasure:
+    lp._list(weights, "weights")
     q = MartingaleMeasure(list(weights), [])
     q.option_values = [q.expectation(opt.payoff) for opt in m.options]
     return q

@@ -43,11 +43,7 @@ the row is negated to make its rhs nonnegative, and keeps the same entries
 by column. Phase 1 pivots these rows themselves into its tableau; its
 reduced costs are -sum_k rows[k] / |scale[k]| over one common integer
 denominator, a positive multiple of the rational phase-1 row. Values leave
-as b_i / a_i,B(i). The objective, the rows, each row, the relations and
-the rhs must be lists or tuples, and every problem entry an int or a
-Fraction; anything else is a StructureError naming the field, and makes
-`verify_certificate` return False, as does a certificate entry that is not
-an int or a Fraction.
+as b_i / a_i,B(i).
 
 Phase 1 begins with a crash (Bixby 1992, "Implementing the simplex method:
 the initial basis"). Each row whose rhs is 0, fewest nonzeros first, pivots
@@ -92,9 +88,10 @@ Bland's order is the face's. Such a column keeps feasibility with the face
 (move its value onto every face column and mu times it onto each slack) and
 keeps a face's Farkas vector y one of the whole problem (y . A_late is a sum
 of y . A_j <= 0 and mu y_k (+-1) <= 0), so the face's verdict and basis
-serve the whole problem. Neither the face nor a routed program is checked,
-as the package builds both from a compiled market; `solve_lp` validates a
-problem with no route, runs `_Phase1(p)` and then the same start.
+serve the whole problem. Neither the face nor a program is checked, as
+the package builds both from a compiled market. `solve_lp` takes nothing
+else: a problem with no route, a `replace` copy of a program included, is
+a StructureError.
 
 Every outcome carries a certificate checkable from the untouched data:
 
@@ -107,7 +104,9 @@ Every outcome carries a certificate checkable from the untouched data:
   unbounded  -> feasible point plus an improving ray r >= 0, c . r > 0
 
 `verify_certificate` re-derives all of this from scratch; it shares no state
-with the solver beyond the problem statement.
+with the solver beyond the problem statement. It answers False, never
+raises, for a problem with no route or a certificate entry that is not an
+int or a Fraction.
 """
 
 from __future__ import annotations
@@ -133,12 +132,15 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class LpProblem:
+    """max objective . x over x >= 0 subject to the rows. A face is one;
+    a program `solve_lp` takes is one that `_Phase1.program` built on a
+    face's lists, with `phase1` set to its route (the face's _Phase1, mu),
+    which no constructor or `replace` sets, so a copy has no route."""
+
     objective: list[Fraction]
     rows: list[list[Fraction]]
     relations: list[str]
     rhs: list[Fraction]
-    # (the face's _Phase1, mu) when `_Phase1.program` built this problem on
-    # its lists; no constructor or `replace` sets it, so a copy has no route
     phase1: tuple[_Phase1, int | None] | None = field(default=None, init=False, compare=False, repr=False)
 
 
@@ -175,26 +177,6 @@ def _list(value, field: str) -> None:
     """StructureError unless value is a list or a tuple."""
     if not isinstance(value, (list, tuple)):
         raise StructureError(f"{field} is {type(value).__name__}, not a list")
-
-
-def _validate(p: LpProblem) -> None:
-    for name in ("objective", "rows", "relations", "rhs"):
-        _list(getattr(p, name), name)
-    n = len(p.objective)
-    m = len(p.rows)
-    if len(p.relations) != m or len(p.rhs) != m:
-        raise StructureError("row count mismatch between rows, relations, rhs")
-    for i, row in enumerate(p.rows):
-        _list(row, f"rows[{i}]")
-        if len(row) != n:
-            raise StructureError(f"row {i} has {len(row)} coefficients, expected {n}")
-    for i, rel in enumerate(p.relations):
-        if rel not in (LE, EQ, GE):
-            raise StructureError(f"row {i}: unknown relation {rel!r}")
-    _rationals(p.objective, "objective")
-    _rationals(p.rhs, "rhs")
-    for i, row in enumerate(p.rows):
-        _rationals(row, f"rows[{i}]")
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -596,17 +578,13 @@ def _phase_two(p: LpProblem, phase1: _Phase1, mu: int | None) -> LpOutcome:
 
 
 def solve_lp(p: LpProblem) -> LpOutcome:
-    """Two-phase exact simplex with Bland's rule and certificate extraction.
-
-    Phase 2 starts from the stored phase 1 that `p.phase1` routes the
-    problem to, else from a phase 1 of p, validated first."""
-    if not isinstance(p, LpProblem):
-        raise StructureError(f"problem is {type(p).__name__}, not an LpProblem")
-    if p.phase1 is None:
-        _validate(p)
-        phase1, mu = _Phase1(p), None
-    else:
-        phase1, mu = p.phase1
+    """Phase 2, with certificate extraction, of a program `_Phase1.program`
+    built, from the stored phase 1 its `phase1` routes it to; any other
+    problem is a StructureError."""
+    if not isinstance(p, LpProblem) or p.phase1 is None:
+        raise StructureError(f"problem is {type(p).__name__} with no route to a phase 1, "
+                             "not a program _Phase1.program built")
+    phase1, mu = p.phase1
     if phase1.farkas is not None:
         return LpOutcome(status=INFEASIBLE, farkas=list(phase1.farkas))
     return _phase_two(p, phase1, mu)
@@ -645,12 +623,9 @@ def _aggregate(p: LpProblem, y: list[Fraction]) -> list[Fraction]:
 
 
 def verify_certificate(p: LpProblem, o: LpOutcome) -> bool:
-    """Re-check an outcome from scratch, exactly. True iff everything holds."""
-    if not isinstance(p, LpProblem) or not isinstance(o, LpOutcome):
-        return False
-    try:
-        _validate(p)
-    except StructureError:
+    """Re-check an outcome of a routed program from scratch, exactly. True
+    iff everything holds; False for a problem with no route."""
+    if not isinstance(p, LpProblem) or p.phase1 is None or not isinstance(o, LpOutcome):
         return False
     n = len(p.objective)
     m = len(p.rows)

@@ -35,6 +35,7 @@ from .model import (
     ScenarioTree,
     Strategy,
     _compile,
+    _index,
     _parse_rational,
     leaf_ids,
     require_valid,
@@ -330,7 +331,15 @@ def claim_to_json(m: MarketModel, f: Claim) -> dict:
     }
 
 
+def _instance(obj, cls, what: str) -> None:
+    """StructureError unless `obj` is a `cls`, worded as `canonical_legs`'."""
+    if not isinstance(obj, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise StructureError(f"{what} is {type(obj).__name__}, not {article} {cls.__name__}")
+
+
 def strategy_to_json(s: Strategy) -> dict:
+    _instance(s, Strategy, "strategy")
     return {
         "dynamic": {
             str(nid): [format_rational(v) for v in s.dynamic[nid]]
@@ -343,6 +352,7 @@ def strategy_to_json(s: Strategy) -> dict:
 
 
 def measure_to_json(q: MartingaleMeasure) -> dict:
+    _instance(q, MartingaleMeasure, "measure")
     return {
         "weights": [format_rational(w) for w in q.weights],
         "optionValues": [format_rational(v) for v in q.option_values],
@@ -350,6 +360,7 @@ def measure_to_json(q: MartingaleMeasure) -> dict:
 
 
 def na_certificate_to_json(cert: ArbitrageCertificate) -> dict:
+    _instance(cert, ArbitrageCertificate, "certificate")
     return {
         "strategy": strategy_to_json(cert.strategy),
         "gains": [format_rational(g) for g in cert.gains],
@@ -358,6 +369,7 @@ def na_certificate_to_json(cert: ArbitrageCertificate) -> dict:
 
 
 def witness_to_json(w: RobustnessWitness) -> dict:
+    _instance(w, RobustnessWitness, "witness")
     return {
         "shrunkBids": [format_rational(v) for v in w.shrunk_bids],
         "shrunkAsks": [format_rational(v) for v in w.shrunk_asks],
@@ -367,16 +379,21 @@ def witness_to_json(w: RobustnessWitness) -> dict:
 
 
 def replication_to_json(m: MarketModel, i: int, cert: ReplicationCertificate) -> dict:
-    others = [k for k in range(len(m.options)) if k != i]
+    """Option i's replication on a valid market; an index that is not an
+    option's is a DomainError."""
+    c = require_valid(m)
+    _index(i, len(c.options), "option index")
+    _instance(cert, ReplicationCertificate, "certificate")
+    others = [k for k in range(len(c.options)) if k != i]
     return {
-        "option": m.options[i].name,
+        "option": c.options[i].name,
         "initialCapital": format_rational(cert.initial_capital),
         "dynamic": {
             str(nid): [format_rational(v) for v in cert.dynamic[nid]]
             for nid in sorted(cert.dynamic)
         },
         "staticSigned": [
-            {"option": m.options[k].name, "position": format_rational(h)}
+            {"option": c.options[k].name, "position": format_rational(h)}
             for k, h in zip(others, cert.static_signed)
         ],
     }

@@ -359,3 +359,10 @@ def random_lp(rng, max_vars=5, max_rows=5) -> lp.LpProblem:
     if rng.choice((True, False)):  # drew a minimization: min c . x is max -c . x
         objective = [-c for c in objective]
     return lp.LpProblem(objective=objective, rows=rows, relations=relations, rhs=rhs)
+
+
+def routed(p: lp.LpProblem) -> lp.LpProblem:
+    """p as a program `lp.solve_lp` takes: the one a fresh phase 1 of p's
+    own face builds for p's objective, as the package builds every program.
+    It shares p's lists and equals p; solving it is a cold solve of p."""
+    return lp._Phase1(p).program(p.objective)

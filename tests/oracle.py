@@ -52,6 +52,7 @@ from hedgecert.redundancy import (
     SharperFtapBundle,
     SpreadOptionsReport,
 )
+from markets import routed
 
 MAX_ORACLE_LEAVES = 10
 
@@ -88,7 +89,8 @@ def strategy_row(c: CompiledMarket, pos: int) -> list[Fraction]:
 
 
 def _solve_free(objective, rows, relations, rhs, free: int) -> lp.LpOutcome:
-    """`lp.solve_lp` with the first `free` columns unrestricted in sign.
+    """`lp.solve_lp` with the first `free` columns unrestricted in sign, on
+    the program a phase 1 of its own builds (`markets.routed`).
 
     Each is split into the adjacent column pair (x+, x-), x = x+ - x-, and an
     optimal primal is mapped back; other outcomes are returned as solved.
@@ -96,7 +98,8 @@ def _solve_free(objective, rows, relations, rhs, free: int) -> lp.LpOutcome:
     def split(v):
         return [u for a in v[:free] for u in (a, -a)] + v[free:]
 
-    out = lp.solve_lp(lp.LpProblem(split(objective), [split(r) for r in rows], relations, rhs))
+    problem = lp.LpProblem(split(objective), [split(r) for r in rows], relations, rhs)
+    out = lp.solve_lp(routed(problem))
     if out.status == lp.OPTIMAL:
         z = out.primal
         out.primal = [z[2 * j] - z[2 * j + 1] for j in range(free)] + z[2 * free:]

@@ -38,6 +38,7 @@ from markets import (
     random_arbitrary_market,
     random_claim,
     random_lp,
+    routed,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -241,7 +242,7 @@ def test_criterion_9_lp_kernel_soundness(solver_audit):
         rng = random.Random(1618034)
         statuses = {lp.OPTIMAL: 0, lp.INFEASIBLE: 0, lp.UNBOUNDED: 0}
         for _ in range(1000):
-            problem = random_lp(rng)
+            problem = routed(random_lp(rng))
             outcome = lp.solve_lp(problem)  # session audit re-verifies each call
             statuses[outcome.status] += 1
         assert sum(statuses.values()) == 1000

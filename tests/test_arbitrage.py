@@ -41,6 +41,7 @@ from markets import (
     pinned_identical_options_market,
     random_arbitrage_free_market,
     random_arbitrary_market,
+    routed,
     single_leaf_market,
     stockless_market,
     trinomial_straddle_market,
@@ -388,7 +389,7 @@ def test_every_replay_rejects_an_entry_that_is_not_rational():
         assert verify_replication(m, 0, bad) is False
 
     I = F(1)
-    p = lp.LpProblem([I], [[I]], [lp.LE], [I])
+    p = routed(lp.LpProblem([I], [[I]], [lp.LE], [I]))
     out = lp.solve_lp(p)
     for bad in (
         replace(out, primal=[1.0]),
@@ -397,10 +398,10 @@ def test_every_replay_rejects_an_entry_that_is_not_rational():
         replace(out, objective_value=1.0),
     ):
         assert lp.verify_certificate(p, bad) is False
-    p = lp.LpProblem([F(0)], [[I], [I]], [lp.LE, lp.GE], [F(0), I])
+    p = routed(lp.LpProblem([F(0)], [[I], [I]], [lp.LE, lp.GE], [F(0), I]))
     out = lp.solve_lp(p)
     assert lp.verify_certificate(p, replace(out, farkas=[float(v) for v in out.farkas])) is False
-    p = lp.LpProblem([I], [], [], [])
+    p = routed(lp.LpProblem([I], [], [], []))
     out = lp.solve_lp(p)
     assert lp.verify_certificate(p, replace(out, ray=[1.0])) is False
 

@@ -31,6 +31,7 @@ from markets import (
     random_claim,
     random_lp,
     random_rational,
+    routed,
     trinomial_straddle_market,
 )
 from oracle import _dense_gauss_jordan, _dense_solve_unique, hedge_lp
@@ -157,7 +158,6 @@ def _dense_crash(std, tab, rhs, red, basis):
 
 def _dense_solve_lp(p):
     """Two-phase Bland simplex on a dense Fraction tableau (reference)."""
-    lp._validate(p)
     std = _ReferenceStdForm(p)
     m, n, nvars = len(std.rows), std.ncols, std.nvars
     tab = [row[:] for row in std.rows]
@@ -261,7 +261,7 @@ def _assert_identical(problems):
 
 def test_random_lps_match_the_dense_kernel():
     rng = random.Random(31337)
-    problems = [random_lp(rng) for _ in range(1000)]
+    problems = [routed(random_lp(rng)) for _ in range(1000)]
     _assert_identical(problems)
     statuses = {lp.solve_lp(p).status for p in problems}
     assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
@@ -317,7 +317,7 @@ def test_wide_denominator_lps_match_the_dense_kernel():
     rng = random.Random(1000003)
     statuses = set()
     for _ in range(400):
-        p = _wide_lp(rng)
+        p = routed(_wide_lp(rng))
         out = lp.solve_lp(copy.deepcopy(p))
         assert out == _dense_solve_lp(copy.deepcopy(p)), p
         assert lp.verify_certificate(p, out), p
@@ -444,7 +444,7 @@ def test_pivots_store_only_nonzeros_of_primitive_rows(monkeypatch):
     monkeypatch.setattr(lp, "_pivot", checked)
     rng = random.Random(31337)
     for _ in range(1000):
-        lp.solve_lp(random_lp(rng))
+        lp.solve_lp(routed(random_lp(rng)))
     assert pivots > 1000
 
 
@@ -489,9 +489,9 @@ def test_crash_pivots_are_on_zero_rhs_rows_and_keep_the_phase_one_costs(monkeypa
     crashes = _crash_spy(monkeypatch)
     rng = random.Random(2707)
     for _ in range(600):
-        lp.solve_lp(random_lp(rng))
+        lp.solve_lp(routed(random_lp(rng)))
     for _ in range(200):
-        lp.solve_lp(_wide_lp(rng))
+        lp.solve_lp(routed(_wide_lp(rng)))
     for k in range(40):
         maker = random_arbitrary_market if k % 2 else random_arbitrage_free_market
         arbitrage.check_na(maker(rng))
@@ -522,6 +522,6 @@ def test_a_zero_rhs_row_that_cancels_in_the_crash_keeps_its_artificial():
                   [EQ, EQ, LE], [_ZERO, _ZERO, _ONE])
     phase1 = lp._Phase1(p)
     assert phase1.basis[:2] == [0, phase1.ncols + 1] and phase1.tab[1] == {}
-    out = lp.solve_lp(p)
+    out = lp.solve_lp(phase1.program(p.objective))
     assert out == _dense_solve_lp(p)
     assert (out.status, out.objective_value, out.dual[1]) == (lp.OPTIMAL, _ONE, _ZERO)

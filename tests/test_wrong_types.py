@@ -16,6 +16,7 @@ from hedgecert.arbitrage import (
     check_nar,
     dominates,
     dominating_measure,
+    measure_from_weights,
     scenario_pricing_measure,
     strictly_inside_quotes,
     verify_measure,
@@ -23,7 +24,15 @@ from hedgecert.arbitrage import (
     verify_nar_witness,
 )
 from hedgecert.errors import DomainError, StructureError
-from hedgecert.marketio import claim_to_json, parse_claim
+from hedgecert.marketio import (
+    claim_to_json,
+    measure_to_json,
+    na_certificate_to_json,
+    parse_claim,
+    replication_to_json,
+    strategy_to_json,
+    witness_to_json,
+)
 from hedgecert.model import (
     Claim,
     MeasureFamily,
@@ -45,7 +54,7 @@ from hedgecert.superhedge import (
     superhedge_price,
     verify_super_replication,
 )
-from markets import binomial_market, binomial_with_free_option, binomial_with_spread_option
+from markets import binomial_market, binomial_with_free_option, binomial_with_spread_option, routed
 
 
 def test_replays_return_false_on_missing_or_mistyped_certificates():
@@ -55,7 +64,8 @@ def test_replays_return_false_on_missing_or_mistyped_certificates():
     cert = check_na(free).certificate
     claim = Claim([F(1), F(0)])
     price, strategy = superhedge_price(m, claim)
-    problem = lp.LpProblem([F(1)], [[F(1)]], [lp.LE], [F(1)])
+    unrouted = lp.LpProblem([F(1)], [[F(1)]], [lp.LE], [F(1)])
+    problem = routed(unrouted)
     interior, generator = witness.interior_measure, m.measures.generators[0]
     cases = {
         "no witness": lambda: verify_nar_witness(m, None),
@@ -73,6 +83,8 @@ def test_replays_return_false_on_missing_or_mistyped_certificates():
         "float claim": lambda: verify_super_replication(m, Claim([1.0, 0.0]), price, strategy),
         "no replication": lambda: verify_replication(free, 0, None),
         "no outcome": lambda: lp.verify_certificate(problem, None),
+        # the same data no face built: the program's outcome does not replay
+        "unrouted problem": lambda: lp.verify_certificate(unrouted, lp.solve_lp(problem)),
         "no dominating measure": lambda: dominates(None, generator),
         "no weight": lambda: dominates(replace(interior, weights=[None, F(1)]), generator),
         "no generator": lambda: dominates(interior, None),
@@ -219,10 +231,24 @@ def test_market_without_option_takes_only_an_option_index():
     assert market_without_option(m, 0).options == []
 
 
-# each would otherwise end in an AttributeError or a TypeError; a market is
+# each would otherwise end in an AttributeError or a TypeError, or for the
+# hand-built problem in an answer to a program no face built; a market is
 # validated first, so its error is the one `require_valid` gives
 WRONG_TYPE_CALLS = {
-    "problem is NoneType, not an LpProblem": lambda: lp.solve_lp(None),
+    "problem is NoneType with no route to a phase 1, not a program _Phase1.program built":
+        lambda: lp.solve_lp(None),
+    "problem is LpProblem with no route to a phase 1":
+        lambda: lp.solve_lp(lp.LpProblem([F(1)], [[F(1)]], [lp.LE], [F(1)])),
+    "weights is NoneType, not a list": lambda: measure_from_weights(_SPREAD, None),
+    # the report serializers, each of which read a field of its argument first
+    "strategy is Claim, not a Strategy": lambda: strategy_to_json(Claim([F(1), F(0)])),
+    "measure is NoneType, not a MartingaleMeasure": lambda: measure_to_json(None),
+    "witness is NoneType, not a RobustnessWitness": lambda: witness_to_json(None),
+    "certificate is NoneType, not an ArbitrageCertificate": lambda: na_certificate_to_json(None),
+    "certificate is NoneType, not a ReplicationCertificate":
+        lambda: replication_to_json(_SPREAD, 0, None),
+    "invalid market: market is ScenarioTree, not a MarketModel":
+        lambda: replication_to_json(_SPREAD.tree, 0, check_nonredundant(_SPREAD, 0).certificate),
     "invalid market: market is NoneType, not a MarketModel": lambda: market_without_option(None, 0),
     "invalid market: options is NoneType, not a list":
         lambda: market_without_option(replace(binomial_with_spread_option(), options=None), 0),
@@ -242,6 +268,18 @@ WRONG_TYPE_CALLS = {
 def test_helpers_name_a_wrong_type_in_a_structure_error(where):
     with pytest.raises(StructureError, match=re.escape(where)):
         WRONG_TYPE_CALLS[where]()
+
+
+def test_replication_to_json_takes_only_an_option_index():
+    # an index past the options ended in an IndexError; a bool would name
+    # option 1 or 0
+    m = binomial_with_spread_option()
+    cert = check_nonredundant(m, 0).certificate
+    assert replication_to_json(m, 0, cert)["option"] == "digital"
+    for bad, where in ((5, "option index 5 out of range"), (-1, "option index -1 out of range"),
+                       (True, "option index True is not an int"), (None, "is not an int")):
+        with pytest.raises(DomainError, match=re.escape(where)):
+            replication_to_json(m, bad, cert)
 
 
 def test_interior_replays_validate_the_market_first():
