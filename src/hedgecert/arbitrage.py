@@ -109,9 +109,10 @@ _NO_CONSISTENT_MEASURE = "no quote-consistent martingale measure is supported on
 
 
 def measure_from_weights(m: MarketModel, weights: list[Fraction]) -> MartingaleMeasure:
+    c = require_valid(m)
     lp._list(weights, "weights")
     q = MartingaleMeasure(list(weights), [])
-    q.option_values = [q.expectation(opt.payoff) for opt in m.options]
+    q.option_values = [q.expectation(opt.payoff) for opt in c.options]
     return q
 
 
@@ -170,7 +171,7 @@ def _solve(c: CompiledMarket, objective: list[Fraction], push=None):
     Unless `push` is None the program has a trailing floor t >= 0, and the
     measure itself is Q_w = R_w + t; the spread quote bounds move inward by
     push * t. Its column is the leaf columns' sum plus push times each
-    spread row's slack column, the late column `lp._Phase1.program` builds."""
+    spread row's slack column, the late column of `lp._Phase1.program`."""
     phase1, layout = _face(c)
     problem = phase1.program(objective, push)
     out = lp.solve_lp(problem)
@@ -257,14 +258,8 @@ def _robustness(c: CompiledMarket, out: lp.LpOutcome) -> NarVerdict:
 
     measure = measure_from_weights(c, _weights_on_charged(c, out.primal, slack))
     half = slack / 2
-    shrunk_bids, shrunk_asks = [], []
-    for opt in c.options:
-        if opt.has_spread():
-            shrunk_bids.append(opt.bid + half)
-            shrunk_asks.append(opt.ask - half)
-        else:
-            shrunk_bids.append(opt.bid)
-            shrunk_asks.append(opt.ask)
+    shrunk_bids = [opt.bid + half if opt.has_spread() else opt.bid for opt in c.options]
+    shrunk_asks = [opt.ask - half if opt.has_spread() else opt.ask for opt in c.options]
     return NarVerdict(True, RobustnessWitness(shrunk_bids, shrunk_asks, measure, slack))
 
 

@@ -34,16 +34,12 @@ the face's basis.
 `arbitrage` use the same integer arithmetic: `_over_lcm` puts rationals over
 one common denominator, and `_dot` is the exact dot product built on it.
 
-Fractions appear only at the boundary. The standard form's columns are the
-problem's n, an empty slot at n for a late column (below) and the slacks
-from n + 1. It builds each row [A | b] once, from the problem's nonzero
-entries, as the nonzeros of a primitive integer vector rows[k] =
-scale[k] * (problem row k, slack included), with scale[k] < 0 exactly where
-the row is negated to make its rhs nonnegative, and keeps the same entries
-by column. Phase 1 pivots these rows themselves into its tableau; its
-reduced costs are -sum_k rows[k] / |scale[k]| over one common integer
-denominator, a positive multiple of the rational phase-1 row. Values leave
-as b_i / a_i,B(i).
+Fractions appear only at the boundary. `_standard` builds each standard
+row [A | b] once, as a primitive integer vector rows[k] = scale[k] *
+(problem row k, slack included), and phase 1 pivots these rows themselves
+into its tableau; its reduced costs are -sum_k rows[k] / |scale[k]| over
+one common integer denominator, a positive multiple of the rational
+phase-1 row. Values leave as b_i / a_i,B(i).
 
 Phase 1 begins with a crash (Bixby 1992, "Implementing the simplex method:
 the initial basis"). Each row whose rhs is 0, fewest nonzeros first, pivots
@@ -74,24 +70,24 @@ Phase 1 and phase 2 are separate routines, and a phase 1 can be stored.
 `_Phase1(p)` runs phase 1 on all of p's columns and rows, its face, and keeps
 p's own row, relation and rhs lists (not copies, so they must not change
 after), the face's tableau and basis after the drive-out and the basis's
-inverse, or instead of these the Farkas vector when the face is infeasible.
-Phase 1 never sees the objective, so `_Phase1.program` builds every program
-on the face from it and sets the program's frozen `phase1` to the route
-(the phase 1, mu), which no constructor or `replace` can. A program's rows
-are the face's own list, or with an int mu >= 0 the face plus one late
-column: the face's column sum plus mu times each inequality row's slack
-column, kept once per mu as its dense rows; the late column never enters
-B0, so its programs share B0's inverse. Phase 2 starts from copies of the
-face's tableau and basis; a late column is written into the copy's slot as
-the same sum of the tableau's columns. An empty slot never enters, so
-Bland's order is the face's. Such a column keeps feasibility with the face
-(move its value onto every face column and mu times it onto each slack) and
-keeps a face's Farkas vector y one of the whole problem (y . A_late is a sum
-of y . A_j <= 0 and mu y_k (+-1) <= 0), so the face's verdict and basis
-serve the whole problem. Neither the face nor a program is checked, as
-the package builds both from a compiled market. `solve_lp` takes nothing
-else: a problem with no route, a `replace` copy of a program included, is
-a StructureError.
+inverse, or instead of these the Farkas vector when the face is infeasible;
+nothing writes to it after. Phase 1 never sees the objective, so
+`_Phase1.program` builds every program on the face's own lists and sets its
+frozen `phase1` to the route (the phase 1, mu), which no constructor or
+`replace` can. With an int mu >= 0 a program has one late column more than
+its rows hold: the face's column sum plus mu times each inequality row's
+slack column, in each row its sum plus mu times +1 on <=, -1 on >= and 0 on
+= (`_program_rows`). It never enters B0, so its programs share B0's
+inverse. Phase 2 starts from copies of the face's tableau and basis; a late
+column is written into the copy's slot as the same sum of the tableau's
+columns. An empty slot never enters, so Bland's order is the face's. Such a
+column keeps feasibility with the face (move its value onto every face
+column and mu times it onto each slack) and keeps a face's Farkas vector y
+one of the whole problem (y . A_late is a sum of y . A_j <= 0 and mu y_k
+(+-1) <= 0), so the face's verdict and basis serve the whole problem.
+Neither the face nor a program is checked, as the package builds both from
+a compiled market. `solve_lp` takes nothing else: a problem with no route,
+a `replace` copy of a program included, is a StructureError.
 
 Every outcome carries a certificate checkable from the untouched data:
 
@@ -135,7 +131,9 @@ class LpProblem:
     """max objective . x over x >= 0 subject to the rows. A face is one;
     a program `solve_lp` takes is one that `_Phase1.program` built on a
     face's lists, with `phase1` set to its route (the face's _Phase1, mu),
-    which no constructor or `replace` sets, so a copy has no route."""
+    which no constructor or `replace` sets, so a copy has no route. A push
+    program has one objective entry more than its rows' columns (the late
+    column, `_program_rows`)."""
 
     objective: list[Fraction]
     rows: list[list[Fraction]]
@@ -304,7 +302,7 @@ def _basic_point(tab, basis, n) -> list[Fraction]:
 
 def _standard(p: LpProblem):
     """Reduction of the rows to   A z = b (b >= 0), z >= 0;  phase 2
-    minimizes -c . z over it. Returns (rows, scale, sums, cols, ncols).
+    minimizes -c . z over it. Returns (rows, scale, cols, ncols).
 
     The columns of z are the problem's n columns, in order, an empty slot at
     n for a late column (`_Phase1.program`), then one slack per inequality
@@ -316,12 +314,11 @@ def _standard(p: LpProblem):
     negative is built negated, so scale[k] < 0 exactly there. rows[k] is
     then |scale[k]| times the rational standard row, the invariant the
     tableau keeps; phase 1 pivots these rows in place. As each row is built,
-    sums[k] takes its sum over the problem's columns and its slack entry (0
-    on an equation), and cols[j] its entry in column j, {row: int}.
+    cols[j] takes its entry in column j, {row: int}.
     """
     slack = len(p.objective) + 1  # after the problem's columns and the slot
     total = slack + sum(1 for rel in p.relations if rel != EQ)
-    rows, scale, sums = [], [], []
+    rows, scale = [], []
     cols: list[dict[int, int]] = [{} for _ in range(total + 1)]
     for k, (coefs, rel, b) in enumerate(zip(p.rows, p.relations, p.rhs)):
         entries = [(j, a.as_integer_ratio()) for j, a in enumerate(coefs) if a]
@@ -329,9 +326,8 @@ def _standard(p: LpProblem):
         den = lcm(bd, *(q for _, (_, q) in entries))
         d = -den if bn < 0 else den  # a negative rhs negates the row
         row = {j: u * (d // q) for j, (u, q) in entries}
-        head, s = sum(row.values()), 0
         if rel != EQ:
-            s = row[slack] = d if rel == LE else -d
+            row[slack] = d if rel == LE else -d
             slack += 1
         if bn:
             row[total] = bn * (d // bd)
@@ -339,11 +335,10 @@ def _standard(p: LpProblem):
         row = {j: v // g for j, v in row.items()} if g > 1 else row
         rows.append(row)
         scale.append(Fraction(d, g))
-        sums.append((head // g, s // g))
         for j, v in row.items():
             cols[j][k] = v
     del cols[total]  # the rhs is no column
-    return rows, scale, sums, cols, total
+    return rows, scale, cols, total
 
 
 def _optimize(tab, red, basis, ncols):
@@ -480,18 +475,16 @@ class _Phase1:
     starts phase 2 from it (see the module docstring): the face's standard
     rows, pivoted by phase 1 into its tableau, its basis B0, and the inverse
     of B0'^T (`_factor`), from which every program's duals are one product.
-    The face is trusted, not validated. Read-only after, but for the one
-    record `program` adds per mu: the dense rows.
+    The face is trusted, not validated. Read-only once built.
     """
 
     def __init__(self, p: LpProblem):
         # p's own lists, which every program shares: they must not change after
         self.rows, self.relations, self.rhs = p.rows, p.relations, p.rhs
         self.n = n = len(p.objective)
-        tab, self.scale, self.sums, cols, self.ncols = _standard(p)
+        tab, self.scale, cols, self.ncols = _standard(p)
         basis, feasible = _phase_one(tab, self.scale, cols, self.ncols)
         inverse = _factor(cols, self.scale, basis, self.ncols)
-        self.late: dict[int, list] = {}  # mu -> the dense rows
         self.farkas = self.inverse = self.tab = self.basis = self.tab_sums = None
         if not feasible:
             # an infeasible face keeps its Farkas vector alone: the duals of
@@ -500,29 +493,16 @@ class _Phase1:
                                            if col >= self.ncols], 1)
             return
         self.inverse, self.tab, self.basis = inverse, tab, basis
-        # each tableau row's sums over the problem's columns and over the
-        # slacks, the two parts of its late entry, as `sums` has them
+        # each tableau row's late entry in two parts: its problem columns' and slacks' sums
         self.tab_sums = []
         for row in tab:
             slacks = sum(v for j, v in row.items() if n < j < self.ncols)
             self.tab_sums.append((sum(row.values()) - row.get(self.ncols, 0) - slacks, slacks))
 
     def program(self, objective: list[Fraction], mu: int | None = None) -> LpProblem:
-        """The problem that maximizes `objective` on the face, routed to this
-        phase 1: the face's own rows, or with mu an int >= 0, the rows with
-        one late column, the face's column sum plus mu times each inequality
-        row's slack column. Each mu's rows are built once and shared."""
-        rows = self.rows
-        if mu is not None:
-            rows = self.late.get(mu)
-            if rows is None:
-                # v_k = scale[k] * (row k's late entry): its slack part
-                # mu * slack_k / scale[k] is +-mu on an inequality row, 0 on an equation
-                rows = self.late.setdefault(mu, [
-                    [*row, Fraction((head + mu * slack) * s.denominator, s.numerator)]
-                    for row, (head, slack), s in zip(self.rows, self.sums, self.scale)
-                ])
-        p = LpProblem(objective, rows, self.relations, self.rhs)
+        """The problem that maximizes `objective` on the face's own lists,
+        routed to this phase 1; an int mu >= 0 adds a late column."""
+        p = LpProblem(objective, self.rows, self.relations, self.rhs)
         object.__setattr__(p, "phase1", (self, mu))
         return p
 
@@ -622,11 +602,22 @@ def _aggregate(p: LpProblem, y: list[Fraction]) -> list[Fraction]:
     return total
 
 
+def _program_rows(p: LpProblem) -> list[list[Fraction]]:
+    """A routed program's rows in full: the face's own, or with a push mu
+    each with its late entry appended (see the module docstring)."""
+    mu = p.phase1[1]
+    if mu is None:
+        return p.rows
+    sign = {LE: mu, GE: -mu, EQ: 0}
+    return [[*row, sum(filter(None, row), _ZERO) + sign[rel]] for row, rel in zip(p.rows, p.relations)]
+
+
 def verify_certificate(p: LpProblem, o: LpOutcome) -> bool:
-    """Re-check an outcome of a routed program from scratch, exactly. True
-    iff everything holds; False for a problem with no route."""
+    """Re-check an outcome of a routed program from scratch, exactly, on its
+    full rows. True iff everything holds; False for a problem with no route."""
     if not isinstance(p, LpProblem) or p.phase1 is None or not isinstance(o, LpOutcome):
         return False
+    p = LpProblem(p.objective, _program_rows(p), p.relations, p.rhs)  # its full rows
     n = len(p.objective)
     m = len(p.rows)
 

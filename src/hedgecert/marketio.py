@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .arbitrage import ArbitrageCertificate, MartingaleMeasure, RobustnessWitness
 from .errors import StructureError
+from .lp import _rational_lists
 from .model import (
     ZERO,
     Claim,
@@ -331,20 +332,36 @@ def claim_to_json(m: MarketModel, f: Claim) -> dict:
     }
 
 
-def _instance(obj, cls, what: str) -> None:
-    """StructureError unless `obj` is a `cls`, worded as `canonical_legs`'."""
+_KINDS = {  # what a report field holds, by kind: its wording and its test
+    "list": ("a list of ints and Fractions", _rational_lists),
+    "dict": ("a dict from int node ids to lists of ints and Fractions",
+             lambda v: isinstance(v, dict) and {int}.issuperset(map(type, v))
+             and _rational_lists(*v.values())),
+    "rational": ("an int or a Fraction", lambda v: type(v) in (int, Fraction)),
+    "leaf": ("an int leaf", lambda v: type(v) is int),
+}
+
+
+def _instance(obj, cls, what: str, **fields) -> None:
+    """StructureError unless `obj` is a `cls` (worded as `canonical_legs`')
+    whose named fields each hold their kind (`_KINDS`)."""
     if not isinstance(obj, cls):
         article = "an" if cls.__name__[0] in "AEIOU" else "a"
         raise StructureError(f"{what} is {type(obj).__name__}, not {article} {cls.__name__}")
+    for name, kind in fields.items():
+        value, (wanted, holds) = getattr(obj, name), _KINDS[kind]
+        if not holds(value):
+            raise StructureError(f"{what} {name} is {type(value).__name__}, not {wanted}")
+
+
+def _dynamic_to_json(dynamic: dict) -> dict:
+    return {str(nid): [format_rational(v) for v in dynamic[nid]] for nid in sorted(dynamic)}
 
 
 def strategy_to_json(s: Strategy) -> dict:
-    _instance(s, Strategy, "strategy")
+    _instance(s, Strategy, "strategy", dynamic="dict", buy_leg="list", sell_leg="list")
     return {
-        "dynamic": {
-            str(nid): [format_rational(v) for v in s.dynamic[nid]]
-            for nid in sorted(s.dynamic)
-        },
+        "dynamic": _dynamic_to_json(s.dynamic),
         "buyLeg": [format_rational(v) for v in s.buy_leg],
         "sellLeg": [format_rational(v) for v in s.sell_leg],
         "net": [format_rational(b - v) for b, v in zip(s.buy_leg, s.sell_leg)],
@@ -352,7 +369,7 @@ def strategy_to_json(s: Strategy) -> dict:
 
 
 def measure_to_json(q: MartingaleMeasure) -> dict:
-    _instance(q, MartingaleMeasure, "measure")
+    _instance(q, MartingaleMeasure, "measure", weights="list", option_values="list")
     return {
         "weights": [format_rational(w) for w in q.weights],
         "optionValues": [format_rational(v) for v in q.option_values],
@@ -360,7 +377,7 @@ def measure_to_json(q: MartingaleMeasure) -> dict:
 
 
 def na_certificate_to_json(cert: ArbitrageCertificate) -> dict:
-    _instance(cert, ArbitrageCertificate, "certificate")
+    _instance(cert, ArbitrageCertificate, "certificate", gains="list", strict_leaf="leaf")
     return {
         "strategy": strategy_to_json(cert.strategy),
         "gains": [format_rational(g) for g in cert.gains],
@@ -369,7 +386,8 @@ def na_certificate_to_json(cert: ArbitrageCertificate) -> dict:
 
 
 def witness_to_json(w: RobustnessWitness) -> dict:
-    _instance(w, RobustnessWitness, "witness")
+    _instance(w, RobustnessWitness, "witness", shrunk_bids="list", shrunk_asks="list",
+              slack="rational")
     return {
         "shrunkBids": [format_rational(v) for v in w.shrunk_bids],
         "shrunkAsks": [format_rational(v) for v in w.shrunk_asks],
@@ -383,15 +401,13 @@ def replication_to_json(m: MarketModel, i: int, cert: ReplicationCertificate) ->
     option's is a DomainError."""
     c = require_valid(m)
     _index(i, len(c.options), "option index")
-    _instance(cert, ReplicationCertificate, "certificate")
+    _instance(cert, ReplicationCertificate, "certificate", initial_capital="rational",
+              dynamic="dict", static_signed="list")
     others = [k for k in range(len(c.options)) if k != i]
     return {
         "option": c.options[i].name,
         "initialCapital": format_rational(cert.initial_capital),
-        "dynamic": {
-            str(nid): [format_rational(v) for v in cert.dynamic[nid]]
-            for nid in sorted(cert.dynamic)
-        },
+        "dynamic": _dynamic_to_json(cert.dynamic),
         "staticSigned": [
             {"option": c.options[k].name, "position": format_rational(h)}
             for k, h in zip(others, cert.static_signed)

@@ -8,9 +8,7 @@ pure function, which makes concurrent use on shared inputs safe without
 synchronization. The one exception is a compiled market's measure-program
 face (`arbitrage._face`), built under a lock on its first solve: a thread
 that finds it unbuilt takes the lock and looks again, so concurrent first
-queries run one phase 1. Nothing writes to the face after but for one
-record per push (its late column's dense rows), stored by one
-`dict.setdefault` in `lp._Phase1.program`, so racing threads share it.
+queries run one phase 1. Nothing writes to the face after.
 
 Leaves are indexed by *position* 0..L-1 in ascending node-id order among the
 nodes at the final period. Option payoffs, measure weights, and claims all

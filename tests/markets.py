@@ -363,6 +363,10 @@ def random_lp(rng, max_vars=5, max_rows=5) -> lp.LpProblem:
 
 def routed(p: lp.LpProblem) -> lp.LpProblem:
     """p as a program `lp.solve_lp` takes: the one a fresh phase 1 of p's
-    own face builds for p's objective, as the package builds every program.
-    It shares p's lists and equals p; solving it is a cold solve of p."""
+    own face builds for p's objective, as the package builds every program;
+    solving it is a cold solve of p. A routed p's face is its full rows
+    (`lp._program_rows`), its late column a column like the others; an
+    unrouted p's is p itself, whose lists the program shares."""
+    if p.phase1 is not None:
+        p = lp.LpProblem(p.objective, lp._program_rows(p), p.relations, p.rhs)
     return lp._Phase1(p).program(p.objective)

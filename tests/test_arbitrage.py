@@ -442,6 +442,7 @@ def test_floor_column_is_the_row_sum_plus_the_push_offset():
         c = require_valid(m)
         for push in (0, 1):
             problem = _floor(c, push)[0]
-            for row, rel in zip(problem.rows, problem.relations):
+            assert problem.rows is problem.phase1[0].rows  # the face's, one column short
+            for row, rel in zip(lp._program_rows(problem), problem.relations):
                 assert row[-1] == sum(row[:-1], F(0)) + offset[rel] * push
                 assert type(row[-1]) is F

@@ -219,7 +219,7 @@ def test_redundant_rows_keep_a_zero_dual():
     assert lp.verify_certificate(p, out)
 
 
-def test_solve_unique():
+def test_reduce_linear():
     # [A | b] in reduced row-echelon form: the system has a unique solution
     # iff every column of A takes a pivot and b none, and b's entries are it
     assert lp._reduce_linear([[I, I, F(2)], [I, F(-1), Z]], 2) == ([0, 1], [[I], [I]])

@@ -23,7 +23,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hedgecert import arbitrage, cli, lp, superhedge
+from hedgecert import arbitrage, cli, lp, redundancy, superhedge
 from hedgecert.errors import StructureError
 from hedgecert.marketio import dump_market, market_to_json, parse_market
 from hedgecert.model import ONE, ZERO, Claim, require_valid
@@ -37,6 +37,7 @@ from markets import (
     random_lp,
     random_rational,
     routed,
+    trinomial_straddle_market,
 )
 
 
@@ -132,7 +133,8 @@ def test_late_columns_of_random_programs_keep_status_and_value():
         for mu in (None, 0, 1, 2):
             width = face.n + (mu is not None)
             p = face.program([random_rational(rng, -3, 3) for _ in range(width)], mu)
-            assert p.phase1 == (face, mu) and p.relations is face.relations and p.rhs is face.rhs
+            assert p.phase1 == (face, mu) and p.rows is face.rows
+            assert p.relations is face.relations and p.rhs is face.rhs
             warm = lp.solve_lp(p)
             cold = _cold(p)
             assert (warm.status, warm.objective_value) == (cold.status, cold.objective_value)
@@ -151,17 +153,19 @@ def _face_and_floor():
 
 
 def test_a_copy_of_a_program_has_no_route_and_is_refused():
-    # a late column is only ever one `program` built: the same entries in
-    # another list, or the floor column of another push written by hand, is
-    # a problem no face built, which the kernel refuses and its replay rejects
+    # a late column is only ever one a route derives: the face's rows or a
+    # copy of them, the program's full rows (`lp._program_rows`) or the
+    # floor column of another push written by hand, each in a problem no
+    # face built, is one the kernel refuses and its replay rejects
     phase1, problem = _face_and_floor()
     out = lp.solve_lp(problem)
     assert out.status == lp.OPTIMAL and lp.verify_certificate(problem, out)
+    full = lp._program_rows(problem)
     offset = {lp.EQ: 0, lp.GE: -1, lp.LE: 1}
     push2 = [[*row[:-1], sum(row[:-1], ZERO) + 2 * offset[rel]]
-             for row, rel in zip(problem.rows, problem.relations)]
-    assert push2 == phase1.program(problem.objective, 2).rows
-    for rows in (problem.rows, copy.deepcopy(problem.rows), list(problem.rows), push2):
+             for row, rel in zip(full, problem.relations)]
+    assert push2 == lp._program_rows(phase1.program(problem.objective, 2))
+    for rows in (problem.rows, copy.deepcopy(problem.rows), list(problem.rows), full, push2):
         bad = replace(problem, rows=rows)
         assert bad.phase1 is None
         with pytest.raises(StructureError, match="LpProblem with no route"):
@@ -178,16 +182,51 @@ def test_a_copy_of_a_program_has_no_route_and_is_refused():
         lp.LpProblem(problem.objective, problem.rows, problem.relations, problem.rhs, (phase1, 1))
 
 
-def test_programs_of_one_mu_share_one_rows_list():
+def test_every_program_shares_the_face_rows():
+    # whatever its mu, a program is the face's own lists and its route; a
+    # push's late column is derived, one entry past each face row
     phase1, problem = _face_and_floor()
     objective = [ZERO] * phase1.n + [ONE]
-    again = phase1.program([ONE] * (phase1.n + 1), 1)
-    assert again.rows is problem.rows and phase1.late[1] is problem.rows
-    push0 = phase1.program(objective, 0)
-    assert push0.rows is phase1.program(objective, 0).rows is not problem.rows
-    assert phase1.program(objective[:-1]).rows is phase1.rows
-    assert sorted(phase1.late) == [0, 1]
-    assert lp.solve_lp(again).status == lp.solve_lp(push0).status == lp.OPTIMAL
+    programs = [problem, phase1.program([ONE] * (phase1.n + 1), 1),
+                *(phase1.program(objective, mu) for mu in (0, 1, 2)),
+                phase1.program(objective[:-1])]
+    assert [p.phase1 for p in programs] == [(phase1, mu) for mu in (1, 1, 0, 1, 2, None)]
+    for p in programs:
+        assert p.rows is phase1.rows and p.relations is phase1.relations and p.rhs is phase1.rhs
+        full = lp._program_rows(p)
+        assert [len(row) for row in full] == [len(p.objective)] * len(phase1.rows)
+        assert [row[:phase1.n] for row in full] == phase1.rows
+        assert lp.solve_lp(p).status == lp.OPTIMAL
+    assert lp._program_rows(programs[-1]) is phase1.rows
+
+
+def test_building_and_solving_programs_writes_nothing_to_the_face(monkeypatch):
+    # once built, a face is read-only: the five queries, and a program of a
+    # push no query uses, leave every attribute the same object holding the
+    # same values, and every program they build is on the face's own rows
+    c = require_valid(trinomial_straddle_market())
+    assert arbitrage.check_na(c).holds
+    phase1 = _phase1(c)
+    attributes = dict(vars(phase1))
+    values = copy.deepcopy(attributes)
+    assert phase1.tab is not None and phase1.tab_sums is not None
+    programs, solve = [], lp.solve_lp
+
+    def recorded(problem):
+        programs.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(lp, "solve_lp", recorded)
+    claim = Claim([F(1), F(0), F(1)])
+    assert arbitrage.check_na(c).holds and arbitrage.check_nar(c).holds
+    assert superhedge.superhedge_price(c, claim)[0] == superhedge.dual_price(c, claim)[0]
+    assert redundancy.sharper_ftap(c).na.holds
+    programs.append(phase1.program([ONE] * (phase1.n + 1), 2))
+    assert vars(phase1).keys() == attributes.keys()
+    assert all(vars(phase1)[name] is value for name, value in attributes.items())
+    assert vars(phase1) == values
+    assert {p.phase1[1] for p in programs} == {None, 0, 1, 2}
+    assert all(p.phase1[0] is phase1 and p.rows is phase1.rows for p in programs)
 
 
 def test_each_market_runs_phase_one_once(monkeypatch, tmp_path, capsys):
@@ -258,8 +297,7 @@ def _queries(c, claim):
 
 def test_four_threads_on_one_fresh_market_get_the_sequential_answers():
     # thread i runs the four queries from the i-th on: every thread may
-    # find the face unbuilt and build its own, and two threads may race to
-    # build the late rows of one push
+    # find the face unbuilt, and all of them build programs on one face
     rng = random.Random(15)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -321,7 +359,7 @@ def test_concurrent_first_queries_on_one_market_run_one_phase_one(monkeypatch):
     assert answers == expected
 
 
-def test_threads_that_race_to_build_one_mu_share_its_rows():
+def test_threads_that_build_programs_at_once_share_the_face_rows():
     rng = random.Random(16)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -341,7 +379,7 @@ def test_threads_that_race_to_build_one_mu_share_its_rows():
                 thread.start()
             for thread in threads:
                 thread.join()
-            assert all(p.rows is face.late[1] for p in problems)
+            assert all(p.rows is face.rows and p.phase1 == (face, 1) for p in problems)
             assert len({lp.solve_lp(p).status for p in problems}) == 1
     finally:
         sys.setswitchinterval(interval)

@@ -231,9 +231,18 @@ def test_market_without_option_takes_only_an_option_index():
     assert market_without_option(m, 0).options == []
 
 
+def _free_certificate():
+    return check_na(binomial_with_free_option()).certificate
+
+
+def _spread_witness():
+    return check_nar(_SPREAD).witness
+
+
 # each would otherwise end in an AttributeError or a TypeError, or for the
-# hand-built problem in an answer to a program no face built; a market is
-# validated first, so its error is the one `require_valid` gives
+# hand-built problem in an answer to a program no face built, or print a
+# field of the wrong type; a market is validated first, so its error is the
+# one `require_valid` gives
 WRONG_TYPE_CALLS = {
     "problem is NoneType with no route to a phase 1, not a program _Phase1.program built":
         lambda: lp.solve_lp(None),
@@ -247,6 +256,29 @@ WRONG_TYPE_CALLS = {
     "certificate is NoneType, not an ArbitrageCertificate": lambda: na_certificate_to_json(None),
     "certificate is NoneType, not a ReplicationCertificate":
         lambda: replication_to_json(_SPREAD, 0, None),
+    # and each of them on a field of the wrong type
+    "certificate gains is NoneType, not a list of ints and Fractions":
+        lambda: na_certificate_to_json(replace(_free_certificate(), gains=None)),
+    "certificate strict_leaf is str, not an int leaf":
+        lambda: na_certificate_to_json(replace(_free_certificate(), strict_leaf="x")),
+    "strategy dynamic is NoneType, not a dict from int node ids to lists of ints and Fractions":
+        lambda: strategy_to_json(replace(_free_certificate().strategy, dynamic=None)),
+    "strategy dynamic is dict, not a dict from int node ids to lists of ints and Fractions":
+        lambda: strategy_to_json(replace(_free_certificate().strategy, dynamic={0: [], "1": []})),
+    "strategy buy_leg is list, not a list of ints and Fractions":
+        lambda: strategy_to_json(replace(_free_certificate().strategy, buy_leg=[1.5])),
+    "witness shrunk_bids is NoneType, not a list of ints and Fractions":
+        lambda: witness_to_json(replace(_spread_witness(), shrunk_bids=None)),
+    "witness slack is float, not an int or a Fraction":
+        lambda: witness_to_json(replace(_spread_witness(), slack=0.5)),
+    "measure weights is NoneType, not a list of ints and Fractions":
+        lambda: measure_to_json(replace(_spread_witness().interior_measure, weights=None)),
+    "certificate initial_capital is NoneType, not an int or a Fraction":
+        lambda: replication_to_json(_SPREAD, 0, replace(
+            check_nonredundant(_SPREAD, 0).certificate, initial_capital=None)),
+    # the message of `market_without_option(None, 0)` below, keyed without
+    # its prefix, as every key names one case
+    "market is NoneType, not a MarketModel": lambda: measure_from_weights(None, [F(1)]),
     "invalid market: market is ScenarioTree, not a MarketModel":
         lambda: replication_to_json(_SPREAD.tree, 0, check_nonredundant(_SPREAD, 0).certificate),
     "invalid market: market is NoneType, not a MarketModel": lambda: market_without_option(None, 0),
