@@ -125,12 +125,12 @@ def _face(c: CompiledMarket):
     layout). Concurrent first queries on a market run one phase 1; phase 1
     holds the GIL, so a build that waits on another loses nothing.
 
-    Variables are R_w >= 0 per charged leaf. Rows: total mass one, every
-    node-level martingale identity whose coefficients on the charged leaves
-    are not all zero, and the quote rows, with equality on zero-spread
-    options and bid/ask inequalities on spread options. `layout[r]` names
-    row r: ("mass", 0), ("martingale", dynamic column) or ("option", option
-    index).
+    Variables are R_w >= 0 per charged leaf. Rows, each its nonzeros'
+    (column, value) pairs: total mass one, every node-level martingale
+    identity with a nonzero coefficient on a charged leaf, and the quote
+    rows, with equality on zero-spread options and bid/ask inequalities on
+    spread options. `layout[r]` names row r: ("mass", 0), ("martingale",
+    dynamic column) or ("option", option index).
     """
     if c._face is not None:  # state kept with the market, not market data
         return c._face
@@ -138,6 +138,7 @@ def _face(c: CompiledMarket):
         if c._face is not None:  # another thread built it while this one waited
             return c._face
         supp = c.charged
+        column_of = {pos: k for k, pos in enumerate(supp)}  # program column per charged leaf
         rows, rels, rhs, layout = [], [], [], []
 
         def add(coefs, rel, bound, name):
@@ -146,13 +147,13 @@ def _face(c: CompiledMarket):
             rhs.append(bound)
             layout.append(name)
 
-        add([ONE] * len(supp), lp.EQ, ONE, ("mass", 0))
-        for col in range(len(c.columns)):
-            coefs = [c.gain_rows[pos][col] for pos in supp]
-            if any(coefs):
+        add(tuple((k, ONE) for k in range(len(supp))), lp.EQ, ONE, ("mass", 0))
+        for col, gains in enumerate(c.gain_columns):
+            coefs = tuple((column_of[pos], v) for pos, v in gains if pos in column_of)
+            if coefs:
                 add(coefs, lp.EQ, ZERO, ("martingale", col))
         for i, opt in enumerate(c.options):
-            coefs = [opt.payoff[pos] for pos in supp]
+            coefs = tuple((k, opt.payoff[pos]) for k, pos in enumerate(supp) if opt.payoff[pos])
             if not opt.has_spread():
                 add(coefs, lp.EQ, opt.bid, ("option", i))
             else:

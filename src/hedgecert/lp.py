@@ -16,10 +16,13 @@ raises SoundnessError instead of looping. A minimization of c . x is the
 maximization of -c . x: the same standard form and pivots, with the value
 and the duals negated.
 
-The tableau is fraction-free and sparse. Each row and the reduced-cost row
-is a dict {column: int} of its nonzero entries, the rhs under key ncols,
-and stands for a primitive integer vector (gcd 1), a positive multiple of
-the rational row, so every sign, and with it every Bland choice, is the
+A problem row is sparse from the start, in `LpProblem`, `_reduce_linear`
+and the replay alike: the tuple of its nonzeros as (column, value) pairs,
+columns increasing; only an objective is a dense list. The tableau is
+fraction-free and sparse too. Each row and the reduced-cost row is a dict
+{column: int} of its nonzero entries, the rhs under key ncols, and stands
+for a primitive integer vector (gcd 1), a positive multiple of the
+rational row, so every sign, and with it every Bland choice, is the
 rational tableau's: the entering column is the least key below ncols with
 a negative reduced cost. A row's coefficient at its basic column is
 positive. A pivot on column c with pivot row p replaces each row holding
@@ -29,10 +32,9 @@ untouched. The ratio test compares b_i / a_i by cross-multiplication. The
 same elimination (`_reduce`, on integer rows) brings a linear system to
 reduced row-echelon form in `_reduce_linear`, which `redundancy` reads
 every option's verdict off, and `_factor` runs it once per face to invert
-the face's basis.
-`LpProblem` itself stays dense. The certificate replays in `model` and
-`arbitrage` use the same integer arithmetic: `_over_lcm` puts rationals over
-one common denominator, and `_dot` is the exact dot product built on it.
+the face's basis. The certificate replays in `model` and `arbitrage` use
+the same integer arithmetic: `_over_lcm` puts rationals over one common
+denominator, and `_dot` is the exact dot product built on it.
 
 Fractions appear only at the boundary. `_standard` builds each standard
 row [A | b] once, as a primitive integer vector rows[k] = scale[k] *
@@ -131,12 +133,12 @@ class LpProblem:
     """max objective . x over x >= 0 subject to the rows. A face is one;
     a program `solve_lp` takes is one that `_Phase1.program` built on a
     face's lists, with `phase1` set to its route (the face's _Phase1, mu),
-    which no constructor or `replace` sets, so a copy has no route. A push
-    program has one objective entry more than its rows' columns (the late
-    column, `_program_rows`)."""
+    which no constructor or `replace` sets, so a copy has no route. A row
+    is its nonzeros' (column, value) pairs; a push program has one objective
+    entry more than its rows' columns (the late column, `_program_rows`)."""
 
     objective: list[Fraction]
-    rows: list[list[Fraction]]
+    rows: list[tuple[tuple[int, Fraction], ...]]
     relations: list[str]
     rhs: list[Fraction]
     phase1: tuple[_Phase1, int | None] | None = field(default=None, init=False, compare=False, repr=False)
@@ -183,10 +185,10 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return {j: u // g for j, u in row.items()} if g > 1 else row
 
 
-def _int_row(values) -> dict[int, int]:
-    """The primitive integer vector that is a positive multiple of `values`,
-    as the dict of its nonzero entries."""
-    ratios = [(j, v.as_integer_ratio()) for j, v in enumerate(values) if v]
+def _int_row(row) -> dict[int, int]:
+    """The primitive integer vector that is a positive multiple of a sparse
+    row, as the dict of its nonzero entries."""
+    ratios = [(j, v.as_integer_ratio()) for j, v in row]
     den = lcm(*(q for _, (_, q) in ratios))
     return _primitive({j: u * (den // q) for j, (u, q) in ratios})
 
@@ -251,16 +253,16 @@ def _pivot(rows, r, c, red=None):
         _combine(red, c, pc, nonzeros)
 
 
-def _reduce_linear(rows: list[list[Fraction]], n: int) -> tuple[list[int], list[list[Fraction]]]:
-    """The reduced row-echelon form of `rows`, by Gauss-Jordan elimination
-    in column order (`_reduce`), each pivot on the first remaining row that
-    holds the column. Returns the pivot columns and, for each pivot row in
-    order, its entries from column n on divided by its pivot, so exact. The
-    rows are not checked: at least one, all of one length, every entry an
-    int or a Fraction, as a compiled market builds them.
+def _reduce_linear(rows, n: int, width: int) -> tuple[list[int], list[list[Fraction]]]:
+    """The reduced row-echelon form of sparse `rows` over columns below
+    `width`, by Gauss-Jordan elimination in column order (`_reduce`), each
+    pivot on the first remaining row that holds the column. Returns the
+    pivot columns and, for each pivot row in order, its entries in columns
+    n to width divided by its pivot, so exact. The rows are not checked:
+    nonzero int or Fraction values in columns below width, as a compiled
+    market builds them.
     """
     a = [_int_row(row) for row in rows]
-    width = len(rows[0])
     piv_cols = _reduce(a, width)
     return piv_cols, [[Fraction(row[j], row[c]) if j in row else _ZERO for j in range(n, width)]
                       for row, c in zip(a, piv_cols)]
@@ -307,7 +309,7 @@ def _standard(p: LpProblem):
     The columns of z are the problem's n columns, in order, an empty slot at
     n for a late column (`_Phase1.program`), then one slack per inequality
     row, so a point or ray of the problem is z[:n]. Each row [A | b] is
-    built once, straight from the problem's nonzero entries, as the dict of
+    built once, straight from the problem row's pairs, as the dict of
     the nonzeros of a primitive integer vector, with the rhs at key ncols:
     rows[k] is scale[k] times problem row k, slack included. A slack entry
     is +-den (den the lcm of the row's denominators), and a row whose rhs is
@@ -321,7 +323,7 @@ def _standard(p: LpProblem):
     rows, scale = [], []
     cols: list[dict[int, int]] = [{} for _ in range(total + 1)]
     for k, (coefs, rel, b) in enumerate(zip(p.rows, p.relations, p.rhs)):
-        entries = [(j, a.as_integer_ratio()) for j, a in enumerate(coefs) if a]
+        entries = [(j, a.as_integer_ratio()) for j, a in coefs]
         bn, bd = b.as_integer_ratio()
         den = lcm(bd, *(q for _, (_, q) in entries))
         d = -den if bn < 0 else den  # a negative rhs negates the row
@@ -570,8 +572,8 @@ def solve_lp(p: LpProblem) -> LpOutcome:
     return _phase_two(p, phase1, mu)
 
 
-def _row_value(row: list[Fraction], x: list[Fraction]) -> Fraction:
-    return sum((a * v for a, v in zip(row, x) if a), _ZERO)
+def _row_value(row, x: list[Fraction]) -> Fraction:
+    return sum((a * x[j] for j, a in row), _ZERO)
 
 
 def _feasible(p: LpProblem, x: list[Fraction], rhs: list[Fraction]) -> bool:
@@ -596,20 +598,21 @@ def _aggregate(p: LpProblem, y: list[Fraction]) -> list[Fraction]:
     total = [_ZERO] * len(p.objective)
     for yi, row in zip(y, p.rows):
         if yi:
-            for j, a in enumerate(row):
-                if a:
-                    total[j] += yi * a
+            for j, a in row:
+                total[j] += yi * a
     return total
 
 
-def _program_rows(p: LpProblem) -> list[list[Fraction]]:
+def _program_rows(p: LpProblem) -> list[tuple[tuple[int, Fraction], ...]]:
     """A routed program's rows in full: the face's own, or with a push mu
-    each with its late entry appended (see the module docstring)."""
-    mu = p.phase1[1]
+    each with its late entry appended, the pair (n, v) for the face's n
+    columns when v is nonzero (see the module docstring)."""
+    phase1, mu = p.phase1
     if mu is None:
         return p.rows
     sign = {LE: mu, GE: -mu, EQ: 0}
-    return [[*row, sum(filter(None, row), _ZERO) + sign[rel]] for row, rel in zip(p.rows, p.relations)]
+    late = [sum((a for _, a in row), _ZERO) + sign[rel] for row, rel in zip(p.rows, p.relations)]
+    return [(*row, (phase1.n, v)) if v else row for row, v in zip(p.rows, late)]
 
 
 def verify_certificate(p: LpProblem, o: LpOutcome) -> bool:
@@ -630,7 +633,7 @@ def verify_certificate(p: LpProblem, o: LpOutcome) -> bool:
             return False
         if not _feasible(p, o.primal, p.rhs):
             return False
-        if _row_value(p.objective, o.primal) != o.objective_value:
+        if _dot(p.objective, o.primal) != o.objective_value:
             return False
         if not _dual_signs_ok(p, o.dual):
             return False
@@ -677,6 +680,6 @@ def verify_certificate(p: LpProblem, o: LpOutcome) -> bool:
         # each row's drift along r keeps to its relation against 0
         if not _feasible(p, o.primal, p.rhs) or not _feasible(p, o.ray, [_ZERO] * m):
             return False
-        return _row_value(p.objective, o.ray) > 0
+        return _dot(p.objective, o.ray) > 0
 
     return False

@@ -356,11 +356,10 @@ class CompiledMarket(MarketModel):
     prices: tuple[tuple[Fraction, ...], ...]        # by node id
     children: tuple[tuple[int, ...], ...]           # by node id, ascending
     leaves: tuple[int, ...]                         # leaf node ids, ascending
-    paths: tuple[tuple[int, ...], ...]              # root-to-leaf node ids, by position
     nonleaf: tuple[int, ...]                        # non-leaf node ids, ascending
     charged: tuple[int, ...]                        # positions some generator charges
     columns: tuple[tuple[int, int], ...]            # (node id, asset) per dynamic column
-    gain_rows: tuple[tuple[Fraction, ...], ...]     # by position, one entry per column
+    gain_columns: tuple[tuple[tuple[int, Fraction], ...], ...]  # per column, (position, move) nonzeros
     generator_names: tuple[str, ...]
     _checked: bool = field(default=False, init=False, compare=False, repr=False)
     _face: tuple[_Phase1, tuple] | None = field(default=None, init=False, compare=False, repr=False)
@@ -380,7 +379,7 @@ def require_valid(m: MarketModel) -> CompiledMarket:
 
     This and `marketio.parse_market` are the entry points to compilation
     (`_compile`), the single place that builds the tree navigation, the
-    charged support, the dynamic gain rows and the strategy-column layout.
+    charged support, the dynamic gain columns and the strategy-column layout.
     """
     if isinstance(m, CompiledMarket) and m._checked:
         return m
@@ -419,22 +418,17 @@ def _compile(m: MarketModel) -> CompiledMarket:
                 edge.append(move)
             step[node.id] = tuple(edge)
         (leaves if node.time == tree.periods else nonleaf).append(node.id)
-    paths = []
-    for leaf in leaves:
-        path = [leaf]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        paths.append(tuple(reversed(path)))
-
-    # an edge's increment is copied into every gain row whose path crosses it
+    # an edge's increment enters its parent's columns once per leaf below it,
+    # in ascending leaf position as the leaves are walked in order
     first_column = {nid: k * assets for k, nid in enumerate(nonleaf)}
-    gain_rows = []
-    for path in paths:
-        row = [ZERO] * (len(nonleaf) * assets)
-        for there in path[1:]:
+    gain_columns = [[] for _ in range(len(nonleaf) * assets)]
+    for pos, there in enumerate(leaves):
+        while parent[there] is not None:
             k = first_column[parent[there]]
-            row[k:k + assets] = step[there]
-        gain_rows.append(tuple(row))
+            for j, move in enumerate(step[there], k):
+                if move:
+                    gain_columns[j].append((pos, move))
+            there = parent[there]
 
     gens = m.measures.generators
     c = CompiledMarket(
@@ -442,12 +436,11 @@ def _compile(m: MarketModel) -> CompiledMarket:
         prices=prices,
         children=tuple(map(tuple, children)),
         leaves=tuple(leaves),
-        paths=tuple(paths),
         nonleaf=tuple(nonleaf),
         # weights are validated nonnegative, so a nonzero one is positive
         charged=tuple(sorted({pos for w in gens for pos, v in enumerate(w) if v})),
         columns=tuple((nid, j) for nid in nonleaf for j in range(assets)),
-        gain_rows=tuple(gain_rows),
+        gain_columns=tuple(map(tuple, gain_columns)),
         generator_names=tuple(m.measures.names or (f"P{k}" for k in range(len(gens)))),
     )
     object.__setattr__(c, "_checked", True)
@@ -504,7 +497,7 @@ def _top_down(c: CompiledMarket) -> list[int]:
     """Every node id, each after its parent: breadth-first from the root
     through `children`. Validation lets a child's id be below its parent's,
     so ascending ids are not such an order."""
-    order = [c.paths[0][0]]  # every path starts at the root
+    order = [next(node.id for node in c.tree.nodes if node.parent is None)]
     for nid in order:  # the list grows by each node's children as it is read
         order.extend(c.children[nid])
     return order
@@ -527,7 +520,7 @@ def terminal_gain(m: MarketModel, s: Strategy) -> list[Fraction]:
     constant sell . bid - buy . ask. Positions, prices and payoffs enter as
     integers over common denominators, so each leaf's gain is one Fraction,
     built last. The walk reads prices off the tree, never the compiled gain
-    rows, so it replays the programs independently.
+    columns, so it replays the programs independently.
     """
     c = require_valid(m)
     _check_strategy_shape(c, s)

@@ -81,10 +81,13 @@ def _replications(c: CompiledMarket, targets: list[int]) -> dict[int, Nonredunda
     if not targets:
         return {}
     nb, e = 1 + len(c.columns), len(c.options)
-    piv, tails = _reduce_linear(
-        [[ONE, *c.gain_rows[pos], *(opt.payoff[pos] for opt in c.options)] for pos in c.charged],
-        nb,
-    )
+    rows = {pos: [(0, ONE)] for pos in c.charged}  # [1 | G | P] by charged leaf, in column order
+    entries = [(col, pos, v) for col, gains in enumerate(c.gain_columns, 1) for pos, v in gains]
+    entries += [(col, pos, opt.payoff[pos]) for col, opt in enumerate(c.options, nb) for pos in rows]
+    for col, pos, v in entries:
+        if v and pos in rows:
+            rows[pos].append((col, v))
+    piv, tails = _reduce_linear([tuple(row) for row in rows.values()], nb, nb + e)
     row_of = {col: k for k, col in enumerate(piv)}
     verdicts = {}
     for i in targets:

@@ -330,6 +330,23 @@ def random_strategy(rng, m: MarketModel) -> Strategy:
     return Strategy(dynamic, buy, sell)
 
 
+def sparse_rows(rows) -> list[tuple]:
+    """Dense rows in `lp`'s row form: each the (column, value) pairs of its
+    nonzeros, columns increasing. Every hand-built problem goes through it."""
+    return [tuple((j, v) for j, v in enumerate(row) if v) for row in rows]
+
+
+def dense_rows(rows, width: int) -> list[list[F]]:
+    """The inverse of `sparse_rows`: each row's `width` entries, zeros included."""
+    dense = []
+    for row in rows:
+        values = [ZERO] * width
+        for j, v in row:
+            values[j] = v
+        dense.append(values)
+    return dense
+
+
 def random_lp(rng, max_vars=5, max_rows=5) -> lp.LpProblem:
     """Small random programs over x >= 0 with deliberate degeneracies."""
     n = rng.randint(1, max_vars)
@@ -358,7 +375,7 @@ def random_lp(rng, max_vars=5, max_rows=5) -> lp.LpProblem:
         objective = [ZERO] * n
     if rng.choice((True, False)):  # drew a minimization: min c . x is max -c . x
         objective = [-c for c in objective]
-    return lp.LpProblem(objective=objective, rows=rows, relations=relations, rhs=rhs)
+    return lp.LpProblem(objective=objective, rows=sparse_rows(rows), relations=relations, rhs=rhs)
 
 
 def routed(p: lp.LpProblem) -> lp.LpProblem:

@@ -15,7 +15,10 @@ no-arbitrage check. The per-option elimination and the vertex enumeration
 run a dense `Fraction` Gauss-Jordan of their own (`_dense_gauss_jordan`),
 which shares no kernel with `lp`. Last, the two certificate walks the
 package replaced: terminal gains and the martingale replay in `Fraction`
-arithmetic, path by path from the root to each leaf.
+arithmetic, path by path from the root to each leaf. Every path and gain
+row here is derived from `Node.parent` and the node prices
+(`leaf_paths`, `reference_gain_rows`), never from a compiled market's
+fields, so the oracle stays independent of `model._compile`.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from hedgecert.arbitrage import (
 from hedgecert.errors import DomainError, PreconditionError, SoundnessError
 from hedgecert.model import (
     Claim,
-    CompiledMarket,
     MarketModel,
     OptionQuote,
     Strategy,
@@ -52,7 +54,7 @@ from hedgecert.redundancy import (
     SharperFtapBundle,
     SpreadOptionsReport,
 )
-from markets import routed
+from markets import routed, sparse_rows
 
 MAX_ORACLE_LEAVES = 10
 
@@ -78,14 +80,61 @@ class NarScanResult:
     passes_at: int | None = None
 
 
-def strategy_row(c: CompiledMarket, pos: int) -> list[Fraction]:
-    """Gain on leaf `pos` per unit of each strategy column, in the order
-    `CompiledMarket.strategy_from` reads: the dynamic columns, then one buy
-    leg and one sell leg per option."""
-    row = list(c.gain_rows[pos])
-    row += [opt.payoff[pos] - opt.ask for opt in c.options]
-    row += [-(opt.payoff[pos] - opt.bid) for opt in c.options]
-    return row
+def leaf_paths(m: MarketModel) -> list[list[int]]:
+    """Each leaf's root-to-leaf node ids, in leaf position order, walked up
+    `Node.parent`."""
+    by_id = {node.id: node for node in m.tree.nodes}
+    paths = []
+    for leaf in sorted(node.id for node in m.tree.nodes if node.time == m.tree.periods):
+        path = [leaf]
+        while by_id[path[-1]].parent is not None:
+            path.append(by_id[path[-1]].parent)
+        paths.append(path[::-1])
+    return paths
+
+
+def reference_gain_rows(m: MarketModel):
+    """(columns, rows): the (node, asset) dynamic columns, non-leaf ids
+    ascending, and per leaf, in leaf order, the price change of each asset
+    across each period step of the leaf's path, at the column of the node
+    the step leaves, and zero at every column off the path."""
+    by_id = {node.id: node for node in m.tree.nodes}
+    nonleaf = sorted(node.id for node in m.tree.nodes if node.time < m.tree.periods)
+    columns = [(nid, j) for nid in nonleaf for j in range(m.tree.num_assets)]
+    rows = []
+    for path in leaf_paths(m):
+        change = {(here, j): by_id[there].prices[j] - by_id[here].prices[j]
+                  for here, there in zip(path, path[1:]) for j in range(m.tree.num_assets)}
+        rows.append(tuple(change.get(column, ZERO) for column in columns))
+    return tuple(columns), tuple(rows)
+
+
+def dense_face(m: MarketModel) -> list[tuple[list[Fraction], str, Fraction]]:
+    """The measure programs' face as (row, relation, rhs) triples, in the
+    row order `arbitrage._face` lays out, dense over the charged leaves and
+    built from `reference_gain_rows`: mass one, each martingale row with a
+    nonzero coefficient on a charged leaf, then per option its quote rows,
+    = bid without a spread, else >= bid and <= ask."""
+    c = require_valid(m)
+    supp = c.charged
+    columns, gains = reference_gain_rows(m)
+    face = [([ONE] * len(supp), lp.EQ, ONE)]
+    martingale = ([gains[pos][col] for pos in supp] for col in range(len(columns)))
+    face += [(coefs, lp.EQ, ZERO) for coefs in martingale if any(coefs)]
+    for opt in c.options:
+        coefs = [opt.payoff[pos] for pos in supp]
+        sides = [(lp.GE, opt.bid), (lp.LE, opt.ask)] if opt.has_spread() else [(lp.EQ, opt.bid)]
+        face += [(coefs, rel, bound) for rel, bound in sides]
+    return face
+
+
+def strategy_rows(m: MarketModel) -> list[list[Fraction]]:
+    """Per leaf position, the gain per unit of each strategy column, in the
+    order `CompiledMarket.strategy_from` reads: the dynamic columns
+    (`reference_gain_rows`), then one buy leg and one sell leg per option."""
+    return [[*row, *(opt.payoff[pos] - opt.ask for opt in m.options),
+             *(-(opt.payoff[pos] - opt.bid) for opt in m.options)]
+            for pos, row in enumerate(reference_gain_rows(m)[1])]
 
 
 def _solve_free(objective, rows, relations, rhs, free: int) -> lp.LpOutcome:
@@ -98,7 +147,7 @@ def _solve_free(objective, rows, relations, rhs, free: int) -> lp.LpOutcome:
     def split(v):
         return [u for a in v[:free] for u in (a, -a)] + v[free:]
 
-    problem = lp.LpProblem(split(objective), [split(r) for r in rows], relations, rhs)
+    problem = lp.LpProblem(split(objective), sparse_rows(map(split, rows)), relations, rhs)
     out = lp.solve_lp(routed(problem))
     if out.status == lp.OPTIMAL:
         z = out.primal
@@ -118,9 +167,10 @@ def surplus_na(m: MarketModel) -> NaVerdict:
     c = require_valid(m)
     nh, e, k = len(c.columns), len(c.options), len(c.charged)
     width = nh + 2 * e
+    gains = strategy_rows(c)
     rows = []
     for idx, pos in enumerate(c.charged):
-        coefs = strategy_row(c, pos) + [ZERO] * k
+        coefs = gains[pos] + [ZERO] * k
         coefs[width + idx] = Fraction(-1)
         rows.append(coefs)
     rows.append([ZERO] * width + [ONE] * k)
@@ -142,7 +192,8 @@ def hedge_lp(m: MarketModel, f: Claim) -> tuple[Fraction, Strategy] | None:
     c = require_valid(m)
     nh, e = len(c.columns), len(c.options)
     ncols = 1 + nh + 2 * e
-    rows = [[ONE] + strategy_row(c, pos) for pos in c.charged]
+    gains = strategy_rows(c)
+    rows = [[ONE] + gains[pos] for pos in c.charged]
     out = _solve_free([-ONE] + [ZERO] * (ncols - 1), rows, [lp.GE] * len(rows),
                       [f.payoff[pos] for pos in c.charged], free=1 + nh)
     if out.status == lp.UNBOUNDED:
@@ -158,7 +209,8 @@ def replication_lp(m: MarketModel, i: int) -> NonredundancyVerdict:
     others = [k for k in range(len(c.options)) if k != i]
     nh = len(c.columns)
     ncols = 1 + nh + len(others)
-    rows = [[ONE, *c.gain_rows[pos], *(c.options[k].payoff[pos] for k in others)]
+    gains = reference_gain_rows(c)[1]
+    rows = [[ONE, *gains[pos], *(c.options[k].payoff[pos] for k in others)]
             for pos in c.charged]
     out = _solve_free([ZERO] * ncols, rows, [lp.EQ] * len(rows),
                       [c.options[i].payoff[pos] for pos in c.charged], free=ncols)
@@ -177,7 +229,8 @@ def replication_solve(m: MarketModel, i: int) -> NonredundancyVerdict:
     c = require_valid(m)
     nh = len(c.columns)
     others = [k for k in range(len(c.options)) if k != i]
-    rows = [[ONE, *c.gain_rows[pos], *(c.options[k].payoff[pos] for k in others)]
+    gains = reference_gain_rows(c)[1]
+    rows = [[ONE, *gains[pos], *(c.options[k].payoff[pos] for k in others)]
             for pos in c.charged]
     solved = _dense_solve(rows, [c.options[i].payoff[pos] for pos in c.charged])
     if solved is None:
@@ -277,26 +330,12 @@ def enumerate_consistent_measures(m: MarketModel) -> VertexSet:
         )
     supp = layout.charged
     k = len(supp)
-    drows = layout.gain_rows
-    nh = len(layout.columns)
-
-    eq_rows: list[list[Fraction]] = [[ONE] * k]
-    eq_rhs: list[Fraction] = [ONE]
-    for col in range(nh):
-        coefs = [drows[pos][col] for pos in supp]
-        if any(coefs):
-            eq_rows.append(coefs)
-            eq_rhs.append(ZERO)
+    face = dense_face(m)
+    eq_rows = [coefs for coefs, rel, _ in face if rel == lp.EQ]
+    eq_rhs = [bound for _, rel, bound in face if rel == lp.EQ]
     # inequalities as coefs . q <= bound
-    ineq: list[tuple[list[Fraction], Fraction]] = []
-    for opt in m.options:
-        gcoefs = [opt.payoff[pos] for pos in supp]
-        if opt.has_spread():
-            ineq.append((gcoefs, opt.ask))
-            ineq.append(([-g for g in gcoefs], -opt.bid))
-        else:
-            eq_rows.append(gcoefs)
-            eq_rhs.append(opt.bid)
+    ineq = [(coefs, bound) if rel == lp.LE else ([-g for g in coefs], -bound)
+            for coefs, rel, bound in face if rel != lp.EQ]
     for idx in range(k):
         row = [ZERO] * k
         row[idx] = Fraction(-1)
@@ -366,7 +405,7 @@ def path_terminal_gain(m: MarketModel, s: Strategy) -> list[Fraction]:
     c = require_valid(m)
     _check_strategy_shape(c, s)
     gains: list[Fraction] = []
-    for pos, path in enumerate(c.paths):
+    for pos, path in enumerate(leaf_paths(c)):
         total = ZERO
         for here, there in zip(path, path[1:]):
             held = s.dynamic[here]
@@ -401,7 +440,7 @@ def path_verify_measure(m: MarketModel, q: MartingaleMeasure) -> bool:
     if any(w > 0 for pos, w in enumerate(q.weights) if pos not in supp):
         return False
     mass = [ZERO] * len(c.prices)
-    for pos, path in enumerate(c.paths):
+    for pos, path in enumerate(leaf_paths(c)):
         if q.weights[pos]:
             for nid in path:
                 mass[nid] += q.weights[pos]

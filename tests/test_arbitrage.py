@@ -37,12 +37,14 @@ from markets import (
     binomial_market,
     binomial_with_free_option,
     binomial_with_spread_option,
+    dense_rows,
     nar_fixture_markets,
     pinned_identical_options_market,
     random_arbitrage_free_market,
     random_arbitrary_market,
     routed,
     single_leaf_market,
+    sparse_rows,
     stockless_market,
     trinomial_straddle_market,
     wide_quote_identical_options_market,
@@ -389,7 +391,7 @@ def test_every_replay_rejects_an_entry_that_is_not_rational():
         assert verify_replication(m, 0, bad) is False
 
     I = F(1)
-    p = routed(lp.LpProblem([I], [[I]], [lp.LE], [I]))
+    p = routed(lp.LpProblem([I], sparse_rows([[I]]), [lp.LE], [I]))
     out = lp.solve_lp(p)
     for bad in (
         replace(out, primal=[1.0]),
@@ -398,7 +400,7 @@ def test_every_replay_rejects_an_entry_that_is_not_rational():
         replace(out, objective_value=1.0),
     ):
         assert lp.verify_certificate(p, bad) is False
-    p = routed(lp.LpProblem([F(0)], [[I], [I]], [lp.LE, lp.GE], [F(0), I]))
+    p = routed(lp.LpProblem([F(0)], sparse_rows([[I], [I]]), [lp.LE, lp.GE], [F(0), I]))
     out = lp.solve_lp(p)
     assert lp.verify_certificate(p, replace(out, farkas=[float(v) for v in out.farkas])) is False
     p = routed(lp.LpProblem([I], [], [], []))
@@ -443,6 +445,11 @@ def test_floor_column_is_the_row_sum_plus_the_push_offset():
         for push in (0, 1):
             problem = _floor(c, push)[0]
             assert problem.rows is problem.phase1[0].rows  # the face's, one column short
-            for row, rel in zip(lp._program_rows(problem), problem.relations):
-                assert row[-1] == sum(row[:-1], F(0)) + offset[rel] * push
-                assert type(row[-1]) is F
+            width = len(problem.objective)
+            full = lp._program_rows(problem)
+            for face_row, row, rel in zip(problem.rows, full, problem.relations):
+                late = dense_rows([row], width)[0][-1]
+                assert late == sum((v for _, v in face_row), F(0)) + offset[rel] * push
+                assert type(late) is F
+                # the face row's pairs, then the late pair (width - 1, late) when late is not 0
+                assert row == ((*face_row, (width - 1, late)) if late else face_row)

@@ -4,8 +4,9 @@ sharper_ftap settles a market, arbitrage included, with one program and one
 shared elimination, superhedge_price and duality_report each solve one
 program, and `strict-dual --verify` solves the dual program once. The CLI validates
 and compiles each market file once and builds its parser once per process,
-never at import. The compiled gain rows match a reference built from the
-price differences along each leaf's path.
+never at import. The compiled gain columns are the nonzeros of a reference
+built from the price differences along each leaf's path, one entry per path
+edge and asset.
 
 A `replace` copy of a compiled market is validated and compiled again:
 only a market `_compile` built, or `market_without_option` copied from one,
@@ -33,11 +34,13 @@ import hedgecert.model as model
 from hedgecert import arbitrage, cli, lp, marketio, redundancy, superhedge
 from hedgecert.errors import HedgecertError, PreconditionError, StructureError
 from hedgecert.model import (Claim, CompiledMarket, MarketModel, MeasureFamily, Node, OptionQuote,
-                             ScenarioTree, ZERO)
+                             ScenarioTree)
 from markets import (
+    binomial_ladder_market,
     binomial_market,
     binomial_with_free_option,
     binomial_with_spread_option,
+    dense_rows,
     random_arbitrage_free_market,
     random_arbitrary_market,
     random_claim,
@@ -47,6 +50,7 @@ from markets import (
     two_period_stock_market,
     wide_quote_identical_options_market,
 )
+from oracle import dense_face, reference_gain_rows
 
 QUERIES = {
     "check_na": lambda m, f: arbitrage.check_na(m),
@@ -132,27 +136,6 @@ def test_queries_on_a_parsed_market_neither_validate_nor_compile(monkeypatch, qu
     assert (validations.calls, compiles.calls) == (0, 0), query
 
 
-def _reference_gain_rows(m):
-    """Per leaf, in leaf order: the price change of each asset across each
-    period step of the leaf's path, at the (node, asset) column of the node
-    the step leaves, and zero at every column off the path."""
-    by_id = {node.id: node for node in m.tree.nodes}
-    leaves = sorted(node.id for node in m.tree.nodes if node.time == m.tree.periods)
-    nonleaf = sorted(node.id for node in m.tree.nodes if node.time < m.tree.periods)
-    columns = [(nid, j) for nid in nonleaf for j in range(m.tree.num_assets)]
-    rows = []
-    for leaf in leaves:
-        change = {}
-        node = by_id[leaf]
-        while node.parent is not None:
-            here = by_id[node.parent]
-            for j in range(m.tree.num_assets):
-                change[here.id, j] = node.prices[j] - here.prices[j]
-            node = here
-        rows.append(tuple(change.get(column, ZERO) for column in columns))
-    return tuple(columns), tuple(rows)
-
-
 def _binomial_tree(up, down):
     return ScenarioTree([Node(0, 0, None, [F(1)]), Node(1, 1, 0, [up]), Node(2, 1, 0, [down])],
                         periods=1, num_assets=1)
@@ -193,7 +176,7 @@ def test_replace_copies_of_a_compiled_market_are_validated_and_compiled_again(ca
     assert query(copy) == query(fresh) == expected
     compiled, again = model.require_valid(copy), model.require_valid(fresh)
     assert compiled is not copy and model.require_valid(compiled) is compiled
-    assert (compiled.gain_rows, compiled.charged) == (again.gain_rows, again.charged)
+    assert (compiled.gain_columns, compiled.charged) == (again.gain_columns, again.charged)
 
 
 def test_a_replace_copy_with_a_float_payoff_is_named_before_any_program_runs(monkeypatch):
@@ -223,12 +206,12 @@ def test_only_compile_and_market_without_option_mark_a_market():
     with pytest.raises(ValueError, match="init=False"):
         replace(c, _checked=True)
     with pytest.raises(TypeError):
-        CompiledMarket(c.tree, c.options, c.measures, c.prices, c.children, c.leaves, c.paths,
-                       c.nonleaf, c.charged, c.columns, c.gain_rows, c.generator_names, True)
+        CompiledMarket(c.tree, c.options, c.measures, c.prices, c.children, c.leaves,
+                       c.nonleaf, c.charged, c.columns, c.gain_columns, c.generator_names, True)
     assert not replace(c)._checked and model.require_valid(replace(c)) is not c
 
 
-def test_gain_rows_match_per_path_price_differences():
+def test_gain_columns_match_per_path_price_differences():
     rng = random.Random(11)
     markets = [random_arbitrage_free_market(rng, min_periods=2) for _ in range(40)]
     markets += [random_arbitrary_market(rng, max_periods=3, max_assets=2) for _ in range(40)]
@@ -237,9 +220,65 @@ def test_gain_rows_match_per_path_price_differences():
         nodes = list(m.tree.nodes)
         rng.shuffle(nodes)
         shuffled = replace(m, tree=replace(m.tree, nodes=nodes))
+        columns, rows = reference_gain_rows(m)
+        # the reference transposed, each column the (position, move) pairs of its nonzeros
+        expected = tuple(tuple((pos, row[k]) for pos, row in enumerate(rows) if row[k])
+                         for k in range(len(columns)))
         for market in (m, shuffled):
             c = model.require_valid(market)
-            assert (c.columns, c.gain_rows) == _reference_gain_rows(m)
+            assert (c.columns, c.gain_columns) == (columns, expected)
+
+
+def _partly_charged(rng, m):
+    """m with one generator that charges a random proper subset of its leaves."""
+    leaves = len(m.measures.generators[0])
+    kept = rng.sample(range(leaves), rng.randint(1, max(1, leaves - 1)))
+    weights = [F(1, len(kept)) if pos in kept else F(0) for pos in range(leaves)]
+    return replace(m, measures=MeasureFamily([weights]))
+
+
+def test_face_rows_are_increasing_nonzero_pairs_that_densify_to_the_oracle_face():
+    # every face row, and so every program row, is a tuple of (column,
+    # value) pairs over the charged leaves alone, columns increasing and
+    # values nonzero; densified, the face is the oracle's, built from the tree
+    rng = random.Random(31)
+    markets = [_partly_charged(rng, random_arbitrage_free_market(rng, min_periods=2))
+               for _ in range(30)]
+    markets += [_partly_charged(rng, random_arbitrary_market(rng, max_periods=3, max_assets=2))
+                for _ in range(30)]
+    partial = 0
+    for m in markets:
+        c = model.require_valid(m)
+        partial += len(c.charged) < len(c.leaves)
+        face = arbitrage._face(c)[0]
+        width = len(c.charged)
+        for row in face.rows:
+            assert type(row) is tuple and all(type(pair) is tuple and len(pair) == 2 for pair in row)
+            columns = [j for j, _ in row]
+            assert columns == sorted(set(columns)) and all(0 <= j < width for j in columns), row
+            assert all(v for _, v in row), row
+        expected = dense_face(m)
+        assert dense_rows(face.rows, width) == [coefs for coefs, _, _ in expected]
+        assert (face.relations, face.rhs) == ([rel for _, rel, _ in expected],
+                                              [bound for _, _, bound in expected])
+    assert partial > 40
+
+
+@pytest.mark.parametrize("periods", range(1, 11))
+def test_gain_columns_hold_one_entry_per_path_edge(periods):
+    # a binomial ladder's 2^p leaves each have a path of p edges, each with a
+    # nonzero move: 2^p * p entries, where a dense layout held 2^p (2^p - 1);
+    # with every down step flat, only the up edges hold one, p * 2^(p - 1)
+    m = binomial_ladder_market(periods)
+    assert sum(map(len, model.require_valid(m).gain_columns)) == 2 ** periods * periods
+    prices = {}
+    nodes = []
+    for node in m.tree.nodes:  # ids ascending, each after its parent; up children are odd
+        price = F(1) if node.parent is None else prices[node.parent] * (2 if node.id % 2 else 1)
+        prices[node.id] = price
+        nodes.append(replace(node, prices=[price]))
+    flat = model.require_valid(replace(m, tree=replace(m.tree, nodes=nodes)))
+    assert sum(map(len, flat.gain_columns)) == periods * 2 ** (periods - 1)
 
 
 def test_sharper_ftap_solves_one_program_and_one_elimination(monkeypatch):

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 
 from hedgecert import lp
 from hedgecert.errors import SoundnessError
-from markets import random_lp, routed
+from markets import random_lp, routed, sparse_rows
 
 Z = F(0)
 I = F(1)
 
 
 def test_one_variable_maximum():
-    p = routed(lp.LpProblem([I], [[I]], [lp.LE], [I]))
+    p = routed(lp.LpProblem([I], sparse_rows([[I]]), [lp.LE], [I]))
     out = lp.solve_lp(p)
     assert out.status == lp.OPTIMAL
     assert out.primal == [I]
@@ -34,7 +34,7 @@ def test_obvious_ray():
 
 
 def test_contradictory_rows_infeasible():
-    p = routed(lp.LpProblem([Z], [[I], [I]], [lp.LE, lp.GE], [Z, I]))
+    p = routed(lp.LpProblem([Z], sparse_rows([[I], [I]]), [lp.LE, lp.GE], [Z, I]))
     out = lp.solve_lp(p)
     assert out.status == lp.INFEASIBLE
     assert out.farkas is not None
@@ -42,7 +42,7 @@ def test_contradictory_rows_infeasible():
 
 
 def test_verify_rejects_perturbed_primal():
-    p = routed(lp.LpProblem([I], [[I]], [lp.LE], [I]))
+    p = routed(lp.LpProblem([I], sparse_rows([[I]]), [lp.LE], [I]))
     out = lp.solve_lp(p)
     bad = lp.LpOutcome(
         status=out.status,
@@ -54,14 +54,14 @@ def test_verify_rejects_perturbed_primal():
 
 
 def test_verify_rejects_zeroed_farkas():
-    p = routed(lp.LpProblem([Z], [[I], [I]], [lp.LE, lp.GE], [Z, I]))
+    p = routed(lp.LpProblem([Z], sparse_rows([[I], [I]]), [lp.LE, lp.GE], [Z, I]))
     out = lp.solve_lp(p)
     bad = lp.LpOutcome(status=lp.INFEASIBLE, farkas=[Z, Z])
     assert not lp.verify_certificate(p, bad)
 
 
 def test_verify_rejects_wrong_field_population():
-    p = routed(lp.LpProblem([I], [[I]], [lp.LE], [I]))
+    p = routed(lp.LpProblem([I], sparse_rows([[I]]), [lp.LE], [I]))
     out = lp.solve_lp(p)
     assert not lp.verify_certificate(
         p, lp.LpOutcome(status=lp.OPTIMAL, primal=out.primal, dual=out.dual)
@@ -70,7 +70,7 @@ def test_verify_rejects_wrong_field_population():
     assert not lp.verify_certificate(p, replace(out, farkas=[Z]))
     assert not lp.verify_certificate(p, replace(out, primal=[I, Z]))
     assert not lp.verify_certificate(p, replace(out, status="maybe"))
-    p = routed(lp.LpProblem([Z], [[I], [I]], [lp.LE, lp.GE], [Z, I]))
+    p = routed(lp.LpProblem([Z], sparse_rows([[I], [I]]), [lp.LE, lp.GE], [Z, I]))
     out = lp.solve_lp(p)
     assert lp.verify_certificate(p, out)
     assert not lp.verify_certificate(p, replace(out, primal=[Z]))
@@ -85,7 +85,7 @@ def test_verify_rejects_wrong_field_population():
 def test_verify_rejects_non_rational_entries():
     # the outcome of a valid program with one float or Decimal entry: False,
     # neither True nor an arithmetic TypeError
-    p = routed(lp.LpProblem([-I, -I], [[I, I]], [lp.LE], [F(2)]))
+    p = routed(lp.LpProblem([-I, -I], sparse_rows([[I, I]]), [lp.LE], [F(2)]))
     out = lp.solve_lp(p)
     assert lp.verify_certificate(p, out)
     for bad in (0.5, Decimal("0.5")):
@@ -98,11 +98,11 @@ def test_beale_cycling_instance_terminates_under_bland():
     # classic instance that cycles under naive pivoting; optimum is 1/20
     p = routed(lp.LpProblem(
         [F(3, 4), F(-150), F(1, 50), F(-6)],
-        [
+        sparse_rows([
             [F(1, 4), F(-60), F(-1, 25), F(9)],
             [F(1, 2), F(-90), F(-1, 50), F(3)],
             [Z, Z, I, Z],
-        ],
+        ]),
         [lp.LE, lp.LE, lp.LE],
         [Z, Z, I],
     ))
@@ -117,14 +117,14 @@ def test_a_revisited_basis_raises_instead_of_looping(monkeypatch):
     # costs re-enters the same column forever unless the kernel notices
     pivot = lp._pivot
     monkeypatch.setattr(lp, "_pivot", lambda rows, r, c, red=None: pivot(rows, r, c))
-    p = lp.LpProblem([I], [[I]], [lp.LE], [I])
+    p = lp.LpProblem([I], sparse_rows([[I]]), [lp.LE], [I])
     with pytest.raises(SoundnessError, match="revisited a basis"):
         lp.solve_lp(routed(p))
 
 
 def test_fixed_variable_and_equality_rows():
     # x pinned at 1 by its own equality row: max -x - y with x + y = 2 gives y = 1
-    p = routed(lp.LpProblem([-I, -I], [[I, I], [I, Z]], [lp.EQ, lp.EQ], [F(2), I]))
+    p = routed(lp.LpProblem([-I, -I], sparse_rows([[I, I], [I, Z]]), [lp.EQ, lp.EQ], [F(2), I]))
     out = lp.solve_lp(p)
     assert out.status == lp.OPTIMAL
     assert out.primal == [I, I]
@@ -137,7 +137,7 @@ def test_free_variable_equality_system():
     # difference of two nonnegative columns, h = h+ - h-
     p = routed(lp.LpProblem(
         [Z, Z, Z, Z],
-        [[I, F(-1), I, F(-1)], [I, F(-1), F(-2), F(2)]],
+        sparse_rows([[I, F(-1), I, F(-1)], [I, F(-1), F(-2), F(2)]]),
         [lp.EQ, lp.EQ],
         [I, F(4)],
     ))
@@ -150,7 +150,7 @@ def test_free_variable_equality_system():
 
 def test_infeasible_via_bounds_and_row():
     # the row wants x + y <= -1, the nonnegativity of x and y forbids it
-    p = routed(lp.LpProblem([Z, Z], [[I, I]], [lp.LE], [F(-1)]))
+    p = routed(lp.LpProblem([Z, Z], sparse_rows([[I, I]]), [lp.LE], [F(-1)]))
     out = lp.solve_lp(p)
     assert out.status == lp.INFEASIBLE
     assert out.farkas == [F(-1)]
@@ -163,8 +163,8 @@ def test_verify_rejects_each_broken_nonnegative_certificate():
     def optimal(primal, dual, value):
         return lp.LpOutcome(lp.OPTIMAL, primal=primal, dual=dual, objective_value=value)
 
-    both = routed(lp.LpProblem([-I, -I], [[I, I]], [lp.EQ], [I]))
-    tied = routed(lp.LpProblem([-I, Z], [[I, F(-1)]], [lp.EQ], [Z]))
+    both = routed(lp.LpProblem([-I, -I], sparse_rows([[I, I]]), [lp.EQ], [I]))
+    tied = routed(lp.LpProblem([-I, Z], sparse_rows([[I, F(-1)]]), [lp.EQ], [Z]))
     assert lp.verify_certificate(both, optimal([I, Z], [-I], -I))
     assert lp.verify_certificate(tied, optimal([Z, Z], [Z], Z))
     # a negative primal entry that meets every row, with zero reduced costs
@@ -177,26 +177,26 @@ def test_verify_rejects_each_broken_nonnegative_certificate():
     assert not lp.verify_certificate(both, optimal([I, Z], [-I], Z))
 
     # max -x with x <= 1: x = 0 leaves the row slack, so its dual must be 0
-    slack = routed(lp.LpProblem([-I], [[I]], [lp.LE], [I]))
+    slack = routed(lp.LpProblem([-I], sparse_rows([[I]]), [lp.LE], [I]))
     assert lp.verify_certificate(slack, optimal([Z], [Z], Z))
     assert not lp.verify_certificate(slack, optimal([Z], [I], Z))
 
     # max x with x <= 1 and x >= 1: duals (1, 0) are right; (0, 1) meet
     # every identity, but a >= row's dual must be <= 0
-    pinned = routed(lp.LpProblem([I], [[I], [I]], [lp.LE, lp.GE], [I, I]))
+    pinned = routed(lp.LpProblem([I], sparse_rows([[I], [I]]), [lp.LE, lp.GE], [I, I]))
     assert lp.verify_certificate(pinned, optimal([I], [I, Z], I))
     assert not lp.verify_certificate(pinned, optimal([I], [Z, I], I))
 
     # x >= 1 is feasible: y = 1 has y . rhs > 0 but y^T A = 1 > 0
-    at_least = routed(lp.LpProblem([Z], [[I]], [lp.GE], [I]))
+    at_least = routed(lp.LpProblem([Z], sparse_rows([[I]]), [lp.GE], [I]))
     assert not lp.verify_certificate(at_least, lp.LpOutcome(lp.INFEASIBLE, farkas=[I]))
     # -x <= 1 is feasible: y = 1 has y^T A = -1 <= 0 and y . rhs > 0, but a
     # Farkas vector is <= 0 on a <= row
-    at_most = routed(lp.LpProblem([Z], [[-I]], [lp.LE], [I]))
+    at_most = routed(lp.LpProblem([Z], sparse_rows([[-I]]), [lp.LE], [I]))
     assert not lp.verify_certificate(at_most, lp.LpOutcome(lp.INFEASIBLE, farkas=[I]))
 
     # max x0 with x0 + x1 = 1 is bounded: the ray (1, -1) leaves x >= 0
-    capped = routed(lp.LpProblem([I, Z], [[I, I]], [lp.EQ], [I]))
+    capped = routed(lp.LpProblem([I, Z], sparse_rows([[I, I]]), [lp.EQ], [I]))
     assert lp.verify_certificate(capped, lp.solve_lp(capped))
     assert not lp.verify_certificate(
         capped, lp.LpOutcome(lp.UNBOUNDED, primal=[I, Z], ray=[I, F(-1)])
@@ -208,7 +208,7 @@ def test_redundant_rows_keep_a_zero_dual():
     # their duals are 0
     p = routed(lp.LpProblem(
         [-I, -I],
-        [[I, I], [I, I], [F(2), F(2)]],
+        sparse_rows([[I, I], [I, I], [F(2), F(2)]]),
         [lp.EQ, lp.EQ, lp.EQ],
         [F(2), F(2), F(4)],
     ))
@@ -219,28 +219,35 @@ def test_redundant_rows_keep_a_zero_dual():
     assert lp.verify_certificate(p, out)
 
 
+def _reduce(rows, n):
+    """`lp._reduce_linear` of dense rows, handed over sparse with their width."""
+    return lp._reduce_linear(sparse_rows(rows), n, len(rows[0]))
+
+
 def test_reduce_linear():
     # [A | b] in reduced row-echelon form: the system has a unique solution
     # iff every column of A takes a pivot and b none, and b's entries are it
-    assert lp._reduce_linear([[I, I, F(2)], [I, F(-1), Z]], 2) == ([0, 1], [[I], [I]])
+    assert _reduce([[I, I, F(2)], [I, F(-1), Z]], 2) == ([0, 1], [[I], [I]])
     # underdetermined: column 1 takes no pivot, and x0 = 2 - x1
-    assert lp._reduce_linear([[I, I, F(2)]], 1) == ([0], [[I, F(2)]])
+    assert _reduce([[I, I, F(2)]], 1) == ([0], [[I, F(2)]])
     # inconsistent: b takes a pivot
-    assert lp._reduce_linear([[I, I, F(2)], [I, I, F(3)]], 2) == ([0, 2], [[Z], [I]])
+    assert _reduce([[I, I, F(2)], [I, I, F(3)]], 2) == ([0, 2], [[Z], [I]])
     # overdetermined but consistent
-    assert lp._reduce_linear([[I, Z, I], [Z, I, F(2)], [I, I, F(3)]], 2) == ([0, 1], [[I], [F(2)]])
+    assert _reduce([[I, Z, I], [Z, I, F(2)], [I, I, F(3)]], 2) == ([0, 1], [[I], [F(2)]])
+    # the width bounds the columns, so a trailing column of zeros has no pair but stays a column
+    assert lp._reduce_linear([((0, I),)], 0, 2) == ([0], [[I, Z]])
 
 
 def test_reduce_linear_leaves_exact_pivot_tails_and_a_residual():
     # x + y + 3z, 2x + 2y + 5z, y + z: pivots on x (row 0), y (row 2,
     # swapped up) and the residual z (row 1), each row divided by its pivot
-    piv, tails = lp._reduce_linear([[I, I, F(3)], [F(2), F(2), F(5)], [Z, I, I]], 1)
+    piv, tails = _reduce([[I, I, F(3)], [F(2), F(2), F(5)], [Z, I, I]], 1)
     assert piv == [0, 1, 2]
     assert tails == [[Z, Z], [I, Z], [Z, I]]
     # a column without a pivot keeps the exact combination of the pivot columns
-    piv, tails = lp._reduce_linear([[F(2), F(1, 3)], [F(4), F(5)]], 0)
+    piv, tails = _reduce([[F(2), F(1, 3)], [F(4), F(5)]], 0)
     assert (piv, tails) == ([0, 1], [[I, Z], [Z, I]])
-    piv, tails = lp._reduce_linear([[F(2), F(1, 3)], [F(4), F(2, 3)]], 1)
+    piv, tails = _reduce([[F(2), F(1, 3)], [F(4), F(2, 3)]], 1)
     assert (piv, tails) == ([0], [[F(1, 6)]])
 
 
@@ -257,8 +264,7 @@ def test_solver_never_writes_to_its_inputs():
         lp.solve_lp(routed(p))
         for mu in (None, 0, 1, 0):
             lp.solve_lp(phase1.program(p.objective + [I] * (mu is not None), mu))
-        if p.rows:  # a row fixes the column count
-            lp._reduce_linear(p.rows, 0)
+        lp._reduce_linear(p.rows, 0, len(p.objective))
         assert p == before
         assert (phase1.inverse, phase1.scale, phase1.tab, phase1.basis) == stored
 

@@ -24,6 +24,7 @@ from hedgecert.lp import EQ, LE, LpProblem
 from markets import (
     binomial_market,
     binomial_with_free_option,
+    dense_rows,
     nar_fixture_markets,
     pinned_identical_options_market,
     random_arbitrage_free_market,
@@ -32,6 +33,7 @@ from markets import (
     random_lp,
     random_rational,
     routed,
+    sparse_rows,
     trinomial_straddle_market,
 )
 from oracle import _dense_gauss_jordan, _dense_solve_unique, hedge_lp
@@ -47,13 +49,14 @@ class _ReferenceStdForm:
     z is the problem's columns, then the empty slot column that `lp` keeps
     for a late column, then one slack per inequality row, so a point or ray
     of the problem is z[:n]. A routed program's rows are its full rows, the
-    late column included (`lp._program_rows`). row_sign[k] is -1 when the
+    late column included (`lp._program_rows`), each densified to the
+    objective's length (`markets.dense_rows`). row_sign[k] is -1 when the
     row was negated to make its rhs nonnegative.
     """
 
     def __init__(self, p: LpProblem):
         n = len(p.objective)
-        rows = [list(row) for row in (p.rows if p.phase1 is None else lp._program_rows(p))]
+        rows = dense_rows(p.rows if p.phase1 is None else lp._program_rows(p), n)
         rhs = list(p.rhs)
         nslack = sum(1 for rel in p.relations if rel != EQ)
         k = n + 1
@@ -103,15 +106,16 @@ def _dense_pivot(tab, rhs, red, basis, r, jc):
 
 
 def _assert_linear_solve(rows, rhs):
-    """`lp._reduce_linear` of [A | b] against the dense elimination. A
-    reduced row-echelon form is unique, so both take the same pivot columns
-    and leave the same pivot rows, entry for entry; b takes a pivot exactly
-    when the system is inconsistent."""
+    """`lp._reduce_linear` of [A | b], given dense and handed over sparse,
+    against the dense elimination. A reduced row-echelon form is unique, so
+    both take the same pivot columns and leave the same pivot rows, entry
+    for entry; b takes a pivot exactly when the system is inconsistent."""
     augmented = [[*row, b] for row, b in zip(rows, rhs)]
     a, piv_cols = _dense_gauss_jordan(augmented, [_ZERO] * len(rows))
+    width = len(augmented[0])
     for n in (0, len(rows[0])):
         expected = [row[n:-1] for row in a[:len(piv_cols)]]
-        assert lp._reduce_linear(augmented, n) == (piv_cols, expected), (rows, rhs, n)
+        assert lp._reduce_linear(sparse_rows(augmented), n, width) == (piv_cols, expected), (rows, rhs, n)
 
 
 def _dense_optimize(tab, rhs, red, basis, ncols):
@@ -275,7 +279,7 @@ def test_market_programs_match_the_dense_kernel(monkeypatch):
     # are zero; a measure program's rows cover every charged leaf
     widest = max(hedges, key=lambda p: len(p.rows) * len(p.objective))
     cells = len(widest.rows) * len(widest.objective)
-    assert sum(1 for row in widest.rows for a in row if a) < cells / 2
+    assert sum(map(len, widest.rows)) < cells / 2
     _assert_identical(problems)
 
 
@@ -311,7 +315,8 @@ def _wide_lp(rng):
     minimize = rng.choice((True, False))  # a minimization is max -c . x
     objective = [_wide_rational(rng, 0.2) for _ in range(n)]
     relations = [rng.choice((lp.LE, lp.EQ, lp.GE)) for _ in range(m)]
-    return lp.LpProblem([-c for c in objective] if minimize else objective, rows, relations, rhs)
+    return lp.LpProblem([-c for c in objective] if minimize else objective, sparse_rows(rows),
+                        relations, rhs)
 
 
 def test_wide_denominator_lps_match_the_dense_kernel():
@@ -322,7 +327,7 @@ def test_wide_denominator_lps_match_the_dense_kernel():
         out = lp.solve_lp(copy.deepcopy(p))
         assert out == _dense_solve_lp(copy.deepcopy(p)), p
         assert lp.verify_certificate(p, out), p
-        _assert_linear_solve(p.rows, p.rhs)
+        _assert_linear_solve(dense_rows(p.rows, len(p.objective)), p.rhs)
         statuses.add(out.status)
     assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
 
@@ -516,7 +521,7 @@ def test_a_zero_rhs_row_that_cancels_in_the_crash_keeps_its_artificial():
     # rows 0 and 1 are one equation x0 = x1 with rhs 0: row 0 crashes on
     # x0, which empties row 1; the crash passes it by, its artificial stays
     # basic through the drive-out, and its dual is 0
-    p = LpProblem([F(1), F(1)], [[F(1), F(-1)], [F(2), F(-2)], [F(1), F(1)]],
+    p = LpProblem([F(1), F(1)], sparse_rows([[F(1), F(-1)], [F(2), F(-2)], [F(1), F(1)]]),
                   [EQ, EQ, LE], [_ZERO, _ZERO, _ONE])
     phase1 = lp._Phase1(p)
     assert phase1.basis[:2] == [0, phase1.ncols + 1] and phase1.tab[1] == {}

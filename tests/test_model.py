@@ -18,6 +18,7 @@ from hedgecert.model import (
     ScenarioTree,
     Strategy,
     ZERO,
+    _top_down,
     canonical_legs,
     rat,
     require_valid,
@@ -35,7 +36,7 @@ from markets import (
 )
 import random
 
-from oracle import strategy_row
+from oracle import strategy_rows
 
 
 def test_rational_substrate_invariants():
@@ -257,9 +258,9 @@ def test_require_valid_compiles_once_and_passes_compiled_through():
     assert require_valid(c) is c
     assert c.options is m.options and c.tree is m.tree
     assert support(c) == set(c.charged) == {0, 1}
-    assert c.leaves == (1, 2) and c.paths == ((0, 1), (0, 2))
+    assert c.leaves == (1, 2) and _top_down(c) == [0, 1, 2]
     assert c.columns == ((0, 0),)
-    assert c.gain_rows == ((F(1),), (F(-1, 2),))
+    assert c.gain_columns == (((0, F(1)), (1, F(-1, 2))),)
     assert c.generator_names == ("up", "down")
     with pytest.raises(FrozenInstanceError):
         c.charged = ()
@@ -274,11 +275,18 @@ def test_require_valid_rejects_invalid_market():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_strategy_rows_price_what_terminal_gain_replays(seed):
-    # the program rows and the replay walk must agree on every strategy
+    # the program rows, the oracle's from the tree and the compiled gain
+    # columns alike, and the replay walk must agree on every strategy
     rng = random.Random(seed)
     c = require_valid(random_arbitrage_free_market(rng, min_periods=2))
-    width = len(c.columns) + 2 * len(c.options)
+    nh = len(c.columns)
+    width = nh + 2 * len(c.options)
     primal = [abs(F(rng.randint(-6, 6), rng.randint(1, 3))) for _ in range(width)]
     gains = terminal_gain(c, c.strategy_from(primal))
-    for pos in range(len(c.leaves)):
-        assert sum(a * x for a, x in zip(strategy_row(c, pos), primal)) == gains[pos]
+    compiled = [ZERO] * len(c.leaves)  # the dynamic part, from the compiled gain columns
+    for x, column in zip(primal, c.gain_columns):
+        for pos, move in column:
+            compiled[pos] += move * x
+    for pos, row in enumerate(strategy_rows(c)):
+        assert sum(a * x for a, x in zip(row, primal)) == gains[pos]
+        assert compiled[pos] + sum(a * x for a, x in zip(row[nh:], primal[nh:])) == gains[pos]

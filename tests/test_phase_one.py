@@ -31,12 +31,14 @@ from markets import (
     binomial_ladder_market,
     binomial_with_free_option,
     binomial_with_spread_option,
+    dense_rows,
     random_arbitrage_free_market,
     random_arbitrary_market,
     random_claim,
     random_lp,
     random_rational,
     routed,
+    sparse_rows,
     trinomial_straddle_market,
 )
 
@@ -162,8 +164,8 @@ def test_a_copy_of_a_program_has_no_route_and_is_refused():
     assert out.status == lp.OPTIMAL and lp.verify_certificate(problem, out)
     full = lp._program_rows(problem)
     offset = {lp.EQ: 0, lp.GE: -1, lp.LE: 1}
-    push2 = [[*row[:-1], sum(row[:-1], ZERO) + 2 * offset[rel]]
-             for row, rel in zip(full, problem.relations)]
+    push2 = sparse_rows([*row, sum(row, ZERO) + 2 * offset[rel]]
+                        for row, rel in zip(dense_rows(problem.rows, phase1.n), problem.relations))
     assert push2 == lp._program_rows(phase1.program(problem.objective, 2))
     for rows in (problem.rows, copy.deepcopy(problem.rows), list(problem.rows), full, push2):
         bad = replace(problem, rows=rows)
@@ -193,9 +195,11 @@ def test_every_program_shares_the_face_rows():
     assert [p.phase1 for p in programs] == [(phase1, mu) for mu in (1, 1, 0, 1, 2, None)]
     for p in programs:
         assert p.rows is phase1.rows and p.relations is phase1.relations and p.rhs is phase1.rhs
-        full = lp._program_rows(p)
-        assert [len(row) for row in full] == [len(p.objective)] * len(phase1.rows)
-        assert [row[:phase1.n] for row in full] == phase1.rows
+        full, width = lp._program_rows(p), len(p.objective)
+        # each full row is its face row's pairs, then at most the late pair, all inside the width
+        assert [row[:len(face)] for row, face in zip(full, phase1.rows)] == phase1.rows
+        assert all(0 <= j < width and v for row in full for j, v in row)
+        assert [row[:phase1.n] for row in dense_rows(full, width)] == dense_rows(phase1.rows, phase1.n)
         assert lp.solve_lp(p).status == lp.OPTIMAL
     assert lp._program_rows(programs[-1]) is phase1.rows
 

@@ -256,8 +256,8 @@ def _reading(m, i) -> str:
     "leaning" when it does and a later column without a pivot has a nonzero
     entry in its pivot row, else "alone"."""
     c = require_valid(m)
-    rows = [[ONE, *c.gain_rows[pos], *(opt.payoff[pos] for opt in c.options)]
-            for pos in c.charged]
+    gains = oracle.reference_gain_rows(c)[1]
+    rows = [[ONE, *gains[pos], *(opt.payoff[pos] for opt in c.options)] for pos in c.charged]
     a, piv = oracle._dense_gauss_jordan(rows, [ZERO] * len(rows))
     col = 1 + len(c.columns) + i
     if col not in piv:

@@ -40,7 +40,7 @@ from markets import (
     random_claim,
     random_strategy,
 )
-from oracle import path_terminal_gain, path_verify_measure
+from oracle import leaf_paths, path_terminal_gain, path_verify_measure
 
 
 def _markets(seed: int, count: int):
@@ -94,8 +94,9 @@ def _drift_broken(rng, c, weights):
         return None
     nid = rng.choice(split)
     a, b = rng.sample(c.children[nid], 2)
-    under_a = [pos for pos, path in enumerate(c.paths) if a in path]
-    under_b = [pos for pos, path in enumerate(c.paths) if b in path]
+    paths = leaf_paths(c)
+    under_a = [pos for pos, path in enumerate(paths) if a in path]
+    under_b = [pos for pos, path in enumerate(paths) if b in path]
     i, j = rng.choice(under_a), rng.choice(under_b)
     w = list(weights)
     delta = w[i] / 2 if w[i] else F(1, 5)

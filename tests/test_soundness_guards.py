@@ -16,7 +16,7 @@ from hedgecert import arbitrage, lp, redundancy, superhedge
 from hedgecert.cli import main
 from hedgecert.errors import SoundnessError
 from hedgecert.marketio import dump_market, parse_claim, parse_market
-from markets import binomial_with_free_option, routed, spread_option_only_market
+from markets import binomial_with_free_option, routed, sparse_rows, spread_option_only_market
 
 DATA = Path(__file__).parent / "data"
 M1 = str(DATA / "m1.json")
@@ -75,7 +75,7 @@ GUARDS = {
     ),
     "phase-1 unbounded": (
         lp, "_optimize", lambda optimize: lambda tab, red, basis, ncols: 0, "phase-1 unbounded",
-        [lambda: lp.solve_lp(routed(lp.LpProblem([F(1)], [[F(1)]], [lp.LE], [F(1)]))),
+        [lambda: lp.solve_lp(routed(lp.LpProblem([F(1)], sparse_rows([[F(1)]]), [lp.LE], [F(1)]))),
          lambda: arbitrage.check_nar(_m1())],
         [lambda tmp: ["check-nar", M1]],
     ),

@@ -54,7 +54,8 @@ from hedgecert.superhedge import (
     superhedge_price,
     verify_super_replication,
 )
-from markets import binomial_market, binomial_with_free_option, binomial_with_spread_option, routed
+from markets import (binomial_market, binomial_with_free_option, binomial_with_spread_option, routed,
+                     sparse_rows)
 
 
 def test_replays_return_false_on_missing_or_mistyped_certificates():
@@ -64,7 +65,7 @@ def test_replays_return_false_on_missing_or_mistyped_certificates():
     cert = check_na(free).certificate
     claim = Claim([F(1), F(0)])
     price, strategy = superhedge_price(m, claim)
-    unrouted = lp.LpProblem([F(1)], [[F(1)]], [lp.LE], [F(1)])
+    unrouted = lp.LpProblem([F(1)], sparse_rows([[F(1)]]), [lp.LE], [F(1)])
     problem = routed(unrouted)
     interior, generator = witness.interior_measure, m.measures.generators[0]
     cases = {
@@ -247,7 +248,7 @@ WRONG_TYPE_CALLS = {
     "problem is NoneType with no route to a phase 1, not a program _Phase1.program built":
         lambda: lp.solve_lp(None),
     "problem is LpProblem with no route to a phase 1":
-        lambda: lp.solve_lp(lp.LpProblem([F(1)], [[F(1)]], [lp.LE], [F(1)])),
+        lambda: lp.solve_lp(lp.LpProblem([F(1)], sparse_rows([[F(1)]]), [lp.LE], [F(1)])),
     "weights is NoneType, not a list": lambda: measure_from_weights(_SPREAD, None),
     # the report serializers, each of which read a field of its argument first
     "strategy is Claim, not a Strategy": lambda: strategy_to_json(Claim([F(1), F(0)])),
