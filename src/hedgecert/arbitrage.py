@@ -22,6 +22,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import lp
 from .errors import DomainError, RobustArbitrageError, SoundnessError, StructureError
@@ -109,11 +110,25 @@ _NO_CONSISTENT_MEASURE = "no quote-consistent martingale measure is supported on
 
 
 def measure_from_weights(m: MarketModel, weights: list[Fraction]) -> MartingaleMeasure:
+    """The measure with these leaf weights and every option's value under
+    them. The weights must be a list of ints and Fractions, one per leaf,
+    or it is a StructureError naming what is wrong; they are not checked to
+    be a martingale measure, which `verify_measure` replays."""
     c = require_valid(m)
     lp._list(weights, "weights")
-    q = MartingaleMeasure(list(weights), [])
-    q.option_values = [q.expectation(opt.payoff) for opt in c.options]
-    return q
+    lp._rationals(weights, "weights")
+    if len(weights) != len(c.leaves):
+        raise StructureError(f"weights has {len(weights)} entries for a market of {len(c.leaves)} leaves")
+    return _measure(c, list(weights))
+
+
+def _measure(c: CompiledMarket, weights: list[Fraction]) -> MartingaleMeasure:
+    """The measure with the package's own weights, one per leaf, kept as
+    given: they are put over one lcm once, and each option is priced by one
+    integer dot product with its compiled payoff integers."""
+    w, den = lp._over_lcm(weights)
+    values = [Fraction(sum(map(mul, w, pay)), den * pay_den) for pay, pay_den in c.integer_payoffs]
+    return MartingaleMeasure(weights, values)
 
 
 _FACE_LOCK = threading.Lock()  # held while any market's face is built
@@ -148,8 +163,12 @@ def _face(c: CompiledMarket):
             layout.append(name)
 
         add(tuple((k, ONE) for k in range(len(supp))), lp.EQ, ONE, ("mass", 0))
+        # with every leaf charged a leaf's column is its position, and each
+        # martingale row is the compiled gain column itself, shared
+        full = len(supp) == len(c.leaves)
         for col, gains in enumerate(c.gain_columns):
-            coefs = tuple((column_of[pos], v) for pos, v in gains if pos in column_of)
+            coefs = gains if full else tuple((column_of[pos], v) for pos, v in gains
+                                             if pos in column_of)
             if coefs:
                 add(coefs, lp.EQ, ZERO, ("martingale", col))
         for i, opt in enumerate(c.options):
@@ -235,10 +254,16 @@ def check_na(m: MarketModel) -> NaVerdict:
 
 
 def _weights_on_charged(c: CompiledMarket, values, shift=ZERO) -> list[Fraction]:
-    """Leaf weights from one program value per charged leaf, plus `shift`."""
+    """Leaf weights from one program value per charged leaf, plus `shift`.
+    A nonzero shift is added in integers, over one denominator with the
+    values, and each shifted weight is one Fraction."""
+    if shift:
+        nums, den = lp._over_lcm([*values[:len(c.charged)], shift])
+        s = nums.pop()
+        values = [Fraction(u + s, den) for u in nums]
     weights = [ZERO] * len(c.leaves)
-    for idx, pos in enumerate(c.charged):
-        weights[pos] = values[idx] + shift
+    for pos, v in zip(c.charged, values):
+        weights[pos] = v
     return weights
 
 
@@ -257,10 +282,13 @@ def _robustness(c: CompiledMarket, out: lp.LpOutcome) -> NarVerdict:
             ),
         )
 
-    measure = measure_from_weights(c, _weights_on_charged(c, out.primal, slack))
+    measure = _measure(c, _weights_on_charged(c, out.primal, slack))
     half = slack / 2
-    shrunk_bids = [opt.bid + half if opt.has_spread() else opt.bid for opt in c.options]
-    shrunk_asks = [opt.ask - half if opt.has_spread() else opt.ask for opt in c.options]
+    shrunk_bids, shrunk_asks = [], []
+    for opt in c.options:
+        spread = opt.has_spread()
+        shrunk_bids.append(opt.bid + half if spread else opt.bid)
+        shrunk_asks.append(opt.ask - half if spread else opt.ask)
     return NarVerdict(True, RobustnessWitness(shrunk_bids, shrunk_asks, measure, slack))
 
 
@@ -331,7 +359,7 @@ def scenario_pricing_measure(m: MarketModel, leaf: int) -> MartingaleMeasure | N
     out = _solve(c, objective)[2]
     if out.status == lp.INFEASIBLE or out.objective_value == 0:
         return None
-    return measure_from_weights(c, _weights_on_charged(c, out.primal))
+    return _measure(c, _weights_on_charged(c, out.primal))
 
 
 def verify_measure(m: MarketModel, q: MartingaleMeasure) -> bool:
@@ -340,8 +368,10 @@ def verify_measure(m: MarketModel, q: MartingaleMeasure) -> bool:
     The weights enter as integers over one common denominator. The mass
     under each node is summed bottom-up from the leaves, once per tree edge,
     and each (node, asset) martingale identity, the mass under each child
-    times its price step, is tested as an integer sum equal to 0. It walks
-    the tree directly, independently of the rows the programs are built from.
+    times its price step, is tested as an integer sum equal to 0. Each
+    option's value is one integer sum over those weights and its payoff put
+    over its own lcm. It walks the tree and reads the payoffs directly,
+    independently of the rows and payoff integers the package compiles.
     """
     c = require_valid(m)
     if not isinstance(q, MartingaleMeasure) or not lp._rational_lists(q.weights, q.option_values):
@@ -369,7 +399,8 @@ def verify_measure(m: MarketModel, q: MartingaleMeasure) -> bool:
                              for j, p in enumerate(prices[nid])):
                 return False
     for i, opt in enumerate(c.options):
-        value = q.expectation(opt.payoff)
+        pay, pay_den = lp._over_lcm(opt.payoff)  # the payoff itself, not the compiled integers
+        value = Fraction(sum(map(mul, weights, pay)), den * pay_den)
         if value != q.option_values[i]:
             return False
         if not opt.bid <= value <= opt.ask:

@@ -41,7 +41,9 @@ row [A | b] once, as a primitive integer vector rows[k] = scale[k] *
 (problem row k, slack included), and phase 1 pivots these rows themselves
 into its tableau; its reduced costs are -sum_k rows[k] / |scale[k]| over
 one common integer denominator, a positive multiple of the rational
-phase-1 row. Values leave as b_i / a_i,B(i).
+phase-1 row. Values leave as b_i / a_i,B(i), and the optimal value as the
+cost row's rhs over lam (`_phase_two`): the cost row is never summed
+against the point in Fractions.
 
 Phase 1 begins with a crash (Bixby 1992, "Implementing the simplex method:
 the initial basis"). Each row whose rhs is 0, fewest nonzeros first, pivots
@@ -555,7 +557,9 @@ def _phase_two(p: LpProblem, phase1: _Phase1, mu: int | None) -> LpOutcome:
             if u:
                 weights.append((i, u))
     y = _duals(phase1.inverse, weights, den * lam)
-    value = sum((c * v for c, v in zip(p.objective, x) if c), _ZERO)
+    # once every basic column is eliminated from it, the cost row's rhs is
+    # lam times c . x at the basic point, and every pivot keeps it so
+    value = Fraction(red.get(n, 0), lam)
     return LpOutcome(status=OPTIMAL, primal=x, dual=y, objective_value=value)
 
 

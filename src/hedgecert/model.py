@@ -337,7 +337,7 @@ def validate_market(m: MarketModel) -> ValidationReport:
 
 @dataclass(frozen=True)
 class CompiledMarket(MarketModel):
-    """A validated market plus everything its programs are built from.
+    """A validated market plus what its programs and measures are built from.
 
     Built by `_compile` and read-only afterwards: its lists are shared with
     the market it was built from and must not be mutated in place, or the
@@ -345,9 +345,13 @@ class CompiledMarket(MarketModel):
     classes, so a compiled market never equals a plain `MarketModel`;
     compare `marketio.market_to_json` instead. Node ids are dense after
     validation, so per-node data is indexed by id; leaf data is indexed by
-    leaf position. Two fields are not init fields, so no constructor or
-    `replace` sets them, and neither is compared or shown: `_checked` marks
-    the markets `require_valid` passes unchanged, those `_compile` built and
+    leaf position. `integer_payoffs` holds each option's payoff as integers
+    over one denominator, the lcm of its entries' (`lp._over_lcm`), so the
+    package prices every option under a measure by one integer dot product
+    (`arbitrage._measure`); the replays read the payoffs themselves. Two
+    fields are not init fields, so no constructor or `replace` sets them,
+    and neither is compared or shown: `_checked` marks the markets
+    `require_valid` passes unchanged, those `_compile` built and
     `market_without_option` copied, and `_face` is the measure programs'
     face, its phase 1 and row layout (`arbitrage._face`), built once, under
     a lock, on the market's first solve (see the module docstring).
@@ -360,6 +364,7 @@ class CompiledMarket(MarketModel):
     charged: tuple[int, ...]                        # positions some generator charges
     columns: tuple[tuple[int, int], ...]            # (node id, asset) per dynamic column
     gain_columns: tuple[tuple[tuple[int, Fraction], ...], ...]  # per column, (position, move) nonzeros
+    integer_payoffs: tuple[tuple[tuple[int, ...], int], ...]   # per option, (numerators, den) by position
     generator_names: tuple[str, ...]
     _checked: bool = field(default=False, init=False, compare=False, repr=False)
     _face: tuple[_Phase1, tuple] | None = field(default=None, init=False, compare=False, repr=False)
@@ -441,6 +446,8 @@ def _compile(m: MarketModel) -> CompiledMarket:
         charged=tuple(sorted({pos for w in gens for pos, v in enumerate(w) if v})),
         columns=tuple((nid, j) for nid in nonleaf for j in range(assets)),
         gain_columns=tuple(map(tuple, gain_columns)),
+        integer_payoffs=tuple((tuple(nums), den) for nums, den in
+                              (_over_lcm(opt.payoff) for opt in m.options)),
         generator_names=tuple(m.measures.names or (f"P{k}" for k in range(len(gens)))),
     )
     object.__setattr__(c, "_checked", True)
@@ -451,13 +458,15 @@ def market_without_option(m: MarketModel, i: int) -> MarketModel:
     """The market less option i; a compiled market stays compiled, and a
     plain one plain. The market is validated first; an `i` that is not an
     int in range is a DomainError. A subset of a valid market's options is
-    valid and only `_face` depends on them, so a compiled copy stays marked."""
+    valid and only `_face` and `integer_payoffs` depend on them, so a
+    compiled copy, less option i's payoff integers, stays marked."""
     c = require_valid(m)
     _index(i, len(c.options), "option index")
     options = [opt for k, opt in enumerate(c.options) if k != i]
     if not isinstance(m, CompiledMarket):
         return replace(m, options=options)
-    reduced = replace(c, options=options)
+    payoffs = c.integer_payoffs[:i] + c.integer_payoffs[i + 1:]
+    reduced = replace(c, options=options, integer_payoffs=payoffs)
     object.__setattr__(reduced, "_checked", True)
     return reduced
 

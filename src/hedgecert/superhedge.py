@@ -19,10 +19,10 @@ from .arbitrage import (
     _NO_CONSISTENT_MEASURE,
     MartingaleMeasure,
     _hedge,
+    _measure,
     _require_nar,
     _solve,
     _weights_on_charged,
-    measure_from_weights,
 )
 from .errors import (
     ArbitrageError,
@@ -95,7 +95,7 @@ def _measure_side(c: CompiledMarket, solved) -> tuple[Fraction, MartingaleMeasur
             "no quote-consistent martingale measure exists: "
             "the market admits arbitrage on some charged scenario"
         )
-    return out.objective_value, measure_from_weights(c, _weights_on_charged(c, out.primal))
+    return out.objective_value, _measure(c, _weights_on_charged(c, out.primal))
 
 
 def superhedge_price(m: MarketModel, f: Claim) -> tuple[Fraction, Strategy]:
@@ -158,7 +158,7 @@ def _strict_dual(m: MarketModel, f: Claim, eps: Fraction) -> tuple[Fraction, Mar
     weights = [
         (1 - lam) * a + lam * b for a, b in zip(best.weights, interior.weights)
     ]
-    return value, measure_from_weights(c, weights)
+    return value, _measure(c, weights)
 
 
 def _bound_hedges(c: CompiledMarket, f: Claim):

@@ -11,6 +11,7 @@ from hedgecert.arbitrage import (
     ArbitrageCertificate,
     MartingaleMeasure,
     _floor,
+    _measure,
     check_na,
     check_nar,
     dominating_measure,
@@ -21,7 +22,7 @@ from hedgecert.arbitrage import (
     verify_na_certificate,
     verify_nar_witness,
 )
-from hedgecert.errors import DomainError, RobustArbitrageError, StructureError
+from hedgecert.errors import ArbitrageError, DomainError, RobustArbitrageError, StructureError
 from hedgecert.model import (
     Claim,
     OptionQuote,
@@ -32,7 +33,7 @@ from hedgecert.model import (
     zero_strategy,
 )
 from hedgecert.redundancy import check_nonredundant, verify_replication
-from hedgecert.superhedge import superhedge_price, verify_super_replication
+from hedgecert.superhedge import dual_price, superhedge_price, verify_super_replication
 from markets import (
     binomial_market,
     binomial_with_free_option,
@@ -42,6 +43,7 @@ from markets import (
     pinned_identical_options_market,
     random_arbitrage_free_market,
     random_arbitrary_market,
+    random_claim,
     routed,
     single_leaf_market,
     sparse_rows,
@@ -406,6 +408,32 @@ def test_every_replay_rejects_an_entry_that_is_not_rational():
     p = routed(lp.LpProblem([I], [], [], []))
     out = lp.solve_lp(p)
     assert lp.verify_certificate(p, replace(out, ray=[1.0])) is False
+
+
+def test_compiled_and_public_measures_agree_on_every_weight_vector_a_query_makes():
+    # the interior measure of check_nar and the dual measure of dual_price,
+    # built by `_measure` from the compiled payoff integers, against
+    # `measure_from_weights` and each option's expectation of its payoff
+    rng = random.Random(19)
+    markets = nar_fixture_markets()
+    markets += [random_arbitrage_free_market(rng) for _ in range(40)]
+    markets += [random_arbitrary_market(rng, max_periods=3, max_assets=2) for _ in range(40)]
+    seen = 0
+    for m in markets:
+        c = require_valid(m)
+        made = []
+        witness = check_nar(c).witness
+        if witness is not None:
+            made.append(witness.interior_measure)
+        try:
+            made.append(dual_price(c, random_claim(rng, m))[1])
+        except ArbitrageError:  # no consistent measure: no dual measure either
+            pass
+        for q in made:
+            expected = MartingaleMeasure(q.weights, [q.expectation(opt.payoff) for opt in m.options])
+            assert q == expected == _measure(c, list(q.weights)) == measure_from_weights(c, q.weights)
+            seen += 1
+    assert seen > 60
 
 
 def test_measure_helpers_reject_wrong_lengths():

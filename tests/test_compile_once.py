@@ -207,8 +207,29 @@ def test_only_compile_and_market_without_option_mark_a_market():
         replace(c, _checked=True)
     with pytest.raises(TypeError):
         CompiledMarket(c.tree, c.options, c.measures, c.prices, c.children, c.leaves,
-                       c.nonleaf, c.charged, c.columns, c.gain_columns, c.generator_names, True)
+                       c.nonleaf, c.charged, c.columns, c.gain_columns, c.integer_payoffs,
+                       c.generator_names, True)
     assert not replace(c)._checked and model.require_valid(replace(c)) is not c
+
+
+def test_a_reduced_market_keeps_the_payoff_integers_a_fresh_parse_compiles():
+    # each option's payoff as integers over its entries' lcm; the market less
+    # option i drops its entry, as a fresh parse of that market compiles it
+    rng = random.Random(17)
+    markets = _markets() + [random_arbitrary_market(rng, max_periods=3, max_assets=2)
+                            for _ in range(20)]
+    reductions = 0
+    for m in markets:
+        c = model.require_valid(m)
+        assert c.integer_payoffs == tuple((tuple(nums), den) for nums, den in
+                                          (lp._over_lcm(opt.payoff) for opt in m.options))
+        for i in range(len(m.options)):
+            reduced = superhedge.market_without_option(c, i)
+            fresh = _parsed(superhedge.market_without_option(m, i))
+            assert reduced.integer_payoffs == fresh.integer_payoffs
+            assert reduced.integer_payoffs == c.integer_payoffs[:i] + c.integer_payoffs[i + 1:]
+            reductions += 1
+    assert reductions > 20
 
 
 def test_gain_columns_match_per_path_price_differences():

@@ -147,6 +147,33 @@ def test_late_columns_of_random_programs_keep_status_and_value():
     assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
 
 
+def test_the_optimal_value_off_the_cost_row_is_the_objective_at_the_primal():
+    # phase 2 reads the optimal value off its cost row, never summing c . x;
+    # on pricing objectives with negative entries, with no late column or
+    # the late column of push 0, 1 or 2, it is the dot product exactly
+    optimal = 0
+    for rng, c in _random_markets(15, 120):
+        for push in (None, 0, 1, 2):
+            width = len(c.charged) + (push is not None)
+            objective = [random_rational(rng, -3, 3) for _ in range(width)]
+            problem, _, out = arbitrage._solve(c, objective, push)
+            if out.status == lp.OPTIMAL:
+                optimal += 1
+                assert type(out.objective_value) is F
+                assert out.objective_value == lp._dot(problem.objective, out.primal)
+    rng = random.Random(16)
+    for _ in range(200):
+        face = lp._Phase1(random_lp(rng))
+        for mu in (None, 0, 1, 2):
+            width = face.n + (mu is not None)
+            p = face.program([random_rational(rng, -3, 3) for _ in range(width)], mu)
+            out = lp.solve_lp(p)
+            if out.status == lp.OPTIMAL:
+                optimal += 1
+                assert out.objective_value == lp._dot(p.objective, out.primal)
+    assert optimal > 400
+
+
 def _face_and_floor():
     """The robust program's phase 1 and that program."""
     c = require_valid(binomial_with_spread_option())

@@ -6,6 +6,7 @@ import json
 import re
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,7 @@ from hedgecert.marketio import (
     measure_to_json,
     na_certificate_to_json,
     parse_claim,
+    parse_market,
     replication_to_json,
     strategy_to_json,
     witness_to_json,
@@ -179,6 +181,7 @@ def _with_node(m, k, **fields):
 
 
 _SPREAD = binomial_with_spread_option()
+_M1 = parse_market((Path(__file__).parent / "data" / "m1.json").read_text())  # 2 leaves, no option
 
 WRONG_STRUCTURE = {
     "no tree": (replace(_SPREAD, tree=None), "tree is NoneType, not a ScenarioTree"),
@@ -250,6 +253,15 @@ WRONG_TYPE_CALLS = {
     "problem is LpProblem with no route to a phase 1":
         lambda: lp.solve_lp(lp.LpProblem([F(1)], sparse_rows([[F(1)]]), [lp.LE], [F(1)])),
     "weights is NoneType, not a list": lambda: measure_from_weights(_SPREAD, None),
+    # on a market with no option, whose weights no expectation reads: they
+    # were returned as given, strings, floats and wrong lengths alike
+    "weights[0] is str 'x', not an int or a Fraction": lambda: measure_from_weights(_M1, ["x", 0.5]),
+    "weights[1] is float 0.5, not an int or a Fraction":
+        lambda: measure_from_weights(_M1, [F(1, 2), 0.5]),
+    "weights[0] is bool True, not an int or a Fraction": lambda: measure_from_weights(_M1, [True, 0]),
+    "weights has 1 entries for a market of 2 leaves": lambda: measure_from_weights(_M1, [1]),
+    "weights has 3 entries for a market of 2 leaves":
+        lambda: measure_from_weights(_M1, [F(1, 3)] * 3),
     # the report serializers, each of which read a field of its argument first
     "strategy is Claim, not a Strategy": lambda: strategy_to_json(Claim([F(1), F(0)])),
     "measure is NoneType, not a MartingaleMeasure": lambda: measure_to_json(None),
@@ -301,6 +313,13 @@ WRONG_TYPE_CALLS = {
 def test_helpers_name_a_wrong_type_in_a_structure_error(where):
     with pytest.raises(StructureError, match=re.escape(where)):
         WRONG_TYPE_CALLS[where]()
+
+
+def test_measure_from_weights_takes_exact_weights_one_per_leaf_on_any_market():
+    weights = [F(1, 2), 1]
+    q = measure_from_weights(_M1, weights)
+    assert q == MartingaleMeasure([F(1, 2), 1], []) and q.weights is not weights
+    assert measure_from_weights(_SPREAD, weights).option_values == [F(1, 2)]
 
 
 def test_replication_to_json_takes_only_an_option_index():
