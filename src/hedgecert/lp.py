@@ -63,12 +63,15 @@ The duals come from one factorization per face. `_factor` inverts B0'^T
 once, B0' = diag(scale) B0 the stored columns of the basis B0 phase 1 ends
 on, with scale[k] folded in, so one product gives y_k = scale[k] * y'_k, the
 multiplier of problem row k. Phase 2 keeps its cost row lam times the
-rational one, lam tracked at key -1, which no column uses. Its final
-reduced costs d = red / lam satisfy d_j = -c_j + y'^T A'_j on every column
-whatever the final basis, so y'^T B0' = c + d on B0's columns: a program's
-duals are the stored inverse times c + d, with no elimination. An
-infeasible face's Farkas vector is the same product with the phase-1 costs,
-1 on each artificial, on its phase-1 basis.
+rational one, lam tracked at key -1, which no column uses, and starts it
+with no row update: the cost row with every basic column eliminated is one
+integer sum of the cost and the basic rows that have a cost, made primitive
+once, so every row update is a pivot's. Its final reduced costs d = red /
+lam satisfy d_j = -c_j + y'^T A'_j on every column whatever the final
+basis, so y'^T B0' = c + d on B0's columns: a program's duals are the
+stored inverse times c + d, with no elimination. An infeasible face's
+Farkas vector is the same product with the phase-1 costs, 1 on each
+artificial, on its phase-1 basis.
 
 Phase 1 and phase 2 are separate routines, and a phase 1 can be stored.
 `_Phase1(p)` runs phase 1 on all of p's columns and rows, its face, and keeps
@@ -524,14 +527,23 @@ def _phase_two(p: LpProblem, phase1: _Phase1, mu: int | None) -> LpOutcome:
     nvars = len(p.objective)
     # The cost row of min -c . x, c = cost / den, and at key -1, which no
     # column uses, an entry of rational value 1 that no pivot row holds: the
-    # row stays lam times its rational row, lam = red[-1] > 0. Eliminate
-    # every basic column from it; a basic column is zero outside its own
-    # row, whose entry there is positive, so only the cost row changes.
+    # row stays lam times its rational row, lam = red[-1] > 0. Every basic
+    # column leaves it in one integer sum, with no row update: a basic
+    # column is zero outside its own row i, whose entry a_i there is
+    # positive, so the row is big (-cost, den) plus cost[B(i)] big / a_i
+    # times row i for each basic column with a cost, big the lcm of their
+    # a_i, made primitive once: the one primitive multiple of the rational row.
     cost, den = _over_lcm(p.objective)
-    red = _primitive({j: -u for j, u in enumerate(cost) if u} | {-1: den})
-    for row, col in zip(tab, basis):
-        if col in red:
-            _combine(red, col, row[col], row.items())
+    terms = [(cost[col], row, row[col]) for row, col in zip(tab, basis)
+             if col < nvars and cost[col]]
+    big = lcm(*(a for _, _, a in terms))
+    red = {j: -u * big for j, u in enumerate(cost) if u}
+    red[-1] = den * big
+    for u, row, a in terms:
+        f = u * (big // a)
+        for j, v in row.items():
+            red[j] = red.get(j, 0) + f * v
+    red = _primitive({j: v for j, v in red.items() if v})
     jc = _optimize(tab, red, basis, n)
     x = _basic_point(tab, basis, n)[:nvars]
 

@@ -16,11 +16,13 @@ import copy
 import random
 from fractions import Fraction
 from fractions import Fraction as F
+from functools import partial
 from math import gcd
 
 from hedgecert import arbitrage, lp, redundancy, superhedge
 from hedgecert.errors import HedgecertError
 from hedgecert.lp import EQ, LE, LpProblem
+from hedgecert.model import require_valid
 from markets import (
     binomial_market,
     binomial_with_free_option,
@@ -405,6 +407,84 @@ def test_duals_from_the_stored_inverse_equal_the_dense_elimination(monkeypatch):
         "infeasible face", "pricing", "zero objective", "floor, mu 0", "floor, mu 1",
         "floor, mu 2", "0 phase-2 pivots", "several phase-2 pivots",
         "redundant row, its artificial basic")), seen
+
+
+def _per_column_start_row(tab, basis, objective):
+    """Phase 2's start row the long way: the primitive cost row of min -c . x
+    with lam's entry at key -1, then each basic column with a cost
+    eliminated from it by a `_combine` of its own, row by row."""
+    cost, den = lp._over_lcm(objective)
+    red = lp._primitive({j: -u for j, u in enumerate(cost) if u} | {-1: den})
+    for row, col in zip(tab, basis):
+        if col in red:
+            lp._combine(red, col, row[col], row.items())
+    return red
+
+
+def _start_row_programs(rng):
+    """(face kind, program kind, phase 1, objective, push) on feasible
+    random, wide-denominator and market faces: pricing objectives, which
+    hold zero and negative entries, with and without a late entry, and the
+    floor objective at push 0, 1 and 2."""
+    small, wide = partial(random_rational, rng, -3, 3), partial(_wide_rational, rng, 0.2)
+    faces = [("random", lp._Phase1(random_lp(rng)), small) for _ in range(500)]
+    faces += [("wide", lp._Phase1(_wide_lp(rng)), wide) for _ in range(250)]
+    for k in range(100):
+        maker = random_arbitrary_market if k % 2 else random_arbitrage_free_market
+        faces.append(("market", arbitrage._face(require_valid(maker(rng)))[0], small))
+    for kind, phase1, draw in faces:
+        if phase1.farkas is not None:
+            continue  # an infeasible face runs no phase 2
+        n = phase1.n
+        yield kind, "pricing", phase1, [draw() for _ in range(n)], None
+        yield (kind, "pricing, late entry", phase1, [draw() for _ in range(n + 1)],
+               rng.choice((0, 1, 2)))
+        for mu in (0, 1, 2):
+            yield kind, f"floor, mu {mu}", phase1, [_ZERO] * n + [_ONE], mu
+
+
+def test_the_phase_two_start_row_is_the_per_column_elimination(monkeypatch):
+    # phase 2 builds its start row in one integer sum over the face's
+    # tableau; it must be the very dict that eliminating each basic column
+    # by its own `_combine` gives, key -1 included, and a phase 2 started
+    # from either row must give the same outcome field for field
+    programs = list(_start_row_programs(random.Random(3303)))
+    optimize, state = lp._optimize, {}
+
+    def spied(tab, red, basis, ncols):
+        if -1 in red:  # phase 2's start row; no phase-1 cost row holds key -1
+            expected = _per_column_start_row(tab, basis, state["problem"].objective)
+            assert red == expected, state
+            state["started"] += 1
+            if state["swap"]:
+                red.clear()
+                red.update(expected)
+        return optimize(tab, red, basis, ncols)
+
+    monkeypatch.setattr(lp, "_optimize", spied)
+    seen = collections.Counter()
+    for kind, name, phase1, objective, mu in programs:
+        problem = phase1.program(objective, mu)
+        state.update(kind=kind, name=name, problem=problem, started=0)
+        outcomes = []
+        for swap in (False, True):
+            state["swap"] = swap
+            outcomes.append(lp.solve_lp(problem))
+        assert state["started"] == 2, state
+        assert outcomes[0] == outcomes[1], (kind, name, problem)
+        seen[kind] += 1
+        seen[name] += 1
+        seen["zero entry"] += name.startswith("pricing") and _ZERO in objective
+        seen["negative entry"] += any(v < 0 for v in objective)
+        pivots = [row[col] for row, col in zip(phase1.tab, phase1.basis)
+                  if col < len(objective) and objective[col]]
+        seen["several basic columns with a cost"] += len(pivots) > 1
+        seen["a basic pivot above 1"] += any(a > 1 for a in pivots)
+    assert len(programs) >= 2000, len(programs)
+    assert all(seen[case] >= 100 for case in (
+        "random", "wide", "market", "pricing", "pricing, late entry", "floor, mu 0",
+        "floor, mu 1", "floor, mu 2", "zero entry", "negative entry",
+        "several basic columns with a cost", "a basic pivot above 1")), seen
 
 
 def test_integer_rows_are_primitive_multiples_of_the_fraction_rows():

@@ -453,3 +453,23 @@ def test_phase_one_of_the_64_leaf_binomial_face_makes_at_most_1000_row_updates(m
     assert len(c.charged) == 64
     assert arbitrage.check_na(c).holds
     assert len(counts) == 1 and counts[0] <= 1000, counts
+
+
+def test_warm_pricing_on_the_64_leaf_binomial_face_makes_no_row_update(monkeypatch):
+    # phase 2 builds its start row in one integer sum and makes no pivot
+    # here, so neither warm pricing call updates a row; eliminating each
+    # basic column from the cost row by its own `_combine` made 56 in each
+    c = require_valid(binomial_ladder_market(6))
+    claim = Claim([F((7 * k) % 9, 4) for k in range(64)])  # the benchmark ladder's claim
+    assert arbitrage.check_na(c).holds  # builds the face
+    combine, calls = lp._combine, []
+
+    def counted(*args):
+        calls.append(args[1])
+        combine(*args)
+
+    monkeypatch.setattr(lp, "_combine", counted)
+    for query in (superhedge.dual_price, superhedge.superhedge_price):
+        calls.clear()
+        query(c, claim)
+        assert calls == [], query.__name__
