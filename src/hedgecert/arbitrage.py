@@ -13,8 +13,8 @@ robust verdict t also pushes the spread quotes inward. Both verdict
 directions come with machine-checkable evidence: a gain-positive strategy,
 read off the program's row multipliers, when arbitrage exists; an interior
 measure plus shrunk quotes when robustness holds. Every measure program,
-`superhedge`'s and `redundancy`'s too, is solved by `_solve` and its
-multipliers read by `_hedge`; `_arbitrage` and `_robustness` read a verdict.
+`superhedge`'s and `redundancy`'s too, is solved by `_solve`; `_hedge` reads
+its outcome's multipliers, `_arbitrage` and `_robustness` a verdict.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .model import (
     _integer_prices,
     _terminal_gain,
     _top_down,
-    canonical_legs,
     require_valid,
     terminal_gain,
 )
@@ -183,21 +182,19 @@ def _face(c: CompiledMarket):
         return c._face
 
 
-def _solve(c: CompiledMarket, objective: list[Fraction], push=None):
+def _solve(c: CompiledMarket, objective: list[Fraction], push=None) -> lp.LpOutcome:
     """Build a measure program on the market's face (`_face`) and solve it
-    once: (problem, layout, outcome). The mass row caps every objective, so
-    an unbounded outcome can only be a solver fault.
+    once: its outcome. The mass row caps every objective, so an unbounded
+    outcome can only be a solver fault.
 
     Unless `push` is None the program has a trailing floor t >= 0, and the
     measure itself is Q_w = R_w + t; the spread quote bounds move inward by
     push * t. Its column is the leaf columns' sum plus push times each
     spread row's slack column, the late column of `lp._Phase1.program`."""
-    phase1, layout = _face(c)
-    problem = phase1.program(objective, push)
-    out = lp.solve_lp(problem)
+    out = lp.solve_lp(_face(c)[0].program(objective, push))
     if out.status == lp.UNBOUNDED:
         raise SoundnessError("measure program unbounded; the mass row caps every objective")
-    return problem, layout, out
+    return out
 
 
 def _floor(c: CompiledMarket, push):
@@ -205,32 +202,32 @@ def _floor(c: CompiledMarket, push):
     return _solve(c, [ZERO] * len(c.charged) + [ONE], push)
 
 
-def _hedge(c: CompiledMarket, solved) -> tuple[Fraction, Strategy]:
-    """Capital y . rhs and the strategy row multipliers y encode: the optimal
-    duals, or the negated Farkas vector of an infeasible program. Martingale
-    rows give dynamic positions, option rows buy (y > 0) or sell (y < 0)
-    legs; the mass row's y is capital only. The strategy gains
-    y . A_w - y . rhs on leaf w, plus what netting its legs adds."""
-    problem, layout, out = solved
+def _hedge(c: CompiledMarket, out: lp.LpOutcome) -> tuple[Fraction, Strategy]:
+    """Capital y . rhs and the strategy the face's row multipliers y encode:
+    the optimal duals, or the negated Farkas vector. Martingale rows give
+    dynamic positions, an option's one or two rows sum to its net position,
+    bought if positive and sold if negative, and the mass row is capital.
+    The strategy gains y . A_w - y . rhs on leaf w, plus what netting adds."""
+    phase1, layout = _face(c)
     y = out.dual if out.status == lp.OPTIMAL else [-v for v in out.farkas]
-    nh, e = len(c.columns), len(c.options)
-    position = [ZERO] * (nh + 2 * e)  # in strategy_from column order
+    position = [ZERO] * len(c.columns)  # in strategy_from column order
+    net = [ZERO] * len(c.options)
     for (kind, index), v in zip(layout, y):
         if kind == "martingale":
             position[index] = v
-        elif kind == "option" and v:
-            position[nh + index if v > 0 else nh + e + index] += abs(v)
-    capital = lp._dot(y, problem.rhs)
-    return capital, canonical_legs(c.strategy_from(position))
+        elif kind == "option":
+            net[index] += v
+    position += [v if v > 0 else ZERO for v in net] + [-v if v < 0 else ZERO for v in net]
+    return lp._dot(y, phase1.rhs), c.strategy_from(position)
 
 
-def _arbitrage(c: CompiledMarket, solved) -> NaVerdict:
+def _arbitrage(c: CompiledMarket, out: lp.LpOutcome) -> NaVerdict:
     """The arbitrage a floor program's multipliers encode when its optimum is
     0 or it is infeasible. Either way y . A_w >= 0 on every leaf column and
     y . rhs <= 0, with y . A_t >= 1 or y . rhs < 0, so the strategy gains
     y . A_w - y . rhs >= 0 on every charged leaf; one where it is positive
     is the strict leaf, and a strategy with none is a SoundnessError."""
-    _, strategy = _hedge(c, solved)
+    _, strategy = _hedge(c, out)
     gains = _terminal_gain(c, strategy)  # `_hedge` builds it to the market's shape
     strict = next((pos for pos in c.charged if gains[pos] > 0), None)
     if strict is None:
@@ -247,10 +244,10 @@ def check_na(m: MarketModel) -> NaVerdict:
     column is sum_w A_w, so y . A_t >= 1 puts a positive gain on some leaf.
     """
     c = require_valid(m)
-    solved = _floor(c, push=0)
-    if solved[2].status == lp.OPTIMAL and solved[2].objective_value > 0:
+    out = _floor(c, push=0)
+    if out.status == lp.OPTIMAL and out.objective_value > 0:
         return NaVerdict(True)
-    return _arbitrage(c, solved)
+    return _arbitrage(c, out)
 
 
 def _weights_on_charged(c: CompiledMarket, values, shift=ZERO) -> list[Fraction]:
@@ -301,7 +298,7 @@ def check_nar(m: MarketModel) -> NarVerdict:
     yields the interior measure and the strictly shrunk quotes.
     """
     c = require_valid(m)
-    return _robustness(c, _floor(c, push=1)[2])
+    return _robustness(c, _floor(c, push=1))
 
 
 def _require_nar(c: CompiledMarket, failure: str) -> RobustnessWitness:
@@ -356,7 +353,7 @@ def scenario_pricing_measure(m: MarketModel, leaf: int) -> MartingaleMeasure | N
 
     objective = [ZERO] * len(c.charged)
     objective[c.charged.index(leaf)] = ONE
-    out = _solve(c, objective)[2]
+    out = _solve(c, objective)
     if out.status == lp.INFEASIBLE or out.objective_value == 0:
         return None
     return _measure(c, _weights_on_charged(c, out.primal))

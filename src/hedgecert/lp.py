@@ -42,8 +42,9 @@ row [A | b] once, as a primitive integer vector rows[k] = scale[k] *
 into its tableau; its reduced costs are -sum_k rows[k] / |scale[k]| over
 one common integer denominator, a positive multiple of the rational
 phase-1 row. Values leave as b_i / a_i,B(i), and the optimal value as the
-cost row's rhs over lam (`_phase_two`): the cost row is never summed
-against the point in Fractions.
+cost row's rhs over lam (`solve_lp`): the cost row is never summed
+against the point in Fractions. Each phase builds its start cost row as
+one integer sum of rows, made primitive once (`_row_sum`).
 
 Phase 1 begins with a crash (Bixby 1992, "Implementing the simplex method:
 the initial basis"). Each row whose rhs is 0, fewest nonzeros first, pivots
@@ -73,7 +74,7 @@ stored inverse times c + d, with no elimination. An infeasible face's
 Farkas vector is the same product with the phase-1 costs, 1 on each
 artificial, on its phase-1 basis.
 
-Phase 1 and phase 2 are separate routines, and a phase 1 can be stored.
+Phase 1 is stored, and `solve_lp` runs phase 2 from it.
 `_Phase1(p)` runs phase 1 on all of p's columns and rows, its face, and keeps
 p's own row, relation and rhs lists (not copies, so they must not change
 after), the face's tableau and basis after the drive-out and the basis's
@@ -190,6 +191,16 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return {j: u // g for j, u in row.items()} if g > 1 else row
 
 
+def _row_sum(red: dict[int, int], terms) -> dict[int, int]:
+    """`red` plus f * row for each (f, row) in `terms`, one integer sum
+    into `red`, then its nonzeros made primitive: how each phase builds
+    its start cost row."""
+    for f, row in terms:
+        for j, v in row.items():
+            red[j] = red.get(j, 0) + f * v
+    return _primitive({j: v for j, v in red.items() if v})
+
+
 def _int_row(row) -> dict[int, int]:
     """The primitive integer vector that is a positive multiple of a sparse
     row, as the dict of its nonzero entries."""
@@ -294,17 +305,6 @@ def _reduce(a: list[dict[int, int]], n: int) -> list[int]:
         piv_cols.append(col)
         r += 1
     return piv_cols
-
-
-def _basic_point(tab, basis, n) -> list[Fraction]:
-    """The point whose basic column in each row takes that row's b / a, and
-    every other column of the n takes 0."""
-    z = [_ZERO] * n
-    for row, col in zip(tab, basis):
-        b = row.get(n)
-        if b:
-            z[col] = Fraction(b, row[col])
-    return z
 
 
 def _standard(p: LpProblem):
@@ -436,15 +436,8 @@ def _phase_one(tab, scale, cols, n):
     # -sum_k rows[k][j] / |scale[k]|, here times the lcm of the scales'
     # numerators: a positive multiple, so every Bland choice is the rational one's.
     den = lcm(*(s.numerator for s in scale))
-    red: dict[int, int] = {}
-    for row, s in zip(tab, scale):
-        w = den // abs(s.numerator) * s.denominator
-        for j, v in row.items():
-            if j in red:
-                red[j] -= w * v
-            else:
-                red[j] = -w * v
-    red = _primitive({j: v for j, v in red.items() if v})
+    red = _row_sum({}, [(-(den // abs(s.numerator) * s.denominator), row)
+                        for row, s in zip(tab, scale)])
 
     # The crash: each row whose rhs is 0, fewest nonzeros first (a stable
     # sort, so then the lowest index), pivots on its column with the fewest
@@ -514,9 +507,17 @@ class _Phase1:
         return p
 
 
-def _phase_two(p: LpProblem, phase1: _Phase1, mu: int | None) -> LpOutcome:
-    """Phase 2 on the real objective from copies of a feasible face's tableau
-    and basis, mu's late column (if any) in the slot; the outcome."""
+def solve_lp(p: LpProblem) -> LpOutcome:
+    """Phase 2, with certificate extraction, of a program `_Phase1.program`
+    built: from copies of its stored phase 1's tableau and basis, mu's late
+    column (if any) in the slot. An infeasible face's outcome is its Farkas
+    vector; any other problem is a StructureError."""
+    if not isinstance(p, LpProblem) or p.phase1 is None:
+        raise StructureError(f"problem is {type(p).__name__} with no route to a phase 1, "
+                             "not a program _Phase1.program built")
+    phase1, mu = p.phase1
+    if phase1.farkas is not None:
+        return LpOutcome(status=INFEASIBLE, farkas=list(phase1.farkas))
     n = phase1.ncols
     tab, basis = [row.copy() for row in phase1.tab], list(phase1.basis)
     if mu is not None:
@@ -525,27 +526,26 @@ def _phase_two(p: LpProblem, phase1: _Phase1, mu: int | None) -> LpOutcome:
             if v:
                 row[phase1.n] = v
     nvars = len(p.objective)
-    # The cost row of min -c . x, c = cost / den, and at key -1, which no
-    # column uses, an entry of rational value 1 that no pivot row holds: the
-    # row stays lam times its rational row, lam = red[-1] > 0. Every basic
-    # column leaves it in one integer sum, with no row update: a basic
-    # column is zero outside its own row i, whose entry a_i there is
-    # positive, so the row is big (-cost, den) plus cost[B(i)] big / a_i
-    # times row i for each basic column with a cost, big the lcm of their
-    # a_i, made primitive once: the one primitive multiple of the rational row.
+    # The cost row of min -c . x, c = cost / den, stays lam times its
+    # rational row, lam = red[-1] > 0 at a key no column uses. A basic column
+    # is zero outside its own row i, where its entry a_i is positive, so the
+    # row with every basic column eliminated is big (-cost, den) plus
+    # cost[B(i)] big / a_i times row i for each basic column with a cost, big
+    # the lcm of their a_i: one sum, made primitive once, with no row update.
     cost, den = _over_lcm(p.objective)
     terms = [(cost[col], row, row[col]) for row, col in zip(tab, basis)
              if col < nvars and cost[col]]
     big = lcm(*(a for _, _, a in terms))
     red = {j: -u * big for j, u in enumerate(cost) if u}
     red[-1] = den * big
-    for u, row, a in terms:
-        f = u * (big // a)
-        for j, v in row.items():
-            red[j] = red.get(j, 0) + f * v
-    red = _primitive({j: v for j, v in red.items() if v})
+    red = _row_sum(red, [(u * (big // a), row) for u, row, a in terms])
     jc = _optimize(tab, red, basis, n)
-    x = _basic_point(tab, basis, n)[:nvars]
+    z = [_ZERO] * n  # the basic point: each row's basic column at b / a, the rest 0
+    for row, col in zip(tab, basis):
+        b = row.get(n)
+        if b:
+            z[col] = Fraction(b, row[col])
+    x = z[:nvars]
 
     if jc is not None:
         d = [_ZERO] * n
@@ -573,19 +573,6 @@ def _phase_two(p: LpProblem, phase1: _Phase1, mu: int | None) -> LpOutcome:
     # lam times c . x at the basic point, and every pivot keeps it so
     value = Fraction(red.get(n, 0), lam)
     return LpOutcome(status=OPTIMAL, primal=x, dual=y, objective_value=value)
-
-
-def solve_lp(p: LpProblem) -> LpOutcome:
-    """Phase 2, with certificate extraction, of a program `_Phase1.program`
-    built, from the stored phase 1 its `phase1` routes it to; any other
-    problem is a StructureError."""
-    if not isinstance(p, LpProblem) or p.phase1 is None:
-        raise StructureError(f"problem is {type(p).__name__} with no route to a phase 1, "
-                             "not a program _Phase1.program built")
-    phase1, mu = p.phase1
-    if phase1.farkas is not None:
-        return LpOutcome(status=INFEASIBLE, farkas=list(phase1.farkas))
-    return _phase_two(p, phase1, mu)
 
 
 def _row_value(row, x: list[Fraction]) -> Fraction:

@@ -495,6 +495,9 @@ def _check_strategy_shape(c: CompiledMarket, s: Strategy) -> None:
     if any(v < 0 for v in s.buy_leg) or any(v < 0 for v in s.sell_leg):
         raise StructureError("strategy legs must be nonnegative")
     for node_id, positions in s.dynamic.items():
+        if type(node_id) is not int:  # True == 1 would pass the key-set test
+            raise StructureError(f"strategy dynamic key {node_id!r} is "
+                                 f"{type(node_id).__name__}, not an int node id")
         if len(positions) != c.tree.num_assets:
             raise StructureError(
                 f"strategy at node {node_id} has {len(positions)} positions, "

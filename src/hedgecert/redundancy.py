@@ -140,9 +140,9 @@ def sharper_ftap(m: MarketModel) -> SharperFtapBundle:
     y . rhs < 0, so every leaf is strict. At t* = 0, y . rhs = 0 and
     y . A_t = sum_w y . A_w + sum over spread options of
     (|y_bid| + |y_ask|) >= 1; so if every g_w = 0, some spread leg is
-    nonzero. Netting the legs (`canonical_legs`) then either adds
-    min(buy, sell) * (ask - bid) > 0 on every leaf, or leaves a nonzero net
-    spread position with zero gain. A zero-gain position would replicate
+    nonzero. Netting its bid and ask multipliers (`_hedge`) then either adds
+    min(y_ask, -y_bid) * (ask - bid) > 0 on every leaf, or leaves a nonzero
+    net spread position with zero gain. A zero-gain position would replicate
     that option from cash, the stock and the other options, making it
     redundant, which the precondition excludes. So a certificate without a
     strict leaf, `_arbitrage`'s SoundnessError, can only be a solver fault.
@@ -157,10 +157,10 @@ def sharper_ftap(m: MarketModel) -> SharperFtapBundle:
             "redundant spread options: " + ", ".join(bad),
             details=report,
         )
-    solved = _floor(c, push=1)
-    nar = _robustness(c, solved[2])
+    out = _floor(c, push=1)
+    nar = _robustness(c, out)
     if not nar.holds:
-        return SharperFtapBundle(_arbitrage(c, solved), None, None)
+        return SharperFtapBundle(_arbitrage(c, out), None, None)
     measure = nar.witness.interior_measure
     _require_domination(measure, c.measures.generators)
     return SharperFtapBundle(

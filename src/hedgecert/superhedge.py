@@ -66,20 +66,20 @@ def _check_claim(c: CompiledMarket, f: Claim) -> None:
         raise StructureError(f"claim has {len(f.payoff)} payoffs, market has {len(c.leaves)} leaves")
 
 
-def _solve_pricing(c: CompiledMarket, f: Claim):
+def _solve_pricing(c: CompiledMarket, f: Claim) -> lp.LpOutcome:
     """Solve the measure program that maximizes the claim's expectation: the
     one solve behind both sides of the pricing duality."""
     _check_claim(c, f)
     return _solve(c, [f.payoff[pos] for pos in c.charged])
 
 
-def _hedge_side(c: CompiledMarket, solved) -> tuple[Fraction, Strategy]:
+def _hedge_side(c: CompiledMarket, out: lp.LpOutcome) -> tuple[Fraction, Strategy]:
     """The hedge the multipliers encode (`arbitrage._hedge`). Optimal duals
     have y . A_w >= payoff: a super-hedge. With no consistent measure the
     negated Farkas vector has y . A_w >= 0 > y . rhs: a ray along which the
     cost falls without bound."""
-    capital, strategy = _hedge(c, solved)
-    if solved[2].status == lp.INFEASIBLE:
+    capital, strategy = _hedge(c, out)
+    if out.status == lp.INFEASIBLE:
         raise RobustArbitrageError(
             "market admits robust arbitrage: super-hedging cost decreases without bound",
             blocking=_NO_CONSISTENT_MEASURE,
@@ -88,8 +88,7 @@ def _hedge_side(c: CompiledMarket, solved) -> tuple[Fraction, Strategy]:
     return capital, strategy
 
 
-def _measure_side(c: CompiledMarket, solved) -> tuple[Fraction, MartingaleMeasure]:
-    _, _, out = solved
+def _measure_side(c: CompiledMarket, out: lp.LpOutcome) -> tuple[Fraction, MartingaleMeasure]:
     if out.status == lp.INFEASIBLE:
         raise ArbitrageError(
             "no quote-consistent martingale measure exists: "
@@ -117,9 +116,9 @@ def duality_report(m: MarketModel, f: Claim) -> PricingReport:
     """Both sides of one measure-program solve: the multipliers' y . rhs and
     the optimal measure's expectation of the claim must agree exactly."""
     c = require_valid(m)
-    solved = _solve_pricing(c, f)
-    price, strategy = _hedge_side(c, solved)
-    value, measure = _measure_side(c, solved)
+    out = _solve_pricing(c, f)
+    price, strategy = _hedge_side(c, out)
+    value, measure = _measure_side(c, out)
     gap = price - value
     if gap != 0:
         raise SoundnessError(f"pricing duality gap {gap} is nonzero; solver bug")
@@ -151,6 +150,7 @@ def _strict_dual(m: MarketModel, f: Claim, eps: Fraction) -> tuple[Fraction, Mar
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}")
     c = require_valid(m)
+    _check_claim(c, f)
     interior = _require_nar(c, "robust no-arbitrage fails").interior_measure
     value, best = dual_price(c, f)
     drift = abs(value - interior.expectation(f.payoff))

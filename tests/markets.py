@@ -13,7 +13,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction as F
 
-from hedgecert import lp
+from hedgecert import arbitrage, lp
 from hedgecert.model import (
     Claim,
     MarketModel,
@@ -387,3 +387,10 @@ def routed(p: lp.LpProblem) -> lp.LpProblem:
     if p.phase1 is not None:
         p = lp.LpProblem(p.objective, lp._program_rows(p), p.relations, p.rhs)
     return lp._Phase1(p).program(p.objective)
+
+
+def measure_program(c, objective, push=None) -> tuple[lp.LpProblem, lp.LpOutcome]:
+    """(program, outcome) of one measure program of the compiled market c:
+    the program its face builds for the objective and push, beside
+    `arbitrage._solve`'s outcome of that program."""
+    return arbitrage._face(c)[0].program(objective, push), arbitrage._solve(c, objective, push)

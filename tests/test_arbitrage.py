@@ -1,4 +1,6 @@
+import collections
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -6,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hedgecert import lp
+from hedgecert import arbitrage, lp
 from hedgecert.arbitrage import (
     ArbitrageCertificate,
     MartingaleMeasure,
-    _floor,
     _measure,
     check_na,
     check_nar,
@@ -27,6 +28,7 @@ from hedgecert.model import (
     Claim,
     OptionQuote,
     Strategy,
+    canonical_legs,
     require_valid,
     support,
     terminal_gain,
@@ -39,11 +41,13 @@ from markets import (
     binomial_with_free_option,
     binomial_with_spread_option,
     dense_rows,
+    measure_program,
     nar_fixture_markets,
     pinned_identical_options_market,
     random_arbitrage_free_market,
     random_arbitrary_market,
     random_claim,
+    random_rational,
     routed,
     single_leaf_market,
     sparse_rows,
@@ -471,7 +475,7 @@ def test_floor_column_is_the_row_sum_plus_the_push_offset():
     for m in markets:
         c = require_valid(m)
         for push in (0, 1):
-            problem = _floor(c, push)[0]
+            problem, _ = measure_program(c, [F(0)] * len(c.charged) + [F(1)], push)
             assert problem.rows is problem.phase1[0].rows  # the face's, one column short
             width = len(problem.objective)
             full = lp._program_rows(problem)
@@ -481,3 +485,70 @@ def test_floor_column_is_the_row_sum_plus_the_push_offset():
                 assert type(late) is F
                 # the face row's pairs, then the late pair (width - 1, late) when late is not 0
                 assert row == ((*face_row, (width - 1, late)) if late else face_row)
+
+
+def _legs_then_netted(c, problem, out):
+    """(capital, strategy) of the multipliers read leg by leg: each option
+    row's y a buy (y > 0) or a sell (y < 0) leg in the 2e option columns of
+    `strategy_from`, the legs then netted by `canonical_legs`."""
+    layout = arbitrage._face(c)[1]
+    y = out.dual if out.status == lp.OPTIMAL else [-v for v in out.farkas]
+    nh, e = len(c.columns), len(c.options)
+    position = [F(0)] * (nh + 2 * e)
+    for (kind, index), v in zip(layout, y):
+        if kind == "martingale":
+            position[index] = v
+        elif kind == "option" and v:
+            position[nh + index if v > 0 else nh + e + index] += abs(v)
+    return lp._dot(y, problem.rhs), canonical_legs(c.strategy_from(position))
+
+
+def test_the_hedge_nets_each_option_as_the_legs_netted_would():
+    # `_hedge` sums each option's bid and ask multipliers into one net
+    # position; it must give the strategy, field for field and entry type for
+    # entry type, and the capital that splitting the rows into legs and
+    # netting them after gives, on optimal duals and Farkas vectors alike
+    seen = collections.Counter()
+    rng = random.Random(34034)
+    markets = []
+    for k in range(400):
+        m = (random_arbitrary_market if k % 2 else random_arbitrage_free_market)(rng)
+        markets.append(m)
+        verdict = check_nar(m)
+        if verdict.holds and any(opt.has_spread() for opt in m.options):
+            # each spread quoted a quarter of the slack either side of its
+            # interior value, so a spread holds the push-1 floor down and its
+            # bid and ask rows are both tight
+            q, s = verdict.witness.interior_measure, verdict.witness.slack / 4
+            markets.append(replace(m, options=[
+                replace(opt, bid=v - s, ask=v + s) if opt.has_spread() else opt
+                for opt, v in zip(m.options, q.option_values)]))
+    for k, m in enumerate(markets):
+        c = require_valid(m)
+        floor = [F(0)] * len(c.charged) + [F(1)]
+        pricing = [random_rational(rng, -3, 3) for _ in c.charged]
+        for objective, push in ((floor, 0), (floor, 1), (pricing, None)):
+            problem, out = measure_program(c, objective, push)
+            hedge, expected = arbitrage._hedge(c, out), _legs_then_netted(c, problem, out)
+            assert hedge == expected and repr(hedge) == repr(expected), (k, push)
+            seen[out.status] += 1
+            y = out.dual or out.farkas
+            rows = collections.Counter(index for (kind, index), v in zip(arbitrage._face(c)[1], y)
+                                       if kind == "option" and v)
+            seen["both rows"] += 2 in rows.values()
+    assert all(seen[case] >= 50 for case in (lp.OPTIMAL, lp.INFEASIBLE, "both rows")), seen
+
+
+def test_pricing_reads_its_hedge_without_canonical_legs(monkeypatch):
+    def refused(s):
+        raise AssertionError("canonical_legs called")
+
+    for mod in [mod for name, mod in sys.modules.items() if name.split(".")[0] == "hedgecert"]:
+        if getattr(mod, "canonical_legs", None) is canonical_legs:
+            monkeypatch.setattr(mod, "canonical_legs", refused)
+    m = wide_quote_identical_options_market()
+    f = Claim([F(1), F(0)])
+    price, strategy = superhedge_price(m, f)
+    assert verify_super_replication(m, f, price, strategy)
+    with pytest.raises(RobustArbitrageError):
+        superhedge_price(binomial_with_free_option(), f)

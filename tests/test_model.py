@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 from dataclasses import FrozenInstanceError
 
+from hedgecert.arbitrage import check_na, verify_na_certificate
 from hedgecert.errors import StructureError
 from hedgecert.model import (
+    Claim,
     CompiledMarket,
     MarketModel,
     MeasureFamily,
@@ -27,12 +30,15 @@ from hedgecert.model import (
     validate_market,
     zero_strategy,
 )
+from hedgecert.redundancy import check_nonredundant, verify_replication
+from hedgecert.superhedge import superhedge_price, verify_super_replication
 from markets import (
     binomial_market,
     random_arbitrage_free_market,
     random_strategy,
     stockless_market,
     trinomial_straddle_market,
+    two_period_stock_market,
 )
 import random
 
@@ -204,6 +210,34 @@ def test_terminal_gain_dimension_mismatch():
         terminal_gain(m, Strategy({0: [F(1)]}, [F(1)], []))
     with pytest.raises(StructureError):
         terminal_gain(m, Strategy({0: [F(1), F(2)]}, [], []))
+
+
+def _keyed_by_true(s: Strategy) -> Strategy:
+    """s with node 1's dynamic key replaced by True, which equals 1."""
+    return Strategy({True if nid == 1 else nid: v for nid, v in s.dynamic.items()},
+                    s.buy_leg, s.sell_leg)
+
+
+def test_a_bool_node_id_is_no_strategy_key():
+    # {0, True, 2} == {0, 1, 2}, so only the key's type tells them apart;
+    # each replay below accepts the certificate keyed by the int 1
+    m = two_period_stock_market()
+    with pytest.raises(StructureError, match="dynamic key True is bool"):
+        terminal_gain(m, _keyed_by_true(zero_strategy(m)))
+    call = Claim([F(4), F(0), F(0), F(0)])
+    price, hedge = superhedge_price(m, call)
+    assert verify_super_replication(m, call, price, hedge)
+    assert not verify_super_replication(m, call, price, _keyed_by_true(hedge))
+    free = replace(m, options=[OptionQuote("free", [F(1), F(0), F(0), F(0)], F(0), F(0))])
+    cert = check_na(free).certificate
+    assert verify_na_certificate(free, cert)
+    assert not verify_na_certificate(free, replace(cert, strategy=_keyed_by_true(cert.strategy)))
+    spanned = replace(m, options=[OptionQuote("call", call.payoff, F(1), F(2)),
+                                  OptionQuote("twice", [2 * v for v in call.payoff], F(2), F(4))])
+    replication = check_nonredundant(spanned, 0).certificate
+    assert set(replication.dynamic) == {0, 1, 2} and verify_replication(spanned, 0, replication)
+    rekeyed = {True if nid == 1 else nid: v for nid, v in replication.dynamic.items()}
+    assert not verify_replication(spanned, 0, replace(replication, dynamic=rekeyed))
 
 
 def _add(m, s1, s2):

@@ -32,6 +32,7 @@ from markets import (
     binomial_with_free_option,
     binomial_with_spread_option,
     dense_rows,
+    measure_program,
     random_arbitrage_free_market,
     random_arbitrary_market,
     random_claim,
@@ -76,7 +77,7 @@ def test_warm_outcomes_match_a_cold_solve_of_the_same_problem():
     for rng, c in _random_markets(11, 240):
         built = None
         for name, objective, push in _programs(rng, c):
-            problem, _, warm = arbitrage._solve(c, objective, push)
+            problem, warm = measure_program(c, objective, push)
             assert problem.phase1 == (_phase1(c), push) and _phase1(c) is not None
             built = built or _state(_phase1(c))
             assert _state(_phase1(c)) == built  # every phase 2 works on a copy
@@ -94,14 +95,14 @@ def test_warm_outcomes_match_a_cold_solve_of_the_same_problem():
 
 def test_an_infeasible_face_gives_every_program_a_fresh_farkas_vector_that_replays():
     c = require_valid(binomial_with_free_option())
-    solved = [arbitrage._solve(c, objective, push) for _, objective, push
+    solved = [measure_program(c, objective, push) for _, objective, push
               in _programs(random.Random(3), c)]
-    outcomes = [out for _, _, out in solved]
+    outcomes = [out for _, out in solved]
     farkas = _phase1(c).farkas
     assert all(out.status == lp.INFEASIBLE for out in outcomes)
     assert all(out.farkas == farkas for out in outcomes)
     assert len({id(out.farkas) for out in outcomes} | {id(farkas)}) == 4
-    for problem, _, out in solved:
+    for problem, out in solved:
         assert lp.verify_certificate(problem, out)
     outcomes[0].farkas[0] += 1  # a caller's edit reaches no other outcome
     assert outcomes[1].farkas == farkas
@@ -116,7 +117,7 @@ def test_infeasible_faces_of_random_markets_replay_against_every_program():
             continue
         infeasible += 1
         for _, objective, push in programs:
-            problem, _, out = arbitrage._solve(c, objective, push)
+            problem, out = measure_program(c, objective, push)
             assert out.status == lp.INFEASIBLE and out.farkas == _phase1(c).farkas
             assert lp.verify_certificate(problem, out)
     assert infeasible > 20
@@ -156,7 +157,7 @@ def test_the_optimal_value_off_the_cost_row_is_the_objective_at_the_primal():
         for push in (None, 0, 1, 2):
             width = len(c.charged) + (push is not None)
             objective = [random_rational(rng, -3, 3) for _ in range(width)]
-            problem, _, out = arbitrage._solve(c, objective, push)
+            problem, out = measure_program(c, objective, push)
             if out.status == lp.OPTIMAL:
                 optimal += 1
                 assert type(out.objective_value) is F
@@ -177,7 +178,7 @@ def test_the_optimal_value_off_the_cost_row_is_the_objective_at_the_primal():
 def _face_and_floor():
     """The robust program's phase 1 and that program."""
     c = require_valid(binomial_with_spread_option())
-    problem = arbitrage._solve(c, [ZERO] * len(c.charged) + [ONE], push=1)[0]
+    problem, _ = measure_program(c, [ZERO] * len(c.charged) + [ONE], push=1)
     return problem.phase1[0], problem
 
 
@@ -425,7 +426,7 @@ def test_the_stored_phase_one_reaches_no_comparison_repr_or_file():
     assert repr(warm) == repr(fresh) and "_face" not in repr(warm)
     assert market_to_json(warm) == market_to_json(fresh)
     assert dump_market(warm) == dump_market(fresh)
-    problem, _, _ = arbitrage._solve(warm, [ZERO] * len(warm.charged) + [ONE], 1)
+    problem, _ = measure_program(warm, [ZERO] * len(warm.charged) + [ONE], 1)
     assert problem == replace(problem) and replace(problem).phase1 is None
     assert "phase1" not in repr(problem)
 

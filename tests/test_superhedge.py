@@ -174,6 +174,17 @@ def test_strict_dual_approx_requires_robustness():
         strict_dual_approx(pinned_identical_options_market(), Claim([F(0), F(1)]), F(1, 4))
 
 
+@pytest.mark.parametrize("market", [binomial_market, pinned_identical_options_market,
+                                    binomial_with_free_option])
+@pytest.mark.parametrize("claim", [Claim(["x", 1]), Claim([F(1)]), "nope"],
+                         ids=["str payoff", "one payoff", "no claim"])
+def test_strict_dual_approx_checks_the_claim_before_the_robust_solve(market, claim):
+    # a malformed claim is a StructureError whether or not the market is
+    # robustly arbitrage-free: the second and third markets are not
+    with pytest.raises(StructureError, match="claim"):
+        strict_dual_approx(market(), claim, F(1, 10))
+
+
 def test_bounds_excluding_in_complete_market_collapse():
     m = binomial_with_spread_option()
     assert price_bounds_excluding(m, 0) == (F(1, 3), F(1, 3))
