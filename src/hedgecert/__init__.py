@@ -41,14 +41,12 @@ from .model import (
     ScenarioTree,
     Strategy,
     ValidationReport,
-    canonical_legs,
     market_without_option,
     rat,
     require_valid,
     support,
     terminal_gain,
     validate_market,
-    zero_strategy,
 )
 from .redundancy import (
     NonredundancyVerdict,

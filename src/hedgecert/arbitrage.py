@@ -108,19 +108,6 @@ class NarVerdict:
 _NO_CONSISTENT_MEASURE = "no quote-consistent martingale measure is supported on the charged scenarios"
 
 
-def measure_from_weights(m: MarketModel, weights: list[Fraction]) -> MartingaleMeasure:
-    """The measure with these leaf weights and every option's value under
-    them. The weights must be a list of ints and Fractions, one per leaf,
-    or it is a StructureError naming what is wrong; they are not checked to
-    be a martingale measure, which `verify_measure` replays."""
-    c = require_valid(m)
-    lp._list(weights, "weights")
-    lp._rationals(weights, "weights")
-    if len(weights) != len(c.leaves):
-        raise StructureError(f"weights has {len(weights)} entries for a market of {len(c.leaves)} leaves")
-    return _measure(c, list(weights))
-
-
 def _measure(c: CompiledMarket, weights: list[Fraction]) -> MartingaleMeasure:
     """The measure with the package's own weights, one per leaf, kept as
     given: they are put over one lcm once, and each option is priced by one
@@ -271,21 +258,13 @@ def _robustness(c: CompiledMarket, out: lp.LpOutcome) -> NarVerdict:
         return NarVerdict(False, blocking=_NO_CONSISTENT_MEASURE)
     slack = out.objective_value
     if slack == 0:
-        return NarVerdict(
-            False,
-            blocking=(
-                "maximal uniform slack is 0: every consistent martingale measure "
-                "touches a quote bound or drops a charged scenario"
-            ),
-        )
+        return NarVerdict(False, blocking="maximal uniform slack is 0: every consistent martingale "
+                          "measure touches a quote bound or drops a charged scenario")
 
     measure = _measure(c, _weights_on_charged(c, out.primal, slack))
     half = slack / 2
-    shrunk_bids, shrunk_asks = [], []
-    for opt in c.options:
-        spread = opt.has_spread()
-        shrunk_bids.append(opt.bid + half if spread else opt.bid)
-        shrunk_asks.append(opt.ask - half if spread else opt.ask)
+    shrunk_bids = [opt.bid + half if opt.has_spread() else opt.bid for opt in c.options]
+    shrunk_asks = [opt.ask - half if opt.has_spread() else opt.ask for opt in c.options]
     return NarVerdict(True, RobustnessWitness(shrunk_bids, shrunk_asks, measure, slack))
 
 

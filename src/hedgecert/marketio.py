@@ -343,8 +343,8 @@ _KINDS = {  # what a report field holds, by kind: its wording and its test
 
 
 def _instance(obj, cls, what: str, **fields) -> None:
-    """StructureError unless `obj` is a `cls` (worded as `canonical_legs`')
-    whose named fields each hold their kind (`_KINDS`)."""
+    """StructureError unless `obj` is a `cls` (worded as `validate_market`
+    words a non-market) whose named fields each hold their kind (`_KINDS`)."""
     if not isinstance(obj, cls):
         article = "an" if cls.__name__[0] in "AEIOU" else "a"
         raise StructureError(f"{what} is {type(obj).__name__}, not {article} {cls.__name__}")
@@ -360,6 +360,9 @@ def _dynamic_to_json(dynamic: dict) -> dict:
 
 def strategy_to_json(s: Strategy) -> dict:
     _instance(s, Strategy, "strategy", dynamic="dict", buy_leg="list", sell_leg="list")
+    if len(s.buy_leg) != len(s.sell_leg):
+        raise StructureError(
+            f"strategy legs sized {len(s.buy_leg)}/{len(s.sell_leg)}, not one length")
     return {
         "dynamic": _dynamic_to_json(s.dynamic),
         "buyLeg": [format_rational(v) for v in s.buy_leg],
@@ -404,6 +407,9 @@ def replication_to_json(m: MarketModel, i: int, cert: ReplicationCertificate) ->
     _instance(cert, ReplicationCertificate, "certificate", initial_capital="rational",
               dynamic="dict", static_signed="list")
     others = [k for k in range(len(c.options)) if k != i]
+    if len(cert.static_signed) != len(others):
+        raise StructureError(f"certificate static_signed has {len(cert.static_signed)} "
+                             f"positions for {len(others)} other options")
     return {
         "option": c.options[i].name,
         "initialCapital": format_rational(cert.initial_capital),

@@ -29,7 +29,7 @@ from math import lcm
 from operator import mul
 
 from .errors import DomainError, StructureError
-from .lp import _Phase1, _dot, _list, _over_lcm, _rational_lists, _rationals
+from .lp import _Phase1, _dot, _over_lcm, _rational_lists
 
 # The rational substrate. Fraction already guarantees the invariants this
 # package relies on: positive denominator, lowest terms, canonical zero.
@@ -574,32 +574,3 @@ def _terminal_gain(c: CompiledMarket, s: Strategy) -> list[Fraction]:
     return [Fraction(wealth[leaf] * fw + static[pos] * fs, den)
             for pos, leaf in enumerate(c.leaves)]
 
-
-def zero_strategy(m: MarketModel) -> Strategy:
-    c = require_valid(m)
-    e = len(c.options)
-    return Strategy({nid: [ZERO] * c.tree.num_assets for nid in c.nonleaf}, [ZERO] * e, [ZERO] * e)
-
-
-def canonical_legs(s: Strategy) -> Strategy:
-    """Net out simultaneous buy/sell positions: min(buy, sell) becomes 0.
-
-    Netting adds min(buy, sell) * (ask - bid) >= 0 to the gain on every
-    leaf, so it never breaks a super-replication or arbitrage certificate.
-    The legs must be lists of ints and Fractions of one length, else a
-    StructureError names the bad leg.
-    """
-    if not isinstance(s, Strategy):
-        raise StructureError(f"strategy is {type(s).__name__}, not a Strategy")
-    for name, leg in (("buy_leg", s.buy_leg), ("sell_leg", s.sell_leg)):
-        _list(leg, f"strategy {name}")
-        _rationals(leg, f"strategy {name}")
-    if len(s.buy_leg) != len(s.sell_leg):
-        raise StructureError(
-            f"strategy legs sized {len(s.buy_leg)}/{len(s.sell_leg)}, not one length")
-    buy, sell = [], []
-    for b, v in zip(s.buy_leg, s.sell_leg):
-        net = b - v
-        buy.append(net if net > 0 else ZERO)
-        sell.append(-net if net < 0 else ZERO)
-    return Strategy(s.dynamic, buy, sell)

@@ -14,6 +14,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 from hedgecert import arbitrage, lp
+from hedgecert.arbitrage import MartingaleMeasure
 from hedgecert.model import (
     Claim,
     MarketModel,
@@ -24,6 +25,7 @@ from hedgecert.model import (
     Strategy,
     ZERO,
     ONE,
+    require_valid,
 )
 
 
@@ -328,6 +330,30 @@ def random_strategy(rng, m: MarketModel) -> Strategy:
     buy = [abs(random_rational(rng, -2, 2)) for _ in range(e)]
     sell = [abs(random_rational(rng, -2, 2)) for _ in range(e)]
     return Strategy(dynamic, buy, sell)
+
+
+def zero_strategy(m: MarketModel) -> Strategy:
+    """The strategy holding nothing: a zero position per asset at every
+    non-leaf node, ascending, and zero legs on every option."""
+    nonleaf = sorted(n.id for n in m.tree.nodes if n.time < m.tree.periods)
+    e = len(m.options)
+    return Strategy({nid: [ZERO] * m.tree.num_assets for nid in nonleaf}, [ZERO] * e, [ZERO] * e)
+
+
+def net_legs(s: Strategy) -> Strategy:
+    """s with each option's legs netted, min(buy, sell) taken off both: the
+    net position bought if positive, sold if negative. Netting adds
+    min(buy, sell) * (ask - bid) >= 0 to the gain on every leaf."""
+    net = [b - v for b, v in zip(s.buy_leg, s.sell_leg)]
+    return Strategy(s.dynamic, [x if x > 0 else ZERO for x in net],
+                    [-x if x < 0 else ZERO for x in net])
+
+
+def measure_of(m: MarketModel, weights) -> MartingaleMeasure:
+    """The measure with these leaf weights, one per leaf, and each option's
+    value under them, as every query builds it (`arbitrage._measure`); the
+    weights are not checked to be a martingale measure."""
+    return arbitrage._measure(require_valid(m), list(weights))
 
 
 def sparse_rows(rows) -> list[tuple]:

@@ -44,7 +44,6 @@ from hedgecert.model import (
     ZERO,
     ONE,
     _check_strategy_shape,
-    canonical_legs,
     require_valid,
     terminal_gain,
 )
@@ -54,7 +53,7 @@ from hedgecert.redundancy import (
     SharperFtapBundle,
     SpreadOptionsReport,
 )
-from markets import routed, sparse_rows
+from markets import net_legs, routed, sparse_rows
 
 MAX_ORACLE_LEAVES = 10
 
@@ -179,7 +178,7 @@ def surplus_na(m: MarketModel) -> NaVerdict:
     assert out.status == lp.OPTIMAL, out.status
     if out.objective_value == 0:
         return NaVerdict(True)
-    strategy = canonical_legs(c.strategy_from(out.primal))
+    strategy = net_legs(c.strategy_from(out.primal))
     gains = terminal_gain(c, strategy)
     strict = next(pos for pos in c.charged if gains[pos] > 0)
     return NaVerdict(False, ArbitrageCertificate(strategy, gains, strict))
@@ -199,7 +198,7 @@ def hedge_lp(m: MarketModel, f: Claim) -> tuple[Fraction, Strategy] | None:
     if out.status == lp.UNBOUNDED:
         return None
     assert out.status == lp.OPTIMAL, out.status
-    return -out.objective_value, canonical_legs(c.strategy_from(out.primal[1:]))
+    return -out.objective_value, net_legs(c.strategy_from(out.primal[1:]))
 
 
 def replication_lp(m: MarketModel, i: int) -> NonredundancyVerdict:

@@ -1,0 +1,180 @@
+"""Check nine rules over the modules of the package, `src/hedgecert/*.py`.
+
+A name a module imports but never uses fails; __init__.py is skipped,
+because its imports are the package's re-exports. So does a name in a
+parameter, return or variable annotation that the module neither imports,
+defines nor gets from builtins: under `from __future__ import annotations`
+it never fails at run time. So does dead private code: a module-level
+function, class or assignment whose name starts with _ (dunders aside) and
+that no module of the package names outside its own definition, as a name,
+an attribute or an import; a use from tests alone does not count. So does a
+use of the solver's entry points, `solve_lp`, `LpProblem` or `_Phase1`, as a
+name or an attribute, in a module other than lp.py and arbitrage.py: every
+measure program is built and solved by `arbitrage._solve`. An import or an
+annotation is not a use. So does a read of a `.rows` attribute outside
+lp.py: a program's rows are the face's, one column short of a push
+program's, and only the kernel and its replay, which derives the late
+column, may read them. So does dead compiled state: a field of
+`CompiledMarket` that no module of the package reads as an attribute; a read
+from tests alone does not count. So does a replay that reads compiled
+payoffs: a `verify_*` function or `strictly_inside_quotes` that reads
+`integer_payoffs`, so every replay prices the options from their payoffs,
+apart from the queries. So does a use of `lp._combine`, as a name or an
+attribute, anywhere but in `_pivot`: every row update is a pivot's, and
+phase 2 builds its start row in one sum. So does, in arbitrage.py, a use of
+`solve_lp` or a `.program` attribute outside `_solve`, or of `LpProblem` or
+`_Phase1` outside `_face`: every reader of a measure program takes
+`_solve`'s outcome, not a problem of its own. An import or an annotation is
+not a use. Nine rules in all.
+
+    python tests/package_rules.py
+
+Run from the repository root. Prints each problem as path:line: message,
+or one line naming the rules when there is none, and exits 1 on a problem.
+"""
+
+import ast
+import builtins
+import collections
+import pathlib
+import sys
+
+problems = []
+for path in sorted(pathlib.Path("src/hedgecert").glob("*.py")):
+    if path.name == "__init__.py":
+        continue
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    problems += [f"{path}:{line}: {name} imported but unused"
+                 for name, line in imported.items() if name not in used]
+
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    bound = set(imported) | set(dir(builtins))
+    bound |= {node.name for node in ast.walk(tree) if isinstance(node, defs)}
+    bound |= {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            annotations += [p.annotation for p in params if p] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in filter(None, annotations):
+        line = annotation.lineno
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            annotation = ast.parse(annotation.value, mode="eval")
+        problems += [f"{path}:{line}: annotation names {node.id}, which nothing binds"
+                     for node in ast.walk(annotation)
+                     if isinstance(node, ast.Name) and node.id not in bound]
+
+trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+         for path in sorted(pathlib.Path("src/hedgecert").glob("*.py"))}
+
+def names(nodes):
+    """Every name the nodes use: loaded names, attributes, imports."""
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.ImportFrom):
+                yield from (alias.name for alias in sub.names)
+
+uses = collections.Counter(names(trees.values()))
+for path, tree in trees.items():
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined = [sub.id for t in targets for sub in ast.walk(t)
+                       if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)]
+        else:
+            continue
+        own = collections.Counter(names([node]))  # uses inside the definition
+        problems += [f"{path}:{node.lineno}: private {name} is never used"
+                     for name in defined
+                     if name.startswith("_") and not name.endswith("__")
+                     and uses[name] == own[name]]
+
+def annotated(tree):
+    """The ids of every node inside a parameter, return or variable annotation."""
+    roots = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            roots += [p.annotation for p in params if p] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            roots.append(node.annotation)
+    return {id(sub) for root in filter(None, roots) for sub in ast.walk(root)}
+
+solver = {"solve_lp", "LpProblem", "_Phase1"}
+for path, tree in trees.items():
+    if path.name in ("lp.py", "arbitrage.py"):
+        continue
+    skip = annotated(tree)
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else (
+            node.attr if isinstance(node, ast.Attribute) else None)
+        if name in solver and id(node) not in skip:
+            problems.append(f"{path}:{node.lineno}: {name} used outside lp.py and "
+                            "arbitrage.py, which alone build and solve programs")
+arbitrage_path = pathlib.Path("src/hedgecert/arbitrage.py")
+home = {"solve_lp": "_solve", "program": "_solve", "LpProblem": "_face", "_Phase1": "_face"}
+skip = annotated(trees[arbitrage_path])
+for top in trees[arbitrage_path].body:
+    owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+    for node in ast.walk(top):
+        name = node.attr if isinstance(node, ast.Attribute) else (
+            node.id if isinstance(node, ast.Name) and node.id != "program" else None)
+        if name in home and owner != home[name] and id(node) not in skip:
+            problems.append(f"{arbitrage_path}:{node.lineno}: {name} used in "
+                            f"{owner or 'module scope'}; only {home[name]} may use it")
+problems += [f"{path}:{node.lineno}: .rows read outside lp.py, the one reader of "
+             "a program's rows" for path, tree in trees.items() if path.name != "lp.py"
+             for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and node.attr == "rows" and isinstance(node.ctx, ast.Load)]
+read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+model_path = pathlib.Path("src/hedgecert/model.py")
+compiled = next(node for node in trees[model_path].body
+                if isinstance(node, ast.ClassDef) and node.name == "CompiledMarket")
+problems += [f"{model_path}:{node.lineno}: CompiledMarket field {node.target.id} is "
+             "never read in the package" for node in compiled.body
+             if isinstance(node, ast.AnnAssign) and node.target.id not in read]
+replays = [(path, node) for path, tree in trees.items() for node in ast.walk(tree)
+           if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+           and (node.name.startswith("verify_") or node.name == "strictly_inside_quotes")]
+problems += [f"{path}:{sub.lineno}: replay {fn.name} reads integer_payoffs, the "
+             "compiled state it must check independently" for path, fn in replays
+             for sub in ast.walk(fn)
+             if isinstance(sub, ast.Attribute) and sub.attr == "integer_payoffs"]
+
+def scoped(node, function=None):
+    """(innermost enclosing function's name, node) for every node below node."""
+    for child in ast.iter_child_nodes(node):
+        yield function, child
+        defines = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from scoped(child, child.name if defines else function)
+
+problems += [f"{path}:{node.lineno}: _combine used in {function or 'module scope'}; "
+             "only _pivot may update a row" for path, tree in trees.items()
+             for function, node in scoped(tree) if function != "_pivot"
+             and "_combine" in (getattr(node, "id", None), getattr(node, "attr", None))]
+print("\n".join(problems) or "no unused imports, unbound annotation names, dead "
+      "private code, solver use outside lp.py and arbitrage.py, row read "
+      "outside lp.py, unread compiled field, replay of compiled payoffs, row "
+      "update outside _pivot or program built or solved outside _face and _solve")
+sys.exit(bool(problems))

@@ -1,6 +1,5 @@
 import collections
 import random
-import sys
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -16,7 +15,6 @@ from hedgecert.arbitrage import (
     check_na,
     check_nar,
     dominating_measure,
-    measure_from_weights,
     scenario_pricing_measure,
     strictly_inside_quotes,
     verify_measure,
@@ -28,11 +26,9 @@ from hedgecert.model import (
     Claim,
     OptionQuote,
     Strategy,
-    canonical_legs,
     require_valid,
     support,
     terminal_gain,
-    zero_strategy,
 )
 from hedgecert.redundancy import check_nonredundant, verify_replication
 from hedgecert.superhedge import dual_price, superhedge_price, verify_super_replication
@@ -41,7 +37,9 @@ from markets import (
     binomial_with_free_option,
     binomial_with_spread_option,
     dense_rows,
+    measure_of,
     measure_program,
+    net_legs,
     nar_fixture_markets,
     pinned_identical_options_market,
     random_arbitrage_free_market,
@@ -54,6 +52,7 @@ from markets import (
     stockless_market,
     trinomial_straddle_market,
     wide_quote_identical_options_market,
+    zero_strategy,
 )
 
 
@@ -231,9 +230,9 @@ def test_verify_measure_rejects_bad_weights():
     m = binomial_market()
     good = check_nar(m).witness.interior_measure
     assert verify_measure(m, good)
-    bad = measure_from_weights(m, [F(1, 2), F(1, 2)])  # not a martingale here
+    bad = measure_of(m, [F(1, 2), F(1, 2)])  # not a martingale here
     assert not verify_measure(m, bad)
-    lopsided = measure_from_weights(m, [F(1, 3), F(1, 3)])  # mass 2/3
+    lopsided = measure_of(m, [F(1, 3), F(1, 3)])  # mass 2/3
     assert not verify_measure(m, lopsided)
     # one weight too many, and a negative weight in a mass of one
     assert not verify_measure(m, MartingaleMeasure([*good.weights, F(0)], []))
@@ -248,7 +247,7 @@ def test_verify_measure_rejects_option_values_off_the_weights_or_the_quotes():
     assert verify_measure(m, q)
     assert not verify_measure(m, replace(q, option_values=[F(1, 2)]))
     tight = binomial_market([OptionQuote("digital", [F(1), F(0)], F(1, 2), F(1))])
-    assert not verify_measure(tight, measure_from_weights(tight, q.weights))
+    assert not verify_measure(tight, measure_of(tight, q.weights))
 
 
 def test_strictly_inside_quotes_rejects_a_value_on_a_quote():
@@ -298,14 +297,14 @@ def test_verify_nar_witness_rejects_each_broken_condition():
     m = replace(trinomial_straddle_market(), options=[])
     w = check_nar(m).witness
     assert verify_nar_witness(m, w)
-    zero = measure_from_weights(m, [F(1, 2), F(0), F(1, 2)])
+    zero = measure_of(m, [F(1, 2), F(0), F(1, 2)])
     assert verify_measure(m, zero)
     assert not verify_nar_witness(m, replace(w, interior_measure=zero))
 
 
 def test_verify_measure_rejects_mass_off_support():
     m = stockless_market(2, [], [[F(1), F(0)]])
-    off = measure_from_weights(m, [F(1, 2), F(1, 2)])
+    off = measure_of(m, [F(1, 2), F(1, 2)])
     assert not verify_measure(m, off)
 
 
@@ -416,8 +415,8 @@ def test_every_replay_rejects_an_entry_that_is_not_rational():
 
 def test_compiled_and_public_measures_agree_on_every_weight_vector_a_query_makes():
     # the interior measure of check_nar and the dual measure of dual_price,
-    # built by `_measure` from the compiled payoff integers, against
-    # `measure_from_weights` and each option's expectation of its payoff
+    # built by `_measure` from the compiled payoff integers, against each
+    # option's expectation of its payoff
     rng = random.Random(19)
     markets = nar_fixture_markets()
     markets += [random_arbitrage_free_market(rng) for _ in range(40)]
@@ -435,7 +434,7 @@ def test_compiled_and_public_measures_agree_on_every_weight_vector_a_query_makes
             pass
         for q in made:
             expected = MartingaleMeasure(q.weights, [q.expectation(opt.payoff) for opt in m.options])
-            assert q == expected == _measure(c, list(q.weights)) == measure_from_weights(c, q.weights)
+            assert q == expected == _measure(c, list(q.weights))
             seen += 1
     assert seen > 60
 
@@ -452,8 +451,6 @@ def test_measure_helpers_reject_wrong_lengths():
         q.expectation([F(1)])
     with pytest.raises(StructureError):
         q.expectation([F(1)] * 3)
-    with pytest.raises(StructureError):
-        measure_from_weights(m, [F(1)])
 
 
 def test_redundant_spread_option_market_is_still_robust():
@@ -490,7 +487,7 @@ def test_floor_column_is_the_row_sum_plus_the_push_offset():
 def _legs_then_netted(c, problem, out):
     """(capital, strategy) of the multipliers read leg by leg: each option
     row's y a buy (y > 0) or a sell (y < 0) leg in the 2e option columns of
-    `strategy_from`, the legs then netted by `canonical_legs`."""
+    `strategy_from`, the legs then netted by `markets.net_legs`."""
     layout = arbitrage._face(c)[1]
     y = out.dual if out.status == lp.OPTIMAL else [-v for v in out.farkas]
     nh, e = len(c.columns), len(c.options)
@@ -500,14 +497,16 @@ def _legs_then_netted(c, problem, out):
             position[index] = v
         elif kind == "option" and v:
             position[nh + index if v > 0 else nh + e + index] += abs(v)
-    return lp._dot(y, problem.rhs), canonical_legs(c.strategy_from(position))
+    return lp._dot(y, problem.rhs), net_legs(c.strategy_from(position))
 
 
 def test_the_hedge_nets_each_option_as_the_legs_netted_would():
     # `_hedge` sums each option's bid and ask multipliers into one net
     # position; it must give the strategy, field for field and entry type for
     # entry type, and the capital that splitting the rows into legs and
-    # netting them after gives, on optimal duals and Farkas vectors alike
+    # netting them after gives, on optimal duals and Farkas vectors alike.
+    # Each option is then held long or short, never both, so a caller has
+    # no legs left to net
     seen = collections.Counter()
     rng = random.Random(34034)
     markets = []
@@ -531,6 +530,8 @@ def test_the_hedge_nets_each_option_as_the_legs_netted_would():
             problem, out = measure_program(c, objective, push)
             hedge, expected = arbitrage._hedge(c, out), _legs_then_netted(c, problem, out)
             assert hedge == expected and repr(hedge) == repr(expected), (k, push)
+            legs = zip(hedge[1].buy_leg, hedge[1].sell_leg)
+            assert not any(b and v for b, v in legs), (k, push)
             seen[out.status] += 1
             y = out.dual or out.farkas
             rows = collections.Counter(index for (kind, index), v in zip(arbitrage._face(c)[1], y)
@@ -538,17 +539,3 @@ def test_the_hedge_nets_each_option_as_the_legs_netted_would():
             seen["both rows"] += 2 in rows.values()
     assert all(seen[case] >= 50 for case in (lp.OPTIMAL, lp.INFEASIBLE, "both rows")), seen
 
-
-def test_pricing_reads_its_hedge_without_canonical_legs(monkeypatch):
-    def refused(s):
-        raise AssertionError("canonical_legs called")
-
-    for mod in [mod for name, mod in sys.modules.items() if name.split(".")[0] == "hedgecert"]:
-        if getattr(mod, "canonical_legs", None) is canonical_legs:
-            monkeypatch.setattr(mod, "canonical_legs", refused)
-    m = wide_quote_identical_options_market()
-    f = Claim([F(1), F(0)])
-    price, strategy = superhedge_price(m, f)
-    assert verify_super_replication(m, f, price, strategy)
-    with pytest.raises(RobustArbitrageError):
-        superhedge_price(binomial_with_free_option(), f)

@@ -10,13 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from hedgecert.arbitrage import check_nar, measure_from_weights
+from hedgecert.arbitrage import check_nar
 from hedgecert.cli import main
 from hedgecert.marketio import claim_to_json, dump_market
 from hedgecert.model import Claim, Strategy
 from hedgecert.superhedge import verify_super_replication
 from markets import (
     binomial_with_free_option,
+    measure_of,
     spread_option_only_market,
     trinomial_straddle_market,
     wide_quote_identical_options_market,
@@ -371,7 +372,7 @@ def test_sharper_ftap_verify_replays_domination(capsys, monkeypatch, tmp_path):
     import hedgecert.redundancy as redundancy_mod
 
     m = replace(trinomial_straddle_market(), options=[])
-    extreme = measure_from_weights(m, [F(1, 2), F(0), F(1, 2)])
+    extreme = measure_of(m, [F(1, 2), F(0), F(1, 2)])
     sharper_ftap = redundancy_mod.sharper_ftap
     monkeypatch.setattr(
         redundancy_mod, "sharper_ftap", lambda m: replace(sharper_ftap(m), dominating=[extreme])

@@ -22,23 +22,23 @@ from hedgecert.model import (
     Strategy,
     ZERO,
     _top_down,
-    canonical_legs,
     rat,
     require_valid,
     support,
     terminal_gain,
     validate_market,
-    zero_strategy,
 )
 from hedgecert.redundancy import check_nonredundant, verify_replication
 from hedgecert.superhedge import superhedge_price, verify_super_replication
 from markets import (
     binomial_market,
+    net_legs,
     random_arbitrage_free_market,
     random_strategy,
     stockless_market,
     trinomial_straddle_market,
     two_period_stock_market,
+    zero_strategy,
 )
 import random
 
@@ -268,10 +268,10 @@ def test_terminal_gain_linearity(seed, lam):
     assert terminal_gain(m, _scale(s1, F(lam))) == [F(lam) * g for g in g1]
 
 
-def test_canonical_legs_nets_positions_and_never_lowers_gain():
+def test_netting_legs_never_lowers_the_terminal_gain():
     m = binomial_market([OptionQuote("dig", [F(1), F(0)], F(1, 4), F(1, 2))])
     messy = Strategy({0: [F(1)]}, [F(3)], [F(2)])
-    clean = canonical_legs(messy)
+    clean = net_legs(messy)
     assert clean.buy_leg == [F(1)] and clean.sell_leg == [ZERO]
     before = terminal_gain(m, messy)
     after = terminal_gain(m, clean)

@@ -17,8 +17,8 @@ PUBLIC = [
     "RobustArbitrageError", "SoundnessError", "StructureError",
     # markets
     "Claim", "CompiledMarket", "MarketModel", "MeasureFamily", "Node", "OptionQuote", "Rational",
-    "ScenarioTree", "Strategy", "ValidationReport", "canonical_legs", "market_without_option",
-    "rat", "require_valid", "support", "terminal_gain", "validate_market", "zero_strategy",
+    "ScenarioTree", "Strategy", "ValidationReport", "market_without_option", "rat",
+    "require_valid", "support", "terminal_gain", "validate_market",
     # redundancy
     "NonredundancyVerdict", "ReplicationCertificate", "SharperFtapBundle", "SpreadOptionsReport",
     "all_spread_options_nonredundant", "check_nonredundant", "sharper_ftap", "verify_replication",

@@ -17,7 +17,6 @@ from hedgecert.arbitrage import (
     MartingaleMeasure,
     check_na,
     check_nar,
-    measure_from_weights,
     scenario_pricing_measure,
     verify_measure,
     verify_na_certificate,
@@ -27,18 +26,19 @@ from hedgecert.errors import ArbitrageError, RobustArbitrageError
 from hedgecert.model import (
     Node,
     Strategy,
-    canonical_legs,
     require_valid,
     terminal_gain,
-    zero_strategy,
 )
 from hedgecert.redundancy import all_spread_options_nonredundant, verify_replication
 from hedgecert.superhedge import dual_price, superhedge_price, verify_super_replication
 from markets import (
+    measure_of,
+    net_legs,
     random_arbitrage_free_market,
     random_arbitrary_market,
     random_claim,
     random_strategy,
+    zero_strategy,
 )
 from oracle import leaf_paths, path_terminal_gain, path_verify_measure
 
@@ -67,7 +67,7 @@ def _exact_mix(rng, s: Strategy) -> Strategy:
 
 def _strategies(rng, c):
     s = random_strategy(rng, c)
-    out = [zero_strategy(c), s, _exact_mix(rng, s), canonical_legs(s)]
+    out = [zero_strategy(c), s, _exact_mix(rng, s), net_legs(s)]
     na = check_na(c)
     if not na.holds:
         out.append(na.certificate.strategy)
@@ -124,14 +124,14 @@ def _measures(rng, c):
         for tamper in (_moved, _drift_broken):
             w = tamper(rng, c, q.weights)
             if w is not None:
-                out.append(measure_from_weights(c, w))
+                out.append(measure_of(c, w))
         if q.option_values:
             values = list(q.option_values)
             values[0] += F(1, 3)
             out.append(MartingaleMeasure(q.weights, values))
     raw = [F(rng.randint(0, 3)) for _ in c.leaves]
     total = sum(raw) or F(1)
-    out.append(measure_from_weights(c, [w / total for w in raw]))
+    out.append(measure_of(c, [w / total for w in raw]))
     return out
 
 

@@ -6,7 +6,6 @@ import json
 import re
 from dataclasses import replace
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 
@@ -17,7 +16,6 @@ from hedgecert.arbitrage import (
     check_nar,
     dominates,
     dominating_measure,
-    measure_from_weights,
     scenario_pricing_measure,
     strictly_inside_quotes,
     verify_measure,
@@ -30,7 +28,6 @@ from hedgecert.marketio import (
     measure_to_json,
     na_certificate_to_json,
     parse_claim,
-    parse_market,
     replication_to_json,
     strategy_to_json,
     witness_to_json,
@@ -40,7 +37,6 @@ from hedgecert.model import (
     MeasureFamily,
     OptionQuote,
     Strategy,
-    canonical_legs,
     validate_market,
 )
 from hedgecert.redundancy import (
@@ -56,8 +52,8 @@ from hedgecert.superhedge import (
     superhedge_price,
     verify_super_replication,
 )
-from markets import (binomial_market, binomial_with_free_option, binomial_with_spread_option, routed,
-                     sparse_rows)
+from markets import (binomial_market, binomial_with_free_option, binomial_with_spread_option,
+                     pinned_identical_options_market, routed, sparse_rows)
 
 
 def test_replays_return_false_on_missing_or_mistyped_certificates():
@@ -181,7 +177,6 @@ def _with_node(m, k, **fields):
 
 
 _SPREAD = binomial_with_spread_option()
-_M1 = parse_market((Path(__file__).parent / "data" / "m1.json").read_text())  # 2 leaves, no option
 
 WRONG_STRUCTURE = {
     "no tree": (replace(_SPREAD, tree=None), "tree is NoneType, not a ScenarioTree"),
@@ -243,6 +238,13 @@ def _spread_witness():
     return check_nar(_SPREAD).witness
 
 
+_PINNED = pinned_identical_options_market()  # g1 and g2 pay alike, so each replicates the other
+
+
+def _pinned_replication():
+    return check_nonredundant(_PINNED, 0).certificate
+
+
 # each would otherwise end in an AttributeError or a TypeError, or for the
 # hand-built problem in an answer to a program no face built, or print a
 # field of the wrong type; a market is validated first, so its error is the
@@ -252,16 +254,6 @@ WRONG_TYPE_CALLS = {
         lambda: lp.solve_lp(None),
     "problem is LpProblem with no route to a phase 1":
         lambda: lp.solve_lp(lp.LpProblem([F(1)], sparse_rows([[F(1)]]), [lp.LE], [F(1)])),
-    "weights is NoneType, not a list": lambda: measure_from_weights(_SPREAD, None),
-    # on a market with no option, whose weights no expectation reads: they
-    # were returned as given, strings, floats and wrong lengths alike
-    "weights[0] is str 'x', not an int or a Fraction": lambda: measure_from_weights(_M1, ["x", 0.5]),
-    "weights[1] is float 0.5, not an int or a Fraction":
-        lambda: measure_from_weights(_M1, [F(1, 2), 0.5]),
-    "weights[0] is bool True, not an int or a Fraction": lambda: measure_from_weights(_M1, [True, 0]),
-    "weights has 1 entries for a market of 2 leaves": lambda: measure_from_weights(_M1, [1]),
-    "weights has 3 entries for a market of 2 leaves":
-        lambda: measure_from_weights(_M1, [F(1, 3)] * 3),
     # the report serializers, each of which read a field of its argument first
     "strategy is Claim, not a Strategy": lambda: strategy_to_json(Claim([F(1), F(0)])),
     "measure is NoneType, not a MartingaleMeasure": lambda: measure_to_json(None),
@@ -289,23 +281,23 @@ WRONG_TYPE_CALLS = {
     "certificate initial_capital is NoneType, not an int or a Fraction":
         lambda: replication_to_json(_SPREAD, 0, replace(
             check_nonredundant(_SPREAD, 0).certificate, initial_capital=None)),
-    # the message of `market_without_option(None, 0)` below, keyed without
-    # its prefix, as every key names one case
-    "market is NoneType, not a MarketModel": lambda: measure_from_weights(None, [F(1)]),
+    # and on fields of the right types whose lengths do not fit, which were
+    # printed cut short to the shorter one
+    "strategy legs sized 1/2, not one length":
+        lambda: strategy_to_json(Strategy({0: []}, [F(1)], [F(0), F(1)])),
+    "certificate static_signed has 0 positions for 1 other options":
+        lambda: replication_to_json(_PINNED, 0, replace(_pinned_replication(), static_signed=[])),
+    "certificate static_signed has 2 positions for 1 other options":
+        lambda: replication_to_json(_PINNED, 0, replace(_pinned_replication(),
+                                                        static_signed=[F(1), F(1)])),
+    # the message of `check_na(None)`, and of `market_without_option(None, 0)`
+    # below, keyed without its prefix, as every key names one case
+    "market is NoneType, not a MarketModel": lambda: check_na(None),
     "invalid market: market is ScenarioTree, not a MarketModel":
         lambda: replication_to_json(_SPREAD.tree, 0, check_nonredundant(_SPREAD, 0).certificate),
     "invalid market: market is NoneType, not a MarketModel": lambda: market_without_option(None, 0),
     "invalid market: options is NoneType, not a list":
         lambda: market_without_option(replace(binomial_with_spread_option(), options=None), 0),
-    "strategy is NoneType, not a Strategy": lambda: canonical_legs(None),
-    "strategy buy_leg is NoneType, not a list": lambda: canonical_legs(Strategy({}, None, None)),
-    "strategy sell_leg is float, not a list": lambda: canonical_legs(Strategy({}, [F(1)], 0.5)),
-    "strategy buy_leg[0] is bool True, not an int or a Fraction":
-        lambda: canonical_legs(Strategy({}, [True], [F(1, 2)])),
-    "strategy sell_leg[0] is float 0.5, not an int or a Fraction":
-        lambda: canonical_legs(Strategy({}, [F(1)], [0.5])),
-    "strategy legs sized 1/2, not one length":
-        lambda: canonical_legs(Strategy({}, [F(1)], [F(0), F(1)])),
 }
 
 
@@ -313,13 +305,6 @@ WRONG_TYPE_CALLS = {
 def test_helpers_name_a_wrong_type_in_a_structure_error(where):
     with pytest.raises(StructureError, match=re.escape(where)):
         WRONG_TYPE_CALLS[where]()
-
-
-def test_measure_from_weights_takes_exact_weights_one_per_leaf_on_any_market():
-    weights = [F(1, 2), 1]
-    q = measure_from_weights(_M1, weights)
-    assert q == MartingaleMeasure([F(1, 2), 1], []) and q.weights is not weights
-    assert measure_from_weights(_SPREAD, weights).option_values == [F(1, 2)]
 
 
 def test_replication_to_json_takes_only_an_option_index():
