@@ -453,6 +453,16 @@ def test_measure_helpers_reject_wrong_lengths():
         q.expectation([F(1)] * 3)
 
 
+def test_measure_takes_exact_weights_one_per_leaf_on_any_market():
+    # `_measure` keeps the weights as given, an int among Fractions too, and
+    # prices each option exactly; a market with no option gets no values
+    weights = [F(1, 2), 1]
+    assert _measure(require_valid(binomial_market()), weights) == MartingaleMeasure(weights, [])
+    q = _measure(require_valid(binomial_with_spread_option()), weights)
+    assert q.weights is weights and q.option_values == [F(1, 2)]
+    assert list(map(type, q.weights)) == [F, int] and type(q.option_values[0]) is F
+
+
 def test_redundant_spread_option_market_is_still_robust():
     # complete stock market prices the option inside its quotes
     verdict = check_nar(binomial_with_spread_option())

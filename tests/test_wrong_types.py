@@ -272,15 +272,36 @@ WRONG_TYPE_CALLS = {
         lambda: strategy_to_json(replace(_free_certificate().strategy, dynamic={0: [], "1": []})),
     "strategy buy_leg is list, not a list of ints and Fractions":
         lambda: strategy_to_json(replace(_free_certificate().strategy, buy_leg=[1.5])),
+    "strategy is NoneType, not a Strategy": lambda: strategy_to_json(None),
+    "strategy buy_leg is NoneType, not a list": lambda: strategy_to_json(Strategy({}, None, None)),
+    "strategy sell_leg is float, not a list": lambda: strategy_to_json(Strategy({}, [F(1)], 0.5)),
+    # a bool is an int to Python but no exact entry, here and below
+    "strategy sell_leg is list, not a list of ints and Fractions":
+        lambda: strategy_to_json(Strategy({}, [F(1)], [True])),
     "witness shrunk_bids is NoneType, not a list of ints and Fractions":
         lambda: witness_to_json(replace(_spread_witness(), shrunk_bids=None)),
+    "witness shrunk_asks is float, not a list of ints and Fractions":
+        lambda: witness_to_json(replace(_spread_witness(), shrunk_asks=0.5)),
     "witness slack is float, not an int or a Fraction":
         lambda: witness_to_json(replace(_spread_witness(), slack=0.5)),
+    "witness slack is bool, not an int or a Fraction":
+        lambda: witness_to_json(replace(_spread_witness(), slack=True)),
+    "certificate strict_leaf is bool, not an int leaf":
+        lambda: na_certificate_to_json(replace(_free_certificate(), strict_leaf=True)),
     "measure weights is NoneType, not a list of ints and Fractions":
         lambda: measure_to_json(replace(_spread_witness().interior_measure, weights=None)),
+    "measure weights is list, not a list of ints and Fractions":
+        lambda: measure_to_json(MartingaleMeasure(["x", F(1, 2)], [])),
+    "measure option_values is NoneType, not a list of ints and Fractions":
+        lambda: measure_to_json(replace(_spread_witness().interior_measure, option_values=None)),
     "certificate initial_capital is NoneType, not an int or a Fraction":
         lambda: replication_to_json(_SPREAD, 0, replace(
             check_nonredundant(_SPREAD, 0).certificate, initial_capital=None)),
+    "certificate dynamic is NoneType, not a dict from int node ids to lists of ints and Fractions":
+        lambda: replication_to_json(_SPREAD, 0, replace(
+            check_nonredundant(_SPREAD, 0).certificate, dynamic=None)),
+    "certificate static_signed is NoneType, not a list of ints and Fractions":
+        lambda: replication_to_json(_PINNED, 0, replace(_pinned_replication(), static_signed=None)),
     # and on fields of the right types whose lengths do not fit, which were
     # printed cut short to the shorter one
     "strategy legs sized 1/2, not one length":
