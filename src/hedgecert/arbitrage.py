@@ -138,8 +138,6 @@ def _face(c: CompiledMarket):
     with _FACE_LOCK:
         if c._face is not None:  # another thread built it while this one waited
             return c._face
-        supp = c.charged
-        column_of = {pos: k for k, pos in enumerate(supp)}  # program column per charged leaf
         rows, rels, rhs, layout = [], [], [], []
 
         def add(coefs, rel, bound, name):
@@ -148,23 +146,18 @@ def _face(c: CompiledMarket):
             rhs.append(bound)
             layout.append(name)
 
-        add(tuple((k, ONE) for k in range(len(supp))), lp.EQ, ONE, ("mass", 0))
-        # with every leaf charged a leaf's column is its position, and each
-        # martingale row is the compiled gain column itself, shared
-        full = len(supp) == len(c.leaves)
-        for col, gains in enumerate(c.gain_columns):
-            coefs = gains if full else tuple((column_of[pos], v) for pos, v in gains
-                                             if pos in column_of)
-            if coefs:
-                add(coefs, lp.EQ, ZERO, ("martingale", col))
+        add(tuple((k, ONE) for k in range(len(c.charged))), lp.EQ, ONE, ("mass", 0))
+        for col, gains in enumerate(c.gain_columns):  # each row the compiled column, shared
+            if gains:
+                add(gains, lp.EQ, ZERO, ("martingale", col))
         for i, opt in enumerate(c.options):
-            coefs = tuple((k, opt.payoff[pos]) for k, pos in enumerate(supp) if opt.payoff[pos])
+            coefs = tuple((k, opt.payoff[pos]) for k, pos in enumerate(c.charged) if opt.payoff[pos])
             if not opt.has_spread():
                 add(coefs, lp.EQ, opt.bid, ("option", i))
             else:
                 add(coefs, lp.GE, opt.bid, ("option", i))
                 add(coefs, lp.LE, opt.ask, ("option", i))
-        face = lp.LpProblem([ZERO] * len(supp), rows, rels, rhs)
+        face = lp.LpProblem([ZERO] * len(c.charged), rows, rels, rhs)
         object.__setattr__(c, "_face", (lp._Phase1(face), tuple(layout)))
         return c._face
 

@@ -205,6 +205,7 @@ def _cmd_sharper_ftap(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
     if not bundle.na.holds:
         return _arbitrage_report("sharper-ftap", m, bundle.na.certificate)
     _require(arbitrage.verify_nar_witness(m, bundle.nar_witness), "robustness witness")
+    _require(len(bundle.dominating) == len(m.generator_names), "dominating measure count")
     for q, generator in zip(bundle.dominating, m.measures.generators):
         if q is not bundle.nar_witness.interior_measure:  # replayed above, domination in sharper_ftap
             _require_interior(m, q, "dominating measure")

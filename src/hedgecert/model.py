@@ -345,8 +345,9 @@ class CompiledMarket(MarketModel):
     classes, so a compiled market never equals a plain `MarketModel`;
     compare `marketio.market_to_json` instead. Node ids are dense after
     validation, so per-node data is indexed by id; leaf data is indexed by
-    leaf position. `integer_payoffs` holds each option's payoff as integers
-    over one denominator, the lcm of its entries' (`lp._over_lcm`), so the
+    leaf position, and gain entries by charged rank, a leaf's index in
+    `charged`. `integer_payoffs` holds each option's payoff as integers over
+    one denominator, the lcm of its entries' (`lp._over_lcm`), so the
     package prices every option under a measure by one integer dot product
     (`arbitrage._measure`); the replays read the payoffs themselves. Two
     fields are not init fields, so no constructor or `replace` sets them,
@@ -363,7 +364,7 @@ class CompiledMarket(MarketModel):
     nonleaf: tuple[int, ...]                        # non-leaf node ids, ascending
     charged: tuple[int, ...]                        # positions some generator charges
     columns: tuple[tuple[int, int], ...]            # (node id, asset) per dynamic column
-    gain_columns: tuple[tuple[tuple[int, Fraction], ...], ...]  # per column, (position, move) nonzeros
+    gain_columns: tuple[tuple[tuple[int, Fraction], ...], ...]  # per column, (charged rank, move) pairs
     integer_payoffs: tuple[tuple[tuple[int, ...], int], ...]   # per option, (numerators, den) by position
     generator_names: tuple[str, ...]
     _checked: bool = field(default=False, init=False, compare=False, repr=False)
@@ -423,27 +424,28 @@ def _compile(m: MarketModel) -> CompiledMarket:
                 edge.append(move)
             step[node.id] = tuple(edge)
         (leaves if node.time == tree.periods else nonleaf).append(node.id)
-    # an edge's increment enters its parent's columns once per leaf below it,
-    # in ascending leaf position as the leaves are walked in order
+    gens = m.measures.generators
+    # weights are validated nonnegative, so a nonzero one is positive
+    charged = sorted({pos for w in gens for pos, v in enumerate(w) if v})
+    # an edge's increment enters its parent's columns once per charged leaf
+    # below it, keyed by the leaf's rank in `charged`, ranks ascending
     first_column = {nid: k * assets for k, nid in enumerate(nonleaf)}
     gain_columns = [[] for _ in range(len(nonleaf) * assets)]
-    for pos, there in enumerate(leaves):
+    for rank, there in enumerate(leaves[pos] for pos in charged):
         while parent[there] is not None:
             k = first_column[parent[there]]
             for j, move in enumerate(step[there], k):
                 if move:
-                    gain_columns[j].append((pos, move))
+                    gain_columns[j].append((rank, move))
             there = parent[there]
 
-    gens = m.measures.generators
     c = CompiledMarket(
         m.tree, m.options, m.measures,
         prices=prices,
         children=tuple(map(tuple, children)),
         leaves=tuple(leaves),
         nonleaf=tuple(nonleaf),
-        # weights are validated nonnegative, so a nonzero one is positive
-        charged=tuple(sorted({pos for w in gens for pos, v in enumerate(w) if v})),
+        charged=tuple(charged),
         columns=tuple((nid, j) for nid in nonleaf for j in range(assets)),
         gain_columns=tuple(map(tuple, gain_columns)),
         integer_payoffs=tuple((tuple(nums), den) for nums, den in

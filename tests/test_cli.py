@@ -16,6 +16,7 @@ from hedgecert.marketio import claim_to_json, dump_market
 from hedgecert.model import Claim, Strategy
 from hedgecert.superhedge import verify_super_replication
 from markets import (
+    binomial_market,
     binomial_with_free_option,
     measure_of,
     spread_option_only_market,
@@ -368,23 +369,27 @@ def test_dual_verify_replays_the_printed_value(capsys, monkeypatch):
 def test_sharper_ftap_verify_replays_domination(capsys, monkeypatch, tmp_path):
     # an extreme martingale measure of the trinomial tree is consistent and,
     # with no option quoted, strictly inside every quote, but it leaves the
-    # middle leaf the flat generator charges uncharged
+    # middle leaf the flat generator charges uncharged; and the report names
+    # one dominating measure per generator, so a bundle with fewer or more is
+    # unsound too, where zipping it printed fewer or dropped some
     import hedgecert.redundancy as redundancy_mod
 
-    m = replace(trinomial_straddle_market(), options=[])
-    extreme = measure_of(m, [F(1, 2), F(0), F(1, 2)])
+    trinomial = replace(trinomial_straddle_market(), options=[])
+    extreme = measure_of(trinomial, [F(1, 2), F(0), F(1, 2)])
+    binomial = binomial_market()  # two generators
     sharper_ftap = redundancy_mod.sharper_ftap
-    monkeypatch.setattr(
-        redundancy_mod, "sharper_ftap", lambda m: replace(sharper_ftap(m), dominating=[extreme])
-    )
-    market = tmp_path / "m.json"
-    market.write_text(dump_market(m))
-    for flags in ([], ["--verify"]):  # the replay runs with or without the flag
-        code, out, err = run(capsys, "sharper-ftap", str(market), *flags)
-        assert code == 5
-        assert out is None
-        assert err["error"]["type"] == "soundness"
-        assert err["error"]["message"] == "certificate replay failed: domination"
+    witness = sharper_ftap(binomial).nar_witness.interior_measure
+    cases = [(trinomial, [extreme], "domination"),
+             (binomial, [], "dominating measure count"),
+             (binomial, [witness] * 3, "dominating measure count")]
+    for m, dominating, failed in cases:
+        monkeypatch.setattr(redundancy_mod, "sharper_ftap",
+                            lambda m: replace(sharper_ftap(m), dominating=dominating))
+        market = _dumped(tmp_path, m)
+        for flags in ([], ["--verify"]):  # the replay runs with or without the flag
+            code, out, err = run(capsys, "sharper-ftap", market, *flags)
+            assert (code, out, err["error"]["type"]) == (5, None, "soundness")
+            assert err["error"]["message"] == f"certificate replay failed: {failed}"
 
 
 def _dumped(tmp_path, m) -> str:

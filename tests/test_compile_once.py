@@ -5,8 +5,8 @@ shared elimination, superhedge_price and duality_report each solve one
 program, and `strict-dual --verify` solves the dual program once. The CLI validates
 and compiles each market file once and builds its parser once per process,
 never at import. The compiled gain columns are the nonzeros of a reference
-built from the price differences along each leaf's path, one entry per path
-edge and asset.
+built from the price differences along each charged leaf's path, one entry
+per path edge and asset.
 
 A `replace` copy of a compiled market is validated and compiled again:
 only a market `_compile` built, or `market_without_option` copied from one,
@@ -233,21 +233,29 @@ def test_a_reduced_market_keeps_the_payoff_integers_a_fresh_parse_compiles():
 
 
 def test_gain_columns_match_per_path_price_differences():
+    # each column holds the nonzero per-path price moves of the charged
+    # leaves alone, keyed by a leaf's rank among them, ranks ascending
     rng = random.Random(11)
     markets = [random_arbitrage_free_market(rng, min_periods=2) for _ in range(40)]
     markets += [random_arbitrary_market(rng, max_periods=3, max_assets=2) for _ in range(40)]
+    partial = 0
     for m in markets:
         # node order in the list is not id order: compile must not rely on it
         nodes = list(m.tree.nodes)
         rng.shuffle(nodes)
         shuffled = replace(m, tree=replace(m.tree, nodes=nodes))
         columns, rows = reference_gain_rows(m)
-        # the reference transposed, each column the (position, move) pairs of its nonzeros
-        expected = tuple(tuple((pos, row[k]) for pos, row in enumerate(rows) if row[k])
+        charged = sorted({pos for w in m.measures.generators for pos, v in enumerate(w) if v})
+        partial += len(charged) < len(rows)
+        # the reference on the charged leaves transposed, each column the
+        # (rank, move) pairs of its nonzeros
+        expected = tuple(tuple((rank, rows[pos][k]) for rank, pos in enumerate(charged)
+                               if rows[pos][k])
                          for k in range(len(columns)))
         for market in (m, shuffled):
             c = model.require_valid(market)
-            assert (c.columns, c.gain_columns) == (columns, expected)
+            assert (c.columns, c.charged, c.gain_columns) == (columns, tuple(charged), expected)
+    assert partial > 15
 
 
 def _partly_charged(rng, m):
@@ -261,17 +269,26 @@ def _partly_charged(rng, m):
 def test_face_rows_are_increasing_nonzero_pairs_that_densify_to_the_oracle_face():
     # every face row, and so every program row, is a tuple of (column,
     # value) pairs over the charged leaves alone, columns increasing and
-    # values nonzero; densified, the face is the oracle's, built from the tree
+    # values nonzero; densified, the face is the oracle's, built from the tree;
+    # each martingale row is its compiled gain column tuple itself, shared
     rng = random.Random(31)
     markets = [_partly_charged(rng, random_arbitrage_free_market(rng, min_periods=2))
                for _ in range(30)]
     markets += [_partly_charged(rng, random_arbitrary_market(rng, max_periods=3, max_assets=2))
                 for _ in range(30)]
-    partial = 0
+    while len(markets) < 80:  # partly charged by their own generators
+        m = random_arbitrary_market(rng, max_periods=3, max_assets=2)
+        if len(model.support(m)) < len(model.require_valid(m).leaves):
+            markets.append(m)
+    partial = shared = 0
     for m in markets:
         c = model.require_valid(m)
         partial += len(c.charged) < len(c.leaves)
-        face = arbitrage._face(c)[0]
+        face, layout = arbitrage._face(c)
+        for row, (kind, col) in zip(face.rows, layout):
+            if kind == "martingale":
+                assert row is c.gain_columns[col]
+                shared += 1
         width = len(c.charged)
         for row in face.rows:
             assert type(row) is tuple and all(type(pair) is tuple and len(pair) == 2 for pair in row)
@@ -282,7 +299,7 @@ def test_face_rows_are_increasing_nonzero_pairs_that_densify_to_the_oracle_face(
         assert dense_rows(face.rows, width) == [coefs for coefs, _, _ in expected]
         assert (face.relations, face.rhs) == ([rel for _, rel, _ in expected],
                                               [bound for _, _, bound in expected])
-    assert partial > 40
+    assert partial > 70 and shared > 200
 
 
 @pytest.mark.parametrize("periods", range(1, 11))

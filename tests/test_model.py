@@ -319,8 +319,8 @@ def test_strategy_rows_price_what_terminal_gain_replays(seed):
     gains = terminal_gain(c, c.strategy_from(primal))
     compiled = [ZERO] * len(c.leaves)  # the dynamic part, from the compiled gain columns
     for x, column in zip(primal, c.gain_columns):
-        for pos, move in column:
-            compiled[pos] += move * x
+        for rank, move in column:
+            compiled[c.charged[rank]] += move * x
     for pos, row in enumerate(strategy_rows(c)):
         assert sum(a * x for a, x in zip(row, primal)) == gains[pos]
         assert compiled[pos] + sum(a * x for a, x in zip(row[nh:], primal[nh:])) == gains[pos]
