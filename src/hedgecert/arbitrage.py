@@ -19,7 +19,6 @@ its outcome's multipliers, `_arbitrage` and `_robustness` a verdict.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -34,6 +33,7 @@ from .model import (
     ONE,
     _index,
     _integer_prices,
+    _kept,
     _terminal_gain,
     _top_down,
     require_valid,
@@ -117,14 +117,10 @@ def _measure(c: CompiledMarket, weights: list[Fraction]) -> MartingaleMeasure:
     return MartingaleMeasure(weights, values)
 
 
-_FACE_LOCK = threading.Lock()  # held while any market's face is built
-
-
 def _face(c: CompiledMarket):
-    """The measure programs' t = 0 face and its layout, built once, under
-    `_FACE_LOCK`, with `lp._Phase1` and kept with the market: (phase 1,
-    layout). Concurrent first queries on a market run one phase 1; phase 1
-    holds the GIL, so a build that waits on another loses nothing.
+    """The measure programs' t = 0 face and its layout, built once with
+    `lp._Phase1` and kept with the market (`model._kept`): (phase 1,
+    layout). Concurrent first queries on a market run one phase 1.
 
     Variables are R_w >= 0 per charged leaf. Rows, each its nonzeros'
     (column, value) pairs: total mass one, every node-level martingale
@@ -133,11 +129,7 @@ def _face(c: CompiledMarket):
     spread options. `layout[r]` names row r: ("mass", 0), ("martingale",
     dynamic column) or ("option", option index).
     """
-    if c._face is not None:  # state kept with the market, not market data
-        return c._face
-    with _FACE_LOCK:
-        if c._face is not None:  # another thread built it while this one waited
-            return c._face
+    def build(c):
         rows, rels, rhs, layout = [], [], [], []
 
         def add(coefs, rel, bound, name):
@@ -158,8 +150,9 @@ def _face(c: CompiledMarket):
                 add(coefs, lp.GE, opt.bid, ("option", i))
                 add(coefs, lp.LE, opt.ask, ("option", i))
         face = lp.LpProblem([ZERO] * len(c.charged), rows, rels, rhs)
-        object.__setattr__(c, "_face", (lp._Phase1(face), tuple(layout)))
-        return c._face
+        return lp._Phase1(face), tuple(layout)
+
+    return _kept(c, "_face", build)
 
 
 def _solve(c: CompiledMarket, objective: list[Fraction], push=None) -> lp.LpOutcome:

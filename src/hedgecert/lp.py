@@ -211,10 +211,12 @@ def _int_row(row) -> dict[int, int]:
 
 def _over_lcm(values) -> tuple[list[int], int]:
     """(numerators, den): every value as an integer over one positive common
-    denominator, the lcm of theirs, so values[j] == numerators[j] / den."""
+    denominator, the lcm of theirs, so values[j] == numerators[j] / den. A
+    zero's denominator is 1, so the lcm is taken over the distinct
+    denominators of the nonzero values, and a zero's numerator is 0."""
     ratios = [v.as_integer_ratio() for v in values]
-    den = lcm(*[q for _, q in ratios])
-    return [u * (den // q) for u, q in ratios], den
+    den = lcm(*{q for u, q in ratios if u})
+    return [u * (den // q) if u else 0 for u, q in ratios], den
 
 
 def _dot(a, b) -> Fraction:

@@ -5,10 +5,11 @@ validation reports any other entry. Arbitrage is a strict-inequality
 phenomenon, so nothing in the core ever touches floating point. No field of
 a model type can be reassigned once constructed and every operation is a
 pure function, which makes concurrent use on shared inputs safe without
-synchronization. The one exception is a compiled market's measure-program
-face (`arbitrage._face`), built under a lock on its first solve: a thread
-that finds it unbuilt takes the lock and looks again, so concurrent first
-queries run one phase 1. Nothing writes to the face after.
+synchronization. The one exception is the state a compiled market keeps:
+its measure-program face (`arbitrage._face`) and its option replications
+(`redundancy._replicate`), each built by `_kept` on its first use, under
+one lock: a thread that finds it unbuilt takes the lock and looks again,
+so concurrent first queries build it once. Nothing writes to it after.
 
 Leaves are indexed by *position* 0..L-1 in ascending node-id order among the
 nodes at the final period. Option payoffs, measure weights, and claims all
@@ -23,6 +24,7 @@ passes `require_valid` unchecked, so a `replace` copy is validated again.
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
@@ -349,13 +351,17 @@ class CompiledMarket(MarketModel):
     `charged`. `integer_payoffs` holds each option's payoff as integers over
     one denominator, the lcm of its entries' (`lp._over_lcm`), so the
     package prices every option under a measure by one integer dot product
-    (`arbitrage._measure`); the replays read the payoffs themselves. Two
+    (`arbitrage._measure`); the replays read the payoffs themselves. Three
     fields are not init fields, so no constructor or `replace` sets them,
-    and neither is compared or shown: `_checked` marks the markets
+    and none is compared or shown. `_checked` marks the markets
     `require_valid` passes unchanged, those `_compile` built and
-    `market_without_option` copied, and `_face` is the measure programs'
-    face, its phase 1 and row layout (`arbitrage._face`), built once, under
-    a lock, on the market's first solve (see the module docstring).
+    `market_without_option` copied. The other two are kept state, each
+    built once by `_kept` (see the module docstring): `_face` is the
+    measure programs' face, its phase 1 and row layout (`arbitrage._face`),
+    built on the market's first solve, and `_replications` holds, per
+    option, None when it is non-redundant, else its replication vector over
+    [1 | G | P_others] as a tuple (`redundancy._replicate`), built on the
+    first redundancy query.
     """
 
     prices: tuple[tuple[Fraction, ...], ...]        # by node id
@@ -369,6 +375,8 @@ class CompiledMarket(MarketModel):
     generator_names: tuple[str, ...]
     _checked: bool = field(default=False, init=False, compare=False, repr=False)
     _face: tuple[_Phase1, tuple] | None = field(default=None, init=False, compare=False, repr=False)
+    _replications: tuple[tuple[Fraction, ...] | None, ...] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     def strategy_from(self, primal: list[Fraction]) -> Strategy:
         """The strategy a vector encodes in strategy-column order: the
@@ -378,6 +386,26 @@ class CompiledMarket(MarketModel):
         for (nid, asset), value in zip(self.columns, primal):
             dynamic[nid][asset] = value
         return Strategy(dynamic, list(primal[nh:nh + e]), list(primal[nh + e:nh + 2 * e]))
+
+
+_KEPT_LOCK = threading.Lock()  # held while any market's kept state is built
+
+
+def _kept(c: CompiledMarket, name: str, build):
+    """The state a compiled market keeps in its non-init field `name`,
+    `build(c)` on first use. The build runs under `_KEPT_LOCK`, and a
+    thread that finds the field unbuilt looks again once it holds the lock,
+    so concurrent first uses build it once; a build holds the GIL, so one
+    that waits on another loses nothing. A build must not call `_kept`."""
+    kept = getattr(c, name)
+    if kept is not None:
+        return kept
+    with _KEPT_LOCK:
+        kept = getattr(c, name)
+        if kept is None:  # no other thread built it while this one waited
+            kept = build(c)
+            object.__setattr__(c, name, kept)
+        return kept
 
 
 def require_valid(m: MarketModel) -> CompiledMarket:
@@ -460,8 +488,9 @@ def market_without_option(m: MarketModel, i: int) -> MarketModel:
     """The market less option i; a compiled market stays compiled, and a
     plain one plain. The market is validated first; an `i` that is not an
     int in range is a DomainError. A subset of a valid market's options is
-    valid and only `_face` and `integer_payoffs` depend on them, so a
-    compiled copy, less option i's payoff integers, stays marked."""
+    valid and only the kept state and `integer_payoffs` depend on them, so
+    a compiled copy, less option i's payoff integers, stays marked and
+    builds its own kept state."""
     c = require_valid(m)
     _index(i, len(c.options), "option index")
     options = [opt for k, opt in enumerate(c.options) if k != i]

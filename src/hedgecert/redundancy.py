@@ -7,7 +7,10 @@ inequality and no objective, so exact elimination decides it and any
 solution is the replication certificate. One reduced row-echelon form of
 [1 | G | P] on the charged leaves serves all options at once: whether
 option i's payoff column takes a pivot, and which later payoff columns lean
-on it, decide it and give its certificate. When every option with a
+on it, decide it and give its replication. The answer depends on the
+compiled market alone, so every option's replication is solved once, on
+the market's first redundancy query, and kept with it; each query reads
+its verdicts and fresh certificates off them. When every option with a
 nonzero spread is non-redundant, no-arbitrage and robust no-arbitrage
 coincide, so one solve of the robust program settles the whole market
 either way; `sharper_ftap` bundles exactly that, and solves no other
@@ -30,8 +33,8 @@ from .arbitrage import (
 )
 from .errors import PreconditionError, StructureError
 from .lp import _rational_lists, _reduce_linear
-from .model import (CompiledMarket, MarketModel, Strategy, ZERO, ONE, _index, require_valid,
-                    terminal_gain)
+from .model import (CompiledMarket, MarketModel, Strategy, ZERO, ONE, _index, _kept,
+                    require_valid, terminal_gain)
 
 
 @dataclass
@@ -63,8 +66,10 @@ class SharperFtapBundle:
     dominating: list[MartingaleMeasure] | None
 
 
-def _replications(c: CompiledMarket, targets: list[int]) -> dict[int, NonredundancyVerdict]:
-    """Decide every option in `targets` from one reduced row-echelon form.
+def _replicate(c: CompiledMarket) -> tuple[tuple[Fraction, ...] | None, ...]:
+    """Every option's replication from one reduced row-echelon form: per
+    option, None when it is non-redundant, else its solution over
+    [1 | G | P_others], as a tuple. Built once per market (`model._kept`).
 
     [1 | G | P] on the charged leaves is reduced once, in column order.
     Option i's payoff column then reads in one of two ways. Without a pivot
@@ -73,13 +78,11 @@ def _replications(c: CompiledMarket, targets: list[int]) -> dict[int, Nonredunda
     without a pivot has a nonzero entry in row r; the first such column f is
     a combination of the pivot columns, P_i among them, solved for P_i. So
     column j (i itself, or f) has a dependency d with d . [1 | G | P] = 0
-    and d_j = 1, and the certificate is -d / d_i without column i.
+    and d_j = -1, and the replication is d / -d_i without column i.
     Column-ordered Gauss-Jordan on [1 | G | P_others] takes the same
     pivots, f's in place of P_i's, so this is that system's solution
     against P_i, with every column that takes no pivot at 0.
     """
-    if not targets:
-        return {}
     nb, e = 1 + len(c.columns), len(c.options)
     rows = [[(0, ONE)] for _ in c.charged]  # [1 | G | P] by charged rank, in column order
     for col, gains in enumerate(c.gain_columns, 1):
@@ -89,23 +92,38 @@ def _replications(c: CompiledMarket, targets: list[int]) -> dict[int, Nonredunda
         row += [(col, opt.payoff[pos]) for col, opt in enumerate(c.options, nb) if opt.payoff[pos]]
     piv, tails = _reduce_linear(list(map(tuple, rows)), nb, nb + e)
     row_of = {col: k for k, col in enumerate(piv)}
-    verdicts = {}
-    for i in targets:
+    replications = []
+    for i in range(e):
         j = i
         if nb + i in row_of:
             lean = tails[row_of[nb + i]]
             j = next((f for f in range(i + 1, e) if nb + f not in row_of and lean[f]), None)
             if j is None:
-                verdicts[i] = NonredundancyVerdict(True)
+                replications.append(None)
                 continue
         d = [ZERO] * (nb + e)
-        d[nb + j] = ONE
+        d[nb + j] = -ONE
         for col, tail in zip(piv, tails):
-            d[col] = -tail[j]
-        s = d.pop(nb + i)  # option i's own coefficient, nonzero
-        x = [-v / s if v else ZERO for v in d]  # over [1 | G | P_others]
-        dynamic = c.strategy_from(x[1:nb]).dynamic
-        verdicts[i] = NonredundancyVerdict(False, ReplicationCertificate(x[0], dynamic, x[nb:]))
+            d[col] = tail[j]
+        s = -d.pop(nb + i)  # minus option i's own coefficient, nonzero
+        replications.append(tuple([v / s if v else ZERO for v in d]))
+    return tuple(replications)
+
+
+def _replications(c: CompiledMarket, targets: list[int]) -> dict[int, NonredundancyVerdict]:
+    """The verdict of every option in `targets`, read off the replications
+    the market keeps (`_replicate`), which a market with no target never
+    builds. Each call builds its own verdicts and certificates, the
+    dynamic positions by `strategy_from`, so a caller that changes one
+    changes nothing the market keeps."""
+    if not targets:
+        return {}
+    replications, nb = _kept(c, "_replications", _replicate), 1 + len(c.columns)
+    verdicts = {}
+    for i in targets:
+        x = replications[i]  # None, or a tuple led by the capital
+        verdicts[i] = NonredundancyVerdict(x is None, x and ReplicationCertificate(
+            x[0], c.strategy_from(x[1:nb]).dynamic, list(x[nb:])))
     return verdicts
 
 

@@ -1,4 +1,4 @@
-"""Check nine rules over the modules of the package, `src/hedgecert/*.py`.
+"""Check ten rules over the modules of the package, `src/hedgecert/*.py`.
 
 A name a module imports but never uses fails; __init__.py is skipped,
 because its imports are the package's re-exports. So does a name in a
@@ -15,17 +15,22 @@ annotation is not a use. So does a read of a `.rows` attribute outside
 lp.py: a program's rows are the face's, one column short of a push
 program's, and only the kernel and its replay, which derives the late
 column, may read them. So does dead compiled state: a field of
-`CompiledMarket` that no module of the package reads as an attribute; a read
-from tests alone does not count. So does a replay that reads compiled
-payoffs: a `verify_*` function or `strictly_inside_quotes` that reads
-`integer_payoffs`, so every replay prices the options from their payoffs,
-apart from the queries. So does a use of `lp._combine`, as a name or an
+`CompiledMarket` that no module of the package reads, as an attribute or as
+the field a `_kept` call names; a read from tests alone does not count. So
+does a replay that reads compiled payoffs: a `verify_*` function or
+`strictly_inside_quotes` that reads `integer_payoffs`, so every replay
+prices the options from their payoffs, apart from the queries. So does a
+use of `lp._combine`, as a name or an
 attribute, anywhere but in `_pivot`: every row update is a pivot's, and
 phase 2 builds its start row in one sum. So does, in arbitrage.py, a use of
 `solve_lp` or a `.program` attribute outside `_solve`, or of `LpProblem` or
 `_Phase1` outside `_face`: every reader of a measure program takes
 `_solve`'s outcome, not a problem of its own. An import or an annotation is
-not a use. Nine rules in all.
+not a use. So does a write of kept state outside `model._kept`: an
+`object.__setattr__` call anywhere else whose name is not a string, or is
+a non-init `CompiledMarket` field other than `_checked`, so each piece of
+state a compiled market keeps is built once, under its lock. Ten rules in
+all.
 
     python tests/package_rules.py
 
@@ -148,6 +153,9 @@ problems += [f"{path}:{node.lineno}: .rows read outside lp.py, the one reader of
              and node.attr == "rows" and isinstance(node.ctx, ast.Load)]
 read = {node.attr for tree in trees.values() for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+read |= {node.args[1].value for tree in trees.values() for node in ast.walk(tree)
+         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_kept"
+         and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)}
 model_path = pathlib.Path("src/hedgecert/model.py")
 compiled = next(node for node in trees[model_path].body
                 if isinstance(node, ast.ClassDef) and node.name == "CompiledMarket")
@@ -173,8 +181,27 @@ problems += [f"{path}:{node.lineno}: _combine used in {function or 'module scope
              "only _pivot may update a row" for path, tree in trees.items()
              for function, node in scoped(tree) if function != "_pivot"
              and "_combine" in (getattr(node, "id", None), getattr(node, "attr", None))]
+def init_false(node):
+    """True for a class-body field declared `= field(..., init=False, ...)`."""
+    return isinstance(node, ast.AnnAssign) and isinstance(node.value, ast.Call) and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+        for k in node.value.keywords)
+
+kept = {node.target.id for node in compiled.body if init_false(node)} - {"_checked"}
+for path, tree in trees.items():
+    for function, node in scoped(tree):
+        func = node.func if isinstance(node, ast.Call) else None
+        if not (isinstance(func, ast.Attribute) and func.attr == "__setattr__"
+                and getattr(func.value, "id", None) == "object" and len(node.args) > 1):
+            continue
+        name = node.args[1].value if isinstance(node.args[1], ast.Constant) else None
+        if (path, function) != (model_path, "_kept") and (not isinstance(name, str) or name in kept):
+            problems.append(f"{path}:{node.lineno}: kept state {name or 'by a computed name'} "
+                            f"written in {function or 'module scope'}; only model._kept may "
+                            "write it")
 print("\n".join(problems) or "no unused imports, unbound annotation names, dead "
       "private code, solver use outside lp.py and arbitrage.py, row read "
       "outside lp.py, unread compiled field, replay of compiled payoffs, row "
-      "update outside _pivot or program built or solved outside _face and _solve")
+      "update outside _pivot, program built or solved outside _face and _solve or kept "
+      "state written outside _kept")
 sys.exit(bool(problems))

@@ -194,10 +194,16 @@ def test_a_replace_copy_with_a_float_payoff_is_named_before_any_program_runs(mon
 
 
 def test_only_compile_and_market_without_option_mark_a_market():
+    # a copy starts with no kept state: no face and no replications
     m = binomial_with_spread_option()
     c = model.require_valid(m)
+    arbitrage.check_nar(c)
+    redundancy.check_nonredundant(c, 0)
+    assert c._face is not None and c._replications is not None
     reduced = superhedge.market_without_option(c, 0)
-    assert model.require_valid(reduced) is reduced and reduced._face is None
+    assert model.require_valid(reduced) is reduced
+    assert reduced._face is None and reduced._replications is None
+    assert replace(c)._face is None and replace(c)._replications is None
     # an unmarked copy is compiled again first, so its reduction is marked too
     again = superhedge.market_without_option(replace(c), 0)
     assert isinstance(again, CompiledMarket) and model.require_valid(again) is again

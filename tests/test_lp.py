@@ -1,4 +1,5 @@
 import copy
+import math
 import random
 from dataclasses import replace
 from decimal import Decimal
@@ -249,6 +250,27 @@ def test_reduce_linear_leaves_exact_pivot_tails_and_a_residual():
     assert (piv, tails) == ([0, 1], [[I, Z], [Z, I]])
     piv, tails = _reduce([[F(2), F(1, 3)], [F(4), F(2, 3)]], 1)
     assert (piv, tails) == ([0], [[F(1, 6)]])
+
+
+def _over_lcm_of_every_entry(values):
+    """`lp._over_lcm` as it was defined before it skipped zero entries."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*[q for _, q in ratios])
+    return [u * (den // q) for u, q in ratios], den
+
+
+def test_over_lcm_skipping_zeros_equals_the_lcm_of_every_entry():
+    rng = random.Random(37)
+    draws = [lambda: 0, lambda: Z, lambda: rng.randint(-50, 50),
+             lambda: F(rng.randint(-50, 50), rng.randint(1, 60)),
+             lambda: F(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 20))]
+    vectors = [[], [0], [Z, Z], [Z] * 64 + [I], [F(1, 3), 0, F(-1, 3)]]
+    vectors += [[rng.choice(draws)() for _ in range(rng.randint(1, 40))] for _ in range(500)]
+    for values in vectors:
+        nums, den = lp._over_lcm(values)
+        assert (nums, den) == _over_lcm_of_every_entry(values), values
+        assert all(type(u) is int for u in nums) and type(den) is int and den > 0
+        assert [F(u, den) for u in nums] == values
 
 
 def test_solver_never_writes_to_its_inputs():

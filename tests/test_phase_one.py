@@ -418,12 +418,16 @@ def test_threads_that_build_programs_at_once_share_the_face_rows():
 
 
 def test_the_stored_phase_one_reaches_no_comparison_repr_or_file():
+    # nor do the kept option replications
     warm = parse_market(dump_market(binomial_with_spread_option()))
     fresh = parse_market(dump_market(warm))
     arbitrage.check_nar(warm)
+    redundancy.all_spread_options_nonredundant(warm)
     assert warm._face is not None and fresh._face is None
+    assert warm._replications is not None and fresh._replications is None
     assert warm == fresh
-    assert repr(warm) == repr(fresh) and "_face" not in repr(warm)
+    assert repr(warm) == repr(fresh)
+    assert "_face" not in repr(warm) and "_replications" not in repr(warm)
     assert market_to_json(warm) == market_to_json(fresh)
     assert dump_market(warm) == dump_market(fresh)
     problem, _ = measure_program(warm, [ZERO] * len(warm.charged) + [ONE], 1)

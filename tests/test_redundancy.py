@@ -1,5 +1,8 @@
+import copy
 import random
 import re
+import threading
+import time
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction as F
@@ -311,3 +314,107 @@ def test_sharper_ftap_equals_the_two_program_path():
         assert verify_na_certificate(m, outcome.na.certificate), m
         kinds["arbitrage"] += 1
     assert min(kinds.values()) >= 10, kinds
+
+
+def test_warm_redundancy_answers_equal_the_cold_ones(monkeypatch):
+    # a compiled market keeps every option's replication from its first
+    # redundancy query: the next two calls of each query, which run no
+    # elimination, give what the first gave and what each option's own dense
+    # elimination gives, and every redundant certificate replays
+    eliminations = []
+    reduce_linear = redundancy._reduce_linear
+    monkeypatch.setattr(redundancy, "_reduce_linear",
+                        lambda *args: eliminations.append(args) or reduce_linear(*args))
+    redundant = 0
+    for m in _reference_markets():
+        c = require_valid(m)
+        expected = [oracle.replication_solve(m, i) for i in range(len(m.options))]
+        before, runs = len(eliminations), []
+        for _ in range(3):
+            verdicts = [check_nonredundant(c, i) for i in range(len(c.options))]
+            report = all_spread_options_nonredundant(c)
+            assert verdicts == expected, m
+            assert report.verdicts == {i: expected[i] for i in report.verdicts}, m
+            for i, verdict in enumerate(verdicts):
+                if not verdict.non_redundant:
+                    assert verify_replication(c, i, verdict.certificate), (m, i)
+                    redundant += 1
+            runs.append((verdicts, report, _outcome(sharper_ftap, c)))
+        assert runs[1] == runs[0] and runs[2] == runs[0], m
+        assert len(eliminations) - before == (1 if c.options else 0), m
+    assert redundant >= 3 * 40, redundant
+
+
+def _scrawl(cert):
+    """Change every part of a certificate in place: its capital, each dynamic
+    position list and the dict holding them, and the static positions."""
+    cert.initial_capital += 1
+    for positions in cert.dynamic.values():
+        positions.append(ONE)
+    cert.dynamic[-1] = [ONE]
+    cert.static_signed.append(ONE)
+    if len(cert.static_signed) > 1:
+        cert.static_signed[0] += 1
+
+
+def test_each_call_hands_out_certificates_of_its_own():
+    # a caller that changes the certificate one call returns changes
+    # nothing the market keeps: the next call's certificate is the one the
+    # first call returned, and it still replays
+    changed = 0
+    for m in _reference_markets():
+        c = require_valid(m)
+        for i in range(len(c.options)):
+            first = check_nonredundant(c, i)
+            if first.non_redundant:
+                continue
+            kept = copy.deepcopy(first)
+            _scrawl(first.certificate)
+            report = all_spread_options_nonredundant(c)
+            kept_report = copy.deepcopy(report)
+            for verdict in report.verdicts.values():
+                if verdict.certificate is not None:
+                    _scrawl(verdict.certificate)
+            again = check_nonredundant(c, i)
+            assert again == kept and again != first, (m, i)
+            assert verify_replication(c, i, again.certificate), (m, i)
+            assert all_spread_options_nonredundant(c) == kept_report, (m, i)
+            changed += 1
+    assert changed >= 40, changed
+
+
+def test_concurrent_first_redundancy_queries_on_one_market_run_one_elimination(monkeypatch):
+    # a slow elimination keeps every thread's first query in flight
+    # together: each finds the replications unbuilt, and all but one must
+    # wait for that one's
+    queries = [lambda c: check_nonredundant(c, 0),
+               lambda c: check_nonredundant(c, len(c.options) - 1),
+               all_spread_options_nonredundant, lambda c: _outcome(sharper_ftap, c)]
+    markets = [wide_quote_identical_options_market(), trinomial_straddle_market()]
+    expected = [[query(require_valid(m)) for query in queries] for m in markets]
+    calls = []
+    reduce_linear = redundancy._reduce_linear
+
+    def slow(*args):
+        calls.append(args)
+        time.sleep(0.05)
+        return reduce_linear(*args)
+
+    monkeypatch.setattr(redundancy, "_reduce_linear", slow)
+    for m, sequential in zip(markets, expected):
+        c, answers = require_valid(m), [None] * 4
+        start = threading.Barrier(4, timeout=60)
+
+        def run(i):
+            start.wait()
+            answers[i] = queries[i](c)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(calls) == 1, m
+        assert answers == sequential, m
+        calls.clear()
