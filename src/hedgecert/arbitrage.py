@@ -108,13 +108,23 @@ class NarVerdict:
 _NO_CONSISTENT_MEASURE = "no quote-consistent martingale measure is supported on the charged scenarios"
 
 
-def _measure(c: CompiledMarket, weights: list[Fraction]) -> MartingaleMeasure:
-    """The measure with the package's own weights, one per leaf, kept as
-    given: they are put over one lcm once, and each option is priced by one
-    integer dot product with its compiled payoff integers."""
-    w, den = lp._over_lcm(weights)
-    values = [Fraction(sum(map(mul, w, pay)), den * pay_den) for pay, pay_den in c.integer_payoffs]
-    return MartingaleMeasure(weights, values)
+def _measure(c: CompiledMarket, values, shift=ZERO) -> MartingaleMeasure:
+    """The measure with one weight per charged leaf, `values` by charged
+    rank plus `shift`, and 0 on every other leaf; a program's trailing
+    floor t is not read. The values and the shift are put over one lcm
+    once, so each shifted weight is one Fraction, and with no shift the
+    weights are the values as given. Each option is priced by one integer
+    dot product with its compiled payoff integers, by charged rank too."""
+    nums, den = lp._over_lcm([*values[:len(c.charged)], shift])
+    s = nums.pop()
+    if s:
+        nums = [u + s for u in nums]
+        values = [Fraction(u, den) for u in nums]
+    weights = [ZERO] * len(c.leaves)
+    for pos, v in zip(c.charged, values):
+        weights[pos] = v
+    option_values = [Fraction(sum(map(mul, nums, pay)), den * pay_den) for pay, pay_den in c.integer_payoffs]
+    return MartingaleMeasure(weights, option_values)
 
 
 def _face(c: CompiledMarket):
@@ -223,20 +233,6 @@ def check_na(m: MarketModel) -> NaVerdict:
     return _arbitrage(c, out)
 
 
-def _weights_on_charged(c: CompiledMarket, values, shift=ZERO) -> list[Fraction]:
-    """Leaf weights from one program value per charged leaf, plus `shift`.
-    A nonzero shift is added in integers, over one denominator with the
-    values, and each shifted weight is one Fraction."""
-    if shift:
-        nums, den = lp._over_lcm([*values[:len(c.charged)], shift])
-        s = nums.pop()
-        values = [Fraction(u + s, den) for u in nums]
-    weights = [ZERO] * len(c.leaves)
-    for pos, v in zip(c.charged, values):
-        weights[pos] = v
-    return weights
-
-
 def _robustness(c: CompiledMarket, out: lp.LpOutcome) -> NarVerdict:
     """The robust verdict of a solved push-1 floor program: the interior
     measure and the strictly shrunk quotes when the slack is positive."""
@@ -247,7 +243,7 @@ def _robustness(c: CompiledMarket, out: lp.LpOutcome) -> NarVerdict:
         return NarVerdict(False, blocking="maximal uniform slack is 0: every consistent martingale "
                           "measure touches a quote bound or drops a charged scenario")
 
-    measure = _measure(c, _weights_on_charged(c, out.primal, slack))
+    measure = _measure(c, out.primal, slack)
     half = slack / 2
     shrunk_bids = [opt.bid + half if opt.has_spread() else opt.bid for opt in c.options]
     shrunk_asks = [opt.ask - half if opt.has_spread() else opt.ask for opt in c.options]
@@ -321,7 +317,7 @@ def scenario_pricing_measure(m: MarketModel, leaf: int) -> MartingaleMeasure | N
     out = _solve(c, objective)
     if out.status == lp.INFEASIBLE or out.objective_value == 0:
         return None
-    return _measure(c, _weights_on_charged(c, out.primal))
+    return _measure(c, out.primal)
 
 
 def verify_measure(m: MarketModel, q: MartingaleMeasure) -> bool:

@@ -16,8 +16,8 @@ raises SoundnessError instead of looping. A minimization of c . x is the
 maximization of -c . x: the same standard form and pivots, with the value
 and the duals negated.
 
-A problem row is sparse from the start, in `LpProblem`, `_reduce_linear`
-and the replay alike: the tuple of its nonzeros as (column, value) pairs,
+A problem row is sparse from the start, in `LpProblem`, `redundancy`'s
+system and the replay alike: the tuple of its nonzeros as (column, value) pairs,
 columns increasing; only an objective is a dense list. The tableau is
 fraction-free and sparse too. Each row and the reduced-cost row is a dict
 {column: int} of its nonzero entries, the rhs under key ncols, and stands
@@ -29,12 +29,13 @@ positive. A pivot on column c with pivot row p replaces each row holding
 an entry a at c by p[c] * row - a * p, divided by its gcd; it visits only
 p's nonzeros and deletes the entries that cancel, and rows without c are
 untouched. The ratio test compares b_i / a_i by cross-multiplication. The
-same elimination (`_reduce`, on integer rows) brings a linear system to
-reduced row-echelon form in `_reduce_linear`, which `redundancy` reads
-every option's verdict off, and `_factor` runs it once per face to invert
-the face's basis. The certificate replays in `model` and `arbitrage` use
-the same integer arithmetic: `_over_lcm` puts rationals over one common
-denominator, and `_dot` is the exact dot product built on it.
+same elimination (`_reduce`, on integer rows, `_int_row`) brings a linear
+system to reduced row-echelon form: `redundancy._replicate` reads every
+option's verdict and replication straight off its integer rows, and
+`_factor` runs it once per face to invert the face's basis. The
+certificate replays in `model` and `arbitrage` use the same integer
+arithmetic: `_over_lcm` puts rationals over one common denominator, and
+`_dot` is the exact dot product built on it.
 
 Fractions appear only at the boundary. `_standard` builds each standard
 row [A | b] once, as a primitive integer vector rows[k] = scale[k] *
@@ -271,21 +272,6 @@ def _pivot(rows, r, c, red=None):
         _combine(red, c, pc, nonzeros)
 
 
-def _reduce_linear(rows, n: int, width: int) -> tuple[list[int], list[list[Fraction]]]:
-    """The reduced row-echelon form of sparse `rows` over columns below
-    `width`, by Gauss-Jordan elimination in column order (`_reduce`), each
-    pivot on the first remaining row that holds the column. Returns the
-    pivot columns and, for each pivot row in order, its entries in columns
-    n to width divided by its pivot, so exact. The rows are not checked:
-    nonzero int or Fraction values in columns below width, as a compiled
-    market builds them.
-    """
-    a = [_int_row(row) for row in rows]
-    piv_cols = _reduce(a, width)
-    return piv_cols, [[Fraction(row[j], row[c]) if j in row else _ZERO for j in range(n, width)]
-                      for row, c in zip(a, piv_cols)]
-
-
 def _reduce(a: list[dict[int, int]], n: int) -> list[int]:
     """Gauss-Jordan on integer rows over their columns below n, in place.
 
@@ -484,9 +470,9 @@ class _Phase1:
         # p's own lists, which every program shares: they must not change after
         self.rows, self.relations, self.rhs = p.rows, p.relations, p.rhs
         self.n = n = len(p.objective)
-        tab, self.scale, cols, self.ncols = _standard(p)
-        basis, feasible = _phase_one(tab, self.scale, cols, self.ncols)
-        inverse = _factor(cols, self.scale, basis, self.ncols)
+        tab, scale, cols, self.ncols = _standard(p)
+        basis, feasible = _phase_one(tab, scale, cols, self.ncols)
+        inverse = _factor(cols, scale, basis, self.ncols)
         self.farkas = self.inverse = self.tab = self.basis = self.tab_sums = None
         if not feasible:
             # an infeasible face keeps its Farkas vector alone: the duals of

@@ -348,14 +348,15 @@ class CompiledMarket(MarketModel):
     compare `marketio.market_to_json` instead. Node ids are dense after
     validation, so per-node data is indexed by id; leaf data is indexed by
     leaf position, and gain entries by charged rank, a leaf's index in
-    `charged`. `integer_payoffs` holds each option's payoff as integers over
-    one denominator, the lcm of its entries' (`lp._over_lcm`), so the
-    package prices every option under a measure by one integer dot product
-    (`arbitrage._measure`); the replays read the payoffs themselves. Three
-    fields are not init fields, so no constructor or `replace` sets them,
-    and none is compared or shown. `_checked` marks the markets
-    `require_valid` passes unchanged, those `_compile` built and
-    `market_without_option` copied. The other two are kept state, each
+    `charged`. `integer_payoffs` holds each option's payoff on the charged
+    leaves, by charged rank, as integers over one denominator, the lcm of
+    those entries' (`lp._over_lcm`), so the package prices every option
+    under a measure, which weighs only the charged leaves, by one integer
+    dot product (`arbitrage._measure`); the replays read the payoffs
+    themselves. Three fields are not init fields, so no constructor or
+    `replace` sets them, and none is compared or shown. `_checked` marks
+    the markets `require_valid` passes unchanged, those `_compile` built
+    and `market_without_option` copied. The other two are kept state, each
     built once by `_kept` (see the module docstring): `_face` is the
     measure programs' face, its phase 1 and row layout (`arbitrage._face`),
     built on the market's first solve, and `_replications` holds, per
@@ -371,7 +372,7 @@ class CompiledMarket(MarketModel):
     charged: tuple[int, ...]                        # positions some generator charges
     columns: tuple[tuple[int, int], ...]            # (node id, asset) per dynamic column
     gain_columns: tuple[tuple[tuple[int, Fraction], ...], ...]  # per column, (charged rank, move) pairs
-    integer_payoffs: tuple[tuple[tuple[int, ...], int], ...]   # per option, (numerators, den) by position
+    integer_payoffs: tuple[tuple[tuple[int, ...], int], ...]   # per option, (numerators, den) by charged rank
     generator_names: tuple[str, ...]
     _checked: bool = field(default=False, init=False, compare=False, repr=False)
     _face: tuple[_Phase1, tuple] | None = field(default=None, init=False, compare=False, repr=False)
@@ -477,7 +478,7 @@ def _compile(m: MarketModel) -> CompiledMarket:
         columns=tuple((nid, j) for nid in nonleaf for j in range(assets)),
         gain_columns=tuple(map(tuple, gain_columns)),
         integer_payoffs=tuple((tuple(nums), den) for nums, den in
-                              (_over_lcm(opt.payoff) for opt in m.options)),
+                              (_over_lcm([opt.payoff[pos] for pos in charged]) for opt in m.options)),
         generator_names=tuple(m.measures.names or (f"P{k}" for k in range(len(gens)))),
     )
     object.__setattr__(c, "_checked", True)

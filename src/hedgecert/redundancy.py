@@ -32,7 +32,7 @@ from .arbitrage import (
     _robustness,
 )
 from .errors import PreconditionError, StructureError
-from .lp import _rational_lists, _reduce_linear
+from .lp import _int_row, _rational_lists, _reduce
 from .model import (CompiledMarket, MarketModel, Strategy, ZERO, ONE, _index, _kept,
                     require_valid, terminal_gain)
 
@@ -71,17 +71,19 @@ def _replicate(c: CompiledMarket) -> tuple[tuple[Fraction, ...] | None, ...]:
     option, None when it is non-redundant, else its solution over
     [1 | G | P_others], as a tuple. Built once per market (`model._kept`).
 
-    [1 | G | P] on the charged leaves is reduced once, in column order.
-    Option i's payoff column then reads in one of two ways. Without a pivot
-    it is the combination of the pivot columns its reduced entries give.
-    With a pivot in row r it is redundant exactly when a later payoff column
-    without a pivot has a nonzero entry in row r; the first such column f is
-    a combination of the pivot columns, P_i among them, solved for P_i. So
-    column j (i itself, or f) has a dependency d with d . [1 | G | P] = 0
-    and d_j = -1, and the replication is d / -d_i without column i.
-    Column-ordered Gauss-Jordan on [1 | G | P_others] takes the same
-    pivots, f's in place of P_i's, so this is that system's solution
-    against P_i, with every column that takes no pivot at 0.
+    [1 | G | P] on the charged leaves is reduced once, in column order, on
+    integer rows (`lp._int_row`, `lp._reduce`), and each replication is
+    read straight off those rows, one Fraction per nonzero entry. Option
+    i's payoff column p then reads in one of two ways. Without a pivot it
+    is the combination of the pivot columns its entries give: column j = p
+    has x[piv_k] = a_k[j] / a_k[piv_k]. With a pivot in row r it is
+    redundant exactly when a later payoff column j without a pivot has
+    a_r[j] != 0; the first such j is a combination of the pivot columns,
+    P_i among them, solved for P_i: every entry above is scaled by
+    -a_r[p] / a_r[j], and x[j] = a_r[p] / a_r[j]. Column-ordered
+    Gauss-Jordan on [1 | G | P_others] takes the same pivots, j's in place
+    of p's, so this is that system's solution against P_i, with every
+    column that takes no pivot at 0.
     """
     nb, e = 1 + len(c.columns), len(c.options)
     rows = [[(0, ONE)] for _ in c.charged]  # [1 | G | P] by charged rank, in column order
@@ -90,23 +92,26 @@ def _replicate(c: CompiledMarket) -> tuple[tuple[Fraction, ...] | None, ...]:
             rows[k].append((col, v))
     for row, pos in zip(rows, c.charged):
         row += [(col, opt.payoff[pos]) for col, opt in enumerate(c.options, nb) if opt.payoff[pos]]
-    piv, tails = _reduce_linear(list(map(tuple, rows)), nb, nb + e)
+    a = [_int_row(row) for row in rows]
+    piv = _reduce(a, nb + e)
     row_of = {col: k for k, col in enumerate(piv)}
     replications = []
-    for i in range(e):
-        j = i
-        if nb + i in row_of:
-            lean = tails[row_of[nb + i]]
-            j = next((f for f in range(i + 1, e) if nb + f not in row_of and lean[f]), None)
+    for p in range(nb, nb + e):
+        j, num, den = p, 1, 1  # the replication is num / den times column j's dependency
+        if p in row_of:
+            r = a[row_of[p]]
+            j = next((f for f in range(p + 1, nb + e) if f not in row_of and f in r), None)
             if j is None:
                 replications.append(None)
                 continue
-        d = [ZERO] * (nb + e)
-        d[nb + j] = -ONE
-        for col, tail in zip(piv, tails):
-            d[col] = tail[j]
-        s = -d.pop(nb + i)  # minus option i's own coefficient, nonzero
-        replications.append(tuple([v / s if v else ZERO for v in d]))
+            num, den = -r[p], r[j]
+        x = [ZERO] * (nb + e)
+        x[j] = Fraction(-num, den)
+        for col, row in zip(piv, a):
+            if j in row:
+                x[col] = Fraction(num * row[j], den * row[col])
+        del x[p]  # option i's own entry, -1 either way
+        replications.append(tuple(x))
     return tuple(replications)
 
 

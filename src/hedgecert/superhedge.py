@@ -22,7 +22,6 @@ from .arbitrage import (
     _measure,
     _require_nar,
     _solve,
-    _weights_on_charged,
 )
 from .errors import (
     ArbitrageError,
@@ -94,7 +93,7 @@ def _measure_side(c: CompiledMarket, out: lp.LpOutcome) -> tuple[Fraction, Marti
             "no quote-consistent martingale measure exists: "
             "the market admits arbitrage on some charged scenario"
         )
-    return out.objective_value, _measure(c, _weights_on_charged(c, out.primal))
+    return out.objective_value, _measure(c, out.primal)
 
 
 def superhedge_price(m: MarketModel, f: Claim) -> tuple[Fraction, Strategy]:
@@ -155,9 +154,7 @@ def _strict_dual(m: MarketModel, f: Claim, eps: Fraction) -> tuple[Fraction, Mar
     value, best = dual_price(c, f)
     drift = abs(value - interior.expectation(f.payoff))
     lam = _largest_dyadic_at_most(min(Fraction(1, 2), eps / (1 + drift)))
-    weights = [
-        (1 - lam) * a + lam * b for a, b in zip(best.weights, interior.weights)
-    ]
+    weights = [(1 - lam) * best.weights[pos] + lam * interior.weights[pos] for pos in c.charged]
     return value, _measure(c, weights)
 
 

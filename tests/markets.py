@@ -351,9 +351,10 @@ def net_legs(s: Strategy) -> Strategy:
 
 def measure_of(m: MarketModel, weights) -> MartingaleMeasure:
     """The measure with these leaf weights, one per leaf, and each option's
-    value under them, as every query builds it (`arbitrage._measure`); the
-    weights are not checked to be a martingale measure."""
-    return arbitrage._measure(require_valid(m), list(weights))
+    value under them, one `lp._dot` with its payoff; the weights are not
+    checked to be a martingale measure, and may weigh uncharged leaves."""
+    weights = list(weights)
+    return MartingaleMeasure(weights, [lp._dot(weights, opt.payoff) for opt in require_valid(m).options])
 
 
 def sparse_rows(rows) -> list[tuple]:

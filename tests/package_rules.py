@@ -1,4 +1,4 @@
-"""Check ten rules over the modules of the package, `src/hedgecert/*.py`.
+"""Check eleven rules over the modules of the package, `src/hedgecert/*.py`.
 
 A name a module imports but never uses fails; __init__.py is skipped,
 because its imports are the package's re-exports. So does a name in a
@@ -29,8 +29,10 @@ phase 2 builds its start row in one sum. So does, in arbitrage.py, a use of
 not a use. So does a write of kept state outside `model._kept`: an
 `object.__setattr__` call anywhere else whose name is not a string, or is
 a non-init `CompiledMarket` field other than `_checked`, so each piece of
-state a compiled market keeps is built once, under its lock. Ten rules in
-all.
+state a compiled market keeps is built once, under its lock. So does a
+`MartingaleMeasure(...)` call anywhere but in `arbitrage._measure`, so
+every measure the package returns is weighted and priced in one place.
+Eleven rules in all.
 
     python tests/package_rules.py
 
@@ -199,9 +201,14 @@ for path, tree in trees.items():
             problems.append(f"{path}:{node.lineno}: kept state {name or 'by a computed name'} "
                             f"written in {function or 'module scope'}; only model._kept may "
                             "write it")
+problems += [f"{path}:{node.lineno}: MartingaleMeasure built in {function or 'module scope'}; "
+             "only arbitrage._measure may build a measure" for path, tree in trees.items()
+             for function, node in scoped(tree) if isinstance(node, ast.Call)
+             and "MartingaleMeasure" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+             and (path, function) != (arbitrage_path, "_measure")]
 print("\n".join(problems) or "no unused imports, unbound annotation names, dead "
       "private code, solver use outside lp.py and arbitrage.py, row read "
       "outside lp.py, unread compiled field, replay of compiled payoffs, row "
-      "update outside _pivot, program built or solved outside _face and _solve or kept "
-      "state written outside _kept")
+      "update outside _pivot, program built or solved outside _face and _solve, kept "
+      "state written outside _kept or measure built outside _measure")
 sys.exit(bool(problems))

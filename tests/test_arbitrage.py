@@ -434,7 +434,7 @@ def test_compiled_and_public_measures_agree_on_every_weight_vector_a_query_makes
             pass
         for q in made:
             expected = MartingaleMeasure(q.weights, [q.expectation(opt.payoff) for opt in m.options])
-            assert q == expected == _measure(c, list(q.weights))
+            assert q == expected == _measure(c, [q.weights[pos] for pos in c.charged])
             seen += 1
     assert seen > 60
 
@@ -453,14 +453,41 @@ def test_measure_helpers_reject_wrong_lengths():
         q.expectation([F(1)] * 3)
 
 
-def test_measure_takes_exact_weights_one_per_leaf_on_any_market():
-    # `_measure` keeps the weights as given, an int among Fractions too, and
-    # prices each option exactly; a market with no option gets no values
-    weights = [F(1, 2), 1]
-    assert _measure(require_valid(binomial_market()), weights) == MartingaleMeasure(weights, [])
-    q = _measure(require_valid(binomial_with_spread_option()), weights)
-    assert q.weights is weights and q.option_values == [F(1, 2)]
+def test_measure_takes_exact_values_one_per_charged_leaf_on_any_market():
+    # with no shift `_measure` keeps the values as given, an int among
+    # Fractions too, reads no trailing floor t and prices each option
+    # exactly; a market with no option gets no values
+    values = [F(1, 2), 1]
+    assert _measure(require_valid(binomial_market()), values) == MartingaleMeasure(values, [])
+    q = _measure(require_valid(binomial_with_spread_option()), [*values, F(7)])
+    assert q.weights == values and q.option_values == [F(1, 2)]
     assert list(map(type, q.weights)) == [F, int] and type(q.option_values[0]) is F
+
+
+def test_measure_weighs_the_charged_leaves_alone_on_partly_charged_markets():
+    # one value per charged rank plus the shift is that leaf's weight, every
+    # other leaf weighs 0, a trailing floor t is not read, and each option's
+    # value is the dot product of the weights with its payoff by leaf position
+    rng = random.Random(53)
+    seen = shifted = moved = 0
+    while seen < 150:
+        c = require_valid(random_arbitrary_market(rng, max_periods=3, max_assets=2, max_leaves=8,
+                                                  max_options=3))
+        if len(c.charged) == len(c.leaves) or not c.options:
+            continue
+        values = [random_rational(rng, -2, 3, dens=(1, 2, 3, 5, 7)) for _ in c.charged]
+        for shift in (F(0), F(rng.randint(1, 9), rng.choice((2, 3, 11)))):
+            q = _measure(c, [*values, F(99)], shift)
+            weights = [F(0)] * len(c.leaves)
+            for pos, v in zip(c.charged, values):
+                weights[pos] = v + shift
+            assert q.weights == weights, (c, values, shift)
+            assert q.option_values == [lp._dot(weights, opt.payoff) for opt in c.options], (c, shift)
+        # the shift moves some option's value, and some leaf's rank is not its position
+        shifted += any(sum(opt.payoff[pos] for pos in c.charged) for opt in c.options)
+        moved += c.charged[-1] >= len(c.charged)
+        seen += 1
+    assert shifted > 100 and moved > 100, (shifted, moved)
 
 
 def test_redundant_spread_option_market_is_still_robust():

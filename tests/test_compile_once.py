@@ -13,7 +13,7 @@ only a market `_compile` built, or `market_without_option` copied from one,
 passes `require_valid` unchanged.
 
 The counts come from rebinding `validate_market`, `_compile`, `lp.solve_lp`
-and `redundancy._reduce_linear` around a single call, so they hold for
+and `redundancy._reduce` around a single call, so they hold for
 whatever the call delegates to.
 """
 
@@ -183,8 +183,8 @@ def test_a_replace_copy_with_a_float_payoff_is_named_before_any_program_runs(mon
     def unreachable(*args):
         raise AssertionError("an LP or an elimination ran on an invalid market")
 
-    for module, name in ((lp, "_Phase1"), (lp, "solve_lp"), (lp, "_reduce_linear"),
-                         (redundancy, "_reduce_linear")):
+    for module, name in ((lp, "_Phase1"), (lp, "solve_lp"), (lp, "_reduce"),
+                         (redundancy, "_reduce")):
         monkeypatch.setattr(module, name, unreachable)
     c = model.require_valid(binomial_market())
     floaty = replace(c, options=[OptionQuote("x", [0.1, F(1)], F(0), F(1))])
@@ -219,16 +219,18 @@ def test_only_compile_and_market_without_option_mark_a_market():
 
 
 def test_a_reduced_market_keeps_the_payoff_integers_a_fresh_parse_compiles():
-    # each option's payoff as integers over its entries' lcm; the market less
-    # option i drops its entry, as a fresh parse of that market compiles it
+    # each option's payoff on the charged leaves, by charged rank, as
+    # integers over those entries' lcm; the market less option i drops its
+    # entry, as a fresh parse of that market compiles it
     rng = random.Random(17)
     markets = _markets() + [random_arbitrary_market(rng, max_periods=3, max_assets=2)
                             for _ in range(20)]
     reductions = 0
     for m in markets:
         c = model.require_valid(m)
-        assert c.integer_payoffs == tuple((tuple(nums), den) for nums, den in
-                                          (lp._over_lcm(opt.payoff) for opt in m.options))
+        assert c.integer_payoffs == tuple(
+            (tuple(nums), den) for nums, den in
+            (lp._over_lcm([opt.payoff[pos] for pos in c.charged]) for opt in m.options))
         for i in range(len(m.options)):
             reduced = superhedge.market_without_option(c, i)
             fresh = _parsed(superhedge.market_without_option(m, i))
@@ -332,7 +334,7 @@ def test_sharper_ftap_solves_one_program_and_one_elimination(monkeypatch):
     # row-echelon form of [1 | G | P], which is skipped when no option has a
     # spread
     solves = _Counter(monkeypatch, lp, "solve_lp")
-    eliminations = _Counter(monkeypatch, redundancy, "_reduce_linear")
+    eliminations = _Counter(monkeypatch, redundancy, "_reduce")
     # a non-redundant spread option bid above its largest payoff
     overbid = stockless_market(
         2, [OptionQuote("digital", [F(0), F(1)], F(3, 2), F(2))], [[F(1), F(0)], [F(0), F(1)]]

@@ -221,11 +221,18 @@ def test_redundant_rows_keep_a_zero_dual():
 
 
 def _reduce(rows, n):
-    """`lp._reduce_linear` of dense rows, handed over sparse with their width."""
-    return lp._reduce_linear(sparse_rows(rows), n, len(rows[0]))
+    """`lp._reduce` of dense rows, each made an integer row by `lp._int_row`:
+    the pivot columns and each pivot row's entries in columns n on divided
+    by its pivot, the reduced row-echelon form's. Every row after the last
+    pivot row must be empty."""
+    width = len(rows[0])
+    a = [lp._int_row(row) for row in sparse_rows(rows)]
+    piv = lp._reduce(a, width)
+    assert not any(a[len(piv):]), a
+    return piv, [[F(row.get(j, 0), row[col]) for j in range(n, width)] for row, col in zip(a, piv)]
 
 
-def test_reduce_linear():
+def test_reduce():
     # [A | b] in reduced row-echelon form: the system has a unique solution
     # iff every column of A takes a pivot and b none, and b's entries are it
     assert _reduce([[I, I, F(2)], [I, F(-1), Z]], 2) == ([0, 1], [[I], [I]])
@@ -235,11 +242,14 @@ def test_reduce_linear():
     assert _reduce([[I, I, F(2)], [I, I, F(3)]], 2) == ([0, 2], [[Z], [I]])
     # overdetermined but consistent
     assert _reduce([[I, Z, I], [Z, I, F(2)], [I, I, F(3)]], 2) == ([0, 1], [[I], [F(2)]])
-    # the width bounds the columns, so a trailing column of zeros has no pair but stays a column
-    assert lp._reduce_linear([((0, I),)], 0, 2) == ([0], [[I, Z]])
+    # a column of zeros takes no pivot and stays a column
+    assert _reduce([[I, Z]], 0) == ([0], [[I, Z]])
+    # columns at or past the bound take no pivot, and their rows stay
+    a = [{1: 3}, {0: 2, 1: 1}]
+    assert lp._reduce(a, 1) == [0] and a == [{0: 2, 1: 1}, {1: 3}]
 
 
-def test_reduce_linear_leaves_exact_pivot_tails_and_a_residual():
+def test_reduce_leaves_exact_pivot_tails_and_a_residual():
     # x + y + 3z, 2x + 2y + 5z, y + z: pivots on x (row 0), y (row 2,
     # swapped up) and the residual z (row 1), each row divided by its pivot
     piv, tails = _reduce([[I, I, F(3)], [F(2), F(2), F(5)], [Z, I, I]], 1)
@@ -282,13 +292,13 @@ def test_solver_never_writes_to_its_inputs():
         p = random_lp(rng)
         before = copy.deepcopy(p)
         phase1 = lp._Phase1(p)
-        stored = copy.deepcopy((phase1.inverse, phase1.scale, phase1.tab, phase1.basis))
+        stored = copy.deepcopy((phase1.inverse, phase1.tab, phase1.basis))
         lp.solve_lp(routed(p))
         for mu in (None, 0, 1, 0):
             lp.solve_lp(phase1.program(p.objective + [I] * (mu is not None), mu))
-        lp._reduce_linear(p.rows, 0, len(p.objective))
+        lp._reduce([lp._int_row(row) for row in p.rows], len(p.objective))
         assert p == before
-        assert (phase1.inverse, phase1.scale, phase1.tab, phase1.basis) == stored
+        assert (phase1.inverse, phase1.tab, phase1.basis) == stored
 
 
 @settings(max_examples=60, deadline=None)

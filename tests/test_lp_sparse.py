@@ -4,7 +4,7 @@ The reference below is a dense `Fraction` kernel: its own reduction to
 standard form with `Fraction` rows and rhs, the tableau pivot that scales
 its pivot row to 1 and subtracts full rows, the crash basis, Bland's
 `_optimize`, the two-phase tableau path of `solve_lp`, and from `oracle`
-the dense Gauss-Jordan elimination that `lp._reduce_linear` is checked
+the dense Gauss-Jordan elimination that `lp._reduce` is checked
 against. It shares no reduction or kernel code with `lp`. The kernel in
 `lp` keeps every row as a primitive integer multiple of these rows, so
 every sign, Bland choice and certificate must be equal field for field:
@@ -108,16 +108,20 @@ def _dense_pivot(tab, rhs, red, basis, r, jc):
 
 
 def _assert_linear_solve(rows, rhs):
-    """`lp._reduce_linear` of [A | b], given dense and handed over sparse,
-    against the dense elimination. A reduced row-echelon form is unique, so
-    both take the same pivot columns and leave the same pivot rows, entry
-    for entry; b takes a pivot exactly when the system is inconsistent."""
+    """`lp._reduce` of [A | b], given dense and made integer rows by
+    `lp._int_row`, against the dense elimination. A reduced row-echelon form
+    is unique, so both take the same pivot columns, each integer pivot row
+    divided by its pivot is the dense pivot row entry for entry, and every
+    row after the last pivot row is empty; b takes a pivot exactly when the
+    system is inconsistent."""
     augmented = [[*row, b] for row, b in zip(rows, rhs)]
-    a, piv_cols = _dense_gauss_jordan(augmented, [_ZERO] * len(rows))
+    dense, piv_cols = _dense_gauss_jordan(augmented, [_ZERO] * len(rows))
     width = len(augmented[0])
-    for n in (0, len(rows[0])):
-        expected = [row[n:-1] for row in a[:len(piv_cols)]]
-        assert lp._reduce_linear(sparse_rows(augmented), n, width) == (piv_cols, expected), (rows, rhs, n)
+    a = [lp._int_row(row) for row in sparse_rows(augmented)]
+    assert lp._reduce(a, width) == piv_cols, (rows, rhs)
+    reduced = [[F(row.get(j, 0), row[col]) for j in range(width)] for row, col in zip(a, piv_cols)]
+    assert reduced == [row[:-1] for row in dense[:len(piv_cols)]], (rows, rhs)
+    assert not any(a[len(piv_cols):]), (rows, rhs)
 
 
 def _dense_optimize(tab, rhs, red, basis, ncols):
@@ -285,7 +289,7 @@ def test_market_programs_match_the_dense_kernel(monkeypatch):
     _assert_identical(problems)
 
 
-def test_reduce_linear_matches_the_dense_elimination():
+def test_reduce_matches_the_dense_elimination():
     rng = random.Random(4242)
     for _ in range(500):
         m, n = rng.randint(1, 6), rng.randint(1, 6)

@@ -69,7 +69,7 @@ def _phase1(c):
 
 
 def _state(phase1):
-    return copy.deepcopy((phase1.inverse, phase1.scale, phase1.tab, phase1.basis, phase1.farkas))
+    return copy.deepcopy((phase1.inverse, phase1.tab, phase1.basis, phase1.farkas))
 
 
 def test_warm_outcomes_match_a_cold_solve_of_the_same_problem():

@@ -137,7 +137,7 @@ def test_malformed_markets_never_reach_the_elimination(case, monkeypatch):
     assert not report.ok
     assert any(v.startswith(where) for v in report.violations), report.violations
     reached = []
-    monkeypatch.setattr(redundancy, "_reduce_linear", lambda *a: reached.append(a))
+    monkeypatch.setattr(redundancy, "_reduce", lambda *a: reached.append(a))
     queries = [
         lambda m: check_nonredundant(m, 0),
         all_spread_options_nonredundant,
@@ -322,9 +322,9 @@ def test_warm_redundancy_answers_equal_the_cold_ones(monkeypatch):
     # elimination, give what the first gave and what each option's own dense
     # elimination gives, and every redundant certificate replays
     eliminations = []
-    reduce_linear = redundancy._reduce_linear
-    monkeypatch.setattr(redundancy, "_reduce_linear",
-                        lambda *args: eliminations.append(args) or reduce_linear(*args))
+    eliminate = redundancy._reduce
+    monkeypatch.setattr(redundancy, "_reduce",
+                        lambda *args: eliminations.append(args) or eliminate(*args))
     redundant = 0
     for m in _reference_markets():
         c = require_valid(m)
@@ -393,14 +393,14 @@ def test_concurrent_first_redundancy_queries_on_one_market_run_one_elimination(m
     markets = [wide_quote_identical_options_market(), trinomial_straddle_market()]
     expected = [[query(require_valid(m)) for query in queries] for m in markets]
     calls = []
-    reduce_linear = redundancy._reduce_linear
+    eliminate = redundancy._reduce
 
     def slow(*args):
         calls.append(args)
         time.sleep(0.05)
-        return reduce_linear(*args)
+        return eliminate(*args)
 
-    monkeypatch.setattr(redundancy, "_reduce_linear", slow)
+    monkeypatch.setattr(redundancy, "_reduce", slow)
     for m, sequential in zip(markets, expected):
         c, answers = require_valid(m), [None] * 4
         start = threading.Barrier(4, timeout=60)
