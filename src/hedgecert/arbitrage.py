@@ -14,7 +14,8 @@ directions come with machine-checkable evidence: a gain-positive strategy,
 read off the program's row multipliers, when arbitrage exists; an interior
 measure plus shrunk quotes when robustness holds. Every measure program,
 `superhedge`'s and `redundancy`'s too, is solved by `_solve`; `_hedge` reads
-its outcome's multipliers, `_arbitrage` and `_robustness` a verdict.
+its outcome's multipliers, `_arbitrage` and `_robustness` a verdict. The
+two floor programs are solved once per market, by `_floor`, and kept.
 """
 
 from __future__ import annotations
@@ -181,8 +182,19 @@ def _solve(c: CompiledMarket, objective: list[Fraction], push=None) -> lp.LpOutc
 
 
 def _floor(c: CompiledMarket, push):
-    """Solve max t: the floor every charged leaf's weight Q_w = R_w + t sits on."""
-    return _solve(c, [ZERO] * len(c.charged) + [ONE], push)
+    """The outcome of max t, the floor every charged leaf's weight
+    Q_w = R_w + t sits on, solved once per push and kept with the market
+    (`model._kept`): push 0 in `_na`, push 1 in `_nar`. A face without a
+    spread option has no inequality row, so the late column is the same for
+    every push, and push 1 reads push 0's outcome. Nothing writes to it:
+    each reader builds its answer afresh."""
+    if not any(opt.has_spread() for opt in c.options):
+        push = 0
+
+    def build(c):
+        return _solve(c, [ZERO] * len(c.charged) + [ONE], push)
+
+    return _kept(c, "_nar", build) if push else _kept(c, "_na", build)
 
 
 def _hedge(c: CompiledMarket, out: lp.LpOutcome) -> tuple[Fraction, Strategy]:

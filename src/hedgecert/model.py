@@ -6,10 +6,11 @@ phenomenon, so nothing in the core ever touches floating point. No field of
 a model type can be reassigned once constructed and every operation is a
 pure function, which makes concurrent use on shared inputs safe without
 synchronization. The one exception is the state a compiled market keeps:
-its measure-program face (`arbitrage._face`) and its option replications
-(`redundancy._replicate`), each built by `_kept` on its first use, under
-one lock: a thread that finds it unbuilt takes the lock and looks again,
-so concurrent first queries build it once. Nothing writes to it after.
+its measure-program face (`arbitrage._face`), its two floor outcomes
+(`arbitrage._floor`) and its option replications (`redundancy._replicate`),
+each built by `_kept` on its first use, under one re-entrant lock: a thread
+that finds it unbuilt takes the lock and looks again, so concurrent first
+queries build it once. Nothing writes to it after.
 
 Leaves are indexed by *position* 0..L-1 in ascending node-id order among the
 nodes at the final period. Option payoffs, measure weights, and claims all
@@ -31,7 +32,7 @@ from math import lcm
 from operator import mul
 
 from .errors import DomainError, StructureError
-from .lp import _Phase1, _dot, _over_lcm, _rational_lists
+from .lp import LpOutcome, _Phase1, _dot, _over_lcm, _rational_lists
 
 # The rational substrate. Fraction already guarantees the invariants this
 # package relies on: positive denominator, lowest terms, canonical zero.
@@ -353,16 +354,19 @@ class CompiledMarket(MarketModel):
     those entries' (`lp._over_lcm`), so the package prices every option
     under a measure, which weighs only the charged leaves, by one integer
     dot product (`arbitrage._measure`); the replays read the payoffs
-    themselves. Three fields are not init fields, so no constructor or
+    themselves. Five fields are not init fields, so no constructor or
     `replace` sets them, and none is compared or shown. `_checked` marks
     the markets `require_valid` passes unchanged, those `_compile` built
-    and `market_without_option` copied. The other two are kept state, each
-    built once by `_kept` (see the module docstring): `_face` is the
-    measure programs' face, its phase 1 and row layout (`arbitrage._face`),
-    built on the market's first solve, and `_replications` holds, per
-    option, None when it is non-redundant, else its replication vector over
-    [1 | G | P_others] as a tuple (`redundancy._replicate`), built on the
-    first redundancy query.
+    and `market_without_option` copied. The rest are three kinds of kept
+    state, each built once by `_kept` (see the module docstring): `_face`
+    is the measure programs' face, its phase 1 and row layout
+    (`arbitrage._face`), built on the market's first solve; `_na` and
+    `_nar` are the outcomes of its push-0 and push-1 floor programs
+    (`arbitrage._floor`), built on the first verdict that needs each, and
+    `_nar` stays None on a market without a spread option, whose push 1
+    reads `_na`; and `_replications` holds, per option, None when it is
+    non-redundant, else its replication vector over [1 | G | P_others] as
+    a tuple (`redundancy._replicate`), built on the first redundancy query.
     """
 
     prices: tuple[tuple[Fraction, ...], ...]        # by node id
@@ -376,6 +380,8 @@ class CompiledMarket(MarketModel):
     generator_names: tuple[str, ...]
     _checked: bool = field(default=False, init=False, compare=False, repr=False)
     _face: tuple[_Phase1, tuple] | None = field(default=None, init=False, compare=False, repr=False)
+    _na: LpOutcome | None = field(default=None, init=False, compare=False, repr=False)
+    _nar: LpOutcome | None = field(default=None, init=False, compare=False, repr=False)
     _replications: tuple[tuple[Fraction, ...] | None, ...] | None = field(
         default=None, init=False, compare=False, repr=False)
 
@@ -389,7 +395,7 @@ class CompiledMarket(MarketModel):
         return Strategy(dynamic, list(primal[nh:nh + e]), list(primal[nh + e:nh + 2 * e]))
 
 
-_KEPT_LOCK = threading.Lock()  # held while any market's kept state is built
+_KEPT_LOCK = threading.RLock()  # held while any market's kept state is built
 
 
 def _kept(c: CompiledMarket, name: str, build):
@@ -397,7 +403,8 @@ def _kept(c: CompiledMarket, name: str, build):
     `build(c)` on first use. The build runs under `_KEPT_LOCK`, and a
     thread that finds the field unbuilt looks again once it holds the lock,
     so concurrent first uses build it once; a build holds the GIL, so one
-    that waits on another loses nothing. A build must not call `_kept`."""
+    that waits on another loses nothing. The lock is re-entrant, so a build
+    may call `_kept` for other state, as a floor's build reaches the face."""
     kept = getattr(c, name)
     if kept is not None:
         return kept

@@ -105,12 +105,13 @@ def _replicate(c: CompiledMarket) -> tuple[tuple[Fraction, ...] | None, ...]:
                 replications.append(None)
                 continue
             num, den = -r[p], r[j]
-        x = [ZERO] * (nb + e)
-        x[j] = Fraction(-num, den)
+        x = [ZERO] * (nb + e)  # option i's own entry, -1 either way, is never built
+        if j != p:
+            x[j] = Fraction(-num, den)
         for col, row in zip(piv, a):
-            if j in row:
+            if col != p and j in row:
                 x[col] = Fraction(num * row[j], den * row[col])
-        del x[p]  # option i's own entry, -1 either way
+        del x[p]
         replications.append(tuple(x))
     return tuple(replications)
 

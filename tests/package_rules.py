@@ -31,8 +31,11 @@ not a use. So does a write of kept state outside `model._kept`: an
 a non-init `CompiledMarket` field other than `_checked`, so each piece of
 state a compiled market keeps is built once, under its lock. So does a
 `MartingaleMeasure(...)` call anywhere but in `arbitrage._measure`, so
-every measure the package returns is weighted and priced in one place.
-Eleven rules in all.
+every measure the package returns is weighted and priced in one place. So
+does a `_solve` call with a push, a third positional, starred or `push`
+argument, anywhere but in `arbitrage._floor`, so each floor program is
+solved once per market and no path solves it again around the kept outcome.
+Twelve rules in all.
 
     python tests/package_rules.py
 
@@ -206,9 +209,18 @@ problems += [f"{path}:{node.lineno}: MartingaleMeasure built in {function or 'mo
              for function, node in scoped(tree) if isinstance(node, ast.Call)
              and "MartingaleMeasure" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
              and (path, function) != (arbitrage_path, "_measure")]
+problems += [f"{path}:{node.lineno}: _solve given a push in {getattr(top, 'name', 'module scope')}; "
+             "only arbitrage._floor, which keeps the outcome, may solve a floor program"
+             for path, tree in trees.items() for top in tree.body
+             if (path, getattr(top, "name", None)) != (arbitrage_path, "_floor")
+             for node in ast.walk(top) if isinstance(node, ast.Call)
+             and "_solve" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+             and (len(node.args) > 2 or any(isinstance(a, ast.Starred) for a in node.args)
+                  or any(k.arg in ("push", None) for k in node.keywords))]
 print("\n".join(problems) or "no unused imports, unbound annotation names, dead "
       "private code, solver use outside lp.py and arbitrage.py, row read "
       "outside lp.py, unread compiled field, replay of compiled payoffs, row "
       "update outside _pivot, program built or solved outside _face and _solve, kept "
-      "state written outside _kept or measure built outside _measure")
+      "state written outside _kept, measure built outside _measure or floor program "
+      "solved outside _floor")
 sys.exit(bool(problems))

@@ -1,0 +1,231 @@
+"""Each compiled market solves its two floor programs, push 0 for
+no-arbitrage and push 1 for robust no-arbitrage, at most once, and keeps
+their outcomes (`arbitrage._floor`): every later verdict, witness, measure
+and certificate is built afresh from the kept outcome. Without a spread
+option the face has no inequality row, so push 1 reads push 0's outcome.
+"""
+
+import copy
+import random
+import threading
+import time
+from dataclasses import replace
+from fractions import Fraction as F
+
+import oracle
+from hedgecert import arbitrage, lp, redundancy, superhedge
+from hedgecert.errors import HedgecertError
+from hedgecert.marketio import dump_market, market_to_json, parse_market
+from hedgecert.model import ONE, require_valid
+from markets import (
+    binomial_market,
+    binomial_with_free_option,
+    binomial_with_spread_option,
+    pinned_identical_options_market,
+    random_arbitrage_free_market,
+    random_arbitrary_market,
+    random_claim,
+    spread_option_only_market,
+    trinomial_straddle_market,
+    wide_quote_identical_options_market,
+)
+
+
+def _reference_markets():
+    """The fixtures with pinned, zero-spread and spread options, then 120
+    random markets of up to two options, half of them arbitrage-free."""
+    fixtures = [
+        pinned_identical_options_market(),
+        binomial_with_free_option(),
+        binomial_with_spread_option(),
+        wide_quote_identical_options_market(),
+        trinomial_straddle_market(),
+        spread_option_only_market(),
+    ]
+    rng = random.Random(20261019)
+    makers = [random_arbitrage_free_market, random_arbitrary_market]
+    return fixtures + [makers[k % 2](rng, max_periods=2, max_assets=1, max_leaves=8, max_options=2)
+                       for k in range(120)]
+
+
+def _answer(query, *args):
+    try:
+        return query(*args)
+    except HedgecertError as err:
+        return type(err), str(err)
+
+
+def _readers(m):
+    """Every query that reads a floor outcome, as (name, query, arguments
+    after the market)."""
+    rng = random.Random(len(m.tree.nodes))
+    claim = random_claim(rng, m)
+    calls = [("na", arbitrage.check_na, ()), ("nar", arbitrage.check_nar, ()),
+             ("ftap", redundancy.sharper_ftap, ()),
+             ("strict", superhedge.strict_dual_approx, (claim, F(1, 100)))]
+    calls += [(f"dominating {k}", arbitrage.dominating_measure, (k,))
+              for k in range(len(m.measures.generators))]
+    calls += [(f"bounds {i}", superhedge.price_bounds_excluding, (i,))
+              for i in range(len(m.options))]
+    return calls
+
+
+def test_warm_answers_equal_cold_ones_and_the_dense_oracle():
+    # cold: every query on a market compiled for it alone; warm: each query
+    # three times on one compiled market, in order, so all but the first
+    # solve of each push read a kept outcome
+    spread = split = 0
+    for m in _reference_markets():
+        readers = _readers(m)
+        cold = [_answer(query, require_valid(m), *args) for _, query, args in readers]
+        c = require_valid(m)
+        for _ in range(3):
+            assert [_answer(query, c, *args) for _, query, args in readers] == cold, m
+        na, nar = cold[0], cold[1]
+        assert na.holds == oracle.surplus_na(m).holds, m
+        assert nar.holds == oracle.definitional_nar_scan(m, 20).holds, m
+        if na.certificate is not None:
+            assert arbitrage.verify_na_certificate(c, na.certificate), m
+        if nar.witness is not None:
+            assert arbitrage.verify_nar_witness(c, nar.witness), m
+        spread += any(opt.has_spread() for opt in m.options)  # push 1 a program of its own
+        split += na.holds and not nar.holds
+    assert spread >= 40 and split >= 1, (spread, split)
+
+
+def _scrawl_measure(q):
+    q.weights.append(ONE)
+    q.weights[0] += 1
+    q.option_values.append(ONE)
+
+
+def _scrawl(answer):
+    """Change in place every list a verdict, witness or measure holds."""
+    if isinstance(answer, arbitrage.MartingaleMeasure):
+        _scrawl_measure(answer)
+    elif isinstance(answer, arbitrage.NaVerdict) and answer.certificate is not None:
+        cert = answer.certificate
+        cert.gains[cert.strict_leaf] += 1
+        cert.strategy.buy_leg.append(ONE)
+        cert.strategy.sell_leg.append(ONE)
+        for positions in cert.strategy.dynamic.values():
+            positions.append(ONE)
+        cert.strategy.dynamic[-1] = [ONE]
+    elif isinstance(answer, arbitrage.NarVerdict) and answer.witness is not None:
+        w = answer.witness
+        w.shrunk_bids.append(ONE)
+        w.shrunk_asks.append(ONE)
+        _scrawl_measure(w.interior_measure)
+    elif isinstance(answer, redundancy.SharperFtapBundle):
+        _scrawl(answer.na)
+        if answer.nar_witness is not None:
+            _scrawl(arbitrage.NarVerdict(True, answer.nar_witness))
+            answer.dominating.append(None)
+
+
+def test_a_caller_that_changes_an_answer_changes_nothing_kept():
+    changed = 0
+    for m in _reference_markets():
+        c = require_valid(m)
+        for name, query, args in _readers(m):
+            if name.startswith(("bounds", "strict")):
+                continue  # they return fresh values of their own, not a floor's
+            first = _answer(query, c, *args)
+            kept = copy.deepcopy(first)
+            _scrawl(first)
+            again = _answer(query, c, *args)
+            assert again == kept, (m, name)
+            changed += again != first
+    assert changed >= 200, changed
+
+
+def test_four_threads_on_a_fresh_market_run_one_phase_one_and_one_solve(monkeypatch):
+    # the first check_nar on a freshly parsed market builds the face from
+    # inside the floor's build; a slow phase 1 keeps every thread's first
+    # call in flight together, and none may wait on the lock it holds
+    built, solved = [], []
+
+    class Slow(lp._Phase1):
+        def __init__(self, p):
+            built.append(p)
+            time.sleep(0.05)
+            super().__init__(p)
+
+    solve = lp.solve_lp
+    monkeypatch.setattr(lp, "_Phase1", Slow)
+    monkeypatch.setattr(lp, "solve_lp", lambda p: solved.append(p) or solve(p))
+    for m in [binomial_with_spread_option(), trinomial_straddle_market()]:
+        text = dump_market(require_valid(m))
+        warm = parse_market(text)
+        arbitrage._face(warm)  # so the reference answer builds nothing from inside a build
+        expected = arbitrage.check_nar(warm)
+        built.clear()
+        solved.clear()
+        c, answers = parse_market(text), [None] * 4
+        assert c._face is None
+        start = threading.Barrier(4, timeout=60)
+
+        def run(i):
+            start.wait()
+            answers[i] = arbitrage.check_nar(c)
+
+        threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads), m
+        assert len(built) == 1 and len(solved) == 1, m
+        assert answers == [expected] * 4, m
+
+
+def _counted(monkeypatch):
+    solved = []
+    solve = lp.solve_lp
+    monkeypatch.setattr(lp, "solve_lp", lambda p: solved.append(p.phase1[1]) or solve(p))
+    return solved
+
+
+def test_without_a_spread_option_the_two_verdicts_and_ftap_solve_one_program(monkeypatch):
+    solved = _counted(monkeypatch)
+    for m in [trinomial_straddle_market(), binomial_with_free_option(), binomial_market()]:
+        for order in [(0, 1, 2), (1, 0, 2), (2, 1, 0)]:
+            c = require_valid(m)
+            queries = [arbitrage.check_na, arbitrage.check_nar, redundancy.sharper_ftap]
+            for k in order:
+                _answer(queries[k], c)
+            assert solved == [0], (m, order)
+            assert c._na is not None and c._nar is None
+            solved.clear()
+
+
+def test_with_a_spread_option_push_zero_and_push_one_stay_two_programs(monkeypatch):
+    solved = _counted(monkeypatch)
+    for m in [binomial_with_spread_option(), wide_quote_identical_options_market(),
+              spread_option_only_market()]:
+        c = require_valid(m)
+        na, nar = arbitrage.check_na(c), arbitrage.check_nar(c)
+        for _ in range(2):
+            assert arbitrage.check_na(c) == na and arbitrage.check_nar(c) == nar, m
+        assert solved == [0, 1], m
+        assert arbitrage.check_na(m) == na and arbitrage.check_nar(m) == nar, m
+        solved.clear()
+
+
+def test_copies_start_with_no_kept_floors_and_floors_stay_out_of_equality():
+    m = binomial_with_spread_option()
+    c = require_valid(m)
+    fresh = require_valid(m)
+    arbitrage.check_na(c)
+    arbitrage.check_nar(c)
+    assert c._na is not None and c._nar is not None
+    assert fresh._na is None and fresh._nar is None
+    assert c == fresh and repr(c) == repr(fresh)
+    assert market_to_json(c) == market_to_json(fresh)
+    copied = replace(c)
+    assert copied._na is None and copied._nar is None
+    reduced = superhedge.market_without_option(c, 0)
+    assert reduced._na is None and reduced._nar is None
+    # the copy answers for its own options, not from the market it came from
+    assert arbitrage.check_na(reduced) == arbitrage.check_na(
+        parse_market(dump_market(reduced)))

@@ -233,12 +233,15 @@ def test_every_program_shares_the_face_rows():
 
 
 def test_building_and_solving_programs_writes_nothing_to_the_face(monkeypatch):
-    # once built, a face is read-only: the five queries, and a program of a
-    # push no query uses, leave every attribute the same object holding the
-    # same values, and every program they build is on the face's own rows
+    # once built, a face is read-only: the five queries, a push-1 program,
+    # which on this face without a spread option no query solves (push 1
+    # reads push 0's kept outcome), and a program of a push no query uses,
+    # leave every attribute the same object holding the same values, and
+    # every program they build is on the face's own rows. The face is built
+    # with no program solved, so the queries solve push 0 while recorded
     c = require_valid(trinomial_straddle_market())
-    assert arbitrage.check_na(c).holds
-    phase1 = _phase1(c)
+    phase1 = arbitrage._face(c)[0]
+    assert c._na is None and c._nar is None
     attributes = dict(vars(phase1))
     values = copy.deepcopy(attributes)
     assert phase1.tab is not None and phase1.tab_sums is not None
@@ -253,6 +256,7 @@ def test_building_and_solving_programs_writes_nothing_to_the_face(monkeypatch):
     assert arbitrage.check_na(c).holds and arbitrage.check_nar(c).holds
     assert superhedge.superhedge_price(c, claim)[0] == superhedge.dual_price(c, claim)[0]
     assert redundancy.sharper_ftap(c).na.holds
+    assert lp.solve_lp(phase1.program([ZERO] * phase1.n + [ONE], 1)).status == lp.OPTIMAL
     programs.append(phase1.program([ONE] * (phase1.n + 1), 2))
     assert vars(phase1).keys() == attributes.keys()
     assert all(vars(phase1)[name] is value for name, value in attributes.items())
