@@ -14,8 +14,10 @@ directions come with machine-checkable evidence: a gain-positive strategy,
 read off the program's row multipliers, when arbitrage exists; an interior
 measure plus shrunk quotes when robustness holds. Every measure program,
 `superhedge`'s and `redundancy`'s too, is solved by `_solve`; `_hedge` reads
-its outcome's multipliers, `_arbitrage` and `_robustness` a verdict. The
-two floor programs are solved once per market, by `_floor`, and kept.
+its outcome's multipliers, `_arbitrage` and `_robustness` the exact parts of
+a verdict. The two floor programs are solved, and their verdicts' parts
+derived, once per market, by `_floor`, and kept; each verdict is built
+afresh around the kept parts (`_na_verdict`, `_nar_verdict`).
 """
 
 from __future__ import annotations
@@ -109,18 +111,13 @@ class NarVerdict:
 _NO_CONSISTENT_MEASURE = "no quote-consistent martingale measure is supported on the charged scenarios"
 
 
-def _measure(c: CompiledMarket, values, shift=ZERO) -> MartingaleMeasure:
+def _measure(c: CompiledMarket, values) -> MartingaleMeasure:
     """The measure with one weight per charged leaf, `values` by charged
-    rank plus `shift`, and 0 on every other leaf; a program's trailing
-    floor t is not read. The values and the shift are put over one lcm
-    once, so each shifted weight is one Fraction, and with no shift the
-    weights are the values as given. Each option is priced by one integer
-    dot product with its compiled payoff integers, by charged rank too."""
-    nums, den = lp._over_lcm([*values[:len(c.charged)], shift])
-    s = nums.pop()
-    if s:
-        nums = [u + s for u in nums]
-        values = [Fraction(u, den) for u in nums]
+    rank as given, and 0 on every other leaf; a program's trailing floor t
+    is not read. Each option is priced by one integer dot product of the
+    values, put over one lcm once, with its compiled payoff integers, by
+    charged rank too."""
+    nums, den = lp._over_lcm(values[:len(c.charged)])
     weights = [ZERO] * len(c.leaves)
     for pos, v in zip(c.charged, values):
         weights[pos] = v
@@ -182,17 +179,26 @@ def _solve(c: CompiledMarket, objective: list[Fraction], push=None) -> lp.LpOutc
 
 
 def _floor(c: CompiledMarket, push):
-    """The outcome of max t, the floor every charged leaf's weight
-    Q_w = R_w + t sits on, solved once per push and kept with the market
-    (`model._kept`): push 0 in `_na`, push 1 in `_nar`. A face without a
-    spread option has no inequality row, so the late column is the same for
-    every push, and push 1 reads push 0's outcome. Nothing writes to it:
-    each reader builds its answer afresh."""
-    if not any(opt.has_spread() for opt in c.options):
-        push = 0
-
+    """(outcome, parts) of max t, the floor every charged leaf's weight
+    Q_w = R_w + t sits on, and of the verdict push 0 or 1 decides: NA's
+    parts are None when it holds, else `_arbitrage`'s, and NAR's are
+    `_robustness`'s. Each is derived once per market and kept next to the
+    outcome (`model._kept`): push 0 in `_na`, push 1 in `_nar`. The parts
+    are tuples sharing the verdict's Fractions; each reader builds fresh
+    lists and dataclasses around them (`_na_verdict`, `_nar_verdict`). A
+    face without a spread option has no inequality row, so the late column
+    is the same for every push: one program decides both verdicts, solved
+    by whichever push comes first and read by the other, and push 0 keeps
+    NAR's parts too, so a check_nar after check_na keeps nothing new."""
     def build(c):
-        return _solve(c, [ZERO] * len(c.charged) + [ONE], push)
+        spread = any(opt.has_spread() for opt in c.options)
+        twin = None if spread else (c._na if push else c._nar)
+        out = twin[0] if twin else _solve(c, [ZERO] * len(c.charged) + [ONE], push if spread else 0)
+        if push:
+            return out, _robustness(c, out)
+        if not spread:
+            _kept(c, "_nar", lambda c: (out, _robustness(c, out)))
+        return out, None if out.status == lp.OPTIMAL and out.objective_value > 0 else _arbitrage(c, out)
 
     return _kept(c, "_nar", build) if push else _kept(c, "_na", build)
 
@@ -216,18 +222,29 @@ def _hedge(c: CompiledMarket, out: lp.LpOutcome) -> tuple[Fraction, Strategy]:
     return lp._dot(y, phase1.rhs), c.strategy_from(position)
 
 
-def _arbitrage(c: CompiledMarket, out: lp.LpOutcome) -> NaVerdict:
+def _arbitrage(c: CompiledMarket, out: lp.LpOutcome) -> tuple:
     """The arbitrage a floor program's multipliers encode when its optimum is
     0 or it is infeasible. Either way y . A_w >= 0 on every leaf column and
     y . rhs <= 0, with y . A_t >= 1 or y . rhs < 0, so the strategy gains
     y . A_w - y . rhs >= 0 on every charged leaf; one where it is positive
-    is the strict leaf, and a strategy with none is a SoundnessError."""
+    is the strict leaf, and a strategy with none is a SoundnessError. Its
+    parts, as `_na_verdict` reads them: the positions in strategy-column
+    order, the gains and the strict leaf."""
     _, strategy = _hedge(c, out)
     gains = _terminal_gain(c, strategy)  # `_hedge` builds it to the market's shape
     strict = next((pos for pos in c.charged if gains[pos] > 0), None)
     if strict is None:
         raise SoundnessError("measure-side multipliers give no strictly positive gain")
-    return NaVerdict(False, ArbitrageCertificate(strategy, gains, strict))
+    dynamic = [h for nid in c.nonleaf for h in strategy.dynamic[nid]]
+    return (*dynamic, *strategy.buy_leg, *strategy.sell_leg), tuple(gains), strict
+
+
+def _na_verdict(c: CompiledMarket, parts) -> NaVerdict:
+    """The NA verdict of a floor's kept parts (`_floor`), in fresh lists."""
+    if parts is None:
+        return NaVerdict(True)
+    positions, gains, strict = parts
+    return NaVerdict(False, ArbitrageCertificate(c.strategy_from(positions), list(gains), strict))
 
 
 def check_na(m: MarketModel) -> NaVerdict:
@@ -239,27 +256,36 @@ def check_na(m: MarketModel) -> NaVerdict:
     column is sum_w A_w, so y . A_t >= 1 puts a positive gain on some leaf.
     """
     c = require_valid(m)
-    out = _floor(c, push=0)
-    if out.status == lp.OPTIMAL and out.objective_value > 0:
-        return NaVerdict(True)
-    return _arbitrage(c, out)
+    return _na_verdict(c, _floor(c, push=0)[1])
 
 
-def _robustness(c: CompiledMarket, out: lp.LpOutcome) -> NarVerdict:
-    """The robust verdict of a solved push-1 floor program: the interior
-    measure and the strictly shrunk quotes when the slack is positive."""
+def _robustness(c: CompiledMarket, out: lp.LpOutcome):
+    """The robust verdict's parts of a solved floor program that decides
+    it, as `_nar_verdict` reads them: what blocks it, or, when the slack is
+    positive, the slack, the strictly shrunk bids and asks and the interior
+    weights by charged rank, each R_w plus the slack, put over one lcm once
+    so that each is one Fraction."""
     if out.status == lp.INFEASIBLE:
-        return NarVerdict(False, blocking=_NO_CONSISTENT_MEASURE)
+        return _NO_CONSISTENT_MEASURE
     slack = out.objective_value
     if slack == 0:
-        return NarVerdict(False, blocking="maximal uniform slack is 0: every consistent martingale "
-                          "measure touches a quote bound or drops a charged scenario")
-
-    measure = _measure(c, out.primal, slack)
+        return ("maximal uniform slack is 0: every consistent martingale "
+                "measure touches a quote bound or drops a charged scenario")
+    nums, den = lp._over_lcm([*out.primal[:len(c.charged)], slack])
+    s = nums.pop()
     half = slack / 2
-    shrunk_bids = [opt.bid + half if opt.has_spread() else opt.bid for opt in c.options]
-    shrunk_asks = [opt.ask - half if opt.has_spread() else opt.ask for opt in c.options]
-    return NarVerdict(True, RobustnessWitness(shrunk_bids, shrunk_asks, measure, slack))
+    return (slack, tuple(opt.bid + half if opt.has_spread() else opt.bid for opt in c.options),
+            tuple(opt.ask - half if opt.has_spread() else opt.ask for opt in c.options),
+            tuple([Fraction(u + s, den) for u in nums]))
+
+
+def _nar_verdict(c: CompiledMarket, parts) -> NarVerdict:
+    """The robust verdict of a floor's kept parts (`_floor`), in fresh lists
+    around a fresh measure."""
+    if isinstance(parts, str):
+        return NarVerdict(False, blocking=parts)
+    slack, bids, asks, weights = parts
+    return NarVerdict(True, RobustnessWitness(list(bids), list(asks), _measure(c, weights), slack))
 
 
 def check_nar(m: MarketModel) -> NarVerdict:
@@ -271,7 +297,7 @@ def check_nar(m: MarketModel) -> NarVerdict:
     yields the interior measure and the strictly shrunk quotes.
     """
     c = require_valid(m)
-    return _robustness(c, _floor(c, push=1))
+    return _nar_verdict(c, _floor(c, push=1)[1])
 
 
 def _require_nar(c: CompiledMarket, failure: str) -> RobustnessWitness:

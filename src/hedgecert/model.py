@@ -6,11 +6,12 @@ phenomenon, so nothing in the core ever touches floating point. No field of
 a model type can be reassigned once constructed and every operation is a
 pure function, which makes concurrent use on shared inputs safe without
 synchronization. The one exception is the state a compiled market keeps:
-its measure-program face (`arbitrage._face`), its two floor outcomes
-(`arbitrage._floor`) and its option replications (`redundancy._replicate`),
-each built by `_kept` on its first use, under one re-entrant lock: a thread
-that finds it unbuilt takes the lock and looks again, so concurrent first
-queries build it once. Nothing writes to it after.
+its measure-program face (`arbitrage._face`), its two floor outcomes and
+the exact parts of their verdicts (`arbitrage._floor`) and its option
+replications (`redundancy._replicate`), each built by `_kept` on its first
+use, under one re-entrant lock: a thread that finds it unbuilt takes the
+lock and looks again, so concurrent first queries build it once. Nothing
+writes to it after, and every query builds its answer afresh around it.
 
 Leaves are indexed by *position* 0..L-1 in ascending node-id order among the
 nodes at the final period. Option payoffs, measure weights, and claims all
@@ -32,7 +33,7 @@ from math import lcm
 from operator import mul
 
 from .errors import DomainError, StructureError
-from .lp import LpOutcome, _Phase1, _dot, _over_lcm, _rational_lists
+from .lp import _Phase1, _dot, _over_lcm, _rational_lists
 
 # The rational substrate. Fraction already guarantees the invariants this
 # package relies on: positive denominator, lowest terms, canonical zero.
@@ -361,12 +362,13 @@ class CompiledMarket(MarketModel):
     state, each built once by `_kept` (see the module docstring): `_face`
     is the measure programs' face, its phase 1 and row layout
     (`arbitrage._face`), built on the market's first solve; `_na` and
-    `_nar` are the outcomes of its push-0 and push-1 floor programs
-    (`arbitrage._floor`), built on the first verdict that needs each, and
-    `_nar` stays None on a market without a spread option, whose push 1
-    reads `_na`; and `_replications` holds, per option, None when it is
-    non-redundant, else its replication vector over [1 | G | P_others] as
-    a tuple (`redundancy._replicate`), built on the first redundancy query.
+    `_nar` hold the outcomes of its push-0 and push-1 floor programs, each
+    next to the exact parts of its verdict, as tuples (`arbitrage._floor`),
+    built on the first verdict that needs each; without a spread option the
+    two are one program, solved once, and push 0 keeps `_nar` too; and
+    `_replications` holds, per option, None when it is non-redundant, else
+    its replication vector over [1 | G | P_others] as a tuple
+    (`redundancy._replicate`), built on the first redundancy query.
     """
 
     prices: tuple[tuple[Fraction, ...], ...]        # by node id
@@ -380,8 +382,8 @@ class CompiledMarket(MarketModel):
     generator_names: tuple[str, ...]
     _checked: bool = field(default=False, init=False, compare=False, repr=False)
     _face: tuple[_Phase1, tuple] | None = field(default=None, init=False, compare=False, repr=False)
-    _na: LpOutcome | None = field(default=None, init=False, compare=False, repr=False)
-    _nar: LpOutcome | None = field(default=None, init=False, compare=False, repr=False)
+    _na: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _nar: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _replications: tuple[tuple[Fraction, ...] | None, ...] | None = field(
         default=None, init=False, compare=False, repr=False)
 
@@ -404,7 +406,10 @@ def _kept(c: CompiledMarket, name: str, build):
     thread that finds the field unbuilt looks again once it holds the lock,
     so concurrent first uses build it once; a build holds the GIL, so one
     that waits on another loses nothing. The lock is re-entrant, so a build
-    may call `_kept` for other state, as a floor's build reaches the face."""
+    may call `_kept` for other state, as a floor's build reaches the face
+    and, without a spread option, push 0's keeps push 1's. What a build
+    returns is handed to every caller, so it holds tuples and values
+    nothing writes to, and a caller builds fresh answers around it."""
     kept = getattr(c, name)
     if kept is not None:
         return kept

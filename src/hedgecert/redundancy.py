@@ -28,8 +28,9 @@ from .arbitrage import (
     RobustnessWitness,
     _arbitrage,
     _floor,
+    _na_verdict,
+    _nar_verdict,
     _require_domination,
-    _robustness,
 )
 from .errors import PreconditionError, StructureError
 from .lp import _int_row, _rational_lists, _reduce
@@ -181,10 +182,10 @@ def sharper_ftap(m: MarketModel) -> SharperFtapBundle:
             "redundant spread options: " + ", ".join(bad),
             details=report,
         )
-    out = _floor(c, push=1)
-    nar = _robustness(c, out)
+    out, parts = _floor(c, push=1)
+    nar = _nar_verdict(c, parts)
     if not nar.holds:
-        return SharperFtapBundle(_arbitrage(c, out), None, None)
+        return SharperFtapBundle(_na_verdict(c, _arbitrage(c, out)), None, None)
     measure = nar.witness.interior_measure
     _require_domination(measure, c.measures.generators)
     return SharperFtapBundle(

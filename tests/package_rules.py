@@ -1,4 +1,4 @@
-"""Check eleven rules over the modules of the package, `src/hedgecert/*.py`.
+"""Check thirteen rules over the modules of the package, `src/hedgecert/*.py`.
 
 A name a module imports but never uses fails; __init__.py is skipped,
 because its imports are the package's re-exports. So does a name in a
@@ -35,7 +35,10 @@ every measure the package returns is weighted and priced in one place. So
 does a `_solve` call with a push, a third positional, starred or `push`
 argument, anywhere but in `arbitrage._floor`, so each floor program is
 solved once per market and no path solves it again around the kept outcome.
-Twelve rules in all.
+So does a call to `_robustness` anywhere but in `arbitrage._floor`, or to
+`_arbitrage` anywhere but there and in `redundancy.sharper_ftap`, whose
+push-1 arbitrage needs its precondition, so no reader derives a floor
+verdict again around the parts `_floor` keeps. Thirteen rules in all.
 
     python tests/package_rules.py
 
@@ -217,10 +220,19 @@ problems += [f"{path}:{node.lineno}: _solve given a push in {getattr(top, 'name'
              and "_solve" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
              and (len(node.args) > 2 or any(isinstance(a, ast.Starred) for a in node.args)
                   or any(k.arg in ("push", None) for k in node.keywords))]
+redundancy_path = pathlib.Path("src/hedgecert/redundancy.py")
+derives = {"_robustness": {(arbitrage_path, "_floor")},
+           "_arbitrage": {(arbitrage_path, "_floor"), (redundancy_path, "sharper_ftap")}}
+problems += [f"{path}:{node.lineno}: {name} called in {getattr(top, 'name', 'module scope')}; "
+             "only the kept floor's build derives a verdict's parts"
+             for path, tree in trees.items() for top in tree.body
+             for node in ast.walk(top) if isinstance(node, ast.Call)
+             for name in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
+             if name in derives and (path, getattr(top, "name", None)) not in derives[name]]
 print("\n".join(problems) or "no unused imports, unbound annotation names, dead "
       "private code, solver use outside lp.py and arbitrage.py, row read "
       "outside lp.py, unread compiled field, replay of compiled payoffs, row "
       "update outside _pivot, program built or solved outside _face and _solve, kept "
-      "state written outside _kept, measure built outside _measure or floor program "
-      "solved outside _floor")
+      "state written outside _kept, measure built outside _measure, floor program "
+      "solved outside _floor or floor verdict derived outside _floor")
 sys.exit(bool(problems))

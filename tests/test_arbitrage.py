@@ -454,7 +454,7 @@ def test_measure_helpers_reject_wrong_lengths():
 
 
 def test_measure_takes_exact_values_one_per_charged_leaf_on_any_market():
-    # with no shift `_measure` keeps the values as given, an int among
+    # `_measure` keeps the values as given, an int among
     # Fractions too, reads no trailing floor t and prices each option
     # exactly; a market with no option gets no values
     values = [F(1, 2), 1]
@@ -465,9 +465,10 @@ def test_measure_takes_exact_values_one_per_charged_leaf_on_any_market():
 
 
 def test_measure_weighs_the_charged_leaves_alone_on_partly_charged_markets():
-    # one value per charged rank plus the shift is that leaf's weight, every
-    # other leaf weighs 0, a trailing floor t is not read, and each option's
-    # value is the dot product of the weights with its payoff by leaf position
+    # one value per charged rank plus the shift, which the robust parts add
+    # as the slack (`_robustness`), is that leaf's weight, every other leaf
+    # weighs 0, a trailing floor t is not read, and each option's value is
+    # the dot product of the weights with its payoff by leaf position
     rng = random.Random(53)
     seen = shifted = moved = 0
     while seen < 150:
@@ -477,7 +478,11 @@ def test_measure_weighs_the_charged_leaves_alone_on_partly_charged_markets():
             continue
         values = [random_rational(rng, -2, 3, dens=(1, 2, 3, 5, 7)) for _ in c.charged]
         for shift in (F(0), F(rng.randint(1, 9), rng.choice((2, 3, 11)))):
-            q = _measure(c, [*values, F(99)], shift)
+            given = values
+            if shift:
+                out = lp.LpOutcome(lp.OPTIMAL, [*values, shift], None, shift, None, None)
+                given = arbitrage._robustness(c, out)[3]
+            q = _measure(c, [*given, F(99)])
             weights = [F(0)] * len(c.leaves)
             for pos, v in zip(c.charged, values):
                 weights[pos] = v + shift

@@ -1,12 +1,15 @@
 """Each compiled market solves its two floor programs, push 0 for
 no-arbitrage and push 1 for robust no-arbitrage, at most once, and keeps
-their outcomes (`arbitrage._floor`): every later verdict, witness, measure
-and certificate is built afresh from the kept outcome. Without a spread
-option the face has no inequality row, so push 1 reads push 0's outcome.
+their outcomes next to the exact parts of their verdicts
+(`arbitrage._floor`): every later verdict, witness, measure and
+certificate is built afresh around the kept parts, with no certificate
+derived again. Without a spread option the face has no inequality row, so
+push 1 reads push 0's outcome and the robust parts kept with it.
 """
 
 import copy
 import random
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -124,19 +127,54 @@ def _scrawl(answer):
 
 
 def test_a_caller_that_changes_an_answer_changes_nothing_kept():
+    # each reader on a market compiled for it alone, so its first call is
+    # the one that builds the kept floor; that answer and a warm one are
+    # both scrawled on before the next call
     changed = 0
     for m in _reference_markets():
-        c = require_valid(m)
         for name, query, args in _readers(m):
             if name.startswith(("bounds", "strict")):
                 continue  # they return fresh values of their own, not a floor's
+            c = require_valid(m)
             first = _answer(query, c, *args)
             kept = copy.deepcopy(first)
-            _scrawl(first)
-            again = _answer(query, c, *args)
-            assert again == kept, (m, name)
-            changed += again != first
-    assert changed >= 200, changed
+            for _ in range(2):
+                _scrawl(first)
+                again = _answer(query, c, *args)
+                assert again == kept, (m, name)
+                changed += again != first
+                first = again
+    assert changed >= 400, changed
+
+
+def test_warm_readers_derive_no_certificate_again(monkeypatch):
+    # once a market's floors are kept, no reader runs the hedge, the gain
+    # walk or the robust derivation again: it copies the kept parts
+    derived = []
+
+    def spy(name):
+        real = getattr(arbitrage, name)
+        return lambda *a: derived.append(name) or real(*a)
+
+    arbitrage_markets = robust = settled = 0
+    for m in _reference_markets():
+        c = require_valid(m)
+        readers = [(name, query, args) for name, query, args in _readers(m)
+                   if name.startswith(("na", "nar", "ftap", "dominating"))]
+        cold = [_answer(query, c, *args) for _, query, args in readers]
+        with monkeypatch.context() as patch:
+            for name in ("_hedge", "_terminal_gain", "_robustness"):
+                patch.setattr(arbitrage, name, spy(name))
+            for (name, query, args), answer in zip(readers, cold):
+                if name == "ftap" and not getattr(answer, "nar_witness", None):
+                    continue  # its push-1 arbitrage is derived on every call
+                assert _answer(query, c, *args) == answer, (m, name)
+                assert derived == [], (m, name, derived)
+        arbitrage_markets += not cold[0].holds
+        robust += cold[1].holds
+        settled += getattr(cold[2], "nar_witness", None) is not None
+    assert arbitrage_markets >= 20 and robust >= 40 and settled >= 20, (
+        arbitrage_markets, robust, settled)
 
 
 def test_four_threads_on_a_fresh_market_run_one_phase_one_and_one_solve(monkeypatch):
@@ -179,6 +217,48 @@ def test_four_threads_on_a_fresh_market_run_one_phase_one_and_one_solve(monkeypa
         assert answers == [expected] * 4, m
 
 
+def test_four_threads_on_a_fresh_arbitrage_market_derive_one_certificate(monkeypatch):
+    # the first check_na on a freshly parsed arbitrage market solves push 0
+    # and derives its arbitrage once, however many threads ask together
+    derived = []
+
+    class Slow(lp._Phase1):
+        def __init__(self, p):
+            time.sleep(0.05)
+            super().__init__(p)
+
+    arbitrage_of = arbitrage._arbitrage
+    monkeypatch.setattr(lp, "_Phase1", Slow)
+    monkeypatch.setattr(arbitrage, "_arbitrage", lambda *a: derived.append(a) or arbitrage_of(*a))
+    spread = next(m for m in _reference_markets()[6:] if any(opt.has_spread() for opt in m.options)
+                  and not arbitrage.check_na(m).holds)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for m in [binomial_with_free_option(), spread]:
+            text = dump_market(require_valid(m))
+            expected = arbitrage.check_na(parse_market(text))
+            derived.clear()
+            c, answers = parse_market(text), [None] * 4
+            start = threading.Barrier(4, timeout=60)
+
+            def run(i):
+                start.wait()
+                answers[i] = arbitrage.check_na(c)
+
+            threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads), m
+            assert len(derived) == 1 and not expected.holds, m
+            assert answers == [expected] * 4, m
+            assert len({id(a.certificate.gains) for a in answers}) == 4, m
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def _counted(monkeypatch):
     solved = []
     solve = lp.solve_lp
@@ -195,8 +275,12 @@ def test_without_a_spread_option_the_two_verdicts_and_ftap_solve_one_program(mon
             for k in order:
                 _answer(queries[k], c)
             assert solved == [0], (m, order)
-            assert c._na is not None and c._nar is None
+            assert c._nar[0] is c._na[0], (m, order)  # one program, kept for both pushes
             solved.clear()
+        c = require_valid(m)
+        arbitrage.check_na(c)
+        assert c._nar is not None, m  # push 0 keeps the robust verdict's parts too
+        solved.clear()
 
 
 def test_with_a_spread_option_push_zero_and_push_one_stay_two_programs(monkeypatch):
