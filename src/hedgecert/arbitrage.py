@@ -15,9 +15,12 @@ read off the program's row multipliers, when arbitrage exists; an interior
 measure plus shrunk quotes when robustness holds. Every measure program,
 `superhedge`'s and `redundancy`'s too, is solved by `_solve`; `_hedge` reads
 its outcome's multipliers, `_arbitrage` and `_robustness` the exact parts of
-a verdict. The two floor programs are solved, and their verdicts' parts
-derived, once per market, by `_floor`, and kept; each verdict is built
-afresh around the kept parts (`_na_verdict`, `_nar_verdict`).
+a verdict. An infeasible face's multipliers, its Farkas vector, are the same
+for every program on it, so its ray is derived once, with the face
+(`_face`), and `_hedge` reads it from there. The two floor programs are
+solved, and their verdicts' parts derived, once per market, by `_floor`,
+and kept; each verdict is built afresh around the kept parts
+(`_na_verdict`, `_nar_verdict`).
 """
 
 from __future__ import annotations
@@ -126,9 +129,14 @@ def _measure(c: CompiledMarket, values) -> MartingaleMeasure:
 
 
 def _face(c: CompiledMarket):
-    """The measure programs' t = 0 face and its layout, built once with
-    `lp._Phase1` and kept with the market (`model._kept`): (phase 1,
-    layout). Concurrent first queries on a market run one phase 1.
+    """The measure programs' t = 0 face, its layout and its ray, built once
+    with `lp._Phase1` and kept with the market (`model._kept`): (phase 1,
+    layout, ray). Concurrent first queries on a market run one phase 1.
+    The ray is None on a feasible face. On an infeasible one it is what its
+    negated Farkas vector encodes (`_multipliers`), the same for every
+    program on the face: capital y . rhs < 0 and the positions, a tuple in
+    `strategy_from` column order, which `_hedge` reads for every outcome
+    that is not optimal.
 
     Variables are R_w >= 0 per charged leaf. Rows, each its nonzeros'
     (column, value) pairs: total mass one, every node-level martingale
@@ -157,8 +165,10 @@ def _face(c: CompiledMarket):
             else:
                 add(coefs, lp.GE, opt.bid, ("option", i))
                 add(coefs, lp.LE, opt.ask, ("option", i))
-        face = lp.LpProblem([ZERO] * len(c.charged), rows, rels, rhs)
-        return lp._Phase1(face), tuple(layout)
+        phase1 = lp._Phase1(lp.LpProblem([ZERO] * len(c.charged), rows, rels, rhs))
+        farkas = phase1.farkas
+        ray = None if farkas is None else _multipliers(c, layout, rhs, [-v for v in farkas])
+        return phase1, tuple(layout), ray
 
     return _kept(c, "_face", build)
 
@@ -203,15 +213,13 @@ def _floor(c: CompiledMarket, push):
     return _kept(c, "_nar", build) if push else _kept(c, "_na", build)
 
 
-def _hedge(c: CompiledMarket, out: lp.LpOutcome) -> tuple[Fraction, Strategy]:
-    """Capital y . rhs and the strategy the face's row multipliers y encode:
-    the optimal duals, or the negated Farkas vector. Martingale rows give
-    dynamic positions, an option's one or two rows sum to its net position,
-    bought if positive and sold if negative, and the mass row is capital.
-    The strategy gains y . A_w - y . rhs on leaf w, plus what netting adds."""
-    phase1, layout = _face(c)
-    y = out.dual if out.status == lp.OPTIMAL else [-v for v in out.farkas]
-    position = [ZERO] * len(c.columns)  # in strategy_from column order
+def _multipliers(c: CompiledMarket, layout, rhs, y) -> tuple[Fraction, tuple]:
+    """Capital y . rhs and the positions, in `strategy_from` column order,
+    that the face's row multipliers y encode. Martingale rows give dynamic
+    positions, an option's one or two rows sum to its net position, bought
+    if positive and sold if negative, and the mass row is capital. The
+    strategy gains y . A_w - y . rhs on leaf w, plus what netting adds."""
+    position = [ZERO] * len(c.columns)
     net = [ZERO] * len(c.options)
     for (kind, index), v in zip(layout, y):
         if kind == "martingale":
@@ -219,7 +227,17 @@ def _hedge(c: CompiledMarket, out: lp.LpOutcome) -> tuple[Fraction, Strategy]:
         elif kind == "option":
             net[index] += v
     position += [v if v > 0 else ZERO for v in net] + [-v if v < 0 else ZERO for v in net]
-    return lp._dot(y, phase1.rhs), c.strategy_from(position)
+    return lp._dot(y, rhs), tuple(position)
+
+
+def _hedge(c: CompiledMarket, out: lp.LpOutcome) -> tuple[Fraction, Strategy]:
+    """Capital and a fresh strategy from the face's row multipliers
+    (`_multipliers`): the optimal duals, or, for any other outcome, the
+    face's kept ray (`_face`), derived once from its negated Farkas vector."""
+    phase1, layout, ray = _face(c)
+    optimal = out.status == lp.OPTIMAL
+    capital, position = _multipliers(c, layout, phase1.rhs, out.dual) if optimal else ray
+    return capital, c.strategy_from(position)
 
 
 def _arbitrage(c: CompiledMarket, out: lp.LpOutcome) -> tuple:

@@ -6,12 +6,13 @@ phenomenon, so nothing in the core ever touches floating point. No field of
 a model type can be reassigned once constructed and every operation is a
 pure function, which makes concurrent use on shared inputs safe without
 synchronization. The one exception is the state a compiled market keeps:
-its measure-program face (`arbitrage._face`), its two floor outcomes and
-the exact parts of their verdicts (`arbitrage._floor`) and its option
-replications (`redundancy._replicate`), each built by `_kept` on its first
-use, under one re-entrant lock: a thread that finds it unbuilt takes the
-lock and looks again, so concurrent first queries build it once. Nothing
-writes to it after, and every query builds its answer afresh around it.
+its measure-program face and ray (`arbitrage._face`), its two floor
+outcomes and the exact parts of their verdicts (`arbitrage._floor`) and its
+option replications (`redundancy._replicate`), each built by `_kept` on its
+first use, under one re-entrant lock: a thread that finds it unbuilt takes
+the lock and looks again, so concurrent first queries build it once.
+Nothing writes to it after, and every query builds its answer afresh
+around it.
 
 Leaves are indexed by *position* 0..L-1 in ascending node-id order among the
 nodes at the final period. Option payoffs, measure weights, and claims all
@@ -360,12 +361,14 @@ class CompiledMarket(MarketModel):
     the markets `require_valid` passes unchanged, those `_compile` built
     and `market_without_option` copied. The rest are three kinds of kept
     state, each built once by `_kept` (see the module docstring): `_face`
-    is the measure programs' face, its phase 1 and row layout
-    (`arbitrage._face`), built on the market's first solve; `_na` and
-    `_nar` hold the outcomes of its push-0 and push-1 floor programs, each
-    next to the exact parts of its verdict, as tuples (`arbitrage._floor`),
-    built on the first verdict that needs each; without a spread option the
-    two are one program, solved once, and push 0 keeps `_nar` too; and
+    is the measure programs' face, its phase 1, its row layout and, when
+    the face is infeasible, the robust-arbitrage ray its Farkas vector
+    encodes, else None (`arbitrage._face`), built on the market's first
+    solve; `_na` and `_nar` hold the outcomes of its push-0 and push-1
+    floor programs, each next to the exact parts of its verdict, as tuples
+    (`arbitrage._floor`), built on the first verdict that needs each;
+    without a spread option the two are one program, solved once, and push
+    0 keeps `_nar` too; and
     `_replications` holds, per option, None when it is non-redundant, else
     its replication vector over [1 | G | P_others] as a tuple
     (`redundancy._replicate`), built on the first redundancy query.
@@ -381,7 +384,8 @@ class CompiledMarket(MarketModel):
     integer_payoffs: tuple[tuple[tuple[int, ...], int], ...]   # per option, (numerators, den) by charged rank
     generator_names: tuple[str, ...]
     _checked: bool = field(default=False, init=False, compare=False, repr=False)
-    _face: tuple[_Phase1, tuple] | None = field(default=None, init=False, compare=False, repr=False)
+    _face: tuple[_Phase1, tuple, tuple | None] | None = field(
+        default=None, init=False, compare=False, repr=False)
     _na: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _nar: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _replications: tuple[tuple[Fraction, ...] | None, ...] | None = field(

@@ -76,7 +76,8 @@ def _hedge_side(c: CompiledMarket, out: lp.LpOutcome) -> tuple[Fraction, Strateg
     """The hedge the multipliers encode (`arbitrage._hedge`). Optimal duals
     have y . A_w >= payoff: a super-hedge. With no consistent measure the
     negated Farkas vector has y . A_w >= 0 > y . rhs: a ray along which the
-    cost falls without bound."""
+    cost falls without bound, the same for every claim, so it is derived
+    once, with the face (`arbitrage._face`), and read from there."""
     capital, strategy = _hedge(c, out)
     if out.status == lp.INFEASIBLE:
         raise RobustArbitrageError(

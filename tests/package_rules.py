@@ -1,4 +1,4 @@
-"""Check thirteen rules over the modules of the package, `src/hedgecert/*.py`.
+"""Check fourteen rules over the modules of the package, `src/hedgecert/*.py`.
 
 A name a module imports but never uses fails; __init__.py is skipped,
 because its imports are the package's re-exports. So does a name in a
@@ -38,7 +38,10 @@ solved once per market and no path solves it again around the kept outcome.
 So does a call to `_robustness` anywhere but in `arbitrage._floor`, or to
 `_arbitrage` anywhere but there and in `redundancy.sharper_ftap`, whose
 push-1 arbitrage needs its precondition, so no reader derives a floor
-verdict again around the parts `_floor` keeps. Thirteen rules in all.
+verdict again around the parts `_floor` keeps. So does a read of a
+`.farkas` attribute outside lp.py and `arbitrage._face`, which derives an
+infeasible face's ray once and keeps it with the face, so no path derives
+the ray again. Fourteen rules in all.
 
     python tests/package_rules.py
 
@@ -229,10 +232,17 @@ problems += [f"{path}:{node.lineno}: {name} called in {getattr(top, 'name', 'mod
              for node in ast.walk(top) if isinstance(node, ast.Call)
              for name in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
              if name in derives and (path, getattr(top, "name", None)) not in derives[name]]
+problems += [f"{path}:{node.lineno}: .farkas read in {getattr(top, 'name', 'module scope')}; "
+             "only arbitrage._face, which keeps the ray, may read a Farkas vector"
+             for path, tree in trees.items() if path.name != "lp.py" for top in tree.body
+             if (path, getattr(top, "name", None)) != (arbitrage_path, "_face")
+             for node in ast.walk(top) if isinstance(node, ast.Attribute)
+             and node.attr == "farkas" and isinstance(node.ctx, ast.Load)]
 print("\n".join(problems) or "no unused imports, unbound annotation names, dead "
       "private code, solver use outside lp.py and arbitrage.py, row read "
       "outside lp.py, unread compiled field, replay of compiled payoffs, row "
       "update outside _pivot, program built or solved outside _face and _solve, kept "
       "state written outside _kept, measure built outside _measure, floor program "
-      "solved outside _floor or floor verdict derived outside _floor")
+      "solved outside _floor, floor verdict derived outside _floor or Farkas "
+      "vector read outside _face")
 sys.exit(bool(problems))

@@ -292,7 +292,7 @@ def test_face_rows_are_increasing_nonzero_pairs_that_densify_to_the_oracle_face(
     for m in markets:
         c = model.require_valid(m)
         partial += len(c.charged) < len(c.leaves)
-        face, layout = arbitrage._face(c)
+        face, layout, _ = arbitrage._face(c)
         for row, (kind, col) in zip(face.rows, layout):
             if kind == "martingale":
                 assert row is c.gain_columns[col]

@@ -15,7 +15,8 @@ import pytest
 from hedgecert import arbitrage, lp, redundancy, superhedge
 from hedgecert.cli import main
 from hedgecert.errors import SoundnessError
-from hedgecert.marketio import dump_market, parse_claim, parse_market
+from hedgecert.marketio import claim_to_json, dump_market, parse_claim, parse_market
+from hedgecert.model import Claim
 from markets import binomial_with_free_option, routed, sparse_rows, spread_option_only_market
 
 DATA = Path(__file__).parent / "data"
@@ -46,6 +47,21 @@ def _with_gap(hedge_side):
     return shifted
 
 
+def _flipped(hedge):
+    def flipped(c, solved):
+        capital, strategy = hedge(c, solved)
+        return -capital, strategy
+    return flipped
+
+
+def _superhedge_free_option(tmp_path) -> list[str]:
+    """The superhedge command line of a claim on the free-option market."""
+    m = binomial_with_free_option()
+    claim = tmp_path / "claim.json"
+    claim.write_text(json.dumps(claim_to_json(m, Claim([F(1), F(0)]))))
+    return ["superhedge", _dumped(tmp_path, m), "--claim", str(claim)]
+
+
 # guard -> (module, name, fault from the original, its message, library
 # calls that reach it, CLI command lines that reach it)
 GUARDS = {
@@ -72,6 +88,11 @@ GUARDS = {
         superhedge, "_hedge_side", _with_gap, "duality gap 1 is nonzero",
         [lambda: superhedge.duality_report(_m1(), parse_claim((DATA / "call.json").read_bytes(), _m1()))],
         [],  # no command prints a duality report
+    ),
+    "robust-arbitrage ray replay": (
+        superhedge, "_hedge", _flipped, "robust-arbitrage ray",
+        [],  # the library raises the ray without replaying it
+        [_superhedge_free_option],
     ),
     "phase-1 unbounded": (
         lp, "_optimize", lambda optimize: lambda tab, red, basis, ncols: 0, "phase-1 unbounded",
