@@ -19,8 +19,8 @@ a verdict. An infeasible face's multipliers, its Farkas vector, are the same
 for every program on it, so its ray is derived once, with the face
 (`_face`), and `_hedge` reads it from there. The two floor programs are
 solved, and their verdicts' parts derived, once per market, by `_floor`,
-and kept; each verdict is built afresh around the kept parts
-(`_na_verdict`, `_nar_verdict`).
+and kept, the interior measure priced and checked to dominate there; each
+verdict is copied afresh from the kept parts (`_na_verdict`, `_nar_verdict`).
 """
 
 from __future__ import annotations
@@ -192,14 +192,15 @@ def _floor(c: CompiledMarket, push):
     """(outcome, parts) of max t, the floor every charged leaf's weight
     Q_w = R_w + t sits on, and of the verdict push 0 or 1 decides: NA's
     parts are None when it holds, else `_arbitrage`'s, and NAR's are
-    `_robustness`'s. Each is derived once per market and kept next to the
-    outcome (`model._kept`): push 0 in `_na`, push 1 in `_nar`. The parts
-    are tuples sharing the verdict's Fractions; each reader builds fresh
-    lists and dataclasses around them (`_na_verdict`, `_nar_verdict`). A
-    face without a spread option has no inequality row, so the late column
-    is the same for every push: one program decides both verdicts, solved
-    by whichever push comes first and read by the other, and push 0 keeps
-    NAR's parts too, so a check_nar after check_na keeps nothing new."""
+    `_robustness`'s, a priced and checked measure among them. Each is
+    derived once per market and kept next to the outcome (`model._kept`):
+    push 0 in `_na`, push 1 in `_nar`. The parts are tuples sharing the
+    verdict's Fractions; each reader builds fresh lists and dataclasses
+    around them (`_na_verdict`, `_nar_verdict`). A face without a spread
+    option has no inequality row, so the late column is the same for every
+    push: one program decides both verdicts, solved by whichever push comes
+    first and read by the other, and push 0 keeps NAR's parts too, so a
+    check_nar after check_na keeps nothing new."""
     def build(c):
         spread = any(opt.has_spread() for opt in c.options)
         twin = None if spread else (c._na if push else c._nar)
@@ -280,9 +281,10 @@ def check_na(m: MarketModel) -> NaVerdict:
 def _robustness(c: CompiledMarket, out: lp.LpOutcome):
     """The robust verdict's parts of a solved floor program that decides
     it, as `_nar_verdict` reads them: what blocks it, or, when the slack is
-    positive, the slack, the strictly shrunk bids and asks and the interior
-    weights by charged rank, each R_w plus the slack, put over one lcm once
-    so that each is one Fraction."""
+    positive, the slack, the strictly shrunk bids and asks, and the interior
+    measure's weights and option values (`_measure`), each charged weight
+    R_w plus the slack, put over one lcm once. It dominates every generator,
+    positive on each leaf the generator charges, or it is a SoundnessError."""
     if out.status == lp.INFEASIBLE:
         return _NO_CONSISTENT_MEASURE
     slack = out.objective_value
@@ -291,19 +293,24 @@ def _robustness(c: CompiledMarket, out: lp.LpOutcome):
                 "measure touches a quote bound or drops a charged scenario")
     nums, den = lp._over_lcm([*out.primal[:len(c.charged)], slack])
     s = nums.pop()
+    q = _measure(c, [Fraction(u + s, den) for u in nums])
+    if any(w.numerator > 0 and q.weights[pos].numerator <= 0  # signs, without Fraction compares
+           for gen in c.measures.generators for pos, w in enumerate(gen)):
+        raise SoundnessError("witness fails to dominate a generator it must dominate")
     half = slack / 2
     return (slack, tuple(opt.bid + half if opt.has_spread() else opt.bid for opt in c.options),
             tuple(opt.ask - half if opt.has_spread() else opt.ask for opt in c.options),
-            tuple([Fraction(u + s, den) for u in nums]))
+            tuple(q.weights), tuple(q.option_values))
 
 
-def _nar_verdict(c: CompiledMarket, parts) -> NarVerdict:
+def _nar_verdict(parts) -> NarVerdict:
     """The robust verdict of a floor's kept parts (`_floor`), in fresh lists
-    around a fresh measure."""
+    around a copy of the kept measure: nothing is priced or checked again."""
     if isinstance(parts, str):
         return NarVerdict(False, blocking=parts)
-    slack, bids, asks, weights = parts
-    return NarVerdict(True, RobustnessWitness(list(bids), list(asks), _measure(c, weights), slack))
+    slack, bids, asks, weights, values = parts
+    measure = MartingaleMeasure(list(weights), list(values))
+    return NarVerdict(True, RobustnessWitness(list(bids), list(asks), measure, slack))
 
 
 def check_nar(m: MarketModel) -> NarVerdict:
@@ -315,7 +322,7 @@ def check_nar(m: MarketModel) -> NarVerdict:
     yields the interior measure and the strictly shrunk quotes.
     """
     c = require_valid(m)
-    return _nar_verdict(c, _floor(c, push=1)[1])
+    return _nar_verdict(_floor(c, push=1)[1])
 
 
 def _require_nar(c: CompiledMarket, failure: str) -> RobustnessWitness:
@@ -337,24 +344,18 @@ def dominates(q: MartingaleMeasure, generator: list[Fraction]) -> bool:
     )
 
 
-def _require_domination(q: MartingaleMeasure, generators: list[list[Fraction]]) -> None:
-    if not all(dominates(q, gen) for gen in generators):
-        raise SoundnessError("witness fails to dominate a generator it must dominate")
-
-
 def dominating_measure(m: MarketModel, generator_index: int) -> MartingaleMeasure:
     """A consistent measure dominating the chosen generator.
 
     The robustness witness already charges every supported scenario with
     weight at least the achieved slack and stays strictly inside every
     spread, so it dominates each generator at once; returning it keeps the
-    output deterministic and the domination as strong as possible.
+    output deterministic and the domination, checked where the witness is
+    kept (`_robustness`), as strong as possible.
     """
     c = require_valid(m)
-    k = _index(generator_index, len(c.measures.generators), "generator index")
-    measure = _require_nar(c, "robust no-arbitrage fails").interior_measure
-    _require_domination(measure, [c.measures.generators[k]])
-    return measure
+    _index(generator_index, len(c.measures.generators), "generator index")
+    return _require_nar(c, "robust no-arbitrage fails").interior_measure
 
 
 def scenario_pricing_measure(m: MarketModel, leaf: int) -> MartingaleMeasure | None:

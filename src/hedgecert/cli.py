@@ -207,7 +207,7 @@ def _cmd_sharper_ftap(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
     _require(arbitrage.verify_nar_witness(m, bundle.nar_witness), "robustness witness")
     _require(len(bundle.dominating) == len(m.generator_names), "dominating measure count")
     for q, generator in zip(bundle.dominating, m.measures.generators):
-        if q is not bundle.nar_witness.interior_measure:  # replayed above, domination in sharper_ftap
+        if q is not bundle.nar_witness.interior_measure:  # replayed above, domination where it is kept
             _require_interior(m, q, "dominating measure")
             _require(arbitrage.dominates(q, generator), "domination")
     return EXIT_OK, _report(
@@ -227,7 +227,7 @@ def _cmd_sharper_ftap(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
 def _cmd_dominate(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
     k = _index_of(m.generator_names, args.generator, "generator")
     measure = arbitrage.dominating_measure(m, k)
-    _require_interior(m, measure, "dominating measure")  # dominating_measure checked domination
+    _require_interior(m, measure, "dominating measure")  # domination checked where it is kept
     return EXIT_OK, _report(
         "dominate",
         "computed",

@@ -367,8 +367,9 @@ class CompiledMarket(MarketModel):
     solve; `_na` and `_nar` hold the outcomes of its push-0 and push-1
     floor programs, each next to the exact parts of its verdict, as tuples
     (`arbitrage._floor`), built on the first verdict that needs each;
-    without a spread option the two are one program, solved once, and push
-    0 keeps `_nar` too; and
+    `_nar`'s hold the interior measure's weights and option values, checked
+    to dominate every generator; without a spread option the two are one
+    program, solved once, and push 0 keeps `_nar` too; and
     `_replications` holds, per option, None when it is non-redundant, else
     its replication vector over [1 | G | P_others] as a tuple
     (`redundancy._replicate`), built on the first redundancy query.

@@ -30,7 +30,6 @@ from .arbitrage import (
     _floor,
     _na_verdict,
     _nar_verdict,
-    _require_domination,
 )
 from .errors import PreconditionError, StructureError
 from .lp import _int_row, _rational_lists, _reduce
@@ -157,8 +156,9 @@ def sharper_ftap(m: MarketModel) -> SharperFtapBundle:
     the quotes are pushed inward is one with the quotes left in place. If it
     holds, the bundle carries the robustness witness plus a dominating
     measure per generator: the witness charges every supported scenario, so
-    it is that measure for every generator at once. Otherwise the verdict is
-    an arbitrage read off the same solve's multipliers (`_arbitrage`).
+    it is that measure for every generator at once, checked where it is kept
+    (`_robustness`). Otherwise the verdict is an arbitrage read off the same
+    solve's multipliers (`_arbitrage`).
 
     Why that is exact. The push-1 multipliers y gain
     g_w = y . A_w - y . rhs >= 0 on every charged leaf w. A Farkas y has
@@ -183,13 +183,11 @@ def sharper_ftap(m: MarketModel) -> SharperFtapBundle:
             details=report,
         )
     out, parts = _floor(c, push=1)
-    nar = _nar_verdict(c, parts)
+    nar = _nar_verdict(parts)
     if not nar.holds:
         return SharperFtapBundle(_na_verdict(c, _arbitrage(c, out)), None, None)
-    measure = nar.witness.interior_measure
-    _require_domination(measure, c.measures.generators)
     return SharperFtapBundle(
-        NaVerdict(True), nar.witness, [measure] * len(c.measures.generators)
+        NaVerdict(True), nar.witness, [nar.witness.interior_measure] * len(c.measures.generators)
     )
 
 

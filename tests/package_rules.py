@@ -31,7 +31,10 @@ not a use. So does a write of kept state outside `model._kept`: an
 a non-init `CompiledMarket` field other than `_checked`, so each piece of
 state a compiled market keeps is built once, under its lock. So does a
 `MartingaleMeasure(...)` call anywhere but in `arbitrage._measure`, so
-every measure the package returns is weighted and priced in one place. So
+every measure the package returns is weighted and priced in one place; the
+one other call allowed is in `arbitrage._nar_verdict`, and only when every
+argument is `list(name)`: it copies the interior measure `_robustness`
+built through `_measure` and keeps, and prices nothing. So
 does a `_solve` call with a push, a third positional, starred or `push`
 argument, anywhere but in `arbitrage._floor`, so each floor program is
 solved once per market and no path solves it again around the kept outcome.
@@ -210,11 +213,20 @@ for path, tree in trees.items():
             problems.append(f"{path}:{node.lineno}: kept state {name or 'by a computed name'} "
                             f"written in {function or 'module scope'}; only model._kept may "
                             "write it")
+def copies(call):
+    """True for a call whose arguments are all `list(name)`: copies of
+    kept tuples, with nothing computed."""
+    return not call.keywords and all(
+        isinstance(a, ast.Call) and getattr(a.func, "id", None) == "list" and not a.keywords
+        and len(a.args) == 1 and isinstance(a.args[0], ast.Name) for a in call.args)
+
 problems += [f"{path}:{node.lineno}: MartingaleMeasure built in {function or 'module scope'}; "
-             "only arbitrage._measure may build a measure" for path, tree in trees.items()
+             "only arbitrage._measure may build a measure, and _nar_verdict copy a kept one"
+             for path, tree in trees.items()
              for function, node in scoped(tree) if isinstance(node, ast.Call)
              and "MartingaleMeasure" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-             and (path, function) != (arbitrage_path, "_measure")]
+             and (path, function) != (arbitrage_path, "_measure")
+             and not ((path, function) == (arbitrage_path, "_nar_verdict") and copies(node))]
 problems += [f"{path}:{node.lineno}: _solve given a push in {getattr(top, 'name', 'module scope')}; "
              "only arbitrage._floor, which keeps the outcome, may solve a floor program"
              for path, tree in trees.items() for top in tree.body

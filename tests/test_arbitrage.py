@@ -21,7 +21,8 @@ from hedgecert.arbitrage import (
     verify_na_certificate,
     verify_nar_witness,
 )
-from hedgecert.errors import ArbitrageError, DomainError, RobustArbitrageError, StructureError
+from hedgecert.errors import (ArbitrageError, DomainError, RobustArbitrageError, SoundnessError,
+                              StructureError)
 from hedgecert.model import (
     Claim,
     OptionQuote,
@@ -468,7 +469,10 @@ def test_measure_weighs_the_charged_leaves_alone_on_partly_charged_markets():
     # one value per charged rank plus the shift, which the robust parts add
     # as the slack (`_robustness`), is that leaf's weight, every other leaf
     # weighs 0, a trailing floor t is not read, and each option's value is
-    # the dot product of the weights with its payoff by leaf position
+    # the dot product of the weights with its payoff by leaf position; the
+    # robust parts keep that measure's weights and values whole, and a
+    # program's R_w is >= 0, so with a negative one the kept weights fail to
+    # dominate a generator
     rng = random.Random(53)
     seen = shifted = moved = 0
     while seen < 150:
@@ -480,11 +484,17 @@ def test_measure_weighs_the_charged_leaves_alone_on_partly_charged_markets():
         for shift in (F(0), F(rng.randint(1, 9), rng.choice((2, 3, 11)))):
             given = values
             if shift:
-                out = lp.LpOutcome(lp.OPTIMAL, [*values, shift], None, shift, None, None)
-                given = arbitrage._robustness(c, out)[3]
-            q = _measure(c, [*given, F(99)])
+                given = [abs(v) for v in values]
+                out = lp.LpOutcome(lp.OPTIMAL, [*given, shift], None, shift, None, None)
+                *_, kept_weights, kept_values = arbitrage._robustness(c, out)
+                q = MartingaleMeasure(list(kept_weights), list(kept_values))
+                out.primal[0] = -shift
+                with pytest.raises(SoundnessError, match="fails to dominate"):
+                    arbitrage._robustness(c, out)
+            else:
+                q = _measure(c, [*given, F(99)])
             weights = [F(0)] * len(c.leaves)
-            for pos, v in zip(c.charged, values):
+            for pos, v in zip(c.charged, given):
                 weights[pos] = v + shift
             assert q.weights == weights, (c, values, shift)
             assert q.option_values == [lp._dot(weights, opt.payoff) for opt in c.options], (c, shift)

@@ -99,6 +99,8 @@ def test_warm_answers_equal_cold_ones_and_the_dense_oracle():
 def _scrawl_measure(q):
     q.weights.append(ONE)
     q.weights[0] += 1
+    if q.option_values:
+        q.option_values[0] += 1
     q.option_values.append(ONE)
 
 
@@ -175,6 +177,37 @@ def test_warm_readers_derive_no_certificate_again(monkeypatch):
         settled += getattr(cold[2], "nar_witness", None) is not None
     assert arbitrage_markets >= 20 and robust >= 40 and settled >= 20, (
         arbitrage_markets, robust, settled)
+
+
+def test_the_interior_measure_is_priced_and_checked_once_per_market(monkeypatch):
+    # the build that keeps the robust parts prices the interior measure
+    # (`_measure`) once and checks its domination without `dominates`; a
+    # warm check_nar, sharper_ftap or dominating_measure prices nothing,
+    # and a warm strict_dual_approx prices only its own two measures, the
+    # dual optimum and the mixture it returns
+    priced, checked = [], []
+    measure, dominates = arbitrage._measure, arbitrage.dominates
+    monkeypatch.setattr(arbitrage, "_measure", lambda *a: priced.append(a) or measure(*a))
+    monkeypatch.setattr(superhedge, "_measure", lambda *a: priced.append(a) or measure(*a))
+    monkeypatch.setattr(arbitrage, "dominates", lambda *a: checked.append(a) or dominates(*a))
+    robust = strict = 0
+    for m in _reference_markets():
+        c = require_valid(m)
+        holds = arbitrage.check_na(c).holds, arbitrage.check_nar(c).holds
+        assert len(priced) == holds[1], (m, holds)
+        readers = [(name, query, args) for name, query, args in _readers(m)
+                   if name.startswith(("nar", "ftap", "dominating", "strict"))]
+        for _ in range(2):
+            for name, query, args in readers:
+                priced.clear()
+                answer = _answer(query, c, *args)
+                own = 2 if name == "strict" and not isinstance(answer, tuple) else 0
+                assert len(priced) == own, (m, name, len(priced))
+                strict += own > 0
+        assert checked == [], m
+        priced.clear()
+        robust += holds[1]
+    assert robust >= 40 and strict >= 40, (robust, strict)
 
 
 def test_four_threads_on_a_fresh_market_run_one_phase_one_and_one_solve(monkeypatch):
