@@ -219,16 +219,21 @@ def _multipliers(c: CompiledMarket, layout, rhs, y) -> tuple[Fraction, tuple]:
     that the face's row multipliers y encode. Martingale rows give dynamic
     positions, an option's one or two rows sum to its net position, bought
     if positive and sold if negative, and the mass row is capital. The
-    strategy gains y . A_w - y . rhs on leaf w, plus what netting adds."""
+    strategy gains y . A_w - y . rhs on leaf w, plus what netting adds. A
+    martingale row's rhs is 0, so the capital is taken over the others."""
     position = [ZERO] * len(c.columns)
     net = [ZERO] * len(c.options)
-    for (kind, index), v in zip(layout, y):
+    priced, bounds = [], []  # the mass and quote rows' multipliers and rhs
+    for (kind, index), v, b in zip(layout, y, rhs):
         if kind == "martingale":
             position[index] = v
-        elif kind == "option":
+            continue
+        priced.append(v)
+        bounds.append(b)
+        if kind == "option":
             net[index] += v
     position += [v if v > 0 else ZERO for v in net] + [-v if v < 0 else ZERO for v in net]
-    return lp._dot(y, rhs), tuple(position)
+    return lp._dot(priced, bounds), tuple(position)
 
 
 def _hedge(c: CompiledMarket, out: lp.LpOutcome) -> tuple[Fraction, Strategy]:

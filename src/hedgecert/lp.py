@@ -42,10 +42,16 @@ row [A | b] once, as a primitive integer vector rows[k] = scale[k] *
 (problem row k, slack included), and phase 1 pivots these rows themselves
 into its tableau; its reduced costs are -sum_k rows[k] / |scale[k]| over
 one common integer denominator, a positive multiple of the rational
-phase-1 row. Values leave as b_i / a_i,B(i), and the optimal value as the
-cost row's rhs over lam (`solve_lp`): the cost row is never summed
-against the point in Fractions. Each phase builds its start cost row as
-one integer sum of rows, made primitive once (`_row_sum`).
+phase-1 row. The optimal value leaves as the cost row's rhs over lam
+(`solve_lp`): the cost row is never summed against the point in
+Fractions. The two sides leave only when read: an outcome keeps the
+triple (column, b_i, a_i,B(i)) of each basic problem column with a
+nonzero rhs, and an optimal one the dual weights (i, u) over den * lam
+beside the face's kept inverse (below), and each read of `primal` or
+`dual` derives a fresh list from them (`LpOutcome`), so a query that
+returns a measure builds no duals and one that returns a hedge no point.
+Each phase builds its start cost row as one integer sum of rows, made
+primitive once (`_row_sum`).
 
 Phase 1 begins with a crash (Bixby 1992, "Implementing the simplex method:
 the initial basis"). Each row whose rhs is 0, fewest nonzeros first, pivots
@@ -118,6 +124,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from operator import mul
 
@@ -151,14 +158,46 @@ class LpProblem:
     phase1: tuple[_Phase1, int | None] | None = field(default=None, init=False, compare=False, repr=False)
 
 
+class _Side:
+    """A side of `LpOutcome`: a list set by the constructor or by hand sits
+    in the outcome's own dict, which Python reads first, as it does for
+    `functools.cached_property`; otherwise each read calls the partial that
+    `_later` keeps under the field's name with a leading underscore. At
+    class level it reads None, the field's default."""
+
+    def __set_name__(self, owner, name):
+        self.key = "_" + name
+
+    def __get__(self, outcome, owner=None):
+        return None if outcome is None else outcome.__dict__[self.key]()
+
+
 @dataclass
 class LpOutcome:
+    """An outcome and its certificate. An optimal or unbounded one from
+    `solve_lp` keeps, for its primal, the triple (column, b, a) of each
+    basic problem column with a nonzero rhs, and an optimal one, for its
+    dual, the weights (i, u) over the denominator den * lam beside its
+    face's kept inverse. Each read of `primal` or `dual` derives a fresh
+    list from these (`_point`, `_duals`), so a query builds only the side it
+    reads, any number of threads may read an outcome kept with a market, and
+    a caller that writes into a list it got changes nothing kept. Equality,
+    repr and `replace` read the sides as any caller does."""
+
     status: str
-    primal: list[Fraction] | None = None
-    dual: list[Fraction] | None = None
+    primal: list[Fraction] | None = _Side()
+    dual: list[Fraction] | None = _Side()
     objective_value: Fraction | None = None
     farkas: list[Fraction] | None = None
     ray: list[Fraction] | None = None
+
+
+def _later(out: LpOutcome, **sides) -> LpOutcome:
+    """`out` with each side named derived by its partial on every read (`_Side`)."""
+    for name, derive in sides.items():
+        del out.__dict__[name]
+        out.__dict__["_" + name] = derive
+    return out
 
 
 def _rationals(values, field: str) -> None:
@@ -528,12 +567,9 @@ def solve_lp(p: LpProblem) -> LpOutcome:
     red[-1] = den * big
     red = _row_sum(red, [(u * (big // a), row) for u, row, a in terms])
     jc = _optimize(tab, red, basis, n)
-    z = [_ZERO] * n  # the basic point: each row's basic column at b / a, the rest 0
-    for row, col in zip(tab, basis):
-        b = row.get(n)
-        if b:
-            z[col] = Fraction(b, row[col])
-    x = z[:nvars]
+    # the basic point: each basic problem column with a nonzero rhs b at b / a, the rest 0
+    primal = partial(_point, nvars, tuple((col, row[n], row[col]) for row, col in zip(tab, basis)
+                                          if col < nvars and n in row))
 
     if jc is not None:
         d = [_ZERO] * n
@@ -541,7 +577,7 @@ def solve_lp(p: LpProblem) -> LpOutcome:
         for row, col in zip(tab, basis):
             if jc in row:
                 d[col] = Fraction(-row[jc], row[col])
-        return LpOutcome(status=UNBOUNDED, primal=x, ray=d[:nvars])
+        return _later(LpOutcome(status=UNBOUNDED, ray=d[:nvars]), primal=primal)
 
     # The final reduced costs d = red / lam of min -c . z are d_j = -c_j +
     # y'^T A'_j on every column, y' the duals of max c . x over the standard
@@ -556,11 +592,19 @@ def solve_lp(p: LpProblem) -> LpOutcome:
             u = red.get(col, 0) * den + (cost[col] * lam if col < nvars else 0)
             if u:
                 weights.append((i, u))
-    y = _duals(phase1.inverse, weights, den * lam)
+    dual = partial(_duals, phase1.inverse, tuple(weights), den * lam)
     # once every basic column is eliminated from it, the cost row's rhs is
     # lam times c . x at the basic point, and every pivot keeps it so
     value = Fraction(red.get(n, 0), lam)
-    return LpOutcome(status=OPTIMAL, primal=x, dual=y, objective_value=value)
+    return _later(LpOutcome(status=OPTIMAL, objective_value=value), primal=primal, dual=dual)
+
+
+def _point(n: int, basic) -> list[Fraction]:
+    """The n-vector with b / a at each (column, b, a) of `basic`, 0 elsewhere."""
+    x = [_ZERO] * n
+    for col, b, a in basic:
+        x[col] = Fraction(b, a)
+    return x
 
 
 def _row_value(row, x: list[Fraction]) -> Fraction:
@@ -614,39 +658,40 @@ def verify_certificate(p: LpProblem, o: LpOutcome) -> bool:
     p = LpProblem(p.objective, _program_rows(p), p.relations, p.rhs)  # its full rows
     n = len(p.objective)
     m = len(p.rows)
+    primal, dual = o.primal, o.dual  # each read derives its side afresh (`LpOutcome`)
 
     if o.status == OPTIMAL:
-        if not _rational_lists(o.primal, o.dual, [o.objective_value]):
+        if not _rational_lists(primal, dual, [o.objective_value]):
             return False
         if o.farkas is not None or o.ray is not None:
             return False
-        if len(o.primal) != n or len(o.dual) != m:
+        if len(primal) != n or len(dual) != m:
             return False
-        if not _feasible(p, o.primal, p.rhs):
+        if not _feasible(p, primal, p.rhs):
             return False
-        if _dot(p.objective, o.primal) != o.objective_value:
+        if _dot(p.objective, primal) != o.objective_value:
             return False
-        if not _dual_signs_ok(p, o.dual):
+        if not _dual_signs_ok(p, dual):
             return False
         # dual feasibility and complementary slackness: a nonzero reduced
         # cost is negative, which holds its variable at 0, and it is 0; a row
         # with a nonzero dual is tight. With the primal feasible these give
         # c . x = y . rhs, so x and y are both optimal.
-        for cj, sj, xj in zip(p.objective, _aggregate(p, o.dual), o.primal):
+        for cj, sj, xj in zip(p.objective, _aggregate(p, dual), primal):
             dj = cj - sj
             if dj > 0:
                 return False
             if dj and xj:
                 return False
         for i in range(m):
-            if o.dual[i] and _row_value(p.rows[i], o.primal) != p.rhs[i]:
+            if dual[i] and _row_value(p.rows[i], primal) != p.rhs[i]:
                 return False
         return True
 
     if o.status == INFEASIBLE:
         if not _rational_lists(o.farkas):
             return False
-        if o.primal is not None or o.dual is not None or o.ray is not None:
+        if primal is not None or dual is not None or o.ray is not None:
             return False
         if o.objective_value is not None:
             return False
@@ -661,15 +706,15 @@ def verify_certificate(p: LpProblem, o: LpOutcome) -> bool:
         return sum((yi * bi for yi, bi in zip(y, p.rhs) if yi), _ZERO) > 0
 
     if o.status == UNBOUNDED:
-        if not _rational_lists(o.primal, o.ray):
+        if not _rational_lists(primal, o.ray):
             return False
-        if o.dual is not None or o.farkas is not None or o.objective_value is not None:
+        if dual is not None or o.farkas is not None or o.objective_value is not None:
             return False
-        if len(o.primal) != n or len(o.ray) != n:
+        if len(primal) != n or len(o.ray) != n:
             return False
         # the point is feasible, and so is every step along the ray r >= 0:
         # each row's drift along r keeps to its relation against 0
-        if not _feasible(p, o.primal, p.rhs) or not _feasible(p, o.ray, [_ZERO] * m):
+        if not _feasible(p, primal, p.rhs) or not _feasible(p, o.ray, [_ZERO] * m):
             return False
         return _dot(p.objective, o.ray) > 0
 

@@ -34,7 +34,7 @@ from math import lcm
 from operator import mul
 
 from .errors import DomainError, StructureError
-from .lp import _Phase1, _dot, _over_lcm, _rational_lists
+from .lp import _Phase1, _over_lcm, _rational_lists
 
 # The rational substrate. Fraction already guarantees the invariants this
 # package relies on: positive denominator, lowest terms, canonical zero.
@@ -606,20 +606,24 @@ def _terminal_gain(c: CompiledMarket, s: Strategy) -> list[Fraction]:
                 for kid in c.children[nid]:
                     wealth[kid] = base + sum(map(mul, h, prices[kid]))
 
-    # the constant as one more net leg, on a payoff of 1 on every leaf
-    n_leaves = len(c.leaves)
-    constant = _dot(s.sell_leg, [opt.bid for opt in c.options]) - _dot(
-        s.buy_leg, [opt.ask for opt in c.options])
-    legs = [(b - v, opt.payoff) for b, v, opt in zip(s.buy_leg, s.sell_leg, c.options)]
-    legs = [leg for leg in legs + [(constant, [1] * n_leaves)] if leg[0]]
-    net, net_den = _over_lcm([x for x, _ in legs])
-    pay, pay_den = _over_lcm([p for _, payoff in legs for p in payoff])
-    static = [0] * n_leaves
-    for k, x in enumerate(net):
-        static = [u + x * p for u, p in zip(static, pay[k * n_leaves:(k + 1) * n_leaves])]
+    # both legs over one denominator, so each option's net leg buy - sell
+    # and the constant sell . bid - buy . ask are integer sums, against the
+    # quotes and the held options' payoffs, put over one denominator too
+    n_leaves, e = len(c.leaves), len(c.options)
+    legs, leg_den = _over_lcm([*s.buy_leg, *s.sell_leg])
+    static, static_den = [0] * n_leaves, 1
+    if any(legs):
+        net = [(b - v, opt.payoff) for b, v, opt in zip(legs, legs[e:], c.options) if b != v]
+        ints, quote_den = _over_lcm([q for opt in c.options for q in (opt.bid, opt.ask)]
+                                    + [p for _, payoff in net for p in payoff])
+        static = [sum(v * bid - b * ask for b, v, bid, ask
+                      in zip(legs, legs[e:], ints[0:2 * e:2], ints[1:2 * e:2]))] * n_leaves
+        pay = ints[2 * e:]
+        for k, (x, _) in enumerate(net):
+            static = [u + x * p for u, p in zip(static, pay[k * n_leaves:(k + 1) * n_leaves])]
+        static_den = leg_den * quote_den
 
-    den = lcm(wealth_den, net_den * pay_den)
-    fw, fs = den // wealth_den, den // (net_den * pay_den)
+    den = lcm(wealth_den, static_den)
+    fw, fs = den // wealth_den, den // static_den
     return [Fraction(wealth[leaf] * fw + static[pos] * fs, den)
             for pos, leaf in enumerate(c.leaves)]
-

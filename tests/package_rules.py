@@ -1,4 +1,4 @@
-"""Check fourteen rules over the modules of the package, `src/hedgecert/*.py`.
+"""Check fifteen rules over the modules of the package, `src/hedgecert/*.py`.
 
 A name a module imports but never uses fails; __init__.py is skipped,
 because its imports are the package's re-exports. So does a name in a
@@ -44,7 +44,12 @@ push-1 arbitrage needs its precondition, so no reader derives a floor
 verdict again around the parts `_floor` keeps. So does a read of a
 `.farkas` attribute outside lp.py and `arbitrage._face`, which derives an
 infeasible face's ray once and keeps it with the face, so no path derives
-the ray again. Fourteen rules in all.
+the ray again. So does a use of `lp._duals`, as a name or an attribute,
+anywhere but in `lp._Phase1.__init__`, which derives an infeasible face's
+Farkas vector, or as the first argument of a `partial` call, the
+derivation an optimal outcome keeps and runs only when its `dual` is read
+(`lp.LpOutcome`), so no path builds the duals eagerly again. Fifteen rules
+in all.
 
     python tests/package_rules.py
 
@@ -250,11 +255,24 @@ problems += [f"{path}:{node.lineno}: .farkas read in {getattr(top, 'name', 'modu
              if (path, getattr(top, "name", None)) != (arbitrage_path, "_face")
              for node in ast.walk(top) if isinstance(node, ast.Attribute)
              and node.attr == "farkas" and isinstance(node.ctx, ast.Load)]
+lp_path = pathlib.Path("src/hedgecert/lp.py")
+phase1_init = next(node for top in trees[lp_path].body
+              if isinstance(top, ast.ClassDef) and top.name == "_Phase1"
+              for node in top.body if getattr(node, "name", None) == "__init__")
+allowed = {id(sub) for sub in ast.walk(phase1_init)}
+allowed |= {id(node.args[0]) for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "partial"
+            and node.args}
+problems += [f"{path}:{node.lineno}: _duals used outside a partial and _Phase1.__init__; "
+             "an outcome's duals are derived only when read"
+             for path, tree in trees.items() for node in ast.walk(tree)
+             if "_duals" in (getattr(node, "id", None), getattr(node, "attr", None))
+             and id(node) not in allowed]
 print("\n".join(problems) or "no unused imports, unbound annotation names, dead "
       "private code, solver use outside lp.py and arbitrage.py, row read "
       "outside lp.py, unread compiled field, replay of compiled payoffs, row "
       "update outside _pivot, program built or solved outside _face and _solve, kept "
       "state written outside _kept, measure built outside _measure, floor program "
-      "solved outside _floor, floor verdict derived outside _floor or Farkas "
-      "vector read outside _face")
+      "solved outside _floor, floor verdict derived outside _floor, Farkas "
+      "vector read outside _face or duals derived before they are read")
 sys.exit(bool(problems))

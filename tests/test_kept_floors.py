@@ -346,3 +346,118 @@ def test_copies_start_with_no_kept_floors_and_floors_stay_out_of_equality():
     # the copy answers for its own options, not from the market it came from
     assert arbitrage.check_na(reduced) == arbitrage.check_na(
         parse_market(dump_market(reduced)))
+
+
+def _dual_spy(monkeypatch) -> list:
+    """Every `lp._duals` call made outside a certificate replay: the
+    session audit replays each solve's outcome, its dual included, and a
+    replay is no query's."""
+    calls, replaying = [], []
+    duals, verify = lp._duals, lp.verify_certificate
+
+    def spy(*args):
+        if not replaying:
+            calls.append(args)
+        return duals(*args)
+
+    def replay(p, o):
+        replaying.append(p)
+        try:
+            return verify(p, o)
+        finally:
+            replaying.pop()
+
+    monkeypatch.setattr(lp, "_duals", spy)
+    monkeypatch.setattr(lp, "verify_certificate", replay)
+    return calls
+
+
+def test_queries_that_return_no_hedge_derive_no_duals(monkeypatch):
+    # an optimal outcome derives its duals only when they are read
+    # (`lp.LpOutcome`): a cold check_na where NA holds, a warm check_nar and
+    # every dual_price and scenario_pricing_measure read none, and a
+    # superhedge_price, which returns the hedge, derives them once
+    calls = _dual_spy(monkeypatch)
+    holds = spread = 0
+    for m in _reference_markets():
+        c = require_valid(m)
+        calls.clear()
+        na = arbitrage.check_na(c)
+        if na.holds:
+            assert calls == [], m
+        arbitrage.check_nar(c)
+        claim = random_claim(random.Random(len(m.tree.nodes)), m)
+        for _ in range(2):
+            calls.clear()
+            _answer(arbitrage.check_nar, c)
+            _answer(superhedge.dual_price, c, claim)
+            for leaf in c.charged:
+                _answer(arbitrage.scenario_pricing_measure, c, leaf)
+            assert calls == [], m
+        if na.holds:
+            superhedge.superhedge_price(c, claim)
+            assert len(calls) == 1, m
+            holds += 1
+            spread += any(opt.has_spread() for opt in m.options)
+    assert holds >= 40 and spread >= 20, (holds, spread)
+
+
+def test_four_threads_read_equal_duals_of_a_kept_outcome_and_keep_none(monkeypatch):
+    # where robust no-arbitrage fails, sharper_ftap reads the kept push-1
+    # outcome's duals on every call; threads reading them together each
+    # derive a list of their own, all equal, and a caller that writes into
+    # what it was given changes nothing kept
+    def fails_from_optimal_duals(m):
+        c = require_valid(m)
+        bundle = _answer(redundancy.sharper_ftap, c)
+        return (isinstance(bundle, redundancy.SharperFtapBundle) and bundle.nar_witness is None
+                and c._nar[0].status == lp.OPTIMAL)
+
+    rng = random.Random(43)
+    markets = [m for m in (random_arbitrary_market(rng, max_periods=2, max_assets=1, max_leaves=8,
+                                                   max_options=3) for _ in range(200))
+               if fails_from_optimal_duals(m)]
+    assert len(markets) >= 3, len(markets)
+    read = []
+    multipliers = arbitrage._multipliers
+
+    class Slow(lp._Phase1):
+        def __init__(self, p):
+            time.sleep(0.05)
+            super().__init__(p)
+
+    monkeypatch.setattr(lp, "_Phase1", Slow)
+    monkeypatch.setattr(arbitrage, "_multipliers",
+                        lambda c, layout, rhs, y: read.append(y) or multipliers(c, layout, rhs, y))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for m in markets[:3]:
+            text = dump_market(require_valid(m))
+            expected = redundancy.sharper_ftap(parse_market(text))
+            read.clear()
+            c, answers = parse_market(text), [None] * 4
+            start = threading.Barrier(4, timeout=60)
+
+            def run(i):
+                start.wait()
+                answers[i] = redundancy.sharper_ftap(c)
+
+            threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads), m
+            assert answers == [expected] * 4, m
+            kept = c._nar[0].dual
+            assert len(read) == 4 and all(y == kept for y in read), m
+            assert len({id(y) for y in read + [kept]}) == 5, m
+            for y, answer in zip(read, answers):
+                y[0] += 1
+                y.append(ONE)
+                _scrawl(answer)
+            assert c._nar[0].dual == kept, m
+            assert redundancy.sharper_ftap(c) == expected, m
+    finally:
+        sys.setswitchinterval(interval)

@@ -1,9 +1,10 @@
 import copy
 import math
 import random
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 from decimal import Decimal
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,30 @@ def test_verify_rejects_wrong_field_population():
     assert lp.verify_certificate(p, out)
     assert not lp.verify_certificate(p, replace(out, dual=[]))
     assert not lp.verify_certificate(p, replace(out, ray=[I, I]))
+
+
+def test_each_side_is_a_plain_field_to_dataclasses():
+    # the class-level read of a side is its field's default; a class built
+    # with the descriptor reads a list back as it was set, and a side that
+    # `_later` gave a partial as a fresh list from it on every read
+    assert lp.LpOutcome.primal is None and lp.LpOutcome.dual is None
+    assert [f.default for f in fields(lp.LpOutcome)][1:] == [None] * 5
+
+    @dataclass
+    class Pair:
+        first: list | None = lp._Side()
+        second: list | None = lp._Side()
+
+    given = [I]
+    pair = Pair(given)
+    assert pair.first is given and pair.second is None
+    assert vars(pair) == {"first": given, "second": None}
+    derived = lp._later(Pair(None, [Z]), first=partial(list, (I, Z)))
+    assert vars(derived) == {"_first": derived.__dict__["_first"], "second": [Z]}
+    assert derived.first == [I, Z] and derived.first is not derived.first
+    assert derived == Pair([I, Z], [Z]) and repr(derived) == repr(Pair([I, Z], [Z]))
+    derived.first = given
+    assert derived.first is given
 
 
 def test_verify_rejects_non_rational_entries():

@@ -14,6 +14,7 @@ same status, primal, dual, objective, Farkas vector and ray.
 import collections
 import copy
 import random
+from dataclasses import replace
 from fractions import Fraction
 from fractions import Fraction as F
 from functools import partial
@@ -287,6 +288,31 @@ def test_market_programs_match_the_dense_kernel(monkeypatch):
     cells = len(widest.rows) * len(widest.objective)
     assert sum(map(len, widest.rows)) < cells / 2
     _assert_identical(problems)
+
+
+def test_each_side_is_derived_when_read_and_equals_the_dense_kernels(monkeypatch):
+    # an outcome keeps the integers phase 2 computed and derives its primal
+    # and dual from them on each read (`lp.LpOutcome`): every read is a
+    # fresh list equal to the dense kernel's, and a `replace` copy, which
+    # holds the lists themselves, equals both outcomes
+    rng = random.Random(4343)
+    market, _ = _query_programs(monkeypatch)
+    seen = collections.Counter()
+    labelled = [("random", routed(random_lp(rng))) for _ in range(400)]
+    labelled += [("market" if p.phase1[1] is None else "push", p) for p in market]
+    for kind, p in labelled:
+        out, dense = lp.solve_lp(copy.deepcopy(p)), _dense_solve_lp(copy.deepcopy(p))
+        for side in ("primal", "dual"):
+            read = getattr(out, side)
+            assert read == getattr(dense, side), (side, p)
+            if read is not None:
+                assert getattr(out, side) is not read, (side, p)
+        twin = replace(out)
+        assert twin == out == dense and repr(twin) == repr(out) == repr(dense), p
+        assert twin.primal is twin.primal, p
+        seen[kind, out.status] += 1
+    assert all(seen[kind, lp.OPTIMAL] >= 20 for kind in ("random", "market", "push")), seen
+    assert seen["random", lp.UNBOUNDED] >= 20, seen
 
 
 def test_reduce_matches_the_dense_elimination():
