@@ -41,7 +41,6 @@ from .model import (
     _integer_prices,
     _kept,
     _terminal_gain,
-    _top_down,
     require_valid,
     terminal_gain,
 )
@@ -142,8 +141,9 @@ def _face(c: CompiledMarket):
     (column, value) pairs: total mass one, every node-level martingale
     identity with a nonzero coefficient on a charged leaf, and the quote
     rows, with equality on zero-spread options and bid/ask inequalities on
-    spread options. `layout[r]` names row r: ("mass", 0), ("martingale",
-    dynamic column) or ("option", option index).
+    spread options; a martingale or quote row is the compiled gain or
+    payoff column itself, shared. `layout[r]` names row r: ("mass", 0),
+    ("martingale", dynamic column) or ("option", option index).
     """
     def build(c):
         rows, rels, rhs, layout = [], [], [], []
@@ -155,11 +155,10 @@ def _face(c: CompiledMarket):
             layout.append(name)
 
         add(tuple((k, ONE) for k in range(len(c.charged))), lp.EQ, ONE, ("mass", 0))
-        for col, gains in enumerate(c.gain_columns):  # each row the compiled column, shared
+        for col, gains in enumerate(c.gain_columns):
             if gains:
                 add(gains, lp.EQ, ZERO, ("martingale", col))
-        for i, opt in enumerate(c.options):
-            coefs = tuple((k, opt.payoff[pos]) for k, pos in enumerate(c.charged) if opt.payoff[pos])
+        for i, (opt, coefs) in enumerate(zip(c.options, c.payoff_columns)):
             if not opt.has_spread():
                 add(coefs, lp.EQ, opt.bid, ("option", i))
             else:
@@ -198,17 +197,17 @@ def _floor(c: CompiledMarket, push):
     verdict's Fractions; each reader builds fresh lists and dataclasses
     around them (`_na_verdict`, `_nar_verdict`). A face without a spread
     option has no inequality row, so the late column is the same for every
-    push: one program decides both verdicts, solved by whichever push comes
-    first and read by the other, and push 0 keeps NAR's parts too, so a
-    check_nar after check_na keeps nothing new."""
+    push: one program decides both verdicts. Push 1's build solves it, and
+    push 0's reads push 1's kept outcome, so NAR's parts are kept with it
+    and a check_nar after check_na keeps nothing new."""
     def build(c):
         spread = any(opt.has_spread() for opt in c.options)
-        twin = None if spread else (c._na if push else c._nar)
-        out = twin[0] if twin else _solve(c, [ZERO] * len(c.charged) + [ONE], push if spread else 0)
+        if push or spread:
+            out = _solve(c, [ZERO] * len(c.charged) + [ONE], push if spread else 0)
+        else:
+            out = _floor(c, 1)[0]
         if push:
             return out, _robustness(c, out)
-        if not spread:
-            _kept(c, "_nar", lambda c: (out, _robustness(c, out)))
         return out, None if out.status == lp.OPTIMAL and out.objective_value > 0 else _arbitrage(c, out)
 
     return _kept(c, "_nar", build) if push else _kept(c, "_na", build)
@@ -236,14 +235,13 @@ def _multipliers(c: CompiledMarket, layout, rhs, y) -> tuple[Fraction, tuple]:
     return lp._dot(priced, bounds), tuple(position)
 
 
-def _hedge(c: CompiledMarket, out: lp.LpOutcome) -> tuple[Fraction, Strategy]:
-    """Capital and a fresh strategy from the face's row multipliers
-    (`_multipliers`): the optimal duals, or, for any other outcome, the
-    face's kept ray (`_face`), derived once from its negated Farkas vector."""
+def _hedge(c: CompiledMarket, out: lp.LpOutcome) -> tuple[Fraction, tuple]:
+    """Capital and the positions, a tuple in `strategy_from` column order,
+    that the face's row multipliers encode (`_multipliers`): the optimal
+    duals', or, for any other outcome, the face's kept ray (`_face`),
+    derived once from its negated Farkas vector."""
     phase1, layout, ray = _face(c)
-    optimal = out.status == lp.OPTIMAL
-    capital, position = _multipliers(c, layout, phase1.rhs, out.dual) if optimal else ray
-    return capital, c.strategy_from(position)
+    return _multipliers(c, layout, phase1.rhs, out.dual) if out.status == lp.OPTIMAL else ray
 
 
 def _arbitrage(c: CompiledMarket, out: lp.LpOutcome) -> tuple:
@@ -252,19 +250,18 @@ def _arbitrage(c: CompiledMarket, out: lp.LpOutcome) -> tuple:
     y . rhs <= 0, with y . A_t >= 1 or y . rhs < 0, so the strategy gains
     y . A_w - y . rhs >= 0 on every charged leaf; one where it is positive
     is the strict leaf, and a strategy with none is a SoundnessError. Its
-    parts, as `_na_verdict` reads them: the positions in strategy-column
-    order, the gains and the strict leaf."""
-    _, strategy = _hedge(c, out)
-    gains = _terminal_gain(c, strategy)  # `_hedge` builds it to the market's shape
+    parts, as `_na_verdict` reads them: `_hedge`'s positions, kept as they
+    are, the gains they walk to (`_terminal_gain`) and the strict leaf."""
+    _, positions = _hedge(c, out)
+    gains = _terminal_gain(c, positions)
     strict = next((pos for pos in c.charged if gains[pos] > 0), None)
     if strict is None:
         raise SoundnessError("measure-side multipliers give no strictly positive gain")
-    dynamic = [h for nid in c.nonleaf for h in strategy.dynamic[nid]]
-    return (*dynamic, *strategy.buy_leg, *strategy.sell_leg), tuple(gains), strict
+    return positions, tuple(gains), strict
 
 
 def _na_verdict(c: CompiledMarket, parts) -> NaVerdict:
-    """The NA verdict of a floor's kept parts (`_floor`), in fresh lists."""
+    """The NA verdict of a floor's kept parts (`_floor`), in a fresh strategy and lists."""
     if parts is None:
         return NaVerdict(True)
     positions, gains, strict = parts
@@ -391,7 +388,7 @@ def verify_measure(m: MarketModel, q: MartingaleMeasure) -> bool:
     times its price step, is tested as an integer sum equal to 0. Each
     option's value is one integer sum over those weights and its payoff put
     over its own lcm. It walks the tree and reads the payoffs directly,
-    independently of the rows and payoff integers the package compiles.
+    independently of the columns and payoff integers the package compiles.
     """
     c = require_valid(m)
     if not isinstance(q, MartingaleMeasure) or not lp._rational_lists(q.weights, q.option_values):
@@ -410,7 +407,7 @@ def verify_measure(m: MarketModel, q: MartingaleMeasure) -> bool:
         mass = [0] * len(c.prices)
         for leaf, w in zip(c.leaves, weights):
             mass[leaf] = w
-        for nid in reversed(_top_down(c)):
+        for nid in reversed(c.order):
             kids = c.children[nid]
             if not kids:
                 continue

@@ -351,11 +351,14 @@ class CompiledMarket(MarketModel):
     compare `marketio.market_to_json` instead. Node ids are dense after
     validation, so per-node data is indexed by id; leaf data is indexed by
     leaf position, and gain entries by charged rank, a leaf's index in
-    `charged`. `integer_payoffs` holds each option's payoff on the charged
-    leaves, by charged rank, as integers over one denominator, the lcm of
-    those entries' (`lp._over_lcm`), so the package prices every option
-    under a measure, which weighs only the charged leaves, by one integer
-    dot product (`arbitrage._measure`); the replays read the payoffs
+    `charged`. `order` puts each node after its parent, though a child's id
+    may be below its parent's. Each option's payoff on the charged leaves is
+    compiled twice from one read: as its column of [1 | G | P], nonzero
+    (charged rank, payoff) pairs, in `payoff_columns`, and, by charged rank,
+    as integers over one denominator, the lcm of those entries'
+    (`lp._over_lcm`), in `integer_payoffs`, so the package prices every
+    option under a measure, which weighs only the charged leaves, by one
+    integer dot product (`arbitrage._measure`); the replays read the payoffs
     themselves. Five fields are not init fields, so no constructor or
     `replace` sets them, and none is compared or shown. `_checked` marks
     the markets `require_valid` passes unchanged, those `_compile` built
@@ -369,7 +372,7 @@ class CompiledMarket(MarketModel):
     (`arbitrage._floor`), built on the first verdict that needs each;
     `_nar`'s hold the interior measure's weights and option values, checked
     to dominate every generator; without a spread option the two are one
-    program, solved once, and push 0 keeps `_nar` too; and
+    program, solved by push 1's build and read by push 0's; and
     `_replications` holds, per option, None when it is non-redundant, else
     its replication vector over [1 | G | P_others] as a tuple
     (`redundancy._replicate`), built on the first redundancy query.
@@ -377,11 +380,13 @@ class CompiledMarket(MarketModel):
 
     prices: tuple[tuple[Fraction, ...], ...]        # by node id
     children: tuple[tuple[int, ...], ...]           # by node id, ascending
+    order: tuple[int, ...]                          # node ids root first, each after its parent
     leaves: tuple[int, ...]                         # leaf node ids, ascending
     nonleaf: tuple[int, ...]                        # non-leaf node ids, ascending
     charged: tuple[int, ...]                        # positions some generator charges
     columns: tuple[tuple[int, int], ...]            # (node id, asset) per dynamic column
     gain_columns: tuple[tuple[tuple[int, Fraction], ...], ...]  # per column, (charged rank, move) pairs
+    payoff_columns: tuple[tuple[tuple[int, Fraction], ...], ...]  # per option, (charged rank, payoff) pairs
     integer_payoffs: tuple[tuple[tuple[int, ...], int], ...]   # per option, (numerators, den) by charged rank
     generator_names: tuple[str, ...]
     _checked: bool = field(default=False, init=False, compare=False, repr=False)
@@ -411,8 +416,8 @@ def _kept(c: CompiledMarket, name: str, build):
     thread that finds the field unbuilt looks again once it holds the lock,
     so concurrent first uses build it once; a build holds the GIL, so one
     that waits on another loses nothing. The lock is re-entrant, so a build
-    may call `_kept` for other state, as a floor's build reaches the face
-    and, without a spread option, push 0's keeps push 1's. What a build
+    may read other kept state, as a floor's build reads the face and,
+    without a spread option, push 0's reads push 1's. What a build
     returns is handed to every caller, so it holds tuples and values
     nothing writes to, and a caller builds fresh answers around it."""
     kept = getattr(c, name)
@@ -431,7 +436,7 @@ def require_valid(m: MarketModel) -> CompiledMarket:
 
     This and `marketio.parse_market` are the entry points to compilation
     (`_compile`), the single place that builds the tree navigation, the
-    charged support, the dynamic gain columns and the strategy-column layout.
+    charged support, the gain and payoff columns and the strategy-column layout.
     """
     if isinstance(m, CompiledMarket) and m._checked:
         return m
@@ -484,18 +489,24 @@ def _compile(m: MarketModel) -> CompiledMarket:
                 if move:
                     gain_columns[j].append((rank, move))
             there = parent[there]
+    order = [parent.index(None)]
+    for nid in order:  # the list grows by each node's children as it is read
+        order.extend(children[nid])
+    payoffs = [[opt.payoff[pos] for pos in charged] for opt in m.options]
 
     c = CompiledMarket(
         m.tree, m.options, m.measures,
         prices=prices,
         children=tuple(map(tuple, children)),
+        order=tuple(order),
         leaves=tuple(leaves),
         nonleaf=tuple(nonleaf),
         charged=tuple(charged),
         columns=tuple((nid, j) for nid in nonleaf for j in range(assets)),
         gain_columns=tuple(map(tuple, gain_columns)),
-        integer_payoffs=tuple((tuple(nums), den) for nums, den in
-                              (_over_lcm([opt.payoff[pos] for pos in charged]) for opt in m.options)),
+        payoff_columns=tuple(tuple((rank, v) for rank, v in enumerate(values) if v)
+                             for values in payoffs),
+        integer_payoffs=tuple((tuple(nums), den) for nums, den in map(_over_lcm, payoffs)),
         generator_names=tuple(m.measures.names or (f"P{k}" for k in range(len(gens)))),
     )
     object.__setattr__(c, "_checked", True)
@@ -506,16 +517,16 @@ def market_without_option(m: MarketModel, i: int) -> MarketModel:
     """The market less option i; a compiled market stays compiled, and a
     plain one plain. The market is validated first; an `i` that is not an
     int in range is a DomainError. A subset of a valid market's options is
-    valid and only the kept state and `integer_payoffs` depend on them, so
-    a compiled copy, less option i's payoff integers, stays marked and
-    builds its own kept state."""
+    valid and only the kept state, `payoff_columns` and `integer_payoffs`
+    depend on them, so a compiled copy, less option i's payoff column and
+    integers, stays marked and builds its own kept state."""
     c = require_valid(m)
     _index(i, len(c.options), "option index")
     options = [opt for k, opt in enumerate(c.options) if k != i]
     if not isinstance(m, CompiledMarket):
         return replace(m, options=options)
-    payoffs = c.integer_payoffs[:i] + c.integer_payoffs[i + 1:]
-    reduced = replace(c, options=options, integer_payoffs=payoffs)
+    reduced = replace(c, options=options, payoff_columns=c.payoff_columns[:i] + c.payoff_columns[i + 1:],
+                      integer_payoffs=c.integer_payoffs[:i] + c.integer_payoffs[i + 1:])
     object.__setattr__(reduced, "_checked", True)
     return reduced
 
@@ -554,16 +565,6 @@ def _check_strategy_shape(c: CompiledMarket, s: Strategy) -> None:
             )
 
 
-def _top_down(c: CompiledMarket) -> list[int]:
-    """Every node id, each after its parent: breadth-first from the root
-    through `children`. Validation lets a child's id be below its parent's,
-    so ascending ids are not such an order."""
-    order = [next(node.id for node in c.tree.nodes if node.parent is None)]
-    for nid in order:  # the list grows by each node's children as it is read
-        order.extend(c.children[nid])
-    return order
-
-
 def _integer_prices(c: CompiledMarket) -> tuple[list[list[int]], int]:
     """Every node's prices, by node id, as integers over one common
     denominator: (numerators, denominator). The market has an asset."""
@@ -585,20 +586,21 @@ def terminal_gain(m: MarketModel, s: Strategy) -> list[Fraction]:
     """
     c = require_valid(m)
     _check_strategy_shape(c, s)
-    return _terminal_gain(c, s)
+    return _terminal_gain(c, [*(h for nid in c.nonleaf for h in s.dynamic[nid]),
+                              *s.buy_leg, *s.sell_leg])
 
 
-def _terminal_gain(c: CompiledMarket, s: Strategy) -> list[Fraction]:
-    """`terminal_gain` of a strategy whose shape is already checked, as a
-    strategy the package builds for the market is."""
-    a = c.tree.num_assets
-    held, held_den = _over_lcm([h for nid in c.nonleaf for h in s.dynamic[nid]])
+def _terminal_gain(c: CompiledMarket, positions) -> list[Fraction]:
+    """`terminal_gain` of the positions, in `strategy_from` column order,
+    of a strategy shaped for the market, as the package derives them."""
+    a, nh = c.tree.num_assets, len(c.columns)
+    held, held_den = _over_lcm(positions[:nh])
     wealth, wealth_den = [0] * len(c.prices), 1
     if any(held):
         prices, price_den = _integer_prices(c)
         wealth_den = held_den * price_den
         first = dict(zip(c.nonleaf, range(0, len(held), a)))
-        for nid in _top_down(c):
+        for nid in c.order:
             k = first.get(nid)
             if k is not None:  # a non-leaf node
                 h = held[k:k + a]
@@ -610,7 +612,7 @@ def _terminal_gain(c: CompiledMarket, s: Strategy) -> list[Fraction]:
     # and the constant sell . bid - buy . ask are integer sums, against the
     # quotes and the held options' payoffs, put over one denominator too
     n_leaves, e = len(c.leaves), len(c.options)
-    legs, leg_den = _over_lcm([*s.buy_leg, *s.sell_leg])
+    legs, leg_den = _over_lcm(positions[nh:])
     static, static_den = [0] * n_leaves, 1
     if any(legs):
         net = [(b - v, opt.payoff) for b, v, opt in zip(legs, legs[e:], c.options) if b != v]

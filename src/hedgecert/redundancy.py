@@ -71,10 +71,11 @@ def _replicate(c: CompiledMarket) -> tuple[tuple[Fraction, ...] | None, ...]:
     option, None when it is non-redundant, else its solution over
     [1 | G | P_others], as a tuple. Built once per market (`model._kept`).
 
-    [1 | G | P] on the charged leaves is reduced once, in column order, on
-    integer rows (`lp._int_row`, `lp._reduce`), and each replication is
-    read straight off those rows, one Fraction per nonzero entry. Option
-    i's payoff column p then reads in one of two ways. Without a pivot it
+    [1 | G | P] on the charged leaves, the compiled gain and payoff columns
+    transposed, is reduced once, in column order, on integer rows
+    (`lp._int_row`, `lp._reduce`), and each replication is read straight off
+    those rows, one Fraction per nonzero entry. Option i's payoff column p
+    then reads in one of two ways. Without a pivot it
     is the combination of the pivot columns its entries give: column j = p
     has x[piv_k] = a_k[j] / a_k[piv_k]. With a pivot in row r it is
     redundant exactly when a later payoff column j without a pivot has
@@ -87,11 +88,9 @@ def _replicate(c: CompiledMarket) -> tuple[tuple[Fraction, ...] | None, ...]:
     """
     nb, e = 1 + len(c.columns), len(c.options)
     rows = [[(0, ONE)] for _ in c.charged]  # [1 | G | P] by charged rank, in column order
-    for col, gains in enumerate(c.gain_columns, 1):
-        for k, v in gains:
+    for col, entries in enumerate((*c.gain_columns, *c.payoff_columns), 1):
+        for k, v in entries:
             rows[k].append((col, v))
-    for row, pos in zip(rows, c.charged):
-        row += [(col, opt.payoff[pos]) for col, opt in enumerate(c.options, nb) if opt.payoff[pos]]
     a = [_int_row(row) for row in rows]
     piv = _reduce(a, nb + e)
     row_of = {col: k for k, col in enumerate(piv)}

@@ -73,19 +73,19 @@ def _solve_pricing(c: CompiledMarket, f: Claim) -> lp.LpOutcome:
 
 
 def _hedge_side(c: CompiledMarket, out: lp.LpOutcome) -> tuple[Fraction, Strategy]:
-    """The hedge the multipliers encode (`arbitrage._hedge`). Optimal duals
-    have y . A_w >= payoff: a super-hedge. With no consistent measure the
-    negated Farkas vector has y . A_w >= 0 > y . rhs: a ray along which the
-    cost falls without bound, the same for every claim, so it is derived
-    once, with the face (`arbitrage._face`), and read from there."""
-    capital, strategy = _hedge(c, out)
+    """The hedge the multipliers encode (`arbitrage._hedge`), as a fresh
+    strategy. Optimal duals have y . A_w >= payoff: a super-hedge. With no
+    consistent measure the negated Farkas vector has y . A_w >= 0 > y . rhs:
+    a ray along which the cost falls without bound, the same for every
+    claim, so it is derived once, with the face (`arbitrage._face`)."""
+    capital, positions = _hedge(c, out)
     if out.status == lp.INFEASIBLE:
         raise RobustArbitrageError(
             "market admits robust arbitrage: super-hedging cost decreases without bound",
             blocking=_NO_CONSISTENT_MEASURE,
-            ray=(capital, strategy),
+            ray=(capital, c.strategy_from(positions)),
         )
-    return capital, strategy
+    return capital, c.strategy_from(positions)
 
 
 def _measure_side(c: CompiledMarket, out: lp.LpOutcome) -> tuple[Fraction, MartingaleMeasure]:

@@ -18,9 +18,9 @@ column, may read them. So does dead compiled state: a field of
 `CompiledMarket` that no module of the package reads, as an attribute or as
 the field a `_kept` call names; a read from tests alone does not count. So
 does a replay that reads compiled payoffs: a `verify_*` function or
-`strictly_inside_quotes` that reads `integer_payoffs`, so every replay
-prices the options from their payoffs, apart from the queries. So does a
-use of `lp._combine`, as a name or an
+`strictly_inside_quotes` that reads `integer_payoffs` or `payoff_columns`,
+so every replay prices the options from their payoffs, apart from the
+queries. So does a use of `lp._combine`, as a name or an
 attribute, anywhere but in `_pivot`: every row update is a pivot's, and
 phase 2 builds its start row in one sum. So does, in arbitrage.py, a use of
 `solve_lp` or a `.program` attribute outside `_solve`, or of `LpProblem` or
@@ -184,10 +184,10 @@ problems += [f"{model_path}:{node.lineno}: CompiledMarket field {node.target.id}
 replays = [(path, node) for path, tree in trees.items() for node in ast.walk(tree)
            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
            and (node.name.startswith("verify_") or node.name == "strictly_inside_quotes")]
-problems += [f"{path}:{sub.lineno}: replay {fn.name} reads integer_payoffs, the "
+problems += [f"{path}:{sub.lineno}: replay {fn.name} reads {sub.attr}, the "
              "compiled state it must check independently" for path, fn in replays
-             for sub in ast.walk(fn)
-             if isinstance(sub, ast.Attribute) and sub.attr == "integer_payoffs"]
+             for sub in ast.walk(fn) if isinstance(sub, ast.Attribute)
+             and sub.attr in ("integer_payoffs", "payoff_columns")]
 
 def scoped(node, function=None):
     """(innermost enclosing function's name, node) for every node below node."""

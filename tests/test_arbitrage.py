@@ -554,9 +554,10 @@ def _legs_then_netted(c, problem, out):
 
 def test_the_hedge_nets_each_option_as_the_legs_netted_would():
     # `_hedge` sums each option's bid and ask multipliers into one net
-    # position; it must give the strategy, field for field and entry type for
-    # entry type, and the capital that splitting the rows into legs and
-    # netting them after gives, on optimal duals and Farkas vectors alike.
+    # position; the capital and the strategy its positions build
+    # (`strategy_from`) must be, field for field and entry type for entry
+    # type, those that splitting the rows into legs and netting them after
+    # gives, on optimal duals and Farkas vectors alike.
     # Each option is then held long or short, never both, so a caller has
     # no legs left to net
     seen = collections.Counter()
@@ -580,7 +581,8 @@ def test_the_hedge_nets_each_option_as_the_legs_netted_would():
         pricing = [random_rational(rng, -3, 3) for _ in c.charged]
         for objective, push in ((floor, 0), (floor, 1), (pricing, None)):
             problem, out = measure_program(c, objective, push)
-            hedge, expected = arbitrage._hedge(c, out), _legs_then_netted(c, problem, out)
+            capital, positions = arbitrage._hedge(c, out)
+            hedge, expected = (capital, c.strategy_from(positions)), _legs_then_netted(c, problem, out)
             assert hedge == expected and repr(hedge) == repr(expected), (k, push)
             legs = zip(hedge[1].buy_leg, hedge[1].sell_leg)
             assert not any(b and v for b, v in legs), (k, push)

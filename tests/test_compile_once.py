@@ -212,9 +212,9 @@ def test_only_compile_and_market_without_option_mark_a_market():
     with pytest.raises(ValueError, match="init=False"):
         replace(c, _checked=True)
     with pytest.raises(TypeError):
-        CompiledMarket(c.tree, c.options, c.measures, c.prices, c.children, c.leaves,
-                       c.nonleaf, c.charged, c.columns, c.gain_columns, c.integer_payoffs,
-                       c.generator_names, True)
+        CompiledMarket(c.tree, c.options, c.measures, c.prices, c.children, c.order,
+                       c.leaves, c.nonleaf, c.charged, c.columns, c.gain_columns,
+                       c.payoff_columns, c.integer_payoffs, c.generator_names, True)
     assert not replace(c)._checked and model.require_valid(replace(c)) is not c
 
 
@@ -308,6 +308,34 @@ def test_face_rows_are_increasing_nonzero_pairs_that_densify_to_the_oracle_face(
         assert (face.relations, face.rhs) == ([rel for _, rel, _ in expected],
                                               [bound for _, _, bound in expected])
     assert partial > 70 and shared > 200
+
+
+def test_payoff_columns_are_the_face_quote_rows_and_drop_with_their_option():
+    # each option's column of [1 | G | P] holds its nonzero payoffs on the
+    # charged leaves alone, keyed by a leaf's rank among them; each quote
+    # row of the face is that tuple itself, and the market less option i
+    # holds the columns a fresh parse of that market compiles
+    rng = random.Random(44)
+    markets = [_partly_charged(rng, random_arbitrary_market(rng, max_periods=3, max_assets=2))
+               for _ in range(30)] + _markets()
+    partial = shared = reductions = 0
+    for m in markets:
+        c = model.require_valid(m)
+        partial += len(c.charged) < len(c.leaves)
+        assert c.payoff_columns == tuple(
+            tuple((rank, opt.payoff[pos]) for rank, pos in enumerate(c.charged) if opt.payoff[pos])
+            for opt in m.options)
+        face, layout, _ = arbitrage._face(c)
+        for row, (kind, i) in zip(face.rows, layout):
+            if kind == "option":
+                assert row is c.payoff_columns[i]
+                shared += 1
+        for i in range(len(m.options)):
+            reduced = superhedge.market_without_option(c, i)
+            fresh = _parsed(superhedge.market_without_option(m, i))
+            assert reduced.payoff_columns == fresh.payoff_columns
+            reductions += 1
+    assert partial > 20 and shared > 30 and reductions > 20, (partial, shared, reductions)
 
 
 @pytest.mark.parametrize("periods", range(1, 11))

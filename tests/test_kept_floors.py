@@ -19,7 +19,7 @@ import oracle
 from hedgecert import arbitrage, lp, redundancy, superhedge
 from hedgecert.errors import HedgecertError
 from hedgecert.marketio import dump_market, market_to_json, parse_market
-from hedgecert.model import ONE, require_valid
+from hedgecert.model import ONE, CompiledMarket, require_valid
 from markets import (
     binomial_market,
     binomial_with_free_option,
@@ -177,6 +177,37 @@ def test_warm_readers_derive_no_certificate_again(monkeypatch):
         settled += getattr(cold[2], "nar_witness", None) is not None
     assert arbitrage_markets >= 20 and robust >= 40 and settled >= 20, (
         arbitrage_markets, robust, settled)
+
+
+def test_an_arbitrage_becomes_a_strategy_once_where_it_is_handed_out(monkeypatch):
+    # inside the package an arbitrage travels as its positions; only
+    # `_na_verdict` builds the strategy it hands out, once per answer: in a
+    # cold check_na that fails and in a warm sharper_ftap that fails, whose
+    # push-1 arbitrage is derived on every call
+    built = []
+    strategy_from = CompiledMarket.strategy_from
+
+    def spy(c, positions):
+        built.append(sys._getframe(1).f_code.co_name)
+        return strategy_from(c, positions)
+
+    monkeypatch.setattr(CompiledMarket, "strategy_from", spy)
+    cold = warm = 0
+    for m in _reference_markets():
+        c = require_valid(m)
+        built.clear()
+        if arbitrage.check_na(c).holds:
+            continue
+        assert built == ["_na_verdict"], m
+        cold += 1
+        first = _answer(redundancy.sharper_ftap, c)
+        if isinstance(first, tuple):
+            continue  # a redundant spread option: the precondition fails
+        built.clear()
+        assert _answer(redundancy.sharper_ftap, c) == first and not first.na.holds, m
+        assert built == ["_na_verdict"], m
+        warm += 1
+    assert cold >= 30 and warm >= 15, (cold, warm)
 
 
 def test_the_interior_measure_is_priced_and_checked_once_per_market(monkeypatch):

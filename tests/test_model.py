@@ -21,7 +21,6 @@ from hedgecert.model import (
     ScenarioTree,
     Strategy,
     ZERO,
-    _top_down,
     rat,
     require_valid,
     support,
@@ -292,7 +291,7 @@ def test_require_valid_compiles_once_and_passes_compiled_through():
     assert require_valid(c) is c
     assert c.options is m.options and c.tree is m.tree
     assert support(c) == set(c.charged) == {0, 1}
-    assert c.leaves == (1, 2) and _top_down(c) == [0, 1, 2]
+    assert c.leaves == (1, 2) and c.order == (0, 1, 2)
     assert c.columns == ((0, 0),)
     assert c.gain_columns == (((0, F(1)), (1, F(-1, 2))),)
     assert c.generator_names == ("up", "down")

@@ -175,6 +175,22 @@ def _moved_strategy(s: Strategy, new) -> Strategy:
     return Strategy({new[nid]: held for nid, held in s.dynamic.items()}, s.buy_leg, s.sell_leg)
 
 
+def test_the_compiled_order_puts_each_node_after_its_parent():
+    # the walks of terminal_gain and verify_measure follow `order`: every
+    # node once, the root first and each node after its parent, also on a
+    # relabeled twin, whose children's ids are below their parents'
+    below = 0
+    for _, m in _markets(20261020, 60):
+        for market in (m, _relabeled(m)[0]):
+            c = require_valid(market)
+            parent = {node.id: node.parent for node in c.tree.nodes}
+            at = {nid: k for k, nid in enumerate(c.order)}
+            assert sorted(c.order) == sorted(parent) and parent[c.order[0]] is None
+            assert all(at[up] < at[nid] for nid, up in parent.items() if up is not None)
+            below += any(up is not None and nid < up for nid, up in parent.items())
+    assert below >= 60, below
+
+
 def test_markets_whose_children_precede_their_parents_answer_alike():
     for rng, m in _markets(20261019, 200):
         c = require_valid(m)
