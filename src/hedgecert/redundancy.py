@@ -12,9 +12,9 @@ compiled market alone, so every option's replication is solved once, on
 the market's first redundancy query, and kept with it; each query reads
 its verdicts and fresh certificates off them. When every option with a
 nonzero spread is non-redundant, no-arbitrage and robust no-arbitrage
-coincide, so one solve of the robust program settles the whole market
-either way; `sharper_ftap` bundles exactly that, and solves no other
-program.
+coincide; `sharper_ftap` bundles exactly that from the two public
+verdicts, the robust one first and, only where it fails, no-arbitrage's
+arbitrage, which must then exist.
 """
 
 from __future__ import annotations
@@ -22,16 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arbitrage import (
-    MartingaleMeasure,
-    NaVerdict,
-    RobustnessWitness,
-    _arbitrage,
-    _floor,
-    _na_verdict,
-    _nar_verdict,
-)
-from .errors import PreconditionError, StructureError
+from .arbitrage import MartingaleMeasure, NaVerdict, RobustnessWitness, check_na, check_nar
+from .errors import PreconditionError, SoundnessError, StructureError
 from .lp import _int_row, _rational_lists, _reduce
 from .model import (CompiledMarket, MarketModel, Strategy, ZERO, ONE, _index, _kept,
                     require_valid, terminal_gain)
@@ -148,28 +140,18 @@ def all_spread_options_nonredundant(m: MarketModel) -> SpreadOptionsReport:
 
 
 def sharper_ftap(m: MarketModel) -> SharperFtapBundle:
-    """Settle the market from one solve of the robust program.
+    """Settle the market by the sharper fundamental theorem, the main result
+    of "A note on the Fundamental Theorem of Asset Pricing under model
+    uncertainty": when every spread option is non-redundant, robust
+    no-arbitrage holds exactly when no-arbitrage does.
 
-    Precondition: every spread option non-redundant. Robust no-arbitrage
-    implies no-arbitrage, since a consistent measure with floor t > 0 when
-    the quotes are pushed inward is one with the quotes left in place. If it
-    holds, the bundle carries the robustness witness plus a dominating
-    measure per generator: the witness charges every supported scenario, so
-    it is that measure for every generator at once, checked where it is kept
-    (`_robustness`). Otherwise the verdict is an arbitrage read off the same
-    solve's multipliers (`_arbitrage`).
-
-    Why that is exact. The push-1 multipliers y gain
-    g_w = y . A_w - y . rhs >= 0 on every charged leaf w. A Farkas y has
-    y . rhs < 0, so every leaf is strict. At t* = 0, y . rhs = 0 and
-    y . A_t = sum_w y . A_w + sum over spread options of
-    (|y_bid| + |y_ask|) >= 1; so if every g_w = 0, some spread leg is
-    nonzero. Netting its bid and ask multipliers (`_hedge`) then either adds
-    min(y_ask, -y_bid) * (ask - bid) > 0 on every leaf, or leaves a nonzero
-    net spread position with zero gain. A zero-gain position would replicate
-    that option from cash, the stock and the other options, making it
-    redundant, which the precondition excludes. So a certificate without a
-    strict leaf, `_arbitrage`'s SoundnessError, can only be a solver fault.
+    Precondition: every spread option non-redundant. If robust
+    no-arbitrage holds (`check_nar`), the bundle carries its witness plus a
+    dominating measure per generator: the witness charges every supported
+    scenario, so it is that measure for every generator at once, checked
+    where it is kept (`_robustness`). Otherwise the theorem says
+    no-arbitrage fails too, and the bundle carries `check_na`'s arbitrage;
+    a `check_na` that holds there contradicts the theorem, a SoundnessError.
     """
     c = require_valid(m)
     report = all_spread_options_nonredundant(c)
@@ -181,13 +163,18 @@ def sharper_ftap(m: MarketModel) -> SharperFtapBundle:
             "redundant spread options: " + ", ".join(bad),
             details=report,
         )
-    out, parts = _floor(c, push=1)
-    nar = _nar_verdict(parts)
-    if not nar.holds:
-        return SharperFtapBundle(_na_verdict(c, _arbitrage(c, out)), None, None)
-    return SharperFtapBundle(
-        NaVerdict(True), nar.witness, [nar.witness.interior_measure] * len(c.measures.generators)
-    )
+    nar = check_nar(c)
+    if nar.holds:
+        return SharperFtapBundle(
+            NaVerdict(True), nar.witness, [nar.witness.interior_measure] * len(c.measures.generators)
+        )
+    na = check_na(c)
+    if na.holds:
+        raise SoundnessError(
+            "no-arbitrage holds with non-redundant spread options, yet the robust "
+            f"check fails ({nar.blocking}); this contradicts an exact implication"
+        )
+    return SharperFtapBundle(na, None, None)
 
 
 def verify_replication(m: MarketModel, i: int, cert: ReplicationCertificate) -> bool:

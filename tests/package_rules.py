@@ -1,4 +1,4 @@
-"""Check fifteen rules over the modules of the package, `src/hedgecert/*.py`.
+"""Check sixteen rules over the modules of the package, `src/hedgecert/*.py`.
 
 A name a module imports but never uses fails; __init__.py is skipped,
 because its imports are the package's re-exports. So does a name in a
@@ -38,17 +38,19 @@ built through `_measure` and keeps, and prices nothing. So
 does a `_solve` call with a push, a third positional, starred or `push`
 argument, anywhere but in `arbitrage._floor`, so each floor program is
 solved once per market and no path solves it again around the kept outcome.
-So does a call to `_robustness` anywhere but in `arbitrage._floor`, or to
-`_arbitrage` anywhere but there and in `redundancy.sharper_ftap`, whose
-push-1 arbitrage needs its precondition, so no reader derives a floor
-verdict again around the parts `_floor` keeps. So does a read of a
+So does a call to `_robustness` or `_arbitrage` anywhere but in
+`arbitrage._floor`, so no reader derives a floor verdict again around the
+parts `_floor` keeps. So does a module other than arbitrage.py that names
+`_floor`, `_arbitrage`, `_robustness`, `_na_verdict` or `_nar_verdict`, as
+a name, an attribute or an import: every other module reads a verdict from
+`check_na` and `check_nar`, the public answers. So does a read of a
 `.farkas` attribute outside lp.py and `arbitrage._face`, which derives an
 infeasible face's ray once and keeps it with the face, so no path derives
 the ray again. So does a use of `lp._duals`, as a name or an attribute,
 anywhere but in `lp._Phase1.__init__`, which derives an infeasible face's
 Farkas vector, or as the first argument of a `partial` call, the
 derivation an optimal outcome keeps and runs only when its `dual` is read
-(`lp.LpOutcome`), so no path builds the duals eagerly again. Fifteen rules
+(`lp.LpOutcome`), so no path builds the duals eagerly again. Sixteen rules
 in all.
 
     python tests/package_rules.py
@@ -104,16 +106,21 @@ for path in sorted(pathlib.Path("src/hedgecert").glob("*.py")):
 trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
          for path in sorted(pathlib.Path("src/hedgecert").glob("*.py"))}
 
+def named(node):
+    """The names one node itself uses: a loaded name, an attribute, an import's."""
+    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    return []
+
 def names(nodes):
     """Every name the nodes use: loaded names, attributes, imports."""
     for node in nodes:
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
-                yield sub.id
-            elif isinstance(sub, ast.Attribute):
-                yield sub.attr
-            elif isinstance(sub, ast.ImportFrom):
-                yield from (alias.name for alias in sub.names)
+            yield from named(sub)
 
 uses = collections.Counter(names(trees.values()))
 for path, tree in trees.items():
@@ -240,15 +247,18 @@ problems += [f"{path}:{node.lineno}: _solve given a push in {getattr(top, 'name'
              and "_solve" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
              and (len(node.args) > 2 or any(isinstance(a, ast.Starred) for a in node.args)
                   or any(k.arg in ("push", None) for k in node.keywords))]
-redundancy_path = pathlib.Path("src/hedgecert/redundancy.py")
-derives = {"_robustness": {(arbitrage_path, "_floor")},
-           "_arbitrage": {(arbitrage_path, "_floor"), (redundancy_path, "sharper_ftap")}}
 problems += [f"{path}:{node.lineno}: {name} called in {getattr(top, 'name', 'module scope')}; "
              "only the kept floor's build derives a verdict's parts"
              for path, tree in trees.items() for top in tree.body
              for node in ast.walk(top) if isinstance(node, ast.Call)
              for name in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
-             if name in derives and (path, getattr(top, "name", None)) not in derives[name]]
+             if name in ("_robustness", "_arbitrage")
+             and (path, getattr(top, "name", None)) != (arbitrage_path, "_floor")]
+floors = {"_floor", "_arbitrage", "_robustness", "_na_verdict", "_nar_verdict"}
+problems += [f"{path}:{node.lineno}: {name} named outside arbitrage.py, where a verdict "
+             "is read from check_na and check_nar alone" for path, tree in trees.items()
+             if path != arbitrage_path for node in ast.walk(tree)
+             for name in named(node) if name in floors]
 problems += [f"{path}:{node.lineno}: .farkas read in {getattr(top, 'name', 'module scope')}; "
              "only arbitrage._face, which keeps the ray, may read a Farkas vector"
              for path, tree in trees.items() if path.name != "lp.py" for top in tree.body
@@ -273,6 +283,7 @@ print("\n".join(problems) or "no unused imports, unbound annotation names, dead 
       "outside lp.py, unread compiled field, replay of compiled payoffs, row "
       "update outside _pivot, program built or solved outside _face and _solve, kept "
       "state written outside _kept, measure built outside _measure, floor program "
-      "solved outside _floor, floor verdict derived outside _floor, Farkas "
-      "vector read outside _face or duals derived before they are read")
+      "solved outside _floor, floor verdict derived outside _floor or read "
+      "outside check_na and check_nar, Farkas vector read outside _face or duals "
+      "derived before they are read")
 sys.exit(bool(problems))

@@ -1,9 +1,10 @@
 """Each public query validates its market exactly once, and a parsed
 market, which `parse_market` has validated and compiled, not at all.
-sharper_ftap settles a market, arbitrage included, with one program and one
-shared elimination, superhedge_price and duality_report each solve one
-program, and `strict-dual --verify` solves the dual program once. The CLI validates
-and compiles each market file once and builds its parser once per process,
+sharper_ftap settles a market with one shared elimination and one program,
+two where robust no-arbitrage fails beside a spread option, and a warm call
+with none; superhedge_price and duality_report each solve one program, and
+`strict-dual --verify` solves the dual program once. The CLI validates and
+compiles each market file once and builds its parser once per process,
 never at import. The compiled gain columns are the nonzeros of a reference
 built from the price differences along each charged leaf's path, one entry
 per path edge and asset.
@@ -356,11 +357,12 @@ def test_gain_columns_hold_one_entry_per_path_edge(periods):
 
 
 def test_sharper_ftap_solves_one_program_and_one_elimination(monkeypatch):
-    # one solve of the robust program settles the market either way: its
-    # witness when robust no-arbitrage holds, else the arbitrage its
-    # multipliers encode; every spread option is decided from one reduced
-    # row-echelon form of [1 | G | P], which is skipped when no option has a
-    # spread
+    # the robust program settles the market when robust no-arbitrage holds;
+    # where it fails, the no-arbitrage program gives the arbitrage, which is
+    # the same program without a spread option and one more solve with one;
+    # every spread option is decided from one reduced row-echelon form of
+    # [1 | G | P], which is skipped when no option has a spread, and a warm
+    # call solves and eliminates nothing
     solves = _Counter(monkeypatch, lp, "solve_lp")
     eliminations = _Counter(monkeypatch, redundancy, "_reduce")
     # a non-redundant spread option bid above its largest payoff
@@ -369,14 +371,18 @@ def test_sharper_ftap_solves_one_program_and_one_elimination(monkeypatch):
     )
     kinds = {"settled": 0, "arbitrage": 0, "spread arbitrage": 0}
     for m in _markets() + [overbid]:
+        c = model.require_valid(m)
         before, eliminated = solves.calls, eliminations.calls
         try:
-            bundle = redundancy.sharper_ftap(m)
+            bundle = redundancy.sharper_ftap(c)
         except PreconditionError:
             continue
         spread = any(opt.has_spread() for opt in m.options)
-        assert solves.calls - before == 1
+        assert solves.calls - before == (2 if spread and not bundle.na.holds else 1)
         assert eliminations.calls - eliminated == (1 if spread else 0)
+        before, eliminated = solves.calls, eliminations.calls
+        assert redundancy.sharper_ftap(c) == bundle
+        assert (solves.calls, eliminations.calls) == (before, eliminated)
         if bundle.na.holds:
             assert len(bundle.dominating) == len(m.measures.generators)
             kinds["settled"] += 1

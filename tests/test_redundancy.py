@@ -297,22 +297,20 @@ def _outcome(query, m):
 
 
 def test_sharper_ftap_equals_the_two_program_path():
-    # one robust solve settles every market the two-program path settles, to
-    # the same bundle; on an arbitrage market the certificate is read off the
-    # robust program's multipliers rather than the no-arbitrage program's, so
-    # it may differ from the oracle's but must replay
+    # the robust verdict first, then no-arbitrage only where it fails, gives
+    # the two-program path's bundle on every market, arbitrage certificate
+    # included: both hand out check_na's
     kinds = {"settled": 0, "arbitrage": 0, "precondition": 0}
     for m in _reference_markets():
         outcome = _outcome(sharper_ftap, m)
-        expected = _outcome(oracle.two_program_sharper_ftap, m)
-        if isinstance(outcome, tuple) or outcome.na.holds:
-            assert outcome == expected, m
-            kinds["precondition" if isinstance(outcome, tuple) else "settled"] += 1
-            continue
-        assert not isinstance(expected, tuple) and not expected.na.holds, m
-        assert (outcome.nar_witness, outcome.dominating) == (None, None)
-        assert verify_na_certificate(m, outcome.na.certificate), m
-        kinds["arbitrage"] += 1
+        assert outcome == _outcome(oracle.two_program_sharper_ftap, m), m
+        if isinstance(outcome, tuple):
+            kinds["precondition"] += 1
+        elif outcome.na.holds:
+            kinds["settled"] += 1
+        else:
+            assert verify_na_certificate(m, outcome.na.certificate), m
+            kinds["arbitrage"] += 1
     assert min(kinds.values()) >= 10, kinds
 
 

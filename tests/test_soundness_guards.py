@@ -95,6 +95,12 @@ GUARDS = {
          lambda tmp: ["sharper-ftap", _dumped(tmp, spread_option_only_market())],
          lambda tmp: ["check-nar", M1]],
     ),
+    "sharper theorem contradicted": (
+        redundancy, "check_na", lambda check_na: lambda m: arbitrage.NaVerdict(True),
+        "contradicts an exact implication",
+        [lambda: redundancy.sharper_ftap(binomial_with_free_option())],
+        [lambda tmp: ["sharper-ftap", _dumped(tmp, binomial_with_free_option())]],
+    ),
     "pricing duality gap": (
         superhedge, "_hedge_side", _with_gap, "duality gap 1 is nonzero",
         [lambda: superhedge.duality_report(_m1(), parse_claim((DATA / "call.json").read_bytes(), _m1()))],
