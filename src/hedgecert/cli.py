@@ -12,6 +12,12 @@ subcommand, so older command lines keep running, and changes nothing.
 
 A malformed command line is invalid input too (exit 4); `--help` exits 0.
 
+Each outcome is reported one way. `main` turns a precondition or arbitrage
+failure a handler raises into the exit-3 report, in one place; `_failure`
+reports an arbitrage failure, replaying and printing any robust-arbitrage
+ray it carries, whatever the command. Every report is printed at one site
+in `main`; its outer handlers only map exits 4 and 5, which print none.
+
 A process builds one argument parser, on its first `main` call, never at
 import, and every later call reuses it. Reuse is safe because `parse_args`
 leaves the parser untouched: each call fills a fresh namespace, and usage,
@@ -33,7 +39,6 @@ from .errors import (
     ArbitrageError,
     DomainError,
     PreconditionError,
-    RobustArbitrageError,
     SoundnessError,
     StructureError,
 )
@@ -93,6 +98,35 @@ def _arbitrage_report(command: str, m: CompiledMarket, cert) -> tuple[int, dict]
     )
 
 
+def _witness_report(command: str, m: CompiledMarket, witness, **certificates) -> tuple[int, dict]:
+    """The exit-0 report of a robustness witness, replayed first, with any
+    further certificates after it."""
+    _require(arbitrage.verify_nar_witness(m, witness), "robustness witness")
+    return EXIT_OK, _report(
+        command,
+        "holds",
+        values={"slack": marketio.format_rational(witness.slack)},
+        certificates={"witness": marketio.witness_to_json(witness), **certificates},
+    )
+
+
+def _failure(command: str, m: CompiledMarket, exc: ArbitrageError) -> tuple[int, dict]:
+    """The exit-3 report of a raised arbitrage failure. A robust-arbitrage
+    ray it carries, whatever the command, is replayed against the zero claim
+    and printed: capital < 0 whose strategy's gain covers every leaf."""
+    certificates = None
+    if getattr(exc, "ray", None) is not None:
+        capital, ray = exc.ray
+        zero = Claim([ZERO] * len(m.leaves))
+        _require(capital < 0 and superhedge.verify_super_replication(m, zero, capital, ray),
+                 "robust-arbitrage ray")
+        certificates = {"ray": {"capital": marketio.format_rational(capital),
+                                "strategy": marketio.strategy_to_json(ray)}}
+    _emit_error("arbitrage", exc)
+    return EXIT_FAILS, _report(command, "fails", certificates=certificates,
+                               diagnostics={"blocking": exc.blocking})
+
+
 def _cmd_check_na(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
     verdict = arbitrage.check_na(m)
     if verdict.holds:
@@ -102,41 +136,13 @@ def _cmd_check_na(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
 
 def _cmd_check_nar(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
     verdict = arbitrage.check_nar(m)
-    if not verdict.holds:
-        return EXIT_FAILS, _report(
-            "check-nar", "fails", diagnostics={"blocking": verdict.blocking}
-        )
-    witness = verdict.witness
-    _require(arbitrage.verify_nar_witness(m, witness), "robustness witness")
-    return EXIT_OK, _report(
-        "check-nar",
-        "holds",
-        values={"slack": marketio.format_rational(witness.slack)},
-        certificates={"witness": marketio.witness_to_json(witness)},
-    )
+    if verdict.holds:
+        return _witness_report("check-nar", m, verdict.witness)
+    return EXIT_FAILS, _report("check-nar", "fails", diagnostics={"blocking": verdict.blocking})
 
 
 def _cmd_superhedge(args, m: CompiledMarket, f: Claim) -> tuple[int, dict]:
-    try:
-        price, strategy = superhedge.superhedge_price(m, f)
-    except RobustArbitrageError as exc:
-        # no consistent measure: report the ray along which the cost falls
-        capital, ray = exc.ray
-        zero = Claim([ZERO] * len(f.payoff))
-        _require(capital < 0 and superhedge.verify_super_replication(m, zero, capital, ray),
-                 "robust-arbitrage ray")
-        _emit_error("arbitrage", exc)
-        return EXIT_FAILS, _report(
-            "superhedge",
-            "fails",
-            certificates={
-                "ray": {
-                    "capital": marketio.format_rational(capital),
-                    "strategy": marketio.strategy_to_json(ray),
-                }
-            },
-            diagnostics={"blocking": exc.blocking},
-        )
+    price, strategy = superhedge.superhedge_price(m, f)
     _require(superhedge.verify_super_replication(m, f, price, strategy), "super-replication")
     return EXIT_OK, _report(
         "superhedge",
@@ -204,24 +210,14 @@ def _cmd_sharper_ftap(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
     bundle = redundancy.sharper_ftap(m)
     if not bundle.na.holds:
         return _arbitrage_report("sharper-ftap", m, bundle.na.certificate)
-    _require(arbitrage.verify_nar_witness(m, bundle.nar_witness), "robustness witness")
     _require(len(bundle.dominating) == len(m.generator_names), "dominating measure count")
     for q, generator in zip(bundle.dominating, m.measures.generators):
-        if q is not bundle.nar_witness.interior_measure:  # replayed above, domination where it is kept
+        if q is not bundle.nar_witness.interior_measure:  # the witness's replay checks it
             _require_interior(m, q, "dominating measure")
             _require(arbitrage.dominates(q, generator), "domination")
-    return EXIT_OK, _report(
-        "sharper-ftap",
-        "holds",
-        values={"slack": marketio.format_rational(bundle.nar_witness.slack)},
-        certificates={
-            "witness": marketio.witness_to_json(bundle.nar_witness),
-            "dominating": {
-                name: marketio.measure_to_json(q)
-                for name, q in zip(m.generator_names, bundle.dominating)
-            },
-        },
-    )
+    return _witness_report("sharper-ftap", m, bundle.nar_witness, dominating={
+        name: marketio.measure_to_json(q) for name, q in zip(m.generator_names, bundle.dominating)
+    })
 
 
 def _cmd_dominate(args, m: CompiledMarket, f: None) -> tuple[int, dict]:
@@ -324,29 +320,24 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         m = marketio.parse_market(_read(args.market))
         f = None if args.claim is None else marketio.parse_claim(_read(args.claim), m)
-        code, report = args.handler(args, m, f)
+        try:
+            code, report = args.handler(args, m, f)
+        except PreconditionError as exc:
+            _emit_error("precondition", exc)
+            code, report = EXIT_FAILS, _report(
+                args.command, "precondition-failed", diagnostics={"reason": str(exc)}
+            )
+        except ArbitrageError as exc:
+            code, report = _failure(args.command, m, exc)
     except (StructureError, DomainError) as exc:
         _emit_error("invalid-input", exc)
         return EXIT_INVALID
     except OSError as exc:
         _emit_error("io-error", exc)
         return EXIT_INVALID
-    except PreconditionError as exc:
-        _emit_error("precondition", exc)
-        _print_report(
-            _report(args.command, "precondition-failed", diagnostics={"reason": str(exc)}),
-            args.pretty,
-        )
-        return EXIT_FAILS
     except SoundnessError as exc:
         _emit_error("soundness", exc)
         return EXIT_UNSOUND
-    except ArbitrageError as exc:
-        _emit_error("arbitrage", exc)
-        _print_report(
-            _report(args.command, "fails", diagnostics={"blocking": exc.blocking}), args.pretty
-        )
-        return EXIT_FAILS
     _print_report(report, args.pretty)
     return code
 

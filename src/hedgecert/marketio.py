@@ -103,7 +103,7 @@ def format_rational(value: Fraction) -> str:
 
 
 def _load_object(data: bytes | str) -> dict:
-    """Decode and parse one JSON document whose top level is an object."""
+    """Decode and parse one JSON document, an object of the schema version."""
     if not isinstance(data, (bytes, str)):
         raise MarketParseError([("$", f"input is {type(data).__name__}, not bytes or str")])
     if isinstance(data, bytes):
@@ -121,6 +121,9 @@ def _load_object(data: bytes | str) -> dict:
         raise MarketParseError([("$", f"malformed JSON: {exc}")]) from None
     if not isinstance(raw, dict):
         raise MarketParseError([("$", "top level must be an object")])
+    version = raw.get("schemaVersion")
+    if version != SCHEMA_VERSION:
+        raise MarketParseError([("schemaVersion", f"unsupported value {version!r}, expected {SCHEMA_VERSION}")])
     return raw
 
 
@@ -210,9 +213,6 @@ def parse_market(data: bytes | str) -> CompiledMarket:
     on it skips both steps."""
     issues, literals = [], {}
     raw = _load_object(data)
-    version = raw.get("schemaVersion")
-    if version != SCHEMA_VERSION:
-        raise MarketParseError([("schemaVersion", f"unsupported value {version!r}, expected {SCHEMA_VERSION}")])
     if not _fields(raw, _MARKET_KEYS, issues, "$"):
         _stop(issues)
     mark = len(issues)
@@ -303,15 +303,15 @@ def parse_claim(data: bytes | str, m: MarketModel) -> Claim:
     leaves = require_valid(m).leaves
     issues = []
     raw = _load_object(data)
-    if raw.get("schemaVersion") != SCHEMA_VERSION:
-        raise MarketParseError([("schemaVersion", f"unsupported value {raw.get('schemaVersion')!r}")])
     _fields(raw, _CLAIM_KEYS, issues, "$")
     _stop(issues)
 
     order = raw["leafOrder"]
-    if not _is_id_list(order) or tuple(sorted(order)) != leaves:
-        issues.append(("leafOrder", "must list exactly the market's final-period nodes"))
-        _stop(issues)
+    if not _is_id_list(order):
+        issues.append(("leafOrder", "expected a list of node ids"))
+    elif tuple(sorted(order)) != leaves:
+        issues.append(("leafOrder", "must list exactly the nodes at the final period"))
+    _stop(issues)
     payoff = _take_rational_list(raw["payoff"], {}, issues, "payoff")
     if len(payoff) != len(order):
         issues.append(("payoff", f"{len(payoff)} entries for {len(order)} leaves"))

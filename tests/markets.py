@@ -152,15 +152,20 @@ def binomial_with_free_option() -> MarketModel:
     return binomial_market([OptionQuote("free", [F(1), F(0)], F(0), F(0))])
 
 
-def binomial_ladder_market(periods: int) -> MarketModel:
-    """The benchmark ladder's binomial tree: one stock from 1, up 2 or down
-    1/2 with up-weight 1/3, three calls at strikes 1/2, 1 and 2 quoted
-    around the reference measure, which charges every leaf."""
+# each branching's (price move, weight) pairs, the benchmark ladder's
+_LADDER_MOVES = {2: ((F(2), F(1, 3)), (F(1, 2), F(2, 3))),
+                 3: ((F(2), F(1, 4)), (ONE, F(1, 4)), (F(1, 2), F(1, 2)))}
+
+
+def ladder_market(branch: int, periods: int) -> MarketModel:
+    """The benchmark ladder's tree: one stock from 1, moving by
+    `_LADDER_MOVES[branch]` each period, and three calls at strikes 1/2, 1
+    and 2 quoted around the reference measure, which charges every leaf."""
     nodes, weight, level = [Node(0, 0, None, [ONE])], [ONE], [0]
     for t in range(1, periods + 1):
         nxt = []
         for parent in level:
-            for move, q in ((F(2), F(1, 3)), (F(1, 2), F(2, 3))):
+            for move, q in _LADDER_MOVES[branch]:
                 nxt.append(len(nodes))
                 nodes.append(Node(len(nodes), t, parent, [nodes[parent].prices[0] * move]))
                 weight.append(weight[parent] * q)

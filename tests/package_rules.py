@@ -1,4 +1,4 @@
-"""Check sixteen rules over the modules of the package, `src/hedgecert/*.py`.
+"""Check seventeen rules over the modules of the package, `src/hedgecert/*.py`.
 
 A name a module imports but never uses fails; __init__.py is skipped,
 because its imports are the package's re-exports. So does a name in a
@@ -50,8 +50,12 @@ the ray again. So does a use of `lp._duals`, as a name or an attribute,
 anywhere but in `lp._Phase1.__init__`, which derives an infeasible face's
 Farkas vector, or as the first argument of a `partial` call, the
 derivation an optimal outcome keeps and runs only when its `dual` is read
-(`lp.LpOutcome`), so no path builds the duals eagerly again. Sixteen rules
-in all.
+(`lp.LpOutcome`), so no path builds the duals eagerly again. So does a
+cli.py that names `_print_report` more than once, or anywhere but in
+`main`, or that calls `_emit_error("arbitrage", ...)` anywhere but in
+`_failure`: every report is printed at one site, and every raised arbitrage
+failure reported by one function, which replays the ray it carries.
+Seventeen rules in all.
 
     python tests/package_rules.py
 
@@ -278,12 +282,24 @@ problems += [f"{path}:{node.lineno}: _duals used outside a partial and _Phase1._
              for path, tree in trees.items() for node in ast.walk(tree)
              if "_duals" in (getattr(node, "id", None), getattr(node, "attr", None))
              and id(node) not in allowed]
+cli_path = pathlib.Path("src/hedgecert/cli.py")
+prints = [(function, node) for function, node in scoped(trees[cli_path])
+          if "_print_report" in (getattr(node, "id", None), getattr(node, "attr", None))]
+problems += [f"{cli_path}:{node.lineno}: _print_report named in {function or 'module scope'}; "
+             "main alone prints a report, at one site" for function, node in prints
+             if function != "main" or len(prints) > 1]
+problems += [f"{cli_path}:{node.lineno}: arbitrage error emitted in {function or 'module scope'}; "
+             "only _failure reports a raised arbitrage failure"
+             for function, node in scoped(trees[cli_path]) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_emit_error" and function != "_failure"
+             and node.args and getattr(node.args[0], "value", None) == "arbitrage"]
 print("\n".join(problems) or "no unused imports, unbound annotation names, dead "
       "private code, solver use outside lp.py and arbitrage.py, row read "
       "outside lp.py, unread compiled field, replay of compiled payoffs, row "
       "update outside _pivot, program built or solved outside _face and _solve, kept "
       "state written outside _kept, measure built outside _measure, floor program "
       "solved outside _floor, floor verdict derived outside _floor or read "
-      "outside check_na and check_nar, Farkas vector read outside _face or duals "
-      "derived before they are read")
+      "outside check_na and check_nar, Farkas vector read outside _face, duals "
+      "derived before they are read, report printed at more than main's one site "
+      "or arbitrage error emitted outside _failure")
 sys.exit(bool(problems))

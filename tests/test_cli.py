@@ -12,7 +12,8 @@ import pytest
 
 from hedgecert.arbitrage import check_nar
 from hedgecert.cli import main
-from hedgecert.marketio import claim_to_json, dump_market
+from hedgecert.errors import RobustArbitrageError
+from hedgecert.marketio import claim_to_json, dump_market, parse_claim, parse_market
 from hedgecert.model import Claim, Strategy
 from hedgecert.superhedge import verify_super_replication
 from markets import (
@@ -559,6 +560,49 @@ def test_superhedge_reports_the_robust_arbitrage_ray(capsys, tmp_path):
     )
     assert capital < 0
     assert verify_super_replication(m, Claim([F(0), F(0)]), capital, strategy)
+
+
+ARB_CLAIM = [str(DATA / "arb.json"), "--claim", str(DATA / "arb-claim.json")]
+
+
+def _dual_raising_the_ray(monkeypatch) -> RobustArbitrageError:
+    """The RobustArbitrageError superhedge_price raises on arb.json with
+    arb-claim.json, ray included; dual_price is patched to raise it too."""
+    import hedgecert.superhedge as superhedge_mod
+
+    m = parse_market((DATA / "arb.json").read_bytes())
+    with pytest.raises(RobustArbitrageError) as raised:
+        superhedge_mod.superhedge_price(m, parse_claim((DATA / "arb-claim.json").read_bytes(), m))
+    error = raised.value
+    assert error.ray is not None
+
+    def raising(m, f):
+        raise error
+
+    monkeypatch.setattr(superhedge_mod, "dual_price", raising)
+    return error
+
+
+def test_a_raised_ray_is_printed_whatever_the_command(capsys, monkeypatch):
+    # main, not the command, reports a raised arbitrage failure: dual, made
+    # to raise superhedge's error, prints the ray superhedge prints
+    _dual_raising_the_ray(monkeypatch)
+    code, hedged, _ = run(capsys, "superhedge", *ARB_CLAIM)
+    assert code == 3 and hedged["certificates"]["ray"]
+    code, out, err = run(capsys, "dual", *ARB_CLAIM)
+    assert (code, out["command"], err["error"]["type"]) == (3, "dual", "arbitrage")
+    assert out["certificates"]["ray"] == hedged["certificates"]["ray"]
+
+
+def test_a_raised_ray_is_replayed_whatever_the_command(capsys, monkeypatch):
+    # with its capital made positive the ray covers nothing: dual exits 5
+    # and prints no report
+    error = _dual_raising_the_ray(monkeypatch)
+    capital, strategy = error.ray
+    error.ray = (-capital, strategy)
+    code, out, err = run(capsys, "dual", *ARB_CLAIM)
+    assert (code, out, err["error"]["type"]) == (5, None, "soundness")
+    assert "robust-arbitrage ray" in err["error"]["message"]
 
 
 def test_missing_field_errors_are_the_same_bytes_under_every_hash_seed(tmp_path):

@@ -37,11 +37,11 @@ from hedgecert.errors import HedgecertError, PreconditionError, StructureError
 from hedgecert.model import (Claim, CompiledMarket, MarketModel, MeasureFamily, Node, OptionQuote,
                              ScenarioTree)
 from markets import (
-    binomial_ladder_market,
     binomial_market,
     binomial_with_free_option,
     binomial_with_spread_option,
     dense_rows,
+    ladder_market,
     random_arbitrage_free_market,
     random_arbitrary_market,
     random_claim,
@@ -344,7 +344,7 @@ def test_gain_columns_hold_one_entry_per_path_edge(periods):
     # a binomial ladder's 2^p leaves each have a path of p edges, each with a
     # nonzero move: 2^p * p entries, where a dense layout held 2^p (2^p - 1);
     # with every down step flat, only the up edges hold one, p * 2^(p - 1)
-    m = binomial_ladder_market(periods)
+    m = ladder_market(2, periods)
     assert sum(map(len, model.require_valid(m).gain_columns)) == 2 ** periods * periods
     prices = {}
     nodes = []

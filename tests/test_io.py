@@ -21,9 +21,9 @@ from hedgecert.marketio import (
 )
 from hedgecert.model import CompiledMarket, MeasureFamily, require_valid, validate_market
 from markets import (
-    binomial_ladder_market,
     binomial_market,
     binomial_with_spread_option,
+    ladder_market,
     pinned_identical_options_market,
     random_arbitrage_free_market,
     trinomial_straddle_market,
@@ -213,6 +213,34 @@ def test_claim_length_mismatch():
         parse_claim(json.dumps(bad), m)
 
 
+def _claim_and_market_issues(edit) -> tuple[list, list]:
+    """The issues parse_claim and parse_market raise for one fault, `edit`
+    applied to a valid claim file on m1 and to m1.json itself."""
+    market = parse_market((DATA / "m1.json").read_bytes())
+    claim = {"schemaVersion": 1, "leafOrder": [1, 2], "payoff": ["1", "0"]}
+    edit(claim)
+    with pytest.raises(MarketParseError) as claim_error:
+        parse_claim(json.dumps(claim), market)
+    with pytest.raises(MarketParseError) as market_error:
+        parse_market(_m1_with(edit))
+    return claim_error.value.issues, market_error.value.issues
+
+
+def test_claim_schema_version_issue_is_the_market_files():
+    claim, market = _claim_and_market_issues(lambda doc: doc.update(schemaVersion=2))
+    assert claim == market == [("schemaVersion", "unsupported value 2, expected 1")]
+
+
+def test_claim_leaf_order_of_no_ids_issue_is_the_market_files():
+    claim, market = _claim_and_market_issues(lambda doc: doc.update(leafOrder=[1, "2"]))
+    assert claim == market == [("leafOrder", "expected a list of node ids")]
+
+
+def test_claim_leaf_order_of_wrong_nodes_issue_is_the_market_files():
+    claim, market = _claim_and_market_issues(lambda doc: doc.update(leafOrder=[1, 1]))
+    assert claim == market == [("leafOrder", "must list exactly the nodes at the final period")]
+
+
 def test_format_rational_canonical():
     assert format_rational(F(3)) == "3"
     assert format_rational(F(-2, 4)) == "-1/2"
@@ -356,7 +384,7 @@ def _distinct_fractions(m):
 
 def test_a_document_parses_each_distinct_literal_once(monkeypatch):
     # the benchmark ladder's 64-leaf binomial tree, where most literals repeat
-    document = market_to_json(binomial_ladder_market(6))
+    document = market_to_json(ladder_market(2, 6))
     literals = _literals(document)
     parsed_texts = []
 
@@ -376,7 +404,7 @@ def test_a_document_parses_each_distinct_literal_once(monkeypatch):
     assert len({id(v) for v in values}) == len(set(literals))
 
     # the shared Fractions compile to the market distinct ones compile to
-    distinct = require_valid(_distinct_fractions(binomial_ladder_market(6)))
+    distinct = require_valid(_distinct_fractions(ladder_market(2, 6)))
     for f in dataclasses.fields(CompiledMarket):
         assert getattr(parsed, f.name) == getattr(distinct, f.name), f.name
     assert dump_market(parsed) == dump_market(distinct)

@@ -28,10 +28,10 @@ from hedgecert.errors import StructureError
 from hedgecert.marketio import dump_market, market_to_json, parse_market
 from hedgecert.model import ONE, ZERO, Claim, require_valid
 from markets import (
-    binomial_ladder_market,
     binomial_with_free_option,
     binomial_with_spread_option,
     dense_rows,
+    ladder_market,
     measure_program,
     random_arbitrage_free_market,
     random_arbitrary_market,
@@ -458,7 +458,7 @@ def test_phase_one_of_the_64_leaf_binomial_face_makes_at_most_1000_row_updates(m
             monkeypatch.setattr(lp, "_combine", combine)
 
     monkeypatch.setattr(lp, "_phase_one", spied)
-    c = require_valid(binomial_ladder_market(6))
+    c = require_valid(ladder_market(2, 6))
     assert len(c.charged) == 64
     assert arbitrage.check_na(c).holds
     assert len(counts) == 1 and counts[0] <= 1000, counts
@@ -468,7 +468,7 @@ def test_warm_pricing_on_the_64_leaf_binomial_face_makes_no_row_update(monkeypat
     # phase 2 builds its start row in one integer sum and makes no pivot
     # here, so neither warm pricing call updates a row; eliminating each
     # basic column from the cost row by its own `_combine` made 56 in each
-    c = require_valid(binomial_ladder_market(6))
+    c = require_valid(ladder_market(2, 6))
     claim = Claim([F((7 * k) % 9, 4) for k in range(64)])  # the benchmark ladder's claim
     assert arbitrage.check_na(c).holds  # builds the face
     combine, calls = lp._combine, []
