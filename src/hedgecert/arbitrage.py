@@ -128,9 +128,10 @@ def _measure(c: CompiledMarket, values) -> MartingaleMeasure:
 
 
 def _face(c: CompiledMarket):
-    """The measure programs' t = 0 face, its layout and its ray, built once
-    with `lp._Phase1` and kept with the market (`model._kept`): (phase 1,
-    layout, ray). Concurrent first queries on a market run one phase 1.
+    """The measure programs' t = 0 face, its layout and its ray, built on
+    the market's first solve with `lp._Phase1` and kept in its store as
+    `_face` (`model._kept`): (phase 1, layout, ray). Concurrent first
+    queries on a market run one phase 1.
     The ray is None on a feasible face. On an infeasible one it is what its
     negated Farkas vector encodes (`_multipliers`), the same for every
     program on the face: capital y . rhs < 0 and the positions, a tuple in
@@ -191,15 +192,17 @@ def _floor(c: CompiledMarket, push):
     """(outcome, parts) of max t, the floor every charged leaf's weight
     Q_w = R_w + t sits on, and of the verdict push 0 or 1 decides: NA's
     parts are None when it holds, else `_arbitrage`'s, and NAR's are
-    `_robustness`'s, a priced and checked measure among them. Each is
-    derived once per market and kept next to the outcome (`model._kept`):
-    push 0 in `_na`, push 1 in `_nar`. The parts are tuples sharing the
-    verdict's Fractions; each reader builds fresh lists and dataclasses
-    around them (`_na_verdict`, `_nar_verdict`). A face without a spread
-    option has no inequality row, so the late column is the same for every
-    push: one program decides both verdicts. Push 1's build solves it, and
-    push 0's reads push 1's kept outcome, so NAR's parts are kept with it
-    and a check_nar after check_na keeps nothing new."""
+    `_robustness`'s, which hold, when it holds, the interior measure's
+    weights and option values, checked to dominate every generator. Each is
+    derived on the first verdict that needs it and kept next to the outcome
+    in the market's store (`model._kept`): push 0 as `_na`, push 1 as
+    `_nar`. The parts are tuples sharing the verdict's Fractions; each
+    reader builds fresh lists and dataclasses around them (`_na_verdict`,
+    `_nar_verdict`). A face without a spread option has no inequality row,
+    so the late column is the same for every push: one program decides both
+    verdicts. Push 1's build solves it, and push 0's reads push 1's kept
+    outcome, so NAR's parts are kept with it and a check_nar after check_na
+    keeps nothing new."""
     def build(c):
         spread = any(opt.has_spread() for opt in c.options)
         if push or spread:

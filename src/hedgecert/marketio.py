@@ -127,10 +127,18 @@ def _load_object(data: bytes | str) -> dict:
     return raw
 
 
-def _is_id_list(obj) -> bool:
-    return isinstance(obj, list) and all(
-        isinstance(v, int) and not isinstance(v, bool) for v in obj
-    )
+def _leaf_reorder(order, leaves, issues: list) -> list[int]:
+    """The file index of each canonical leaf, from a file's `leafOrder`,
+    which must list each of `leaves`, the final period's node ids
+    ascending, once; else its issue is raised, with any found before."""
+    mark = len(issues)
+    if not isinstance(order, list) or not all(type(v) is int for v in order):  # bool is an int
+        issues.append(("leafOrder", "expected a list of node ids"))
+    elif sorted(order) != list(leaves):
+        issues.append(("leafOrder", "must list exactly the nodes at the final period"))
+    _stop(issues, mark)
+    slot = {leaf: k for k, leaf in enumerate(order)}
+    return [slot[leaf] for leaf in leaves]
 
 
 def _take_rational(obj, literals: dict, issues: list, *where) -> Fraction | None:
@@ -226,16 +234,7 @@ def parse_market(data: bytes | str) -> CompiledMarket:
     num_assets = len(roots[0].prices) if roots else 0
     tree = ScenarioTree(nodes, periods, num_assets)
 
-    mark = len(issues)
-    leaves = leaf_ids(tree)
-    order_raw = raw["leafOrder"]
-    if not _is_id_list(order_raw):
-        issues.append(("leafOrder", "expected a list of node ids"))
-    elif sorted(order_raw) != leaves:
-        issues.append(("leafOrder", "must list exactly the nodes at the final period"))
-    _stop(issues, mark)
-    slot = {leaf: k for k, leaf in enumerate(order_raw)}
-    reorder = [slot[leaf] for leaf in leaves]  # file index per canonical position
+    reorder = _leaf_reorder(raw["leafOrder"], leaf_ids(tree), issues)
 
     options = []
     entries = _named_entries(raw["options"], "options", _OPTION_KEYS, "payoff", reorder,
@@ -299,25 +298,20 @@ def dump_market(m: MarketModel) -> str:
 
 def parse_claim(data: bytes | str, m: MarketModel) -> Claim:
     """Parse a claim file against a market's leaves; the market is
-    validated first, and the payoff read as `parse_market` reads a list."""
+    validated first, and the leaf order and payoff read as `parse_market`
+    reads them."""
     leaves = require_valid(m).leaves
     issues = []
     raw = _load_object(data)
     _fields(raw, _CLAIM_KEYS, issues, "$")
     _stop(issues)
 
-    order = raw["leafOrder"]
-    if not _is_id_list(order):
-        issues.append(("leafOrder", "expected a list of node ids"))
-    elif tuple(sorted(order)) != leaves:
-        issues.append(("leafOrder", "must list exactly the nodes at the final period"))
-    _stop(issues)
+    reorder = _leaf_reorder(raw["leafOrder"], leaves, issues)
     payoff = _take_rational_list(raw["payoff"], {}, issues, "payoff")
-    if len(payoff) != len(order):
-        issues.append(("payoff", f"{len(payoff)} entries for {len(order)} leaves"))
+    if isinstance(raw["payoff"], list) and len(payoff) != len(leaves):
+        issues.append(("payoff", f"{len(payoff)} entries for {len(leaves)} leaves"))
     _stop(issues)
-    slot = {leaf: k for k, leaf in enumerate(order)}
-    return Claim([payoff[slot[leaf]] for leaf in leaves])
+    return Claim([payoff[i] for i in reorder])
 
 
 def claim_to_json(m: MarketModel, f: Claim) -> dict:

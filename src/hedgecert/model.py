@@ -5,14 +5,10 @@ validation reports any other entry. Arbitrage is a strict-inequality
 phenomenon, so nothing in the core ever touches floating point. No field of
 a model type can be reassigned once constructed and every operation is a
 pure function, which makes concurrent use on shared inputs safe without
-synchronization. The one exception is the state a compiled market keeps:
-its measure-program face and ray (`arbitrage._face`), its two floor
-outcomes and the exact parts of their verdicts (`arbitrage._floor`) and its
-option replications (`redundancy._replicate`), each built by `_kept` on its
-first use, under one re-entrant lock: a thread that finds it unbuilt takes
-the lock and looks again, so concurrent first queries build it once.
-Nothing writes to it after, and every query builds its answer afresh
-around it.
+synchronization. The one exception is the store of what a compiled market
+keeps, entries other modules build on first use through `_kept`, under one
+re-entrant lock. Nothing writes to an entry after, and every query builds
+its answer afresh around it.
 
 Leaves are indexed by *position* 0..L-1 in ascending node-id order among the
 nodes at the final period. Option payoffs, measure weights, and claims all
@@ -34,7 +30,7 @@ from math import lcm
 from operator import mul
 
 from .errors import DomainError, StructureError
-from .lp import _Phase1, _over_lcm, _rational_lists
+from .lp import _over_lcm, _rational_lists
 
 # The rational substrate. Fraction already guarantees the invariants this
 # package relies on: positive denominator, lowest terms, canonical zero.
@@ -359,23 +355,12 @@ class CompiledMarket(MarketModel):
     (`lp._over_lcm`), in `integer_payoffs`, so the package prices every
     option under a measure, which weighs only the charged leaves, by one
     integer dot product (`arbitrage._measure`); the replays read the payoffs
-    themselves. Five fields are not init fields, so no constructor or
-    `replace` sets them, and none is compared or shown. `_checked` marks
+    themselves. Two fields are not init fields, so no constructor or
+    `replace` sets them, and neither is compared or shown. `_checked` marks
     the markets `require_valid` passes unchanged, those `_compile` built
-    and `market_without_option` copied. The rest are three kinds of kept
-    state, each built once by `_kept` (see the module docstring): `_face`
-    is the measure programs' face, its phase 1, its row layout and, when
-    the face is infeasible, the robust-arbitrage ray its Farkas vector
-    encodes, else None (`arbitrage._face`), built on the market's first
-    solve; `_na` and `_nar` hold the outcomes of its push-0 and push-1
-    floor programs, each next to the exact parts of its verdict, as tuples
-    (`arbitrage._floor`), built on the first verdict that needs each;
-    `_nar`'s hold the interior measure's weights and option values, checked
-    to dominate every generator; without a spread option the two are one
-    program, solved by push 1's build and read by push 0's; and
-    `_replications` holds, per option, None when it is non-redundant, else
-    its replication vector over [1 | G | P_others] as a tuple
-    (`redundancy._replicate`), built on the first redundancy query.
+    and `market_without_option` copied. `_state` is the store of what the
+    market keeps, by entry name (`_kept`); every construction and copy
+    starts with it empty.
     """
 
     prices: tuple[tuple[Fraction, ...], ...]        # by node id
@@ -390,12 +375,7 @@ class CompiledMarket(MarketModel):
     integer_payoffs: tuple[tuple[tuple[int, ...], int], ...]   # per option, (numerators, den) by charged rank
     generator_names: tuple[str, ...]
     _checked: bool = field(default=False, init=False, compare=False, repr=False)
-    _face: tuple[_Phase1, tuple, tuple | None] | None = field(
-        default=None, init=False, compare=False, repr=False)
-    _na: tuple | None = field(default=None, init=False, compare=False, repr=False)
-    _nar: tuple | None = field(default=None, init=False, compare=False, repr=False)
-    _replications: tuple[tuple[Fraction, ...] | None, ...] | None = field(
-        default=None, init=False, compare=False, repr=False)
+    _state: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def strategy_from(self, primal: list[Fraction]) -> Strategy:
         """The strategy a vector encodes in strategy-column order: the
@@ -411,23 +391,22 @@ _KEPT_LOCK = threading.RLock()  # held while any market's kept state is built
 
 
 def _kept(c: CompiledMarket, name: str, build):
-    """The state a compiled market keeps in its non-init field `name`,
-    `build(c)` on first use. The build runs under `_KEPT_LOCK`, and a
-    thread that finds the field unbuilt looks again once it holds the lock,
-    so concurrent first uses build it once; a build holds the GIL, so one
-    that waits on another loses nothing. The lock is re-entrant, so a build
-    may read other kept state, as a floor's build reads the face and,
-    without a spread option, push 0's reads push 1's. What a build
-    returns is handed to every caller, so it holds tuples and values
-    nothing writes to, and a caller builds fresh answers around it."""
-    kept = getattr(c, name)
+    """The entry `name` of the market's store, `build(c)` on first use.
+    The build runs under `_KEPT_LOCK`, and a thread that finds the entry
+    unbuilt looks again once it holds the lock, so concurrent first uses
+    build it once; a build holds the GIL, so one that waits on another loses
+    nothing. The lock is re-entrant, so a build may read other entries.
+    What a build returns, never None, is handed to every caller, so it holds
+    tuples and values nothing writes to, and a caller builds fresh answers
+    around it. Each entry's shape is documented at its builder."""
+    state = c._state
+    kept = state.get(name)
     if kept is not None:
         return kept
     with _KEPT_LOCK:
-        kept = getattr(c, name)
+        kept = state.get(name)
         if kept is None:  # no other thread built it while this one waited
-            kept = build(c)
-            object.__setattr__(c, name, kept)
+            kept = state[name] = build(c)
         return kept
 
 

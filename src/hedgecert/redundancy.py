@@ -61,7 +61,8 @@ class SharperFtapBundle:
 def _replicate(c: CompiledMarket) -> tuple[tuple[Fraction, ...] | None, ...]:
     """Every option's replication from one reduced row-echelon form: per
     option, None when it is non-redundant, else its solution over
-    [1 | G | P_others], as a tuple. Built once per market (`model._kept`).
+    [1 | G | P_others], as a tuple. Built on the market's first redundancy
+    query and kept in its store as `_replications` (`model._kept`).
 
     [1 | G | P] on the charged leaves, the compiled gain and payoff columns
     transposed, is reduced once, in column order, on integer rows

@@ -1,4 +1,4 @@
-"""Check seventeen rules over the modules of the package, `src/hedgecert/*.py`.
+"""Check nineteen rules over the modules of the package, `src/hedgecert/*.py`.
 
 A name a module imports but never uses fails; __init__.py is skipped,
 because its imports are the package's re-exports. So does a name in a
@@ -15,8 +15,8 @@ annotation is not a use. So does a read of a `.rows` attribute outside
 lp.py: a program's rows are the face's, one column short of a push
 program's, and only the kernel and its replay, which derives the late
 column, may read them. So does dead compiled state: a field of
-`CompiledMarket` that no module of the package reads, as an attribute or as
-the field a `_kept` call names; a read from tests alone does not count. So
+`CompiledMarket` that no module of the package reads as an attribute; a
+read from tests alone does not count. So
 does a replay that reads compiled payoffs: a `verify_*` function or
 `strictly_inside_quotes` that reads `integer_payoffs` or `payoff_columns`,
 so every replay prices the options from their payoffs, apart from the
@@ -26,11 +26,17 @@ phase 2 builds its start row in one sum. So does, in arbitrage.py, a use of
 `solve_lp` or a `.program` attribute outside `_solve`, or of `LpProblem` or
 `_Phase1` outside `_face`: every reader of a measure program takes
 `_solve`'s outcome, not a problem of its own. An import or an annotation is
-not a use. So does a write of kept state outside `model._kept`: an
-`object.__setattr__` call anywhere else whose name is not a string, or is
-a non-init `CompiledMarket` field other than `_checked`, so each piece of
-state a compiled market keeps is built once, under its lock. So does a
-`MartingaleMeasure(...)` call anywhere but in `arbitrage._measure`, so
+not a use. So does a write of a compiled market's store of kept state,
+`_state`, anywhere but in `model._kept`: a subscript assignment or
+deletion, an augmented assignment or a call of a mutating dict method, on
+a `._state` attribute or a name bound to one, or an `object.__setattr__`
+or `setattr` call that names `_state` or a name that is not a string, so
+each entry is built once, under its lock. So does a `_kept` call whose
+entry name is not a string literal, or that names an entry another `_kept`
+call names, so each entry has one builder. So does a non-init field of
+`CompiledMarket` other than `_checked` and `_state`: what a market keeps
+goes in the store. So does a `MartingaleMeasure(...)` call anywhere but
+in `arbitrage._measure`, so
 every measure the package returns is weighted and priced in one place; the
 one other call allowed is in `arbitrage._nar_verdict`, and only when every
 argument is `list(name)`: it copies the interior measure `_robustness`
@@ -55,7 +61,7 @@ cli.py that names `_print_report` more than once, or anywhere but in
 `main`, or that calls `_emit_error("arbitrage", ...)` anywhere but in
 `_failure`: every report is printed at one site, and every raised arbitrage
 failure reported by one function, which replays the ray it carries.
-Seventeen rules in all.
+Nineteen rules in all.
 
     python tests/package_rules.py
 
@@ -183,9 +189,6 @@ problems += [f"{path}:{node.lineno}: .rows read outside lp.py, the one reader of
              and node.attr == "rows" and isinstance(node.ctx, ast.Load)]
 read = {node.attr for tree in trees.values() for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-read |= {node.args[1].value for tree in trees.values() for node in ast.walk(tree)
-         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_kept"
-         and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)}
 model_path = pathlib.Path("src/hedgecert/model.py")
 compiled = next(node for node in trees[model_path].body
                 if isinstance(node, ast.ClassDef) and node.name == "CompiledMarket")
@@ -217,18 +220,57 @@ def init_false(node):
         k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
         for k in node.value.keywords)
 
-kept = {node.target.id for node in compiled.body if init_false(node)} - {"_checked"}
+problems += [f"{model_path}:{node.lineno}: CompiledMarket declares the non-init field "
+             f"{node.target.id}; only _checked and the store, _state, may be one"
+             for node in compiled.body if init_false(node)
+             and node.target.id not in ("_checked", "_state")]
+aliases = collections.defaultdict(set)  # (path, function): names bound to a store
 for path, tree in trees.items():
     for function, node in scoped(tree):
-        func = node.func if isinstance(node, ast.Call) else None
-        if not (isinstance(func, ast.Attribute) and func.attr == "__setattr__"
-                and getattr(func.value, "id", None) == "object" and len(node.args) > 1):
+        if isinstance(node, ast.Assign) and getattr(node.value, "attr", None) == "_state":
+            aliases[path, function] |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+mutators = {"__setitem__", "__delitem__", "setdefault", "update", "pop", "popitem", "clear"}
+
+def writes_store(node, names):
+    """True for a node that writes a store, a `._state` attribute or a name
+    in `names`, or replaces one: `object.__setattr__` or `setattr` naming
+    `_state` or a name that is not a string."""
+    def store(value):
+        return getattr(value, "attr", None) == "_state" or getattr(value, "id", None) in names
+    if isinstance(node, ast.Subscript):
+        return isinstance(node.ctx, (ast.Store, ast.Del)) and store(node.value)
+    if isinstance(node, ast.AugAssign):
+        return store(node.target)
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute) and func.attr in mutators:
+        return store(func.value)
+    if not (getattr(func, "id", None) == "setattr" or getattr(func, "attr", None) == "__setattr__"
+            and getattr(func.value, "id", None) == "object"):
+        return False
+    name = getattr(node.args[1], "value", None) if len(node.args) > 1 else None
+    return not isinstance(name, str) or name == "_state"
+
+problems += [f"{path}:{node.lineno}: store of kept state written in {function or 'module scope'}; "
+             "only model._kept may write it" for path, tree in trees.items()
+             for function, node in scoped(tree) if (path, function) != (model_path, "_kept")
+             and writes_store(node, aliases[path, function])]
+entries = collections.Counter()
+for path, tree in trees.items():
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and "_kept" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))):
             continue
-        name = node.args[1].value if isinstance(node.args[1], ast.Constant) else None
-        if (path, function) != (model_path, "_kept") and (not isinstance(name, str) or name in kept):
-            problems.append(f"{path}:{node.lineno}: kept state {name or 'by a computed name'} "
-                            f"written in {function or 'module scope'}; only model._kept may "
-                            "write it")
+        name = node.args[1] if len(node.args) > 1 else next(
+            (k.value for k in node.keywords if k.arg == "name"), None)
+        if not (isinstance(name, ast.Constant) and isinstance(name.value, str)):
+            problems.append(f"{path}:{node.lineno}: _kept entry named by no string literal")
+            continue
+        entries[name.value] += 1
+        if entries[name.value] == 2:
+            problems.append(f"{path}:{node.lineno}: _kept entry {name.value} named by a second "
+                            "call; each entry has one builder")
 def copies(call):
     """True for a call whose arguments are all `list(name)`: copies of
     kept tuples, with nothing computed."""
@@ -297,7 +339,8 @@ print("\n".join(problems) or "no unused imports, unbound annotation names, dead 
       "private code, solver use outside lp.py and arbitrage.py, row read "
       "outside lp.py, unread compiled field, replay of compiled payoffs, row "
       "update outside _pivot, program built or solved outside _face and _solve, kept "
-      "state written outside _kept, measure built outside _measure, floor program "
+      "state written outside _kept, kept entry named by no literal or twice, non-init "
+      "field besides _checked and _state, measure built outside _measure, floor program "
       "solved outside _floor, floor verdict derived outside _floor or read "
       "outside check_na and check_nar, Farkas vector read outside _face, duals "
       "derived before they are read, report printed at more than main's one site "

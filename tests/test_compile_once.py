@@ -200,11 +200,11 @@ def test_only_compile_and_market_without_option_mark_a_market():
     c = model.require_valid(m)
     arbitrage.check_nar(c)
     redundancy.check_nonredundant(c, 0)
-    assert c._face is not None and c._replications is not None
+    assert "_face" in c._state and "_replications" in c._state
     reduced = superhedge.market_without_option(c, 0)
     assert model.require_valid(reduced) is reduced
-    assert reduced._face is None and reduced._replications is None
-    assert replace(c)._face is None and replace(c)._replications is None
+    assert "_face" not in reduced._state and "_replications" not in reduced._state
+    assert "_face" not in replace(c)._state and "_replications" not in replace(c)._state
     # an unmarked copy is compiled again first, so its reduction is marked too
     again = superhedge.market_without_option(replace(c), 0)
     assert isinstance(again, CompiledMarket) and model.require_valid(again) is again

@@ -213,6 +213,14 @@ def test_claim_length_mismatch():
         parse_claim(json.dumps(bad), m)
 
 
+def test_a_claim_payoff_that_is_not_a_list_is_one_issue():
+    # no length is counted for it, as for an option's payoff
+    market = parse_market((DATA / "m1.json").read_bytes())
+    with pytest.raises(MarketParseError) as error:
+        parse_claim((DATA / "claim-string.json").read_bytes(), market)
+    assert error.value.issues == [("payoff", "expected a list of rational strings")]
+
+
 def _claim_and_market_issues(edit) -> tuple[list, list]:
     """The issues parse_claim and parse_market raise for one fault, `edit`
     applied to a valid claim file on m1 and to m1.json itself."""

@@ -10,12 +10,11 @@ push 1 reads push 0's outcome and the robust parts kept with it.
 import copy
 import random
 import sys
-import threading
-import time
 from dataclasses import replace
 from fractions import Fraction as F
 
 import oracle
+from concurrency import run_together, slow_phase_one
 from hedgecert import arbitrage, lp, redundancy, superhedge
 from hedgecert.errors import HedgecertError
 from hedgecert.marketio import dump_market, market_to_json, parse_market
@@ -243,16 +242,8 @@ def test_four_threads_on_a_fresh_market_run_one_phase_one_and_one_solve(monkeypa
     # the first check_nar on a freshly parsed market builds the face from
     # inside the floor's build; a slow phase 1 keeps every thread's first
     # call in flight together, and none may wait on the lock it holds
-    built, solved = [], []
-
-    class Slow(lp._Phase1):
-        def __init__(self, p):
-            built.append(p)
-            time.sleep(0.05)
-            super().__init__(p)
-
+    built, solved = slow_phase_one(monkeypatch), []
     solve = lp.solve_lp
-    monkeypatch.setattr(lp, "_Phase1", Slow)
     monkeypatch.setattr(lp, "solve_lp", lambda p: solved.append(p) or solve(p))
     for m in [binomial_with_spread_option(), trinomial_straddle_market()]:
         text = dump_market(require_valid(m))
@@ -261,20 +252,9 @@ def test_four_threads_on_a_fresh_market_run_one_phase_one_and_one_solve(monkeypa
         expected = arbitrage.check_nar(warm)
         built.clear()
         solved.clear()
-        c, answers = parse_market(text), [None] * 4
-        assert c._face is None
-        start = threading.Barrier(4, timeout=60)
-
-        def run(i):
-            start.wait()
-            answers[i] = arbitrage.check_nar(c)
-
-        threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-        assert not any(thread.is_alive() for thread in threads), m
+        c = parse_market(text)
+        assert "_face" not in c._state
+        answers = run_together(4, lambda i: arbitrage.check_nar(c), timeout=10)
         assert len(built) == 1 and len(solved) == 1, m
         assert answers == [expected] * 4, m
 
@@ -284,14 +264,8 @@ def test_four_threads_on_a_fresh_arbitrage_market_derive_one_certificate(monkeyp
     # market solves push 0 and derives its arbitrage once, however many
     # threads ask together, and each thread gets a certificate of its own
     derived = []
-
-    class Slow(lp._Phase1):
-        def __init__(self, p):
-            time.sleep(0.05)
-            super().__init__(p)
-
+    slow_phase_one(monkeypatch)
     arbitrage_of = arbitrage._arbitrage
-    monkeypatch.setattr(lp, "_Phase1", Slow)
     monkeypatch.setattr(arbitrage, "_arbitrage", lambda *a: derived.append(a) or arbitrage_of(*a))
     spread = next(m for m in _reference_markets()[6:] if any(opt.has_spread() for opt in m.options)
                   and isinstance(_answer(redundancy.sharper_ftap, m), redundancy.SharperFtapBundle)
@@ -305,19 +279,8 @@ def test_four_threads_on_a_fresh_arbitrage_market_derive_one_certificate(monkeyp
                 text = dump_market(require_valid(m))
                 expected = query(parse_market(text))
                 derived.clear()
-                c, answers = parse_market(text), [None] * 4
-                start = threading.Barrier(4, timeout=60)
-
-                def run(i):
-                    start.wait()
-                    answers[i] = query(c)
-
-                threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(4)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=10)
-                assert not any(thread.is_alive() for thread in threads), (m, query)
+                c = parse_market(text)
+                answers = run_together(4, lambda i: query(c), timeout=10)
                 assert len(derived) == 1 and not na(expected).holds, (m, query)
                 assert answers == [expected] * 4, (m, query)
                 assert len({id(na(a).certificate.gains) for a in answers}) == 4, (m, query)
@@ -341,11 +304,11 @@ def test_without_a_spread_option_the_two_verdicts_and_ftap_solve_one_program(mon
             for k in order:
                 _answer(queries[k], c)
             assert solved == [0], (m, order)
-            assert c._nar[0] is c._na[0], (m, order)  # one program, kept for both pushes
+            assert c._state["_nar"][0] is c._state["_na"][0], (m, order)  # one program, kept for both pushes
             solved.clear()
         c = require_valid(m)
         arbitrage.check_na(c)
-        assert c._nar is not None, m  # push 0 keeps the robust verdict's parts too
+        assert "_nar" in c._state, m  # push 0 keeps the robust verdict's parts too
         solved.clear()
 
 
@@ -368,14 +331,14 @@ def test_copies_start_with_no_kept_floors_and_floors_stay_out_of_equality():
     fresh = require_valid(m)
     arbitrage.check_na(c)
     arbitrage.check_nar(c)
-    assert c._na is not None and c._nar is not None
-    assert fresh._na is None and fresh._nar is None
+    assert "_na" in c._state and "_nar" in c._state
+    assert "_na" not in fresh._state and "_nar" not in fresh._state
     assert c == fresh and repr(c) == repr(fresh)
     assert market_to_json(c) == market_to_json(fresh)
     copied = replace(c)
-    assert copied._na is None and copied._nar is None
+    assert "_na" not in copied._state and "_nar" not in copied._state
     reduced = superhedge.market_without_option(c, 0)
-    assert reduced._na is None and reduced._nar is None
+    assert "_na" not in reduced._state and "_nar" not in reduced._state
     # the copy answers for its own options, not from the market it came from
     assert arbitrage.check_na(reduced) == arbitrage.check_na(
         parse_market(dump_market(reduced)))

@@ -8,13 +8,12 @@ for every claim, warm or cold, and `check_na` certifies with its strategy.
 import copy
 import random
 import sys
-import threading
-import time
 from fractions import Fraction as F
 
 import pytest
 
-from hedgecert import arbitrage, lp, superhedge
+from concurrency import run_together, slow_phase_one
+from hedgecert import arbitrage, superhedge
 from hedgecert.errors import RobustArbitrageError
 from hedgecert.marketio import dump_market, parse_market
 from hedgecert.model import ONE, Claim, require_valid
@@ -104,16 +103,8 @@ def test_a_caller_that_changes_a_ray_changes_nothing_kept():
 def test_eight_threads_on_a_fresh_infeasible_market_build_one_phase_one(monkeypatch):
     # a slow phase 1 keeps every thread's first superhedge_price in flight
     # together; one of them builds the face and its ray, the rest read it
-    built, derived = [], []
-
-    class Slow(lp._Phase1):
-        def __init__(self, p):
-            built.append(p)
-            time.sleep(0.05)
-            super().__init__(p)
-
+    built, derived = slow_phase_one(monkeypatch), []
     multipliers = arbitrage._multipliers
-    monkeypatch.setattr(lp, "_Phase1", Slow)
     monkeypatch.setattr(arbitrage, "_multipliers", lambda *a: derived.append(a) or multipliers(*a))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -122,23 +113,16 @@ def test_eight_threads_on_a_fresh_infeasible_market_build_one_phase_one(monkeypa
             expected = _ray(parse_market(text), _claims(parse_market(text))[0])
             built.clear()
             derived.clear()
-            c, rays = parse_market(text), [None] * 8
+            c = parse_market(text)
             claims = _claims(c) * 4
-            start = threading.Barrier(8, timeout=60)
 
             def run(i):
-                start.wait()
                 try:
                     superhedge.superhedge_price(c, claims[i])
                 except RobustArbitrageError as err:
-                    rays[i] = err.ray
+                    return err.ray
 
-            threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=10)
-            assert not any(thread.is_alive() for thread in threads), text
+            rays = run_together(8, run, timeout=10)
             assert len(built) == 1 and len(derived) == 1, text
             assert rays == [expected] * 8, text
             assert len({id(strategy.buy_leg) for _, strategy in rays}) == 8, text

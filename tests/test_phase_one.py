@@ -16,13 +16,12 @@ import copy
 import dataclasses
 import random
 import sys
-import threading
-import time
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+from concurrency import run_together, slow_phase_one
 from hedgecert import arbitrage, cli, lp, redundancy, superhedge
 from hedgecert.errors import StructureError
 from hedgecert.marketio import dump_market, market_to_json, parse_market
@@ -65,7 +64,7 @@ def _cold(problem):
 
 
 def _phase1(c):
-    return c._face[0]
+    return c._state["_face"][0]
 
 
 def _state(phase1):
@@ -241,7 +240,7 @@ def test_building_and_solving_programs_writes_nothing_to_the_face(monkeypatch):
     # with no program solved, so the queries solve push 0 while recorded
     c = require_valid(trinomial_straddle_market())
     phase1 = arbitrage._face(c)[0]
-    assert c._na is None and c._nar is None
+    assert "_na" not in c._state and "_nar" not in c._state
     attributes = dict(vars(phase1))
     values = copy.deepcopy(attributes)
     assert phase1.tab is not None and phase1.tab_sums is not None
@@ -308,7 +307,7 @@ def test_a_reduced_market_builds_its_own_phase_one(monkeypatch):
         arbitrage.check_nar(c)  # the full market's phase 1 is built
         for i in range(len(c.options)):
             reduced = superhedge.market_without_option(c, i)
-            assert reduced._face is None
+            assert "_face" not in reduced._state
             warm = bounds(c, i)
             # cold: a fresh parse of the same market, every solve without a phase 1
             with monkeypatch.context() as patch:
@@ -345,20 +344,9 @@ def test_four_threads_on_one_fresh_market_get_the_sequential_answers():
             expected = [query() for query in _queries(parse_market(text), claim)]
             c = parse_market(text)
             queries = _queries(c, claim)
-            answers = [None] * 4
-            start = threading.Barrier(4)
-
-            def run(i):
-                start.wait()
-                answers[i] = [queries[(i + j) % 4]() for j in range(4)]
-
-            threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+            answers = run_together(4, lambda i: [queries[(i + j) % 4]() for j in range(4)])
             assert answers == [expected[i:] + expected[:i] for i in range(4)], k
-            assert c._face is not None
+            assert "_face" in c._state
     finally:
         sys.setswitchinterval(interval)
 
@@ -366,31 +354,12 @@ def test_four_threads_on_one_fresh_market_get_the_sequential_answers():
 def test_concurrent_first_queries_on_one_market_run_one_phase_one(monkeypatch):
     # a slow phase 1 keeps every thread's first query in flight together:
     # each finds the face unbuilt, and all but one must wait for that one
-    calls = []
-
-    class Slow(lp._Phase1):
-        def __init__(self, p):
-            calls.append(p)
-            time.sleep(0.05)
-            super().__init__(p)
-
     claim = Claim([F(1), F(0)])
     expected = [query() for query in _queries(require_valid(binomial_with_spread_option()), claim)]
-    monkeypatch.setattr(lp, "_Phase1", Slow)
+    calls = slow_phase_one(monkeypatch)
     c = require_valid(binomial_with_spread_option())
-    queries, answers = _queries(c, claim), [None] * 4
-    start = threading.Barrier(4, timeout=60)
-
-    def run(i):
-        start.wait()
-        answers[i] = queries[i]()
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
-    assert not any(thread.is_alive() for thread in threads)
+    queries = _queries(c, claim)
+    answers = run_together(4, lambda i: queries[i]())
     assert len(calls) == 1
     assert answers == expected
 
@@ -403,18 +372,7 @@ def test_threads_that_build_programs_at_once_share_the_face_rows():
         for _ in range(20):
             face = lp._Phase1(random_lp(rng, max_vars=40, max_rows=40))
             objective = [ONE] * (face.n + 1)
-            problems = [None] * 4
-            start = threading.Barrier(4)
-
-            def run(i):
-                start.wait()
-                problems[i] = face.program(objective, 1)
-
-            threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+            problems = run_together(4, lambda i: face.program(objective, 1))
             assert all(p.rows is face.rows and p.phase1 == (face, 1) for p in problems)
             assert len({lp.solve_lp(p).status for p in problems}) == 1
     finally:
@@ -427,11 +385,11 @@ def test_the_stored_phase_one_reaches_no_comparison_repr_or_file():
     fresh = parse_market(dump_market(warm))
     arbitrage.check_nar(warm)
     redundancy.all_spread_options_nonredundant(warm)
-    assert warm._face is not None and fresh._face is None
-    assert warm._replications is not None and fresh._replications is None
+    assert "_face" in warm._state and "_face" not in fresh._state
+    assert "_replications" in warm._state and "_replications" not in fresh._state
     assert warm == fresh
     assert repr(warm) == repr(fresh)
-    assert "_face" not in repr(warm) and "_replications" not in repr(warm)
+    assert "_state" not in repr(warm) and "_face" not in repr(warm)
     assert market_to_json(warm) == market_to_json(fresh)
     assert dump_market(warm) == dump_market(fresh)
     problem, _ = measure_program(warm, [ZERO] * len(warm.charged) + [ONE], 1)

@@ -1,7 +1,6 @@
 import copy
 import random
 import re
-import threading
 import time
 from dataclasses import replace
 from decimal import Decimal
@@ -10,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracle
+from concurrency import run_together
 from hedgecert import redundancy
 from hedgecert.arbitrage import strictly_inside_quotes, verify_measure, verify_na_certificate
 from hedgecert.errors import DomainError, HedgecertError, PreconditionError, StructureError
@@ -400,19 +400,8 @@ def test_concurrent_first_redundancy_queries_on_one_market_run_one_elimination(m
 
     monkeypatch.setattr(redundancy, "_reduce", slow)
     for m, sequential in zip(markets, expected):
-        c, answers = require_valid(m), [None] * 4
-        start = threading.Barrier(4, timeout=60)
-
-        def run(i):
-            start.wait()
-            answers[i] = queries[i](c)
-
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert not any(thread.is_alive() for thread in threads)
+        c = require_valid(m)
+        answers = run_together(4, lambda i: queries[i](c))
         assert len(calls) == 1, m
         assert answers == sequential, m
         calls.clear()
