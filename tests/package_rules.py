@@ -1,348 +1,281 @@
-"""Check nineteen rules over the modules of the package, `src/hedgecert/*.py`.
-
-A name a module imports but never uses fails; __init__.py is skipped,
-because its imports are the package's re-exports. So does a name in a
-parameter, return or variable annotation that the module neither imports,
-defines nor gets from builtins: under `from __future__ import annotations`
-it never fails at run time. So does dead private code: a module-level
-function, class or assignment whose name starts with _ (dunders aside) and
-that no module of the package names outside its own definition, as a name,
-an attribute or an import; a use from tests alone does not count. So does a
-use of the solver's entry points, `solve_lp`, `LpProblem` or `_Phase1`, as a
-name or an attribute, in a module other than lp.py and arbitrage.py: every
-measure program is built and solved by `arbitrage._solve`. An import or an
-annotation is not a use. So does a read of a `.rows` attribute outside
-lp.py: a program's rows are the face's, one column short of a push
-program's, and only the kernel and its replay, which derives the late
-column, may read them. So does dead compiled state: a field of
-`CompiledMarket` that no module of the package reads as an attribute; a
-read from tests alone does not count. So
-does a replay that reads compiled payoffs: a `verify_*` function or
-`strictly_inside_quotes` that reads `integer_payoffs` or `payoff_columns`,
-so every replay prices the options from their payoffs, apart from the
-queries. So does a use of `lp._combine`, as a name or an
-attribute, anywhere but in `_pivot`: every row update is a pivot's, and
-phase 2 builds its start row in one sum. So does, in arbitrage.py, a use of
-`solve_lp` or a `.program` attribute outside `_solve`, or of `LpProblem` or
-`_Phase1` outside `_face`: every reader of a measure program takes
-`_solve`'s outcome, not a problem of its own. An import or an annotation is
-not a use. So does a write of a compiled market's store of kept state,
-`_state`, anywhere but in `model._kept`: a subscript assignment or
-deletion, an augmented assignment or a call of a mutating dict method, on
-a `._state` attribute or a name bound to one, or an `object.__setattr__`
-or `setattr` call that names `_state` or a name that is not a string, so
-each entry is built once, under its lock. So does a `_kept` call whose
-entry name is not a string literal, or that names an entry another `_kept`
-call names, so each entry has one builder. So does a non-init field of
-`CompiledMarket` other than `_checked` and `_state`: what a market keeps
-goes in the store. So does a `MartingaleMeasure(...)` call anywhere but
-in `arbitrage._measure`, so
-every measure the package returns is weighted and priced in one place; the
-one other call allowed is in `arbitrage._nar_verdict`, and only when every
-argument is `list(name)`: it copies the interior measure `_robustness`
-built through `_measure` and keeps, and prices nothing. So
-does a `_solve` call with a push, a third positional, starred or `push`
-argument, anywhere but in `arbitrage._floor`, so each floor program is
-solved once per market and no path solves it again around the kept outcome.
-So does a call to `_robustness` or `_arbitrage` anywhere but in
-`arbitrage._floor`, so no reader derives a floor verdict again around the
-parts `_floor` keeps. So does a module other than arbitrage.py that names
-`_floor`, `_arbitrage`, `_robustness`, `_na_verdict` or `_nar_verdict`, as
-a name, an attribute or an import: every other module reads a verdict from
-`check_na` and `check_nar`, the public answers. So does a read of a
-`.farkas` attribute outside lp.py and `arbitrage._face`, which derives an
-infeasible face's ray once and keeps it with the face, so no path derives
-the ray again. So does a use of `lp._duals`, as a name or an attribute,
-anywhere but in `lp._Phase1.__init__`, which derives an infeasible face's
-Farkas vector, or as the first argument of a `partial` call, the
-derivation an optimal outcome keeps and runs only when its `dual` is read
-(`lp.LpOutcome`), so no path builds the duals eagerly again. So does a
-cli.py that names `_print_report` more than once, or anywhere but in
-`main`, or that calls `_emit_error("arbitrage", ...)` anywhere but in
-`_failure`: every report is printed at one site, and every raised arbitrage
-failure reported by one function, which replays the ray it carries.
-Nineteen rules in all.
+"""Check every rule of `RULES` below over the modules of `src/hedgecert/`.
 
     python tests/package_rules.py
 
-Run from the repository root. Prints each problem as path:line: message,
-or one line naming the rules when there is none, and exits 1 on a problem.
+Run from the repository root. Prints each problem as `path:line: message`
+and exits 1 when there is one; otherwise prints one line naming the rules.
+`check(root)` gives the problem lines for the modules under root.
 """
 
 import ast
 import builtins
 import collections
+import functools
 import pathlib
 import sys
 
-problems = []
-for path in sorted(pathlib.Path("src/hedgecert").glob("*.py")):
-    if path.name == "__init__.py":
-        continue
-    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    imported = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    problems += [f"{path}:{line}: {name} imported but unused"
-                 for name, line in imported.items() if name not in used]
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
+# a node of a module, with the node it hangs from, the names of the definitions around it,
+# outermost first, the innermost function's name and the root of the annotation it is in
+Site = collections.namedtuple("Site", "path node parent scope function annotation")
 
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    bound = set(imported) | set(dir(builtins))
-    bound |= {node.name for node in ast.walk(tree) if isinstance(node, defs)}
-    bound |= {node.id for node in ast.walk(tree)
-              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
-    annotations = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            a = node.args
-            params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
-            annotations += [p.annotation for p in params if p] + [node.returns]
-        elif isinstance(node, ast.AnnAssign):
-            annotations.append(node.annotation)
-    for annotation in filter(None, annotations):
-        line = annotation.lineno
-        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
-            annotation = ast.parse(annotation.value, mode="eval")
-        problems += [f"{path}:{line}: annotation names {node.id}, which nothing binds"
-                     for node in ast.walk(annotation)
-                     if isinstance(node, ast.Name) and node.id not in bound]
-
-trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
-         for path in sorted(pathlib.Path("src/hedgecert").glob("*.py"))}
-
-def named(node):
-    """The names one node itself uses: a loaded name, an attribute, an import's."""
-    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+def mentioned(node):
+    """What a node mentions: a name `n` (as a name or an attribute), `.n` (as
+    an attribute), `n()` (as a call) or `import n` (in a from-import)."""
+    if isinstance(node, ast.Name):
         return [node.id]
     if isinstance(node, ast.Attribute):
-        return [node.attr]
+        return [node.attr, "." + node.attr]
+    if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+        return [mentioned(node.func)[0] + "()"]
     if isinstance(node, ast.ImportFrom):
-        return [alias.name for alias in node.names]
+        return ["import " + alias.name for alias in node.names]
     return []
 
-def names(nodes):
-    """Every name the nodes use: loaded names, attributes, imports."""
-    for node in nodes:
-        for sub in ast.walk(node):
-            yield from named(sub)
+@functools.lru_cache(maxsize=16)
+def survey(path, source):
+    """A module's sites in source order, and their positions by node type and
+    by what they mention; kept while the text stays the same, so a checked
+    copy with one module changed walks only that one."""
+    sites, mentions = [], collections.defaultdict(list)
+    stack = [Site(path, ast.parse(source, str(path)), None, (), "module scope", None)]
+    while stack:
+        site = stack.pop()
+        node = site.node
+        for key in [type(node), *mentioned(node)]:
+            mentions[key].append(len(sites))
+        sites.append(site)
+        scope = site.scope + (node.name,) if isinstance(node, DEFINITIONS) else site.scope
+        function = node.name if isinstance(node, FUNCTIONS) else site.function
+        stack += reversed([Site(path, child, node, scope, function, site.annotation or (
+                               child if field in ("annotation", "returns") else None))
+                           for field, value in ast.iter_fields(node)
+                           for child in (value if isinstance(value, list) else [value])
+                           if isinstance(child, ast.AST)])
+    return sites, mentions
 
-uses = collections.Counter(names(trees.values()))
-for path, tree in trees.items():
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            defined = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            defined = [sub.id for t in targets for sub in ast.walk(t)
-                       if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)]
+def find(package, *keys, path=None):
+    """(site, key) for each site of the module at path, or of every module of
+    the package, that mentions one of keys, in module and source order."""
+    return [(sites[i], key) for at, (sites, mentions) in package.items() if path in (None, at)
+            for i, key in sorted(((i, k) for k in keys for i in mentions.get(k, ())), key=lambda hit: hit[0])]
+
+def within(site, place):
+    """True for a site in `place`: a module ("lp.py") or, at any depth, one
+    of its definitions ("lp.py:_Phase1.__init__")."""
+    module, _, qualname = place.partition(":")
+    names = tuple(qualname.split(".")) if qualname else ()
+    return site.path.name == module and site.scope[:len(names)] == names
+
+def use(names, inside, message, modules=None, imports=False, once=False):
+    """The check that names are used only at the places of `inside`, each a
+    place (`within`) or a test of the site. A name `n` counts as a name or an
+    attribute, `.n` as an attribute and `n()` as a call; an annotation never
+    counts, a from-import only with `imports`. Only `modules` are checked,
+    or all; with `once`, each use is reported when there is more than one."""
+    keys = [*names, *("import " + name for name in names if imports)]
+
+    def check(package):
+        uses = [(site, key.removeprefix("import ").strip(".()")) for site, key in find(package, *keys)
+                if site.annotation is None and (modules is None or site.path.name in modules)]
+        for site, name in uses:
+            if once and len(uses) > 1 or not any(
+                    place(site) if callable(place) else within(site, place) for place in inside):
+                yield site.path, site.node.lineno, message.format(
+                    name=name, top=(site.scope or ("module scope",))[0], function=site.function)
+    return check
+
+def imports(package, path):
+    """The names the module at path imports, each with its line."""
+    bound = {}
+    for site, _ in find(package, ast.Import, ast.ImportFrom, path=path):
+        if isinstance(site.node, ast.Import):
+            bound.update((a.asname or a.name.split(".")[0], site.node.lineno) for a in site.node.names)
+        elif site.node.module != "__future__":
+            bound.update((a.asname or a.name, site.node.lineno) for a in site.node.names)
+    return bound.items()
+
+def unused_imports(package):
+    for path in [path for path in package if path.name != "__init__.py"]:
+        yield from ((path, line, f"{name} imported but unused") for name, line in imports(package, path)
+                    if not any(isinstance(site.node, ast.Name) for site, _ in find(package, name, path=path)))
+
+def unbound_annotations(package):
+    for path in [path for path in package if path.name != "__init__.py"]:
+        bound = {name for name, _ in imports(package, path)} | set(dir(builtins))
+        bound |= {site.node.name for site, _ in find(package, *DEFINITIONS, path=path)}
+        bound |= {site.node.id for site, _ in find(package, ast.Name, path=path)
+                  if isinstance(site.node.ctx, ast.Store)}
+        for site, _ in find(package, ast.arg, ast.AnnAssign, *FUNCTIONS, path=path):
+            field = "returns" if isinstance(site.node, FUNCTIONS) else "annotation"
+            annotation = root = getattr(site.node, field)
+            if isinstance(root, ast.Constant) and isinstance(root.value, str):
+                root = ast.parse(root.value, mode="eval")
+            yield from ((path, annotation.lineno, f"annotation names {sub.id}, which nothing binds")
+                        for sub in (ast.walk(root) if root else ())
+                        if isinstance(sub, ast.Name) and sub.id not in bound)
+
+def dead_private(package):
+    for path, (sites, _) in package.items():
+        for node in sites[0].node.body:
+            if isinstance(node, DEFINITIONS):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [sub.id for t in targets for sub in ast.walk(t)
+                           if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)]
+            else:
+                continue
+            start, end = (node.lineno, node.col_offset), (node.end_lineno, node.end_col_offset)
+            yield from ((path, node.lineno, f"private {name} is never used") for name in defined
+                        if name.startswith("_") and not name.endswith("__") and all(
+                            site.path == path and start <= (site.node.lineno, site.node.col_offset) <= end
+                            for site, _ in find(package, name, "import " + name)
+                            if not isinstance(getattr(site.node, "ctx", None), ast.Store)))
+
+def compiled_fields(package):
+    """The path of model.py and `CompiledMarket`'s field declarations."""
+    site = next(site for site, _ in find(package, ast.ClassDef)
+                if site.path.name == "model.py" and site.node.name == "CompiledMarket")
+    return site.path, [node for node in site.node.body if isinstance(node, ast.AnnAssign)]
+
+def unread_fields(package):
+    path, fields = compiled_fields(package)
+    yield from ((path, node.lineno, f"CompiledMarket field {node.target.id} is never read in the package")
+                for node in fields if not any(isinstance(site.node.ctx, ast.Load)
+                                              for site, _ in find(package, "." + node.target.id)))
+
+def non_init_fields(package):
+    path, fields = compiled_fields(package)
+    yield from ((path, node.lineno, f"CompiledMarket declares the non-init field {node.target.id}; "
+                 "only _checked and the store, _state, may be one") for node in fields
+                if node.target.id not in ("_checked", "_state") and any(
+                    k.arg == "init" and getattr(k.value, "value", None) is False
+                    for k in getattr(node.value, "keywords", ())))
+
+def store_writes(package):
+    aliases = collections.defaultdict(set)  # (path, function): the names bound to a store
+    for site, _ in find(package, ast.Assign):
+        if getattr(site.node.value, "attr", None) == "_state":
+            aliases[site.path, site.function] |= {t.id for t in site.node.targets if isinstance(t, ast.Name)}
+    for site, _ in find(package, ast.Subscript, ast.AugAssign, ast.Call):
+        node, func = site.node, getattr(site.node, "func", None)
+        if isinstance(node, ast.Call) and getattr(func, "attr", None) not in (
+                "__setitem__", "__delitem__", "setdefault", "update", "pop", "popitem", "clear"):
+            # a store replaced: setattr or object.__setattr__ naming _state or a computed name
+            name = getattr(node.args[1], "value", None) if len(node.args) > 1 else None
+            writes = (getattr(func, "id", None) == "setattr" or getattr(func, "attr", None) == "__setattr__"
+                      and getattr(func.value, "id", None) == "object") and (
+                          not isinstance(name, str) or name == "_state")
+        else:  # a store written: by a subscript, an augmented assignment or a mutating method
+            written = func.value if func else node.target if isinstance(node, ast.AugAssign) else node.value
+            writes = not isinstance(getattr(node, "ctx", None), ast.Load) and (
+                getattr(written, "attr", None) == "_state"
+                or getattr(written, "id", None) in aliases[site.path, site.function])
+        if writes and (site.path.name, site.function) != ("model.py", "_kept"):
+            yield (site.path, node.lineno,
+                   f"store of kept state written in {site.function}; only model._kept may write it")
+
+def kept_entries(package):
+    seen = set()
+    for site, _ in find(package, "_kept()"):
+        call = site.node
+        name = call.args[1] if len(call.args) > 1 else next(
+            (k.value for k in call.keywords if k.arg == "name"), None)
+        if not isinstance(getattr(name, "value", None), str):
+            yield site.path, call.lineno, "_kept entry named by no string literal"
+        elif name.value in seen:
+            yield (site.path, call.lineno,
+                   f"_kept entry {name.value} named by a second call; each entry has one builder")
         else:
-            continue
-        own = collections.Counter(names([node]))  # uses inside the definition
-        problems += [f"{path}:{node.lineno}: private {name} is never used"
-                     for name in defined
-                     if name.startswith("_") and not name.endswith("__")
-                     and uses[name] == own[name]]
+            seen.add(name.value)
 
-def annotated(tree):
-    """The ids of every node inside a parameter, return or variable annotation."""
-    roots = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            a = node.args
-            params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
-            roots += [p.annotation for p in params if p] + [node.returns]
-        elif isinstance(node, ast.AnnAssign):
-            roots.append(node.annotation)
-    return {id(sub) for root in filter(None, roots) for sub in ast.walk(root)}
-
-solver = {"solve_lp", "LpProblem", "_Phase1"}
-for path, tree in trees.items():
-    if path.name in ("lp.py", "arbitrage.py"):
-        continue
-    skip = annotated(tree)
-    for node in ast.walk(tree):
-        name = node.id if isinstance(node, ast.Name) else (
-            node.attr if isinstance(node, ast.Attribute) else None)
-        if name in solver and id(node) not in skip:
-            problems.append(f"{path}:{node.lineno}: {name} used outside lp.py and "
-                            "arbitrage.py, which alone build and solve programs")
-arbitrage_path = pathlib.Path("src/hedgecert/arbitrage.py")
-home = {"solve_lp": "_solve", "program": "_solve", "LpProblem": "_face", "_Phase1": "_face"}
-skip = annotated(trees[arbitrage_path])
-for top in trees[arbitrage_path].body:
-    owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
-    for node in ast.walk(top):
-        name = node.attr if isinstance(node, ast.Attribute) else (
-            node.id if isinstance(node, ast.Name) and node.id != "program" else None)
-        if name in home and owner != home[name] and id(node) not in skip:
-            problems.append(f"{arbitrage_path}:{node.lineno}: {name} used in "
-                            f"{owner or 'module scope'}; only {home[name]} may use it")
-problems += [f"{path}:{node.lineno}: .rows read outside lp.py, the one reader of "
-             "a program's rows" for path, tree in trees.items() if path.name != "lp.py"
-             for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-             and node.attr == "rows" and isinstance(node.ctx, ast.Load)]
-read = {node.attr for tree in trees.values() for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-model_path = pathlib.Path("src/hedgecert/model.py")
-compiled = next(node for node in trees[model_path].body
-                if isinstance(node, ast.ClassDef) and node.name == "CompiledMarket")
-problems += [f"{model_path}:{node.lineno}: CompiledMarket field {node.target.id} is "
-             "never read in the package" for node in compiled.body
-             if isinstance(node, ast.AnnAssign) and node.target.id not in read]
-replays = [(path, node) for path, tree in trees.items() for node in ast.walk(tree)
-           if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-           and (node.name.startswith("verify_") or node.name == "strictly_inside_quotes")]
-problems += [f"{path}:{sub.lineno}: replay {fn.name} reads {sub.attr}, the "
-             "compiled state it must check independently" for path, fn in replays
-             for sub in ast.walk(fn) if isinstance(sub, ast.Attribute)
-             and sub.attr in ("integer_payoffs", "payoff_columns")]
-
-def scoped(node, function=None):
-    """(innermost enclosing function's name, node) for every node below node."""
-    for child in ast.iter_child_nodes(node):
-        yield function, child
-        defines = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-        yield from scoped(child, child.name if defines else function)
-
-problems += [f"{path}:{node.lineno}: _combine used in {function or 'module scope'}; "
-             "only _pivot may update a row" for path, tree in trees.items()
-             for function, node in scoped(tree) if function != "_pivot"
-             and "_combine" in (getattr(node, "id", None), getattr(node, "attr", None))]
-def init_false(node):
-    """True for a class-body field declared `= field(..., init=False, ...)`."""
-    return isinstance(node, ast.AnnAssign) and isinstance(node.value, ast.Call) and any(
-        k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
-        for k in node.value.keywords)
-
-problems += [f"{model_path}:{node.lineno}: CompiledMarket declares the non-init field "
-             f"{node.target.id}; only _checked and the store, _state, may be one"
-             for node in compiled.body if init_false(node)
-             and node.target.id not in ("_checked", "_state")]
-aliases = collections.defaultdict(set)  # (path, function): names bound to a store
-for path, tree in trees.items():
-    for function, node in scoped(tree):
-        if isinstance(node, ast.Assign) and getattr(node.value, "attr", None) == "_state":
-            aliases[path, function] |= {t.id for t in node.targets if isinstance(t, ast.Name)}
-mutators = {"__setitem__", "__delitem__", "setdefault", "update", "pop", "popitem", "clear"}
-
-def writes_store(node, names):
-    """True for a node that writes a store, a `._state` attribute or a name
-    in `names`, or replaces one: `object.__setattr__` or `setattr` naming
-    `_state` or a name that is not a string."""
-    def store(value):
-        return getattr(value, "attr", None) == "_state" or getattr(value, "id", None) in names
-    if isinstance(node, ast.Subscript):
-        return isinstance(node.ctx, (ast.Store, ast.Del)) and store(node.value)
-    if isinstance(node, ast.AugAssign):
-        return store(node.target)
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    if isinstance(func, ast.Attribute) and func.attr in mutators:
-        return store(func.value)
-    if not (getattr(func, "id", None) == "setattr" or getattr(func, "attr", None) == "__setattr__"
-            and getattr(func.value, "id", None) == "object"):
-        return False
-    name = getattr(node.args[1], "value", None) if len(node.args) > 1 else None
-    return not isinstance(name, str) or name == "_state"
-
-problems += [f"{path}:{node.lineno}: store of kept state written in {function or 'module scope'}; "
-             "only model._kept may write it" for path, tree in trees.items()
-             for function, node in scoped(tree) if (path, function) != (model_path, "_kept")
-             and writes_store(node, aliases[path, function])]
-entries = collections.Counter()
-for path, tree in trees.items():
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call)
-                and "_kept" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))):
-            continue
-        name = node.args[1] if len(node.args) > 1 else next(
-            (k.value for k in node.keywords if k.arg == "name"), None)
-        if not (isinstance(name, ast.Constant) and isinstance(name.value, str)):
-            problems.append(f"{path}:{node.lineno}: _kept entry named by no string literal")
-            continue
-        entries[name.value] += 1
-        if entries[name.value] == 2:
-            problems.append(f"{path}:{node.lineno}: _kept entry {name.value} named by a second "
-                            "call; each entry has one builder")
-def copies(call):
-    """True for a call whose arguments are all `list(name)`: copies of
-    kept tuples, with nothing computed."""
-    return not call.keywords and all(
+def copies_in_nar_verdict(site):
+    """True in `arbitrage._nar_verdict` for a call whose arguments are all
+    `list(name)`: copies of kept tuples, with nothing computed."""
+    return within(site, "arbitrage.py:_nar_verdict") and not site.node.keywords and all(
         isinstance(a, ast.Call) and getattr(a.func, "id", None) == "list" and not a.keywords
-        and len(a.args) == 1 and isinstance(a.args[0], ast.Name) for a in call.args)
+        and len(a.args) == 1 and isinstance(a.args[0], ast.Name) for a in site.node.args)
 
-problems += [f"{path}:{node.lineno}: MartingaleMeasure built in {function or 'module scope'}; "
-             "only arbitrage._measure may build a measure, and _nar_verdict copy a kept one"
-             for path, tree in trees.items()
-             for function, node in scoped(tree) if isinstance(node, ast.Call)
-             and "MartingaleMeasure" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-             and (path, function) != (arbitrage_path, "_measure")
-             and not ((path, function) == (arbitrage_path, "_nar_verdict") and copies(node))]
-problems += [f"{path}:{node.lineno}: _solve given a push in {getattr(top, 'name', 'module scope')}; "
-             "only arbitrage._floor, which keeps the outcome, may solve a floor program"
-             for path, tree in trees.items() for top in tree.body
-             if (path, getattr(top, "name", None)) != (arbitrage_path, "_floor")
-             for node in ast.walk(top) if isinstance(node, ast.Call)
-             and "_solve" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-             and (len(node.args) > 2 or any(isinstance(a, ast.Starred) for a in node.args)
-                  or any(k.arg in ("push", None) for k in node.keywords))]
-problems += [f"{path}:{node.lineno}: {name} called in {getattr(top, 'name', 'module scope')}; "
-             "only the kept floor's build derives a verdict's parts"
-             for path, tree in trees.items() for top in tree.body
-             for node in ast.walk(top) if isinstance(node, ast.Call)
-             for name in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
-             if name in ("_robustness", "_arbitrage")
-             and (path, getattr(top, "name", None)) != (arbitrage_path, "_floor")]
-floors = {"_floor", "_arbitrage", "_robustness", "_na_verdict", "_nar_verdict"}
-problems += [f"{path}:{node.lineno}: {name} named outside arbitrage.py, where a verdict "
-             "is read from check_na and check_nar alone" for path, tree in trees.items()
-             if path != arbitrage_path for node in ast.walk(tree)
-             for name in named(node) if name in floors]
-problems += [f"{path}:{node.lineno}: .farkas read in {getattr(top, 'name', 'module scope')}; "
-             "only arbitrage._face, which keeps the ray, may read a Farkas vector"
-             for path, tree in trees.items() if path.name != "lp.py" for top in tree.body
-             if (path, getattr(top, "name", None)) != (arbitrage_path, "_face")
-             for node in ast.walk(top) if isinstance(node, ast.Attribute)
-             and node.attr == "farkas" and isinstance(node.ctx, ast.Load)]
-lp_path = pathlib.Path("src/hedgecert/lp.py")
-phase1_init = next(node for top in trees[lp_path].body
-              if isinstance(top, ast.ClassDef) and top.name == "_Phase1"
-              for node in top.body if getattr(node, "name", None) == "__init__")
-allowed = {id(sub) for sub in ast.walk(phase1_init)}
-allowed |= {id(node.args[0]) for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "partial"
-            and node.args}
-problems += [f"{path}:{node.lineno}: _duals used outside a partial and _Phase1.__init__; "
-             "an outcome's duals are derived only when read"
-             for path, tree in trees.items() for node in ast.walk(tree)
-             if "_duals" in (getattr(node, "id", None), getattr(node, "attr", None))
-             and id(node) not in allowed]
-cli_path = pathlib.Path("src/hedgecert/cli.py")
-prints = [(function, node) for function, node in scoped(trees[cli_path])
-          if "_print_report" in (getattr(node, "id", None), getattr(node, "attr", None))]
-problems += [f"{cli_path}:{node.lineno}: _print_report named in {function or 'module scope'}; "
-             "main alone prints a report, at one site" for function, node in prints
-             if function != "main" or len(prints) > 1]
-problems += [f"{cli_path}:{node.lineno}: arbitrage error emitted in {function or 'module scope'}; "
-             "only _failure reports a raised arbitrage failure"
-             for function, node in scoped(trees[cli_path]) if isinstance(node, ast.Call)
-             and getattr(node.func, "id", None) == "_emit_error" and function != "_failure"
-             and node.args and getattr(node.args[0], "value", None) == "arbitrage"]
-print("\n".join(problems) or "no unused imports, unbound annotation names, dead "
-      "private code, solver use outside lp.py and arbitrage.py, row read "
-      "outside lp.py, unread compiled field, replay of compiled payoffs, row "
-      "update outside _pivot, program built or solved outside _face and _solve, kept "
-      "state written outside _kept, kept entry named by no literal or twice, non-init "
-      "field besides _checked and _state, measure built outside _measure, floor program "
-      "solved outside _floor, floor verdict derived outside _floor or read "
-      "outside check_na and check_nar, Farkas vector read outside _face, duals "
-      "derived before they are read, report printed at more than main's one site "
-      "or arbitrage error emitted outside _failure")
-sys.exit(bool(problems))
+# the replays tests/replay_coverage.py lists, read off its AST so that no package code is imported
+REPLAYS = next(tuple(f"{e.value.id}.py:{e.attr}" for e in node.value.elts) for node in ast.parse(
+    pathlib.Path(__file__).with_name("replay_coverage.py").read_text(encoding="utf-8")).body
+    if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["REPLAYS"])
+Rule = collections.namedtuple("Rule", "name forbids check")
+RULES = (
+    Rule("unused import", "a name its module imports and never uses; __init__.py's imports are the "
+         "re-exports", unused_imports),
+    Rule("unbound annotation name", "an annotation naming what nothing binds, which a postponed "
+         "annotation never shows at run time", unbound_annotations),
+    Rule("dead private code", "a module-level _name that no module names outside its definition; tests "
+         "do not count", dead_private),
+    Rule("solver use outside lp.py and arbitrage.py", "the solver elsewhere: _solve solves every program",
+         use(("solve_lp", "LpProblem", "_Phase1"), ("lp.py", "arbitrage.py"),
+             "{name} used outside lp.py and arbitrage.py, which alone build and solve programs")),
+    Rule("program solved outside _solve", "solve_lp or .program, so a reader skips _solve's outcome",
+         use(("solve_lp", ".program"), ("arbitrage.py:_solve",),
+             "{name} used in {top}; only _solve may use it", modules=("arbitrage.py",))),
+    Rule("program built outside _face", "LpProblem or _Phase1, so a program skips the face's phase 1",
+         use(("LpProblem", "_Phase1"), ("arbitrage.py:_face",),
+             "{name} used in {top}; only _face may use it", modules=("arbitrage.py",))),
+    Rule("row read outside lp.py", ".rows, a program's rows without the late column only lp.py adds",
+         use((".rows",), ("lp.py",), ".rows read outside lp.py, the one reader of a program's rows")),
+    Rule("unread compiled field", "a CompiledMarket field that no module reads; tests do not count",
+         unread_fields),
+    Rule("replay of compiled payoffs", "compiled payoffs in a replay of REPLAYS, which checks them",
+         use((".integer_payoffs", ".payoff_columns"), (lambda site: not any(
+             within(site, replay) for replay in REPLAYS),),
+             "replay {top} reads {name}, the compiled state it must check independently")),
+    Rule("row update outside _pivot", "_combine elsewhere: every row update is a pivot's",
+         use(("_combine",), ("lp.py:_pivot",), "_combine used in {function}; only _pivot may update a row")),
+    Rule("non-init field besides _checked and _state", "another non-init CompiledMarket field: what a "
+         "market keeps goes in the store", non_init_fields),
+    Rule("kept state written outside _kept", "a write of a market's store, _state, but in model._kept, "
+         "which builds each entry once, under its lock", store_writes),
+    Rule("kept entry named by no literal or twice", "a _kept entry named by no string literal or by two "
+         "calls: each entry has one builder", kept_entries),
+    Rule("measure built outside _measure", "a measure priced again, or a kept one copied elsewhere",
+         use(("MartingaleMeasure()",), ("arbitrage.py:_measure", copies_in_nar_verdict),
+             "MartingaleMeasure built in {function}; only arbitrage._measure may build a measure, "
+             "and _nar_verdict copy a kept one")),
+    Rule("floor program solved outside _floor", "a _solve given a push, a kept program solved again",
+         use(("_solve()",), ("arbitrage.py:_floor", lambda site: len(site.node.args) <= 2 and not any(
+             isinstance(a, ast.Starred) for a in site.node.args) and all(
+             k.arg not in ("push", None) for k in site.node.keywords)), "_solve given a push in {top}; "
+             "only arbitrage._floor, which keeps the outcome, may solve a floor program")),
+    Rule("floor verdict derived outside _floor", "_robustness or _arbitrage, kept parts derived again",
+         use(("_robustness()", "_arbitrage()"), ("arbitrage.py:_floor",),
+             "{name} called in {top}; only the kept floor's build derives a verdict's parts")),
+    Rule("floor verdict read outside check_na and check_nar", "a floor helper named or imported",
+         use(("_floor", "_arbitrage", "_robustness", "_na_verdict", "_nar_verdict"), ("arbitrage.py",),
+             "{name} named outside arbitrage.py, where a verdict is read from check_na and check_nar alone",
+             imports=True)),
+    Rule("Farkas vector read outside _face", ".farkas, a ray that _face derives once and keeps",
+         use((".farkas",), ("lp.py", "arbitrage.py:_face"),
+             ".farkas read in {top}; only arbitrage._face, which keeps the ray, may read a Farkas vector")),
+    Rule("duals derived before they are read", "_duals run eagerly, not by the partial a read runs",
+         use(("_duals",), ("lp.py:_Phase1.__init__", lambda site: getattr(getattr(
+             site.parent, "func", None), "id", None) == "partial" and site.parent.args[0] is site.node),
+             "_duals used outside a partial and _Phase1.__init__; an outcome's duals are derived only "
+             "when read")),
+    Rule("report printed at more than main's one site", "_print_report named, but once in cli.main",
+         use(("_print_report",), ("cli.py:main",),
+             "_print_report named in {function}; main alone prints a report, at one site", once=True)),
+    Rule("arbitrage error emitted outside _failure", "a raised failure reported without its ray",
+         use(("_emit_error()",), ("cli.py:_failure", lambda site: getattr(
+             (site.node.args or [None])[0], "value", None) != "arbitrage"),
+             "arbitrage error emitted in {function}; only _failure reports a raised arbitrage failure")),
+)
+
+def check(root):
+    """The problem lines of every rule over the modules under root, rule by rule."""
+    package = {path: survey(path, path.read_text(encoding="utf-8"))
+               for path in sorted(pathlib.Path(root).glob("*.py"))}
+    return [f"{path}:{line}: {message}" for rule in RULES for path, line, message in rule.check(package)]
+
+if __name__ == "__main__":
+    problems = check(pathlib.Path("src/hedgecert"))
+    names = [rule.name for rule in RULES]
+    print("\n".join(problems) or f"{len(RULES)} rules hold: no {', '.join(names[:-1])} or {names[-1]}")
+    sys.exit(bool(problems))

@@ -115,6 +115,16 @@ def test_bounds_excluding_named_option(capsys, tmp_path):
     assert out["values"] == {"lower": "1", "upper": "2"}
 
 
+def test_bounds_on_a_reduced_market_without_a_measure_prints_no_ray(capsys):
+    # arb.json plus an option extra has no consistent measure, nor has it
+    # less extra: that robust failure is the reduced market's, so it carries
+    # no ray to replay against the command's own market
+    code, out, err = run(capsys, "bounds", str(DATA / "arb-extra.json"), "--option", "extra")
+    assert code == 3
+    assert out["verdict"] == "fails" and out["certificates"] == {}
+    assert err["error"]["type"] == "arbitrage"
+
+
 def test_bounds_unknown_option(capsys):
     code, out, err = run(capsys, "bounds", str(DATA / "m3.json"), "--option", "zzz")
     assert code == 4

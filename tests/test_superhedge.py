@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hedgecert.errors import (
     RobustArbitrageError,
     StructureError,
 )
+from hedgecert.marketio import parse_market
 from hedgecert.model import Claim, OptionQuote, terminal_gain
 from hedgecert.superhedge import (
     claim_price_bounds,
@@ -33,6 +35,8 @@ from markets import (
     two_period_stock_market,
     wide_quote_identical_options_market,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_binomial_call_replicates_exactly():
@@ -217,6 +221,12 @@ def test_bounds_excluding_requires_reduced_market_robust():
     m.options.append(OptionQuote("extra", [F(1), F(0)], F(0), F(1)))
     with pytest.raises(RobustArbitrageError):
         price_bounds_excluding(m, 2)
+    # so does excluding it from arb.json plus extra, whose face has no
+    # consistent measure: the failure is the reduced market's and carries
+    # no ray, which would be replayed against the market the command was given
+    with pytest.raises(RobustArbitrageError) as raised:
+        price_bounds_excluding(parse_market((DATA / "arb-extra.json").read_text()), 1)
+    assert raised.value.ray is None
 
 
 def test_bounds_index_out_of_range():
