@@ -1,7 +1,5 @@
 import importlib
 import json
-import os
-import subprocess
 import sys
 from dataclasses import replace
 from decimal import Decimal
@@ -16,6 +14,7 @@ from hedgecert.errors import RobustArbitrageError
 from hedgecert.marketio import claim_to_json, dump_market, parse_claim, parse_market
 from hedgecert.model import Claim, Strategy
 from hedgecert.superhedge import verify_super_replication
+from fresh_process import fresh_process
 from markets import (
     binomial_market,
     binomial_with_free_option,
@@ -34,20 +33,6 @@ def run(capsys, *argv):
     out = json.loads(captured.out) if captured.out.strip() else None
     err = json.loads(captured.err) if captured.err.strip() else None
     return code, out, err
-
-
-def test_check_na_holds(capsys):
-    code, out, err = run(capsys, "check-na", str(DATA / "m1.json"))
-    assert code == 0
-    assert out["verdict"] == "holds"
-    assert err is None
-
-
-def test_check_na_missing_file(capsys):
-    code, out, err = run(capsys, "check-na", str(DATA / "nosuchfile.json"))
-    assert code == 4
-    assert out is None
-    assert err["error"]["type"] == "io-error"
 
 
 def test_malformed_command_lines_exit_4_with_a_json_error(capsys):
@@ -72,72 +57,12 @@ def test_malformed_command_lines_exit_4_with_a_json_error(capsys):
     assert "usage: hedgecert check-na" in capsys.readouterr().out
 
 
-def test_check_na_and_nar_on_pinned_market(capsys):
-    code, out, _ = run(capsys, "check-na", str(DATA / "m2.json"))
-    assert code == 0 and out["verdict"] == "holds"
-    code, out, _ = run(capsys, "check-nar", str(DATA / "m2.json"))
-    assert code == 3
-    assert out["verdict"] == "fails"
-    assert "blocking" in out["diagnostics"]
-
-
-def test_check_nar_holds_with_witness(capsys):
-    code, out, _ = run(capsys, "check-nar", str(DATA / "m3.json"))
-    assert code == 0
-    assert out["values"]["slack"] == "1/2"
-    witness = out["certificates"]["witness"]
-    assert witness["interiorMeasure"]["weights"] == ["1/2", "1/2"]
-
-
-def test_superhedge_call(capsys):
-    code, out, _ = run(
-        capsys, "superhedge", str(DATA / "m1.json"), "--claim", str(DATA / "call.json")
-    )
-    assert code == 0
-    assert out["values"]["price"] == "1/3"
-    assert out["certificates"]["strategy"]["dynamic"]["0"] == ["2/3"]
-
-
-def test_dual_call(capsys):
-    code, out, _ = run(
-        capsys, "dual", str(DATA / "m1.json"), "--claim", str(DATA / "call.json")
-    )
-    assert code == 0
-    assert out["values"]["value"] == "1/3"
-    assert out["certificates"]["measure"]["weights"] == ["1/3", "2/3"]
-
-
 def test_bounds_excluding_named_option(capsys, tmp_path):
     path = tmp_path / "m3.json"
     path.write_text(dump_market(wide_quote_identical_options_market()))
     code, out, _ = run(capsys, "bounds", str(path), "--option", "g2")
     assert code == 0
     assert out["values"] == {"lower": "1", "upper": "2"}
-
-
-def test_bounds_on_a_reduced_market_without_a_measure_prints_no_ray(capsys):
-    # arb.json plus an option extra has no consistent measure, nor has it
-    # less extra: that robust failure is the reduced market's, so it carries
-    # no ray to replay against the command's own market
-    code, out, err = run(capsys, "bounds", str(DATA / "arb-extra.json"), "--option", "extra")
-    assert code == 3
-    assert out["verdict"] == "fails" and out["certificates"] == {}
-    assert err["error"]["type"] == "arbitrage"
-
-
-def test_bounds_unknown_option(capsys):
-    code, out, err = run(capsys, "bounds", str(DATA / "m3.json"), "--option", "zzz")
-    assert code == 4
-    assert err["error"]["type"] == "invalid-input"
-
-
-def test_redundancy_reports_and_exit_code(capsys):
-    code, out, _ = run(capsys, "redundancy", str(DATA / "m3.json"))
-    assert code == 3
-    assert out["verdict"] == "fails"
-    replications = out["certificates"]["replications"]
-    assert set(replications) == {"g1", "g2"}
-    assert replications["g2"]["staticSigned"] == [{"option": "g1", "position": "1"}]
 
 
 def test_redundancy_all_clear(capsys, tmp_path):
@@ -157,32 +82,12 @@ def test_sharper_ftap_positive(capsys, tmp_path):
     assert set(out["certificates"]["dominating"]) == {"P0", "P1"}
 
 
-def test_sharper_ftap_precondition(capsys):
-    code, out, err = run(capsys, "sharper-ftap", str(DATA / "m3.json"))
-    assert code == 3
-    assert out["verdict"] == "precondition-failed"
-    assert err["error"]["type"] == "precondition"
-
-
 def test_sharper_ftap_arbitrage(capsys, tmp_path):
     path = tmp_path / "m.json"
     path.write_text(dump_market(binomial_with_free_option()))
     code, out, _ = run(capsys, "sharper-ftap", str(path))
     assert code == 3
     assert out["certificates"]["arbitrage"]["gains"] == ["1", "1"]
-
-
-def test_dominate(capsys):
-    code, out, _ = run(capsys, "dominate", str(DATA / "m1.json"), "--generator", "up", "--verify")
-    assert code == 0
-    assert out["certificates"]["measure"]["weights"] == ["1/3", "2/3"]
-
-
-def test_dominate_fails_without_robustness(capsys):
-    code, out, err = run(capsys, "dominate", str(DATA / "m2.json"), "--generator", "w1")
-    assert code == 3
-    assert out["verdict"] == "fails"
-    assert err["error"]["type"] == "arbitrage"
 
 
 def test_strict_dual(capsys, tmp_path):
@@ -202,36 +107,6 @@ def test_strict_dual(capsys, tmp_path):
     assert code == 0
     assert out["values"]["value"] == "15/16"
     assert out["certificates"]["measure"]["weights"] == ["15/16", "1/16"]
-
-
-def test_strict_dual_nonpositive_eps(capsys):
-    code, out, err = run(
-        capsys,
-        "strict-dual",
-        str(DATA / "m3.json"),
-        "--claim",
-        str(DATA / "call.json"),
-        "--eps",
-        "0",
-    )
-    assert code == 4
-    assert err["error"]["type"] == "invalid-input"
-
-
-@pytest.mark.parametrize("eps", ["1/100\n", "\u0661/100"])
-def test_strict_dual_eps_outside_the_literal_grammar(capsys, eps):
-    code, out, err = run(
-        capsys,
-        "strict-dual",
-        str(DATA / "m1.json"),
-        "--claim",
-        str(DATA / "call.json"),
-        "--eps",
-        eps,
-    )
-    assert code == 4
-    assert err["error"]["type"] == "invalid-input"
-    assert "not a rational string" in err["error"]["message"]
 
 
 def _m1_with(mutate) -> bytes:
@@ -266,19 +141,6 @@ def test_invalid_market_file_exit_code(capsys, tmp_path):
         assert code == 4, market[:40]
         assert out is None
         assert err["error"]["type"] == "invalid-input"
-
-
-@pytest.mark.parametrize("argv, message", [
-    # node 0's prices is the string "1", not a list holding it
-    (["check-na", str(DATA / "prices-string.json")],
-     "tree.nodes[0].prices: expected a list of rational strings"),
-    (["dual", str(DATA / "m1.json"), "--claim", str(DATA / "claim-bool.json")],
-     "payoff[0]: not a rational string: True"),
-])
-def test_hostile_data_files_exit_4_naming_the_entry(capsys, argv, message):
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (4, None)
-    assert err["error"] == {"type": "invalid-input", "message": message}
 
 
 def test_superhedge_on_arbitrage_market_exit_3(capsys, tmp_path):
@@ -518,22 +380,6 @@ def test_solver_fault_exits_5(capsys, monkeypatch):
     assert "basis matrix singular" in err["error"]["message"]
 
 
-def _fresh_process(*argv, **env) -> subprocess.CompletedProcess:
-    """Run the checkout's CLI in a new interpreter, as the in-process tests
-    run the checkout's package, with `env` added to the environment."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run(
-        [sys.executable, "-m", "hedgecert.cli", *argv], capture_output=True, text=True, env=env
-    )
-
-
-def test_console_script_entrypoint():
-    result = _fresh_process("check-na", str(DATA / "m1.json"))
-    assert result.returncode == 0
-    assert json.loads(result.stdout)["verdict"] == "holds"
-
-
 def test_reused_parser_leaks_no_option_into_later_commands(capsys):
     # the process keeps one parser; --pretty on one command must not reach
     # the next, and each report is the single compact line a new process prints
@@ -543,7 +389,7 @@ def test_reused_parser_leaks_no_option_into_later_commands(capsys):
     for argv in (["check-na", market], ["check-na", market, "--verify"]):
         code = main(argv)
         out = capsys.readouterr().out
-        fresh = _fresh_process(*argv)
+        fresh = fresh_process(*argv)
         assert (code, out) == (fresh.returncode, fresh.stdout)
         assert out.count("\n") == 1 and out == json.dumps(json.loads(out), separators=(",", ":")) + "\n"
 
@@ -630,7 +476,7 @@ def test_missing_field_errors_are_the_same_bytes_under_every_hash_seed(tmp_path)
             "$: missing fields: leafOrder, payoff",
     }
     for argv, message in cases.items():
-        runs = [_fresh_process(*argv, PYTHONHASHSEED=str(seed)) for seed in range(4)]
+        runs = [fresh_process(*argv, PYTHONHASHSEED=str(seed)) for seed in range(4)]
         assert {r.returncode for r in runs} == {4}
         errors = {r.stderr for r in runs}
         assert len(errors) == 1, errors

@@ -1,15 +1,18 @@
-"""Byte-level pins of the CLI reports on multi-period and arbitrage markets.
+"""Byte-level pins of the CLI reports.
 
-Every subcommand runs with `--verify` on each market; the exit code and the
-sha256 of standard output must match the table below exactly, so a refactor
-that changes any report byte (key order, fraction form, which optimizer is
-returned) fails here.
+`TRANSCRIPTS` gives each command line on a `tests/data` file, run from the
+repository root, its exact exit code, stdout and stderr. `PINNED` gives
+every subcommand, run with `--verify` on each generated market, its exit
+code and the sha256 of its stdout. So a refactor that changes any report
+byte (key order, fraction form, which optimizer is returned) fails here.
 """
 
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,7 @@ from hedgecert.cli import main
 from hedgecert.marketio import claim_to_json, dump_market
 from hedgecert.model import Strategy
 from hedgecert.superhedge import verify_super_replication
+from fresh_process import ROOT, fresh_process
 from markets import (
     binomial_with_free_option,
     random_arbitrage_free_market,
@@ -92,6 +96,301 @@ PINNED = {
     ("wide-quote", "strict-dual"): (0, "96da8d34f7e8ff0c5644b119c5ddf8f9575db8a1ee5ba21b9110919b6d2c82c8"),
     ("wide-quote", "superhedge"): (0, "7c6be1a1f553c8d506adac1ba316b209135fb1cd933039b5996f7fb948d0539c"),
 }
+
+
+# argv, run from the repository root -> (exit code, stdout, stderr)
+TRANSCRIPTS = {
+    # the one line CI also runs through the installed console script
+    ("check-na", "tests/data/m1.json"): (
+        0,
+        '{"command":"check-na","verdict":"holds","values":{},"certificates":{},'
+        '"diagnostics":{}}\n',
+        "",
+    ),
+    # the compiled market parse_market returns feeds parse_claim, the query and its replay
+    ("dual", "tests/data/m1.json", "--claim", "tests/data/call.json", "--verify"): (
+        0,
+        '{"command":"dual","verdict":"priced","values":{"value":"1/3"},'
+        '"certificates":{"measure":{"weights":["1/3","2/3"],"optionValues":[]}},'
+        '"diagnostics":{}}\n',
+        "",
+    ),
+    # the super-hedge, whose phase 2 starts from the crash basis of phase 1, hedge replayed
+    ("superhedge", "tests/data/m1.json", "--claim", "tests/data/call.json", "--verify"): (
+        0,
+        '{"command":"superhedge","verdict":"priced","values":{"price":"1/3"},'
+        '"certificates":{"strategy":{"dynamic":{"0":["2/3"]},"buyLeg":[],"sellLeg":[],'
+        '"net":[]}},"diagnostics":{}}\n',
+        "",
+    ),
+    # the robust program and both pricing programs of m2 less g1 share that market's phase 1
+    ("bounds", "tests/data/m2.json", "--option", "g1", "--verify"): (
+        0,
+        '{"command":"bounds","verdict":"computed","values":{"lower":"1/4","upper":"1/2"},'
+        '"certificates":{},"diagnostics":{"option":"g1"}}\n',
+        "",
+    ),
+    # a free digital exits 3 with the certificate it replayed; leaves 1 and 2 hang under node 3
+    ("check-na", "tests/data/arb.json"): (
+        3,
+        '{"command":"check-na","verdict":"fails","values":{},'
+        '"certificates":{"arbitrage":{"strategy":{"dynamic":{"0":["-1/2"],"3":["-1"],'
+        '"4":["0"]},"buyLeg":["4"],"sellLeg":["0"],"net":["4"]},"gains":["1","1","1","1"],'
+        '"strictLeaf":0}},"diagnostics":{"strictLeaf":0}}\n',
+        "",
+    ),
+    # the sharper theorem hands out the arbitrage check-na derives: the same certificate
+    ("sharper-ftap", "tests/data/arb.json"): (
+        3,
+        '{"command":"sharper-ftap","verdict":"fails","values":{},'
+        '"certificates":{"arbitrage":{"strategy":{"dynamic":{"0":["-1/2"],"3":["-1"],'
+        '"4":["0"]},"buyLeg":["4"],"sellLeg":["0"],"net":["4"]},"gains":["1","1","1","1"],'
+        '"strictLeaf":0}},"diagnostics":{"strictLeaf":0}}\n',
+        "",
+    ),
+    # likewise where the robust program is its own: an option paying 0 or 3/2, asked 0, bid -1
+    ("sharper-ftap", "tests/data/free-call.json"): (
+        3,
+        '{"command":"sharper-ftap","verdict":"fails","values":{},'
+        '"certificates":{"arbitrage":{"strategy":{"dynamic":{"0":[]},"buyLeg":["2/3"],'
+        '"sellLeg":["0"],"net":["2/3"]},"gains":["0","1"],"strictLeaf":1}},'
+        '"diagnostics":{"strictLeaf":1}}\n',
+        "",
+    ),
+    # no consistent measure: any claim's super-hedge exits 3 with the face's ray, replayed on zero
+    ("superhedge", "tests/data/arb.json", "--claim", "tests/data/arb-claim.json", "--verify"): (
+        3,
+        '{"command":"superhedge","verdict":"fails","values":{},'
+        '"certificates":{"ray":{"capital":"-1","strategy":{"dynamic":{"0":["-1/2"],"3":["-1"],'
+        '"4":["0"]},"buyLeg":["4"],"sellLeg":["0"],"net":["4"]}}},'
+        '"diagnostics":{"blocking":"no quote-consistent martingale measure is supported on the '
+        'charged scenarios"}}\n',
+        '{"error":{"type":"arbitrage","message":"market admits robust arbitrage: super-hedging '
+        'cost decreases without bound"}}\n',
+    ),
+    # a raised arbitrage failure with no ray, from main's one failure path: no certificates
+    ("dual", "tests/data/arb.json", "--claim", "tests/data/arb-claim.json"): (
+        3,
+        '{"command":"dual","verdict":"fails","values":{},"certificates":{},'
+        '"diagnostics":{"blocking":"no quote-consistent martingale measure exists: the market '
+        'admits arbitrage on some charged scenario"}}\n',
+        '{"error":{"type":"arbitrage","message":"no quote-consistent martingale measure '
+        'exists: the market admits arbitrage on some charged scenario"}}\n',
+    ),
+    # so is one the library raises for a generator no measure dominates without robustness
+    ("dominate", "tests/data/m2.json", "--generator", "w1"): (
+        3,
+        '{"command":"dominate","verdict":"fails","values":{},"certificates":{},'
+        '"diagnostics":{"blocking":"maximal uniform slack is 0: every consistent martingale '
+        'measure touches a quote bound or drops a charged scenario"}}\n',
+        '{"error":{"type":"arbitrage","message":"robust no-arbitrage fails: maximal uniform '
+        "slack is 0: every consistent martingale measure touches a quote bound or drops a "
+        'charged scenario"}}\n',
+    ),
+    # two identical spread options exit 3, each replicated by the other: g1 takes the pivot
+    ("redundancy", "tests/data/m3.json"): (
+        3,
+        '{"command":"redundancy","verdict":"fails","values":{},'
+        '"certificates":{"replications":{"g1":{"option":"g1","initialCapital":"0",'
+        '"dynamic":{"0":[]},"staticSigned":[{"option":"g2","position":"1"}]},'
+        '"g2":{"option":"g2","initialCapital":"0","dynamic":{"0":[]},'
+        '"staticSigned":[{"option":"g1","position":"1"}]}}},'
+        '"diagnostics":{"spreadOptions":[{"option":"g1","verdict":"redundant"},{"option":"g2",'
+        '"verdict":"redundant"}]}}\n',
+        "",
+    ),
+    # robust no-arbitrage blocked by a pinned quote: exit 3 with no certificate
+    ("check-nar", "tests/data/m2.json"): (
+        3,
+        '{"command":"check-nar","verdict":"fails","values":{},"certificates":{},'
+        '"diagnostics":{"blocking":"maximal uniform slack is 0: every consistent martingale '
+        'measure touches a quote bound or drops a charged scenario"}}\n',
+        "",
+    ),
+    # the sharper theorem refused for redundant spread options: exit 3 with no certificate
+    ("sharper-ftap", "tests/data/m3.json"): (
+        3,
+        '{"command":"sharper-ftap","verdict":"precondition-failed","values":{},'
+        '"certificates":{},"diagnostics":{"reason":"redundant spread options: g1, g2"}}\n',
+        '{"error":{"type":"precondition","message":"redundant spread options: g1, g2"}}\n',
+    ),
+    # a spread-only market: each dominating measure is the interior one, option values included
+    ("sharper-ftap", "tests/data/spread.json", "--verify"): (
+        0,
+        '{"command":"sharper-ftap","verdict":"holds","values":{"slack":"1/8"},'
+        '"certificates":{"witness":{"shrunkBids":["5/16"],"shrunkAsks":["7/16"],"slack":"1/8",'
+        '"interiorMeasure":{"weights":["5/8","3/8"],"optionValues":["3/8"]}},'
+        '"dominating":{"P0":{"weights":["5/8","3/8"],"optionValues":["3/8"]},'
+        '"P1":{"weights":["5/8","3/8"],"optionValues":["3/8"]}}},"diagnostics":{}}\n',
+        "",
+    ),
+    # that measure again, as the one dominating the generator P0
+    ("dominate", "tests/data/spread.json", "--generator", "P0", "--verify"): (
+        0,
+        '{"command":"dominate","verdict":"computed","values":{"generator":"P0"},'
+        '"certificates":{"measure":{"weights":["5/8","3/8"],"optionValues":["3/8"]}},'
+        '"diagnostics":{}}\n',
+        "",
+    ),
+    # a command line without its market is invalid input: exit 4
+    ("check-na",): (
+        4,
+        "",
+        '{"error":{"type":"invalid-input","message":"hedgecert check-na: the following '
+        'arguments are required: market"}}\n',
+    ),
+    # so is a literal outside the ASCII grammar, here with a trailing newline
+    ("strict-dual", "tests/data/m1.json", "--claim", "tests/data/call.json", "--eps", "1/100\n"): (
+        4,
+        "",
+        '{"error":{"type":"invalid-input","message":"not a rational string: \'1/100\\\\n\'"}}\n',
+    ),
+    # a node's prices given as the string "1", whose characters would each parse
+    ("check-na", "tests/data/prices-string.json"): (
+        4,
+        "",
+        '{"error":{"type":"invalid-input","message":"tree.nodes[0].prices: expected a list of '
+        'rational strings"}}\n',
+    ),
+    # a claim whose first payoff is true: exit 4, naming the entry
+    ("dual", "tests/data/m1.json", "--claim", "tests/data/claim-bool.json"): (
+        4,
+        "",
+        '{"error":{"type":"invalid-input","message":"payoff[0]: not a rational string: True"}}\n',
+    ),
+    # a claim listing its leaves in the other order, read by the leaf-order reader: same price
+    ("superhedge", "tests/data/m1.json", "--claim", "tests/data/call-flipped.json"): (
+        0,
+        '{"command":"superhedge","verdict":"priced","values":{"price":"1/3"},'
+        '"certificates":{"strategy":{"dynamic":{"0":["2/3"]},"buyLeg":[],"sellLeg":[],'
+        '"net":[]}},"diagnostics":{}}\n',
+        "",
+    ),
+    # a payoff that is a string, not a list: one issue, and no count of its entries
+    ("superhedge", "tests/data/m1.json", "--claim", "tests/data/claim-string.json"): (
+        4,
+        "",
+        '{"error":{"type":"invalid-input","message":"payoff: expected a list of rational '
+        'strings"}}\n',
+    ),
+    # m2 has no arbitrage, only its robust form fails (check-nar above)
+    ("check-na", "tests/data/m2.json"): (
+        0,
+        '{"command":"check-na","verdict":"holds","values":{},"certificates":{},'
+        '"diagnostics":{}}\n',
+        "",
+    ),
+    # robust no-arbitrage holds on m3, with slack 1/2 and the even measure as witness
+    ("check-nar", "tests/data/m3.json"): (
+        0,
+        '{"command":"check-nar","verdict":"holds","values":{"slack":"1/2"},'
+        '"certificates":{"witness":{"shrunkBids":["3/4","3/4"],"shrunkAsks":["11/4","11/4"],'
+        '"slack":"1/2","interiorMeasure":{"weights":["1/2","1/2"],"optionValues":["3/2",'
+        '"3/2"]}}},"diagnostics":{}}\n',
+        "",
+    ),
+    # the super-hedge and its dual, without --verify: they replay regardless
+    ("superhedge", "tests/data/m1.json", "--claim", "tests/data/call.json"): (
+        0,
+        '{"command":"superhedge","verdict":"priced","values":{"price":"1/3"},'
+        '"certificates":{"strategy":{"dynamic":{"0":["2/3"]},"buyLeg":[],"sellLeg":[],'
+        '"net":[]}},"diagnostics":{}}\n',
+        "",
+    ),
+    ("dual", "tests/data/m1.json", "--claim", "tests/data/call.json"): (
+        0,
+        '{"command":"dual","verdict":"priced","values":{"value":"1/3"},'
+        '"certificates":{"measure":{"weights":["1/3","2/3"],"optionValues":[]}},'
+        '"diagnostics":{}}\n',
+        "",
+    ),
+    # arb.json plus an option extra has no consistent measure, nor has it less extra: that
+    # robust failure is the reduced market's, so it carries no ray to replay against the
+    # command's own market
+    ("bounds", "tests/data/arb-extra.json", "--option", "extra"): (
+        3,
+        '{"command":"bounds","verdict":"fails","values":{},"certificates":{},'
+        '"diagnostics":{"blocking":"no quote-consistent martingale measure is supported on the '
+        'charged scenarios"}}\n',
+        '{"error":{"type":"arbitrage","message":"market without option \'extra\' fails robust '
+        "no-arbitrage: no quote-consistent martingale measure is supported on the charged "
+        'scenarios"}}\n',
+    ),
+    # an option the market does not quote
+    ("bounds", "tests/data/m3.json", "--option", "zzz"): (
+        4,
+        "",
+        '{"error":{"type":"invalid-input","message":"no option named \'zzz\'"}}\n',
+    ),
+    # m1's one consistent measure dominates its generator
+    ("dominate", "tests/data/m1.json", "--generator", "up", "--verify"): (
+        0,
+        '{"command":"dominate","verdict":"computed","values":{"generator":"up"},'
+        '"certificates":{"measure":{"weights":["1/3","2/3"],"optionValues":[]}},'
+        '"diagnostics":{}}\n',
+        "",
+    ),
+    # eps must be a positive rational
+    ("strict-dual", "tests/data/m3.json", "--claim", "tests/data/call.json", "--eps", "0"): (
+        4,
+        "",
+        '{"error":{"type":"invalid-input","message":"eps must be positive, got 0"}}\n',
+    ),
+    # a non-ASCII digit is outside the literal grammar too
+    ("strict-dual", "tests/data/m1.json", "--claim", "tests/data/call.json", "--eps", "\u0661/100"): (
+        4,
+        "",
+        '{"error":{"type":"invalid-input","message":"not a rational string: \'\\u0661/100\'"}}\n',
+    ),
+    # the io error names the path it was given
+    ("check-na", "tests/data/nosuchfile.json"): (
+        4,
+        "",
+        '{"error":{"type":"io-error","message":"[Errno 2] No such file or directory: '
+        '\'tests/data/nosuchfile.json\'"}}\n',
+    ),
+}
+
+# the rows whose point rests on a fresh process: the console script's one
+# command, a query and its replay sharing one process, and literals read
+# from that process's own command line
+FRESH = [
+    ("check-na", "tests/data/m1.json"),
+    ("dual", "tests/data/m1.json", "--claim", "tests/data/call.json", "--verify"),
+    ("strict-dual", "tests/data/m1.json", "--claim", "tests/data/call.json", "--eps", "1/100\n"),
+    ("check-na", "tests/data/prices-string.json"),
+    ("dual", "tests/data/m1.json", "--claim", "tests/data/claim-bool.json"),
+    ("sharper-ftap", "tests/data/spread.json", "--verify"),
+]
+
+
+def _row_id(argv):
+    return " ".join(arg.removeprefix("tests/data/") for arg in argv)
+
+
+@pytest.mark.parametrize("argv", list(TRANSCRIPTS), ids=_row_id)
+def test_data_file_transcripts(capsys, monkeypatch, argv):
+    monkeypatch.chdir(ROOT)
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert (code, out, err) == TRANSCRIPTS[argv]
+
+
+@pytest.mark.parametrize("argv", FRESH, ids=_row_id)
+def test_data_file_transcripts_in_a_fresh_process(argv):
+    run = fresh_process(*argv)
+    assert (run.returncode, run.stdout, run.stderr) == TRANSCRIPTS[argv]
+
+
+def test_every_data_file_is_read_by_a_test():
+    # a data file no test reads would leave its bytes unchecked
+    named = {Path(arg).name for argv in TRANSCRIPTS for arg in argv if arg.startswith("tests/data/")}
+    sources = [path.read_text() for path in sorted((ROOT / "tests").glob("test_*.py"))
+               if path.name != Path(__file__).name]
+    unread = [path.name for path in sorted((ROOT / "tests" / "data").glob("*.json"))
+              if path.name not in named
+              and not any(re.search(f'["/]{re.escape(path.name)}"', source) for source in sources)]
+    assert unread == []
 
 
 def _argv(command, market, claim, option, generator):
