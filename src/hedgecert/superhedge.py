@@ -92,7 +92,8 @@ def _measure_side(c: CompiledMarket, out: lp.LpOutcome) -> tuple[Fraction, Marti
     if out.status == lp.INFEASIBLE:
         raise ArbitrageError(
             "no quote-consistent martingale measure exists: "
-            "the market admits arbitrage on some charged scenario"
+            "the market admits arbitrage on some charged scenario",
+            blocking=_NO_CONSISTENT_MEASURE,
         )
     return out.objective_value, _measure(c, out.primal)
 

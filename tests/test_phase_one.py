@@ -21,10 +21,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from concurrency import run_together, slow_phase_one
+from concurrency import run_together
 from hedgecert import arbitrage, cli, lp, redundancy, superhedge
 from hedgecert.errors import StructureError
-from hedgecert.marketio import dump_market, market_to_json, parse_market
+from hedgecert.marketio import dump_market, parse_market
 from hedgecert.model import ONE, ZERO, Claim, require_valid
 from markets import (
     binomial_with_free_option,
@@ -34,7 +34,6 @@ from markets import (
     measure_program,
     random_arbitrage_free_market,
     random_arbitrary_market,
-    random_claim,
     random_lp,
     random_rational,
     routed,
@@ -265,6 +264,8 @@ def test_building_and_solving_programs_writes_nothing_to_the_face(monkeypatch):
 
 
 def test_each_market_runs_phase_one_once(monkeypatch, tmp_path, capsys):
+    # `bounds` in a fresh parse: the robust program and both pricing
+    # programs of the market less the option share one phase 1
     built = []
 
     class Counted(lp._Phase1):
@@ -273,16 +274,8 @@ def test_each_market_runs_phase_one_once(monkeypatch, tmp_path, capsys):
             super().__init__(problem)
 
     monkeypatch.setattr(lp, "_Phase1", Counted)
-    c = require_valid(binomial_with_spread_option())
-    arbitrage.check_na(c)
-    arbitrage.check_nar(c)
-    superhedge.claim_price_bounds(c, Claim([F(1), F(0)]))
-    assert len(built) == 1
-    # `bounds` in a fresh parse: the robust program and both pricing
-    # programs of the market less the option share one phase 1
     path = tmp_path / "m.json"
-    path.write_text(dump_market(c))
-    built.clear()
+    path.write_text(dump_market(binomial_with_spread_option()))
     assert cli.main(["bounds", str(path), "--option", "digital", "--verify"]) == 0
     assert '"lower":"1/3","upper":"1/3"' in capsys.readouterr().out
     assert len(built) == 1
@@ -317,53 +310,6 @@ def test_a_reduced_market_builds_its_own_phase_one(monkeypatch):
     assert checked > 20
 
 
-def _queries(c, claim):
-    """The four queries on one market, each answer or the error it raised."""
-    def answer(query, *args):
-        try:
-            return query(c, *args)
-        except Exception as exc:  # a market may admit arbitrage
-            return type(exc), str(exc)
-
-    return [lambda: answer(arbitrage.check_na), lambda: answer(arbitrage.check_nar),
-            lambda: answer(superhedge.dual_price, claim),
-            lambda: answer(superhedge.superhedge_price, claim)]
-
-
-def test_four_threads_on_one_fresh_market_get_the_sequential_answers():
-    # thread i runs the four queries from the i-th on: every thread may
-    # find the face unbuilt, and all of them build programs on one face
-    rng = random.Random(15)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for k in range(24):
-            maker = random_arbitrary_market if k % 2 else random_arbitrage_free_market
-            m = maker(rng)
-            text, claim = dump_market(require_valid(m)), random_claim(rng, m)
-            expected = [query() for query in _queries(parse_market(text), claim)]
-            c = parse_market(text)
-            queries = _queries(c, claim)
-            answers = run_together(4, lambda i: [queries[(i + j) % 4]() for j in range(4)])
-            assert answers == [expected[i:] + expected[:i] for i in range(4)], k
-            assert "_face" in c._state
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_concurrent_first_queries_on_one_market_run_one_phase_one(monkeypatch):
-    # a slow phase 1 keeps every thread's first query in flight together:
-    # each finds the face unbuilt, and all but one must wait for that one
-    claim = Claim([F(1), F(0)])
-    expected = [query() for query in _queries(require_valid(binomial_with_spread_option()), claim)]
-    calls = slow_phase_one(monkeypatch)
-    c = require_valid(binomial_with_spread_option())
-    queries = _queries(c, claim)
-    answers = run_together(4, lambda i: queries[i]())
-    assert len(calls) == 1
-    assert answers == expected
-
-
 def test_threads_that_build_programs_at_once_share_the_face_rows():
     rng = random.Random(16)
     interval = sys.getswitchinterval()
@@ -379,20 +325,9 @@ def test_threads_that_build_programs_at_once_share_the_face_rows():
         sys.setswitchinterval(interval)
 
 
-def test_the_stored_phase_one_reaches_no_comparison_repr_or_file():
-    # nor do the kept option replications
-    warm = parse_market(dump_market(binomial_with_spread_option()))
-    fresh = parse_market(dump_market(warm))
-    arbitrage.check_nar(warm)
-    redundancy.all_spread_options_nonredundant(warm)
-    assert "_face" in warm._state and "_face" not in fresh._state
-    assert "_replications" in warm._state and "_replications" not in fresh._state
-    assert warm == fresh
-    assert repr(warm) == repr(fresh)
-    assert "_state" not in repr(warm) and "_face" not in repr(warm)
-    assert market_to_json(warm) == market_to_json(fresh)
-    assert dump_market(warm) == dump_market(fresh)
-    problem, _ = measure_program(warm, [ZERO] * len(warm.charged) + [ONE], 1)
+def test_a_programs_route_reaches_no_comparison_or_repr():
+    c = require_valid(binomial_with_spread_option())
+    problem, _ = measure_program(c, [ZERO] * len(c.charged) + [ONE], 1)
     assert problem == replace(problem) and replace(problem).phase1 is None
     assert "phase1" not in repr(problem)
 

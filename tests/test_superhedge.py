@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hedgecert import arbitrage
 from hedgecert.arbitrage import strictly_inside_quotes, verify_measure
 from hedgecert.errors import (
     ArbitrageError,
@@ -24,6 +25,7 @@ from hedgecert.superhedge import (
     superhedge_price,
     verify_super_replication,
 )
+from kept_store import ENTRIES
 from markets import (
     binomial_market,
     binomial_with_free_option,
@@ -112,6 +114,23 @@ def test_superhedge_unbounded_reports_robust_arbitrage_with_ray():
     assert x_ray < 0
     gains = terminal_gain(m, ray_strategy)
     assert all(x_ray + g >= 0 for g in gains)
+
+
+def test_an_infeasible_face_raises_one_ray_for_every_claim_and_check_na_certifies_with_it():
+    # the face's ray is claim-free: capital < 0 and a strategy that covers
+    # zero from it, which is check_na's arbitrage too
+    for c in (parse_market(text) for way, text in ENTRIES["_face"].corpus if way == "infeasible"):
+        leaves = len(c.leaves)
+        rays = []
+        for claim in (random_claim(random.Random(leaves), c), Claim([F(k) for k in range(leaves)])):
+            with pytest.raises(RobustArbitrageError) as raised:
+                superhedge_price(c, claim)
+            rays.append(raised.value.ray)
+        capital, strategy = rays[0]
+        assert rays[1] == rays[0] and capital < 0, c
+        assert verify_super_replication(c, Claim([F(0)] * leaves), capital, strategy), c
+        verdict = arbitrage.check_na(c)
+        assert not verdict.holds and verdict.certificate.strategy == strategy, c
 
 
 def test_duality_report_gap_zero():
