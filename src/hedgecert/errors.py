@@ -16,9 +16,9 @@ class DomainError(HedgecertError, ValueError):
 class ArbitrageError(HedgecertError):
     """The market's arbitrage state blocks the requested computation."""
 
-    def __init__(self, message: str, *, blocking: str | None = None):
+    def __init__(self, message: str, *, blocking: str):
         super().__init__(message)
-        self.blocking = blocking if blocking is not None else message
+        self.blocking = blocking
 
 
 class RobustArbitrageError(ArbitrageError):
@@ -29,7 +29,7 @@ class RobustArbitrageError(ArbitrageError):
     capital + gain >= 0 on every charged leaf.
     """
 
-    def __init__(self, message: str, *, blocking: str | None = None, ray=None):
+    def __init__(self, message: str, *, blocking: str, ray=None):
         super().__init__(message, blocking=blocking)
         self.ray = ray
 

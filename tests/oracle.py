@@ -136,18 +136,20 @@ def strategy_rows(m: MarketModel) -> list[list[Fraction]]:
             for pos, row in enumerate(reference_gain_rows(m)[1])]
 
 
-def _solve_free(objective, rows, relations, rhs, free: int) -> lp.LpOutcome:
-    """`lp.solve_lp` with the first `free` columns unrestricted in sign, on
-    the program a phase 1 of its own builds (`markets.routed`).
-
-    Each is split into the adjacent column pair (x+, x-), x = x+ - x-, and an
-    optimal primal is mapped back; other outcomes are returned as solved.
-    """
+def _free_program(objective, rows, relations, rhs, free: int) -> lp.LpProblem:
+    """The program with the first `free` columns unrestricted in sign: each
+    is split into the adjacent column pair (x+, x-), x = x+ - x-."""
     def split(v):
         return [u for a in v[:free] for u in (a, -a)] + v[free:]
 
-    problem = lp.LpProblem(split(objective), sparse_rows(map(split, rows)), relations, rhs)
-    out = lp.solve_lp(routed(problem))
+    return lp.LpProblem(split(objective), sparse_rows(map(split, rows)), relations, rhs)
+
+
+def _solve_free(objective, rows, relations, rhs, free: int) -> lp.LpOutcome:
+    """`lp.solve_lp` of `_free_program`'s program, on the program a phase 1
+    of its own builds (`markets.routed`). An optimal primal is mapped back
+    to the free columns; other outcomes are returned as solved."""
+    out = lp.solve_lp(routed(_free_program(objective, rows, relations, rhs, free)))
     if out.status == lp.OPTIMAL:
         z = out.primal
         out.primal = [z[2 * j] - z[2 * j + 1] for j in range(free)] + z[2 * free:]
@@ -184,17 +186,27 @@ def surplus_na(m: MarketModel) -> NaVerdict:
     return NaVerdict(False, ArbitrageCertificate(strategy, gains, strict))
 
 
-def hedge_lp(m: MarketModel, f: Claim) -> tuple[Fraction, Strategy] | None:
-    """Super-hedging on the strategy side: min x over (x, strategy) with
-    x + gain >= payoff on every charged leaf, solved as max -x. Capital is a
-    free column, so the program is feasible; None when it is unbounded below."""
-    c = require_valid(m)
+def _hedge(c, f: Claim) -> tuple:
+    """`_solve_free`'s arguments for super-hedging on the strategy side: min
+    x over (x, strategy) with x + gain >= payoff on every charged leaf,
+    solved as max -x, capital and the dynamic positions free."""
     nh, e = len(c.columns), len(c.options)
-    ncols = 1 + nh + 2 * e
     gains = strategy_rows(c)
     rows = [[ONE] + gains[pos] for pos in c.charged]
-    out = _solve_free([-ONE] + [ZERO] * (ncols - 1), rows, [lp.GE] * len(rows),
-                      [f.payoff[pos] for pos in c.charged], free=1 + nh)
+    return ([-ONE] + [ZERO] * (nh + 2 * e), rows, [lp.GE] * len(rows),
+            [f.payoff[pos] for pos in c.charged], 1 + nh)
+
+
+def hedge_program(m: MarketModel, f: Claim) -> lp.LpProblem:
+    """The program `hedge_lp` solves, its free columns split."""
+    return _free_program(*_hedge(require_valid(m), f))
+
+
+def hedge_lp(m: MarketModel, f: Claim) -> tuple[Fraction, Strategy] | None:
+    """Super-hedging on the strategy side (`_hedge`). Capital is a free
+    column, so the program is feasible; None when it is unbounded below."""
+    c = require_valid(m)
+    out = _solve_free(*_hedge(c, f))
     if out.status == lp.UNBOUNDED:
         return None
     assert out.status == lp.OPTIMAL, out.status

@@ -2,14 +2,12 @@
 built by the phase 1 of their shared t = 0 face (`lp._Phase1.program`) and
 starts phase 2 from it.
 
-Warm outcomes are checked against a cold solve of the same problem (built
-by a fresh phase 1 of its own, `markets.routed`): the pricing and push-0
-programs equal it field for field, because the floor column of push 0 never
-enters phase 1 (its reduced cost is the sum of the leaf columns'); the
-push-1 program may end at another optimal basis, so it matches in status and
-value and both outcomes replay. Only `_Phase1.program` sets a route, so no
-problem can start phase 2 from a face it does not match, and `solve_lp`
-refuses a problem without one.
+Warm outcomes against a cold solve of the same problem, and every other
+contract of a program on its face, are checked on every corpus of
+`lp_cases.PROGRAMS` (`tests/test_lp_contracts.py`). This file keeps the
+route itself: only `_Phase1.program` sets one, so no problem can start
+phase 2 from a face it does not match, and `solve_lp` refuses a problem
+without one; a market builds its face once, and no query writes to it.
 """
 
 import copy
@@ -27,15 +25,12 @@ from hedgecert.errors import StructureError
 from hedgecert.marketio import dump_market, parse_market
 from hedgecert.model import ONE, ZERO, Claim, require_valid
 from markets import (
-    binomial_with_free_option,
     binomial_with_spread_option,
     dense_rows,
-    ladder_market,
     measure_program,
     random_arbitrage_free_market,
     random_arbitrary_market,
     random_lp,
-    random_rational,
     routed,
     sparse_rows,
     trinomial_straddle_market,
@@ -47,130 +42,6 @@ def _random_markets(seed, count):
     for k in range(count):
         maker = random_arbitrary_market if k % 2 else random_arbitrage_free_market
         yield rng, require_valid(maker(rng))
-
-
-def _programs(rng, c):
-    """(name, objective, push) of the measure programs a market solves."""
-    floor = [ZERO] * len(c.charged) + [ONE]
-    programs = [("push 0", floor, 0), ("push 1", floor, 1),
-                ("pricing", [random_rational(rng, -3, 3) for _ in c.charged], None)]
-    rng.shuffle(programs)  # any of them may be the one that builds the face
-    return programs
-
-
-def _cold(problem):
-    return lp.solve_lp(routed(problem))
-
-
-def _phase1(c):
-    return c._state["_face"][0]
-
-
-def _state(phase1):
-    return copy.deepcopy((phase1.inverse, phase1.tab, phase1.basis, phase1.farkas))
-
-
-def test_warm_outcomes_match_a_cold_solve_of_the_same_problem():
-    statuses = set()
-    for rng, c in _random_markets(11, 240):
-        built = None
-        for name, objective, push in _programs(rng, c):
-            problem, warm = measure_program(c, objective, push)
-            assert problem.phase1 == (_phase1(c), push) and _phase1(c) is not None
-            built = built or _state(_phase1(c))
-            assert _state(_phase1(c)) == built  # every phase 2 works on a copy
-            cold = _cold(problem)
-            assert lp.verify_certificate(problem, warm), name
-            statuses.add((name, warm.status))
-            if push == 1:
-                assert (warm.status, warm.objective_value) == (cold.status, cold.objective_value)
-                assert lp.verify_certificate(problem, cold)
-            else:
-                assert warm == cold, name
-    assert statuses == {(name, status) for name in ("push 0", "push 1", "pricing")
-                        for status in (lp.OPTIMAL, lp.INFEASIBLE)}
-
-
-def test_an_infeasible_face_gives_every_program_a_fresh_farkas_vector_that_replays():
-    c = require_valid(binomial_with_free_option())
-    solved = [measure_program(c, objective, push) for _, objective, push
-              in _programs(random.Random(3), c)]
-    outcomes = [out for _, out in solved]
-    farkas = _phase1(c).farkas
-    assert all(out.status == lp.INFEASIBLE for out in outcomes)
-    assert all(out.farkas == farkas for out in outcomes)
-    assert len({id(out.farkas) for out in outcomes} | {id(farkas)}) == 4
-    for problem, out in solved:
-        assert lp.verify_certificate(problem, out)
-    outcomes[0].farkas[0] += 1  # a caller's edit reaches no other outcome
-    assert outcomes[1].farkas == farkas
-
-
-def test_infeasible_faces_of_random_markets_replay_against_every_program():
-    infeasible = 0
-    for rng, c in _random_markets(12, 160):
-        programs = _programs(rng, c)
-        arbitrage._solve(c, *programs[0][1:])
-        if _phase1(c).farkas is None:
-            continue
-        infeasible += 1
-        for _, objective, push in programs:
-            problem, out = measure_program(c, objective, push)
-            assert out.status == lp.INFEASIBLE and out.farkas == _phase1(c).farkas
-            assert lp.verify_certificate(problem, out)
-    assert infeasible > 20
-
-
-def test_late_columns_of_random_programs_keep_status_and_value():
-    # every program of a random face, on its own columns or with the late
-    # column of mu 0, 1 or 2, against a cold solve of the same problem:
-    # rows with a negative rhs are negated in the standard form, the late
-    # column moves the slack columns up by one, and a late column on an
-    # infeasible face keeps its Farkas vector
-    rng = random.Random(14)
-    statuses = set()
-    for _ in range(300):
-        face = lp._Phase1(random_lp(rng))
-        for mu in (None, 0, 1, 2):
-            width = face.n + (mu is not None)
-            p = face.program([random_rational(rng, -3, 3) for _ in range(width)], mu)
-            assert p.phase1 == (face, mu) and p.rows is face.rows
-            assert p.relations is face.relations and p.rhs is face.rhs
-            warm = lp.solve_lp(p)
-            cold = _cold(p)
-            assert (warm.status, warm.objective_value) == (cold.status, cold.objective_value)
-            assert lp.verify_certificate(p, warm) and lp.verify_certificate(p, cold)
-            if mu is None:
-                assert warm == cold  # the same phase 1, the same pivots
-            statuses.add(warm.status)
-    assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
-
-
-def test_the_optimal_value_off_the_cost_row_is_the_objective_at_the_primal():
-    # phase 2 reads the optimal value off its cost row, never summing c . x;
-    # on pricing objectives with negative entries, with no late column or
-    # the late column of push 0, 1 or 2, it is the dot product exactly
-    optimal = 0
-    for rng, c in _random_markets(15, 120):
-        for push in (None, 0, 1, 2):
-            width = len(c.charged) + (push is not None)
-            objective = [random_rational(rng, -3, 3) for _ in range(width)]
-            problem, out = measure_program(c, objective, push)
-            if out.status == lp.OPTIMAL:
-                optimal += 1
-                assert type(out.objective_value) is F
-                assert out.objective_value == lp._dot(problem.objective, out.primal)
-    rng = random.Random(16)
-    for _ in range(200):
-        face = lp._Phase1(random_lp(rng))
-        for mu in (None, 0, 1, 2):
-            width = face.n + (mu is not None)
-            p = face.program([random_rational(rng, -3, 3) for _ in range(width)], mu)
-            out = lp.solve_lp(p)
-            if out.status == lp.OPTIMAL:
-                optimal += 1
-                assert out.objective_value == lp._dot(p.objective, out.primal)
-    assert optimal > 400
 
 
 def _face_and_floor():
@@ -330,48 +201,3 @@ def test_a_programs_route_reaches_no_comparison_or_repr():
     problem, _ = measure_program(c, [ZERO] * len(c.charged) + [ONE], 1)
     assert problem == replace(problem) and replace(problem).phase1 is None
     assert "phase1" not in repr(problem)
-
-
-def test_phase_one_of_the_64_leaf_binomial_face_makes_at_most_1000_row_updates(monkeypatch):
-    # Bland's rule from an all-artificial basis makes 4042 row updates on
-    # this face; from the crash basis, 962
-    combine, phase_one = lp._combine, lp._phase_one
-    counts = []
-
-    def counted(*args):
-        counts[-1] += 1
-        combine(*args)
-
-    def spied(*args):
-        counts.append(0)
-        monkeypatch.setattr(lp, "_combine", counted)
-        try:
-            return phase_one(*args)
-        finally:
-            monkeypatch.setattr(lp, "_combine", combine)
-
-    monkeypatch.setattr(lp, "_phase_one", spied)
-    c = require_valid(ladder_market(2, 6))
-    assert len(c.charged) == 64
-    assert arbitrage.check_na(c).holds
-    assert len(counts) == 1 and counts[0] <= 1000, counts
-
-
-def test_warm_pricing_on_the_64_leaf_binomial_face_makes_no_row_update(monkeypatch):
-    # phase 2 builds its start row in one integer sum and makes no pivot
-    # here, so neither warm pricing call updates a row; eliminating each
-    # basic column from the cost row by its own `_combine` made 56 in each
-    c = require_valid(ladder_market(2, 6))
-    claim = Claim([F((7 * k) % 9, 4) for k in range(64)])  # the benchmark ladder's claim
-    assert arbitrage.check_na(c).holds  # builds the face
-    combine, calls = lp._combine, []
-
-    def counted(*args):
-        calls.append(args[1])
-        combine(*args)
-
-    monkeypatch.setattr(lp, "_combine", counted)
-    for query in (superhedge.dual_price, superhedge.superhedge_price):
-        calls.clear()
-        query(c, claim)
-        assert calls == [], query.__name__

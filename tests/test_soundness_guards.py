@@ -112,7 +112,7 @@ GUARDS = {
         [_superhedge_free_option],
     ),
     "phase-1 unbounded": (
-        lp, "_optimize", lambda optimize: lambda tab, red, basis, ncols: 0, "phase-1 unbounded",
+        lp, "_optimize", lambda optimize: lambda *args: 0, "phase-1 unbounded",
         [lambda: lp.solve_lp(routed(lp.LpProblem([F(1)], sparse_rows([[F(1)]]), [lp.LE], [F(1)]))),
          lambda: arbitrage.check_nar(_m1())],
         [lambda tmp: ["check-nar", M1]],
