@@ -5,15 +5,16 @@ row of `PROGRAMS`, so a kernel change reads one table and edits one spy.
 `PROGRAMS` has one row per corpus of faces: seeded random faces
 (`markets.random_lp`), faces whose rows need the lcm of coprime wide
 denominators (`_wide_lp`), and market faces (`_market_faces`). Every face
-carries the same programs (`_programs`), each solved once per session under
-one `KernelSpy` (`_solve`).
+carries the same programs (`_programs`). A row solves them when first read,
+each once, under one `KernelSpy` (`_solve`), and keeps them until dropped.
 
 The reference is a dense `Fraction` kernel that shares no reduction or
 kernel code with `lp`: its own standard form, a tableau pivot that scales
-its pivot row to 1, the crash, Bland's rule, the two-phase path of
-`solve_lp`, and `oracle`'s dense Gauss-Jordan elimination for `lp._reduce`.
-`lp` keeps every row a primitive integer multiple of these rows, so every
-outcome must equal the reference's field for field.
+its pivot row to 1, the crash, Bland's rule, the route of `solve_lp` (one
+phase 1 per face, kept, and from it a phase 2 per program), and `oracle`'s
+dense Gauss-Jordan elimination for `lp._reduce`. `lp` keeps every row a
+primitive integer multiple of these rows, so every outcome must equal the
+reference's field for field.
 """
 
 from __future__ import annotations
@@ -54,21 +55,29 @@ _ONE = Fraction(1)
 # ---------------------------------------------------------------------------
 
 
+def _sum(values) -> Fraction:
+    """The sum of `values`; a zero, which adds nothing, costs no addition."""
+    return sum((v for v in values if v), _ZERO)
+
+
 class _ReferenceStdForm:
     """Reduction of max c.x to   min cost.z  s.t.  A z = b (b >= 0), z >= 0,
     with cost = -c.
 
-    z is the problem's columns, then the empty slot column that `lp` keeps
-    for a late column, then one slack per inequality row, so a point or ray
-    of the problem is z[:n]. A routed program's rows are its full rows, the
-    late column included (`lp._program_rows`), each densified to the
-    objective's length (`markets.dense_rows`). row_sign[k] is -1 when the
-    row was negated to make its rhs nonnegative.
+    z is the face's n columns, then the slot that `lp` keeps for a late
+    column, then one slack per inequality row, so a point or ray of the
+    problem is z[:len(c)]. A routed program's face is its rows over its
+    phase 1's n columns, each densified (`markets.dense_rows`); with a push
+    mu its late column fills the slot: in each standard row the sum of the
+    face's columns plus mu times the slack's, the row's sum plus mu times +1
+    on <=, -1 on >= and 0 on = (`lp._program_rows`). Any other problem is
+    its own face, its slot empty. `late` is mu, else None; row_sign[k] is
+    -1 when the row was negated to make its rhs nonnegative.
     """
 
     def __init__(self, p: LpProblem):
-        n = len(p.objective)
-        rows = dense_rows(p.rows if p.phase1 is None else lp._program_rows(p), n)
+        n, mu = (len(p.objective), None) if p.phase1 is None else (p.phase1[0].n, p.phase1[1])
+        rows = dense_rows(p.rows, n)
         rhs = list(p.rhs)
         nslack = sum(1 for rel in p.relations if rel != EQ)
         k = n + 1
@@ -78,19 +87,22 @@ class _ReferenceStdForm:
             if p.relations[i] != EQ:
                 row[k] = _ONE if p.relations[i] == LE else Fraction(-1)
                 k += 1
+            if mu is not None:
+                row[n] = _sum(row[:n]) + mu * _sum(row[n + 1:])
             if rhs[i] < 0:
-                rows[i] = [-v for v in row]
+                rows[i] = [-v if v else v for v in row]
                 rhs[i] = -rhs[i]
                 sign.append(-1)
             else:
                 sign.append(1)
 
-        self.nvars = n
+        self.nvars = len(p.objective)
+        self.slot, self.late = n, mu
         self.ncols = n + 1 + nslack
         self.rows = rows
         self.rhs = rhs
         self.row_sign = sign
-        self.cost = [-c for c in p.objective] + [_ZERO] * (1 + nslack)
+        self.cost = [-c for c in p.objective] + [_ZERO] * (self.ncols - self.nvars)
 
     def problem_multipliers(self, y_std: dict[int, Fraction]) -> list[Fraction]:
         """The standard rows' multipliers as the problem rows' multipliers."""
@@ -98,22 +110,23 @@ class _ReferenceStdForm:
 
 
 def _dense_pivot(tab, rhs, red, basis, r, jc):
+    # a zero entry of the pivot row changes no entry, so it costs no product
     prow = tab[r]
     piv = prow[jc]
     if piv != 1:
         inv = _ONE / piv
-        tab[r] = prow = [v * inv for v in prow]
+        tab[r] = prow = [v * inv if v else v for v in prow]
         rhs[r] *= inv
     for i, row in enumerate(tab):
         if i == r:
             continue
         f = row[jc]
         if f:
-            tab[i] = [u - f * v for u, v in zip(row, prow)]
+            tab[i] = [u - f * v if v else u for u, v in zip(row, prow)]
             rhs[i] -= f * rhs[r]
     f = red[jc]
     if f:
-        red[:] = [u - f * v for u, v in zip(red, prow)]
+        red[:] = [u - f * v if v else u for u, v in zip(red, prow)]
     basis[r] = jc
 
 
@@ -177,21 +190,22 @@ def _dense_crash(std, tab, rhs, red, basis):
             _dense_pivot(tab, rhs, red, basis, i, min(held, key=lambda j: (columns[j], j)))
 
 
-def _dense_solve_lp(p):
-    """Two-phase Bland simplex on a dense Fraction tableau (reference)."""
-    std = _ReferenceStdForm(p)
-    m, n, nvars = len(std.rows), std.ncols, std.nvars
+def _dense_phase_one(std):
+    """Phase 1 of the reference on a face's standard form (its slot empty):
+    the crash, Bland's rule, then the drive-out, each redundant row dropped.
+    An infeasible face's outcome, its Farkas vector; else (tab, rhs, basis,
+    keep), the tableau at the end and the standard rows it keeps."""
+    assert std.late is None
+    m, n = len(std.rows), std.ncols
     tab = [row[:] for row in std.rows]
     rhs = std.rhs[:]
     basis = [n + i for i in range(m)]
-    active = list(range(m))
     red = [-sum((row[j] for row in tab), _ZERO) for j in range(n)]
     _dense_crash(std, tab, rhs, red, basis)
     assert _dense_optimize(tab, rhs, red, basis, n) is None
     if sum((rhs[i] for i in range(m) if basis[i] >= n), _ZERO) > 0:
-        y_std = _dense_basis_dual(std, active, basis, lambda col: _ONE if col >= n else _ZERO)
-        return lp.LpOutcome(status=lp.INFEASIBLE,
-                            farkas=std.problem_multipliers(y_std))
+        y_std = _dense_basis_dual(std, range(m), basis, lambda col: _ONE if col >= n else _ZERO)
+        return lp.LpOutcome(status=lp.INFEASIBLE, farkas=std.problem_multipliers(y_std))
     keep = []
     for i in range(m):
         if basis[i] >= n:
@@ -200,14 +214,29 @@ def _dense_solve_lp(p):
                 continue
             _dense_pivot(tab, rhs, red, basis, i, jc)
         keep.append(i)
-    tab = [tab[i] for i in keep]
-    rhs = [rhs[i] for i in keep]
-    basis = [basis[i] for i in keep]
-    active = [active[i] for i in keep]
+    return [tab[i] for i in keep], [rhs[i] for i in keep], [basis[i] for i in keep], keep
+
+
+def _dense_solve_lp(p, start):
+    """The reference's outcome of p on the route `lp` takes, and the basis
+    its phase 2 ended on (None on an infeasible face): from `start`, the
+    `_dense_phase_one` of p's face, phase 2 runs on copies of its tableau
+    and basis. The tableau is B^-1 times the standard rows, so a late
+    column, a sum of standard columns, is the same sum of the tableau's
+    columns, written into the copy's slot."""
+    std = _ReferenceStdForm(p)
+    if isinstance(start, lp.LpOutcome):
+        return lp.LpOutcome(status=lp.INFEASIBLE, farkas=list(start.farkas)), None
+    n, nvars, slot = std.ncols, std.nvars, std.slot
+    tab, rhs, basis, active = [row[:] for row in start[0]], *(list(v) for v in start[1:])
+    if std.late is not None:
+        for row in tab:
+            row[slot] = _sum(row[:slot]) + std.late * _sum(row[slot + 1:])
     red = std.cost[:]
     for i, row in enumerate(tab):
         cb = std.cost[basis[i]]
-        red = [u - cb * v for u, v in zip(red, row)]
+        if cb:
+            red = [u - cb * v if v else u for u, v in zip(red, row)]
     jc = _dense_optimize(tab, rhs, red, basis, n)
     z = [_ZERO] * n
     for i, col in enumerate(basis):
@@ -218,12 +247,12 @@ def _dense_solve_lp(p):
         for i, row in enumerate(tab):
             if row[jc]:
                 d[basis[i]] = -row[jc]
-        return lp.LpOutcome(status=lp.UNBOUNDED, primal=z[:nvars], ray=d[:nvars])
+        return lp.LpOutcome(status=lp.UNBOUNDED, primal=z[:nvars], ray=d[:nvars]), basis
     x = z[:nvars]
     y_std = _dense_basis_dual(std, active, basis, lambda col: std.cost[col])
     y = [-v for v in std.problem_multipliers(y_std)]  # min cost . z negated: max c . x
     value = sum((c * v for c, v in zip(p.objective, x) if c), _ZERO)
-    return lp.LpOutcome(status=lp.OPTIMAL, primal=x, dual=y, objective_value=value)
+    return lp.LpOutcome(status=lp.OPTIMAL, primal=x, dual=y, objective_value=value), basis
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +291,12 @@ class KernelSpy:
     - `unreduced`: a copy of each row a pivot wrote, the cost row included,
       and of each cost row an `_optimize` starts from, that holds a zero
       entry or a common factor (an entry that is not an int fails `gcd`).
+    With `rows` False it copies and checks no row: a `Run` keeps no start
+    and `unreduced` stays empty, for a caller that reads the counts alone.
     """
 
-    def __init__(self, monkeypatch):
+    def __init__(self, monkeypatch, rows=True):
+        self.rows = rows
         self.work = {phase: [0] * 5 for phase in PHASES}
         self.crashes, self.tabs, self.runs, self.unreduced = [], [], [], []
         self.phase = "reduce"
@@ -308,7 +340,8 @@ class KernelSpy:
             self.phase = "bland" if outer == "crash" else "phase 2"
             tab, red, basis = args[:3]
             self._check(red)
-            run = Run(([row.copy() for row in tab], dict(red), list(basis), *args[3:]))
+            run = Run(([row.copy() for row in tab], dict(red), list(basis), *args[3:])
+                      if self.rows else None)
             self.runs.append(run)
             returned = optimize(*args)
             self.phase = "drive-out" if outer == "crash" else outer
@@ -329,7 +362,7 @@ class KernelSpy:
 
     def _check(self, row) -> None:
         values = row.values()
-        if row and (not all(values) or gcd(*values) != 1):
+        if self.rows and row and (not all(values) or gcd(*values) != 1):
             self.unreduced.append(dict(row))
 
     def counts(self, phases=PHASES) -> list[int]:
@@ -406,25 +439,37 @@ def _programs(face: LpProblem, draw, rng):
         yield f"floor, mu {mu}", zero + [_ONE], mu
 
 
+def _ended(phase1: lp._Phase1, bland: Run) -> list[int]:
+    """The basis a phase 1 ended on: B0, after the drive-out, or on an
+    infeasible face, where none runs, the basis Bland's rule ended on."""
+    return bland.end[1] if phase1.farkas is not None else phase1.basis
+
+
 @dataclass
 class Program:
     """One program of a face: its name, the program `_Phase1.program`
     built, its warm outcome, and with a late column its cold one, on a fresh
-    phase 1 of its full rows (`markets.routed`); and the spy's run of its
-    warm phase 2, None on an infeasible face, which runs none."""
+    phase 1 of its full rows (`markets.routed`), and the basis that phase 1
+    ended on (`_ended`) in the face's columns; the spy's run of its warm
+    phase 2, None on an infeasible face, which runs none; and the dense
+    kernel's outcome and end basis, from the face's dense phase 1
+    (`_dense_solve_lp`)."""
 
     name: str
     problem: LpProblem
     warm: lp.LpOutcome
     cold: lp.LpOutcome | None
+    cold_ended: list[int] | None
     run: Run | None
+    dense: tuple
 
 
 @dataclass
 class Face:
     """One face of a row: its kind, the face and a copy of its lists taken
     before phase 1, its phase 1, the spy's crash pivots and Bland run of
-    that phase 1, and its programs."""
+    that phase 1, the basis it ended on (`_ended`), the dense kernel's
+    phase 1 of it (`_dense_phase_one`), and its programs."""
 
     kind: str
     problem: LpProblem
@@ -432,6 +477,8 @@ class Face:
     phase1: lp._Phase1
     crash: list
     bland: Run
+    ended: list[int]
+    dense: tuple | lp.LpOutcome
     programs: list[Program]
 
 
@@ -442,19 +489,27 @@ def _solve(spy: KernelSpy, kind: str, problem: LpProblem, draw, rng) -> Face:
     crashes, runs = len(spy.crashes), len(spy.runs)
     phase1 = lp._Phase1(problem)
     (crash,), (bland,) = spy.crashes[crashes:], spy.runs[runs:]
-    face = Face(kind, problem, before, phase1, crash, bland, [])
+    dense = _dense_phase_one(_ReferenceStdForm(problem))
+    face = Face(kind, problem, before, phase1, crash, bland, _ended(phase1, bland), dense, [])
+    n = phase1.n
     colds = {}  # by push, the phase 1 of the full rows: a cold solve's, whatever its objective
     for name, objective, mu in _programs(problem, draw, rng):
         program = phase1.program(objective, mu)
         runs = len(spy.runs)
         warm = lp.solve_lp(program)
         run = spy.runs[runs] if len(spy.runs) > runs else None
-        cold = None
+        cold = cold_ended = None
         if mu is not None:
             if mu not in colds:
-                colds[mu] = routed(program).phase1[0]
-            cold = lp.solve_lp(colds[mu].program(objective))
-        face.programs.append(Program(name, program, warm, cold, run))
+                runs = len(spy.runs)
+                full = routed(program).phase1[0]
+                # the full rows hold the late column at n, so their empty
+                # slot is n + 1 and each later column one further on
+                colds[mu] = full, [c if c <= n else c - 1 for c in _ended(full, spy.runs[runs])]
+            full, cold_ended = colds[mu]
+            cold = lp.solve_lp(full.program(objective))
+        face.programs.append(Program(name, program, warm, cold, cold_ended, run,
+                                     _dense_solve_lp(program, dense)))
     return face
 
 
@@ -483,6 +538,10 @@ class Row:
     faces = property(lambda self: self.solved[0])
     spy = property(lambda self: self.solved[1])
 
+    def drop(self) -> None:
+        """Forget what `solved` keeps; a later read builds it again."""
+        self.__dict__.pop("solved", None)
+
 
 _STATUSES = (lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED)
 _FLOORS = tuple(f"floor, mu {mu}" for mu in (0, 1, 2))
@@ -507,7 +566,8 @@ PROGRAMS = {row.name: row for row in [
         }),
     Row("market", 20240607, _market_faces, partial(random_rational, lo=-3, hi=3), {
         "faces": 240, "phase 2": 100, "infeasible face": 21, ("priced", lp.OPTIMAL): 20,
-        ("floor, mu 0", lp.OPTIMAL): 20, "the widest hedge face under half full": 1,
+        ("floor, mu 0", lp.OPTIMAL): 20, ("floor, mu 0", "cold from one basis"): 240,
+        "the widest hedge face under half full": 1,
         **{(name, s): 1 for name in ("floor, mu 0", "floor, mu 1", "priced")
            for s in (lp.OPTIMAL, lp.INFEASIBLE)},
     }),

@@ -3,7 +3,7 @@
 Three reference programs, each an LP formulation the package no longer
 uses: the strategy-side surplus program for no-arbitrage, the strategy-side
 hedge program for super-hedging prices and the replication LP for option
-redundancy. `lp` solves over x >= 0 only, so `_solve_free` splits their
+redundancy. `lp` solves over x >= 0 only, so `_free_program` splits their
 free columns. Two reference pipelines the package replaced: redundancy by
 one elimination of [1 | G | P_others] per option, and `sharper_ftap` that
 solves the no-arbitrage program before the robust one. And,
@@ -145,11 +145,12 @@ def _free_program(objective, rows, relations, rhs, free: int) -> lp.LpProblem:
     return lp.LpProblem(split(objective), sparse_rows(map(split, rows)), relations, rhs)
 
 
-def _solve_free(objective, rows, relations, rhs, free: int) -> lp.LpOutcome:
-    """`lp.solve_lp` of `_free_program`'s program, on the program a phase 1
+def _solve_free(problem: lp.LpProblem, free: int) -> lp.LpOutcome:
+    """`lp.solve_lp` of a `_free_program` program, on the program a phase 1
     of its own builds (`markets.routed`). An optimal primal is mapped back
-    to the free columns; other outcomes are returned as solved."""
-    out = lp.solve_lp(routed(_free_program(objective, rows, relations, rhs, free)))
+    to the first `free` columns, each the difference of its pair; other
+    outcomes are returned as solved."""
+    out = lp.solve_lp(routed(problem))
     if out.status == lp.OPTIMAL:
         z = out.primal
         out.primal = [z[2 * j] - z[2 * j + 1] for j in range(free)] + z[2 * free:]
@@ -175,8 +176,8 @@ def surplus_na(m: MarketModel) -> NaVerdict:
         coefs[width + idx] = Fraction(-1)
         rows.append(coefs)
     rows.append([ZERO] * width + [ONE] * k)
-    out = _solve_free([ZERO] * width + [ONE] * k, rows,
-                      [lp.EQ] * k + [lp.LE], [ZERO] * k + [ONE], free=nh)
+    out = _solve_free(_free_program([ZERO] * width + [ONE] * k, rows,
+                                    [lp.EQ] * k + [lp.LE], [ZERO] * k + [ONE], free=nh), nh)
     assert out.status == lp.OPTIMAL, out.status
     if out.objective_value == 0:
         return NaVerdict(True)
@@ -186,27 +187,23 @@ def surplus_na(m: MarketModel) -> NaVerdict:
     return NaVerdict(False, ArbitrageCertificate(strategy, gains, strict))
 
 
-def _hedge(c, f: Claim) -> tuple:
-    """`_solve_free`'s arguments for super-hedging on the strategy side: min
-    x over (x, strategy) with x + gain >= payoff on every charged leaf,
-    solved as max -x, capital and the dynamic positions free."""
+def hedge_program(m: MarketModel, f: Claim) -> lp.LpProblem:
+    """Super-hedging on the strategy side: min x over (x, strategy) with
+    x + gain >= payoff on every charged leaf, as max -x, capital and the
+    dynamic positions free (`_free_program`)."""
+    c = require_valid(m)
     nh, e = len(c.columns), len(c.options)
     gains = strategy_rows(c)
     rows = [[ONE] + gains[pos] for pos in c.charged]
-    return ([-ONE] + [ZERO] * (nh + 2 * e), rows, [lp.GE] * len(rows),
-            [f.payoff[pos] for pos in c.charged], 1 + nh)
-
-
-def hedge_program(m: MarketModel, f: Claim) -> lp.LpProblem:
-    """The program `hedge_lp` solves, its free columns split."""
-    return _free_program(*_hedge(require_valid(m), f))
+    return _free_program([-ONE] + [ZERO] * (nh + 2 * e), rows, [lp.GE] * len(rows),
+                         [f.payoff[pos] for pos in c.charged], 1 + nh)
 
 
 def hedge_lp(m: MarketModel, f: Claim) -> tuple[Fraction, Strategy] | None:
-    """Super-hedging on the strategy side (`_hedge`). Capital is a free
-    column, so the program is feasible; None when it is unbounded below."""
+    """`hedge_program` solved. Capital is a free column, so the program is
+    feasible; None when it is unbounded below."""
     c = require_valid(m)
-    out = _solve_free(*_hedge(c, f))
+    out = _solve_free(hedge_program(c, f), 1 + len(c.columns))
     if out.status == lp.UNBOUNDED:
         return None
     assert out.status == lp.OPTIMAL, out.status
@@ -223,8 +220,8 @@ def replication_lp(m: MarketModel, i: int) -> NonredundancyVerdict:
     gains = reference_gain_rows(c)[1]
     rows = [[ONE, *gains[pos], *(c.options[k].payoff[pos] for k in others)]
             for pos in c.charged]
-    out = _solve_free([ZERO] * ncols, rows, [lp.EQ] * len(rows),
-                      [c.options[i].payoff[pos] for pos in c.charged], free=ncols)
+    out = _solve_free(_free_program([ZERO] * ncols, rows, [lp.EQ] * len(rows),
+                                    [c.options[i].payoff[pos] for pos in c.charged], ncols), ncols)
     if out.status == lp.INFEASIBLE:
         return NonredundancyVerdict(True)
     assert out.status == lp.OPTIMAL, out.status
@@ -292,11 +289,11 @@ def _dense_gauss_jordan(rows, rhs):
         prow = a[r]
         inv = ONE / prow[col]
         if inv != 1:
-            a[r] = prow = [v * inv for v in prow]
+            a[r] = prow = [v * inv if v else v for v in prow]
         for i in range(m):
             if i != r and a[i][col]:
                 f = a[i][col]
-                a[i] = [u - f * v for u, v in zip(a[i], prow)]
+                a[i] = [u - f * v if v else u for u, v in zip(a[i], prow)]
         piv_cols.append(col)
         r += 1
         if r == m:

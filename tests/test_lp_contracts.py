@@ -1,9 +1,10 @@
 """The LP kernel's contracts, each checked once on every row of
 `lp_cases.PROGRAMS`, on every face of the row and every program it carries:
 
-1. equal to the dense kernel, and `_reduce` equal to the dense elimination
-   on the wide row;
-2. warm equals cold in status and value;
+1. equal to the dense kernel on the route `lp` takes, floors included, and
+   `_reduce` equal to the dense elimination on the wide row;
+2. warm equals cold in status and value, and field for field from one
+   phase-1 basis;
 3. the value taken off the cost row is the objective at the primal;
 4. every side read is a fresh list, and a `replace` twin is equal;
 5. nothing is written to the problem, the face or the face's inverse;
@@ -32,15 +33,17 @@ from lp_cases import (
     _ZERO,
     _assert_linear_solve,
     _dense_basis_dual,
-    _dense_solve_lp,
     _ReferenceStdForm,
 )
 from markets import dense_rows
 
 
-@pytest.fixture(params=sorted(PROGRAMS))
+@pytest.fixture(scope="module", params=sorted(PROGRAMS))
 def row(request):
-    return PROGRAMS[request.param]
+    # built by the first contract that reads it, dropped after the last, so
+    # no later test carries its faces
+    yield PROGRAMS[request.param]
+    PROGRAMS[request.param].drop()
 
 
 def _programs(row):
@@ -49,36 +52,42 @@ def _programs(row):
 
 
 def test_outcomes_equal_the_dense_kernels(row):
-    # a program without a late column is the dense kernel's outcome field
-    # for field, and in repr; a late column may change the dense kernel's
-    # phase 1, so contract 2 checks those. `_reduce` of each wide face's
-    # [A | b] is the dense reduced row-echelon form: the wide row is the one
-    # whose integer rows need the lcm of coprime denominators, and
+    # every program, floors included, is the dense kernel's outcome field
+    # for field, and in repr, on the route `lp` takes: one dense phase 1 of
+    # the face, kept, and a phase 2 per program from it, a late column
+    # written into the slot (`lp_cases._solve`). `_reduce` of each wide
+    # face's [A | b] is the dense reduced row-echelon form: the wide row is
+    # the one whose integer rows need the lcm of coprime denominators, and
     # `test_lp_sparse.py` checks `_reduce` on small systems of its own
     for face in row.faces:
         p = face.problem
         if face.kind == "wide" and p.rows:
             _assert_linear_solve(dense_rows(p.rows, len(p.objective)), p.rhs)
         for program in face.programs:
-            if program.problem.phase1[1] is None:
-                dense = _dense_solve_lp(program.problem)
-                assert program.warm == dense, (program.name, program.problem)
-                assert repr(program.warm) == repr(dense), (program.name, program.problem)
+            dense = program.dense[0]
+            assert program.warm == dense, (program.name, program.problem)
+            assert repr(program.warm) == repr(dense), (program.name, program.problem)
 
 
 def test_a_warm_outcome_is_the_cold_one(row):
-    # a program with a late column, on its face's phase 1, against a fresh
-    # phase 1 of its full rows, which holds the late column as a column its
-    # crash or Bland's rule may take, so phase 2 may end at another optimal
-    # basis: status and value agree. Both replay, as every outcome does:
-    # `conftest`'s audit re-verifies each solve. Without a late column the
-    # cold phase 1 is the face's own, and contract 1 checks the outcome
-    # field for field against the dense kernel's cold solve
-    for program in _programs(row):
-        warm, cold = program.warm, program.cold
-        if cold is not None:
+    # a program with a late column, on its face's phase 1, against a cold
+    # solve: a fresh phase 1 of its full rows, which holds the late column
+    # as a column like the others. Status and value agree. The cold crash
+    # takes columns by their counts, so it may pivot on the late column
+    # where that is the sparsest in a zero-rhs row, and its phase 1 may end
+    # on another basis, then phase 2 at another optimal one. Where both
+    # phase 1s end on one basis, the tableau, B^-1 A, is the same whatever
+    # the path, and so is the outcome, field for field. Both replay, as
+    # every outcome does: `conftest`'s audit re-verifies each solve
+    for face in row.faces:
+        for program in face.programs:
+            warm, cold = program.warm, program.cold
+            if cold is None:
+                continue  # no late column: the face's phase 1 is the cold one (contract 1)
             assert (warm.status, warm.objective_value) == (cold.status, cold.objective_value), (
                 program.name, program.problem)
+            if program.cold_ended == face.ended:
+                assert warm == cold, (program.name, program.problem)
 
 
 def test_the_value_off_the_cost_row_is_the_objective_at_the_primal(row):
@@ -121,41 +130,37 @@ def test_nothing_is_written_to_the_problem_the_face_or_its_inverse(row):
             assert q.rows is p.rows and q.relations is p.relations and q.rhs is p.rhs, program.name
 
 
-def _reference_dual(phase1, p, basis, costs):
+def _reference_dual(p, basis, costs):
     """`_dense_basis_dual` of p's reference standard form on the basis `lp`
-    ended on, as problem-row multipliers. `lp` keeps a floor program's late
-    column in its face's slot and the reference after the program's
-    columns, so every column of `lp` past the slot is one further on there;
-    the artificials are unit columns in both."""
+    ended on, as problem-row multipliers: the two share their columns, the
+    artificials unit columns in both."""
     std = _ReferenceStdForm(p)
-    shift = len(p.objective) - phase1.n  # 1 with a late column, else 0
-    basis = [col + shift if col > phase1.n else col for col in basis]
     return std.problem_multipliers(_dense_basis_dual(
         std, range(len(std.rows)), basis, lambda col: costs(std, col)))
 
 
 def test_duals_off_the_stored_inverse_are_the_reference_eliminations(row):
     # a program's duals are read off its face's stored inverse and its final
-    # reduced costs; with a late column, the elimination of the basis its
-    # phase 2 ended on gives the same vector (without one, contract 1 checks
-    # them against the dense kernel's elimination of the same basis), as the
-    # infeasible face's phase-1 basis does for the Farkas vector, which is
-    # the dense kernel's own phase 1's
+    # reduced costs; the elimination of the basis its phase 2 ended on gives
+    # the same vector, as the infeasible face's phase-1 basis does for the
+    # Farkas vector, which is the dense kernel's own phase 1's. Where the
+    # dense kernel ended on that basis, over the rows it keeps, contract 1
+    # has compared the duals with its elimination of that very basis
     for face in row.faces:
         phase1 = face.phase1
         if phase1.farkas is not None:
-            ended = face.bland.end[1]
-            expected = _reference_dual(phase1, face.problem, ended,
+            expected = _reference_dual(face.problem, face.ended,
                                        lambda std, col: _ONE if col >= std.ncols else _ZERO)
-            assert phase1.farkas == expected == _dense_solve_lp(face.problem).farkas, face.problem
+            assert phase1.farkas == expected == face.dense.farkas, face.problem
             continue
         for program in face.programs:
-            if program.warm.status != lp.OPTIMAL or program.problem.phase1[1] is None:
+            if program.warm.status != lp.OPTIMAL:
                 continue
             ended = program.run.end[1]
-            expected = _reference_dual(phase1, program.problem, ended, lambda std, col: (
-                std.cost[col] if col < std.ncols else _ZERO))
-            assert program.warm.dual == [-v for v in expected], (program.name, program.problem)
+            if [col for col in ended if col < phase1.ncols] != program.dense[1]:
+                expected = _reference_dual(program.problem, ended, lambda std, col: (
+                    std.cost[col] if col < std.ncols else _ZERO))
+                assert program.warm.dual == [-v for v in expected], (program.name, program.problem)
             # an artificial of B0 is still basic, so its reduced cost is 0
             assert all(col in ended for col in phase1.basis if col >= phase1.ncols), program.name
 
@@ -260,6 +265,8 @@ def test_each_row_reaches_its_cases(row):
             objective, status = program.problem.objective, program.warm.status
             seen[program.name, status] += 1
             seen[status] += 1
+            if program.cold is not None:
+                seen[program.name, "cold from one basis"] += program.cold_ended == face.ended
             if program.run is None:
                 continue
             seen["phase 2"] += 1

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 from hedgecert import lp
 from hedgecert.lp import EQ, LE, LpProblem
-from lp_cases import _assert_linear_solve, _dense_solve_lp
+from lp_cases import _assert_linear_solve, _dense_phase_one, _dense_solve_lp, _ReferenceStdForm
 from markets import sparse_rows
 
 _ZERO = F(0)
@@ -38,5 +38,5 @@ def test_a_zero_rhs_row_that_cancels_in_the_crash_keeps_its_artificial():
     phase1 = lp._Phase1(p)
     assert phase1.basis[:2] == [0, phase1.ncols + 1] and phase1.tab[1] == {}
     out = lp.solve_lp(phase1.program(p.objective))
-    assert out == _dense_solve_lp(p)
+    assert out == _dense_solve_lp(p, _dense_phase_one(_ReferenceStdForm(p)))[0]
     assert (out.status, out.objective_value, out.dual[1]) == (lp.OPTIMAL, _ONE, _ZERO)

@@ -84,7 +84,7 @@ def test_the_kernel_does_the_pinned_work_on_each_query(tree, monkeypatch):
     branch, periods, bits, phase_one, pinned = PINS[tree]
     c = require_valid(ladder_market(branch, periods))
     f = Claim([F((7 * pos) % 9, 4) for pos in range(len(c.leaves))])  # the ladder's claim
-    spy = KernelSpy(monkeypatch)
+    spy = KernelSpy(monkeypatch, rows=False)
     work = {}
     for name, query in QUERIES.items():
         before = spy.counts()
